@@ -16,9 +16,7 @@ use std::time::Instant;
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion, Throughput};
 
-use nochatter_core::harness::{
-    run_scenario_batch_with_scratch, run_scenario_with_scratch, GatherScenario,
-};
+use nochatter_core::harness::{run_scenario_with_scratch, GatherScenario};
 use nochatter_core::{BehaviorSlot, CommMode};
 use nochatter_explore::{Explo, Uxs};
 use nochatter_graph::dynamic::SeededEdgeFailure;
@@ -341,8 +339,7 @@ fn round_loop(c: &mut Criterion) {
 }
 
 /// One campaign instance: the graph + team every `campaign_cells` cell
-/// shares, exactly what the lab runner's instance sub-key grouping holds
-/// fixed across a batch.
+/// shares, exactly what one instance sub-key of a campaign holds fixed.
 fn campaign_instance() -> InitialConfiguration {
     InitialConfiguration::new(
         generators::ring(8),
@@ -353,8 +350,7 @@ fn campaign_instance() -> InitialConfiguration {
 
 /// The 8 execution-axis cells of one instance: 2 sensing modes × 2 wake
 /// schedules × {static, seeded edge-failure} — the cell mix a campaign
-/// sweeps per instance. All share the configuration and seed, so the
-/// batched pass builds the exploration-sequence corpus once for all 8.
+/// sweeps per instance, all sharing the configuration and seed.
 fn campaign_cells(cfg: &InitialConfiguration) -> Vec<GatherScenario<'_>> {
     let mut cells = Vec::new();
     for mode in [CommMode::Silent, CommMode::Talking] {
@@ -378,20 +374,14 @@ fn campaign_cells(cfg: &InitialConfiguration) -> Vec<GatherScenario<'_>> {
     cells
 }
 
-/// The batched-vs-solo campaign-cell pair: the same 8 cells through one
-/// `BatchEngine` pass (one setup, one interleaved loop) vs eight
-/// individual `run_scenario` calls (per-cell setup). Outcomes are bitwise
-/// identical (pinned by tests); the delta is the batching amortization the
-/// campaign runner banks on every instance group.
-fn campaign_cells_pair(c: &mut Criterion) {
+/// The campaign-cell workload: the 8 cells of one instance, each through
+/// its own `run_scenario_with_scratch` call (per-cell setup, one shared
+/// scratch) — exactly how the lab runner executes a campaign's cells.
+fn campaign_cells_solo(c: &mut Criterion) {
     let cfg = campaign_instance();
     let cells = campaign_cells(&cfg);
     let mut group = c.benchmark_group("campaign_cells");
     group.throughput(Throughput::Elements(cells.len() as u64));
-    group.bench_function("batched/k8", |b| {
-        let mut scratch = EngineScratch::new();
-        b.iter(|| black_box(run_scenario_batch_with_scratch(&cells, &mut scratch)))
-    });
     group.bench_function("solo/k8", |b| {
         let mut scratch = EngineScratch::new();
         b.iter(|| {
@@ -629,20 +619,6 @@ fn emit_trajectory(quick: bool) {
             let cfg = campaign_instance();
             let cells = campaign_cells(&cfg);
             measure(
-                "campaign_cells/batched/k8",
-                cells.len() as u64,
-                "cells",
-                cells.len() as u64,
-                s.iters,
-                || {
-                    black_box(run_scenario_batch_with_scratch(&cells, &mut scratch));
-                },
-            )
-        },
-        {
-            let cfg = campaign_instance();
-            let cells = campaign_cells(&cfg);
-            measure(
                 "campaign_cells/solo/k8",
                 cells.len() as u64,
                 "cells",
@@ -810,7 +786,7 @@ criterion_group! {
         .sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_secs(2));
-    targets = csr_traversal, round_loop, campaign_cells_pair, campaign_cache_pair, hunt_evals_pair
+    targets = csr_traversal, round_loop, campaign_cells_solo, campaign_cache_pair, hunt_evals_pair
 }
 
 fn main() {

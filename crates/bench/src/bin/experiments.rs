@@ -211,8 +211,9 @@ fn run_campaign_cli(args: &[String]) -> ExitCode {
         report.workers
     );
     // Rates are None when the run was too fast to time (no inflating
-    // floor); `rounds/s` counts fast-forwarded model time, `executed` is
-    // the honest work rate.
+    // floor) or any cell came from the cache (it executed nothing);
+    // `rounds/s` counts fast-forwarded model time, `executed` is the
+    // honest work rate.
     let fixed = |v: Option<f64>| v.map_or_else(|| "n/a".to_string(), |x| format!("{x:.0}"));
     let sci = |v: Option<f64>| v.map_or_else(|| "n/a".to_string(), |x| format!("{x:.3e}"));
     eprintln!(

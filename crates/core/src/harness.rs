@@ -4,13 +4,15 @@
 //! Every runner here builds its engine over [`BehaviorSlot`] storage: the
 //! built-in algorithm stack lives inline in the agent arena and
 //! enum-dispatches, with no per-agent `Box` and no vtable call per round.
+//! One scenario is one engine run: [`run_scenario_batch_with_scratch`] is
+//! a plain loop over [`run_scenario_with_scratch`].
 
 use std::sync::{Arc, Mutex};
 
 use nochatter_graph::{InitialConfiguration, Label};
 use nochatter_sim::{
-    ActiveRun, BatchEngine, Engine, EngineScratch, FaultSpec, RunCheckpoint, RunOutcome, Sensing,
-    SimError, SpecView, Static, Topology, TopologySpec, WakeSchedule,
+    ActiveRun, Engine, EngineScratch, FaultSpec, RunCheckpoint, RunOutcome, Sensing, SimError,
+    SpecView, Static, Topology, TopologySpec, WakeSchedule,
 };
 
 use crate::codec::BitStr;
@@ -273,9 +275,9 @@ pub fn run_scenario_with_scratch(
     }
 }
 
-/// One known-upper-bound gathering scenario of a [`run_scenario_batch`]
-/// call: the argument tuple of [`run_scenario`], minus the configuration
-/// borrow's lifetime plumbing.
+/// One known-upper-bound gathering scenario: the argument tuple of
+/// [`run_scenario`] as a value, for callers that hold scenarios in lists or
+/// step them through [`ScenarioRun`].
 #[derive(Clone, Debug)]
 pub struct GatherScenario<'a> {
     /// The initial configuration to run.
@@ -296,105 +298,28 @@ pub struct GatherScenario<'a> {
     pub trace_capacity: Option<usize>,
 }
 
-/// Runs a batch of gathering scenarios through the batched multi-run
-/// engine pass. Each entry's outcome is bitwise identical to what
-/// [`run_scenario`] returns for the same arguments; an engine error in one
-/// scenario does not abort the rest.
-///
-/// Consecutive entries sharing a configuration and seed — the campaign
-/// runner's instance sub-key grouping produces exactly this layout — are
-/// executed as **one** [`BatchEngine`] over **one** [`KnownSetup`]: the
-/// certified exploration-sequence corpus, the dominant per-scenario setup
-/// cost, is built once per group instead of once per cell, and the group's
-/// runs interleave through one round loop with shared scratch. Entries
-/// that share nothing still run correctly, just without amortization.
-pub fn run_scenario_batch(batch: &[GatherScenario<'_>]) -> Vec<Result<RunOutcome, SimError>> {
-    run_scenario_batch_with_scratch(batch, &mut EngineScratch::new())
-}
-
-/// [`run_scenario_batch`] against caller-owned engine working memory (the
-/// campaign runner threads one scratch per worker through every batch it
-/// executes). Identical outcomes, bit for bit.
+/// Runs each scenario of `batch` in turn through
+/// [`run_scenario_with_scratch`], threading one scratch through all of
+/// them. An engine error in one scenario does not abort the rest.
 pub fn run_scenario_batch_with_scratch(
     batch: &[GatherScenario<'_>],
     scratch: &mut EngineScratch,
 ) -> Vec<Result<RunOutcome, SimError>> {
-    let mut results = Vec::with_capacity(batch.len());
-    let mut start = 0;
-    while start < batch.len() {
-        // One group = the maximal run of entries sharing (cfg, seed).
-        let mut end = start + 1;
-        while end < batch.len()
-            && batch[end].seed == batch[start].seed
-            && batch[end].cfg == batch[start].cfg
-        {
-            end += 1;
-        }
-        let group = &batch[start..end];
-        let first = &group[0];
-        let setup = KnownSetup::for_configuration(first.cfg, first.cfg.size() as u32, first.seed);
-        let limit = setup.params.round_limit(first.cfg.smallest_label_bit_len());
-        // A `BatchEngine` holds one view type, so the group is partitioned
-        // by topology kind: static cells run under the zero-cost `Static`
-        // monomorphization — exactly like their solo twins — and dynamic
-        // cells under the enum-dispatched `SpecView`. Each partition is
-        // one interleaved engine pass; results merge back in cell order.
-        // Both paths are pinned bitwise against solo execution by the
-        // equivalence tests.
-        let statics: Vec<&GatherScenario<'_>> =
-            group.iter().filter(|s| s.topo.is_static()).collect();
-        let dynamics: Vec<&GatherScenario<'_>> =
-            group.iter().filter(|s| !s.topo.is_static()).collect();
-        let mut static_results = run_batch_group(&statics, &setup, limit, scratch, |_| &Static);
-        let mut dynamic_results = run_batch_group(&dynamics, &setup, limit, scratch, |s| &s.topo);
-        let mut next_static = static_results.drain(..);
-        let mut next_dynamic = dynamic_results.drain(..);
-        results.extend(group.iter().map(|s| {
-            if s.topo.is_static() {
-                next_static.next().expect("one result per static cell")
-            } else {
-                next_dynamic.next().expect("one result per dynamic cell")
-            }
-        }));
-        start = end;
-    }
-    results
-}
-
-/// Runs one same-view partition of a (cfg, seed) group through a single
-/// [`BatchEngine`] under the topology family `T` selects (`Static` for
-/// the static partition, `TopologySpec`/`SpecView` for the dynamic one),
-/// returning one result per cell in partition order.
-fn run_batch_group<'c, T>(
-    cells: &[&GatherScenario<'c>],
-    setup: &KnownSetup,
-    limit: u64,
-    scratch: &mut EngineScratch,
-    topo_of: impl for<'s> Fn(&'s GatherScenario<'c>) -> &'s T,
-) -> Vec<Result<RunOutcome, SimError>>
-where
-    T: Topology,
-{
-    let mut engines: BatchEngine<'c, T::View, BehaviorSlot> = BatchEngine::new();
-    for s in cells {
-        let mut engine: Engine<'c, T::View, BehaviorSlot> =
-            Engine::with_parts(s.cfg.graph(), topo_of(s));
-        engine.set_sensing(sensing_for(s.mode));
-        engine.set_faults(s.fault.clone());
-        if let Some(capacity) = s.trace_capacity {
-            engine.record_trace(capacity);
-        }
-        for &(label, node) in s.cfg.agents() {
-            engine.add_agent(
-                label,
-                node,
-                BehaviorSlot::known_gather(setup.params.clone(), label, s.mode),
-            );
-        }
-        engine.set_wake_schedule(s.schedule.clone());
-        engines.push(engine, limit);
-    }
-    engines.run(scratch)
+    batch
+        .iter()
+        .map(|s| {
+            run_scenario_with_scratch(
+                s.cfg,
+                s.mode,
+                s.schedule.clone(),
+                &s.topo,
+                &s.fault,
+                s.seed,
+                s.trace_capacity,
+                scratch,
+            )
+        })
+        .collect()
 }
 
 /// A mid-flight snapshot of one gathering scenario run — the
@@ -425,15 +350,16 @@ impl ScenarioCheckpoint {
 }
 
 /// One known-upper-bound gathering scenario being stepped round by round,
-/// with checkpoint capture and resume — the solo, incremental counterpart
-/// of [`run_scenario_batch_with_scratch`].
+/// with checkpoint capture and resume — the incremental counterpart of
+/// [`run_scenario_with_scratch`].
 ///
 /// Wiring is identical to [`run_scenario_with_scratch`] (same behaviors,
 /// sensing, faults, schedule, round limit), except the engine always runs
 /// under the enum-dispatched [`SpecView`] so checkpoints taken under a
 /// static spec can seed runs under scripted-ring specs and vice versa; a
 /// [`TopologySpec::Static`] view answers exactly like the zero-cost
-/// [`Static`] one, so outcomes stay bitwise identical to the batch path's.
+/// [`Static`] one, so outcomes stay bitwise identical to
+/// [`run_scenario_with_scratch`]'s.
 pub struct ScenarioRun<'g> {
     run: ActiveRun<'g, SpecView, BehaviorSlot>,
 }
@@ -683,90 +609,4 @@ pub fn run_gossip_unknown(
         })
         .collect();
     Ok((outcome, reports))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use nochatter_graph::{generators, NodeId};
-    use nochatter_sim::CrashPoint;
-
-    fn cfg(n: u32, starts: &[(u64, u32)]) -> InitialConfiguration {
-        InitialConfiguration::new(
-            generators::ring(n),
-            starts
-                .iter()
-                .map(|&(l, s)| (Label::new(l).unwrap(), NodeId::new(s)))
-                .collect(),
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn batch_matches_individual_runs_bitwise() {
-        let cfgs = [cfg(4, &[(2, 0), (3, 2)]), cfg(6, &[(2, 1), (5, 4)])];
-        // Alternate modes, topologies and faults so the shared scratch
-        // crosses sensing models, graph sizes, static/dynamic paths and
-        // fault-free/faulty runs between consecutive executions.
-        let topos = [
-            TopologySpec::Static,
-            TopologySpec::Periodic(nochatter_graph::dynamic::PeriodicEdges {
-                period: 5,
-                offset: 0,
-            }),
-        ];
-        let faults = [
-            FaultSpec::None,
-            FaultSpec::CrashAt(vec![CrashPoint {
-                label: Label::new(2).unwrap(),
-                round: 40,
-            }]),
-        ];
-        let batch: Vec<GatherScenario<'_>> = cfgs
-            .iter()
-            .enumerate()
-            .flat_map(|(i, cfg)| {
-                let topos = &topos;
-                let faults = &faults;
-                [CommMode::Silent, CommMode::Talking]
-                    .into_iter()
-                    .flat_map(move |mode| {
-                        topos.iter().flat_map(move |topo| {
-                            faults.iter().map(move |fault| GatherScenario {
-                                cfg,
-                                mode,
-                                schedule: WakeSchedule::Simultaneous,
-                                topo: topo.clone(),
-                                fault: fault.clone(),
-                                seed: 7 + i as u64,
-                                trace_capacity: Some(1 << 12),
-                            })
-                        })
-                    })
-            })
-            .collect();
-        let outcomes = run_scenario_batch(&batch);
-        assert_eq!(outcomes.len(), batch.len());
-        for (s, batched) in batch.iter().zip(&outcomes) {
-            let solo = run_scenario(
-                s.cfg,
-                s.mode,
-                s.schedule.clone(),
-                &s.topo,
-                &s.fault,
-                s.seed,
-                s.trace_capacity,
-            )
-            .unwrap();
-            let batched = batched.as_ref().unwrap();
-            assert_eq!(format!("{batched:?}"), format!("{solo:?}"));
-            if s.topo.is_static() && s.fault.is_none() {
-                assert!(batched.gathering().is_ok());
-                assert_eq!(batched.blocked_moves, 0);
-            }
-            if !s.fault.is_none() {
-                assert_eq!(batched.crashed_agents, vec![Label::new(2).unwrap()]);
-            }
-        }
-    }
 }

@@ -192,18 +192,22 @@ impl CampaignReport {
         self.records.iter().filter(|r| r.ok).count()
     }
 
-    /// Wall-clock seconds of the run, or `None` when the measurement is too
-    /// coarse to divide by (under one microsecond). The historical behavior
-    /// — flooring at 1µs — silently inflated every `*_per_sec` rate on
-    /// sub-microsecond campaigns; an honest report declines to produce a
-    /// number instead.
+    /// Wall-clock seconds to divide executed work by, or `None` when no
+    /// honest rate exists: the measurement is too coarse (under one
+    /// microsecond — flooring it would inflate every `*_per_sec` rate), or
+    /// some records came from the result cache (their counters describe
+    /// work this run never executed).
     fn wall_secs(&self) -> Option<f64> {
+        if self.cache.is_some_and(|c| c.hits > 0) {
+            return None;
+        }
         let secs = self.wall.as_secs_f64();
         (secs >= 1e-6).then_some(secs)
     }
 
     /// Executed scenarios per wall-clock second, or `None` when the wall
-    /// clock was too coarse to measure (serialized as `null`).
+    /// clock was too coarse to measure or any record came from the cache
+    /// (serialized as `null`).
     pub fn scenarios_per_sec(&self) -> Option<f64> {
         Some(self.records.len() as f64 / self.wall_secs()?)
     }
@@ -243,8 +247,7 @@ impl CampaignReport {
     }
 
     /// Executed engine loop iterations per wall-clock second (fast-forward
-    /// excluded — the rate of actual hot-path work; per-run counters are
-    /// identical whether cells ran solo or batched). `None` when the wall
+    /// excluded — the rate of actual hot-path work). `None` when the wall
     /// clock was too coarse.
     pub fn engine_iterations_per_sec(&self) -> Option<f64> {
         let total: u64 = self.records.iter().map(|r| r.engine_iterations).sum();
@@ -396,7 +399,8 @@ impl CampaignReport {
     /// `executed_rounds_per_sec` excludes them and measures simulation
     /// work. All `*_per_sec` fields are `null` when the run was too fast
     /// to time (wall clock under one microsecond) — never inflated by a
-    /// floor.
+    /// floor — and when any record came from the result cache, since
+    /// cached records carry work this run did not execute.
     ///
     /// Runs executed against a result store additionally carry
     /// `cache_hits` and `cache_misses`; uncached runs omit both fields
@@ -514,7 +518,7 @@ pub struct CampaignArtifacts {
 mod tests {
     use super::*;
     use crate::campaign::Matrix;
-    use crate::runner::run_campaign;
+    use crate::runner::{run_campaign, run_campaign_cached};
     use nochatter_graph::generators::Family;
 
     fn tiny_report() -> CampaignReport {
@@ -593,6 +597,48 @@ mod tests {
             report.scenarios_per_sec(),
             Some(report.records.len() as f64 / 2.0)
         );
+    }
+
+    #[test]
+    fn rates_are_null_once_any_record_comes_from_the_cache() {
+        let campaign = Matrix {
+            families: vec![Family::Path, Family::Ring],
+            sizes: vec![4],
+            teams: vec![vec![2, 3]],
+            ..Matrix::new()
+        }
+        .campaign("rates", 3)
+        .unwrap();
+        let dir = std::env::temp_dir().join("nochatter-lab-report-rates-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = crate::store::Store::open(&dir).unwrap();
+        let rates = |r: &CampaignReport| {
+            [
+                r.scenarios_per_sec(),
+                r.rounds_per_sec(),
+                r.executed_rounds_per_sec(),
+                r.engine_iterations_per_sec(),
+                r.polled_rounds_per_sec(),
+            ]
+        };
+
+        let mut cold = run_campaign_cached(&campaign, 1, Some(&store));
+        assert_eq!(cold.cache, Some(CacheStats { hits: 0, misses: 2 }));
+        // The cold run really executed; pin a measurable wall so the
+        // assertion does not depend on the clock's resolution.
+        cold.wall = Duration::from_millis(5);
+        assert!(rates(&cold).iter().all(Option::is_some));
+        assert!(!cold.trajectory_json().contains("null"));
+
+        let mut warm = run_campaign_cached(&campaign, 1, Some(&store));
+        assert_eq!(warm.cache, Some(CacheStats { hits: 2, misses: 0 }));
+        warm.wall = Duration::from_millis(5);
+        assert!(rates(&warm).iter().all(Option::is_none));
+        assert_eq!(
+            warm.trajectory_json().matches("_per_sec\": null").count(),
+            5
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,30 +1,19 @@
 //! Sharded, deterministic campaign execution.
 //!
-//! Execution is planned as *jobs* first: every gathering cell of one
-//! instance sub-key (same family, size, team and rep — hence same graph,
-//! configuration and derived seed) becomes one **batch job** executed
-//! through the batched multi-run engine pass
-//! (`nochatter_core::harness::run_scenario_batch_with_scratch`), which
-//! builds the instance's exploration-sequence corpus once and interleaves
-//! the cells — silent/talking twins, wake schedules, dynamic-topology and
-//! fault variants — through one engine loop. Gossip and unknown-bound
-//! cells drive their own engines and stay solo jobs.
-//!
-//! Jobs are then distributed over the work-stealing scheduler
-//! ([`crate::sched`]): per-worker deques with steal-half rebalancing, one
-//! reusable [`EngineScratch`] per worker, and lock-free per-job result
-//! slots. Stealing reorders execution, never results — each record lands
-//! in its scenario's key-order slot — so a 1-worker run and an 8-worker
-//! run produce byte-identical reports. A scenario that panics is isolated:
-//! its batch is re-run cell by cell under `catch_unwind` and the poisoned
-//! cell becomes a failed [`RunRecord`] with status `"panic: ..."` instead
-//! of aborting the campaign.
+//! One cell is one run: every scenario the cache does not answer becomes
+//! one job, executed by [`execute_scenario_with_scratch`] and written
+//! through to the store. Jobs are distributed over the work-stealing
+//! scheduler ([`crate::sched`]): per-worker deques with steal-half
+//! rebalancing, one reusable [`EngineScratch`] per worker, and lock-free
+//! per-job result slots. Stealing reorders execution, never results — each
+//! record lands in its scenario's key-order slot — so a 1-worker run and
+//! an 8-worker run produce byte-identical reports. A scenario that panics
+//! is isolated by the scheduler's `catch_unwind`: the cell becomes a
+//! failed [`RunRecord`] with status `"panic: ..."` instead of aborting the
+//! campaign.
 
-use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-use nochatter_core::harness::GatherScenario;
 use nochatter_core::unknown::{run_unknown, SliceEnumeration};
 use nochatter_core::{harness, KnownSetup};
 use nochatter_sim::{EngineScratch, RunOutcome, SimError};
@@ -50,23 +39,21 @@ pub fn default_workers() -> usize {
 /// available core) and collects the records in scenario-key order.
 ///
 /// The report is bit-for-bit identical for any worker count: scenarios are
-/// deterministic given their derived seed, batch grouping is a pure
-/// function of the campaign (instance sub-keys, in key order), and
-/// collection order is the campaign's key order, not completion order. A
-/// panicking scenario yields a `"panic: ..."` record instead of aborting
-/// the run.
+/// deterministic given their derived seed, and collection order is the
+/// campaign's key order, not completion order. A panicking scenario yields
+/// a `"panic: ..."` record instead of aborting the run.
 pub fn run_campaign(campaign: &Campaign, workers: usize) -> CampaignReport {
     run_campaign_cached(campaign, workers, None)
 }
 
 /// [`run_campaign`] against an optional result store: the planning phase
 /// partitions cells into hits (loaded from the cache — byte for byte the
-/// record the engine would produce) and misses (scheduled through the
-/// ordinary work-stealing/batched path), and every completed miss job
-/// writes its records through immediately, so a killed run resumes where
-/// it stopped. Records merge in key order regardless of their source:
-/// the JSON/CSV reports are byte-identical with the cache on, off, warm,
-/// cold, or at any worker count. Panic records are never cached.
+/// record the engine would produce) and misses (one job each on the
+/// work-stealing pool), and every completed miss writes its record
+/// through immediately, so a killed run resumes where it stopped. Records
+/// merge in key order regardless of their source: the JSON/CSV reports
+/// are byte-identical with the cache on, off, warm, cold, or at any worker
+/// count. Panic records are never cached.
 pub fn run_campaign_cached(
     campaign: &Campaign,
     workers: usize,
@@ -96,40 +83,27 @@ pub fn run_campaign_cached(
         hits: (scenarios.len() - missing.len()) as u64,
         misses: missing.len() as u64,
     });
-    let jobs = plan_jobs(scenarios, &missing);
-    let results: Vec<Vec<(usize, RunRecord)>> = sched::run_sharded(
-        jobs.len(),
+    let results = sched::run_sharded(
+        missing.len(),
         workers,
         |job, scratch| {
-            let records = execute_job(&jobs[job], scenarios, scratch);
-            // Write-through per completed job: records of a killed run are
+            let scenario = &scenarios[missing[job]];
+            let record = execute_scenario_with_scratch(scenario, scratch);
+            // Write-through per completed cell: records of a killed run are
             // already on disk, so the next run resumes past them. The
             // append order varies with stealing; reports don't — they
             // merge by key order, and the store is an unordered index.
             if let Some(store) = store {
-                for (index, record) in &records {
-                    store.insert(&scenarios[*index], record);
-                }
+                store.insert(scenario, &record);
             }
-            records
+            record
         },
-        // Backstop for a panic that escapes the per-scenario isolation
-        // inside `execute_job` (e.g. while assembling records): fail every
-        // cell of the job honestly rather than the whole campaign. Panic
-        // records are harness faults, not results — never cached.
-        |job, message| {
-            jobs[job]
-                .iter()
-                .map(|&i| (i, panic_record(&scenarios[i], &message)))
-                .collect()
-        },
+        // A panicking cell fails honestly instead of the whole campaign.
+        // Panic records are harness faults, not results — never cached.
+        |job, message| panic_record(&scenarios[missing[job]], &message),
     );
-    // Scatter the jobs' records into key order. Each scenario index is
-    // owned by exactly one job; the replace() assert pins that invariant
-    // (cache hits pre-fill their slots, and only miss indices form jobs).
-    for (index, record) in results.into_iter().flatten() {
-        let previous = slots[index].replace(record);
-        assert!(previous.is_none(), "scenario {index} recorded twice");
+    for (&index, record) in missing.iter().zip(results) {
+        slots[index] = Some(record);
     }
     let records = slots
         .into_iter()
@@ -143,104 +117,6 @@ pub fn run_campaign_cached(
         wall: start.elapsed(),
         cache,
     }
-}
-
-/// Groups the scenario indices in `include` into execution jobs:
-/// gathering cells bucket by instance sub-key (first-occurrence order — a
-/// pure function of the campaign and the include list, independent of
-/// workers), everything else runs solo.
-fn plan_jobs(scenarios: &[Scenario], include: &[usize]) -> Vec<Vec<usize>> {
-    let mut jobs: Vec<Vec<usize>> = Vec::new();
-    let mut by_instance: HashMap<String, usize> = HashMap::new();
-    for &index in include {
-        let scenario = &scenarios[index];
-        if matches!(scenario.kind, ScenarioKind::Gather) {
-            match by_instance.entry(scenario.key.instance_canonical()) {
-                std::collections::hash_map::Entry::Occupied(slot) => {
-                    jobs[*slot.get()].push(index);
-                }
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(jobs.len());
-                    jobs.push(vec![index]);
-                }
-            }
-        } else {
-            jobs.push(vec![index]);
-        }
-    }
-    jobs
-}
-
-/// Executes one job (a same-instance batch or a solo cell) with
-/// per-scenario panic isolation.
-fn execute_job(
-    job: &[usize],
-    scenarios: &[Scenario],
-    scratch: &mut EngineScratch,
-) -> Vec<(usize, RunRecord)> {
-    if job.len() > 1 {
-        match catch_unwind(AssertUnwindSafe(|| execute_batch(job, scenarios, scratch))) {
-            Ok(records) => return records,
-            // A panic anywhere in the batched pass: fall through and re-run
-            // the batch cell by cell so only the poisoned cell fails.
-            Err(_) => *scratch = EngineScratch::new(),
-        }
-    }
-    job.iter()
-        .map(|&index| {
-            let scenario = &scenarios[index];
-            let record = catch_unwind(AssertUnwindSafe(|| {
-                execute_scenario_with_scratch(scenario, scratch)
-            }))
-            .unwrap_or_else(|payload| {
-                *scratch = EngineScratch::new();
-                panic_record(scenario, &sched::panic_message(payload))
-            });
-            (index, record)
-        })
-        .collect()
-}
-
-/// Runs a same-instance batch of gathering cells through the batched
-/// multi-run engine pass. Records are bitwise identical to solo execution
-/// of each cell (pinned by tests); unsupported cells are rejected in
-/// preflight exactly as on the solo path.
-fn execute_batch(
-    job: &[usize],
-    scenarios: &[Scenario],
-    scratch: &mut EngineScratch,
-) -> Vec<(usize, RunRecord)> {
-    let mut out: Vec<(usize, RunRecord)> = job
-        .iter()
-        .map(|&index| (index, base_record(&scenarios[index])))
-        .collect();
-    let mut runnable: Vec<usize> = Vec::new();
-    for (position, &index) in job.iter().enumerate() {
-        if preflight(&scenarios[index], &mut out[position].1) {
-            runnable.push(position);
-        }
-    }
-    let batch: Vec<GatherScenario<'_>> = runnable
-        .iter()
-        .map(|&position| {
-            let s = &scenarios[job[position]];
-            GatherScenario {
-                cfg: &s.cfg,
-                mode: s.mode,
-                schedule: s.schedule.clone(),
-                topo: s.topo.clone(),
-                fault: s.fault.clone(),
-                seed: s.seed,
-                trace_capacity: Some(TRACE_CAPACITY),
-            }
-        })
-        .collect();
-    let outcomes = harness::run_scenario_batch_with_scratch(&batch, scratch);
-    for (&position, outcome) in runnable.iter().zip(outcomes) {
-        let scenario = &scenarios[job[position]];
-        record_outcome(&mut out[position].1, scenario, outcome);
-    }
-    out
 }
 
 /// A record for a scenario that panicked: not ok, status carries the
@@ -274,8 +150,8 @@ pub(crate) fn base_record(scenario: &Scenario) -> RunRecord {
     }
 }
 
-/// Shared preflight of the solo and batched paths: rejects cells that must
-/// not run (filling `record.status`) and returns whether to execute. Every
+/// Shared preflight of the campaign and search paths: rejects cells that
+/// must not run (filling `record.status`) and returns whether to execute. Every
 /// rejection names the offending [`crate::ScenarioKey`], so a skip record
 /// quoted out of context (a CLI line, a grep hit) still identifies its
 /// cell.
@@ -418,7 +294,7 @@ pub fn execute_scenario_with_scratch(
 
 /// The shared outcome-to-record tail of every execution path: fills the
 /// counters and judges the gathering property (survivors-only under a
-/// fault adversary), so the batched and solo paths cannot drift.
+/// fault adversary), so the solo and forked paths cannot drift.
 pub(crate) fn record_outcome(
     record: &mut RunRecord,
     scenario: &Scenario,
@@ -519,31 +395,42 @@ mod tests {
     }
 
     #[test]
-    fn batched_campaign_records_match_solo_execution_bitwise() {
-        // The campaign runner batches each instance's cells through the
-        // multi-run engine pass; every record — counters and trace digest
-        // included — must equal what solo execution of that cell produces.
-        let c = campaign();
-        let report = run_campaign(&c, 3);
+    fn one_worker_scratch_reuse_matches_fresh_scratch_execution_bitwise() {
+        use nochatter_graph::dynamic::DynamicRing;
+        use nochatter_graph::Label;
+        use nochatter_sim::{CrashPoint, FaultSpec, TopologySpec};
+
+        // One worker threads one scratch through every cell in key order,
+        // so consecutive runs cross sensing modes, graph sizes, static and
+        // dynamic views, and fault-free and faulty runs. Every record —
+        // counters and trace digest included — must equal a run on a
+        // fresh scratch.
+        let c = Matrix {
+            families: vec![Family::Ring],
+            sizes: vec![4, 6],
+            teams: vec![vec![2, 3]],
+            topologies: vec![
+                TopologySpec::Static,
+                TopologySpec::Ring(DynamicRing { seed: 3 }),
+            ],
+            faults: vec![
+                FaultSpec::None,
+                FaultSpec::CrashAt(vec![CrashPoint {
+                    label: Label::new(3).unwrap(),
+                    round: 40,
+                }]),
+            ],
+            modes: vec![CommMode::Silent, CommMode::Talking],
+            ..Matrix::new()
+        }
+        .campaign("scratch-reuse", 11)
+        .unwrap();
+        let report = run_campaign(&c, 1);
+        assert_eq!(report.records.len(), 16);
+        assert!(report.records.iter().any(|r| r.crashed_agents > 0));
+        assert!(report.records.iter().any(|r| r.blocked_moves > 0));
         for (scenario, record) in c.scenarios().iter().zip(&report.records) {
             assert_eq!(record, &execute_scenario(scenario), "{}", scenario.key);
-        }
-    }
-
-    #[test]
-    fn instance_batches_group_all_execution_axes() {
-        let c = campaign();
-        let all: Vec<usize> = (0..c.len()).collect();
-        let jobs = plan_jobs(c.scenarios(), &all);
-        // 2 families × 2 sizes × 1 team × 1 rep = 4 instances, each with
-        // 2 schedules × 2 modes = 4 cells.
-        assert_eq!(jobs.len(), 4);
-        for job in &jobs {
-            assert_eq!(job.len(), 4);
-            let instance = c.scenarios()[job[0]].key.instance_canonical();
-            for &i in job {
-                assert_eq!(c.scenarios()[i].key.instance_canonical(), instance);
-            }
         }
     }
 
@@ -573,9 +460,10 @@ mod tests {
         use crate::record::ScenarioKey;
         use nochatter_graph::generators;
 
-        // Two cells of a reserved family that the preflight hook panics on
-        // (same instance, so they form a batch and exercise the
-        // batch-panic → solo-rerun fallback), plus two healthy cells.
+        // Two cells of a reserved family that the preflight hook panics on,
+        // plus two healthy cells. The scheduler's `catch_unwind` is the
+        // only isolation layer: it turns each panic into that cell's
+        // record and hands the worker a fresh scratch.
         let cell = |family: &str, mode: CommMode, mode_name: &str| {
             let key = ScenarioKey {
                 family: family.into(),

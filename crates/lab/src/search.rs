@@ -29,8 +29,8 @@
 //!   resumes each candidate from the deepest sound rung — or clones the
 //!   incumbent's outcome outright when the candidate diverges only after
 //!   the run already ended — instead of replaying the shared prefix.
-//!   With forking off (`NOCHATTER_NO_FORK`, `--no-fork`), batches flow
-//!   through `run_scenario_batch_with_scratch` unchanged.
+//!   With forking off (`NOCHATTER_NO_FORK`, `--no-fork`), each candidate
+//!   runs from scratch through the campaign runner's solo path.
 //! * **Determinism at any worker count, fork mode and cache state.** The
 //!   per-instance search is sequential and seeded from the instance's
 //!   derived seed; instances shard over the work-stealing scheduler with
@@ -46,7 +46,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use nochatter_core::harness::{self, GatherScenario, ScenarioCheckpoint, ScenarioRun};
+use nochatter_core::harness::{GatherScenario, ScenarioCheckpoint, ScenarioRun};
 use nochatter_core::KnownSetup;
 use nochatter_graph::rng::derive_seed;
 use nochatter_graph::Label;
@@ -402,8 +402,12 @@ impl SearchReport {
 
     /// Candidate evaluations per wall-clock second, or `None` when the
     /// wall clock was too coarse to divide by (under one microsecond —
-    /// an honest report declines instead of flooring and inflating).
+    /// an honest report declines instead of flooring and inflating) or any
+    /// evaluation was served from the result cache (it executed nothing).
     pub fn evaluations_per_sec(&self) -> Option<f64> {
+        if self.cache.is_some_and(|c| c.hits > 0) {
+            return None;
+        }
         let secs = self.wall.as_secs_f64();
         (secs >= 1e-6).then(|| self.total_evaluations() as f64 / secs)
     }
@@ -820,9 +824,9 @@ struct EvalCounters {
     executed: u64,
 }
 
-/// The candidate [`GatherScenario`] of a decoded [`Scenario`] — the exact
-/// shape the batch path builds, so the solo forked path measures the same
-/// run.
+/// The candidate [`GatherScenario`] of a decoded [`Scenario`] — the same
+/// run the campaign runner executes, so the forked path measures exactly
+/// what a from-scratch evaluation would.
 fn gather_scenario(s: &Scenario) -> GatherScenario<'_> {
     GatherScenario {
         cfg: &s.cfg,
@@ -959,8 +963,8 @@ struct ForkState {
     /// termination.
     terminal: Option<RunOutcome>,
     /// Set when forking hit a wall (a behavior declined to fork, an
-    /// engine error in the ladder): evaluation falls back to the batch
-    /// path for the rest of this instance.
+    /// engine error in the ladder): evaluation falls back to from-scratch
+    /// runs for the rest of this instance.
     disabled: bool,
 }
 
@@ -1121,7 +1125,7 @@ impl ForkState {
     }
 }
 
-/// Measures a batch of same-instance candidates, with the identical
+/// Measures a list of same-instance candidates, with the identical
 /// preflight and outcome judgment the campaign runner applies — so a
 /// witness record replays bit for bit through the solo
 /// [`execute_scenario`](crate::execute_scenario) path.
@@ -1137,8 +1141,9 @@ impl ForkState {
 /// deepest valid rung of the incumbent's checkpoint ladder — or, past the
 /// incumbent run's end, cloning its terminal outcome outright. Records
 /// land in their original slots, so the caller's selection scan (and with
-/// it the walk) is order-blind to the strategy. Without `fork`, the
-/// batch flows through `run_scenario_batch_with_scratch` as before.
+/// it the walk) is order-blind to the strategy. Without `fork`, each
+/// candidate runs through the campaign runner's
+/// [`execute_scenario_with_scratch`](runner::execute_scenario_with_scratch).
 fn evaluate(
     candidates: &[Scenario],
     scratch: &mut EngineScratch,
@@ -1218,16 +1223,9 @@ fn evaluate(
         }
     }
 
-    let batch: Vec<GatherScenario<'_>> = runnable
-        .iter()
-        .map(|&i| gather_scenario(&candidates[i]))
-        .collect();
-    let outcomes = harness::run_scenario_batch_with_scratch(&batch, scratch);
-    for (&i, outcome) in runnable.iter().zip(outcomes) {
-        if let Ok(o) = &outcome {
-            counters.executed += o.engine_iterations;
-        }
-        runner::record_outcome(&mut records[i], &candidates[i], outcome);
+    for i in runnable {
+        records[i] = runner::execute_scenario_with_scratch(&candidates[i], scratch);
+        counters.executed += records[i].engine_iterations;
         if let Some(store) = store {
             store.insert(&candidates[i], &records[i]);
         }
@@ -1515,6 +1513,33 @@ mod tests {
         assert_eq!(o.improvements, 0);
         assert!(o.record.ok);
         assert_eq!(report.total_evaluations(), 1);
+    }
+
+    #[test]
+    fn evaluation_rate_is_null_once_any_evaluation_comes_from_the_cache() {
+        let dir = std::env::temp_dir().join("nochatter-lab-search-rate-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Store::open(&dir).unwrap();
+        let spec = SearchSpec {
+            name: "unit-rate".into(),
+            seed: 7,
+            budget: 3,
+            objective: Objective::Failure,
+            instances: vec![(base_scenario(), small_space())],
+        };
+        let mut cold = run_search_cached(&spec, 1, Some(&store));
+        assert_eq!(cold.cache.map(|c| c.hits), Some(0));
+        cold.wall = Duration::from_millis(5);
+        assert!(cold.evaluations_per_sec().is_some());
+
+        let mut warm = run_search_cached(&spec, 1, Some(&store));
+        assert!(warm.cache.is_some_and(|c| c.hits > 0));
+        warm.wall = Duration::from_millis(5);
+        assert_eq!(warm.evaluations_per_sec(), None);
+        assert!(warm
+            .trajectory_json()
+            .contains("\"evaluations_per_sec\": null"));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -167,9 +167,9 @@ proptest! {
         let outcome = &report.outcomes[0];
         prop_assert!(outcome.evaluations >= 1);
         prop_assert!(outcome.evaluations <= d.budget);
-        // The witness is a plain scenario: the batched search-side record
-        // and a fresh solo execution must agree on every field, trace
-        // digest included.
+        // The witness is a plain scenario: the search-side record and a
+        // fresh solo execution must agree on every field, trace digest
+        // included.
         let replayed = execute_scenario(&outcome.witness);
         prop_assert_eq!(&replayed, &outcome.record);
         // The witness key is the record's key: the replay recipe a report

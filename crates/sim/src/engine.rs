@@ -179,11 +179,10 @@ impl EngineScratch {
     /// for a graph of `n` nodes and `agent_count` agents. O(touched) for
     /// the clearing plus O(n) only when the node capacity grows.
     ///
-    /// Buffers only ever grow: a batch interleaves runs of different sizes
-    /// through one scratch, so shrinking for a small run would thrash the
-    /// capacity a bigger in-flight run still needs. The round loop indexes
-    /// only its own `n` nodes and `agent_count` action slots, so surplus
-    /// capacity is invisible.
+    /// Buffers only ever grow: one scratch serves a worker's runs of every
+    /// size in turn, so shrinking for a small run would only reallocate for
+    /// the next big one. The round loop indexes only its own `n` nodes and
+    /// `agent_count` action slots, so surplus capacity is invisible.
     fn prepare(&mut self, n: usize, agent_count: usize) {
         wipe_occupancy(&mut self.card, &mut self.occupants, &mut self.touched);
         if self.card.len() < n {
@@ -746,15 +745,11 @@ enum SparseStep {
 /// (one simulated round plus that round's quiescence fast-forward) against
 /// a borrowed [`EngineScratch`], and returns the run's result once it
 /// terminates. [`Engine::run_with_scratch`] is a trivial `begin`/`step`
-/// driver; [`crate::BatchEngine`] interleaves the steps of many runs
-/// through one loop. Both paths execute the *same* code on identical
-/// per-run state, so batched outcomes are bitwise identical to solo ones
-/// by construction.
+/// driver; the adversary search steps runs itself to capture checkpoints.
 ///
-/// Shared-scratch discipline: a step leaves `card`/`occupants` all-zero
-/// (the end-of-round wipe drains `touched`, including on the invalid-port
-/// error path), so steps of different runs can interleave through one
-/// scratch in any order.
+/// Scratch discipline: a step leaves `card`/`occupants` all-zero (the
+/// end-of-round wipe drains `touched`, including on the invalid-port error
+/// path), so the next run through the same scratch starts clean.
 ///
 /// When the behavior storage is forkable ([`ForkableBehavior`]), a run can
 /// additionally be snapshotted mid-flight ([`ActiveRun::checkpoint`]) and
@@ -899,10 +894,9 @@ impl<'g, V: TopologyView, B: AgentBehavior> ActiveRun<'g, V, B> {
         })
     }
 
-    /// The round this run's next [`ActiveRun::step`] will simulate. A
-    /// batch steps whichever runs are due at the globally smallest next
-    /// round; a value at or past the round limit means the next step only
-    /// finalizes the outcome.
+    /// The round this run's next [`ActiveRun::step`] will simulate; a value
+    /// at or past the round limit means the next step only finalizes the
+    /// outcome.
     pub fn next_round(&self) -> u64 {
         self.round
     }
@@ -1160,9 +1154,8 @@ impl<'g, V: TopologyView, B: AgentBehavior> ActiveRun<'g, V, B> {
                             self.stats.total_moves += 1;
                         }
                         None => {
-                            // Leave the scratch clean for whatever steps
-                            // next through it (a solo rerun or another run
-                            // of the same batch).
+                            // Leave the scratch clean for the next run
+                            // through it.
                             wipe_occupancy(card, occupants, touched);
                             return Some(Err(SimError::InvalidPort {
                                 agent: self.engine.agents.labels[i],
@@ -1195,8 +1188,7 @@ impl<'g, V: TopologyView, B: AgentBehavior> ActiveRun<'g, V, B> {
         }
 
         // End-of-round wipe: clear exactly the nodes occupied this round,
-        // restoring the all-zero scratch invariant interleaved runs rely
-        // on.
+        // restoring the all-zero scratch invariant.
         wipe_occupancy(card, occupants, touched);
 
         // A run ends when every agent is terminal. All declared is the

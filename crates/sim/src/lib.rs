@@ -63,7 +63,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod batch;
 mod behavior;
 mod engine;
 mod error;
@@ -75,7 +74,6 @@ mod trace;
 
 pub mod proc;
 
-pub use batch::BatchEngine;
 pub use behavior::{AgentAct, AgentBehavior, Declaration, ForkableBehavior};
 pub use engine::{ActiveRun, AgentPhase, Engine, EngineScratch, RunCheckpoint, Sensing};
 pub use error::SimError;
