@@ -4,9 +4,10 @@
 //! Besides the usual criterion report, running this bench writes the
 //! `BENCH_hotpath.json` trajectory artifact (override the path with
 //! `NOCHATTER_HOTPATH_OUT`): one JSON object per workload with its
-//! measured mean iteration time and unit rate. The committed copy at the
-//! workspace root is the perf trajectory — regenerate it with
-//! `cargo bench --bench hotpath` after hot-path work and commit the diff.
+//! measured mean, fastest and slowest iteration time and unit rate. The
+//! committed copy at the workspace root is the perf trajectory —
+//! regenerate it with `cargo bench --bench hotpath` after hot-path work
+//! and commit the diff.
 //! CI runs the suite in `--test` mode (one tiny iteration per workload)
 //! and diffs the *schema* of the emitted file — ids, units and field
 //! names, never timings — so the artifact cannot silently rot.
@@ -22,7 +23,7 @@ use nochatter_explore::{Explo, Uxs};
 use nochatter_graph::dynamic::SeededEdgeFailure;
 use nochatter_graph::{algo, generators, Graph, InitialConfiguration, Label, NodeId, Port};
 use nochatter_lab::{presets, run_campaign_cached, run_search_with, Store};
-use nochatter_sim::proc::{ProcBehavior, Procedure, WaitRounds};
+use nochatter_sim::proc::{ProcBehavior, Procedure};
 use nochatter_sim::FaultSpec;
 use nochatter_sim::{
     Action, Declaration, Engine, EngineScratch, Obs, Poll, Sensing, Static, TopologySpec,
@@ -74,33 +75,6 @@ fn engine_walk(g: &Graph, agents: u32, rounds: u64, sensing: Sensing, scratch: &
     }
     engine.set_wake_schedule(WakeSchedule::Simultaneous);
     black_box(engine.run_with_scratch(rounds, scratch).unwrap());
-}
-
-/// The sparse-loop showcase workload: one walker circles the ring while
-/// seven agents sit in a wait far longer than the run. The dense loop polls
-/// all eight behaviors every round; the sparse loop polls the walker plus
-/// whichever waiter the walker's moves dirty that round, so most
-/// agent-rounds never touch a behavior at all. Outcomes are bitwise
-/// identical either way (pinned by `sparse_dense.rs`).
-fn engine_mixed_wait_walk(g: &Graph, dense: bool, rounds: u64, scratch: &mut EngineScratch) -> u64 {
-    let n = g.node_count() as u32;
-    let mut engine = Engine::new(g);
-    engine.set_dense_loop(dense);
-    engine.add_agent(
-        label(1),
-        NodeId::new(0),
-        Box::new(ProcBehavior::declaring(Walker)),
-    );
-    for i in 1..8u32 {
-        engine.add_agent(
-            label(u64::from(i) + 1),
-            NodeId::new(i * (n / 8) % n),
-            Box::new(ProcBehavior::declaring(WaitRounds::new(rounds * 2))),
-        );
-    }
-    engine.set_wake_schedule(WakeSchedule::Simultaneous);
-    let outcome = engine.run_with_scratch(rounds, scratch).unwrap();
-    black_box(outcome.polled_agent_rounds)
 }
 
 /// A walker that tolerates blocked moves: on `blocked` it re-attempts a
@@ -280,19 +254,6 @@ fn round_loop(c: &mut Criterion) {
         let mut scratch = EngineScratch::new();
         b.iter(|| engine_walk_dynamic(&g, &topo, 8, s.engine_rounds, &mut scratch))
     });
-    // The sparse-vs-dense loop pair on the mixed wait/walk workload (one
-    // walker, seven long waiters): same rounds, same outcome bytes, the
-    // delta is the per-round cost of polling parked behaviors the sparse
-    // loop skips.
-    group.throughput(Throughput::Elements(s.engine_rounds * 8));
-    group.bench_function("mixed_wait_walk/a8", |b| {
-        let mut scratch = EngineScratch::new();
-        b.iter(|| engine_mixed_wait_walk(&g, false, s.engine_rounds, &mut scratch))
-    });
-    group.bench_function("mixed_wait_walk_dense/a8", |b| {
-        let mut scratch = EngineScratch::new();
-        b.iter(|| engine_mixed_wait_walk(&g, true, s.engine_rounds, &mut scratch))
-    });
     // The dispatch pair: the identical EXPLO workload stored as inline
     // enum slots vs one box per agent. The pair isolates the
     // dispatch/storage axis of the data-oriented agent arena: the enum
@@ -465,6 +426,9 @@ struct Entry {
     units_per_iter: u64,
     iters: u64,
     total_ns: u128,
+    /// The fastest and slowest single iteration.
+    min_ns: u128,
+    max_ns: u128,
 }
 
 impl Entry {
@@ -486,12 +450,18 @@ fn measure(
     iters: u64,
     mut routine: impl FnMut(),
 ) -> Entry {
-    // One warm-up iteration, then a single timed block — the trajectory
-    // wants a stable order-of-magnitude point, not criterion statistics.
+    // One warm-up iteration, then every iteration timed on its own — the
+    // trajectory wants a stable order-of-magnitude point and its spread,
+    // not criterion statistics.
     routine();
-    let t0 = Instant::now();
+    let (mut total_ns, mut min_ns, mut max_ns) = (0, u128::MAX, 0);
     for _ in 0..iters {
+        let t0 = Instant::now();
         routine();
+        let ns = t0.elapsed().as_nanos();
+        total_ns += ns;
+        min_ns = min_ns.min(ns);
+        max_ns = max_ns.max(ns);
     }
     Entry {
         id,
@@ -499,7 +469,9 @@ fn measure(
         unit,
         units_per_iter,
         iters,
-        total_ns: t0.elapsed().as_nanos(),
+        total_ns,
+        min_ns,
+        max_ns,
     }
 }
 
@@ -557,36 +529,6 @@ fn emit_trajectory(quick: bool) {
                 )
             },
         ),
-        {
-            // `units_per_iter` carries the hardware-independent fact: the
-            // behavior polls the run actually issues. The pair executes the
-            // byte-identical simulation, so the dense-to-sparse unit ratio
-            // *is* the poll reduction — wall-clock never inflates it.
-            let polled = engine_mixed_wait_walk(&ring, false, s.engine_rounds, &mut scratch);
-            measure(
-                "round_loop/mixed_wait_walk/a8",
-                s.engine_rounds,
-                "polled_rounds",
-                polled,
-                s.iters,
-                || {
-                    engine_mixed_wait_walk(&ring, false, s.engine_rounds, &mut scratch);
-                },
-            )
-        },
-        {
-            let polled = engine_mixed_wait_walk(&ring, true, s.engine_rounds, &mut scratch);
-            measure(
-                "round_loop/mixed_wait_walk_dense/a8",
-                s.engine_rounds,
-                "polled_rounds",
-                polled,
-                s.iters,
-                || {
-                    engine_mixed_wait_walk(&ring, true, s.engine_rounds, &mut scratch);
-                },
-            )
-        },
         measure(
             "round_loop/short_runs_scratch_reuse",
             s.short_runs,
@@ -745,13 +687,15 @@ fn emit_trajectory(quick: bool) {
             out,
             "    {{\"id\": \"{}\", \"param\": {}, \"unit\": \"{}\", \
              \"units_per_iter\": {}, \"iters\": {}, \"mean_ns\": {}, \
-             \"units_per_sec\": {:.1}}}{comma}",
+             \"min_ns\": {}, \"max_ns\": {}, \"units_per_sec\": {:.1}}}{comma}",
             e.id,
             e.param,
             e.unit,
             e.units_per_iter,
             e.iters,
             e.mean_ns(),
+            e.min_ns,
+            e.max_ns,
             e.units_per_sec(),
         );
     }

@@ -223,9 +223,9 @@ impl From<Box<dyn AgentBehavior>> for BehaviorSlot {
 }
 
 /// Enum dispatch over every slot, `min_wait`/`note_skipped` included:
-/// forwarding the wait-horizon pair verbatim is what lets the sparse
-/// round loop park the built-in algorithms (whose long `CurCard`-watch
-/// phases promise real horizons) exactly as it parks boxed behaviors.
+/// forwarding the wait-horizon pair verbatim is what lets the quiescence
+/// fast-forward skip the built-in algorithms' long `CurCard`-watch phases
+/// (which promise real horizons) exactly as it skips boxed behaviors.
 impl AgentBehavior for BehaviorSlot {
     fn on_round(&mut self, obs: &Obs) -> AgentAct {
         match self {

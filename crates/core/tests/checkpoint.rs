@@ -1,13 +1,18 @@
 //! Edge cases of the checkpoint/fork engine: a round-0 checkpoint is a
 //! fresh run, a terminal run cannot be snapshotted, resume is insensitive
-//! to scratch dirt, and pending wake/crash boundaries (with the
-//! fast-forward decisions they cap) survive forking bitwise.
+//! to scratch dirt, a checkpoint taken mid-wait resumes bitwise, and
+//! pending wake/crash boundaries (with the fast-forward decisions they
+//! cap) survive forking bitwise.
 
 use nochatter_core::harness::{run_scenario_with_scratch, GatherScenario, ScenarioRun};
 use nochatter_core::{CommMode, KnownSetup};
-use nochatter_graph::{generators, InitialConfiguration, Label, NodeId};
+use nochatter_graph::generators::Family;
+use nochatter_graph::rng::Rng;
+use nochatter_graph::{generators, Graph, InitialConfiguration, Label, NodeId, Port};
+use nochatter_sim::proc::{ProcBehavior, Procedure, UntilCardExceeds, WaitRounds};
 use nochatter_sim::{
-    CrashPoint, EngineScratch, FaultSpec, RunOutcome, SimError, TopologySpec, WakeSchedule,
+    Action, ActiveRun, CrashPoint, Declaration, Engine, EngineScratch, FaultSpec, Obs, Poll,
+    RunOutcome, SimError, Static, TopologySpec, WakeSchedule,
 };
 
 const SEED: u64 = 0xC0FFEE;
@@ -146,6 +151,143 @@ fn resume_is_insensitive_to_scratch_dirt() {
         format!("{from_scratch:?}"),
         "grow-only scratch buffers must not leak into a resumed run"
     );
+}
+
+/// A cloneable seeded walker: waits or takes a random port for `steps`
+/// rounds, then completes.
+#[derive(Clone)]
+struct CloneWalker {
+    rng: Rng,
+    steps: u32,
+}
+
+impl Procedure for CloneWalker {
+    type Output = u32;
+    fn poll(&mut self, obs: &Obs) -> Poll<u32> {
+        if self.steps == 0 {
+            return Poll::Complete(0);
+        }
+        self.steps -= 1;
+        if self.rng.bool() {
+            Poll::Yield(Action::Wait)
+        } else {
+            Poll::Yield(Action::TakePort(Port::new(
+                self.rng.range(u64::from(obs.degree)) as u32,
+            )))
+        }
+    }
+}
+
+/// One cloneable procedure type over a walker and two kinds of long wait,
+/// so a single `Box<B>` behavior storage is forkable via `Clone`.
+#[derive(Clone)]
+enum MixedProc {
+    Walk(CloneWalker),
+    Idle(WaitRounds),
+    Card(UntilCardExceeds<WaitRounds>),
+}
+
+impl Procedure for MixedProc {
+    type Output = u32;
+    fn poll(&mut self, obs: &Obs) -> Poll<u32> {
+        match self {
+            MixedProc::Walk(p) => p.poll(obs),
+            MixedProc::Idle(p) => p.poll(obs).map(|()| 0),
+            MixedProc::Card(p) => p.poll(obs).map(|out| out.was_interrupted() as u32),
+        }
+    }
+    fn min_wait(&self) -> u64 {
+        match self {
+            MixedProc::Walk(p) => p.min_wait(),
+            MixedProc::Idle(p) => p.min_wait(),
+            MixedProc::Card(p) => p.min_wait(),
+        }
+    }
+    fn note_skipped(&mut self, rounds: u64) {
+        match self {
+            MixedProc::Walk(p) => p.note_skipped(rounds),
+            MixedProc::Idle(p) => p.note_skipped(rounds),
+            MixedProc::Card(p) => p.note_skipped(rounds),
+        }
+    }
+}
+
+type ForkableMix = Box<ProcBehavior<MixedProc, fn(u32) -> Declaration>>;
+
+fn declare(size: u32) -> Declaration {
+    Declaration {
+        leader: None,
+        size: Some(size),
+    }
+}
+
+/// One walker and three long waiters on a ring, traced.
+fn mixed_wait_engine(graph: &Graph) -> Engine<'_, Static, ForkableMix> {
+    let mut engine: Engine<'_, Static, ForkableMix> = Engine::with_parts(graph, &Static);
+    engine.record_trace(1 << 12);
+    let procs = [
+        MixedProc::Walk(CloneWalker {
+            rng: Rng::seed_from(11),
+            steps: 30,
+        }),
+        MixedProc::Idle(WaitRounds::new(60)),
+        MixedProc::Idle(WaitRounds::new(75)),
+        MixedProc::Card(UntilCardExceeds::new(1, WaitRounds::new(300))),
+    ];
+    for (i, proc_) in procs.into_iter().enumerate() {
+        engine.add_agent(
+            Label::new(i as u64 + 1).unwrap(),
+            NodeId::new(i as u32 * 2),
+            Box::new(ProcBehavior::mapping(
+                proc_,
+                declare as fn(u32) -> Declaration,
+            )),
+        );
+    }
+    engine
+}
+
+#[test]
+fn a_mid_wait_checkpoint_resumes_bitwise() {
+    let graph = Family::Ring.instantiate(9, 4);
+    let mut scratch = EngineScratch::new();
+    let fresh = mixed_wait_engine(&graph)
+        .run_with_scratch(500, &mut scratch)
+        .unwrap();
+
+    // Step into the thick of the waits: by round 12 both `WaitRounds`
+    // agents are deep inside their `min_wait` horizons.
+    let mut donor = ActiveRun::begin(mixed_wait_engine(&graph), 500, &mut scratch).unwrap();
+    while donor.next_round() < 12 {
+        assert!(
+            donor.step(&mut scratch).is_none(),
+            "the run must still be live at round 12"
+        );
+    }
+    let cp = donor.checkpoint().expect("forkable behaviors snapshot");
+    assert_eq!(cp.round(), 12);
+
+    let mut resumed = ActiveRun::begin(mixed_wait_engine(&graph), 500, &mut scratch).unwrap();
+    assert!(resumed.resume_from(&cp), "shapes match, behaviors fork");
+    let outcome = loop {
+        if let Some(result) = resumed.step(&mut scratch) {
+            break result.unwrap();
+        }
+    };
+    // Every field, poll count included, plus every trace event.
+    assert_eq!(format!("{outcome:?}"), format!("{fresh:?}"));
+    assert_eq!(
+        outcome.trace.as_ref().unwrap().events(),
+        fresh.trace.as_ref().unwrap().events()
+    );
+    let declared: Vec<u64> = outcome
+        .declarations
+        .iter()
+        .map(|(_, rec)| rec.expect("every agent declares").round)
+        .collect();
+    // The walker finishes its 30 steps, the waiters their 60 and 75
+    // rounds, and the card watcher is cut short when the walker arrives.
+    assert_eq!(declared, vec![30, 60, 75, 18]);
 }
 
 /// Forks a run of `donor` into `target` from the deepest checkpoint at or

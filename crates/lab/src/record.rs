@@ -141,11 +141,11 @@ pub struct RunRecord {
     pub engine_iterations: u64,
     /// Rounds skipped by the quiescence fast-forward.
     pub skipped_rounds: u64,
-    /// Behavior polls actually executed — the sparse round loop's honest
-    /// cost denominator. The one counter allowed to differ between the
-    /// sparse and dense (`NOCHATTER_DENSE_LOOP=1`) loops, so it is kept
-    /// out of the deterministic per-record report bytes (JSON and CSV)
-    /// and surfaced only as a campaign-level trajectory aggregate.
+    /// Behavior polls actually executed — the round loop's per-round cost
+    /// denominator. An execution fact that moves whenever the engine's
+    /// execution strategy does, so it is kept out of the deterministic
+    /// per-record report bytes (JSON and CSV) and surfaced only as a
+    /// campaign-level trajectory aggregate.
     pub polled_agent_rounds: u64,
     /// Largest observed co-location.
     pub max_colocation: u32,

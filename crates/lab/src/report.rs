@@ -254,11 +254,10 @@ impl CampaignReport {
         Some(total as f64 / self.wall_secs()?)
     }
 
-    /// Behavior polls executed per wall-clock second — the sparse round
-    /// loop's honest denominator, mirroring the executed-vs-model rounds
-    /// split: the sparse win shows up here as *fewer polls for the same
-    /// reports*, never as inflated throughput. `None` when the wall clock
-    /// was too coarse.
+    /// Behavior polls executed per wall-clock second — the round loop's
+    /// per-agent work rate, beside the executed-vs-model rounds split:
+    /// one poll per executing agent per executed round, never the
+    /// fast-forwarded ones. `None` when the wall clock was too coarse.
     pub fn polled_rounds_per_sec(&self) -> Option<f64> {
         let total: u64 = self.records.iter().map(|r| r.polled_agent_rounds).sum();
         Some(total as f64 / self.wall_secs()?)

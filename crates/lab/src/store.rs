@@ -398,11 +398,10 @@ fn probe_scenarios() -> Vec<Scenario> {
 /// scenario fingerprint, so a stale cache degrades to all-misses instead
 /// of serving records the current engine would not produce.
 ///
-/// The encoded probes include `polled_agent_rounds`, the one counter on
-/// which the sparse and dense (`NOCHATTER_DENSE_LOOP=1`) round loops
-/// differ — so the two loop modes fingerprint differently and a cache
-/// written under one mode is all-misses under the other, instead of
-/// replaying the other mode's poll counts.
+/// The encoded probes include `polled_agent_rounds`, so a change to how
+/// many behavior polls the round loop issues also changes the value: a
+/// cache written by an engine with different poll counts is all-misses
+/// instead of replaying that engine's counts.
 pub fn engine_fingerprint() -> u64 {
     static FP: OnceLock<u64> = OnceLock::new();
     *FP.get_or_init(|| {

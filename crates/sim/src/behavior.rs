@@ -53,10 +53,10 @@ pub enum AgentAct {
 /// Implemented for you by [`ProcBehavior`], which adapts any
 /// [`Procedure`] whose output is a [`Declaration`] (or `()`).
 /// The `min_wait`/`note_skipped` pair follows the same contract as
-/// [`Procedure`] and powers both the engine's quiescence fast-forward and
-/// the sparse round loop's per-agent parking: an agent that waits with a
-/// positive horizon is taken off the poll worklist until the horizon
-/// expires, its node's occupancy changes, or an adversary event lands.
+/// [`Procedure`] and powers the engine's quiescence fast-forward: when
+/// every executing agent waits, the engine skips ahead by the smallest
+/// horizon (capped by pending adversary events) and catches each behavior
+/// up with one `note_skipped` call instead of polling it round by round.
 /// The contract is what makes that sound — `min_wait` must hold under
 /// identical observations, and a violation acts *later* than promised,
 /// not just slower (`crates/sim/tests/promises.rs` property-tests every

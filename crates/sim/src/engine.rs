@@ -198,8 +198,8 @@ impl EngineScratch {
 
 /// Restores the all-zero occupancy invariant by clearing exactly the node
 /// entries listed in `touched`. The one cleanup shared by
-/// [`EngineScratch::prepare`], the invalid-port early return and the dense
-/// loop's end-of-round wipe, so the paths cannot drift.
+/// [`EngineScratch::prepare`], the invalid-port early return and the
+/// end-of-round wipe, so the paths cannot drift.
 fn wipe_occupancy(card: &mut [u32], occupants: &mut [Vec<Label>], touched: &mut Vec<u32>) {
     for node in touched.drain(..) {
         card[node as usize] = 0;
@@ -215,10 +215,8 @@ struct RunStats {
     blocked_moves: u64,
     engine_iterations: u64,
     skipped_rounds: u64,
-    /// Behavior polls actually executed (`on_round` calls). The honest
-    /// denominator of the sparse round loop's win: the sparse and dense
-    /// loops agree on every other number bitwise, but the sparse loop
-    /// issues strictly fewer polls in mixed wait/walk regimes.
+    /// Behavior polls actually executed (`on_round` calls): one per
+    /// executing agent per executed round.
     polled_agent_rounds: u64,
     max_colocation: u32,
     last_declaration_round: u64,
@@ -262,15 +260,6 @@ pub struct Engine<'g, V: TopologyView = Static, B: AgentBehavior = Box<dyn Agent
     sensing: Sensing,
     faults: FaultSpec,
     trace_capacity: Option<usize>,
-    /// Explicit round-loop selection; `None` defers to the
-    /// `NOCHATTER_DENSE_LOOP` environment variable at `begin`.
-    dense_loop: Option<bool>,
-}
-
-/// True when the `NOCHATTER_DENSE_LOOP` environment variable selects the
-/// dense reference loop (any non-empty value other than `0`).
-fn dense_loop_from_env() -> bool {
-    std::env::var("NOCHATTER_DENSE_LOOP").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
 impl<'g> Engine<'g> {
@@ -305,20 +294,7 @@ impl<'g, V: TopologyView, B: AgentBehavior> Engine<'g, V, B> {
             sensing: Sensing::Weak,
             faults: FaultSpec::None,
             trace_capacity: None,
-            dense_loop: None,
         }
-    }
-
-    /// Selects the round-loop implementation explicitly: `true` forces the
-    /// dense O(k)-per-iteration reference loop, `false` the sparse
-    /// event-driven one (the default). When unset, the
-    /// `NOCHATTER_DENSE_LOOP` environment variable decides at
-    /// [`ActiveRun::begin`] — the programmatic override exists so
-    /// same-process comparisons (benches, differential tests) never race
-    /// on process-global state. The two loops produce bitwise identical
-    /// runs; only [`RunOutcome::polled_agent_rounds`] tells them apart.
-    pub fn set_dense_loop(&mut self, dense: bool) {
-        self.dense_loop = Some(dense);
     }
 
     /// Adds an agent with the given label, start node and behavior.
@@ -467,276 +443,6 @@ impl<'g, V: TopologyView, B: AgentBehavior> Engine<'g, V, B> {
     }
 }
 
-/// Inserts `i` into a sorted worklist, keeping it sorted and duplicate-free.
-fn insert_sorted(list: &mut Vec<u32>, i: u32) {
-    if let Err(at) = list.binary_search(&i) {
-        list.insert(at, i);
-    }
-}
-
-/// Removes `i` from a sorted worklist if present.
-fn remove_sorted(list: &mut Vec<u32>, i: u32) {
-    if let Ok(at) = list.binary_search(&i) {
-        list.remove(at);
-    }
-}
-
-/// Per-run state behind the sparse event-driven round loop.
-///
-/// The dense reference loop pays O(k) per executed iteration: it scans
-/// every agent for due crashes and wakes, rebuilds occupancy from all k
-/// positions, and polls every executing behavior — even when all but one
-/// agent sit in a multi-thousand-round `CurCard`-stability wait. The
-/// sparse loop makes an executed iteration cost O(active + dirtied):
-///
-/// * executing agents live on a sorted **active worklist** and only those
-///   are polled; an agent whose behavior returns [`AgentAct::Wait`] with a
-///   positive [`AgentBehavior::min_wait`] horizon is **parked** — taken
-///   off the worklist and not re-polled until (a) its horizon expires
-///   (`park_deadline`), (b) the occupancy of its node changes (the
-///   **dirty**-node set, fed incrementally by applied moves), or (c) a
-///   pending adversary wake/crash lands on it;
-/// * per-node occupancy is **incremental**: built once at `begin`, updated
-///   by each applied move instead of rebuilt from all k positions;
-/// * adversary wakes and crashes are sorted **event cursors**
-///   (`next_wake_round`/`next_crash_round` in spirit): when no event is
-///   due this round, the crash and wake phases disappear entirely.
-///
-/// Determinism is preserved by construction: events fire in the dense
-/// loop's exact order (crashes, then adversary wakes, then visit wakes,
-/// all in ascending agent order; actions apply in ascending agent order),
-/// a parked behavior is caught up with [`AgentBehavior::note_skipped`]
-/// before its next poll (valid because parking guarantees the skipped
-/// observations were identical), and occupancy of dirtied nodes is
-/// sampled exactly when the dense loop would observe it — at the start of
-/// the next executed iteration, never mid-apply. Sparse and dense runs
-/// are bitwise identical on traces, outcomes and all report bytes; only
-/// [`RunOutcome::polled_agent_rounds`] differs.
-struct SparseState {
-    /// Sorted indices of executing agents polled every executed iteration.
-    active: Vec<u32>,
-    /// Sorted indices of dormant agents (the visit-wake scan order).
-    dormant: Vec<u32>,
-    /// Per agent: the round its behavior was last synchronized to
-    /// (`u64::MAX` = not parked).
-    parked_at: Vec<u64>,
-    /// Per agent: the first round its wait promise no longer covers — it
-    /// must be re-polled at this round at the latest (`u64::MAX` = not
-    /// parked).
-    park_deadline: Vec<u64>,
-    /// Parked agents bucketed by node, so a dirtied node unparks exactly
-    /// its own waiters.
-    parked_here: Vec<Vec<u32>>,
-    /// How many agents are currently parked.
-    parked_count: usize,
-    /// Lower bound on the smallest `park_deadline`; a round at or past it
-    /// triggers the expiry scan.
-    next_deadline: u64,
-    /// Incremental per-node occupant count (every body: dormant, declared
-    /// and crashed included, exactly like the dense occupancy phase).
-    card: Vec<u32>,
-    /// Incremental per-node occupant labels (traditional sensing only;
-    /// unsorted — the poll sorts its lent buffer, like the dense loop).
-    occupants: Vec<Vec<Label>>,
-    /// Both endpoints of every move applied in the previous executed
-    /// iteration (duplicates allowed). Processed — occupancy sampling,
-    /// visit wakes, unparking — at the start of the next executed
-    /// iteration, which is exactly when the dense loop first observes the
-    /// new positions.
-    dirty: Vec<u32>,
-    /// `(wake_round, agent)` for every finite adversary wake, sorted; the
-    /// cursor makes the wake phase vanish when no wake is due.
-    wakes: Vec<(u64, u32)>,
-    wake_cursor: usize,
-    /// `(crash_round, agent)` for every pending crash, sorted; the cursor
-    /// makes the crash phase vanish when no crash is due.
-    crashes: Vec<(u64, u32)>,
-    crash_cursor: usize,
-    /// Agents not yet in a terminal phase (the terminal check without the
-    /// dense all-k scan).
-    nonterminal: usize,
-    /// Snapshot of `active` taken by the poll phase; the apply phase
-    /// iterates it so worklist edits mid-apply cannot skew iteration.
-    polled: Vec<u32>,
-    /// Co-indexed with `polled`: whether this poll may park on `Wait`
-    /// (false for blocked or just-woken polls, whose next observation
-    /// changes even without external events).
-    poll_parkable: Vec<bool>,
-    /// Reusable scan buffer for the parked agents a quiescence
-    /// fast-forward catches up.
-    ff_parked: Vec<u32>,
-}
-
-/// Builds the sparse state from the current agent columns. `parked_at`,
-/// `park_deadline` and `dirty` are taken verbatim (all-unparked plus every
-/// start position at [`ActiveRun::begin`]; a checkpoint's captured vectors
-/// on resume); everything else is derived: worklists from the phases,
-/// occupancy from the positions, event lists from the wake/crash columns
-/// (stale entries — already woken or fired — are skipped by the cursors).
-fn build_sparse<B>(
-    agents: &AgentArena<B>,
-    node_count: usize,
-    bucket_occupants: bool,
-    parked_at: Vec<u64>,
-    park_deadline: Vec<u64>,
-    dirty: Vec<u32>,
-) -> SparseState {
-    let k = agents.len();
-    let mut active = Vec::new();
-    let mut dormant = Vec::new();
-    let mut parked_here: Vec<Vec<u32>> = vec![Vec::new(); node_count];
-    let mut parked_count = 0;
-    let mut nonterminal = 0;
-    for i in 0..k {
-        let phase = agents.phase[i];
-        if !phase.is_terminal() {
-            nonterminal += 1;
-        }
-        match phase {
-            AgentPhase::Dormant => dormant.push(i as u32),
-            AgentPhase::Active | AgentPhase::Blocked => {
-                if parked_at[i] == u64::MAX {
-                    active.push(i as u32);
-                } else {
-                    parked_here[agents.pos[i].index()].push(i as u32);
-                    parked_count += 1;
-                }
-            }
-            AgentPhase::Declared | AgentPhase::Crashed => {}
-        }
-    }
-    let mut card = vec![0u32; node_count];
-    let mut occupants: Vec<Vec<Label>> =
-        vec![Vec::new(); if bucket_occupants { node_count } else { 0 }];
-    for (&pos, &label) in agents.pos.iter().zip(agents.labels.iter()) {
-        card[pos.index()] += 1;
-        if bucket_occupants {
-            occupants[pos.index()].push(label);
-        }
-    }
-    let mut wakes: Vec<(u64, u32)> = agents
-        .adversary_wake
-        .iter()
-        .enumerate()
-        .filter(|&(_, &w)| w != u64::MAX)
-        .map(|(i, &w)| (w, i as u32))
-        .collect();
-    wakes.sort_unstable();
-    let mut crashes: Vec<(u64, u32)> = agents
-        .crash_round
-        .iter()
-        .enumerate()
-        .filter(|&(_, &c)| c != u64::MAX)
-        .map(|(i, &c)| (c, i as u32))
-        .collect();
-    crashes.sort_unstable();
-    let next_deadline = park_deadline.iter().copied().min().unwrap_or(u64::MAX);
-    SparseState {
-        active,
-        dormant,
-        parked_at,
-        park_deadline,
-        parked_here,
-        parked_count,
-        next_deadline,
-        card,
-        occupants,
-        dirty,
-        wakes,
-        wake_cursor: 0,
-        crashes,
-        crash_cursor: 0,
-        nonterminal,
-        polled: Vec::new(),
-        poll_parkable: Vec::new(),
-        ff_parked: Vec::new(),
-    }
-}
-
-impl SparseState {
-    /// Takes a parked agent off the parked set and back onto the active
-    /// worklist, catching its behavior up to `round - 1` (the last round
-    /// whose observation is known identical to the one it parked on). The
-    /// caller is responsible for bucket removal when it drained the bucket
-    /// itself.
-    fn unpark<B: AgentBehavior>(&mut self, agents: &mut AgentArena<B>, i: u32, round: u64) {
-        let iu = i as usize;
-        debug_assert!(self.parked_at[iu] != u64::MAX);
-        let behind = round - 1 - self.parked_at[iu];
-        if behind > 0 {
-            agents.behaviors[iu].note_skipped(behind);
-        }
-        self.parked_at[iu] = u64::MAX;
-        self.park_deadline[iu] = u64::MAX;
-        self.parked_count -= 1;
-        insert_sorted(&mut self.active, i);
-    }
-
-    /// Removes a parked agent `i` from its node bucket.
-    fn remove_from_bucket(&mut self, node: usize, i: u32) {
-        let bucket = &mut self.parked_here[node];
-        if let Some(at) = bucket.iter().position(|&a| a == i) {
-            bucket.swap_remove(at);
-        }
-    }
-}
-
-/// Polls agent `i` against the current occupancy: one dense-identical
-/// observation build plus `on_round` call, shared by the sparse poll phase
-/// and the quiescence fast-forward's parked-agent catch-up. The caller
-/// accounts the poll and resolves the phase transition.
-#[allow(clippy::too_many_arguments)]
-fn poll_agent<B: AgentBehavior>(
-    graph: &Graph,
-    sensing: Sensing,
-    agents: &mut AgentArena<B>,
-    card: &[u32],
-    occupants: &[Vec<Label>],
-    label_buf: &mut Vec<Label>,
-    round: u64,
-    i: usize,
-    blocked: bool,
-) -> AgentAct {
-    let pos = agents.pos[i];
-    let peer_labels = match sensing {
-        Sensing::Weak => None,
-        Sensing::Traditional => {
-            // The node's bucket lists everyone present; fill and sort the
-            // one scratch buffer, and lend it to the observation instead
-            // of allocating (identical bytes to the dense loop's poll).
-            label_buf.clear();
-            label_buf.extend_from_slice(&occupants[pos.index()]);
-            label_buf.sort_unstable();
-            Some(std::mem::take(label_buf))
-        }
-    };
-    let mut obs = Obs {
-        round,
-        degree: graph.degree(pos),
-        cur_card: card[pos.index()],
-        entry_port: agents.entry_port[i],
-        just_woken: agents.just_woken[i],
-        blocked,
-        peer_labels,
-    };
-    let act = agents.behaviors[i].on_round(&obs);
-    // Reclaim the lent label buffer (and its capacity).
-    if let Some(buf) = obs.peer_labels.take() {
-        *label_buf = buf;
-    }
-    agents.just_woken[i] = false;
-    act
-}
-
-/// How one sparse round-loop iteration ended, handed back across the
-/// borrow-splitting boundary so the terminal paths can run `finish` on the
-/// whole run.
-enum SparseStep {
-    Continue,
-    Terminal(RunStatus, u64),
-    Fail(SimError),
-}
-
 /// One validated run being stepped round by round — the engine's loop
 /// reified as a state machine.
 ///
@@ -772,11 +478,7 @@ pub struct ActiveRun<'g, V: TopologyView, B: AgentBehavior> {
     /// Occupancy buckets feed only the traditional-sensing peer-label
     /// observation; the silent model pays nothing for them.
     bucket_occupants: bool,
-    /// `Some` = the sparse event-driven loop (the default); `None` = the
-    /// dense O(k) reference loop (`NOCHATTER_DENSE_LOOP=1` or
-    /// [`Engine::set_dense_loop`]). Both produce bitwise identical runs.
-    sparse: Option<SparseState>,
-    /// Debug-build contract net for the dense reference loop: per agent,
+    /// Debug-build contract net for the quiescence fast-forward: per agent,
     /// the absolute round through which its last [`AgentBehavior::min_wait`]
     /// promised further `Wait`s, plus the observation signature (degree,
     /// cur_card, entry_port) the promise was made under. A poll inside the
@@ -814,17 +516,6 @@ pub struct RunCheckpoint<B> {
     behaviors: Vec<B>,
     stats: RunStats,
     trace: Option<Trace>,
-    /// Sparse-loop park state, captured verbatim so a sparse-resumed run
-    /// re-polls exactly when the checkpointed run would have (its
-    /// `polled_agent_rounds` stays poll-for-poll identical to stepping
-    /// from scratch). A dense checkpoint stores the all-unparked vectors.
-    parked_at: Vec<u64>,
-    park_deadline: Vec<u64>,
-    /// Nodes dirtied by the last executed iteration, still pending their
-    /// start-of-round processing at `round`. A dense checkpoint stores
-    /// every occupied node — the safe over-approximation that makes a
-    /// dense checkpoint resumable into a sparse run.
-    dirty: Vec<u32>,
     round: u64,
 }
 
@@ -861,24 +552,8 @@ impl<'g, V: TopologyView, B: AgentBehavior> ActiveRun<'g, V, B> {
             .filter(|&&r| r != u64::MAX)
             .count();
         let resolved_crashes = engine.agents.crash_round.clone();
-        let k = engine.agents.len();
-        let sparse = if engine.dense_loop.unwrap_or_else(dense_loop_from_env) {
-            None
-        } else {
-            // Seeding `dirty` with every start position makes the first
-            // executed iteration sample round-0 occupancy exactly like the
-            // dense loop does (validation rejects shared starts, so no
-            // spurious visit-wake can fire).
-            let dirty = engine.agents.pos.iter().map(|p| p.index() as u32).collect();
-            Some(build_sparse(
-                &engine.agents,
-                engine.graph.node_count(),
-                bucket_occupants,
-                vec![u64::MAX; k],
-                vec![u64::MAX; k],
-                dirty,
-            ))
-        };
+        #[cfg(debug_assertions)]
+        let promise = vec![(0, None); engine.agents.len()];
         Ok(ActiveRun {
             engine,
             trace,
@@ -886,9 +561,8 @@ impl<'g, V: TopologyView, B: AgentBehavior> ActiveRun<'g, V, B> {
             pending_crashes,
             resolved_crashes,
             bucket_occupants,
-            sparse,
             #[cfg(debug_assertions)]
-            promise: vec![(0, None); k],
+            promise,
             round: 0,
             max_rounds,
         })
@@ -904,31 +578,10 @@ impl<'g, V: TopologyView, B: AgentBehavior> ActiveRun<'g, V, B> {
     /// Executes one iteration of the round loop. Returns `Some` once the
     /// run has terminated (all agents terminal, round limit, or a protocol
     /// violation); the run must not be stepped again after that.
-    ///
-    /// Dispatches to the sparse event-driven loop (the default) or the
-    /// dense O(k) reference loop (`NOCHATTER_DENSE_LOOP=1` or
-    /// [`Engine::set_dense_loop`]); the two execute identical runs, bit
-    /// for bit, differing only in how many behavior polls they issue
-    /// ([`RunOutcome::polled_agent_rounds`]).
     pub fn step(&mut self, scratch: &mut EngineScratch) -> Option<Result<RunOutcome, SimError>> {
         if self.round >= self.max_rounds {
             return Some(Ok(self.finish(RunStatus::RoundLimit, self.max_rounds)));
         }
-        if self.sparse.is_some() {
-            match self.step_sparse(scratch) {
-                SparseStep::Continue => None,
-                SparseStep::Terminal(status, rounds) => Some(Ok(self.finish(status, rounds))),
-                SparseStep::Fail(e) => Some(Err(e)),
-            }
-        } else {
-            self.step_dense(scratch)
-        }
-    }
-
-    /// The dense O(k)-per-iteration reference round loop, kept verbatim as
-    /// the semantics baseline the sparse loop is pinned against
-    /// (`NOCHATTER_DENSE_LOOP=1` selects it).
-    fn step_dense(&mut self, scratch: &mut EngineScratch) -> Option<Result<RunOutcome, SimError>> {
         let round = self.round;
         let k = self.engine.agents.len();
         let EngineScratch {
@@ -1273,445 +926,6 @@ impl<'g, V: TopologyView, B: AgentBehavior> ActiveRun<'g, V, B> {
         None
     }
 
-    /// The sparse event-driven round loop: one executed iteration costs
-    /// O(active + dirtied) instead of the dense loop's O(k).
-    ///
-    /// Phase-for-phase it is the dense loop with every all-agents scan
-    /// replaced by its sparse equivalent — event cursors for crashes and
-    /// adversary wakes, the dirty-node set for occupancy sampling, visit
-    /// wakes and unparking, the sorted active worklist for polls and
-    /// applies — in the dense loop's exact order, so traces, outcomes and
-    /// every report byte match the dense loop bit for bit (see
-    /// [`SparseState`] for the full argument).
-    fn step_sparse(&mut self, scratch: &mut EngineScratch) -> SparseStep {
-        let ActiveRun {
-            engine,
-            trace,
-            stats,
-            pending_crashes,
-            bucket_occupants,
-            sparse,
-            round: cur_round,
-            max_rounds,
-            ..
-        } = self;
-        let sp = sparse.as_mut().expect("step_sparse requires sparse state");
-        let Engine {
-            graph,
-            view,
-            agents,
-            sensing,
-            ..
-        } = engine;
-        let graph: &Graph = graph;
-        let sensing = *sensing;
-        let bucket_occupants = *bucket_occupants;
-        let max_rounds = *max_rounds;
-        let round = *cur_round;
-        let label_buf = &mut scratch.labels;
-        let acts = &mut scratch.acts;
-
-        stats.engine_iterations += 1;
-        // Advance the topology to this round (fast-forwarded rounds are
-        // skipped soundly, exactly as in the dense loop).
-        view.begin_round(round);
-
-        // 0. Crash faults due this round. The cursor makes this phase
-        // vanish while no crash is due; the sorted `(round, agent)` order
-        // reproduces the dense ascending-agent scan. A crash on an
-        // already-declared agent resolves to nothing; otherwise the agent
-        // is pulled out of whichever sparse home it occupies — dormant
-        // list, active worklist or parked bucket — and its body stays.
-        while let Some(&(due, i)) = sp.crashes.get(sp.crash_cursor) {
-            if due > round {
-                break;
-            }
-            debug_assert_eq!(due, round, "crash events fire in their exact round");
-            sp.crash_cursor += 1;
-            let iu = i as usize;
-            agents.crash_round[iu] = u64::MAX;
-            *pending_crashes -= 1;
-            if agents.phase[iu] == AgentPhase::Declared {
-                continue;
-            }
-            match agents.phase[iu] {
-                AgentPhase::Dormant => remove_sorted(&mut sp.dormant, i),
-                _ if sp.parked_at[iu] != u64::MAX => {
-                    sp.remove_from_bucket(agents.pos[iu].index(), i);
-                    sp.parked_at[iu] = u64::MAX;
-                    sp.park_deadline[iu] = u64::MAX;
-                    sp.parked_count -= 1;
-                }
-                _ => remove_sorted(&mut sp.active, i),
-            }
-            sp.nonterminal -= 1;
-            agents.phase[iu] = AgentPhase::Crashed;
-            stats.last_crash_round = stats.last_crash_round.max(round);
-            if let Some(t) = trace.as_mut() {
-                t.push(TraceEvent::Crashed {
-                    agent: agents.labels[iu],
-                    round,
-                    node: agents.pos[iu],
-                });
-            }
-        }
-
-        // 1. Adversary wake-ups due this round. Entries whose agent
-        // already woke by visit (or crashed) are stale and skipped; live
-        // entries fire exactly at their round, in ascending agent order.
-        while let Some(&(due, i)) = sp.wakes.get(sp.wake_cursor) {
-            if due > round {
-                break;
-            }
-            sp.wake_cursor += 1;
-            let iu = i as usize;
-            if agents.phase[iu] != AgentPhase::Dormant {
-                continue;
-            }
-            agents.phase[iu] = AgentPhase::Active;
-            agents.just_woken[iu] = true;
-            remove_sorted(&mut sp.dormant, i);
-            insert_sorted(&mut sp.active, i);
-            if let Some(t) = trace.as_mut() {
-                t.push(TraceEvent::Wake {
-                    agent: agents.labels[iu],
-                    round,
-                    by_visit: false,
-                });
-            }
-        }
-
-        // 2+3. Occupancy deltas from the previous executed iteration.
-        // `card`/`occupants` were already updated by the applied moves;
-        // this is where the dense loop would first *observe* the new
-        // positions, so this is where max-colocation is sampled, dormant
-        // agents that gained company wake (ascending agent order, like the
-        // dense scan — a fresh co-location implies a dirtied node, so the
-        // scan fires iff the dense one would), and the dirtied nodes'
-        // parked waiters are brought back for re-polling.
-        if !sp.dirty.is_empty() {
-            for di in 0..sp.dirty.len() {
-                let node = sp.dirty[di] as usize;
-                stats.max_colocation = stats.max_colocation.max(sp.card[node]);
-            }
-            let mut d = 0;
-            while d < sp.dormant.len() {
-                let i = sp.dormant[d];
-                let iu = i as usize;
-                if sp.card[agents.pos[iu].index()] > 1 {
-                    agents.phase[iu] = AgentPhase::Active;
-                    agents.just_woken[iu] = true;
-                    sp.dormant.remove(d);
-                    insert_sorted(&mut sp.active, i);
-                    if let Some(t) = trace.as_mut() {
-                        t.push(TraceEvent::Wake {
-                            agent: agents.labels[iu],
-                            round,
-                            by_visit: true,
-                        });
-                    }
-                } else {
-                    d += 1;
-                }
-            }
-            for di in 0..sp.dirty.len() {
-                let node = sp.dirty[di] as usize;
-                if sp.parked_here[node].is_empty() {
-                    continue;
-                }
-                let mut bucket = std::mem::take(&mut sp.parked_here[node]);
-                for &i in &bucket {
-                    sp.unpark(agents, i, round);
-                }
-                bucket.clear();
-                sp.parked_here[node] = bucket;
-            }
-            sp.dirty.clear();
-        }
-
-        // Horizon expiry: the rare O(k) scan, taken only when the earliest
-        // recorded deadline can actually be due (`next_deadline` is a lazy
-        // lower bound — a stale-low value costs one empty scan, never a
-        // missed poll).
-        if round >= sp.next_deadline {
-            let mut min_next = u64::MAX;
-            for iu in 0..sp.park_deadline.len() {
-                let deadline = sp.park_deadline[iu];
-                if deadline == u64::MAX {
-                    continue;
-                }
-                debug_assert!(deadline >= round, "a park deadline was silently passed");
-                if deadline <= round {
-                    sp.remove_from_bucket(agents.pos[iu].index(), iu as u32);
-                    sp.unpark(agents, iu as u32, round);
-                } else {
-                    min_next = min_next.min(deadline);
-                }
-            }
-            sp.next_deadline = min_next;
-        }
-
-        // 4. Poll the active worklist — the dense poll phase restricted to
-        // the agents whose next action can differ from the parked `Wait`.
-        // The snapshot decouples the apply phase from worklist edits; the
-        // co-indexed parkable flags exclude blocked and just-woken polls
-        // from parking (their very next observation changes, so the
-        // skipped-identical-observation catch-up contract could not hold).
-        {
-            let SparseState { polled, active, .. } = &mut *sp;
-            polled.clear();
-            polled.extend_from_slice(active);
-        }
-        sp.poll_parkable.clear();
-        let mut all_waited = true;
-        for pi in 0..sp.polled.len() {
-            let i = sp.polled[pi];
-            let iu = i as usize;
-            let phase = agents.phase[iu];
-            debug_assert!(phase.is_executing());
-            let blocked = phase == AgentPhase::Blocked;
-            let parkable = !blocked && !agents.just_woken[iu];
-            let act = poll_agent(
-                graph,
-                sensing,
-                agents,
-                &sp.card,
-                &sp.occupants,
-                label_buf,
-                round,
-                iu,
-                blocked,
-            );
-            stats.polled_agent_rounds += 1;
-            agents.phase[iu] = AgentPhase::Active;
-            let waited = matches!(act, AgentAct::Wait);
-            if !waited {
-                all_waited = false;
-            }
-            sp.poll_parkable.push(parkable && waited);
-            acts[iu] = Some(act);
-        }
-
-        // 5. Apply actions in ascending agent order, updating occupancy
-        // incrementally and recording both endpoints of every applied move
-        // as dirty (label swaps dirty too: under traditional sensing the
-        // peer-label set changes even where the cardinality does not).
-        for pi in 0..sp.polled.len() {
-            let i = sp.polled[pi];
-            let iu = i as usize;
-            let Some(act) = acts[iu].take() else { continue };
-            match act {
-                AgentAct::Wait => {}
-                AgentAct::TakePort(p) => {
-                    let pos = agents.pos[iu];
-                    match graph.neighbor(pos, p) {
-                        Some(_) if !view.edge_present(pos, p) => {
-                            agents.phase[iu] = AgentPhase::Blocked;
-                            stats.blocked_moves += 1;
-                            if let Some(t) = trace.as_mut() {
-                                t.push(TraceEvent::Blocked {
-                                    agent: agents.labels[iu],
-                                    round,
-                                    node: pos,
-                                    port: p,
-                                });
-                            }
-                        }
-                        Some((to, back)) => {
-                            if let Some(t) = trace.as_mut() {
-                                t.push(TraceEvent::Move {
-                                    agent: agents.labels[iu],
-                                    round,
-                                    from: pos,
-                                    to,
-                                    port: p,
-                                });
-                            }
-                            let from = pos.index();
-                            sp.card[from] -= 1;
-                            sp.card[to.index()] += 1;
-                            if bucket_occupants {
-                                let label = agents.labels[iu];
-                                let bucket = &mut sp.occupants[from];
-                                if let Some(at) = bucket.iter().position(|&l| l == label) {
-                                    bucket.swap_remove(at);
-                                }
-                                sp.occupants[to.index()].push(label);
-                            }
-                            agents.pos[iu] = to;
-                            agents.entry_port[iu] = Some(back);
-                            stats.total_moves += 1;
-                            sp.dirty.push(from as u32);
-                            sp.dirty.push(to.index() as u32);
-                        }
-                        // The sparse loop never touched the shared scratch
-                        // occupancy, so the error path has nothing to wipe.
-                        None => {
-                            return SparseStep::Fail(SimError::InvalidPort {
-                                agent: agents.labels[iu],
-                                node: pos,
-                                port: p,
-                                round,
-                            });
-                        }
-                    }
-                }
-                AgentAct::Declare(d) => {
-                    agents.declared[iu] = Some(DeclarationRecord {
-                        round,
-                        node: agents.pos[iu],
-                        declaration: d,
-                    });
-                    agents.phase[iu] = AgentPhase::Declared;
-                    remove_sorted(&mut sp.active, i);
-                    sp.nonterminal -= 1;
-                    stats.last_declaration_round = stats.last_declaration_round.max(round);
-                    if let Some(t) = trace.as_mut() {
-                        t.push(TraceEvent::Declare {
-                            agent: agents.labels[iu],
-                            round,
-                            node: agents.pos[iu],
-                            declaration: d,
-                        });
-                    }
-                }
-            }
-        }
-
-        // Terminal check via the maintained counter — no all-k phase scan.
-        if sp.nonterminal == 0 {
-            let crashed = agents.phase.contains(&AgentPhase::Crashed);
-            let (status, rounds) = if crashed {
-                (
-                    RunStatus::Halted,
-                    stats.last_declaration_round.max(stats.last_crash_round),
-                )
-            } else {
-                (RunStatus::AllDeclared, stats.last_declaration_round)
-            };
-            return SparseStep::Terminal(status, rounds);
-        }
-
-        let mut next = round + 1;
-
-        // 6. Quiescence fast-forward. Parked agents count as waiting —
-        // that is what parking means — so the condition is "every poll
-        // this round waited and someone is still executing". To bound the
-        // skip by every executing agent's *current* horizon (the dense
-        // bound), each parked behavior is caught up and polled once at
-        // this round — exactly the poll the dense loop issues in its
-        // fast-forward round — then re-parked at the new synchronization
-        // point with a fresh horizon.
-        if all_waited && (!sp.polled.is_empty() || sp.parked_count > 0) {
-            let mut skip = u64::MAX;
-            for pi in 0..sp.polled.len() {
-                skip = skip.min(agents.behaviors[sp.polled[pi] as usize].min_wait());
-            }
-            sp.ff_parked.clear();
-            for iu in 0..sp.parked_at.len() {
-                if sp.parked_at[iu] != u64::MAX {
-                    sp.ff_parked.push(iu as u32);
-                }
-            }
-            for fi in 0..sp.ff_parked.len() {
-                let iu = sp.ff_parked[fi] as usize;
-                let behind = round - 1 - sp.parked_at[iu];
-                if behind > 0 {
-                    agents.behaviors[iu].note_skipped(behind);
-                }
-                let act = poll_agent(
-                    graph,
-                    sensing,
-                    agents,
-                    &sp.card,
-                    &sp.occupants,
-                    label_buf,
-                    round,
-                    iu,
-                    false,
-                );
-                stats.polled_agent_rounds += 1;
-                debug_assert!(
-                    matches!(act, AgentAct::Wait),
-                    "parked agent acted inside its promised wait horizon"
-                );
-                skip = skip.min(agents.behaviors[iu].min_wait());
-            }
-            // Respect pending adversary wake-ups: the first entry whose
-            // agent is still dormant bounds every later one (stale heads
-            // are skipped for good — agents never return to dormant)...
-            while let Some(&(w, i)) = sp.wakes.get(sp.wake_cursor) {
-                if agents.phase[i as usize] == AgentPhase::Dormant {
-                    skip = skip.min(w.saturating_sub(next));
-                    break;
-                }
-                sp.wake_cursor += 1;
-            }
-            // ...pending crashes, with no phase filter — exactly the dense
-            // bound: even a crash aimed at an already-declared agent pins
-            // the skip...
-            if let Some(&(c, _)) = sp.crashes.get(sp.crash_cursor) {
-                skip = skip.min(c.saturating_sub(next));
-            }
-            // ...and the round limit.
-            skip = skip.min(max_rounds.saturating_sub(next));
-            if skip > 0 && skip != u64::MAX {
-                for pi in 0..sp.polled.len() {
-                    agents.behaviors[sp.polled[pi] as usize].note_skipped(skip);
-                }
-                for fi in 0..sp.ff_parked.len() {
-                    agents.behaviors[sp.ff_parked[fi] as usize].note_skipped(skip);
-                }
-                next += skip;
-                stats.skipped_rounds += skip;
-            }
-            let sync = next - 1;
-            for fi in 0..sp.ff_parked.len() {
-                let i = sp.ff_parked[fi];
-                let iu = i as usize;
-                let h = agents.behaviors[iu].min_wait();
-                if h == 0 {
-                    sp.remove_from_bucket(agents.pos[iu].index(), i);
-                    sp.parked_at[iu] = u64::MAX;
-                    sp.park_deadline[iu] = u64::MAX;
-                    sp.parked_count -= 1;
-                    insert_sorted(&mut sp.active, i);
-                } else {
-                    sp.parked_at[iu] = sync;
-                    let deadline = sync.saturating_add(h).saturating_add(1);
-                    sp.park_deadline[iu] = deadline;
-                    sp.next_deadline = sp.next_deadline.min(deadline);
-                }
-            }
-        }
-
-        // 7. Park this round's parkable waits that carry a positive fresh
-        // horizon: off the worklist, into the node bucket, re-polled only
-        // by expiry, a dirtied node, or a crash.
-        let sync = next - 1;
-        for pi in 0..sp.polled.len() {
-            if !sp.poll_parkable[pi] {
-                continue;
-            }
-            let i = sp.polled[pi];
-            let iu = i as usize;
-            let h = agents.behaviors[iu].min_wait();
-            if h == 0 {
-                continue;
-            }
-            remove_sorted(&mut sp.active, i);
-            sp.parked_here[agents.pos[iu].index()].push(i);
-            sp.parked_at[iu] = sync;
-            let deadline = sync.saturating_add(h).saturating_add(1);
-            sp.park_deadline[iu] = deadline;
-            sp.parked_count += 1;
-            sp.next_deadline = sp.next_deadline.min(deadline);
-        }
-
-        *cur_round = next;
-        SparseStep::Continue
-    }
-
     /// Assembles the outcome. Takes the arena's result-bearing columns out
     /// of the run; only called once, on the terminating step.
     fn finish(&mut self, status: RunStatus, rounds: u64) -> RunOutcome {
@@ -1765,29 +979,6 @@ impl<'g, V: TopologyView, B: ForkableBehavior> ActiveRun<'g, V, B> {
             .iter()
             .map(ForkableBehavior::fork)
             .collect::<Option<Vec<B>>>()?;
-        // Sparse park state is captured verbatim, so a sparse-resumed run
-        // re-polls exactly when this run would have. A dense run has no
-        // park state; its checkpoint stores the all-unparked vectors plus
-        // every occupied node as dirty — the safe over-approximation that
-        // keeps a dense checkpoint resumable into a sparse run.
-        let k = self.engine.agents.len();
-        let (parked_at, park_deadline, dirty) = match &self.sparse {
-            Some(sp) => (
-                sp.parked_at.clone(),
-                sp.park_deadline.clone(),
-                sp.dirty.clone(),
-            ),
-            None => (
-                vec![u64::MAX; k],
-                vec![u64::MAX; k],
-                self.engine
-                    .agents
-                    .pos
-                    .iter()
-                    .map(|p| p.index() as u32)
-                    .collect(),
-            ),
-        };
         Some(RunCheckpoint {
             pos: self.engine.agents.pos.clone(),
             phase: self.engine.agents.phase.clone(),
@@ -1797,9 +988,6 @@ impl<'g, V: TopologyView, B: ForkableBehavior> ActiveRun<'g, V, B> {
             behaviors,
             stats: self.stats.clone(),
             trace: self.trace.clone(),
-            parked_at,
-            park_deadline,
-            dirty,
             round: self.round,
         })
     }
@@ -1871,38 +1059,6 @@ impl<'g, V: TopologyView, B: ForkableBehavior> ActiveRun<'g, V, B> {
             };
         }
         self.pending_crashes = pending;
-        match &self.sparse {
-            // Sparse resume: rebuild the whole sparse state from the
-            // restored columns (worklists from the phases, occupancy from
-            // the positions, event lists from the post-reconciliation
-            // wake/crash columns), with the checkpoint's park state and
-            // pending dirty nodes taken verbatim.
-            Some(_) => {
-                self.sparse = Some(build_sparse(
-                    &self.engine.agents,
-                    self.engine.graph.node_count(),
-                    self.bucket_occupants,
-                    cp.parked_at.clone(),
-                    cp.park_deadline.clone(),
-                    cp.dirty.clone(),
-                ));
-            }
-            // Dense resume of a sparse checkpoint: the dense loop polls
-            // every executing agent every round, so the park state
-            // dissolves — catch each parked behavior up to the round
-            // before the resumed one (valid: parking guarantees the
-            // skipped observations were identical).
-            None => {
-                for (iu, &pa) in cp.parked_at.iter().enumerate() {
-                    if pa != u64::MAX {
-                        let behind = cp.round - 1 - pa;
-                        if behind > 0 {
-                            self.engine.agents.behaviors[iu].note_skipped(behind);
-                        }
-                    }
-                }
-            }
-        }
         #[cfg(debug_assertions)]
         self.promise.iter_mut().for_each(|p| *p = (0, None));
         true
@@ -2769,5 +1925,186 @@ mod tests {
             report,
             Err(crate::outcome::ValidationError::DifferentNodes { .. })
         ));
+    }
+
+    // ------------------------------------------------------------------
+    // Long waits: what ends them, and in which round.
+    // ------------------------------------------------------------------
+
+    /// The declaration round of agent `i` in a finished run.
+    fn declared_round(outcome: &RunOutcome, i: usize) -> u64 {
+        outcome.declarations[i].1.expect("agent declared").round
+    }
+
+    /// Walks a fixed port path, then waits for good.
+    struct PathThenIdle {
+        path: std::vec::IntoIter<Port>,
+    }
+    impl Procedure for PathThenIdle {
+        type Output = ();
+        fn poll(&mut self, _obs: &Obs) -> Poll<()> {
+            match self.path.next() {
+                Some(p) => Poll::Yield(Action::TakePort(p)),
+                None => Poll::Yield(Action::Wait),
+            }
+        }
+        fn min_wait(&self) -> u64 {
+            if self.path.as_slice().is_empty() {
+                u64::MAX
+            } else {
+                0
+            }
+        }
+    }
+
+    #[test]
+    fn horizon_expiry_declares_at_the_promised_round() {
+        // A lone `WaitRounds(40)` agent acts exactly when its promise runs
+        // out, and the fast-forward covers the wait in a handful of polls.
+        let g = generators::ring(6);
+        let mut engine = Engine::new(&g);
+        engine.add_agent(
+            label(1),
+            NodeId::new(0),
+            Box::new(ProcBehavior::declaring(WaitRounds::new(40))),
+        );
+        let outcome = engine.run(500).unwrap();
+        assert_eq!(declared_round(&outcome, 0), 40);
+        assert!(
+            outcome.polled_agent_rounds < 10,
+            "expected a fast-forwarded wait, got {} polls",
+            outcome.polled_agent_rounds
+        );
+    }
+
+    #[test]
+    fn walker_arrival_cuts_a_long_card_wait_short() {
+        // Agent 1 waits on its node for company or 400 rounds; agent 2
+        // walks a shortest path onto that node. The waiter must act in the
+        // round the walker arrives, long before its horizon runs out.
+        use crate::proc::UntilCardExceeds;
+        let g = generators::Family::Grid.instantiate(6, 3);
+        let target = NodeId::new(0);
+        let start = NodeId::new(g.node_count() as u32 - 1);
+        let dist = nochatter_graph::algo::bfs_distances(&g, target);
+        let mut path = Vec::new();
+        let mut cur = start;
+        while cur != target {
+            let (port, next) = (0..g.degree(cur))
+                .map(Port::new)
+                .map(|p| (p, g.neighbor(cur, p).unwrap().0))
+                .find(|&(_, next)| dist[next.index()] < dist[cur.index()])
+                .expect("the grid is connected");
+            path.push(port);
+            cur = next;
+        }
+        // Moves land at the end of rounds 0..len-1.
+        let arrival = path.len() as u64;
+        assert_eq!(arrival, 3);
+        let mut engine = Engine::new(&g);
+        engine.add_agent(
+            label(1),
+            target,
+            Box::new(ProcBehavior::mapping(
+                UntilCardExceeds::new(1, WaitRounds::new(400)),
+                |out| Declaration {
+                    leader: None,
+                    size: Some(u32::from(out.was_interrupted())),
+                },
+            )),
+        );
+        engine.add_agent(
+            label(2),
+            start,
+            Box::new(ProcBehavior::declaring(PathThenIdle {
+                path: path.into_iter(),
+            })),
+        );
+        let outcome = engine.run(500).unwrap();
+        let rec = outcome.declarations[0].1.expect("the waiter declared");
+        assert_eq!(rec.declaration.size, Some(1), "the wait was interrupted");
+        assert_eq!(rec.round, arrival);
+    }
+
+    #[test]
+    fn crash_lands_on_a_waiting_agent_at_its_scheduled_round() {
+        // Agent 1 waits 10,000 rounds; the crash adversary takes it at
+        // round 123, in the middle of a fast-forwarded stretch.
+        let g = generators::ring(5);
+        let mut engine = Engine::new(&g);
+        engine.add_agent(
+            label(1),
+            NodeId::new(0),
+            Box::new(ProcBehavior::declaring(WaitRounds::new(10_000))),
+        );
+        engine.add_agent(
+            label(2),
+            NodeId::new(2),
+            Box::new(ProcBehavior::declaring(WaitRounds::new(3))),
+        );
+        engine.set_faults(crash_at(&[(1, 123)]));
+        engine.record_trace(64);
+        let outcome = engine.run(500).unwrap();
+        assert_eq!(outcome.crashed_agents, vec![label(1)]);
+        assert_eq!(declared_round(&outcome, 1), 3);
+        let crashes: Vec<u64> = outcome
+            .trace
+            .as_ref()
+            .unwrap()
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Crashed { round, .. } => Some(*round),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(crashes, vec![123]);
+        assert_eq!(outcome.status, RunStatus::Halted);
+        assert_eq!(outcome.rounds, 123);
+    }
+
+    #[test]
+    fn staggered_wake_fires_during_quiescence() {
+        // Three waiters woken 17 rounds apart: each adversary wake lands in
+        // its exact round although every awake agent is mid-wait, and each
+        // agent declares its own wait after its own wake.
+        let g = generators::ring(6);
+        let mut engine = Engine::new(&g);
+        for (i, start) in [0u32, 2, 4].into_iter().enumerate() {
+            engine.add_agent(
+                label(i as u64 + 1),
+                NodeId::new(start),
+                Box::new(ProcBehavior::declaring(WaitRounds::new(50 + 10 * i as u64))),
+            );
+        }
+        engine.set_wake_schedule(WakeSchedule::Staggered { gap: 17 });
+        engine.record_trace(256);
+        let outcome = engine.run(500).unwrap();
+        let wakes: Vec<(Label, u64, bool)> = outcome
+            .trace
+            .as_ref()
+            .unwrap()
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Wake {
+                    agent,
+                    round,
+                    by_visit,
+                } => Some((*agent, *round, *by_visit)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            wakes,
+            vec![
+                (label(1), 0, false),
+                (label(2), 17, false),
+                (label(3), 34, false)
+            ]
+        );
+        let declared: Vec<u64> = (0..3).map(|i| declared_round(&outcome, i)).collect();
+        assert_eq!(declared, vec![50, 77, 104]);
+        assert_eq!(outcome.status, RunStatus::AllDeclared);
     }
 }

@@ -57,13 +57,12 @@ pub struct RunOutcome {
     pub engine_iterations: u64,
     /// Rounds skipped by the quiescence fast-forward.
     pub skipped_rounds: u64,
-    /// Behavior polls actually executed (`on_round` calls) — the honest
-    /// cost denominator of the sparse round loop. This is the *only*
-    /// field on which the sparse and dense (`NOCHATTER_DENSE_LOOP=1`)
-    /// loops may differ: the sparse loop skips polls whose answer is
-    /// promised by a wait horizon, everything else is bitwise identical.
-    /// Excluded from the deterministic lab reports for exactly that
-    /// reason; surfaced as a campaign-level trajectory aggregate instead.
+    /// Behavior polls actually executed (`on_round` calls): one per
+    /// executing agent per executed round, the round loop's per-round
+    /// cost denominator. An execution fact, not a model fact — it moves
+    /// whenever the engine's execution strategy does — so it is excluded
+    /// from the deterministic lab reports and surfaced as a
+    /// campaign-level trajectory aggregate instead.
     pub polled_agent_rounds: u64,
     /// The largest number of co-located agents ever observed.
     pub max_colocation: u32,

@@ -1,21 +1,22 @@
 //! The `min_wait`/`note_skipped` promise contract, property-tested against
 //! every wait combinator the paper's algorithms are built from.
 //!
-//! The sparse round loop parks an agent for its full `min_wait` horizon and
-//! catches it up with one `note_skipped` call, so the whole loop is only as
-//! correct as these two guarantees:
+//! The quiescence fast-forward skips every executing agent past the
+//! smallest `min_wait` horizon and catches each one up with one
+//! `note_skipped` call, so the skip is only as correct as these two
+//! guarantees:
 //!
 //! 1. **The horizon is honest.** After any poll, `min_wait() = h` promises
 //!    the next `h` polls under *identical observations* all yield
 //!    [`Action::Wait`] — a procedure acting earlier would act later than it
-//!    should once parked.
+//!    should once skipped.
 //! 2. **Skipping is polling.** `note_skipped(k)` for any `k <= h` leaves
 //!    the procedure in a state indistinguishable from `k` identical polls:
 //!    every subsequent poll answer (under arbitrary observations) matches,
 //!    as does the remaining `min_wait`.
 //!
-//! The engine additionally `debug_assert`s guarantee 1 on every poll of the
-//! dense loop's promise tracker; these tests pin both guarantees directly
+//! The engine additionally `debug_assert`s guarantee 1 on every poll through
+//! its promise tracker; these tests pin both guarantees directly
 //! at the combinator level, where a violation is easiest to localize.
 
 use std::fmt::Debug;
