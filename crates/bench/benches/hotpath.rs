@@ -22,12 +22,12 @@ use nochatter_core::{BehaviorSlot, CommMode};
 use nochatter_explore::{Explo, Uxs};
 use nochatter_graph::dynamic::SeededEdgeFailure;
 use nochatter_graph::{algo, generators, Graph, InitialConfiguration, Label, NodeId, Port};
-use nochatter_lab::{presets, run_campaign_cached, run_search_with, Store};
+use nochatter_lab::{presets, run_campaign_cached, run_search_with, Store, TRACE_CAPACITY};
 use nochatter_sim::proc::{ProcBehavior, Procedure};
 use nochatter_sim::FaultSpec;
 use nochatter_sim::{
-    Action, Declaration, Engine, EngineScratch, Obs, Poll, Sensing, Static, TopologySpec,
-    WakeSchedule,
+    Action, Declaration, Engine, EngineScratch, Obs, Poll, RunOutcome, Sensing, Static,
+    TopologySpec, Trace, WakeSchedule,
 };
 use std::sync::Arc;
 
@@ -335,9 +335,25 @@ fn campaign_cells(cfg: &InitialConfiguration) -> Vec<GatherScenario<'_>> {
     cells
 }
 
+/// One campaign cell exactly as the lab runner executes it: its own
+/// `run_scenario_with_scratch` call (per-cell setup, shared scratch),
+/// recording into a digest-only trace of the runner's capacity.
+fn run_campaign_cell(cell: &GatherScenario<'_>, scratch: &mut EngineScratch) -> RunOutcome {
+    run_scenario_with_scratch(
+        cell.cfg,
+        cell.mode,
+        cell.schedule.clone(),
+        &cell.topo,
+        &cell.fault,
+        cell.seed,
+        Some(Trace::digest_only(TRACE_CAPACITY)),
+        scratch,
+    )
+    .expect("campaign cells run clean")
+}
+
 /// The campaign-cell workload: the 8 cells of one instance, each through
-/// its own `run_scenario_with_scratch` call (per-cell setup, one shared
-/// scratch) — exactly how the lab runner executes a campaign's cells.
+/// [`run_campaign_cell`].
 fn campaign_cells_solo(c: &mut Criterion) {
     let cfg = campaign_instance();
     let cells = campaign_cells(&cfg);
@@ -347,19 +363,7 @@ fn campaign_cells_solo(c: &mut Criterion) {
         let mut scratch = EngineScratch::new();
         b.iter(|| {
             for cell in &cells {
-                black_box(
-                    run_scenario_with_scratch(
-                        cell.cfg,
-                        cell.mode,
-                        cell.schedule.clone(),
-                        &cell.topo,
-                        &cell.fault,
-                        cell.seed,
-                        cell.trace_capacity,
-                        &mut scratch,
-                    )
-                    .expect("campaign cells run clean"),
-                );
+                black_box(run_campaign_cell(cell, &mut scratch));
             }
         })
     });
@@ -568,19 +572,7 @@ fn emit_trajectory(quick: bool) {
                 s.iters,
                 || {
                     for cell in &cells {
-                        black_box(
-                            run_scenario_with_scratch(
-                                cell.cfg,
-                                cell.mode,
-                                cell.schedule.clone(),
-                                &cell.topo,
-                                &cell.fault,
-                                cell.seed,
-                                cell.trace_capacity,
-                                &mut scratch,
-                            )
-                            .expect("campaign cells run clean"),
-                        );
+                        black_box(run_campaign_cell(cell, &mut scratch));
                     }
                 },
             )

@@ -12,7 +12,7 @@ use std::sync::{Arc, Mutex};
 use nochatter_graph::{InitialConfiguration, Label};
 use nochatter_sim::{
     ActiveRun, Engine, EngineScratch, FaultSpec, RunCheckpoint, RunOutcome, Sensing, SimError,
-    SpecView, Static, Topology, TopologySpec, WakeSchedule,
+    SpecView, Static, Topology, TopologySpec, Trace, WakeSchedule,
 };
 
 use crate::codec::BitStr;
@@ -117,7 +117,7 @@ pub fn run_known_traced_with_scratch(
             mode,
             schedule,
             fault: &FaultSpec::None,
-            trace_capacity,
+            trace: trace_capacity.map(Trace::with_capacity),
         },
         &Static,
         scratch,
@@ -132,7 +132,7 @@ struct KnownRun<'a> {
     mode: CommMode,
     schedule: WakeSchedule,
     fault: &'a FaultSpec,
-    trace_capacity: Option<usize>,
+    trace: Option<Trace>,
 }
 
 /// The one engine-wiring path behind every known-upper-bound runner,
@@ -149,8 +149,8 @@ fn run_known_view<T: Topology>(
     let mut engine: Engine<'_, T::View, BehaviorSlot> = Engine::with_parts(cfg.graph(), topology);
     engine.set_sensing(sensing_for(run.mode));
     engine.set_faults(run.fault.clone());
-    if let Some(capacity) = run.trace_capacity {
-        engine.record_trace(capacity);
+    if let Some(trace) = run.trace {
+        engine.set_trace(trace);
     }
     for &(label, start) in cfg.agents() {
         engine.add_agent(
@@ -174,9 +174,13 @@ fn run_known_view<T: Topology>(
 /// ([`TopologySpec::Static`] is the paper's model and costs nothing; see
 /// [`nochatter_graph::dynamic`] for the dynamic providers) and the
 /// crash-fault adversary `fault` ([`FaultSpec::None`] is the paper's model
-/// and costs nothing). Fully deterministic: identical arguments produce a
-/// bitwise-identical [`RunOutcome`], which is what makes sharded campaign
-/// runs reproducible regardless of worker count.
+/// and costs nothing). `trace`, if given, records the run's events and
+/// comes back in [`RunOutcome::trace`]: [`Trace::digest_only`] when only
+/// the digest is wanted (the campaign runner's choice), or
+/// [`Trace::with_capacity`] to keep the events. Fully deterministic:
+/// identical arguments produce a bitwise-identical [`RunOutcome`], which
+/// is what makes sharded campaign runs reproducible regardless of worker
+/// count.
 ///
 /// # Errors
 ///
@@ -221,7 +225,7 @@ pub fn run_scenario(
     topo: &TopologySpec,
     fault: &FaultSpec,
     seed: u64,
-    trace_capacity: Option<usize>,
+    trace: Option<Trace>,
 ) -> Result<RunOutcome, SimError> {
     run_scenario_with_scratch(
         cfg,
@@ -230,7 +234,7 @@ pub fn run_scenario(
         topo,
         fault,
         seed,
-        trace_capacity,
+        trace,
         &mut EngineScratch::new(),
     )
 }
@@ -255,7 +259,7 @@ pub fn run_scenario_with_scratch(
     topo: &TopologySpec,
     fault: &FaultSpec,
     seed: u64,
-    trace_capacity: Option<usize>,
+    trace: Option<Trace>,
     scratch: &mut EngineScratch,
 ) -> Result<RunOutcome, SimError> {
     let setup = KnownSetup::for_configuration(cfg, cfg.size() as u32, seed);
@@ -264,7 +268,7 @@ pub fn run_scenario_with_scratch(
         mode,
         schedule,
         fault,
-        trace_capacity,
+        trace,
     };
     if topo.is_static() {
         // The zero-cost monomorphization: exactly the fault-free
@@ -294,7 +298,8 @@ pub struct GatherScenario<'a> {
     pub fault: FaultSpec,
     /// Seed of the exploration-sequence stream.
     pub seed: u64,
-    /// Event-trace capacity, if a trace is wanted.
+    /// Event-trace capacity, if a trace is wanted. The trace stores its
+    /// events ([`Trace::with_capacity`]).
     pub trace_capacity: Option<usize>,
 }
 
@@ -315,7 +320,7 @@ pub fn run_scenario_batch_with_scratch(
                 &s.topo,
                 &s.fault,
                 s.seed,
-                s.trace_capacity,
+                s.trace_capacity.map(Trace::with_capacity),
                 scratch,
             )
         })

@@ -1,8 +1,8 @@
 //! Edge cases of the checkpoint/fork engine: a round-0 checkpoint is a
 //! fresh run, a terminal run cannot be snapshotted, resume is insensitive
-//! to scratch dirt, a checkpoint taken mid-wait resumes bitwise, and
-//! pending wake/crash boundaries (with the fast-forward decisions they
-//! cap) survive forking bitwise.
+//! to scratch dirt, a checkpoint taken mid-wait resumes bitwise (stored
+//! events and digest-only hash alike), and pending wake/crash boundaries
+//! (with the fast-forward decisions they cap) survive forking bitwise.
 
 use nochatter_core::harness::{run_scenario_with_scratch, GatherScenario, ScenarioRun};
 use nochatter_core::{CommMode, KnownSetup};
@@ -12,7 +12,7 @@ use nochatter_graph::{generators, Graph, InitialConfiguration, Label, NodeId, Po
 use nochatter_sim::proc::{ProcBehavior, Procedure, UntilCardExceeds, WaitRounds};
 use nochatter_sim::{
     Action, ActiveRun, CrashPoint, Declaration, Engine, EngineScratch, FaultSpec, Obs, Poll,
-    RunOutcome, SimError, Static, TopologySpec, WakeSchedule,
+    RunOutcome, SimError, Static, TopologySpec, Trace, WakeSchedule,
 };
 
 const SEED: u64 = 0xC0FFEE;
@@ -137,7 +137,7 @@ fn resume_is_insensitive_to_scratch_dirt() {
         &TopologySpec::Static,
         &FaultSpec::None,
         99,
-        Some(1 << 10),
+        Some(Trace::with_capacity(1 << 10)),
         &mut dirty,
     )
     .expect("warmup run succeeds");
@@ -221,10 +221,10 @@ fn declare(size: u32) -> Declaration {
     }
 }
 
-/// One walker and three long waiters on a ring, traced.
-fn mixed_wait_engine(graph: &Graph) -> Engine<'_, Static, ForkableMix> {
+/// One walker and three long waiters on a ring, recording into `trace`.
+fn mixed_wait_engine(graph: &Graph, trace: Trace) -> Engine<'_, Static, ForkableMix> {
     let mut engine: Engine<'_, Static, ForkableMix> = Engine::with_parts(graph, &Static);
-    engine.record_trace(1 << 12);
+    engine.set_trace(trace);
     let procs = [
         MixedProc::Walk(CloneWalker {
             rng: Rng::seed_from(11),
@@ -251,43 +251,59 @@ fn mixed_wait_engine(graph: &Graph) -> Engine<'_, Static, ForkableMix> {
 fn a_mid_wait_checkpoint_resumes_bitwise() {
     let graph = Family::Ring.instantiate(9, 4);
     let mut scratch = EngineScratch::new();
-    let fresh = mixed_wait_engine(&graph)
+    let stored = Trace::with_capacity(1 << 12);
+    let reference = mixed_wait_engine(&graph, stored.clone())
         .run_with_scratch(500, &mut scratch)
-        .unwrap();
+        .unwrap()
+        .trace
+        .unwrap()
+        .digest();
 
-    // Step into the thick of the waits: by round 12 both `WaitRounds`
-    // agents are deep inside their `min_wait` horizons.
-    let mut donor = ActiveRun::begin(mixed_wait_engine(&graph), 500, &mut scratch).unwrap();
-    while donor.next_round() < 12 {
-        assert!(
-            donor.step(&mut scratch).is_none(),
-            "the run must still be live at round 12"
-        );
-    }
-    let cp = donor.checkpoint().expect("forkable behaviors snapshot");
-    assert_eq!(cp.round(), 12);
+    // The checkpoint carries the trace so far, so a digest-only trace
+    // resumes its running hash exactly where a stored trace resumes its
+    // event list.
+    for trace in [stored, Trace::digest_only(1 << 12)] {
+        let fresh = mixed_wait_engine(&graph, trace.clone())
+            .run_with_scratch(500, &mut scratch)
+            .unwrap();
 
-    let mut resumed = ActiveRun::begin(mixed_wait_engine(&graph), 500, &mut scratch).unwrap();
-    assert!(resumed.resume_from(&cp), "shapes match, behaviors fork");
-    let outcome = loop {
-        if let Some(result) = resumed.step(&mut scratch) {
-            break result.unwrap();
+        // Step into the thick of the waits: by round 12 both `WaitRounds`
+        // agents are deep inside their `min_wait` horizons.
+        let mut donor =
+            ActiveRun::begin(mixed_wait_engine(&graph, trace.clone()), 500, &mut scratch).unwrap();
+        while donor.next_round() < 12 {
+            assert!(
+                donor.step(&mut scratch).is_none(),
+                "the run must still be live at round 12"
+            );
         }
-    };
-    // Every field, poll count included, plus every trace event.
-    assert_eq!(format!("{outcome:?}"), format!("{fresh:?}"));
-    assert_eq!(
-        outcome.trace.as_ref().unwrap().events(),
-        fresh.trace.as_ref().unwrap().events()
-    );
-    let declared: Vec<u64> = outcome
-        .declarations
-        .iter()
-        .map(|(_, rec)| rec.expect("every agent declares").round)
-        .collect();
-    // The walker finishes its 30 steps, the waiters their 60 and 75
-    // rounds, and the card watcher is cut short when the walker arrives.
-    assert_eq!(declared, vec![30, 60, 75, 18]);
+        let cp = donor.checkpoint().expect("forkable behaviors snapshot");
+        assert_eq!(cp.round(), 12);
+
+        let mut resumed =
+            ActiveRun::begin(mixed_wait_engine(&graph, trace), 500, &mut scratch).unwrap();
+        assert!(resumed.resume_from(&cp), "shapes match, behaviors fork");
+        let outcome = loop {
+            if let Some(result) = resumed.step(&mut scratch) {
+                break result.unwrap();
+            }
+        };
+        // Every field, poll count included, plus every trace event.
+        assert_eq!(format!("{outcome:?}"), format!("{fresh:?}"));
+        let (resumed_trace, fresh_trace) = (outcome.trace.as_ref().unwrap(), fresh.trace.unwrap());
+        assert_eq!(resumed_trace.events(), fresh_trace.events());
+        assert_eq!(resumed_trace.digest(), reference);
+        assert_eq!(fresh_trace.digest(), reference);
+        let declared: Vec<u64> = outcome
+            .declarations
+            .iter()
+            .map(|(_, rec)| rec.expect("every agent declares").round)
+            .collect();
+        // The walker finishes its 30 steps, the waiters their 60 and 75
+        // rounds, and the card watcher is cut short when the walker
+        // arrives.
+        assert_eq!(declared, vec![30, 60, 75, 18]);
+    }
 }
 
 /// Forks a run of `donor` into `target` from the deepest checkpoint at or

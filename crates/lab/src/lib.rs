@@ -67,7 +67,7 @@ pub use record::{trace_digest, RunRecord, ScenarioKey};
 pub use report::{CampaignArtifacts, CampaignReport};
 pub use runner::{
     default_workers, execute_scenario, execute_scenario_with_scratch, run_campaign,
-    run_campaign_cached,
+    run_campaign_cached, TRACE_CAPACITY,
 };
 pub use search::{
     run_search, run_search_cached, run_search_with, AdversarySpace, Objective, SearchArtifacts,

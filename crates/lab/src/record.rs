@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use nochatter_sim::{Trace, TraceEvent};
+use nochatter_sim::Trace;
 
 /// The identity of one scenario inside a campaign.
 ///
@@ -162,12 +162,6 @@ pub struct RunRecord {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-fn fnv_u64(hash: &mut u64, value: u64) {
-    for byte in value.to_le_bytes() {
-        *hash = (*hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-    }
-}
-
 /// FNV-1a digest over arbitrary bytes (used for key-derived seeds).
 pub(crate) fn fnv_bytes(bytes: &[u8]) -> u64 {
     let mut hash = FNV_OFFSET;
@@ -177,77 +171,12 @@ pub(crate) fn fnv_bytes(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// A 64-bit FNV-1a digest of a run's event trace.
-///
-/// Two runs with the same digest made the same wake-ups, moves and
-/// declarations in the same rounds — the differential and determinism test
-/// suites compare digests instead of hauling whole traces around. The
-/// encoding covers every event field plus the dropped-event count, so a
-/// truncated trace still digests deterministically.
+/// The 64-bit FNV-1a digest of a run's event trace: [`Trace::digest`],
+/// which owns the encoding. The campaign runner never calls this: its
+/// cells record into a [`Trace::digest_only`] trace that folds each
+/// event into the digest as the engine emits it.
 pub fn trace_digest(trace: &Trace) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for event in trace.events() {
-        match *event {
-            TraceEvent::Wake {
-                agent,
-                round,
-                by_visit,
-            } => {
-                fnv_u64(&mut hash, 1);
-                fnv_u64(&mut hash, agent.value());
-                fnv_u64(&mut hash, round);
-                fnv_u64(&mut hash, u64::from(by_visit));
-            }
-            TraceEvent::Move {
-                agent,
-                round,
-                from,
-                to,
-                port,
-            } => {
-                fnv_u64(&mut hash, 2);
-                fnv_u64(&mut hash, agent.value());
-                fnv_u64(&mut hash, round);
-                fnv_u64(&mut hash, from.index() as u64);
-                fnv_u64(&mut hash, to.index() as u64);
-                fnv_u64(&mut hash, port.index() as u64);
-            }
-            TraceEvent::Blocked {
-                agent,
-                round,
-                node,
-                port,
-            } => {
-                fnv_u64(&mut hash, 4);
-                fnv_u64(&mut hash, agent.value());
-                fnv_u64(&mut hash, round);
-                fnv_u64(&mut hash, node.index() as u64);
-                fnv_u64(&mut hash, port.index() as u64);
-            }
-            TraceEvent::Crashed { agent, round, node } => {
-                fnv_u64(&mut hash, 5);
-                fnv_u64(&mut hash, agent.value());
-                fnv_u64(&mut hash, round);
-                fnv_u64(&mut hash, node.index() as u64);
-            }
-            TraceEvent::Declare {
-                agent,
-                round,
-                node,
-                declaration,
-            } => {
-                fnv_u64(&mut hash, 3);
-                fnv_u64(&mut hash, agent.value());
-                fnv_u64(&mut hash, round);
-                fnv_u64(&mut hash, node.index() as u64);
-                fnv_u64(&mut hash, declaration.leader.map_or(0, |l| l.value()));
-                fnv_u64(&mut hash, declaration.size.map_or(0, |s| u64::from(s) + 1));
-            }
-            _ => fnv_u64(&mut hash, u64::MAX),
-        }
-    }
-    fnv_u64(&mut hash, trace.dropped());
-    hash
+    trace.digest()
 }
 
 #[cfg(test)]
@@ -345,7 +274,7 @@ mod tests {
                 &nochatter_sim::TopologySpec::Static,
                 &nochatter_sim::FaultSpec::None,
                 7,
-                Some(4096),
+                Some(Trace::with_capacity(4096)),
             )
             .unwrap()
             .trace

@@ -16,18 +16,20 @@ use std::time::Instant;
 
 use nochatter_core::unknown::{run_unknown, SliceEnumeration};
 use nochatter_core::{harness, KnownSetup};
-use nochatter_sim::{EngineScratch, RunOutcome, SimError};
+use nochatter_sim::{EngineScratch, RunOutcome, SimError, Trace};
 
 use crate::campaign::{Campaign, Scenario, ScenarioKind};
-use crate::record::{trace_digest, RunRecord};
+use crate::record::RunRecord;
 use crate::report::CampaignReport;
 use crate::sched;
 use crate::store::{CacheStats, Store};
 
 /// Event-trace capacity per scenario: enough for every small-network run
 /// the campaigns sweep; longer runs digest a deterministic prefix plus the
-/// dropped-event count.
-pub(crate) const TRACE_CAPACITY: usize = 1 << 16;
+/// dropped-event count. Gather cells record into a
+/// [`Trace::digest_only`] trace of this capacity, so no cell stores its
+/// events.
+pub const TRACE_CAPACITY: usize = 1 << 16;
 
 /// The number of workers [`run_campaign`] uses when the caller passes 0:
 /// the machine's available parallelism.
@@ -225,7 +227,7 @@ pub fn execute_scenario_with_scratch(
             &scenario.topo,
             &scenario.fault,
             scenario.seed,
-            Some(TRACE_CAPACITY),
+            Some(Trace::digest_only(TRACE_CAPACITY)),
             scratch,
         ),
         ScenarioKind::Gossip(scheme) => {
@@ -348,7 +350,7 @@ fn fill_outcome(record: &mut RunRecord, outcome: &RunOutcome) {
     record.skipped_rounds = outcome.skipped_rounds;
     record.polled_agent_rounds = outcome.polled_agent_rounds;
     record.max_colocation = outcome.max_colocation;
-    record.trace_digest = outcome.trace.as_ref().map(trace_digest);
+    record.trace_digest = outcome.trace.as_ref().map(Trace::digest);
 }
 
 #[cfg(test)]

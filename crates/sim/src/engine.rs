@@ -259,7 +259,7 @@ pub struct Engine<'g, V: TopologyView = Static, B: AgentBehavior = Box<dyn Agent
     schedule: WakeSchedule,
     sensing: Sensing,
     faults: FaultSpec,
-    trace_capacity: Option<usize>,
+    trace: Option<Trace>,
 }
 
 impl<'g> Engine<'g> {
@@ -293,7 +293,7 @@ impl<'g, V: TopologyView, B: AgentBehavior> Engine<'g, V, B> {
             schedule: WakeSchedule::Simultaneous,
             sensing: Sensing::Weak,
             faults: FaultSpec::None,
-            trace_capacity: None,
+            trace: None,
         }
     }
 
@@ -318,9 +318,18 @@ impl<'g, V: TopologyView, B: AgentBehavior> Engine<'g, V, B> {
         self.faults = faults;
     }
 
-    /// Enables event tracing with the given capacity.
+    /// Records the run's events into `trace` (pass a fresh one, from
+    /// [`Trace::with_capacity`] to keep the events or [`Trace::digest_only`]
+    /// to keep only their digest); the run hands it back in
+    /// [`RunOutcome::trace`].
+    pub fn set_trace(&mut self, trace: Trace) {
+        self.trace = Some(trace);
+    }
+
+    /// Enables event tracing, storing up to `capacity` events: shorthand
+    /// for `set_trace(Trace::with_capacity(capacity))`.
     pub fn record_trace(&mut self, capacity: usize) {
-        self.trace_capacity = Some(capacity);
+        self.set_trace(Trace::with_capacity(capacity));
     }
 
     /// The lexicographically smallest conflicting index pair among agents
@@ -542,7 +551,7 @@ impl<'g, V: TopologyView, B: AgentBehavior> ActiveRun<'g, V, B> {
         scratch: &mut EngineScratch,
     ) -> Result<Self, SimError> {
         engine.validate(&mut scratch.validate_order)?;
-        let trace = engine.trace_capacity.map(Trace::with_capacity);
+        let trace = engine.trace.take();
         scratch.prepare(engine.graph.node_count(), engine.agents.len());
         let bucket_occupants = engine.sensing == Sensing::Traditional;
         let pending_crashes = engine
@@ -1005,7 +1014,7 @@ impl<'g, V: TopologyView, B: ForkableBehavior> ActiveRun<'g, V, B> {
     /// The resumed continuation is bitwise identical to stepping this run
     /// from scratch iff this run's configuration and the checkpointed
     /// run's agree on everything the prefix could observe: same graph,
-    /// team, sensing, trace capacity, round limit and behaviors; wake
+    /// team, sensing, trace kind and capacity, round limit and behaviors; wake
     /// schedules, fault specs and topology specs that agree on every round
     /// **before** `cp.round()`; and every wake or crash round on which the
     /// two specs *disagree* at least `cp.round() + 1`. The strict `+ 1`

@@ -66,7 +66,10 @@ pub struct RunOutcome {
     pub polled_agent_rounds: u64,
     /// The largest number of co-located agents ever observed.
     pub max_colocation: u32,
-    /// The recorded trace, if tracing was enabled.
+    /// The trace handed to [`crate::Engine::set_trace`], with the run's
+    /// events recorded: stored ones readable through [`Trace::events`],
+    /// or folded into [`Trace::digest`] only for a
+    /// [`Trace::digest_only`] trace. `None` if tracing was not enabled.
     pub trace: Option<Trace>,
 }
 
