@@ -10,6 +10,11 @@
 //! *first scheme*: they make every pre-main-part move so sluggish that
 //! agents testing hypothesis `h` can recognize (and not be confused by)
 //! agents still working on other hypotheses.
+//!
+//! A finished traversal turns into its own retrace
+//! ([`BallTraversal::into_retrace`]): the hypothesis's cleanup walks the
+//! ball's moves back by replaying paths, so no move is ever stored and a
+//! traversal holds O(`r_ball`) state however many moves it makes.
 
 use nochatter_explore::paths::Paths;
 use nochatter_graph::Port;
@@ -32,11 +37,17 @@ enum Stage {
 
 /// Algorithm 7 as a [`Procedure`]; completes with `false` iff a node of
 /// degree `>= n_h` was stood upon.
+///
+/// Its state is the path enumerator, the current path and the entry ports
+/// of that one path: O(`r_ball`) words, never a record of past paths.
 #[derive(Debug)]
 pub struct BallTraversal {
     n: u32,
     w: u64,
     paths: Paths,
+    /// Walking the paths in reverse order without the degree abort: the
+    /// retrace of a finished traversal.
+    retrace: bool,
     /// The current path being followed (owned copy; `Paths` reuses its
     /// buffer).
     current: Vec<u32>,
@@ -66,6 +77,7 @@ impl BallTraversal {
             n: hs.n,
             w: hs.w,
             paths,
+            retrace: false,
             current: first,
             i: 0,
             entries: Vec::new(),
@@ -73,6 +85,32 @@ impl BallTraversal {
             exhausted_paths: false,
             stage: Stage::Decide,
             pending_entry: false,
+        }
+    }
+
+    /// The walk that undoes this finished traversal: every move it made,
+    /// in reverse order, each after the same slow wait.
+    ///
+    /// One excursion along a path goes out over the path's ports and comes
+    /// back over the entry ports it observed; reversed, that is the same
+    /// path walked forward and backtracked. So the retrace first
+    /// backtracks the path the traversal aborted on, if it aborted, then
+    /// walks every earlier path from the last one down. It stands only on
+    /// nodes the traversal stood on, so it skips the degree abort, and it
+    /// ends on the start node after exactly the traversal's rounds. It
+    /// completes with `true`.
+    pub fn into_retrace(self) -> Self {
+        debug_assert!(
+            matches!(self.stage, Stage::Done(_)),
+            "only a finished traversal has a retrace"
+        );
+        BallTraversal {
+            retrace: true,
+            forward: false,
+            exhausted_paths: false,
+            stage: Stage::Decide,
+            pending_entry: false,
+            ..self
         }
     }
 }
@@ -97,7 +135,7 @@ impl Procedure for BallTraversal {
                     }
                     if self.forward {
                         // Algorithm 7 line 7: abort on a high-degree node.
-                        if obs.degree >= self.n {
+                        if !self.retrace && obs.degree >= self.n {
                             self.stage = Stage::Done(false);
                             continue;
                         }
@@ -114,7 +152,12 @@ impl Procedure for BallTraversal {
                         self.stage = Stage::BackWait(WaitRounds::new(self.w), back);
                     } else {
                         // Back at the start: advance to the next path.
-                        match self.paths.next_path() {
+                        let next = if self.retrace {
+                            self.paths.prev_path()
+                        } else {
+                            self.paths.next_path()
+                        };
+                        match next {
                             Some(p) => {
                                 self.current.clear();
                                 self.current.extend_from_slice(p);
@@ -227,6 +270,161 @@ mod tests {
             }
         }
         (rec.declaration.size == Some(1), visited, rec.round)
+    }
+
+    /// A traversal, then its retrace. Completes with the rounds spent and
+    /// the moves made by each half.
+    struct ThereAndBack {
+        ball: Option<BallTraversal>,
+        retracing: bool,
+        rounds: [u64; 2],
+        moves: [usize; 2],
+    }
+
+    impl ThereAndBack {
+        fn half(&self) -> usize {
+            usize::from(self.retracing)
+        }
+
+        fn ball(&mut self) -> &mut BallTraversal {
+            self.ball.as_mut().unwrap()
+        }
+    }
+
+    impl Procedure for ThereAndBack {
+        type Output = ([u64; 2], [usize; 2]);
+
+        fn poll(&mut self, obs: &Obs) -> Poll<Self::Output> {
+            loop {
+                match self.ball().poll(obs) {
+                    Poll::Yield(a) => {
+                        let half = self.half();
+                        self.rounds[half] += 1;
+                        if let Action::TakePort(_) = a {
+                            self.moves[half] += 1;
+                        }
+                        return Poll::Yield(a);
+                    }
+                    Poll::Complete(ok) => {
+                        if self.retracing {
+                            assert!(ok, "a retrace never aborts");
+                            return Poll::Complete((self.rounds, self.moves));
+                        }
+                        self.retracing = true;
+                        self.ball = self.ball.take().map(BallTraversal::into_retrace);
+                    }
+                }
+            }
+        }
+
+        fn min_wait(&self) -> u64 {
+            self.ball.as_ref().unwrap().min_wait()
+        }
+
+        fn note_skipped(&mut self, rounds: u64) {
+            let half = self.half();
+            self.rounds[half] += rounds;
+            self.ball().note_skipped(rounds);
+        }
+    }
+
+    /// A schedule carrying only what a `BallTraversal` reads.
+    fn ball_schedule(n: u32, r_ball: u32, w: u64) -> HypothesisSchedule {
+        HypothesisSchedule {
+            n,
+            k: 2,
+            alpha: n - 1,
+            r_est: 0,
+            t_est: 0,
+            l_ece: 0,
+            dur_sc: 0,
+            dur_ece: 0,
+            dur_gsc: 0,
+            sens: 0,
+            w,
+            d_main: 0,
+            r_ball,
+            t_bt: 0,
+            s: 0,
+            t_h: 0,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 96,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+        #[test]
+        fn retrace_replays_the_traversal_backwards(
+            family in 0u32..3,
+            size in 2u32..7,
+            extra in 0u32..4,
+            seed in proptest::prelude::any::<u64>(),
+            n in 2u32..6,
+            r_ball in 0u32..4,
+            w in 0u64..3,
+        ) {
+            // Random graphs with shuffled ports complete or abort; a star
+            // or a lollipop (started off its hub or clique) aborts mid-path
+            // once the hub's degree reaches the cap `n`.
+            let graph = match family {
+                0 => generators::with_shuffled_ports(
+                    &generators::random_connected(size, extra, seed),
+                    seed.rotate_left(32),
+                ),
+                1 => generators::star(size + 1),
+                _ => generators::lollipop(size, 1 + extra),
+            };
+            let start = NodeId::new((seed % graph.node_count() as u64) as u32);
+            let other = graph.nodes().find(|&v| v != start).unwrap();
+            let result = std::rc::Rc::new(std::cell::Cell::new(None));
+            let sink = std::rc::Rc::clone(&result);
+            let walker = ThereAndBack {
+                ball: Some(BallTraversal::new(&ball_schedule(n, r_ball, w))),
+                retracing: false,
+                rounds: [0; 2],
+                moves: [0; 2],
+            };
+            let mut engine = Engine::new(&graph);
+            engine.add_agent(
+                label(1),
+                start,
+                Box::new(ProcBehavior::mapping(walker, move |out| {
+                    sink.set(Some(out));
+                    Declaration::bare()
+                })),
+            );
+            engine.add_agent(
+                label(2),
+                other,
+                Box::new(ProcBehavior::declaring(WaitRounds::new(0))),
+            );
+            engine.record_trace(usize::MAX);
+            let outcome = engine.run(u64::MAX).unwrap();
+            proptest::prop_assert!(outcome.all_declared());
+            let (rounds, moves) = result.get().unwrap();
+            proptest::prop_assert_eq!(rounds[0], rounds[1], "the retrace's rounds differ");
+            proptest::prop_assert_eq!(outcome.declarations[0].1.unwrap().node, start);
+            let walked: Vec<(NodeId, NodeId)> = outcome
+                .trace
+                .unwrap()
+                .events()
+                .iter()
+                .filter_map(|e| match e {
+                    TraceEvent::Move { agent, from, to, .. } if *agent == label(1) => {
+                        Some((*from, *to))
+                    }
+                    _ => None,
+                })
+                .collect();
+            proptest::prop_assert_eq!(walked.len(), moves[0] + moves[1]);
+            proptest::prop_assert_eq!(moves[0], moves[1]);
+            let (there, back) = walked.split_at(moves[0]);
+            let undone: Vec<(NodeId, NodeId)> =
+                there.iter().rev().map(|&(from, to)| (to, from)).collect();
+            proptest::prop_assert_eq!(back, &undone[..]);
+        }
     }
 
     #[test]

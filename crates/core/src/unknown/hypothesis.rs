@@ -12,6 +12,12 @@
 //! agent to its start node — then pad so the hypothesis consumes exactly
 //! `T_h` rounds. The exact budget is what keeps all agents' hypothesis
 //! clocks in lockstep (Lemma 4.5).
+//!
+//! Only the main part's entry ports are stored. The ball traversal's,
+//! reversed, form a ball traversal of their own, so the cleanup replays it
+//! ([`BallTraversal::into_retrace`]) after popping the main-part trail.
+//! A hypothesis therefore holds O(`r_ball` + main-part moves) state, not
+//! one port per ball move.
 
 use nochatter_graph::{InitialConfiguration, Label, Port};
 use nochatter_sim::proc::{Procedure, WaitRounds};
@@ -49,8 +55,10 @@ enum Stage {
     Star(StarCheck),
     Ece(EnsureCleanExploration),
     Gsc(GraphSizeCheck),
-    /// The slow wait before the next unwind move.
+    /// The slow wait before the next main-part unwind move.
     UnwindWait(WaitRounds, Port),
+    /// The ball traversal's retrace, once the main-part trail is empty.
+    UnwindBall(BallTraversal),
     /// Decide the next unwind step (or start padding).
     UnwindNext,
     /// Algorithm 6 line 22: pad to exactly `T_h`.
@@ -69,11 +77,17 @@ pub struct Hypothesis {
     /// load-bearing).
     skip_ece: bool,
     tracker: SharedTracker,
-    /// Entry ports of every first-part move, in order of entrance
-    /// (Algorithm 6 line 16).
+    /// Entry ports of every main-part move (`MoveToCentralNode` through
+    /// `GraphSizeCheck`), in order of entrance: the stored half of
+    /// Algorithm 6 line 16. The ball's moves are not stored; `retrace`
+    /// replays them.
     trail: Vec<Port>,
+    /// The finished ball traversal's retrace, walked after `trail` when
+    /// the hypothesis fails.
+    retrace: Option<BallTraversal>,
     pending_trail: bool,
-    in_first_part: bool,
+    /// Whether moves enter `trail`: true only during the main part.
+    record_trail: bool,
     /// Move instructions consumed so far within this hypothesis.
     rounds_spent: u64,
     dirty_est: bool,
@@ -111,8 +125,9 @@ impl Hypothesis {
             skip_ece: !shield,
             tracker,
             trail: Vec::new(),
+            retrace: None,
             pending_trail: false,
-            in_first_part: true,
+            record_trail: false,
             rounds_spent: 0,
             dirty_est: false,
             stage: Stage::Ball(ball),
@@ -126,7 +141,7 @@ impl Hypothesis {
 
     fn emit(&mut self, action: Action) -> Poll<HypothesisVerdict> {
         self.rounds_spent += 1;
-        if self.in_first_part {
+        if self.record_trail {
             if let Action::TakePort(_) = action {
                 self.pending_trail = true;
             }
@@ -150,12 +165,16 @@ impl Procedure for Hypothesis {
             match &mut self.stage {
                 Stage::Ball(b) => match b.poll(obs) {
                     Poll::Yield(a) => return self.emit(a),
-                    Poll::Complete(true) => {
-                        self.stage = Stage::Line4(WaitRounds::new(self.hs.s));
-                    }
-                    Poll::Complete(false) => {
-                        self.in_first_part = false;
-                        self.stage = Stage::UnwindNext;
+                    Poll::Complete(completed) => {
+                        let next = if completed {
+                            Stage::Line4(WaitRounds::new(self.hs.s))
+                        } else {
+                            Stage::UnwindNext
+                        };
+                        if let Stage::Ball(ball) = std::mem::replace(&mut self.stage, next) {
+                            self.retrace = Some(ball.into_retrace());
+                        }
+                        self.record_trail = completed;
                     }
                 },
                 Stage::Line4(w) => match w.poll(obs) {
@@ -175,7 +194,7 @@ impl Procedure for Hypothesis {
                         self.stage = Stage::Star(StarCheck::new(self.hs.k, rank as u32));
                     }
                     Poll::Complete(false) => {
-                        self.in_first_part = false;
+                        self.record_trail = false;
                         self.stage = Stage::UnwindNext;
                     }
                 },
@@ -198,7 +217,7 @@ impl Procedure for Hypothesis {
                         }
                     }
                     Poll::Complete(false) => {
-                        self.in_first_part = false;
+                        self.record_trail = false;
                         self.stage = Stage::UnwindNext;
                     }
                 },
@@ -217,7 +236,7 @@ impl Procedure for Hypothesis {
                         ));
                     }
                     Poll::Complete(false) => {
-                        self.in_first_part = false;
+                        self.record_trail = false;
                         self.stage = Stage::UnwindNext;
                     }
                 },
@@ -230,21 +249,26 @@ impl Procedure for Hypothesis {
                                 dirty_est: self.dirty_est,
                             });
                         }
-                        self.in_first_part = false;
+                        self.record_trail = false;
                         self.stage = Stage::UnwindNext;
                     }
                 },
-                Stage::UnwindNext => match self.trail.pop() {
-                    Some(port) => {
-                        self.stage = Stage::UnwindWait(WaitRounds::new(self.hs.w), port);
-                    }
-                    None => {
+                Stage::UnwindNext => {
+                    self.stage = if let Some(port) = self.trail.pop() {
+                        Stage::UnwindWait(WaitRounds::new(self.hs.w), port)
+                    } else if let Some(retrace) = self.retrace.take() {
+                        Stage::UnwindBall(retrace)
+                    } else {
                         let remaining =
                             self.hs.t_h.checked_sub(self.rounds_spent).expect(
                                 "hypothesis exceeded its budget T_h — schedule bound violated",
                             );
-                        self.stage = Stage::Pad(WaitRounds::new(remaining));
-                    }
+                        Stage::Pad(WaitRounds::new(remaining))
+                    };
+                }
+                Stage::UnwindBall(b) => match b.poll(obs) {
+                    Poll::Yield(a) => return self.emit(a),
+                    Poll::Complete(_) => self.stage = Stage::UnwindNext,
                 },
                 Stage::UnwindWait(w, port) => {
                     let port = *port;
@@ -271,7 +295,7 @@ impl Procedure for Hypothesis {
 
     fn min_wait(&self) -> u64 {
         match &self.stage {
-            Stage::Ball(b) => b.min_wait(),
+            Stage::Ball(b) | Stage::UnwindBall(b) => b.min_wait(),
             Stage::Line4(w) | Stage::Pad(w) | Stage::UnwindWait(w, _) => w.min_wait(),
             Stage::Mtcn(m) => m.min_wait(),
             Stage::Gsc(g) => g.min_wait(),
@@ -282,7 +306,7 @@ impl Procedure for Hypothesis {
     fn note_skipped(&mut self, rounds: u64) {
         self.rounds_spent += rounds;
         match &mut self.stage {
-            Stage::Ball(b) => b.note_skipped(rounds),
+            Stage::Ball(b) | Stage::UnwindBall(b) => b.note_skipped(rounds),
             Stage::Line4(w) | Stage::Pad(w) | Stage::UnwindWait(w, _) => w.note_skipped(rounds),
             Stage::Mtcn(m) => m.note_skipped(rounds),
             Stage::Gsc(g) => g.note_skipped(rounds),

@@ -2,7 +2,8 @@
 //!
 //! The unknown-upper-bound algorithm repeatedly walks "all paths of length
 //! `r` from the set `{0, ..., a-1}`" (paper Algorithms 7 and 10, and our
-//! leashed `EST+`). This module provides the enumerator; the walking —
+//! leashed `EST+`). This module provides the enumerator, which also steps
+//! backwards so a finished walk can be retraced; the walking —
 //! forward while ports exist, then backtrack — is done by the procedures
 //! themselves, which differ in their waiting and abort rules.
 
@@ -75,6 +76,46 @@ impl Paths {
         None
     }
 
+    /// Steps the enumeration back: the path before the one
+    /// [`Paths::next_path`] last returned, or the last path once the
+    /// enumeration is exhausted. Stepping back past the first path returns
+    /// `None` and restarts the enumeration, so calling this repeatedly on
+    /// an exhausted enumeration yields the lexicographic order reversed.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use nochatter_explore::paths::Paths;
+    ///
+    /// let mut p = Paths::new(2, 1);
+    /// while p.next_path().is_some() {}
+    /// assert_eq!(p.prev_path(), Some(&[1][..]));
+    /// assert_eq!(p.prev_path(), Some(&[0][..]));
+    /// assert_eq!(p.prev_path(), None);
+    /// ```
+    pub fn prev_path(&mut self) -> Option<&[u32]> {
+        if self.done {
+            // The forward odometer wrapped to all zeros; the last path is
+            // all top digits.
+            self.done = false;
+            self.current.fill(self.alpha.saturating_sub(1));
+            return Some(&self.current);
+        }
+        if !self.started {
+            return None;
+        }
+        // Odometer decrement, the mirror of `next_path`'s increment.
+        for i in (0..self.current.len()).rev() {
+            if self.current[i] > 0 {
+                self.current[i] -= 1;
+                return Some(&self.current);
+            }
+            self.current[i] = self.alpha - 1;
+        }
+        self.reset();
+        None
+    }
+
     /// Restarts the enumeration from the first path.
     pub fn reset(&mut self) {
         self.current.iter_mut().for_each(|d| *d = 0);
@@ -143,6 +184,38 @@ mod tests {
         let mut p = Paths::new(0, 0);
         assert_eq!(p.next_path(), Some(&[][..]));
         assert_eq!(p.next_path(), None);
+    }
+
+    #[test]
+    fn prev_path_walks_the_forward_order_reversed() {
+        for (alpha, len) in [(1u32, 4u32), (2, 3), (3, 2), (4, 1), (3, 0)] {
+            let mut p = Paths::new(alpha, len);
+            let mut forward = Vec::new();
+            while let Some(path) = p.next_path() {
+                forward.push(path.to_vec());
+            }
+            let mut backward = Vec::new();
+            while let Some(path) = p.prev_path() {
+                backward.push(path.to_vec());
+            }
+            forward.reverse();
+            assert_eq!(backward, forward, "alpha {alpha}, len {len}");
+            // Stepping back past the first path restarts the enumeration.
+            assert_eq!(p.next_path(), Some(&vec![0; len as usize][..]));
+        }
+    }
+
+    #[test]
+    fn prev_path_mid_enumeration_returns_the_predecessor() {
+        let mut p = Paths::new(3, 2);
+        for _ in 0..5 {
+            p.next_path();
+        }
+        assert_eq!(p.prev_path(), Some(&[1, 0][..]));
+        assert_eq!(p.prev_path(), Some(&[0, 2][..]));
+        assert_eq!(p.next_path(), Some(&[1, 0][..]));
+        let mut fresh = Paths::new(3, 2);
+        assert_eq!(fresh.prev_path(), None, "nothing before the start");
     }
 
     #[test]

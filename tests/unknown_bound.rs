@@ -5,11 +5,15 @@
 
 use std::sync::Arc;
 
+use std::sync::Mutex;
+
 use nochatter::core::unknown::{
-    run_unknown, ConfigEnumeration, EstMode, ExhaustiveEnumeration, SliceEnumeration,
+    run_unknown, ConfigEnumeration, EstMode, ExhaustiveEnumeration, GatherUnknownUpperBound,
+    SliceEnumeration, UnknownOptions, UnknownSchedule,
 };
+use nochatter::core::BehaviorSlot;
 use nochatter::graph::{generators, InitialConfiguration, Label, NodeId};
-use nochatter::sim::WakeSchedule;
+use nochatter::sim::{Engine, RunOutcome, RunStatus, Static, Trace, WakeSchedule};
 
 fn label(v: u64) -> Label {
     Label::new(v).unwrap()
@@ -180,4 +184,112 @@ fn zero_knowledge_gossip_delivers_everything() {
         got.sort();
         assert_eq!(got, expected, "full multiset delivered");
     }
+}
+
+/// Runs every agent of `truth` the way `run_unknown_with_options` does,
+/// with a digest-only trace of every event attached.
+fn traced_run(
+    truth: &InitialConfiguration,
+    omega: Arc<dyn ConfigEnumeration>,
+    options: UnknownOptions,
+    wake: WakeSchedule,
+) -> RunOutcome {
+    let schedule = Arc::new(UnknownSchedule::new(omega).unwrap());
+    let mut engine: Engine<'_, Static, BehaviorSlot> = Engine::with_parts(truth.graph(), &Static);
+    for &(label, start) in truth.agents() {
+        let agent = GatherUnknownUpperBound::with_options(
+            label,
+            start,
+            truth.graph_arc(),
+            Arc::clone(&schedule),
+            options,
+        );
+        engine.add_agent(
+            label,
+            start,
+            BehaviorSlot::unknown_gather(agent, Arc::new(Mutex::new(None))),
+        );
+    }
+    engine.set_wake_schedule(wake);
+    engine.set_trace(Trace::digest_only(usize::MAX));
+    engine.run(schedule.round_limit()).expect("run succeeds")
+}
+
+fn digest(outcome: &RunOutcome) -> String {
+    format!("{:016x}", outcome.trace.as_ref().unwrap().digest())
+}
+
+#[test]
+fn every_unwind_path_keeps_its_pinned_trace() {
+    // Each case fails a hypothesis at a different point, so its second part
+    // (Algorithm 6 line 16) retraces a different mix of ball and main-part
+    // moves. The digests fold every move's round, ports and endpoints.
+    let conservative = UnknownOptions::default();
+
+    // The ball aborts on the very first observation: a 3-ring node has
+    // degree 2 >= n_h = 2. Nothing to retrace; the run never gathers.
+    let truth = cfg(generators::ring(3), &[(1, 0), (2, 2)]);
+    let omega = SliceEnumeration::new(vec![cfg(generators::path(2), &[(1, 0), (2, 1)])]);
+    let out = traced_run(&truth, omega, conservative, WakeSchedule::Simultaneous);
+    assert_eq!(out.status, RunStatus::RoundLimit);
+    assert_eq!(out.rounds, 75_308);
+    assert_eq!(digest(&out), "5662ed9a7b4c3b06");
+
+    // The ball aborts mid-path on the degree-3 node of a spider: the
+    // retrace starts by backtracking the half-walked path.
+    let spider = generators::from_pairs(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (3, 5)]);
+    let truth = cfg(spider, &[(1, 0), (2, 5)]);
+    let omega = SliceEnumeration::new(vec![cfg(generators::ring(3), &[(1, 0), (2, 1)])]);
+    let out = traced_run(
+        &truth,
+        omega,
+        conservative,
+        WakeSchedule::Staggered { gap: 4 },
+    );
+    assert_eq!(out.total_moves, 152);
+    assert_eq!(digest(&out), "9a90e19e3c140a62");
+
+    // A complete ball, then MoveToCentralNode fails on unknown labels.
+    let truth = cfg(generators::ring(3), &[(1, 0), (2, 1)]);
+    let omega = SliceEnumeration::new(vec![cfg(generators::ring(3), &[(7, 0), (8, 1)])]);
+    let out = traced_run(&truth, omega, conservative, WakeSchedule::Simultaneous);
+    assert_eq!(out.total_moves, 180_224);
+    assert_eq!(digest(&out), "a64f48c84553b322");
+
+    // A complete ball and main-part moves before the hypothesis fails: the
+    // unwind pops the main-part trail before it retraces the ball.
+    let truth = cfg(generators::ring(4), &[(1, 0), (2, 1)]);
+    let phi = cfg(generators::ring(3), &[(1, 0), (2, 1)]);
+    let omega = SliceEnumeration::new(vec![phi.clone()]);
+    let out = traced_run(&truth, omega, conservative, WakeSchedule::Simultaneous);
+    assert_eq!(out.total_moves, 180_706);
+    assert_eq!(digest(&out), "98ab518f858c1568");
+    let ablated = UnknownOptions {
+        est_mode: EstMode::Adversarial,
+        disable_clean_exploration: true,
+    };
+    let omega = SliceEnumeration::new(vec![phi]);
+    let out = traced_run(&truth, omega, ablated, WakeSchedule::Staggered { gap: 9 });
+    assert_eq!(out.total_moves, 180_322);
+    assert_eq!(digest(&out), "3922edfe4ee9af88");
+
+    // A wrong hypothesis unwound in full, then success on the truth.
+    let truth = cfg(generators::path(2), &[(1, 0), (2, 1)]);
+    let decoy = cfg(generators::path(2), &[(3, 0), (4, 1)]);
+    let omega = SliceEnumeration::new(vec![decoy, truth.clone()]);
+    let out = traced_run(
+        &truth,
+        omega,
+        conservative,
+        WakeSchedule::Staggered { gap: 7 },
+    );
+    out.gathering().expect("gathering validates");
+    assert_eq!(digest(&out), "ef1820cffe25cad1");
+
+    // The faithful enumeration, wrong hypotheses first.
+    let truth = cfg(generators::path(2), &[(2, 0), (1, 1)]);
+    let omega = ExhaustiveEnumeration::new(2, 2);
+    let out = traced_run(&truth, omega, conservative, WakeSchedule::Simultaneous);
+    out.gathering().expect("gathering validates");
+    assert_eq!(digest(&out), "a8d1723ee0b0bb16");
 }
