@@ -267,42 +267,53 @@ fn a_mid_wait_checkpoint_resumes_bitwise() {
             .run_with_scratch(500, &mut scratch)
             .unwrap();
 
-        // Step into the thick of the waits: by round 12 both `WaitRounds`
-        // agents are deep inside their `min_wait` horizons.
-        let mut donor =
-            ActiveRun::begin(mixed_wait_engine(&graph, trace.clone()), 500, &mut scratch).unwrap();
-        while donor.next_round() < 12 {
-            assert!(
-                donor.step(&mut scratch).is_none(),
-                "the run must still be live at round 12"
-            );
-        }
-        let cp = donor.checkpoint().expect("forkable behaviors snapshot");
-        assert_eq!(cp.round(), 12);
-
-        let mut resumed =
-            ActiveRun::begin(mixed_wait_engine(&graph, trace), 500, &mut scratch).unwrap();
-        assert!(resumed.resume_from(&cp), "shapes match, behaviors fork");
-        let outcome = loop {
-            if let Some(result) = resumed.step(&mut scratch) {
-                break result.unwrap();
+        // Round 12 is in the thick of the waits: both `WaitRounds` agents
+        // are deep inside their `min_wait` horizons, and the walker holds
+        // the lone-agent path while the three waiters lag ten rounds
+        // behind it. Round 60 follows the walker's declaration: a
+        // fast-forward has left both `WaitRounds` agents 28 rounds behind,
+        // to be caught up when next polled.
+        for cp_round in [12, 60] {
+            let mut donor =
+                ActiveRun::begin(mixed_wait_engine(&graph, trace.clone()), 500, &mut scratch)
+                    .unwrap();
+            while donor.next_round() < cp_round {
+                assert!(
+                    donor.step(&mut scratch).is_none(),
+                    "the run must still be live at round {cp_round}"
+                );
             }
-        };
-        // Every field, poll count included, plus every trace event.
-        assert_eq!(format!("{outcome:?}"), format!("{fresh:?}"));
-        let (resumed_trace, fresh_trace) = (outcome.trace.as_ref().unwrap(), fresh.trace.unwrap());
-        assert_eq!(resumed_trace.events(), fresh_trace.events());
-        assert_eq!(resumed_trace.digest(), reference);
-        assert_eq!(fresh_trace.digest(), reference);
-        let declared: Vec<u64> = outcome
-            .declarations
-            .iter()
-            .map(|(_, rec)| rec.expect("every agent declares").round)
-            .collect();
-        // The walker finishes its 30 steps, the waiters their 60 and 75
-        // rounds, and the card watcher is cut short when the walker
-        // arrives.
-        assert_eq!(declared, vec![30, 60, 75, 18]);
+            let cp = donor.checkpoint().expect("forkable behaviors snapshot");
+            assert_eq!(cp.round(), cp_round);
+
+            let mut resumed =
+                ActiveRun::begin(mixed_wait_engine(&graph, trace.clone()), 500, &mut scratch)
+                    .unwrap();
+            assert!(resumed.resume_from(&cp), "shapes match, behaviors fork");
+            let outcome = loop {
+                if let Some(result) = resumed.step(&mut scratch) {
+                    break result.unwrap();
+                }
+            };
+            // Every field, poll count included, plus every trace event.
+            assert_eq!(format!("{outcome:?}"), format!("{fresh:?}"));
+            let (resumed_trace, fresh_trace) = (
+                outcome.trace.as_ref().unwrap(),
+                fresh.trace.as_ref().unwrap(),
+            );
+            assert_eq!(resumed_trace.events(), fresh_trace.events());
+            assert_eq!(resumed_trace.digest(), reference);
+            assert_eq!(fresh_trace.digest(), reference);
+            let declared: Vec<u64> = outcome
+                .declarations
+                .iter()
+                .map(|(_, rec)| rec.expect("every agent declares").round)
+                .collect();
+            // The walker finishes its 30 steps, the waiters their 60 and 75
+            // rounds, and the card watcher is cut short when the walker
+            // arrives.
+            assert_eq!(declared, vec![30, 60, 75, 18]);
+        }
     }
 }
 

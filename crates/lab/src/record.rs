@@ -142,10 +142,12 @@ pub struct RunRecord {
     /// Rounds skipped by the quiescence fast-forward.
     pub skipped_rounds: u64,
     /// Behavior polls actually executed — the round loop's per-round cost
-    /// denominator. An execution fact that moves whenever the engine's
-    /// execution strategy does, so it is kept out of the deterministic
-    /// per-record report bytes (JSON and CSV) and surfaced only as a
-    /// campaign-level trajectory aggregate.
+    /// denominator ([`nochatter_sim::RunOutcome::polled_agent_rounds`]:
+    /// every executing agent in a dense round, only the due agent on the
+    /// lone-agent path). An execution fact that moves whenever the
+    /// engine's execution strategy does, so it is kept out of the
+    /// deterministic per-record report bytes (JSON and CSV) and surfaced
+    /// only as a campaign-level trajectory aggregate.
     pub polled_agent_rounds: u64,
     /// Largest observed co-location.
     pub max_colocation: u32,

@@ -79,7 +79,7 @@ fn engine_fingerprint_is_pinned() {
     assert_eq!(STORE_FORMAT_VERSION, 2);
     // The probes' `polled_agent_rounds` are part of the digest, so a
     // change in how many polls the round loop issues moves this pin too.
-    assert_eq!(engine_fingerprint(), 0x62f9_8ae6_621a_69eb);
+    assert_eq!(engine_fingerprint(), 0xd187_b70f_4f36_eb76);
 }
 
 /// A full scenario fingerprint (key + seed + content + versions) is
@@ -89,7 +89,7 @@ fn scenario_fingerprint_is_pinned() {
     let campaign = presets::smoke_campaign();
     let s = &campaign.scenarios()[0];
     assert_eq!(s.key.canonical(), "path/n4/t2.3/wfirst/silent/gather/r0");
-    assert_eq!(scenario_fingerprint(s), 0x15ff_f793_cfb0_2f4b);
+    assert_eq!(scenario_fingerprint(s), 0x35a3_e2b9_ee6d_dd82);
 }
 
 // ---------------------------------------------------------------------------

@@ -60,7 +60,10 @@ pub enum AgentAct {
 /// The contract is what makes that sound — `min_wait` must hold under
 /// identical observations, and a violation acts *later* than promised,
 /// not just slower (`crates/sim/tests/promises.rs` property-tests every
-/// built-in combinator against it, and debug builds assert it live).
+/// built-in combinator against it, and debug builds assert it live). The
+/// engine's lone-agent path, which polls only the one agent that is due,
+/// also relies on skips adding up and on `min_wait` falling by exactly
+/// the rounds noted.
 pub trait AgentBehavior {
     /// Decides this round's action from the observation.
     fn on_round(&mut self, obs: &Obs) -> AgentAct;

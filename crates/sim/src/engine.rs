@@ -216,7 +216,7 @@ struct RunStats {
     engine_iterations: u64,
     skipped_rounds: u64,
     /// Behavior polls actually executed (`on_round` calls): one per
-    /// executing agent per executed round.
+    /// executing agent per dense round, one per lone-agent round.
     polled_agent_rounds: u64,
     max_colocation: u32,
     last_declaration_round: u64,
@@ -498,6 +498,26 @@ pub struct ActiveRun<'g, V: TopologyView, B: AgentBehavior> {
     #[cfg(debug_assertions)]
     #[allow(clippy::type_complexity)]
     promise: Vec<(u64, Option<(u32, u32, Option<Port>)>)>,
+    /// True while the round loop takes the lone-agent path (see
+    /// [`ActiveRun::step`]): every executing agent but at most one is
+    /// inside a wait promise, and only the one that is due gets polled.
+    lone: bool,
+    /// Per agent, the last round covered by its latest wait promise
+    /// (`poll round + min_wait`). The agent is due from that round on: a
+    /// poll in the last promised round still waits, but the dense loop
+    /// would read a fresh `min_wait` after it, which may already promise
+    /// more than the one round left. Meaningful only for executing agents
+    /// while `lone` holds.
+    quiet_through: Vec<u64>,
+    /// Per agent, the first round its behavior has not yet been told
+    /// about, by a poll or a `note_skipped`. Agents inside a promise lag
+    /// behind the clock on the lone-agent path and catch up with one
+    /// `note_skipped` when next polled or when the path is left.
+    synced: Vec<u64>,
+    /// The first round the lone-agent path must not execute: the next
+    /// adversary wake of a dormant agent, the next pending crash, or the
+    /// round limit, whichever comes first.
+    lone_stop: u64,
     round: u64,
     max_rounds: u64,
 }
@@ -522,9 +542,14 @@ pub struct RunCheckpoint<B> {
     just_woken: Vec<bool>,
     entry_port: Vec<Option<Port>>,
     declared: Vec<Option<DeclarationRecord>>,
+    /// Behaviors as they are, including the lag of agents the lone-agent
+    /// path has not caught up yet (`synced`).
     behaviors: Vec<B>,
     stats: RunStats,
     trace: Option<Trace>,
+    lone: bool,
+    quiet_through: Vec<u64>,
+    synced: Vec<u64>,
     round: u64,
 }
 
@@ -561,8 +586,7 @@ impl<'g, V: TopologyView, B: AgentBehavior> ActiveRun<'g, V, B> {
             .filter(|&&r| r != u64::MAX)
             .count();
         let resolved_crashes = engine.agents.crash_round.clone();
-        #[cfg(debug_assertions)]
-        let promise = vec![(0, None); engine.agents.len()];
+        let k = engine.agents.len();
         Ok(ActiveRun {
             engine,
             trace,
@@ -571,7 +595,11 @@ impl<'g, V: TopologyView, B: AgentBehavior> ActiveRun<'g, V, B> {
             resolved_crashes,
             bucket_occupants,
             #[cfg(debug_assertions)]
-            promise,
+            promise: vec![(0, None); k],
+            lone: false,
+            quiet_through: vec![0; k],
+            synced: vec![0; k],
+            lone_stop: 0,
             round: 0,
             max_rounds,
         })
@@ -587,10 +615,40 @@ impl<'g, V: TopologyView, B: AgentBehavior> ActiveRun<'g, V, B> {
     /// Executes one iteration of the round loop. Returns `Some` once the
     /// run has terminated (all agents terminal, round limit, or a protocol
     /// violation); the run must not be stepped again after that.
+    ///
+    /// An iteration takes one of two paths through the same round
+    /// semantics. The dense path scans wakes and crashes, builds the
+    /// occupancy, and polls and applies every executing agent. The
+    /// lone-agent path runs while exactly one executing agent is due and
+    /// every other one is inside its wait promise ([`AgentBehavior::min_wait`]):
+    /// it polls and applies that agent alone, and the others catch up
+    /// later with one [`AgentBehavior::note_skipped`] call each. A dense
+    /// round under [`Sensing::Weak`] with no one-off observation (just
+    /// woken, blocked) enters the path when every agent waited, or when
+    /// exactly one moved from a node it held alone onto an empty one while
+    /// the rest waited — provided a single agent will be due next. The
+    /// path is left when no single agent is due, when
+    /// an adversary wake, a crash or the round limit is due, after the due
+    /// agent leaves or enters a node holding another body (a dormant one
+    /// included), and after it polled a one-off observation. Both paths
+    /// fast-forward identically, so the outcome differs only in
+    /// `polled_agent_rounds`.
     pub fn step(&mut self, scratch: &mut EngineScratch) -> Option<Result<RunOutcome, SimError>> {
         if self.round >= self.max_rounds {
             return Some(Ok(self.finish(RunStatus::RoundLimit, self.max_rounds)));
         }
+        if self.lone {
+            match self.lone_due() {
+                Some(i) => return self.lone_step(i),
+                None => self.leave_lone(),
+            }
+        }
+        self.dense_step(scratch)
+    }
+
+    /// One round of the dense path: every agent's wake and crash, the
+    /// occupancy, and a poll of every executing agent.
+    fn dense_step(&mut self, scratch: &mut EngineScratch) -> Option<Result<RunOutcome, SimError>> {
         let round = self.round;
         let k = self.engine.agents.len();
         let EngineScratch {
@@ -705,171 +763,66 @@ impl<'g, V: TopologyView, B: AgentBehavior> ActiveRun<'g, V, B> {
         }
 
         // 4. Poll every executing agent (simultaneously: all
-        // observations are computed from the same positions). A
-        // `Blocked` agent reports its failed attempt through the
-        // observation and reverts to `Active`.
-        let mut all_waited = true;
+        // observations are computed from the same positions). Count the
+        // agents that did not wait, for the lone-agent entry below.
         let mut any_active = false;
+        let mut any_fresh = false;
+        let mut actors = 0;
+        let mut actor = 0;
         for (i, slot) in acts.iter_mut().enumerate() {
             *slot = None;
-            let phase = self.engine.agents.phase[i];
-            if !phase.is_executing() {
+            if !self.engine.agents.phase[i].is_executing() {
                 continue;
             }
             any_active = true;
             let pos = self.engine.agents.pos[i];
-            let peer_labels = match self.engine.sensing {
-                Sensing::Weak => None,
-                Sensing::Traditional => {
-                    // The node's bucket lists everyone present in agent
-                    // order; fill and sort the one scratch buffer, and
-                    // lend it to the observation instead of allocating.
-                    label_buf.clear();
-                    label_buf.extend_from_slice(&occupants[pos.index()]);
-                    label_buf.sort_unstable();
-                    Some(std::mem::take(label_buf))
-                }
+            let peers = if self.bucket_occupants {
+                // The node's bucket lists everyone present in agent
+                // order; fill and sort the one scratch buffer, and lend
+                // it to the observation instead of allocating.
+                label_buf.clear();
+                label_buf.extend_from_slice(&occupants[pos.index()]);
+                label_buf.sort_unstable();
+                Some(&mut *label_buf)
+            } else {
+                None
             };
-            let mut obs = Obs {
-                round,
-                degree: self.engine.graph.degree(pos),
-                cur_card: card[pos.index()],
-                entry_port: self.engine.agents.entry_port[i],
-                just_woken: self.engine.agents.just_woken[i],
-                blocked: phase == AgentPhase::Blocked,
-                peer_labels,
-            };
-            let act = self.engine.agents.behaviors[i].on_round(&obs);
-            self.stats.polled_agent_rounds += 1;
-            #[cfg(debug_assertions)]
-            if self.engine.sensing == Sensing::Weak {
-                let sig = (obs.degree, obs.cur_card, obs.entry_port);
-                let fresh = obs.blocked || obs.just_woken;
-                let (through, promised) = self.promise[i];
-                if !fresh && round <= through && promised == Some(sig) {
-                    debug_assert!(
-                        matches!(act, AgentAct::Wait),
-                        "agent {} acted at round {round} inside its promised wait horizon \
-                         (through round {through}) without an observation change",
-                        self.engine.agents.labels[i]
-                    );
-                }
-                self.promise[i] = if fresh {
-                    (0, None)
-                } else {
-                    (
-                        round.saturating_add(self.engine.agents.behaviors[i].min_wait()),
-                        Some(sig),
-                    )
-                };
-            }
-            // Reclaim the lent label buffer (and its capacity).
-            if let Some(buf) = obs.peer_labels.take() {
-                *label_buf = buf;
-            }
-            self.engine.agents.just_woken[i] = false;
-            self.engine.agents.phase[i] = AgentPhase::Active;
+            let (act, fresh) = self.poll_agent(i, round, card[pos.index()], peers);
+            any_fresh |= fresh;
             if !matches!(act, AgentAct::Wait) {
-                all_waited = false;
+                actors += 1;
+                actor = i;
             }
             *slot = Some(act);
         }
 
         // 5. Apply actions simultaneously.
+        let actor_from = self.engine.agents.pos[actor];
         for (i, act) in acts.iter().enumerate() {
             let Some(act) = *act else { continue };
-            match act {
-                AgentAct::Wait => {}
-                AgentAct::TakePort(p) => {
-                    let pos = self.engine.agents.pos[i];
-                    match self.engine.graph.neighbor(pos, p) {
-                        // A port that exists in the base graph but whose
-                        // edge is absent this round blocks: the agent
-                        // stays put (entry port untouched) and its next
-                        // observation reports it. A nonexistent port is
-                        // still a protocol violation — dynamics never
-                        // change the degree an agent observes.
-                        Some(_) if !self.engine.view.edge_present(pos, p) => {
-                            self.engine.agents.phase[i] = AgentPhase::Blocked;
-                            self.stats.blocked_moves += 1;
-                            if let Some(t) = self.trace.as_mut() {
-                                t.push(TraceEvent::Blocked {
-                                    agent: self.engine.agents.labels[i],
-                                    round,
-                                    node: pos,
-                                    port: p,
-                                });
-                            }
-                        }
-                        Some((to, back)) => {
-                            if let Some(t) = self.trace.as_mut() {
-                                t.push(TraceEvent::Move {
-                                    agent: self.engine.agents.labels[i],
-                                    round,
-                                    from: pos,
-                                    to,
-                                    port: p,
-                                });
-                            }
-                            self.engine.agents.pos[i] = to;
-                            self.engine.agents.entry_port[i] = Some(back);
-                            self.stats.total_moves += 1;
-                        }
-                        None => {
-                            // Leave the scratch clean for the next run
-                            // through it.
-                            wipe_occupancy(card, occupants, touched);
-                            return Some(Err(SimError::InvalidPort {
-                                agent: self.engine.agents.labels[i],
-                                node: pos,
-                                port: p,
-                                round,
-                            }));
-                        }
-                    }
-                }
-                AgentAct::Declare(d) => {
-                    self.engine.agents.declared[i] = Some(DeclarationRecord {
-                        round,
-                        node: self.engine.agents.pos[i],
-                        declaration: d,
-                    });
-                    self.engine.agents.phase[i] = AgentPhase::Declared;
-                    self.stats.last_declaration_round =
-                        self.stats.last_declaration_round.max(round);
-                    if let Some(t) = self.trace.as_mut() {
-                        t.push(TraceEvent::Declare {
-                            agent: self.engine.agents.labels[i],
-                            round,
-                            node: self.engine.agents.pos[i],
-                            declaration: d,
-                        });
-                    }
-                }
+            if let Err(err) = self.apply(i, act, round) {
+                // Leave the scratch clean for the next run through it.
+                wipe_occupancy(card, occupants, touched);
+                return Some(Err(err));
             }
         }
+        // The lone-agent path may start after a round where one agent
+        // moved between two nodes nobody else occupies (a blocked move or
+        // a declaration stays on an occupied node) and everyone else
+        // waited on an observation that stays identical.
+        let weak = self.engine.sensing == Sensing::Weak;
+        let lone_mover = weak
+            && actors == 1
+            && !any_fresh
+            && card[actor_from.index()] == 1
+            && card[self.engine.agents.pos[actor].index()] == 0;
 
         // End-of-round wipe: clear exactly the nodes occupied this round,
         // restoring the all-zero scratch invariant.
         wipe_occupancy(card, occupants, touched);
 
-        // A run ends when every agent is terminal. All declared is the
-        // paper's successful end; any crash among otherwise-declared
-        // agents halts the run early too — nothing can change anymore —
-        // but reports `Halted` (the crashed agents never declared).
-        if self.engine.agents.phase.iter().all(|p| p.is_terminal()) {
-            let crashed = self.engine.agents.phase.contains(&AgentPhase::Crashed);
-            let (status, rounds) = if crashed {
-                (
-                    RunStatus::Halted,
-                    self.stats
-                        .last_declaration_round
-                        .max(self.stats.last_crash_round),
-                )
-            } else {
-                (RunStatus::AllDeclared, self.stats.last_declaration_round)
-            };
-            return Some(Ok(self.finish(status, rounds)));
+        if let Some(outcome) = self.terminal_outcome() {
+            return Some(Ok(outcome));
         }
 
         let mut next = round + 1;
@@ -877,62 +830,382 @@ impl<'g, V: TopologyView, B: AgentBehavior> ActiveRun<'g, V, B> {
         // 6. Quiescence fast-forward: if every active agent waited, no
         // observation can change until some procedure stops waiting,
         // the adversary wakes someone, or a fault crashes someone.
-        // Skip ahead by the largest provably quiet stretch.
-        if all_waited && any_active {
-            let mut skip = u64::MAX;
-            for (&phase, behavior) in self
-                .engine
-                .agents
-                .phase
-                .iter()
-                .zip(self.engine.agents.behaviors.iter())
-            {
+        // Skip ahead by the largest provably quiet stretch: to the end of
+        // the shortest promise, capped by the next adversary wake, crash (a
+        // crash mid-stretch must execute in its exact round: the agent
+        // stops acting from then on) or the round limit. Under weak
+        // sensing the promises are kept as the lone-agent path's
+        // `quiet_through` and the skip is caught up lazily, unless some
+        // observation this round was a one-off (just woken or blocked)
+        // that the next one will not repeat. The path pays off only if a
+        // single agent is due when the skip ends: no cap cut it short and
+        // the second-shortest promise outlasts the shortest by two rounds
+        // or more.
+        if actors == 0 && any_active {
+            let track = weak && !any_fresh;
+            let (mut first, mut second) = (u64::MAX, u64::MAX);
+            let agents = &self.engine.agents;
+            for (i, (&phase, behavior)) in agents.phase.iter().zip(&agents.behaviors).enumerate() {
                 if phase.is_executing() {
-                    skip = skip.min(behavior.min_wait());
-                }
-            }
-            // Respect pending adversary wake-ups...
-            for (&phase, &wake) in self
-                .engine
-                .agents
-                .phase
-                .iter()
-                .zip(self.engine.agents.adversary_wake.iter())
-            {
-                if phase == AgentPhase::Dormant && wake != u64::MAX {
-                    skip = skip.min(wake.saturating_sub(next));
-                }
-            }
-            // ...pending crashes (a crash mid-stretch must execute in
-            // its exact round: the agent stops acting from then on)...
-            if self.pending_crashes > 0 {
-                for &crash in &self.engine.agents.crash_round {
-                    if crash != u64::MAX {
-                        skip = skip.min(crash.saturating_sub(next));
+                    let wait = behavior.min_wait();
+                    if wait < first {
+                        second = first;
+                        first = wait;
+                    } else if wait < second {
+                        second = wait;
+                    }
+                    if track {
+                        self.quiet_through[i] = round.saturating_add(wait);
                     }
                 }
             }
-            // ...and the round limit.
-            skip = skip.min(self.max_rounds.saturating_sub(next));
+            let stop = self.next_stop();
+            let skip = first.min(stop.saturating_sub(next));
+            let lone = track && skip == first && second > first.saturating_add(1);
             if skip > 0 && skip != u64::MAX {
-                for (&phase, behavior) in self
-                    .engine
-                    .agents
-                    .phase
-                    .iter()
-                    .zip(self.engine.agents.behaviors.iter_mut())
-                {
-                    if phase.is_executing() {
-                        behavior.note_skipped(skip);
+                if !lone {
+                    for (&phase, behavior) in self
+                        .engine
+                        .agents
+                        .phase
+                        .iter()
+                        .zip(self.engine.agents.behaviors.iter_mut())
+                    {
+                        if phase.is_executing() {
+                            behavior.note_skipped(skip);
+                        }
                     }
                 }
                 next += skip;
                 self.stats.skipped_rounds += skip;
             }
+            if lone {
+                self.enter_lone(round + 1, stop);
+            }
+        } else if lone_mover {
+            // The only `min_wait` calls a round with a mover pays for; the
+            // path pays off only if no waiter is due next round as well.
+            let agents = &self.engine.agents;
+            let mut waiter_due = false;
+            for (i, (&phase, behavior)) in agents.phase.iter().zip(&agents.behaviors).enumerate() {
+                if phase.is_executing() {
+                    let through = if i == actor {
+                        round
+                    } else {
+                        round.saturating_add(behavior.min_wait())
+                    };
+                    self.quiet_through[i] = through;
+                    waiter_due |= i != actor && through <= next;
+                }
+            }
+            if !waiter_due {
+                self.enter_lone(round + 1, self.next_stop());
+            }
         }
 
         self.round = next;
         None
+    }
+
+    /// One round of the lone-agent path: agent `i` is the only executing
+    /// agent due, and every other one is inside its wait promise. Emits
+    /// exactly the events, counters and fast-forward of a dense round.
+    fn lone_step(&mut self, i: usize) -> Option<Result<RunOutcome, SimError>> {
+        let round = self.round;
+        self.stats.engine_iterations += 1;
+        self.engine.view.begin_round(round);
+        let lag = round - self.synced[i];
+        if lag > 0 {
+            self.engine.agents.behaviors[i].note_skipped(lag);
+        }
+        self.synced[i] = round + 1;
+        let pos = &self.engine.agents.pos;
+        let from = pos[i];
+        let cur_card = pos.iter().filter(|&&p| p == from).count() as u32;
+        let (act, fresh) = self.poll_agent(i, round, cur_card, None);
+        if let Err(err) = self.apply(i, act, round) {
+            return Some(Err(err));
+        }
+
+        let mut next = round + 1;
+        // A one-off observation (blocked) backs no promise that lazy
+        // catch-up could rely on; hand the next round to the dense path.
+        let mut leave = fresh;
+        match act {
+            AgentAct::Wait => {
+                self.quiet_through[i] =
+                    round.saturating_add(self.engine.agents.behaviors[i].min_wait());
+                // The dense fast-forward's skip: every executing agent's
+                // remaining promise, capped by the next wake, crash or
+                // the round limit.
+                let mut skip = self.lone_stop - next;
+                for (&phase, &quiet) in self.engine.agents.phase.iter().zip(&self.quiet_through) {
+                    if phase.is_executing() {
+                        skip = skip.min(quiet - round);
+                    }
+                }
+                if skip > 0 {
+                    next += skip;
+                    self.stats.skipped_rounds += skip;
+                }
+            }
+            AgentAct::TakePort(_) => {
+                self.quiet_through[i] = round;
+                // Leaving or entering company changes what the others
+                // (or a dormant agent, by waking) observe.
+                let pos = &self.engine.agents.pos;
+                let to = pos[i];
+                leave |=
+                    to != from && (cur_card > 1 || pos.iter().filter(|&&p| p == to).count() > 1);
+            }
+            AgentAct::Declare(_) => {
+                if let Some(outcome) = self.terminal_outcome() {
+                    return Some(Ok(outcome));
+                }
+            }
+        }
+        self.round = next;
+        if leave {
+            self.leave_lone();
+        }
+        None
+    }
+
+    /// The one executing agent due this round if it is the only one and no
+    /// wake, crash or round limit is due; `None` ends the lone-agent path.
+    fn lone_due(&self) -> Option<usize> {
+        if self.round >= self.lone_stop {
+            return None;
+        }
+        let mut due = None;
+        for (i, (&phase, &quiet)) in self
+            .engine
+            .agents
+            .phase
+            .iter()
+            .zip(&self.quiet_through)
+            .enumerate()
+        {
+            if quiet <= self.round && phase.is_executing() {
+                if due.is_some() {
+                    return None;
+                }
+                due = Some(i);
+            }
+        }
+        due
+    }
+
+    /// Starts the lone-agent path after a dense round, to run until
+    /// `stop` ([`ActiveRun::next_stop`]): every behavior has been told
+    /// about every round before `synced`, and learns of any rounds skipped
+    /// since from its next catch-up.
+    fn enter_lone(&mut self, synced: u64, stop: u64) {
+        self.lone = true;
+        self.synced.fill(synced);
+        self.lone_stop = stop;
+    }
+
+    /// The next round the adversary or the limit acts in, which no skip
+    /// may pass and no lone-agent round may execute: the next adversary
+    /// wake of a dormant agent, the next pending crash or the round limit.
+    fn next_stop(&self) -> u64 {
+        let agents = &self.engine.agents;
+        let wake = agents
+            .phase
+            .iter()
+            .zip(&agents.adversary_wake)
+            .filter(|&(&phase, _)| phase == AgentPhase::Dormant)
+            .map(|(_, &wake)| wake)
+            .min()
+            .unwrap_or(u64::MAX);
+        let crash = if self.pending_crashes > 0 {
+            agents.crash_round.iter().copied().min().unwrap_or(u64::MAX)
+        } else {
+            u64::MAX
+        };
+        wake.min(crash).min(self.max_rounds)
+    }
+
+    /// Ends the lone-agent path: catches every lagging executing agent up
+    /// to the current round with one `note_skipped` call.
+    fn leave_lone(&mut self) {
+        self.lone = false;
+        let round = self.round;
+        let agents = &mut self.engine.agents;
+        for ((&phase, behavior), synced) in agents
+            .phase
+            .iter()
+            .zip(agents.behaviors.iter_mut())
+            .zip(self.synced.iter_mut())
+        {
+            if phase.is_executing() && *synced < round {
+                behavior.note_skipped(round - *synced);
+                *synced = round;
+            }
+        }
+    }
+
+    /// Polls executing agent `i` in `round` on `cur_card` (and, under
+    /// traditional sensing, the lent `peers` buffer), counts the poll and
+    /// returns its act plus whether the observation was a one-off (just
+    /// woken or blocked). Shared by both paths, as is the debug-build
+    /// promise check.
+    #[inline(always)]
+    fn poll_agent(
+        &mut self,
+        i: usize,
+        round: u64,
+        cur_card: u32,
+        mut peers: Option<&mut Vec<Label>>,
+    ) -> (AgentAct, bool) {
+        let agents = &mut self.engine.agents;
+        let phase = agents.phase[i];
+        let mut obs = Obs {
+            round,
+            degree: self.engine.graph.degree(agents.pos[i]),
+            cur_card,
+            entry_port: agents.entry_port[i],
+            just_woken: agents.just_woken[i],
+            blocked: phase == AgentPhase::Blocked,
+            peer_labels: peers.as_mut().map(|buf| std::mem::take(&mut **buf)),
+        };
+        let act = agents.behaviors[i].on_round(&obs);
+        self.stats.polled_agent_rounds += 1;
+        let fresh = obs.blocked || obs.just_woken;
+        #[cfg(debug_assertions)]
+        self.check_promise(i, &obs, act, fresh);
+        // Reclaim the lent label buffer (and its capacity).
+        if let (Some(buf), Some(labels)) = (peers, obs.peer_labels.take()) {
+            *buf = labels;
+        }
+        // A `Blocked` agent has now seen its failed attempt.
+        self.engine.agents.just_woken[i] = false;
+        self.engine.agents.phase[i] = AgentPhase::Active;
+        (act, fresh)
+    }
+
+    /// Debug-build contract net for the quiescence fast-forward and the
+    /// lone-agent path: a poll inside the window promised by the agent's
+    /// last `min_wait`, under an identical observation, must wait.
+    #[cfg(debug_assertions)]
+    fn check_promise(&mut self, i: usize, obs: &Obs, act: AgentAct, fresh: bool) {
+        if self.engine.sensing != Sensing::Weak {
+            return;
+        }
+        let round = obs.round;
+        let sig = (obs.degree, obs.cur_card, obs.entry_port);
+        let (through, promised) = self.promise[i];
+        if !fresh && round <= through && promised == Some(sig) {
+            debug_assert!(
+                matches!(act, AgentAct::Wait),
+                "agent {} acted at round {round} inside its promised wait horizon \
+                 (through round {through}) without an observation change",
+                self.engine.agents.labels[i]
+            );
+        }
+        self.promise[i] = if fresh {
+            (0, None)
+        } else {
+            (
+                round.saturating_add(self.engine.agents.behaviors[i].min_wait()),
+                Some(sig),
+            )
+        };
+    }
+
+    /// Applies agent `i`'s act of `round`: a move, a blocked attempt or a
+    /// declaration, with its trace event. Shared by both paths.
+    #[inline(always)]
+    fn apply(&mut self, i: usize, act: AgentAct, round: u64) -> Result<(), SimError> {
+        match act {
+            AgentAct::Wait => {}
+            AgentAct::TakePort(p) => {
+                let pos = self.engine.agents.pos[i];
+                match self.engine.graph.neighbor(pos, p) {
+                    // A port that exists in the base graph but whose
+                    // edge is absent this round blocks: the agent
+                    // stays put (entry port untouched) and its next
+                    // observation reports it. A nonexistent port is
+                    // still a protocol violation — dynamics never
+                    // change the degree an agent observes.
+                    Some(_) if !self.engine.view.edge_present(pos, p) => {
+                        self.engine.agents.phase[i] = AgentPhase::Blocked;
+                        self.stats.blocked_moves += 1;
+                        if let Some(t) = self.trace.as_mut() {
+                            t.push(TraceEvent::Blocked {
+                                agent: self.engine.agents.labels[i],
+                                round,
+                                node: pos,
+                                port: p,
+                            });
+                        }
+                    }
+                    Some((to, back)) => {
+                        if let Some(t) = self.trace.as_mut() {
+                            t.push(TraceEvent::Move {
+                                agent: self.engine.agents.labels[i],
+                                round,
+                                from: pos,
+                                to,
+                                port: p,
+                            });
+                        }
+                        self.engine.agents.pos[i] = to;
+                        self.engine.agents.entry_port[i] = Some(back);
+                        self.stats.total_moves += 1;
+                    }
+                    None => {
+                        return Err(SimError::InvalidPort {
+                            agent: self.engine.agents.labels[i],
+                            node: pos,
+                            port: p,
+                            round,
+                        });
+                    }
+                }
+            }
+            AgentAct::Declare(d) => {
+                self.engine.agents.declared[i] = Some(DeclarationRecord {
+                    round,
+                    node: self.engine.agents.pos[i],
+                    declaration: d,
+                });
+                self.engine.agents.phase[i] = AgentPhase::Declared;
+                self.stats.last_declaration_round = self.stats.last_declaration_round.max(round);
+                if let Some(t) = self.trace.as_mut() {
+                    t.push(TraceEvent::Declare {
+                        agent: self.engine.agents.labels[i],
+                        round,
+                        node: self.engine.agents.pos[i],
+                        declaration: d,
+                    });
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The final outcome once every agent is terminal. All declared is
+    /// the paper's successful end; any crash among otherwise-declared
+    /// agents halts the run early too — nothing can change anymore — but
+    /// reports `Halted` (the crashed agents never declared).
+    fn terminal_outcome(&mut self) -> Option<RunOutcome> {
+        if !self.engine.agents.phase.iter().all(|p| p.is_terminal()) {
+            return None;
+        }
+        let crashed = self.engine.agents.phase.contains(&AgentPhase::Crashed);
+        let (status, rounds) = if crashed {
+            (
+                RunStatus::Halted,
+                self.stats
+                    .last_declaration_round
+                    .max(self.stats.last_crash_round),
+            )
+        } else {
+            (RunStatus::AllDeclared, self.stats.last_declaration_round)
+        };
+        Some(self.finish(status, rounds))
     }
 
     /// Assembles the outcome. Takes the arena's result-bearing columns out
@@ -997,6 +1270,9 @@ impl<'g, V: TopologyView, B: ForkableBehavior> ActiveRun<'g, V, B> {
             behaviors,
             stats: self.stats.clone(),
             trace: self.trace.clone(),
+            lone: self.lone,
+            quiet_through: self.quiet_through.clone(),
+            synced: self.synced.clone(),
             round: self.round,
         })
     }
@@ -1068,6 +1344,12 @@ impl<'g, V: TopologyView, B: ForkableBehavior> ActiveRun<'g, V, B> {
             };
         }
         self.pending_crashes = pending;
+        // The lone-agent path resumes as checkpointed, lagging behaviors
+        // included, but stops at this run's own next wake or crash.
+        self.lone = cp.lone;
+        self.quiet_through.clone_from(&cp.quiet_through);
+        self.synced.clone_from(&cp.synced);
+        self.lone_stop = self.next_stop();
         #[cfg(debug_assertions)]
         self.promise.iter_mut().for_each(|p| *p = (0, None));
         true
@@ -1966,6 +2248,210 @@ mod tests {
         }
     }
 
+    /// Waits `wait` rounds before each move along a fixed port path — the
+    /// shape of the unknown-bound ball traversal's slow moves — then
+    /// completes. A blocked move is retried at once.
+    struct SlowWalk {
+        ports: Vec<Port>,
+        next: usize,
+        wait: u64,
+        left: WaitRounds,
+    }
+    impl SlowWalk {
+        fn new(wait: u64, ports: &[u32]) -> Self {
+            SlowWalk {
+                ports: ports.iter().copied().map(Port::new).collect(),
+                next: 0,
+                wait,
+                left: WaitRounds::new(wait),
+            }
+        }
+    }
+    impl Procedure for SlowWalk {
+        type Output = ();
+        fn poll(&mut self, obs: &Obs) -> Poll<()> {
+            if obs.blocked {
+                return Poll::Yield(Action::TakePort(self.ports[self.next - 1]));
+            }
+            if self.next == self.ports.len() {
+                return Poll::Complete(());
+            }
+            match self.left.poll(obs) {
+                Poll::Yield(action) => Poll::Yield(action),
+                Poll::Complete(()) => {
+                    self.next += 1;
+                    self.left = WaitRounds::new(self.wait);
+                    Poll::Yield(Action::TakePort(self.ports[self.next - 1]))
+                }
+            }
+        }
+        fn min_wait(&self) -> u64 {
+            if self.next == self.ports.len() {
+                0
+            } else {
+                self.left.min_wait()
+            }
+        }
+        fn note_skipped(&mut self, rounds: u64) {
+            self.left.note_skipped(rounds);
+        }
+    }
+
+    /// Waits `total` rounds, promising only the rest of the current
+    /// `segment`-round stretch, like the TZ rendezvous's block-bounded
+    /// promise: when a promise runs out the next one is already a full
+    /// segment, so `min_wait` never reaches 0 mid-wait.
+    struct SegmentWait {
+        tick: u64,
+        segment: u64,
+        total: u64,
+    }
+    impl Procedure for SegmentWait {
+        type Output = ();
+        fn poll(&mut self, _obs: &Obs) -> Poll<()> {
+            if self.tick == self.total {
+                return Poll::Complete(());
+            }
+            self.tick += 1;
+            Poll::Yield(Action::Wait)
+        }
+        fn min_wait(&self) -> u64 {
+            (self.segment - self.tick % self.segment).min(self.total - self.tick)
+        }
+        fn note_skipped(&mut self, rounds: u64) {
+            self.tick += rounds;
+        }
+    }
+
+    /// Waits `pre` rounds, tries one move through port 0 if `attempt`
+    /// holds, then waits 6 rounds counting its polls on plain (neither
+    /// just-woken nor blocked) observations, and declares that count as
+    /// its size. A skip stands for polls identical to the last one, so it
+    /// counts only after a plain poll: a promise made on a one-off
+    /// observation does not stand for the plain polls that follow it.
+    struct CountPlainPolls {
+        pre: u64,
+        attempt: bool,
+        waited: u64,
+        plain: u32,
+        last_plain: bool,
+    }
+    impl CountPlainPolls {
+        fn new(pre: u64, attempt: bool) -> Box<Self> {
+            Box::new(CountPlainPolls {
+                pre,
+                attempt,
+                waited: 0,
+                plain: 0,
+                last_plain: false,
+            })
+        }
+    }
+    impl AgentBehavior for CountPlainPolls {
+        fn on_round(&mut self, obs: &Obs) -> AgentAct {
+            if self.pre > 0 {
+                self.pre -= 1;
+                return AgentAct::Wait;
+            }
+            if self.attempt {
+                self.attempt = false;
+                return AgentAct::TakePort(Port::new(0));
+            }
+            if self.waited == 6 {
+                return AgentAct::Declare(Declaration {
+                    leader: None,
+                    size: Some(self.plain),
+                });
+            }
+            self.waited += 1;
+            self.last_plain = !(obs.just_woken || obs.blocked);
+            self.plain += u32::from(self.last_plain);
+            AgentAct::Wait
+        }
+        fn min_wait(&self) -> u64 {
+            if self.pre > 0 {
+                self.pre
+            } else if self.attempt {
+                0
+            } else {
+                6 - self.waited
+            }
+        }
+        fn note_skipped(&mut self, rounds: u64) {
+            if self.pre > 0 {
+                self.pre -= rounds;
+            } else {
+                self.waited += rounds;
+                if self.last_plain {
+                    self.plain += rounds as u32;
+                }
+            }
+        }
+    }
+
+    /// Runs `engine` with a stored trace and checks the outcome against
+    /// `expected` — every field but the poll count, plus the trace digest,
+    /// all computed by the dense round loop before the lone-agent path
+    /// existed — and that it polls fewer agent-rounds than that loop's
+    /// `dense_polls`.
+    fn run_pinned(
+        mut engine: Engine<'_, impl TopologyView>,
+        max_rounds: u64,
+        expected: &str,
+        dense_polls: u64,
+    ) -> RunOutcome {
+        engine.record_trace(1 << 10);
+        let outcome = engine.run(max_rounds).unwrap();
+        let declarations: Vec<String> = outcome
+            .declarations
+            .iter()
+            .map(|(label, rec)| match rec {
+                Some(r) => format!(
+                    "{label:?}@{}:{}:{:?}/{:?}",
+                    r.round, r.node, r.declaration.leader, r.declaration.size
+                ),
+                None => format!("{label:?}:-"),
+            })
+            .collect();
+        let trace = outcome.trace.as_ref().unwrap();
+        assert_eq!(trace.dropped(), 0);
+        let pin = format!(
+            "{:?} rounds {} moves {} blocked {} iterations {} skipped {} colocation {} \
+             crashed {:?} [{}] digest {:016x}",
+            outcome.status,
+            outcome.rounds,
+            outcome.total_moves,
+            outcome.blocked_moves,
+            outcome.engine_iterations,
+            outcome.skipped_rounds,
+            outcome.max_colocation,
+            outcome.crashed_agents,
+            declarations.join(" "),
+            trace.digest()
+        );
+        assert_eq!(pin, expected);
+        assert!(
+            outcome.polled_agent_rounds < dense_polls,
+            "{} polls, the dense loop needs {dense_polls}",
+            outcome.polled_agent_rounds
+        );
+        outcome
+    }
+
+    /// Adds agent `label` at node `start` running `proc_`, declaring bare.
+    fn add<V: TopologyView, P: Procedure + 'static>(
+        engine: &mut Engine<'_, V>,
+        label_value: u64,
+        start: u32,
+        proc_: P,
+    ) {
+        engine.add_agent(
+            label(label_value),
+            NodeId::new(start),
+            Box::new(ProcBehavior::declaring(proc_)),
+        );
+    }
+
     #[test]
     fn horizon_expiry_declares_at_the_promised_round() {
         // A lone `WaitRounds(40)` agent acts exactly when its promise runs
@@ -1983,6 +2469,43 @@ mod tests {
             outcome.polled_agent_rounds < 10,
             "expected a fast-forwarded wait, got {} polls",
             outcome.polled_agent_rounds
+        );
+
+        // Two slow walkers whose waits alternate (8 and 5 rounds) hand
+        // the lone-agent path back and forth beside a waiter whose
+        // promises are renewed only as they run out, and each walker
+        // declares inside the stretch; then the round limit lands in it.
+        let ring = generators::ring(12);
+        let team = || {
+            let mut engine = Engine::new(&ring);
+            add(&mut engine, 1, 0, SlowWalk::new(8, &[1, 1, 1]));
+            add(&mut engine, 2, 6, SlowWalk::new(5, &[1, 1, 1]));
+            add(
+                &mut engine,
+                3,
+                11,
+                SegmentWait {
+                    tick: 0,
+                    segment: 10,
+                    total: 100,
+                },
+            );
+            engine
+        };
+        run_pinned(
+            team(),
+            500,
+            "AllDeclared rounds 100 moves 6 blocked 0 iterations 21 skipped 80 colocation 1 \
+             crashed [] [L1@27:n3:None/None L2@18:n9:None/None L3@100:n11:None/None] \
+             digest 8a4eadbc29935ed8",
+            42,
+        );
+        run_pinned(
+            team(),
+            15,
+            "RoundLimit rounds 15 moves 3 blocked 0 iterations 7 skipped 8 colocation 1 \
+             crashed [] [L1:- L2:- L3:-] digest 62c87d54c6325f6f",
+            21,
         );
     }
 
@@ -2033,6 +2556,74 @@ mod tests {
         let rec = outcome.declarations[0].1.expect("the waiter declared");
         assert_eq!(rec.declaration.size, Some(1), "the wait was interrupted");
         assert_eq!(rec.round, arrival);
+
+        // A walker passes through the node of a waiter that watches
+        // `CurCard` stay unchanged for 40 rounds. With slow waits it
+        // enters and leaves the occupied node from lone stretches, on a
+        // static ring and under a rotating outage that blocks some of its
+        // moves; without waits it leaves in the dense round after it
+        // arrived.
+        fn passing<V: TopologyView>(mut engine: Engine<'_, V>, wait: u64) -> Engine<'_, V> {
+            add(
+                &mut engine,
+                1,
+                5,
+                crate::proc::WaitCardStable::new(40, 0, None),
+            );
+            add(&mut engine, 2, 2, SlowWalk::new(wait, &[1; 6]));
+            engine
+        }
+        let ring = generators::ring(10);
+        let outage = nochatter_graph::dynamic::PeriodicEdges {
+            period: 4,
+            offset: 1,
+        };
+        let outcome = run_pinned(
+            passing(Engine::new(&ring), 5),
+            500,
+            "AllDeclared rounds 63 moves 6 blocked 0 iterations 15 skipped 49 colocation 2 \
+             crashed [] [L1@63:n5:None/None L2@36:n8:None/None] \
+             digest 939c4557944530ef",
+            28,
+        );
+        assert_eq!(outcome.max_colocation, 2);
+        let outcome = run_pinned(
+            passing(Engine::with_topology(&ring, &outage), 5),
+            500,
+            "AllDeclared rounds 64 moves 6 blocked 3 iterations 18 skipped 47 colocation 2 \
+             crashed [] [L1@64:n5:None/None L2@39:n8:None/None] \
+             digest 0acf8b8746b817d4",
+            34,
+        );
+        assert!(outcome.blocked_moves > 0);
+        run_pinned(
+            passing(Engine::new(&ring), 0),
+            500,
+            "AllDeclared rounds 43 moves 6 blocked 0 iterations 9 skipped 35 colocation 2 \
+             crashed [] [L1@43:n5:None/None L2@6:n8:None/None] \
+             digest bad93de9a696790e",
+            16,
+        );
+
+        // A move attempt blocked in a lone stretch: the promise made on
+        // the blocked observation does not stand for the plain polls
+        // that follow, so all four count.
+        let outage = nochatter_graph::dynamic::PeriodicEdges {
+            period: 3,
+            offset: 0,
+        };
+        let mut engine = Engine::with_topology(&ring, &outage);
+        add(&mut engine, 1, 0, SlowWalk::new(4, &[1; 4]));
+        engine.add_agent(label(2), NodeId::new(9), CountPlainPolls::new(6, true));
+        let outcome = run_pinned(
+            engine,
+            500,
+            "AllDeclared rounds 20 moves 4 blocked 1 iterations 12 skipped 9 colocation 1 \
+             crashed [] [L1@20:n4:None/None L2@13:n9:None/Some(4)] \
+             digest 7aeeb24e9c69fd29",
+            20,
+        );
+        assert_eq!(outcome.declarations[1].1.unwrap().declaration.size, Some(4));
     }
 
     #[test]
@@ -2070,6 +2661,22 @@ mod tests {
         assert_eq!(crashes, vec![123]);
         assert_eq!(outcome.status, RunStatus::Halted);
         assert_eq!(outcome.rounds, 123);
+
+        // The crash lands mid-wait while a slow walker holds the
+        // lone-agent path.
+        let ring = generators::ring(8);
+        let mut engine = Engine::new(&ring);
+        add(&mut engine, 1, 0, WaitRounds::new(1000));
+        add(&mut engine, 2, 4, SlowWalk::new(6, &[1, 1, 1]));
+        engine.set_faults(crash_at(&[(1, 15)]));
+        let outcome = run_pinned(
+            engine,
+            500,
+            "Halted rounds 21 moves 3 blocked 0 iterations 8 skipped 14 colocation 1 \
+             crashed [L1] [L1:- L2@21:n7:None/None] digest 0ee6a3d569d220e3",
+            13,
+        );
+        assert_eq!(outcome.crashed_agents, vec![label(1)]);
     }
 
     #[test]
@@ -2115,5 +2722,73 @@ mod tests {
         let declared: Vec<u64> = (0..3).map(|i| declared_round(&outcome, i)).collect();
         assert_eq!(declared, vec![50, 77, 104]);
         assert_eq!(outcome.status, RunStatus::AllDeclared);
+
+        // A slow walker holds the lone-agent path while an adversary wake
+        // lands mid-wait, then steps onto a sleeper (waking it by visit)
+        // and walks on.
+        let ring = generators::ring(10);
+        let mut engine = Engine::new(&ring);
+        add(&mut engine, 1, 0, SlowWalk::new(4, &[1; 5]));
+        add(&mut engine, 2, 3, WaitRounds::new(30));
+        add(&mut engine, 3, 8, WaitRounds::new(20));
+        engine.set_wake_schedule(WakeSchedule::Explicit(vec![0, u64::MAX, 11]));
+        let outcome = run_pinned(
+            engine,
+            500,
+            "AllDeclared rounds 45 moves 5 blocked 0 iterations 16 skipped 30 colocation 2 \
+             crashed [] [L1@25:n5:None/None L2@45:n3:None/None L3@31:n8:None/None] \
+             digest 256c43324bf11268",
+            30,
+        );
+        let wakes: Vec<(Label, u64, bool)> = outcome
+            .trace
+            .as_ref()
+            .unwrap()
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Wake {
+                    agent,
+                    round,
+                    by_visit,
+                } => Some((*agent, *round, *by_visit)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            wakes,
+            vec![
+                (label(1), 0, false),
+                (label(3), 11, false),
+                (label(2), 15, true)
+            ]
+        );
+
+        // An agent woken in a round where a walker moves, or where it
+        // waits too, must not start the lone-agent path on its wake
+        // observation: its five plain polls before it declares all count.
+        for (wait, expected, dense_polls) in [
+            (
+                0,
+                "AllDeclared rounds 8 moves 6 blocked 0 iterations 9 skipped 0 colocation 1 \
+             crashed [] [L1@6:n6:None/None L2@8:n9:None/Some(5)] \
+             digest b811cfa91db1c887",
+                14,
+            ),
+            (
+                3,
+                "AllDeclared rounds 24 moves 6 blocked 0 iterations 15 skipped 10 colocation 1 \
+             crashed [] [L1@24:n6:None/None L2@8:n9:None/Some(5)] \
+             digest ade1f705a99ed27c",
+                20,
+            ),
+        ] {
+            let mut engine = Engine::new(&ring);
+            add(&mut engine, 1, 0, SlowWalk::new(wait, &[1; 6]));
+            engine.add_agent(label(2), NodeId::new(9), CountPlainPolls::new(0, false));
+            engine.set_wake_schedule(WakeSchedule::Explicit(vec![0, 2]));
+            let outcome = run_pinned(engine, 500, expected, dense_polls);
+            assert_eq!(outcome.declarations[1].1.unwrap().declaration.size, Some(5));
+        }
     }
 }

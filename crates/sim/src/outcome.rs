@@ -57,12 +57,14 @@ pub struct RunOutcome {
     pub engine_iterations: u64,
     /// Rounds skipped by the quiescence fast-forward.
     pub skipped_rounds: u64,
-    /// Behavior polls actually executed (`on_round` calls): one per
-    /// executing agent per executed round, the round loop's per-round
-    /// cost denominator. An execution fact, not a model fact — it moves
-    /// whenever the engine's execution strategy does — so it is excluded
-    /// from the deterministic lab reports and surfaced as a
-    /// campaign-level trajectory aggregate instead.
+    /// Behavior polls actually executed (`on_round` calls), the round
+    /// loop's per-round cost denominator: one per executing agent in a
+    /// dense round, and one in a round of the lone-agent path, which polls
+    /// only the agent that is due while the others sit inside their wait
+    /// promises (see [`crate::ActiveRun::step`]). An execution fact, not a
+    /// model fact — it moves whenever the engine's execution strategy
+    /// does — so it is excluded from the deterministic lab reports and
+    /// surfaced as a campaign-level trajectory aggregate instead.
     pub polled_agent_rounds: u64,
     /// The largest number of co-located agents ever observed.
     pub max_colocation: u32,

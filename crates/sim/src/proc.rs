@@ -19,7 +19,12 @@
 //!   elapsed during which (a) it was treated as having waited and (b) the
 //!   observation was *identical* to the one most recently polled. Callers
 //!   may only pass `k <= min_wait()`. Procedures that count rounds must
-//!   advance their counters accordingly.
+//!   advance their counters accordingly. Skips add up —
+//!   `note_skipped(a); note_skipped(b)` equals `note_skipped(a + b)` —
+//!   and `min_wait` falls by exactly the rounds noted, so a promise's
+//!   last round never moves while the promise runs: the engine's
+//!   lone-agent path lets waiting agents lag and catches each up with
+//!   one call.
 //!
 //! The identical-observation guarantee is what makes `min_wait` sound even
 //! for observation-dependent logic (e.g. a wait that aborts when `CurCard`

@@ -14,9 +14,19 @@
 //!    the procedure in a state indistinguishable from `k` identical polls:
 //!    every subsequent poll answer (under arbitrary observations) matches,
 //!    as does the remaining `min_wait`.
+//! 3. **Skips add up.** `note_skipped(a); note_skipped(b)` equals
+//!    `note_skipped(a + b)` for `a + b <= h`.
+//! 4. **The end round holds.** After `note_skipped(k)`, `min_wait` is
+//!    exactly `h - k`: a promise's last round never moves while it runs.
+//!
+//! The engine's lone-agent path relies on 3 and 4: it polls only the one
+//! agent that is due and lets every other agent inside its promise lag,
+//! catching it up later with a single `note_skipped` that covers polls
+//! and fast-forwards alike, and it reads each lagging agent's remaining
+//! horizon off the promise's end round instead of asking `min_wait`.
 //!
 //! The engine additionally `debug_assert`s guarantee 1 on every poll through
-//! its promise tracker; these tests pin both guarantees directly
+//! its promise tracker; these tests pin all four guarantees directly
 //! at the combinator level, where a violation is easiest to localize.
 
 use std::fmt::Debug;
@@ -34,9 +44,31 @@ fn obs(round: u64, cur_card: u32) -> Obs {
     Obs::synthetic(round, 3, cur_card, Some(Port::new(1)))
 }
 
+/// Polls `a` and `b` through the same `probe` observations from `round`
+/// on and asserts they answer alike until they complete.
+fn assert_same_futures<P>(mut a: P, mut b: P, probe: &[u32], round: u64, what: &str)
+where
+    P: Procedure,
+    P::Output: Debug,
+{
+    for (n, &probe_card) in probe.iter().enumerate() {
+        let probe_round = round + n as u64;
+        let x = a.poll(&obs(probe_round, probe_card));
+        let y = b.poll(&obs(probe_round, probe_card));
+        assert_eq!(
+            format!("{x:?}"),
+            format!("{y:?}"),
+            "{what}: futures diverged {n} probes later"
+        );
+        if matches!(x, Poll::Complete(_)) {
+            break;
+        }
+    }
+}
+
 /// Drives `proc_` through `stream`, and at every step where a positive
-/// horizon is promised checks both guarantees against clones. `probe`
-/// supplies the arbitrary post-skip observations of guarantee 2.
+/// horizon is promised checks all four guarantees against clones. `probe`
+/// supplies the arbitrary post-skip observations of guarantees 2 and 3.
 fn check_promises<P>(mut proc_: P, stream: &[u32], probe: &[u32], skip_frac: u64)
 where
     P: Procedure + Clone,
@@ -80,18 +112,28 @@ where
             polled.min_wait(),
             "skipping {k} of {h} promised rounds left a different remaining horizon"
         );
-        for (n, &probe_card) in probe.iter().enumerate() {
-            let probe_round = round + 1 + k + n as u64;
-            let a = skipped.poll(&obs(probe_round, probe_card));
-            let b = polled.poll(&obs(probe_round, probe_card));
-            assert_eq!(
-                format!("{a:?}"),
-                format!("{b:?}"),
-                "skipped-vs-polled futures diverged {n} probes after the skip"
+        assert_same_futures(skipped, polled, probe, round + 1 + k, "skipped vs polled");
+
+        // Guarantees 3 and 4: two notes of a and b rounds equal one of
+        // a + b, for the whole horizon too, and each leaves exactly the
+        // rest of the promise.
+        for total in [k, h.min(50)] {
+            let a = total / 2;
+            let mut split = proc_.clone();
+            split.note_skipped(a);
+            assert_eq!(split.min_wait(), h - a, "noting {a} of {h} rounds");
+            split.note_skipped(total - a);
+            let mut whole = proc_.clone();
+            whole.note_skipped(total);
+            assert_eq!(whole.min_wait(), h - total, "noting {total} of {h} rounds");
+            assert_eq!(split.min_wait(), whole.min_wait());
+            assert_same_futures(
+                split,
+                whole,
+                probe,
+                round + 1 + total,
+                "split vs whole skip",
             );
-            if matches!(a, Poll::Complete(_)) {
-                break;
-            }
         }
     }
 }
