@@ -468,6 +468,15 @@ impl Procedure for GossipUnknownUpperBound {
         }
     }
 
+    // Only the gathering stage's slow waits are blind; the exchange
+    // watches `CurCard`.
+    fn blind(&self) -> bool {
+        match &self.stage {
+            UnknownComposedStage::Gather(g) => g.blind(),
+            UnknownComposedStage::Chat(..) => false,
+        }
+    }
+
     fn note_skipped(&mut self, rounds: u64) {
         match &mut self.stage {
             UnknownComposedStage::Gather(g) => g.note_skipped(rounds),

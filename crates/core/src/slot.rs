@@ -83,6 +83,10 @@ impl<P: Procedure> AgentBehavior for SinkBehavior<P> {
         }
     }
 
+    fn blind(&self) -> bool {
+        self.done || self.inner.blind()
+    }
+
     fn note_skipped(&mut self, rounds: u64) {
         if !self.done {
             self.inner.note_skipped(rounds);
@@ -222,8 +226,8 @@ impl From<Box<dyn AgentBehavior>> for BehaviorSlot {
     }
 }
 
-/// Enum dispatch over every slot, `min_wait`/`note_skipped` included:
-/// forwarding the wait-horizon pair verbatim is what lets the quiescence
+/// Enum dispatch over every slot, `min_wait`/`blind`/`note_skipped`
+/// included: forwarding the wait promise verbatim is what lets the quiescence
 /// fast-forward skip the built-in algorithms' long `CurCard`-watch phases
 /// (which promise real horizons) exactly as it skips boxed behaviors.
 impl AgentBehavior for BehaviorSlot {
@@ -248,6 +252,18 @@ impl AgentBehavior for BehaviorSlot {
             BehaviorSlot::UnknownGather(b) => b.min_wait(),
             BehaviorSlot::UnknownGossip(b) => b.min_wait(),
             BehaviorSlot::Custom(b) => b.min_wait(),
+        }
+    }
+
+    fn blind(&self) -> bool {
+        match self {
+            BehaviorSlot::Explo(b) => b.blind(),
+            BehaviorSlot::Tz(b) => b.blind(),
+            BehaviorSlot::KnownGather(b) => b.blind(),
+            BehaviorSlot::Gossip(b) => b.blind(),
+            BehaviorSlot::UnknownGather(b) => b.blind(),
+            BehaviorSlot::UnknownGossip(b) => b.blind(),
+            BehaviorSlot::Custom(b) => b.blind(),
         }
     }
 

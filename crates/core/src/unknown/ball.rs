@@ -202,6 +202,12 @@ impl Procedure for BallTraversal {
         }
     }
 
+    // The slow waits ignore what the agent senses: Algorithm 7 moves
+    // after `w_h` rounds whoever comes and goes.
+    fn blind(&self) -> bool {
+        matches!(self.stage, Stage::ForwardWait(..) | Stage::BackWait(..))
+    }
+
     fn note_skipped(&mut self, rounds: u64) {
         match &mut self.stage {
             Stage::ForwardWait(w, _) | Stage::BackWait(w, _) => w.note_skipped(rounds),

@@ -303,6 +303,16 @@ impl Procedure for Hypothesis {
         }
     }
 
+    fn blind(&self) -> bool {
+        match &self.stage {
+            Stage::Ball(b) | Stage::UnwindBall(b) => b.blind(),
+            Stage::Line4(w) | Stage::Pad(w) | Stage::UnwindWait(w, _) => w.blind(),
+            Stage::Mtcn(_) | Stage::Gsc(_) | Stage::Star(_) | Stage::Ece(_) | Stage::UnwindNext => {
+                false
+            }
+        }
+    }
+
     fn note_skipped(&mut self, rounds: u64) {
         self.rounds_spent += rounds;
         match &mut self.stage {

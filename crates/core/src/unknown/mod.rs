@@ -252,6 +252,13 @@ impl Procedure for GatherUnknownUpperBound {
         }
     }
 
+    fn blind(&self) -> bool {
+        match &self.stage {
+            Stage::Hyp(h) => h.blind(),
+            Stage::Exhausted => true,
+        }
+    }
+
     fn note_skipped(&mut self, rounds: u64) {
         if let Stage::Hyp(h) = &mut self.stage {
             h.note_skipped(rounds);

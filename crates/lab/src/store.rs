@@ -835,4 +835,98 @@ mod tests {
             "engine fingerprint is salted in"
         );
     }
+
+    /// The sample scenario's record and the bytes of a log holding it as
+    /// its only entry, built once per test binary.
+    fn sample_log() -> &'static (RunRecord, Vec<u8>) {
+        static SAMPLE: OnceLock<(RunRecord, Vec<u8>)> = OnceLock::new();
+        SAMPLE.get_or_init(|| {
+            let dir = std::env::temp_dir().join("nochatter-store-sample");
+            let _ = std::fs::remove_dir_all(&dir);
+            let s = scenario();
+            let record = runner::execute_scenario(&s);
+            let store = Store::open(&dir).unwrap();
+            store.insert(&s, &record);
+            let bytes = std::fs::read(store.path()).unwrap();
+            drop(store);
+            let _ = std::fs::remove_dir_all(&dir);
+            (record, bytes)
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 64,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// Random bytes, truncated or bit-flipped payloads and garbled logs
+        /// never panic the reader: `decode_record` answers `None` unless
+        /// the bytes are exactly some record's encoding, and `Store::open`
+        /// succeeds with the true record, a miss or a counted corrupt
+        /// entry — never another record.
+        #[test]
+        fn garbage_never_panics_the_reader(
+            noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..160),
+            cut in proptest::prelude::any::<u64>(),
+            flips in proptest::collection::vec(
+                (proptest::prelude::any::<u64>(), 1u8..=255),
+                0..4,
+            ),
+        ) {
+            let (record, log) = sample_log();
+            let garble = |bytes: &[u8]| {
+                let mut bytes = bytes.to_vec();
+                if !bytes.is_empty() {
+                    for &(at, mask) in &flips {
+                        let at = (at % bytes.len() as u64) as usize;
+                        bytes[at] ^= mask;
+                    }
+                }
+                bytes
+            };
+
+            // Random bytes decode only if they re-encode to themselves.
+            if let Some(decoded) = decode_record(&noise) {
+                proptest::prop_assert_eq!(encode_record(&decoded), noise.clone());
+            }
+            // A strict prefix of a payload never decodes; a garbled one
+            // decodes only to the record it now spells.
+            let payload = encode_record(record);
+            let prefix = (cut % payload.len() as u64) as usize;
+            proptest::prop_assert!(decode_record(&payload[..prefix]).is_none());
+            let garbled = garble(&payload);
+            if let Some(decoded) = decode_record(&garbled) {
+                proptest::prop_assert_eq!(encode_record(&decoded), garbled.clone());
+            }
+
+            // A log truncated, bit-flipped and followed by noise.
+            let kept = (cut % (log.len() as u64 + 1)) as usize;
+            let mut bytes = garble(&log[..kept]);
+            bytes.extend_from_slice(&noise);
+            let dir = std::env::temp_dir().join("nochatter-store-garbled");
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(dir.join(format!("store-v{STORE_FORMAT_VERSION}.log")), &bytes)
+                .unwrap();
+            let store = Store::open(&dir).expect("a garbled log still opens");
+            let hit = store.lookup(&scenario());
+            proptest::prop_assert!(
+                hit.is_none() || hit.as_ref() == Some(record),
+                "a garbled log returned another record"
+            );
+            if bytes.starts_with(log) {
+                proptest::prop_assert_eq!(hit.as_ref(), Some(record), "intact entry lost");
+            }
+            if flips.is_empty() && kept > HEADER_LEN && kept < log.len() {
+                proptest::prop_assert_eq!(hit, None);
+                proptest::prop_assert!(
+                    store.stats().corrupt_entries > 0,
+                    "a cut entry is counted as corrupt"
+                );
+            }
+            drop(store);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
 }

@@ -63,7 +63,9 @@ pub enum AgentAct {
 /// built-in combinator against it, and debug builds assert it live). The
 /// engine's lone-agent path, which polls only the one agent that is due,
 /// also relies on skips adding up and on `min_wait` falling by exactly
-/// the rounds noted.
+/// the rounds noted. A [`AgentBehavior::blind`] promise also holds under
+/// changed observations, so that path keeps running while another agent
+/// walks onto or off a blind waiter's node.
 pub trait AgentBehavior {
     /// Decides this round's action from the observation.
     fn on_round(&mut self, obs: &Obs) -> AgentAct;
@@ -71,6 +73,11 @@ pub trait AgentBehavior {
     /// See [`Procedure::min_wait`].
     fn min_wait(&self) -> u64 {
         0
+    }
+
+    /// See [`Procedure::blind`].
+    fn blind(&self) -> bool {
+        false
     }
 
     /// See [`Procedure::note_skipped`].
@@ -130,6 +137,10 @@ impl<T: AgentBehavior + ?Sized> AgentBehavior for Box<T> {
 
     fn min_wait(&self) -> u64 {
         (**self).min_wait()
+    }
+
+    fn blind(&self) -> bool {
+        (**self).blind()
     }
 
     fn note_skipped(&mut self, rounds: u64) {
@@ -214,6 +225,10 @@ where
         } else {
             self.inner.min_wait()
         }
+    }
+
+    fn blind(&self) -> bool {
+        self.done || self.inner.blind()
     }
 
     fn note_skipped(&mut self, rounds: u64) {

@@ -489,15 +489,17 @@ pub struct ActiveRun<'g, V: TopologyView, B: AgentBehavior> {
     bucket_occupants: bool,
     /// Debug-build contract net for the quiescence fast-forward: per agent,
     /// the absolute round through which its last [`AgentBehavior::min_wait`]
-    /// promised further `Wait`s, plus the observation signature (degree,
-    /// cur_card, entry_port) the promise was made under. A poll inside the
-    /// promised window with an identical signature must yield `Wait` —
+    /// promised further `Wait`s, the observation signature (degree,
+    /// cur_card, entry_port) the promise was made under (`None` for a
+    /// one-off observation), and whether it was [`AgentBehavior::blind`].
+    /// A poll inside the promised window with an identical signature, or
+    /// with any observation under a blind promise, must yield `Wait` —
     /// catching unsound `min_wait` implementations at the source instead
     /// of as a report byte-diff three layers up. Weak sensing only (a
     /// scalar signature cannot capture traditional peer labels).
     #[cfg(debug_assertions)]
     #[allow(clippy::type_complexity)]
-    promise: Vec<(u64, Option<(u32, u32, Option<Port>)>)>,
+    promise: Vec<(u64, Option<(u32, u32, Option<Port>)>, bool)>,
     /// True while the round loop takes the lone-agent path (see
     /// [`ActiveRun::step`]): every executing agent but at most one is
     /// inside a wait promise, and only the one that is due gets polled.
@@ -595,7 +597,7 @@ impl<'g, V: TopologyView, B: AgentBehavior> ActiveRun<'g, V, B> {
             resolved_crashes,
             bucket_occupants,
             #[cfg(debug_assertions)]
-            promise: vec![(0, None); k],
+            promise: vec![(0, None, false); k],
             lone: false,
             quiet_through: vec![0; k],
             synced: vec![0; k],
@@ -625,14 +627,15 @@ impl<'g, V: TopologyView, B: AgentBehavior> ActiveRun<'g, V, B> {
     /// later with one [`AgentBehavior::note_skipped`] call each. A dense
     /// round under [`Sensing::Weak`] with no one-off observation (just
     /// woken, blocked) enters the path when every agent waited, or when
-    /// exactly one moved from a node it held alone onto an empty one while
-    /// the rest waited — provided a single agent will be due next. The
-    /// path is left when no single agent is due, when
-    /// an adversary wake, a crash or the round limit is due, after the due
-    /// agent leaves or enters a node holding another body (a dormant one
-    /// included), and after it polled a one-off observation. Both paths
-    /// fast-forward identically, so the outcome differs only in
-    /// `polled_agent_rounds`.
+    /// exactly one moved while the rest waited and the move disturbed no
+    /// one — provided a single agent will be due next. A move disturbs a
+    /// body at either end that is dormant (the visit wakes it) or
+    /// executing under a promise that is not [`AgentBehavior::blind`];
+    /// declared and crashed bodies never act again. The path is left when no
+    /// single agent is due, when an adversary wake, a crash or the round
+    /// limit is due, after the due agent's move disturbed another body,
+    /// and after it polled a one-off observation. Both paths fast-forward
+    /// identically, so the outcome differs only in `polled_agent_rounds`.
     pub fn step(&mut self, scratch: &mut EngineScratch) -> Option<Result<RunOutcome, SimError>> {
         if self.round >= self.max_rounds {
             return Some(Ok(self.finish(RunStatus::RoundLimit, self.max_rounds)));
@@ -807,15 +810,14 @@ impl<'g, V: TopologyView, B: AgentBehavior> ActiveRun<'g, V, B> {
             }
         }
         // The lone-agent path may start after a round where one agent
-        // moved between two nodes nobody else occupies (a blocked move or
-        // a declaration stays on an occupied node) and everyone else
-        // waited on an observation that stays identical.
+        // moved (a blocked move or a declaration stays put) without
+        // disturbing anyone, and everyone else waited on an observation
+        // that stays identical or under a blind promise.
         let weak = self.engine.sensing == Sensing::Weak;
-        let lone_mover = weak
-            && actors == 1
-            && !any_fresh
-            && card[actor_from.index()] == 1
-            && card[self.engine.agents.pos[actor].index()] == 0;
+        let lone_mover = weak && actors == 1 && !any_fresh && {
+            let to = self.engine.agents.pos[actor];
+            to != actor_from && !self.disturbs(actor, actor_from, to)
+        };
 
         // End-of-round wipe: clear exactly the nodes occupied this round,
         // restoring the all-zero scratch invariant.
@@ -922,6 +924,9 @@ impl<'g, V: TopologyView, B: AgentBehavior> ActiveRun<'g, V, B> {
         let pos = &self.engine.agents.pos;
         let from = pos[i];
         let cur_card = pos.iter().filter(|&&p| p == from).count() as u32;
+        // Only the due agent moves on this path, so its node is the only
+        // one whose count can have grown since the last dense round.
+        self.stats.max_colocation = self.stats.max_colocation.max(cur_card);
         let (act, fresh) = self.poll_agent(i, round, cur_card, None);
         if let Err(err) = self.apply(i, act, round) {
             return Some(Err(err));
@@ -951,12 +956,8 @@ impl<'g, V: TopologyView, B: AgentBehavior> ActiveRun<'g, V, B> {
             }
             AgentAct::TakePort(_) => {
                 self.quiet_through[i] = round;
-                // Leaving or entering company changes what the others
-                // (or a dormant agent, by waking) observe.
-                let pos = &self.engine.agents.pos;
-                let to = pos[i];
-                leave |=
-                    to != from && (cur_card > 1 || pos.iter().filter(|&&p| p == to).count() > 1);
+                let to = self.engine.agents.pos[i];
+                leave |= to != from && self.disturbs(i, from, to);
             }
             AgentAct::Declare(_) => {
                 if let Some(outcome) = self.terminal_outcome() {
@@ -969,6 +970,24 @@ impl<'g, V: TopologyView, B: AgentBehavior> ActiveRun<'g, V, B> {
             self.leave_lone();
         }
         None
+    }
+
+    /// Whether agent `i`'s move from `from` to `to` changes what another
+    /// body at either end acts on: a dormant body wakes by the visit, and
+    /// an executing one sees its `CurCard` change, which only a blind
+    /// promise ([`AgentBehavior::blind`]) ignores. Declared and crashed
+    /// bodies never act again.
+    fn disturbs(&self, i: usize, from: NodeId, to: NodeId) -> bool {
+        let agents = &self.engine.agents;
+        agents.pos.iter().enumerate().any(|(j, &at)| {
+            j != i
+                && (at == from || at == to)
+                && match agents.phase[j] {
+                    AgentPhase::Dormant => true,
+                    AgentPhase::Active | AgentPhase::Blocked => !agents.behaviors[j].blind(),
+                    AgentPhase::Declared | AgentPhase::Crashed => false,
+                }
+        })
     }
 
     /// The one executing agent due this round if it is the only one and no
@@ -1087,7 +1106,9 @@ impl<'g, V: TopologyView, B: AgentBehavior> ActiveRun<'g, V, B> {
 
     /// Debug-build contract net for the quiescence fast-forward and the
     /// lone-agent path: a poll inside the window promised by the agent's
-    /// last `min_wait`, under an identical observation, must wait.
+    /// last `min_wait` must wait if its observation is identical to the
+    /// one the promise was made on, or whatever it is if the promise was
+    /// blind.
     #[cfg(debug_assertions)]
     fn check_promise(&mut self, i: usize, obs: &Obs, act: AgentAct, fresh: bool) {
         if self.engine.sensing != Sensing::Weak {
@@ -1095,23 +1116,21 @@ impl<'g, V: TopologyView, B: AgentBehavior> ActiveRun<'g, V, B> {
         }
         let round = obs.round;
         let sig = (obs.degree, obs.cur_card, obs.entry_port);
-        let (through, promised) = self.promise[i];
-        if !fresh && round <= through && promised == Some(sig) {
+        let (through, promised, blind) = self.promise[i];
+        if round <= through && (blind || (!fresh && promised == Some(sig))) {
             debug_assert!(
                 matches!(act, AgentAct::Wait),
                 "agent {} acted at round {round} inside its promised wait horizon \
-                 (through round {through}) without an observation change",
+                 (through round {through}, blind: {blind})",
                 self.engine.agents.labels[i]
             );
         }
-        self.promise[i] = if fresh {
-            (0, None)
-        } else {
-            (
-                round.saturating_add(self.engine.agents.behaviors[i].min_wait()),
-                Some(sig),
-            )
-        };
+        let behavior = &self.engine.agents.behaviors[i];
+        self.promise[i] = (
+            round.saturating_add(behavior.min_wait()),
+            (!fresh).then_some(sig),
+            behavior.blind(),
+        );
     }
 
     /// Applies agent `i`'s act of `round`: a move, a blocked attempt or a
@@ -1351,7 +1370,7 @@ impl<'g, V: TopologyView, B: ForkableBehavior> ActiveRun<'g, V, B> {
         self.synced.clone_from(&cp.synced);
         self.lone_stop = self.next_stop();
         #[cfg(debug_assertions)]
-        self.promise.iter_mut().for_each(|p| *p = (0, None));
+        self.promise.iter_mut().for_each(|p| *p = (0, None, false));
         true
     }
 }
@@ -2227,6 +2246,22 @@ mod tests {
         outcome.declarations[i].1.expect("agent declared").round
     }
 
+    /// The `Wake` events of a traced run.
+    fn wakes(outcome: &RunOutcome) -> Vec<(Label, u64, bool)> {
+        let events = outcome.trace.as_ref().unwrap().events();
+        events
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::Wake {
+                    agent,
+                    round,
+                    by_visit,
+                } => Some((agent, round, by_visit)),
+                _ => None,
+            })
+            .collect()
+    }
+
     /// Walks a fixed port path, then waits for good.
     struct PathThenIdle {
         path: std::vec::IntoIter<Port>,
@@ -2395,10 +2430,26 @@ mod tests {
     /// existed — and that it polls fewer agent-rounds than that loop's
     /// `dense_polls`.
     fn run_pinned(
-        mut engine: Engine<'_, impl TopologyView>,
+        engine: Engine<'_, impl TopologyView>,
         max_rounds: u64,
         expected: &str,
         dense_polls: u64,
+    ) -> RunOutcome {
+        let outcome = run_checked(engine, max_rounds, expected);
+        assert!(
+            outcome.polled_agent_rounds < dense_polls,
+            "{} polls, the dense loop needs {dense_polls}",
+            outcome.polled_agent_rounds
+        );
+        outcome
+    }
+
+    /// Runs `engine` with a stored trace and checks the outcome against
+    /// `expected`: every field but the poll count, plus the trace digest.
+    fn run_checked(
+        mut engine: Engine<'_, impl TopologyView>,
+        max_rounds: u64,
+        expected: &str,
     ) -> RunOutcome {
         engine.record_trace(1 << 10);
         let outcome = engine.run(max_rounds).unwrap();
@@ -2430,11 +2481,6 @@ mod tests {
             trace.digest()
         );
         assert_eq!(pin, expected);
-        assert!(
-            outcome.polled_agent_rounds < dense_polls,
-            "{} polls, the dense loop needs {dense_polls}",
-            outcome.polled_agent_rounds
-        );
         outcome
     }
 
@@ -2696,23 +2742,8 @@ mod tests {
         engine.set_wake_schedule(WakeSchedule::Staggered { gap: 17 });
         engine.record_trace(256);
         let outcome = engine.run(500).unwrap();
-        let wakes: Vec<(Label, u64, bool)> = outcome
-            .trace
-            .as_ref()
-            .unwrap()
-            .events()
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::Wake {
-                    agent,
-                    round,
-                    by_visit,
-                } => Some((*agent, *round, *by_visit)),
-                _ => None,
-            })
-            .collect();
         assert_eq!(
-            wakes,
+            wakes(&outcome),
             vec![
                 (label(1), 0, false),
                 (label(2), 17, false),
@@ -2740,23 +2771,8 @@ mod tests {
              digest 256c43324bf11268",
             30,
         );
-        let wakes: Vec<(Label, u64, bool)> = outcome
-            .trace
-            .as_ref()
-            .unwrap()
-            .events()
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::Wake {
-                    agent,
-                    round,
-                    by_visit,
-                } => Some((*agent, *round, *by_visit)),
-                _ => None,
-            })
-            .collect();
         assert_eq!(
-            wakes,
+            wakes(&outcome),
             vec![
                 (label(1), 0, false),
                 (label(3), 11, false),
@@ -2790,5 +2806,194 @@ mod tests {
             let outcome = run_pinned(engine, 500, expected, dense_polls);
             assert_eq!(outcome.declarations[1].1.unwrap().declaration.size, Some(5));
         }
+    }
+
+    // ------------------------------------------------------------------
+    // Company changes on the lone-agent path. Each run is pinned to the
+    // outcome and trace digest of the lone-agent path before blind
+    // promises, which left the path on every such change.
+    // ------------------------------------------------------------------
+
+    /// A ring of 10 with a slow walker setting out from node 2 over port 1
+    /// six times, waiting `wait` rounds before each move: it enters node
+    /// 5 at the end of round `3 * (wait + 1) - 1` and leaves it `wait + 1`
+    /// rounds later.
+    fn walker_past_node_5(ring: &Graph, wait: u64) -> Engine<'_> {
+        let mut engine = Engine::new(ring);
+        add(&mut engine, 2, 2, SlowWalk::new(wait, &[1; 6]));
+        engine
+    }
+
+    #[test]
+    fn a_walker_passes_a_blind_waiter_on_the_lone_path() {
+        // The waiter's countdown ignores what it senses, so the walker
+        // entering and leaving its node disturbs no one: the walker keeps
+        // the lone-agent path, and the waiter is polled only when due.
+        // Before blind promises each of the two moves cost a dense round
+        // polling both agents.
+        let ring = generators::ring(10);
+        let mut engine = walker_past_node_5(&ring, 5);
+        add(&mut engine, 1, 5, WaitRounds::new(60));
+        let outcome = run_checked(
+            engine,
+            500,
+            "AllDeclared rounds 60 moves 6 blocked 0 iterations 15 skipped 46 colocation 2 \
+             crashed [] [L2@36:n8:None/None L1@60:n5:None/None] \
+             digest 448b4ed68a51ca0c",
+        );
+        assert_eq!(outcome.polled_agent_rounds, 17, "19 before blind promises");
+
+        // The waiter's promise runs out while the walker stands on its
+        // node, and it declares there, polled alone.
+        let mut engine = walker_past_node_5(&ring, 9);
+        add(&mut engine, 1, 5, WaitRounds::new(33));
+        let outcome = run_checked(
+            engine,
+            500,
+            "AllDeclared rounds 60 moves 6 blocked 0 iterations 15 skipped 46 colocation 2 \
+             crashed [] [L2@60:n8:None/None L1@33:n5:None/None] \
+             digest 5b1eaa3e2f0c9d35",
+        );
+        assert_eq!(outcome.polled_agent_rounds, 17, "18 before blind promises");
+    }
+
+    #[test]
+    fn a_walker_onto_a_card_watcher_hands_the_round_to_the_dense_loop() {
+        // A waiter that gives up its wait as soon as `CurCard` exceeds 1
+        // is not blind: the walker's arrival (end of round 17) hands the
+        // next round to the dense loop, where the watcher acts.
+        use crate::proc::UntilCardExceeds;
+        let ring = generators::ring(10);
+        let mut engine = walker_past_node_5(&ring, 5);
+        engine.add_agent(
+            label(1),
+            NodeId::new(5),
+            Box::new(ProcBehavior::mapping(
+                UntilCardExceeds::new(1, WaitRounds::new(400)),
+                |out| Declaration {
+                    leader: None,
+                    size: Some(u32::from(out.was_interrupted())),
+                },
+            )),
+        );
+        let outcome = run_checked(
+            engine,
+            500,
+            "AllDeclared rounds 36 moves 6 blocked 0 iterations 14 skipped 23 colocation 2 \
+             crashed [] [L2@36:n8:None/None L1@18:n5:None/Some(1)] \
+             digest 82cf47e321b531e0",
+        );
+        let rec = outcome.declarations[1].1.expect("the watcher declared");
+        assert_eq!(rec.declaration.size, Some(1), "the wait was interrupted");
+        assert_eq!(rec.round, 18);
+        assert_eq!(outcome.polled_agent_rounds, 17);
+    }
+
+    #[test]
+    fn a_walker_onto_a_sleeper_wakes_it_in_the_arrival_round() {
+        // A dormant body is woken by the visit in the round after the
+        // move, as the dense loop's occupancy phase would.
+        let ring = generators::ring(10);
+        let mut engine = walker_past_node_5(&ring, 5);
+        add(&mut engine, 1, 5, WaitRounds::new(3));
+        engine.set_wake_schedule(WakeSchedule::Explicit(vec![0, u64::MAX]));
+        let outcome = run_checked(
+            engine,
+            500,
+            "AllDeclared rounds 36 moves 6 blocked 0 iterations 15 skipped 22 colocation 2 \
+             crashed [] [L2@36:n8:None/None L1@21:n5:None/None] \
+             digest a7bf11321df3a716",
+        );
+        assert_eq!(
+            wakes(&outcome),
+            vec![(label(2), 0, false), (label(1), 18, true)]
+        );
+        assert_eq!(outcome.polled_agent_rounds, 17);
+    }
+
+    #[test]
+    fn a_walker_onto_a_declared_or_crashed_body_records_the_colocation() {
+        // Declared and crashed bodies never act again, so the walker
+        // keeps the lone-agent path across their node, while a watcher
+        // elsewhere lags inside its promise; the rounds the walker spends
+        // there must still count toward `max_colocation`. Before blind
+        // promises each of the two moves cost a dense round polling the
+        // watcher too.
+        use crate::proc::UntilCardExceeds;
+        let ring = generators::ring(10);
+        for (crash, expected) in [
+            (
+                false,
+                "AllDeclared rounds 100 moves 6 blocked 0 iterations 16 skipped 85 colocation 2 \
+                 crashed [] [L2@36:n8:None/None L1@0:n5:None/None L3@100:n0:None/None] \
+                 digest fce22603c33a36d6",
+            ),
+            (
+                true,
+                "Halted rounds 100 moves 6 blocked 0 iterations 16 skipped 85 colocation 2 \
+                 crashed [L1] [L2@36:n8:None/None L1:- L3@100:n0:None/None] \
+                 digest 55d494246177e4b3",
+            ),
+        ] {
+            let mut engine = walker_past_node_5(&ring, 5);
+            add(
+                &mut engine,
+                1,
+                5,
+                WaitRounds::new(if crash { 1000 } else { 0 }),
+            );
+            add(
+                &mut engine,
+                3,
+                0,
+                UntilCardExceeds::new(1, WaitRounds::new(100)),
+            );
+            if crash {
+                engine.set_faults(crash_at(&[(1, 3)]));
+            }
+            let outcome = run_checked(engine, 500, expected);
+            assert_eq!(outcome.max_colocation, 2);
+            assert_eq!(outcome.polled_agent_rounds, 19, "21 before blind promises");
+        }
+    }
+
+    /// Claims a blind countdown but declares as soon as it sees company:
+    /// a broken blind promise.
+    struct BlindLiar(WaitRounds);
+    impl Procedure for BlindLiar {
+        type Output = ();
+        fn poll(&mut self, obs: &Obs) -> Poll<()> {
+            if obs.cur_card > 1 {
+                Poll::Complete(())
+            } else {
+                self.0.poll(obs)
+            }
+        }
+        fn min_wait(&self) -> u64 {
+            self.0.min_wait()
+        }
+        fn blind(&self) -> bool {
+            true
+        }
+        fn note_skipped(&mut self, rounds: u64) {
+            self.0.note_skipped(rounds);
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "inside its promised wait horizon")]
+    fn a_broken_blind_promise_trips_the_debug_net() {
+        // The walker stands on the liar's node from round 24 to 31, and
+        // the adversary wake in round 26 makes that round dense: the
+        // liar, polled inside its promise (through round 29), sees
+        // `CurCard` 2 and declares. The observation changed, but a blind
+        // promise covers any observation.
+        let ring = generators::ring(10);
+        let mut engine = walker_past_node_5(&ring, 7);
+        add(&mut engine, 1, 5, BlindLiar(WaitRounds::new(30)));
+        add(&mut engine, 3, 0, WaitRounds::new(5));
+        engine.set_wake_schedule(WakeSchedule::Explicit(vec![0, 0, 26]));
+        let _ = engine.run(500);
     }
 }

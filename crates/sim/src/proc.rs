@@ -13,12 +13,19 @@
 //!   procedure must immediately produce the round's action from its next
 //!   step (possibly polling the next child in the same call).
 //! * [`Procedure::min_wait`] is a *promise*: a lower bound on how many
-//!   subsequent polls are guaranteed to yield [`Action::Wait`] regardless of
-//!   what is observed. It lets the engine fast-forward quiescent stretches.
+//!   subsequent polls are guaranteed to yield [`Action::Wait`] under
+//!   identical observations. It lets the engine fast-forward quiescent
+//!   stretches.
+//! * [`Procedure::blind`] strengthens the current promise: it holds under
+//!   *any* observations, and each of those polls leaves the procedure as
+//!   `note_skipped(1)` would. The engine's lone-agent path then lets
+//!   another agent walk onto or off the procedure's node without polling
+//!   it.
 //! * [`Procedure::note_skipped`]`(k)` informs the procedure that `k` rounds
 //!   elapsed during which (a) it was treated as having waited and (b) the
-//!   observation was *identical* to the one most recently polled. Callers
-//!   may only pass `k <= min_wait()`. Procedures that count rounds must
+//!   observation was *identical* to the one most recently polled (under a
+//!   blind promise: anything at all). Callers may only pass
+//!   `k <= min_wait()`. Procedures that count rounds must
 //!   advance their counters accordingly. Skips add up —
 //!   `note_skipped(a); note_skipped(b)` equals `note_skipped(a + b)` —
 //!   and `min_wait` falls by exactly the rounds noted, so a promise's
@@ -29,7 +36,9 @@
 //! The identical-observation guarantee is what makes `min_wait` sound even
 //! for observation-dependent logic (e.g. a wait that aborts when `CurCard`
 //! rises): if the current observation does not trigger the abort, identical
-//! ones cannot either.
+//! ones cannot either. A wait that ignores what it senses ([`WaitRounds`],
+//! the unknown-bound algorithm's slow waits) is [`Procedure::blind`]: its
+//! promise holds whatever is observed.
 
 use crate::obs::{Action, Obs, Poll};
 
@@ -43,10 +52,19 @@ pub trait Procedure {
     fn poll(&mut self, obs: &Obs) -> Poll<Self::Output>;
 
     /// Lower bound on the number of subsequent polls guaranteed to yield
-    /// [`Action::Wait`] regardless of observations. The default promises
+    /// [`Action::Wait`] under identical observations. The default promises
     /// nothing.
     fn min_wait(&self) -> u64 {
         0
+    }
+
+    /// True if the current [`Procedure::min_wait`] promise holds under
+    /// arbitrary observations, not only identical ones: every poll inside
+    /// it yields [`Action::Wait`] and leaves the procedure exactly as
+    /// `note_skipped(1)` would. The default, `false`, claims nothing
+    /// beyond the identical-observation promise.
+    fn blind(&self) -> bool {
+        false
     }
 
     /// Acknowledges `rounds` skipped rounds with identical observations.
@@ -65,6 +83,10 @@ impl<P: Procedure + ?Sized> Procedure for Box<P> {
 
     fn min_wait(&self) -> u64 {
         (**self).min_wait()
+    }
+
+    fn blind(&self) -> bool {
+        (**self).blind()
     }
 
     fn note_skipped(&mut self, rounds: u64) {
@@ -120,6 +142,11 @@ impl Procedure for WaitRounds {
 
     fn min_wait(&self) -> u64 {
         self.remaining
+    }
+
+    // The countdown never looks at the observation.
+    fn blind(&self) -> bool {
+        true
     }
 
     fn note_skipped(&mut self, rounds: u64) {

@@ -18,16 +18,23 @@
 //!    `note_skipped(a + b)` for `a + b <= h`.
 //! 4. **The end round holds.** After `note_skipped(k)`, `min_wait` is
 //!    exactly `h - k`: a promise's last round never moves while it runs.
+//! 5. **A blind horizon holds under arbitrary observations.** While
+//!    `blind()` holds, the next `h` polls yield [`Action::Wait`] whatever
+//!    they observe, and `k` such polls leave the procedure as
+//!    `note_skipped(k)` does.
 //!
 //! The engine's lone-agent path relies on 3 and 4: it polls only the one
 //! agent that is due and lets every other agent inside its promise lag,
 //! catching it up later with a single `note_skipped` that covers polls
 //! and fast-forwards alike, and it reads each lagging agent's remaining
-//! horizon off the promise's end round instead of asking `min_wait`.
+//! horizon off the promise's end round instead of asking `min_wait`. It
+//! relies on 5 to keep lagging a blind waiter whose node another agent
+//! enters or leaves.
 //!
-//! The engine additionally `debug_assert`s guarantee 1 on every poll through
-//! its promise tracker; these tests pin all four guarantees directly
-//! at the combinator level, where a violation is easiest to localize.
+//! The engine additionally `debug_assert`s guarantees 1 and 5 on every poll
+//! through its promise tracker; these tests pin all five guarantees
+//! directly at the combinator level, where a violation is easiest to
+//! localize.
 
 use std::fmt::Debug;
 
@@ -42,6 +49,14 @@ use nochatter_sim::{Action, Obs, Poll};
 /// watch.
 fn obs(round: u64, cur_card: u32) -> Obs {
     Obs::synthetic(round, 3, cur_card, Some(Port::new(1)))
+}
+
+/// An arbitrary observation drawn from `seed`: any degree from 1 to 4,
+/// `CurCard` from 1 to 5, and no entry port or any port of the degree.
+fn noisy_obs(round: u64, seed: u32) -> Obs {
+    let degree = 1 + seed % 4;
+    let entry = (!seed.is_multiple_of(5)).then(|| Port::new(seed / 5 % degree));
+    Obs::synthetic(round, degree, 1 + seed / 3 % 5, entry)
 }
 
 /// Polls `a` and `b` through the same `probe` observations from `round`
@@ -67,8 +82,10 @@ where
 }
 
 /// Drives `proc_` through `stream`, and at every step where a positive
-/// horizon is promised checks all four guarantees against clones. `probe`
-/// supplies the arbitrary post-skip observations of guarantees 2 and 3.
+/// horizon is promised checks all five guarantees against clones. `probe`
+/// supplies the arbitrary post-skip observations of guarantees 2, 3 and
+/// 5, and the seeds of guarantee 5's arbitrary observations inside the
+/// horizon.
 fn check_promises<P>(mut proc_: P, stream: &[u32], probe: &[u32], skip_frac: u64)
 where
     P: Procedure + Clone,
@@ -135,6 +152,33 @@ where
                 "split vs whole skip",
             );
         }
+
+        // Guarantee 5: a blind horizon holds whatever is observed, and
+        // polling through it on arbitrary observations is skipping it.
+        if proc_.blind() {
+            let mut noisy = proc_.clone();
+            let mut after_k = None;
+            for n in 0..h.min(50) {
+                if n == k {
+                    after_k = Some(noisy.clone());
+                }
+                let seed = probe[n as usize % probe.len()].wrapping_mul(7) + n as u32;
+                let w = noisy.poll(&noisy_obs(round + 1 + n, seed));
+                assert!(
+                    matches!(w, Poll::Yield(Action::Wait)),
+                    "promised a blind wait of {h} rounds but acted after {n}: {w:?}"
+                );
+            }
+            let noisy = after_k.unwrap_or(noisy);
+            let mut skipped = proc_.clone();
+            skipped.note_skipped(k);
+            assert_eq!(
+                noisy.min_wait(),
+                skipped.min_wait(),
+                "{k} arbitrary polls of a blind horizon of {h} left a different horizon"
+            );
+            assert_same_futures(noisy, skipped, probe, round + 1 + k, "noisy vs skipped");
+        }
     }
 }
 
@@ -150,6 +194,8 @@ proptest! {
         probe in card_stream(),
         frac in 1u64..5,
     ) {
+        // Guarantee 5 binds `WaitRounds`: its countdown is blind.
+        prop_assert!(WaitRounds::new(rounds).blind());
         check_promises(WaitRounds::new(rounds), &stream, &probe, frac);
     }
 

@@ -43,8 +43,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let report = outcome.gathering()?;
     println!(
-        "gathered in round {} at {} — {} engine iterations, {} rounds fast-forwarded",
-        report.round, report.node, outcome.engine_iterations, outcome.skipped_rounds
+        "gathered in round {} at {} — {} engine iterations, {} rounds fast-forwarded, \
+         {} agent polls",
+        report.round,
+        report.node,
+        outcome.engine_iterations,
+        outcome.skipped_rounds,
+        outcome.polled_agent_rounds
     );
     for (agent, r) in reports {
         let r = r.expect("all agents reported");

@@ -3,17 +3,24 @@
 //! robustness of the clean-exploration shield against an adversarial `EST`
 //! reconstruction.
 
+use std::fmt::Debug;
 use std::sync::Arc;
 
 use std::sync::Mutex;
 
+use proptest::prelude::*;
+
 use nochatter::core::unknown::{
-    run_unknown, ConfigEnumeration, EstMode, ExhaustiveEnumeration, GatherUnknownUpperBound,
-    SliceEnumeration, UnknownOptions, UnknownSchedule,
+    run_unknown, BallTraversal, ConfigEnumeration, EstMode, ExhaustiveEnumeration,
+    GatherUnknownUpperBound, Hypothesis, PositionTracker, SharedTracker, SliceEnumeration,
+    UnknownOptions, UnknownSchedule,
 };
 use nochatter::core::BehaviorSlot;
-use nochatter::graph::{generators, InitialConfiguration, Label, NodeId};
-use nochatter::sim::{Engine, RunOutcome, RunStatus, Static, Trace, WakeSchedule};
+use nochatter::graph::{generators, Graph, InitialConfiguration, Label, NodeId, Port};
+use nochatter::sim::proc::Procedure;
+use nochatter::sim::{
+    Action, Engine, Obs, Poll, RunOutcome, RunStatus, Static, Trace, WakeSchedule,
+};
 
 fn label(v: u64) -> Label {
     Label::new(v).unwrap()
@@ -292,4 +299,145 @@ fn every_unwind_path_keeps_its_pinned_trace() {
     let out = traced_run(&truth, omega, conservative, WakeSchedule::Simultaneous);
     out.gathering().expect("gathering validates");
     assert_eq!(digest(&out), "a8d1723ee0b0bb16");
+}
+
+/// Polls a blind promise may see at most, per promise, before the rest of
+/// it is skipped (the slow waits run to millions of rounds).
+const BLIND_PROBE: u64 = 64;
+
+/// Drives twin procedures as a lone agent walking `graph` from `start`:
+/// every real poll sees the node's degree, the true entry port and
+/// `CurCard` 1, and both twins must answer it alike. Whenever a poll
+/// leaves a blind promise of `h` rounds, `a` is polled through its first
+/// `min(h, BLIND_PROBE)` rounds on observations with random `CurCard`s and
+/// entry ports, and must wait in each, while `b` skips the whole promise;
+/// non-blind promises are skipped by both. `on_move` sees every move.
+/// Stops after `max_polls` real polls or on completion, and returns how
+/// many blind promises were probed.
+fn check_blind_twins<P>(
+    mut a: P,
+    mut b: P,
+    graph: &Graph,
+    start: NodeId,
+    noise: &[u32],
+    max_polls: usize,
+    mut on_move: impl FnMut(Port),
+) -> usize
+where
+    P: Procedure,
+    P::Output: Debug,
+{
+    let (mut pos, mut entry, mut round) = (start, None, 0u64);
+    let mut noise = noise.iter().cycle();
+    let mut probed = 0;
+    for _ in 0..max_polls {
+        let degree = graph.degree(pos);
+        let real = Obs::synthetic(round, degree, 1, entry);
+        let (x, y) = (a.poll(&real), b.poll(&real));
+        assert_eq!(
+            format!("{x:?}"),
+            format!("{y:?}"),
+            "twins diverged in round {round}"
+        );
+        round += 1;
+        match x {
+            Poll::Complete(_) => break,
+            Poll::Yield(Action::TakePort(p)) => {
+                let (to, back) = graph.neighbor(pos, p).expect("moves stay on the graph");
+                (pos, entry) = (to, Some(back));
+                on_move(p);
+                continue;
+            }
+            Poll::Yield(Action::Wait) => {}
+        }
+        let h = a.min_wait();
+        assert_eq!(h, b.min_wait(), "round {round}");
+        assert_eq!(a.blind(), b.blind(), "round {round}");
+        let mut polled = 0;
+        if a.blind() && h > 0 {
+            probed += 1;
+            polled = h.min(BLIND_PROBE);
+            for n in 0..polled {
+                let seed = *noise.next().unwrap();
+                let cur_card = 1 + seed % 4;
+                let entry = (!seed.is_multiple_of(5)).then(|| Port::new(seed / 5 % degree));
+                let w = a.poll(&Obs::synthetic(round + n, degree, cur_card, entry));
+                assert!(
+                    matches!(w, Poll::Yield(Action::Wait)),
+                    "blind promise of {h} rounds from round {round} broken after {n}: {w:?}"
+                );
+            }
+        }
+        a.note_skipped(h - polled);
+        b.note_skipped(h);
+        round = round.saturating_add(h);
+    }
+    probed
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 24,
+        .. ProptestConfig::default()
+    })]
+
+    /// Whenever `blind()` holds after a poll of `BallTraversal` or
+    /// `Hypothesis`, the promised waits hold under random `CurCard`s and
+    /// entry ports, and leave the procedure exactly as skipping them
+    /// would: a twin that skips every promise makes the same moves and
+    /// reaches the same verdict. Random graphs of every family, random
+    /// starts, and the first or second hypothesis of a two-entry
+    /// enumeration, tested by either of its agents.
+    #[test]
+    fn slow_waits_are_blind(
+        family in 0usize..9,
+        n in 2u32..8,
+        seed in any::<u64>(),
+        start in 0u32..8,
+        h in 1usize..3,
+        agent in 1u64..3,
+        noise in proptest::collection::vec(any::<u32>(), 1..40),
+    ) {
+        let graph = Arc::new(generators::Family::all()[family].instantiate(n, seed));
+        let start = NodeId::new(start % graph.node_count() as u32);
+        let omega = SliceEnumeration::new(vec![
+            cfg(generators::path(2), &[(1, 0), (2, 1)]),
+            cfg(generators::ring(3), &[(1, 0), (2, 1)]),
+        ]);
+        let schedule = UnknownSchedule::new(omega).unwrap();
+        let hs = schedule.hypothesis(h);
+
+        let probed = check_blind_twins(
+            BallTraversal::new(hs),
+            BallTraversal::new(hs),
+            &graph,
+            start,
+            &noise,
+            2_000,
+            |_| {},
+        );
+        prop_assert!(
+            probed > 0 || graph.degree(start) >= hs.n,
+            "a ball that does not abort at once starts with a slow wait"
+        );
+
+        let twin = || {
+            let tracker = PositionTracker::new(Arc::clone(&graph), start);
+            let hypothesis = Hypothesis::new(
+                schedule.enumeration().get(h).clone(),
+                hs.clone(),
+                label(agent),
+                EstMode::Conservative,
+                SharedTracker::clone(&tracker),
+            );
+            (hypothesis, tracker)
+        };
+        let ((a, a_tracker), (b, b_tracker)) = (twin(), twin());
+        check_blind_twins(a, b, &graph, start, &noise, 2_000, |p| {
+            // The position oracle replays every move, as the gathering
+            // procedure does.
+            a_tracker.borrow_mut().apply(p);
+            b_tracker.borrow_mut().apply(p);
+        });
+    }
 }
