@@ -17,12 +17,12 @@ use std::time::Instant;
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion, Throughput};
 
-use nochatter_core::harness::{run_scenario_with_scratch, GatherScenario};
+use nochatter_core::harness::run_scenario_with_scratch;
 use nochatter_core::{BehaviorSlot, CommMode};
 use nochatter_explore::{Explo, Uxs};
 use nochatter_graph::dynamic::SeededEdgeFailure;
 use nochatter_graph::{algo, generators, Graph, InitialConfiguration, Label, NodeId, Port};
-use nochatter_lab::{presets, run_campaign_cached, run_search_with, Store, TRACE_CAPACITY};
+use nochatter_lab::{presets, run_campaign_cached, run_search_cached, Store, TRACE_CAPACITY};
 use nochatter_sim::proc::{ProcBehavior, Procedure};
 use nochatter_sim::FaultSpec;
 use nochatter_sim::{
@@ -166,7 +166,7 @@ struct Scale {
     /// Steps of the pseudorandom sequence driving the dispatch-pair EXPLO
     /// walkers (one run = `2 * explo_steps + 1` rounds).
     explo_steps: usize,
-    /// Per-instance evaluation budget of the hunt fork/scratch pair.
+    /// Per-instance evaluation budget of the late-outage hunt entry.
     hunt_budget: u64,
     iters: u64,
 }
@@ -309,10 +309,18 @@ fn campaign_instance() -> InitialConfiguration {
     .expect("distinct labels on distinct nodes")
 }
 
+/// The execution axes of one campaign cell; the configuration, the seed
+/// and the fault-free adversary are the instance's.
+struct Cell {
+    mode: CommMode,
+    schedule: WakeSchedule,
+    topo: TopologySpec,
+}
+
 /// The 8 execution-axis cells of one instance: 2 sensing modes × 2 wake
 /// schedules × {static, seeded edge-failure} — the cell mix a campaign
 /// sweeps per instance, all sharing the configuration and seed.
-fn campaign_cells(cfg: &InitialConfiguration) -> Vec<GatherScenario<'_>> {
+fn campaign_cells() -> Vec<Cell> {
     let mut cells = Vec::new();
     for mode in [CommMode::Silent, CommMode::Talking] {
         for schedule in [WakeSchedule::Simultaneous, WakeSchedule::FirstOnly] {
@@ -320,14 +328,10 @@ fn campaign_cells(cfg: &InitialConfiguration) -> Vec<GatherScenario<'_>> {
                 TopologySpec::Static,
                 TopologySpec::EdgeFailure(SeededEdgeFailure { p: 0.1, seed: 9 }),
             ] {
-                cells.push(GatherScenario {
-                    cfg,
+                cells.push(Cell {
                     mode,
                     schedule: schedule.clone(),
                     topo,
-                    fault: FaultSpec::None,
-                    seed: 2020,
-                    trace_capacity: None,
                 });
             }
         }
@@ -338,14 +342,18 @@ fn campaign_cells(cfg: &InitialConfiguration) -> Vec<GatherScenario<'_>> {
 /// One campaign cell exactly as the lab runner executes it: its own
 /// `run_scenario_with_scratch` call (per-cell setup, shared scratch),
 /// recording into a digest-only trace of the runner's capacity.
-fn run_campaign_cell(cell: &GatherScenario<'_>, scratch: &mut EngineScratch) -> RunOutcome {
+fn run_campaign_cell(
+    cfg: &InitialConfiguration,
+    cell: &Cell,
+    scratch: &mut EngineScratch,
+) -> RunOutcome {
     run_scenario_with_scratch(
-        cell.cfg,
+        cfg,
         cell.mode,
         cell.schedule.clone(),
         &cell.topo,
-        &cell.fault,
-        cell.seed,
+        &FaultSpec::None,
+        2020,
         Some(Trace::digest_only(TRACE_CAPACITY)),
         scratch,
     )
@@ -356,14 +364,14 @@ fn run_campaign_cell(cell: &GatherScenario<'_>, scratch: &mut EngineScratch) -> 
 /// [`run_campaign_cell`].
 fn campaign_cells_solo(c: &mut Criterion) {
     let cfg = campaign_instance();
-    let cells = campaign_cells(&cfg);
+    let cells = campaign_cells();
     let mut group = c.benchmark_group("campaign_cells");
     group.throughput(Throughput::Elements(cells.len() as u64));
     group.bench_function("solo/k8", |b| {
         let mut scratch = EngineScratch::new();
         b.iter(|| {
             for cell in &cells {
-                black_box(run_campaign_cell(cell, &mut scratch));
+                black_box(run_campaign_cell(&cfg, cell, &mut scratch));
             }
         })
     });
@@ -396,27 +404,6 @@ fn campaign_cache_pair(c: &mut Criterion) {
     });
     group.finish();
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The checkpoint/fork pair: the late-outage hunt (every candidate
-/// diverges from the incumbent deep in the endgame, so forked evaluation
-/// resumes past ~3/4 of each run) with candidate forking on vs forcibly
-/// off. Reports are byte-identical either way (pinned by the lab's search
-/// tests); the wall-time delta here is the echo of the executed-rounds
-/// reduction the trajectory artifact records hardware-independently.
-fn hunt_evals_pair(c: &mut Criterion) {
-    let spec = presets::late_outage_spec(scale().hunt_budget);
-    let mut group = c.benchmark_group("hunt_evals");
-    group.throughput(Throughput::Elements(
-        spec.budget * spec.instances.len() as u64,
-    ));
-    group.bench_function("forked", |b| {
-        b.iter(|| black_box(run_search_with(&spec, 1, None, true)))
-    });
-    group.bench_function("scratch", |b| {
-        b.iter(|| black_box(run_search_with(&spec, 1, None, false)))
-    });
-    group.finish();
 }
 
 /// One measured trajectory entry of `BENCH_hotpath.json`.
@@ -563,7 +550,7 @@ fn emit_trajectory(quick: bool) {
         ),
         {
             let cfg = campaign_instance();
-            let cells = campaign_cells(&cfg);
+            let cells = campaign_cells();
             measure(
                 "campaign_cells/solo/k8",
                 cells.len() as u64,
@@ -572,7 +559,7 @@ fn emit_trajectory(quick: bool) {
                 s.iters,
                 || {
                     for cell in &cells {
-                        black_box(run_campaign_cell(cell, &mut scratch));
+                        black_box(run_campaign_cell(&cfg, cell, &mut scratch));
                     }
                 },
             )
@@ -590,24 +577,8 @@ fn emit_trajectory(quick: bool) {
         {
             let spec = presets::late_outage_spec(s.hunt_budget);
             // `units_per_iter` carries the hardware-independent fact: the
-            // engine iterations one search actually executes. The forked
-            // and scratch entries run the byte-identical search, so their
-            // unit counts divide into the honest per-evaluation reduction.
-            let rounds = run_search_with(&spec, 1, None, true).total_executed_rounds();
-            measure(
-                "hunt_evals/forked",
-                s.hunt_budget,
-                "executed_rounds",
-                rounds,
-                s.iters,
-                || {
-                    black_box(run_search_with(&spec, 1, None, true));
-                },
-            )
-        },
-        {
-            let spec = presets::late_outage_spec(s.hunt_budget);
-            let rounds = run_search_with(&spec, 1, None, false).total_executed_rounds();
+            // engine iterations one search actually executes.
+            let rounds = run_search_cached(&spec, 1, None).total_executed_rounds();
             measure(
                 "hunt_evals/scratch",
                 s.hunt_budget,
@@ -615,33 +586,16 @@ fn emit_trajectory(quick: bool) {
                 rounds,
                 s.iters,
                 || {
-                    black_box(run_search_with(&spec, 1, None, false));
+                    black_box(run_search_cached(&spec, 1, None));
                 },
             )
         },
         {
-            // The dr1/fr1 quick preset is the fork engine's worst case —
-            // its wake/crash axes diverge within the first few hundred
-            // rounds of runs lasting tens of thousands, so there is
-            // almost no prefix to share. Recording it beside the
-            // late-outage pair keeps the trajectory honest about both
-            // regimes instead of showcasing only the favorable one.
+            // The dr1/fr1 quick preset: long runs whose adversary acts in
+            // their first few hundred rounds, beside the short late-outage
+            // evaluations above.
             let spec = presets::hunt_spec(true);
-            let rounds = run_search_with(&spec, 1, None, true).total_executed_rounds();
-            measure(
-                "hunt_evals/quick_forked",
-                spec.budget,
-                "executed_rounds",
-                rounds,
-                s.iters,
-                || {
-                    black_box(run_search_with(&spec, 1, None, true));
-                },
-            )
-        },
-        {
-            let spec = presets::hunt_spec(true);
-            let rounds = run_search_with(&spec, 1, None, false).total_executed_rounds();
+            let rounds = run_search_cached(&spec, 1, None).total_executed_rounds();
             measure(
                 "hunt_evals/quick_scratch",
                 spec.budget,
@@ -649,7 +603,7 @@ fn emit_trajectory(quick: bool) {
                 rounds,
                 s.iters,
                 || {
-                    black_box(run_search_with(&spec, 1, None, false));
+                    black_box(run_search_cached(&spec, 1, None));
                 },
             )
         },
@@ -722,7 +676,7 @@ criterion_group! {
         .sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_secs(2));
-    targets = csr_traversal, round_loop, campaign_cells_solo, campaign_cache_pair, hunt_evals_pair
+    targets = csr_traversal, round_loop, campaign_cells_solo, campaign_cache_pair
 }
 
 fn main() {

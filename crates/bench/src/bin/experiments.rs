@@ -10,7 +10,7 @@
 //! experiments campaign [--quick | --smoke] [--workers N] [--seed S] [--out DIR]
 //!             [--cache-dir DIR | --no-cache]
 //! experiments hunt [--quick | --smoke] [--workers N] [--seed S] [--budget B]
-//!             [--no-fork] [--out DIR] [--cache-dir DIR | --no-cache]
+//!             [--out DIR] [--cache-dir DIR | --no-cache]
 //! ```
 //!
 //! The `campaign` subcommand expands the demo campaign (8 graph families ×
@@ -24,12 +24,10 @@
 //! The `hunt` subcommand runs the budgeted adversary search over the hunt
 //! preset instances, maximizing the silent-failure objective, and writes
 //! `<name>.json`, `<name>.csv` and `BENCH_search.json` under `--out`
-//! (default `target/hunt`). Candidates fork from checkpoints of the
-//! incumbent's run by default; `--no-fork` (or `NOCHATTER_NO_FORK=1`)
-//! evaluates everything from scratch instead. Like the campaign reports,
-//! the witness reports are bit-for-bit identical for any worker count,
-//! with forking on or off; `--budget 0` records each instance's
-//! unperturbed baseline as its witness.
+//! (default `target/hunt`). Every candidate runs from scratch, exactly
+//! like a campaign cell. Like the campaign reports, the witness reports
+//! are bit-for-bit identical for any worker count; `--budget 0` records
+//! each instance's unperturbed baseline as its witness.
 //!
 //! `--cache-dir DIR` runs either subcommand against the persistent result
 //! store under `DIR`: previously computed records load instead of
@@ -37,10 +35,11 @@
 //! resume), and the reports stay byte-identical to uncached runs.
 //! `--no-cache` wins over `--cache-dir` when both are given.
 
+use std::fmt;
 use std::process::ExitCode;
 
 use nochatter_bench::{all_experiment_ids, run_experiment, ExperimentCtx};
-use nochatter_lab::{presets, run_campaign_cached, run_search_with, Store};
+use nochatter_lab::{presets, run_campaign_cached, run_search_cached, Store};
 
 /// The flags shared by the `campaign` and `hunt` subcommands, parsed by
 /// one helper so the two cannot drift. `--budget` is accepted only where
@@ -54,7 +53,29 @@ struct SweepArgs {
     out_dir: std::path::PathBuf,
     cache_dir: Option<std::path::PathBuf>,
     no_cache: bool,
-    no_fork: bool,
+}
+
+/// Why [`SweepArgs::parse`] rejected an argument list.
+#[derive(Debug, PartialEq, Eq)]
+enum ArgError {
+    /// A flag the subcommand does not know (the subcommand, the flag).
+    Unknown(String, String),
+    /// A path flag given last, without its value.
+    MissingValue(&'static str),
+    /// A numeric flag whose value is missing or not a number.
+    NotANumber(&'static str),
+}
+
+impl fmt::Display for ArgError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ArgError::Unknown(subcommand, option) => {
+                write!(f, "unknown {subcommand} option: {option}")
+            }
+            ArgError::MissingValue(flag) => write!(f, "{flag} needs a value"),
+            ArgError::NotANumber(flag) => write!(f, "{flag} needs a number"),
+        }
+    }
 }
 
 impl SweepArgs {
@@ -66,7 +87,7 @@ impl SweepArgs {
         subcommand: &str,
         default_out: &str,
         with_budget: bool,
-    ) -> Result<SweepArgs, String> {
+    ) -> Result<SweepArgs, ArgError> {
         let mut parsed = SweepArgs {
             quick: false,
             smoke: false,
@@ -76,37 +97,26 @@ impl SweepArgs {
             out_dir: default_out.into(),
             cache_dir: None,
             no_cache: false,
-            no_fork: false,
         };
         let mut iter = args.iter();
         while let Some(arg) = iter.next() {
-            let mut value_for = |flag: &str| {
-                iter.next()
-                    .map(ToOwned::to_owned)
-                    .ok_or_else(|| format!("{flag} needs a value"))
-            };
             match arg.as_str() {
                 "--quick" => parsed.quick = true,
                 "--smoke" => parsed.smoke = true,
                 "--no-cache" => parsed.no_cache = true,
-                "--workers" => match value_for("--workers").map(|v| v.parse()) {
-                    Ok(Ok(w)) => parsed.workers = w,
-                    _ => return Err("--workers needs a number".into()),
-                },
-                "--seed" => match value_for("--seed").map(|v| v.parse()) {
-                    Ok(Ok(s)) => parsed.seed = Some(s),
-                    _ => return Err("--seed needs a number".into()),
-                },
+                "--workers" => parsed.workers = number("--workers", iter.next())?,
+                "--seed" => parsed.seed = Some(number("--seed", iter.next())?),
                 // --budget 0 is meaningful: record the unperturbed
                 // baseline as the witness without mutating anything.
-                "--budget" if with_budget => match value_for("--budget").map(|v| v.parse()) {
-                    Ok(Ok(b)) => parsed.budget = Some(b),
-                    _ => return Err("--budget needs a number".into()),
-                },
-                "--no-fork" if with_budget => parsed.no_fork = true,
-                "--out" => parsed.out_dir = value_for("--out")?.into(),
-                "--cache-dir" => parsed.cache_dir = Some(value_for("--cache-dir")?.into()),
-                other => return Err(format!("unknown {subcommand} option: {other}")),
+                "--budget" if with_budget => parsed.budget = Some(number("--budget", iter.next())?),
+                "--out" => {
+                    parsed.out_dir = iter.next().ok_or(ArgError::MissingValue("--out"))?.into()
+                }
+                "--cache-dir" => {
+                    let dir = iter.next().ok_or(ArgError::MissingValue("--cache-dir"))?;
+                    parsed.cache_dir = Some(dir.into());
+                }
+                other => return Err(ArgError::Unknown(subcommand.into(), other.into())),
             }
         }
         Ok(parsed)
@@ -122,6 +132,13 @@ impl SweepArgs {
             _ => Ok(None),
         }
     }
+}
+
+/// The numeric value following `flag`.
+fn number<T: std::str::FromStr>(flag: &'static str, value: Option<&String>) -> Result<T, ArgError> {
+    value
+        .and_then(|v| v.parse().ok())
+        .ok_or(ArgError::NotANumber(flag))
 }
 
 /// One summary line per cached run: hit/miss/resume counts plus any
@@ -315,11 +332,7 @@ fn run_hunt_cli(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // `--no-fork` (or NOCHATTER_NO_FORK=1) forces every candidate to run
-    // from scratch; the reports are byte-identical either way (CI diffs
-    // them), so the flag exists for exactly that check and for bisecting.
-    let fork = !parsed.no_fork && std::env::var_os("NOCHATTER_NO_FORK").is_none();
-    let report = run_search_with(&spec, parsed.workers, store.as_ref(), fork);
+    let report = run_search_cached(&spec, parsed.workers, store.as_ref());
     for outcome in &report.outcomes {
         let verdict = if outcome.is_failure() {
             "FALSIFIED"
@@ -352,7 +365,7 @@ fn run_hunt_cli(args: &[String]) -> ExitCode {
         report.workers
     );
     // Execution facts (they never enter the deterministic reports): how
-    // hard the engine actually worked, and how much of it forking skipped.
+    // hard the engine actually worked.
     let fixed = |v: Option<f64>| v.map_or_else(|| "n/a".to_string(), |x| format!("{x:.1}"));
     eprintln!(
         "work: {} executed rounds ({} per evaluation), {} evaluations/s",
@@ -360,18 +373,6 @@ fn run_hunt_cli(args: &[String]) -> ExitCode {
         fixed(report.executed_rounds_per_evaluation()),
         fixed(report.evaluations_per_sec())
     );
-    if fork {
-        eprintln!(
-            "fork: {} of {} evaluation(s) resumed from checkpoints, {} executed \
-             rounds saved gross ({} spent building ladders)",
-            report.total_forked_evals(),
-            report.total_evaluations(),
-            report.total_rounds_saved(),
-            report.total_ladder_rounds()
-        );
-    } else {
-        eprintln!("fork: off (every candidate evaluated from scratch)");
-    }
     report_cache(
         report.cache,
         store.as_ref(),
@@ -424,7 +425,7 @@ fn main() -> ExitCode {
                      experiments campaign [--quick | --smoke] [--workers N] [--seed S] [--out DIR] \
                      [--cache-dir DIR | --no-cache]\n       \
                      experiments hunt [--quick | --smoke] [--workers N] [--seed S] [--budget B] \
-                     [--no-fork] [--out DIR] [--cache-dir DIR | --no-cache]",
+                     [--out DIR] [--cache-dir DIR | --no-cache]",
                     all_experiment_ids().join(" | ")
                 );
                 return ExitCode::SUCCESS;
@@ -454,4 +455,100 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Argument tokens: every flag, a retired one, numbers in and out of
+    /// range, and garbage.
+    const TOKENS: [&str; 15] = [
+        "--quick",
+        "--smoke",
+        "--no-cache",
+        "--workers",
+        "--seed",
+        "--budget",
+        "--out",
+        "--cache-dir",
+        "--no-fork",
+        "0",
+        "18446744073709551616",
+        "-3",
+        "x",
+        "",
+        "--",
+    ];
+
+    fn parse(args: &[&str], with_budget: bool) -> Result<SweepArgs, ArgError> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        let subcommand = if with_budget { "hunt" } else { "campaign" };
+        SweepArgs::parse(&args, subcommand, "target/out", with_budget)
+    }
+
+    fn message(args: &[&str], with_budget: bool) -> String {
+        match parse(args, with_budget) {
+            Ok(_) => panic!("{args:?} must be rejected"),
+            Err(e) => e.to_string(),
+        }
+    }
+
+    #[test]
+    fn hunt_rejects_the_retired_no_fork_flag() {
+        assert_eq!(
+            message(&["--no-fork"], true),
+            "unknown hunt option: --no-fork"
+        );
+    }
+
+    #[test]
+    fn flags_parse_and_errors_name_the_offending_flag() {
+        let parsed = parse(
+            &["--quick", "--workers", "4", "--budget", "0", "--out", "d"],
+            true,
+        )
+        .expect("well-formed hunt flags");
+        assert!(parsed.quick && !parsed.smoke);
+        assert_eq!((parsed.workers, parsed.budget), (4, Some(0)));
+        assert_eq!(parsed.out_dir, std::path::PathBuf::from("d"));
+        assert_eq!(message(&["--workers"], false), "--workers needs a number");
+        assert_eq!(message(&["--seed", "x"], true), "--seed needs a number");
+        assert_eq!(message(&["--out"], true), "--out needs a value");
+        assert_eq!(
+            message(&["--budget", "3"], false),
+            "unknown campaign option: --budget"
+        );
+    }
+
+    proptest! {
+        /// Random argv mixing known flags, garbage, missing values and
+        /// non-numeric values: parsing returns `Ok` or an error naming a
+        /// token of the argv, and never panics.
+        #[test]
+        fn random_argv_never_panics_the_parser(
+            picks in proptest::collection::vec(
+                (0usize..TOKENS.len(), any::<u64>(), any::<bool>()),
+                0..10,
+            ),
+            with_budget in any::<bool>(),
+        ) {
+            let argv: Vec<String> = picks
+                .iter()
+                .map(|&(i, n, numeric)| if numeric { n.to_string() } else { TOKENS[i].to_string() })
+                .collect();
+            let subcommand = if with_budget { "hunt" } else { "campaign" };
+            match SweepArgs::parse(&argv, subcommand, "target/out", with_budget) {
+                Ok(_) => {}
+                Err(ArgError::Unknown(sub, option)) => {
+                    prop_assert_eq!(sub.as_str(), subcommand);
+                    prop_assert!(argv.contains(&option));
+                }
+                Err(ArgError::MissingValue(flag) | ArgError::NotANumber(flag)) => {
+                    prop_assert!(argv.iter().any(|a| a == flag));
+                }
+            }
+        }
+    }
 }

@@ -4,15 +4,14 @@
 //! Every runner here builds its engine over [`BehaviorSlot`] storage: the
 //! built-in algorithm stack lives inline in the agent arena and
 //! enum-dispatches, with no per-agent `Box` and no vtable call per round.
-//! One scenario is one engine run: [`run_scenario_batch_with_scratch`] is
-//! a plain loop over [`run_scenario_with_scratch`].
+//! One scenario is one engine run.
 
 use std::sync::{Arc, Mutex};
 
 use nochatter_graph::{InitialConfiguration, Label};
 use nochatter_sim::{
-    ActiveRun, Engine, EngineScratch, FaultSpec, RunCheckpoint, RunOutcome, Sensing, SimError,
-    SpecView, Static, Topology, TopologySpec, Trace, WakeSchedule,
+    Engine, EngineScratch, FaultSpec, RunOutcome, Sensing, SimError, Static, Topology,
+    TopologySpec, Trace, WakeSchedule,
 };
 
 use crate::codec::BitStr;
@@ -251,7 +250,7 @@ pub fn run_scenario(
 /// # Panics
 ///
 /// Panics if `topo` is incompatible with the configuration's graph.
-#[allow(clippy::too_many_arguments)] // the scenario axes ARE the signature; grouped callers use GatherScenario
+#[allow(clippy::too_many_arguments)] // the scenario axes ARE the signature
 pub fn run_scenario_with_scratch(
     cfg: &InitialConfiguration,
     mode: CommMode,
@@ -280,8 +279,9 @@ pub fn run_scenario_with_scratch(
 }
 
 /// One known-upper-bound gathering scenario: the argument tuple of
-/// [`run_scenario`] as a value, for callers that hold scenarios in lists or
-/// step them through [`ScenarioRun`].
+/// [`run_scenario`] as a value.
+// Shim for perfbench/; the next benchmark change deletes it.
+#[doc(hidden)]
 #[derive(Clone, Debug)]
 pub struct GatherScenario<'a> {
     /// The initial configuration to run.
@@ -306,6 +306,8 @@ pub struct GatherScenario<'a> {
 /// Runs each scenario of `batch` in turn through
 /// [`run_scenario_with_scratch`], threading one scratch through all of
 /// them. An engine error in one scenario does not abort the rest.
+// Shim for perfbench/; the next benchmark change deletes it.
+#[doc(hidden)]
 pub fn run_scenario_batch_with_scratch(
     batch: &[GatherScenario<'_>],
     scratch: &mut EngineScratch,
@@ -325,126 +327,6 @@ pub fn run_scenario_batch_with_scratch(
             )
         })
         .collect()
-}
-
-/// A mid-flight snapshot of one gathering scenario run — the
-/// checkpoint/fork currency of the adversary search's prefix-sharing
-/// incremental evaluation.
-///
-/// Produced by [`ScenarioRun::checkpoint`] along one scenario's
-/// trajectory; a *different* scenario over the same configuration can then
-/// fast-start from it via [`ScenarioRun::resume_from`], provided the two
-/// adversary specs agree on every round before [`ScenarioCheckpoint::round`]
-/// (the caller derives that bound from the specs — see the divergence-round
-/// computation in `nochatter-lab`'s search module).
-pub struct ScenarioCheckpoint {
-    cp: RunCheckpoint<BehaviorSlot>,
-}
-
-impl ScenarioCheckpoint {
-    /// The first round a run resumed from this checkpoint executes.
-    pub fn round(&self) -> u64 {
-        self.cp.round()
-    }
-
-    /// The engine iterations the checkpointed prefix had executed — the
-    /// work a resumed run skips.
-    pub fn executed_rounds(&self) -> u64 {
-        self.cp.executed_rounds()
-    }
-}
-
-/// One known-upper-bound gathering scenario being stepped round by round,
-/// with checkpoint capture and resume — the incremental counterpart of
-/// [`run_scenario_with_scratch`].
-///
-/// Wiring is identical to [`run_scenario_with_scratch`] (same behaviors,
-/// sensing, faults, schedule, round limit), except the engine always runs
-/// under the enum-dispatched [`SpecView`] so checkpoints taken under a
-/// static spec can seed runs under scripted-ring specs and vice versa; a
-/// [`TopologySpec::Static`] view answers exactly like the zero-cost
-/// [`Static`] one, so outcomes stay bitwise identical to
-/// [`run_scenario_with_scratch`]'s.
-pub struct ScenarioRun<'g> {
-    run: ActiveRun<'g, SpecView, BehaviorSlot>,
-}
-
-impl<'g> ScenarioRun<'g> {
-    /// Validates and prepares the scenario for stepping. `setup` must be
-    /// built from the same `(cfg, seed)` as the scenario (callers share
-    /// one [`KnownSetup`] — the dominant per-scenario cost — across every
-    /// candidate of an instance).
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine setup errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scenario's topology is incompatible with its graph.
-    pub fn begin(
-        s: &GatherScenario<'g>,
-        setup: &KnownSetup,
-        scratch: &mut EngineScratch,
-    ) -> Result<Self, SimError> {
-        let mut engine: Engine<'g, SpecView, BehaviorSlot> =
-            Engine::with_parts(s.cfg.graph(), &s.topo);
-        engine.set_sensing(sensing_for(s.mode));
-        engine.set_faults(s.fault.clone());
-        if let Some(capacity) = s.trace_capacity {
-            engine.record_trace(capacity);
-        }
-        for &(label, node) in s.cfg.agents() {
-            engine.add_agent(
-                label,
-                node,
-                BehaviorSlot::known_gather(setup.params.clone(), label, s.mode),
-            );
-        }
-        engine.set_wake_schedule(s.schedule.clone());
-        let limit = setup.params.round_limit(s.cfg.smallest_label_bit_len());
-        Ok(ScenarioRun {
-            run: ActiveRun::begin(engine, limit, scratch)?,
-        })
-    }
-
-    /// The round the next [`ScenarioRun::step`] will simulate.
-    pub fn next_round(&self) -> u64 {
-        self.run.next_round()
-    }
-
-    /// Executes one round-loop iteration; `Some` once the run terminated.
-    pub fn step(&mut self, scratch: &mut EngineScratch) -> Option<Result<RunOutcome, SimError>> {
-        self.run.step(scratch)
-    }
-
-    /// Runs the remaining rounds to completion.
-    ///
-    /// # Errors
-    ///
-    /// Propagates protocol errors (invalid port) from any behavior.
-    pub fn finish(mut self, scratch: &mut EngineScratch) -> Result<RunOutcome, SimError> {
-        loop {
-            if let Some(result) = self.run.step(scratch) {
-                return result;
-            }
-        }
-    }
-
-    /// Snapshots the run at the current round boundary; `None` if any
-    /// behavior declines to fork (see
-    /// [`nochatter_sim::ForkableBehavior`]).
-    pub fn checkpoint(&self) -> Option<ScenarioCheckpoint> {
-        self.run.checkpoint().map(|cp| ScenarioCheckpoint { cp })
-    }
-
-    /// Overwrites this freshly begun run's state with the checkpoint's.
-    /// Returns `false` (run untouched) when shapes differ or a behavior
-    /// declines to fork. See [`ActiveRun::resume_from`] for the validity
-    /// contract the caller must uphold.
-    pub fn resume_from(&mut self, cp: &ScenarioCheckpoint) -> bool {
-        self.run.resume_from(&cp.cp)
-    }
 }
 
 /// Runs the composed gather-then-gossip algorithm and returns the outcome

@@ -17,7 +17,7 @@ use nochatter_explore::{Explo, ExploOutcome, Uxs};
 use nochatter_graph::Label;
 use nochatter_rendezvous::Tz;
 use nochatter_sim::proc::{ProcBehavior, Procedure, RunFor};
-use nochatter_sim::{Action, AgentAct, AgentBehavior, Declaration, ForkableBehavior, Obs, Poll};
+use nochatter_sim::{Action, AgentAct, AgentBehavior, Declaration, Obs, Poll};
 
 use crate::gossip::{GossipKnownUpperBound, GossipReport, GossipUnknownUpperBound};
 use crate::known::{CommMode, GatherKnownUpperBound};
@@ -276,27 +276,6 @@ impl AgentBehavior for BehaviorSlot {
             BehaviorSlot::UnknownGather(b) => b.note_skipped(rounds),
             BehaviorSlot::UnknownGossip(b) => b.note_skipped(rounds),
             BehaviorSlot::Custom(b) => b.note_skipped(rounds),
-        }
-    }
-}
-
-/// The walker variants clone their whole state machine, so checkpointed
-/// runs of the built-in gathering stack fork without boxing. The
-/// sink-backed variants *decline*: their report channel is an `Arc`-shared
-/// cell, and a fork would alias one sink across two runs — callers fall
-/// back to from-scratch evaluation instead of silently cross-wiring
-/// reports. [`BehaviorSlot::Custom`] defers to the boxed behavior's
-/// [`AgentBehavior::clone_box`].
-impl ForkableBehavior for BehaviorSlot {
-    fn fork(&self) -> Option<Self> {
-        match self {
-            BehaviorSlot::Explo(b) => Some(BehaviorSlot::Explo(b.clone())),
-            BehaviorSlot::Tz(b) => Some(BehaviorSlot::Tz(b.clone())),
-            BehaviorSlot::KnownGather(b) => Some(BehaviorSlot::KnownGather(b.clone())),
-            BehaviorSlot::Gossip(_)
-            | BehaviorSlot::UnknownGather(_)
-            | BehaviorSlot::UnknownGossip(_) => None,
-            BehaviorSlot::Custom(b) => b.fork().map(BehaviorSlot::Custom),
         }
     }
 }

@@ -291,12 +291,11 @@ pub fn hunt_spec_seeded(quick: bool, seed: u64) -> SearchSpec {
 /// one-round scripted edge removal deep in the run's endgame. Slots below
 /// `window` are pinned to keep-all (singleton axes, so no mutation ever
 /// touches them) and the `slots` slots from `window` on choose freely
-/// among keep-all and every ring edge. Every one-mutation neighbor
-/// therefore diverges from the incumbent at round `window` or later and
-/// shares the entire prefix below it — the regime the checkpoint/fork
-/// engine is built for, and the opposite of [`hunt_space`], whose
-/// wake/crash axes all act in the first few hundred rounds of runs that
-/// last tens of thousands. Wake stays simultaneous and nothing crashes.
+/// among keep-all and every ring edge. Every candidate therefore runs
+/// like the unperturbed baseline up to round `window` and can differ only
+/// in its endgame — unlike [`hunt_space`], whose wake/crash axes all act
+/// in the first few hundred rounds of runs that last tens of thousands.
+/// Wake stays simultaneous and nothing crashes.
 pub fn late_outage_space(cfg: &InitialConfiguration, window: u64, slots: u64) -> AdversarySpace {
     assert!(
         is_cycle(cfg.graph()),
@@ -320,15 +319,14 @@ pub fn late_outage_space(cfg: &InitialConfiguration, window: u64, slots: u64) ->
     }
 }
 
-/// The late-outage hunt the checkpoint/fork bench pair measures: silent
-/// gathering on the two smoke rings, attacked only through
-/// [`late_outage_space`] windows placed at roughly three quarters of each
-/// baseline's gather time (the unperturbed runs gather at rounds ~6.5k
-/// and ~8.7k under [`HUNT_SEED`]). The objective is the slowest gather:
-/// can a one-round outage in the endgame delay the meeting? Every
-/// candidate shares the whole pre-window prefix with the incumbent, so
-/// this workload measures the checkpoint ladder's best case honestly —
-/// the dr1/fr1 [`hunt_spec`] measures its worst.
+/// The short-evaluation hunt: silent gathering on the two smoke rings,
+/// attacked only through [`late_outage_space`] windows placed at roughly
+/// three quarters of each baseline's gather time (the unperturbed runs
+/// gather at rounds ~6.5k and ~8.7k under [`HUNT_SEED`]). The objective is
+/// the slowest gather: can a one-round outage in the endgame delay the
+/// meeting? Its runs execute only a few hundred engine iterations each,
+/// so search-side work weighs more here than in the dr1/fr1
+/// [`hunt_spec`], whose evaluations run tens of thousands of rounds.
 pub fn late_outage_spec(budget: u64) -> SearchSpec {
     let instances = Matrix {
         families: vec![Family::Ring],

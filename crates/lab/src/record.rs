@@ -173,10 +173,9 @@ pub(crate) fn fnv_bytes(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// The 64-bit FNV-1a digest of a run's event trace: [`Trace::digest`],
-/// which owns the encoding. The campaign runner never calls this: its
-/// cells record into a [`Trace::digest_only`] trace that folds each
-/// event into the digest as the engine emits it.
+/// The 64-bit FNV-1a digest of a run's event trace: [`Trace::digest`].
+// Shim for perfbench/; the next benchmark change deletes it.
+#[doc(hidden)]
 pub fn trace_digest(trace: &Trace) -> u64 {
     trace.digest()
 }
@@ -285,11 +284,8 @@ mod tests {
         let simul = run(WakeSchedule::Simultaneous);
         let first = run(WakeSchedule::FirstOnly);
         // Same inputs → same digest; different schedules → different trace.
-        assert_eq!(
-            trace_digest(&simul),
-            trace_digest(&run(WakeSchedule::Simultaneous))
-        );
-        assert_ne!(trace_digest(&simul), trace_digest(&first));
+        assert_eq!(simul.digest(), run(WakeSchedule::Simultaneous).digest());
+        assert_ne!(simul.digest(), first.digest());
     }
 
     #[test]

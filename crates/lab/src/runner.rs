@@ -294,10 +294,10 @@ pub fn execute_scenario_with_scratch(
     record
 }
 
-/// The shared outcome-to-record tail of every execution path: fills the
-/// counters and judges the gathering property (survivors-only under a
-/// fault adversary), so the solo and forked paths cannot drift.
-pub(crate) fn record_outcome(
+/// The outcome-to-record tail of every scenario kind: fills the counters
+/// and judges the gathering property (survivors-only under a fault
+/// adversary).
+fn record_outcome(
     record: &mut RunRecord,
     scenario: &Scenario,
     outcome: Result<RunOutcome, SimError>,

@@ -12,46 +12,34 @@
 //! it slow). The best candidate found becomes the instance's *witness*:
 //! a fully replayable [`Scenario`] whose key names the exact adversary.
 //!
-//! Three design rules keep the falsifier honest:
+//! Two design rules keep the falsifier honest:
 //!
-//! * **Every candidate is a pure-function-of-round spec.** The search
-//!   only ever emits `WakeSchedule::Explicit`, `FaultSpec::CrashAt` and
-//!   `TopologySpec::Scripted` — declarative adversaries the engine
-//!   resolves before the run, so determinism and the quiescence
-//!   fast-forward survive, and any witness replays bit for bit through
-//!   the ordinary solo [`execute_scenario`](crate::execute_scenario)
-//!   path.
-//! * **Candidates share their prefixes.** Candidates of one instance
-//!   share the base configuration and seed, and a one-mutation neighbor
-//!   of the incumbent runs *identically* to it up to a spec-derived
-//!   *divergence round*. With forking on (the default), the search keeps
-//!   a bounded checkpoint ladder along the incumbent's trajectory and
-//!   resumes each candidate from the deepest sound rung — or clones the
-//!   incumbent's outcome outright when the candidate diverges only after
-//!   the run already ended — instead of replaying the shared prefix.
-//!   With forking off (`NOCHATTER_NO_FORK`, `--no-fork`), each candidate
-//!   runs from scratch through the campaign runner's solo path.
-//! * **Determinism at any worker count, fork mode and cache state.** The
+//! * **Every candidate is a pure-function-of-round spec, run like a
+//!   campaign cell.** The search only ever emits `WakeSchedule::Explicit`,
+//!   `FaultSpec::CrashAt` and `TopologySpec::Scripted` — declarative
+//!   adversaries the engine resolves before the run, so determinism and
+//!   the quiescence fast-forward survive. Each candidate runs from
+//!   scratch through the campaign runner's solo
+//!   [`execute_scenario_with_scratch`](crate::execute_scenario_with_scratch),
+//!   so any witness replays bit for bit through
+//!   [`execute_scenario`](crate::execute_scenario) and caches exactly like
+//!   a campaign cell.
+//! * **Determinism at any worker count and cache state.** The
 //!   per-instance search is sequential and seeded from the instance's
 //!   derived seed; instances shard over the work-stealing scheduler with
-//!   index-ordered result slots; forked and from-scratch evaluation are
-//!   bitwise interchangeable. Same spec + budget ⇒ byte-identical
-//!   [`SearchReport`] JSON and CSV for any worker count, with forking on
-//!   or off, cold or warm.
+//!   index-ordered result slots. Same spec + budget ⇒ byte-identical
+//!   [`SearchReport`] JSON and CSV for any worker count, cold or warm.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use nochatter_core::harness::{GatherScenario, ScenarioCheckpoint, ScenarioRun};
-use nochatter_core::KnownSetup;
 use nochatter_graph::rng::derive_seed;
 use nochatter_graph::Label;
 use nochatter_sim::{
-    CrashPoint, EngineScratch, FaultSpec, RunOutcome, ScriptedRing, TopologySpec, WakeSchedule,
+    CrashPoint, EngineScratch, FaultSpec, ScriptedRing, TopologySpec, WakeSchedule,
 };
 
 use crate::campaign::{wake_name, Scenario};
@@ -70,16 +58,6 @@ const SALT_SEARCH: u64 = 0x5EA2C4;
 /// How many random candidates a stuck search draws per kick (once the
 /// incumbent's whole one-mutation neighborhood has been evaluated).
 const KICK: usize = 8;
-
-/// Checkpoint-ladder capacity per instance: when a ladder outgrows this,
-/// every other rung is dropped and the capture stride doubles (dyadic
-/// thinning), so memory stays bounded while coverage stays roughly
-/// geometric along the incumbent's trajectory.
-const LADDER_CAPACITY: usize = 24;
-
-/// Initial ladder stride: executed engine iterations between captured
-/// rungs. Doubles on every thinning pass.
-const LADDER_STRIDE: u64 = 8;
 
 /// What the falsifier maximizes, per instance.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -296,28 +274,10 @@ pub struct SearchOutcome {
     pub witness: Scenario,
     /// The witness's measured record (key = the replayable witness key).
     pub record: RunRecord,
-    /// How many of this instance's evaluations resumed from a checkpoint
-    /// instead of replaying the shared prefix from scratch (0 with forking
-    /// off). An execution fact: surfaced only in the trajectory artifact
-    /// and the CLI summary, never in the deterministic JSON/CSV reports.
-    pub forked_evals: u64,
-    /// Engine iterations the resumed prefixes (and terminal
-    /// short-circuits) skipped, gross — the ladder's build cost is in
-    /// [`SearchOutcome::ladder_executed_rounds`], so net savings are
-    /// `checkpoint_executed_rounds_saved - ladder_executed_rounds`. An
-    /// execution fact, excluded from the deterministic reports.
-    pub checkpoint_executed_rounds_saved: u64,
-    /// Engine iterations spent building and extending the incumbent's
-    /// checkpoint ladder (work forking adds that from-scratch evaluation
-    /// would not do). An execution fact, excluded from the deterministic
-    /// reports.
-    pub ladder_executed_rounds: u64,
-    /// Engine iterations actually executed across every evaluation of this
-    /// instance: with forking off, the full per-run iteration counts; with
-    /// forking on, resumed prefixes are excluded and ladder work included.
-    /// Cache hits execute nothing. The honest per-instance work measure —
-    /// byte-identical reports can hide arbitrarily different amounts of
-    /// it, which is exactly why it lives outside them.
+    /// Engine iterations executed across every evaluation of this
+    /// instance; cache hits execute nothing. The honest per-instance work
+    /// measure — byte-identical reports can hide arbitrarily different
+    /// amounts of it, which is exactly why it lives outside them.
     pub executed_rounds: u64,
 }
 
@@ -365,36 +325,36 @@ impl SearchReport {
         self.outcomes.iter().map(|o| o.evaluations).sum()
     }
 
-    /// Total evaluations that resumed from a checkpoint instead of
-    /// replaying the shared prefix (0 with forking off).
+    /// Always 0.
+    // Shim for perfbench/; the next benchmark change deletes it.
+    #[doc(hidden)]
     pub fn total_forked_evals(&self) -> u64 {
-        self.outcomes.iter().map(|o| o.forked_evals).sum()
+        0
     }
 
-    /// Total engine iterations the resumed prefixes skipped, gross (the
-    /// ladder's build cost is [`SearchReport::total_ladder_rounds`]).
+    /// Always 0.
+    // Shim for perfbench/; the next benchmark change deletes it.
+    #[doc(hidden)]
     pub fn total_rounds_saved(&self) -> u64 {
-        self.outcomes
-            .iter()
-            .map(|o| o.checkpoint_executed_rounds_saved)
-            .sum()
+        0
     }
 
-    /// Total engine iterations spent building checkpoint ladders.
+    /// Always 0.
+    // Shim for perfbench/; the next benchmark change deletes it.
+    #[doc(hidden)]
     pub fn total_ladder_rounds(&self) -> u64 {
-        self.outcomes.iter().map(|o| o.ladder_executed_rounds).sum()
+        0
     }
 
-    /// Total engine iterations actually executed across every evaluation
-    /// (resumed prefixes excluded, ladder work included) — the honest
+    /// Total engine iterations executed across every evaluation — the
     /// measure of simulation work the search performed.
     pub fn total_executed_rounds(&self) -> u64 {
         self.outcomes.iter().map(|o| o.executed_rounds).sum()
     }
 
     /// Engine iterations executed per candidate evaluation — the
-    /// hardware-independent cost figure the forked path drives down.
-    /// `None` when nothing was evaluated.
+    /// hardware-independent cost figure of a search. `None` when nothing
+    /// was evaluated.
     pub fn executed_rounds_per_evaluation(&self) -> Option<f64> {
         let evals = self.total_evaluations();
         (evals > 0).then(|| self.total_executed_rounds() as f64 / evals as f64)
@@ -474,11 +434,11 @@ impl SearchReport {
     }
 
     /// The `BENCH_search.json` trajectory artifact: search-level aggregates
-    /// plus the run's execution facts — wall-clock time, worker count,
-    /// cache stats and the incremental-evaluation counters. Unlike
-    /// [`SearchReport::to_json`], this file intentionally records *how*
-    /// the search executed, so it differs across machines, worker counts
-    /// and fork modes while the deterministic reports stay byte-identical.
+    /// plus the run's execution facts — executed rounds, wall-clock time,
+    /// worker count and cache stats. Unlike [`SearchReport::to_json`], this
+    /// file intentionally records *how* the search executed, so it differs
+    /// across machines, worker counts and cache states while the
+    /// deterministic reports stay byte-identical.
     pub fn trajectory_json(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{{");
@@ -492,17 +452,6 @@ impl SearchReport {
             out,
             "  \"total_evaluations\": {},",
             self.total_evaluations()
-        );
-        let _ = writeln!(out, "  \"forked_evals\": {},", self.total_forked_evals());
-        let _ = writeln!(
-            out,
-            "  \"checkpoint_executed_rounds_saved\": {},",
-            self.total_rounds_saved()
-        );
-        let _ = writeln!(
-            out,
-            "  \"ladder_executed_rounds\": {},",
-            self.total_ladder_rounds()
         );
         let _ = writeln!(
             out,
@@ -584,34 +533,6 @@ pub fn run_search(spec: &SearchSpec, workers: usize) -> SearchReport {
 /// identical, so the walk — and with it the deterministic reports — is
 /// unchanged by the cache state.
 pub fn run_search_cached(spec: &SearchSpec, workers: usize, store: Option<&Store>) -> SearchReport {
-    run_search_with(spec, workers, store, fork_default())
-}
-
-/// Whether forked (checkpoint-resumed) evaluation is on by default:
-/// yes, unless the `NOCHATTER_NO_FORK` environment variable is set — the
-/// CI escape hatch behind the fork-on/off byte-identity check.
-fn fork_default() -> bool {
-    std::env::var_os("NOCHATTER_NO_FORK").is_none()
-}
-
-/// [`run_search_cached`] with explicit control over forked evaluation.
-///
-/// With `fork` on, each instance's search keeps a bounded ladder of
-/// checkpoints along its incumbent's trajectory and evaluates candidates
-/// by resuming from the deepest checkpoint at or below their *divergence
-/// round* — the first round at which the candidate's adversary spec could
-/// make the engine behave differently — instead of replaying the shared
-/// prefix from scratch. The walk, the witnesses and the deterministic
-/// JSON/CSV reports are **byte-identical** either way (pinned by tests and
-/// a CI diff); only the execution-fact counters
-/// ([`SearchOutcome::forked_evals`] and friends) and the wall clock
-/// change.
-pub fn run_search_with(
-    spec: &SearchSpec,
-    workers: usize,
-    store: Option<&Store>,
-    fork: bool,
-) -> SearchReport {
     let workers = if workers == 0 {
         runner::default_workers()
     } else {
@@ -625,15 +546,7 @@ pub fn run_search_with(
         workers,
         |i, scratch| {
             let (base, space) = &spec.instances[i];
-            search_instance(
-                base,
-                space,
-                spec.objective,
-                spec.budget,
-                scratch,
-                store,
-                fork,
-            )
+            search_instance(base, space, spec.objective, spec.budget, scratch, store)
         },
         |i, message| {
             let base = &spec.instances[i].0;
@@ -644,9 +557,6 @@ pub fn run_search_with(
                 score: (0, 0),
                 witness: base.clone(),
                 record: runner::panic_record(base, &message),
-                forked_evals: 0,
-                checkpoint_executed_rounds_saved: 0,
-                ladder_executed_rounds: 0,
                 executed_rounds: 0,
             }
         },
@@ -673,12 +583,21 @@ pub fn run_search_with(
     }
 }
 
+/// [`run_search_cached`]; the last argument is ignored.
+// Shim for perfbench/; the next benchmark change deletes it.
+#[doc(hidden)]
+pub fn run_search_with(
+    spec: &SearchSpec,
+    workers: usize,
+    store: Option<&Store>,
+    _fork: bool,
+) -> SearchReport {
+    run_search_cached(spec, workers, store)
+}
+
 /// The sequential per-instance search: greedy one-mutation local search
 /// around the incumbent, with seeded random kicks once the neighborhood
-/// is exhausted. Deterministic given `(base.seed, space, budget)` — the
-/// `fork` flag changes execution strategy (and the execution-fact
-/// counters), never the walk or the records.
-#[allow(clippy::too_many_arguments)]
+/// is exhausted. Deterministic given `(base.seed, space, budget)`.
 fn search_instance(
     base: &Scenario,
     space: &AdversarySpace,
@@ -686,7 +605,6 @@ fn search_instance(
     budget: u64,
     scratch: &mut EngineScratch,
     store: Option<&Store>,
-    fork: bool,
 ) -> SearchOutcome {
     let dims = space.dims();
     for d in 0..dims {
@@ -698,45 +616,21 @@ fn search_instance(
     let mut seen: BTreeSet<String> = BTreeSet::new();
     let axis_key = |s: &Scenario| format!("{}|{}|{}", s.key.wake, s.key.topo, s.key.fault);
 
-    let mut counters = EvalCounters::default();
+    let mut executed = 0u64;
     let mut incumbent = vec![0u32; dims];
     let first = space.decode(base, &incumbent);
     seen.insert(axis_key(&first));
-    // The baseline is a batch of one: nothing to share a prefix with yet.
-    let first_record = evaluate(
-        std::slice::from_ref(&first),
-        scratch,
-        store,
-        None,
-        &mut counters,
-    )
-    .pop()
-    .expect("one candidate, one record");
+    let first_record = evaluate(&first, scratch, store, &mut executed);
     let mut evaluations = 1u64;
     let mut improvements = 0u64;
     let mut best = (objective.score(&first_record), first, first_record);
     let mut draws = 0u64;
 
-    // A degenerate space (one candidate) or a ≤1 budget has nothing to
-    // mutate: the baseline *is* the witness. Returning here instead of
-    // entering the loop keeps `hunt --budget 0` and single-point spaces
-    // from burning hundreds of kick draws that can only dedup away.
-    if budget <= 1 || space.candidates() == 1 {
-        return SearchOutcome {
-            instance: base.key.instance_canonical(),
-            evaluations,
-            improvements,
-            score: best.0,
-            witness: best.1,
-            record: best.2,
-            forked_evals: counters.forked,
-            checkpoint_executed_rounds_saved: counters.saved,
-            ladder_executed_rounds: counters.ladder,
-            executed_rounds: counters.executed,
-        };
-    }
-    let mut fork_state = fork.then(|| ForkState::new(base));
-
+    // A degenerate space (one candidate) has nothing to mutate: the
+    // baseline *is* the witness, as under a ≤1 budget. Skipping the loop
+    // keeps single-point spaces from burning hundreds of kick draws that
+    // can only dedup away.
+    let budget = if space.candidates() == 1 { 1 } else { budget };
     while evaluations < budget {
         let remaining = (budget - evaluations) as usize;
         // The incumbent's one-mutation neighborhood, in axis/choice order,
@@ -779,16 +673,9 @@ fn search_instance(
                 break; // the whole reachable space is evaluated
             }
         }
-        let candidates: Vec<Scenario> = batch.iter().map(|(_, c)| c.clone()).collect();
-        let records = evaluate(
-            &candidates,
-            scratch,
-            store,
-            fork_state.as_mut().map(|state| (state, &best.1)),
-            &mut counters,
-        );
-        evaluations += records.len() as u64;
-        for ((genotype, candidate), record) in batch.into_iter().zip(records) {
+        for (genotype, candidate) in batch {
+            let record = evaluate(&candidate, scratch, store, &mut executed);
+            evaluations += 1;
             let score = objective.score(&record);
             // Strictly-greater only: ties keep the earlier candidate, so
             // the walk (and the witness) is deterministic.
@@ -807,430 +694,40 @@ fn search_instance(
         score: best.0,
         witness: best.1,
         record: best.2,
-        forked_evals: counters.forked,
-        checkpoint_executed_rounds_saved: counters.saved,
-        ladder_executed_rounds: counters.ladder,
-        executed_rounds: counters.executed,
+        executed_rounds: executed,
     }
 }
 
-/// Execution-fact tallies of one instance's search (see the matching
-/// [`SearchOutcome`] fields).
-#[derive(Default)]
-struct EvalCounters {
-    forked: u64,
-    saved: u64,
-    ladder: u64,
-    executed: u64,
-}
-
-/// The candidate [`GatherScenario`] of a decoded [`Scenario`] — the same
-/// run the campaign runner executes, so the forked path measures exactly
-/// what a from-scratch evaluation would.
-fn gather_scenario(s: &Scenario) -> GatherScenario<'_> {
-    GatherScenario {
-        cfg: &s.cfg,
-        mode: s.mode,
-        schedule: s.schedule.clone(),
-        topo: s.topo.clone(),
-        fault: s.fault.clone(),
-        seed: s.seed,
-        trace_capacity: Some(runner::TRACE_CAPACITY),
-    }
-}
-
-/// The crash adversary as a per-label first-crash-round map, when the
-/// spec is declarative enough to compare round by round (`None` and
-/// `CrashAt` are; a seeded adversary is not).
-fn crash_map(fault: &FaultSpec) -> Option<BTreeMap<Label, u64>> {
-    match fault {
-        FaultSpec::None => Some(BTreeMap::new()),
-        FaultSpec::CrashAt(points) => {
-            let mut map = BTreeMap::new();
-            for p in points {
-                let round = map.entry(p.label).or_insert(u64::MAX);
-                *round = (*round).min(p.round);
-            }
-            Some(map)
-        }
-        _ => None,
-    }
-}
-
-/// The last round through which `candidate`'s run is guaranteed bitwise
-/// identical to `incumbent`'s — so any checkpoint of the incumbent's run
-/// at a round at or below it may soundly seed the candidate's.
+/// Measures one candidate with the campaign runner's preflight and solo
+/// [`execute_scenario_with_scratch`](runner::execute_scenario_with_scratch),
+/// so a witness record replays bit for bit through
+/// [`execute_scenario`](crate::execute_scenario), and adds the engine
+/// iterations it executed to `executed`.
 ///
-/// The rule is deliberately conservative, axis by axis (the result is the
-/// minimum over all contributions; `u64::MAX` when the specs are
-/// identical):
-///
-/// * **Wake and crash rounds** consult the *fast-forward*: the engine's
-///   quiescence skip at round `r` takes future wake/crash rounds into
-///   its minimum, so a value differing between the two specs can change
-///   skip decisions strictly before it fires. A pair differing as
-///   `a ≠ b` therefore contributes `min(a, b) − 1`, not `min(a, b)`.
-/// * **Edge-script slots** are never consulted by the fast-forward and a
-///   slot `s` first steers round `s`, so a differing slot contributes
-///   `s` itself. A scripted ring against the static topology diverges at
-///   the first slot that actually removes an edge.
-/// * **Shape mismatches** (different schedule variants, a seeded crash
-///   adversary, unequal script lengths, an exotic topology) contribute
-///   `0`: forking is then simply not attempted rather than reasoned
-///   about.
-fn divergence_round(incumbent: &Scenario, candidate: &Scenario) -> u64 {
-    let mut div = u64::MAX;
-    match (&incumbent.schedule, &candidate.schedule) {
-        (a, b) if a == b => {}
-        (WakeSchedule::Explicit(a), WakeSchedule::Explicit(b)) if a.len() == b.len() => {
-            for (&x, &y) in a.iter().zip(b) {
-                if x != y {
-                    div = div.min(x.min(y).saturating_sub(1));
-                }
-            }
-        }
-        _ => return 0,
-    }
-    match (crash_map(&incumbent.fault), crash_map(&candidate.fault)) {
-        (Some(a), Some(b)) => {
-            for label in a.keys().chain(b.keys()) {
-                let x = a.get(label).copied().unwrap_or(u64::MAX);
-                let y = b.get(label).copied().unwrap_or(u64::MAX);
-                if x != y {
-                    div = div.min(x.min(y).saturating_sub(1));
-                }
-            }
-        }
-        _ => {
-            if incumbent.fault != candidate.fault {
-                return 0;
-            }
-        }
-    }
-    let script = |topo: &TopologySpec| match topo {
-        TopologySpec::Static => Some(Vec::new()),
-        TopologySpec::Scripted(ring) => Some(ring.script.clone()),
-        _ => None,
-    };
-    match (script(&incumbent.topo), script(&candidate.topo)) {
-        (Some(a), Some(b)) if a == b => {}
-        (Some(a), Some(b)) if a.len() == b.len() => {
-            for (s, (&x, &y)) in a.iter().zip(&b).enumerate() {
-                if x != y {
-                    div = div.min(s as u64);
-                }
-            }
-        }
-        // Static vs scripted: the empty script is the all-KEEP_ALL one,
-        // so the first slot that removes an edge is the first divergence.
-        // (A slot only steers rounds `s, s+len, …` and `s < len`, so the
-        // prefix below `s` matches the static topology.)
-        (Some(a), Some(b)) if a.is_empty() || b.is_empty() => {
-            let scripted = if a.is_empty() { &b } else { &a };
-            if let Some(s) = scripted.iter().position(|&e| e != ScriptedRing::KEEP_ALL) {
-                div = div.min(s as u64);
-            }
-        }
-        _ => {
-            if incumbent.topo != candidate.topo {
-                return 0;
-            }
-        }
-    }
-    div
-}
-
-/// The per-instance checkpoint ladder: a bounded set of snapshots along
-/// the current incumbent's trajectory, lazily extended to the deepest
-/// divergence round a batch asks for, plus the incumbent's terminal
-/// outcome once the ladder has run that far (the cheapest fork of all: a
-/// candidate diverging *after* the incumbent's run ended is the same run,
-/// and its outcome is a clone).
-struct ForkState {
-    /// The instance-wide algorithm setup (shared by every candidate: same
-    /// configuration, same seed ⇒ same certified parameters).
-    setup: KnownSetup,
-    /// Checkpoints of the incumbent's run, ascending in round.
-    rungs: Vec<ScenarioCheckpoint>,
-    /// Executed iterations between rung captures (doubles on thinning).
-    stride: u64,
-    /// The adversary the ladder currently follows.
-    built_for: Option<Scenario>,
-    /// The trajectory is materialized through this round (`u64::MAX` once
-    /// terminal).
-    covered_to: u64,
-    /// The incumbent run's outcome, once the ladder stepped it to
-    /// termination.
-    terminal: Option<RunOutcome>,
-    /// Set when forking hit a wall (a behavior declined to fork, an
-    /// engine error in the ladder): evaluation falls back to from-scratch
-    /// runs for the rest of this instance.
-    disabled: bool,
-}
-
-impl ForkState {
-    fn new(base: &Scenario) -> Self {
-        ForkState {
-            setup: KnownSetup::for_configuration(&base.cfg, base.cfg.size() as u32, base.seed),
-            rungs: Vec::new(),
-            stride: LADDER_STRIDE,
-            built_for: None,
-            covered_to: 0,
-            terminal: None,
-            disabled: false,
-        }
-    }
-
-    /// Re-aims the ladder at `incumbent` (keeping every rung on the shared
-    /// prefix of the old and new trajectories) and extends it through
-    /// round `up_to`, charging the stepping cost to `counters`.
-    fn ensure(
-        &mut self,
-        incumbent: &Scenario,
-        up_to: u64,
-        scratch: &mut EngineScratch,
-        counters: &mut EvalCounters,
-    ) {
-        if self.disabled {
-            return;
-        }
-        let changed = match &self.built_for {
-            Some(old) => {
-                old.schedule != incumbent.schedule
-                    || old.fault != incumbent.fault
-                    || old.topo != incumbent.topo
-            }
-            None => true,
-        };
-        if changed {
-            let keep_to = match &self.built_for {
-                Some(old) => divergence_round(old, incumbent),
-                None => 0,
-            };
-            self.rungs.retain(|cp| cp.round() <= keep_to);
-            match self.terminal.take() {
-                // The old incumbent's run ended before the new one could
-                // diverge from it: the whole trajectory carries over.
-                Some(outcome) if keep_to > outcome.rounds => self.terminal = Some(outcome),
-                _ => self.covered_to = self.covered_to.min(keep_to),
-            }
-            self.built_for = Some(incumbent.clone());
-        }
-        if self.terminal.is_some() || up_to <= self.covered_to {
-            return;
-        }
-        let scenario = gather_scenario(incumbent);
-        let mut run = match ScenarioRun::begin(&scenario, &self.setup, scratch) {
-            Ok(run) => run,
-            Err(_) => {
-                self.disabled = true;
-                return;
-            }
-        };
-        let mut resumed = 0;
-        if let Some(cp) = self.rungs.last() {
-            if run.resume_from(cp) {
-                resumed = cp.executed_rounds();
-            } else {
-                self.disabled = true;
-                return;
-            }
-        }
-        let mut executed = resumed;
-        let mut next_capture = executed + self.stride;
-        // The latest state not yet promoted to a durable rung. A step's
-        // fast-forward can jump `next_round` arbitrarily far in one
-        // iteration, so only a *rolling* capture guarantees a rung at the
-        // deepest state still within the divergence window — a stride-only
-        // scheme would routinely overshoot it and never fork anything.
-        let mut pending: Option<ScenarioCheckpoint> = None;
-        loop {
-            if run.next_round() > up_to {
-                if let Some(cp) = pending.take() {
-                    self.push_rung(cp);
-                }
-                // The run materialized through `next_round() - 1`; keep the
-                // frontier state too, so a later, deeper extension resumes
-                // here instead of replaying, and mark everything below it
-                // covered (no extension can add rungs beneath the frontier).
-                self.covered_to = match run.checkpoint() {
-                    Some(cp) => {
-                        let frontier = cp.round().saturating_sub(1).max(up_to);
-                        self.push_rung(cp);
-                        frontier
-                    }
-                    None => up_to,
-                };
-                break;
-            }
-            if executed > resumed {
-                match run.checkpoint() {
-                    Some(cp) => {
-                        if executed >= next_capture {
-                            self.push_rung(cp);
-                            pending = None;
-                            next_capture = executed + self.stride;
-                        } else {
-                            pending = Some(cp);
-                        }
-                    }
-                    None => {
-                        self.disabled = true;
-                        break;
-                    }
-                }
-            }
-            match run.step(scratch) {
-                None => executed += 1,
-                Some(Ok(outcome)) => {
-                    if let Some(cp) = pending.take() {
-                        self.push_rung(cp);
-                    }
-                    executed = outcome.engine_iterations;
-                    self.terminal = Some(outcome);
-                    self.covered_to = u64::MAX;
-                    break;
-                }
-                Some(Err(_)) => {
-                    self.disabled = true;
-                    break;
-                }
-            }
-        }
-        counters.ladder += executed.saturating_sub(resumed);
-        counters.executed += executed.saturating_sub(resumed);
-    }
-
-    /// Appends a rung, halving the ladder (and doubling the stride) when
-    /// it outgrows [`LADDER_CAPACITY`]. Thinning keeps even indices, so
-    /// the deepest rung always survives the length-odd overflow and the
-    /// surviving rungs stay evenly spread.
-    fn push_rung(&mut self, cp: ScenarioCheckpoint) {
-        self.rungs.push(cp);
-        if self.rungs.len() > LADDER_CAPACITY {
-            let mut index = 0;
-            self.rungs.retain(|_| {
-                let keep = index % 2 == 0;
-                index += 1;
-                keep
-            });
-            self.stride *= 2;
-        }
-    }
-
-    /// The deepest rung a candidate diverging at round `div` may resume
-    /// from.
-    fn deepest_for(&self, div: u64) -> Option<&ScenarioCheckpoint> {
-        self.rungs.iter().rev().find(|cp| cp.round() <= div)
-    }
-}
-
-/// Measures a list of same-instance candidates, with the identical
-/// preflight and outcome judgment the campaign runner applies — so a
-/// witness record replays bit for bit through the solo
-/// [`execute_scenario`](crate::execute_scenario) path.
-///
-/// With a store, runnable candidates are served from the cache where
-/// possible and the rest write through after execution; the returned
-/// records are bitwise independent of the cache state (cached entries
-/// *are* prior engine output, re-verified by key and seed), so the
-/// search walk does not fork on cache hits.
-///
-/// With `fork` provided (and not disabled), candidates run solo through
-/// [`ScenarioRun`], deepest divergence first, each resuming from the
-/// deepest valid rung of the incumbent's checkpoint ladder — or, past the
-/// incumbent run's end, cloning its terminal outcome outright. Records
-/// land in their original slots, so the caller's selection scan (and with
-/// it the walk) is order-blind to the strategy. Without `fork`, each
-/// candidate runs through the campaign runner's
-/// [`execute_scenario_with_scratch`](runner::execute_scenario_with_scratch).
+/// With a store, a runnable candidate is served from the cache where
+/// possible and otherwise writes through after execution; the record is
+/// bitwise independent of the cache state (cached entries *are* prior
+/// engine output, re-verified by key and seed), so the search walk does
+/// not depend on cache hits.
 fn evaluate(
-    candidates: &[Scenario],
+    candidate: &Scenario,
     scratch: &mut EngineScratch,
     store: Option<&Store>,
-    fork: Option<(&mut ForkState, &Scenario)>,
-    counters: &mut EvalCounters,
-) -> Vec<RunRecord> {
-    let mut records: Vec<RunRecord> = candidates.iter().map(runner::base_record).collect();
-    let mut runnable: Vec<usize> = Vec::new();
-    for (i, candidate) in candidates.iter().enumerate() {
-        if runner::preflight(candidate, &mut records[i]) {
-            if let Some(cached) = store.and_then(|s| s.lookup(candidate)) {
-                records[i] = cached;
-            } else {
-                runnable.push(i);
-            }
-        }
+    executed: &mut u64,
+) -> RunRecord {
+    let mut record = runner::base_record(candidate);
+    if !runner::preflight(candidate, &mut record) {
+        return record;
     }
-    if runnable.is_empty() {
-        return records;
+    if let Some(cached) = store.and_then(|s| s.lookup(candidate)) {
+        return cached;
     }
-
-    if let Some((state, incumbent)) = fork {
-        if !state.disabled {
-            let mut order: Vec<(usize, u64)> = runnable
-                .iter()
-                .map(|&i| (i, divergence_round(incumbent, &candidates[i])))
-                .collect();
-            let deepest = order.iter().map(|&(_, div)| div).max().unwrap_or(0);
-            state.ensure(incumbent, deepest, scratch, counters);
-            if !state.disabled {
-                // Deepest divergence first: those candidates reuse the
-                // freshest (and largest) prefixes; ties run in batch
-                // order. The records still land in their original slots.
-                order.sort_by_key(|&(i, div)| (Reverse(div), i));
-                for (i, div) in order {
-                    let candidate = &candidates[i];
-                    let outcome = if let Some(terminal) =
-                        state.terminal.as_ref().filter(|o| div > o.rounds)
-                    {
-                        // The candidate diverges only after the incumbent
-                        // run's final round: same run, same outcome.
-                        counters.forked += 1;
-                        counters.saved += terminal.engine_iterations;
-                        Ok(terminal.clone())
-                    } else {
-                        let scenario = gather_scenario(candidate);
-                        match ScenarioRun::begin(&scenario, &state.setup, scratch) {
-                            Ok(mut run) => {
-                                let mut resumed = 0;
-                                if let Some(cp) = state.deepest_for(div) {
-                                    if run.resume_from(cp) {
-                                        resumed = cp.executed_rounds();
-                                    }
-                                }
-                                let outcome = run.finish(scratch);
-                                if let Ok(o) = &outcome {
-                                    counters.executed +=
-                                        o.engine_iterations.saturating_sub(resumed);
-                                    if resumed > 0 {
-                                        counters.forked += 1;
-                                        counters.saved += resumed;
-                                    }
-                                }
-                                outcome
-                            }
-                            Err(e) => Err(e),
-                        }
-                    };
-                    runner::record_outcome(&mut records[i], candidate, outcome);
-                    if let Some(store) = store {
-                        store.insert(candidate, &records[i]);
-                    }
-                }
-                return records;
-            }
-        }
+    let record = runner::execute_scenario_with_scratch(candidate, scratch);
+    *executed += record.engine_iterations;
+    if let Some(store) = store {
+        store.insert(candidate, &record);
     }
-
-    for i in runnable {
-        records[i] = runner::execute_scenario_with_scratch(&candidates[i], scratch);
-        counters.executed += records[i].engine_iterations;
-        if let Some(store) = store {
-            store.insert(&candidates[i], &records[i]);
-        }
-    }
-    records
+    record
 }
 
 #[cfg(test)]
@@ -1400,83 +897,6 @@ mod tests {
         assert!(a
             .to_csv()
             .starts_with("instance,evaluations,improvements,score_rank,score_rounds,key,"));
-    }
-
-    #[test]
-    fn divergence_round_is_conservative_axis_by_axis() {
-        let base = base_scenario();
-        let space = small_space();
-        let mk = |genotype: &[u32]| space.decode(&base, genotype);
-        let zero = mk(&[0, 0, 0, 0]);
-        // Identical specs: no divergence at all.
-        assert_eq!(divergence_round(&zero, &mk(&[0, 0, 0, 0])), u64::MAX);
-        // Wake 0 vs 3 on agent 2: fast-forward sees both, min(0,3)-1 → 0.
-        assert_eq!(divergence_round(&zero, &mk(&[0, 1, 0, 0])), 0);
-        // Crash never vs crash@16: min(MAX,16)-1 = 15.
-        assert_eq!(divergence_round(&zero, &mk(&[0, 0, 1, 0])), 15);
-        // Static vs a script removing an edge in slot 0: slot index = 0.
-        assert_eq!(divergence_round(&zero, &mk(&[0, 0, 0, 1])), 0);
-        // Crash@16 and a differing wake: the minimum over axes wins.
-        assert_eq!(divergence_round(&mk(&[0, 1, 0, 0]), &mk(&[0, 0, 1, 0])), 0);
-        // Two crash sets over disjoint labels compare via the union.
-        let c16 = mk(&[0, 0, 1, 0]);
-        assert_eq!(divergence_round(&c16, &mk(&[0, 0, 0, 0])), 15);
-        // A shape mismatch on any axis vetoes forking outright.
-        let mut seeded = zero.clone();
-        seeded.fault = FaultSpec::SeededCrash {
-            p: 0.5,
-            seed: 1,
-            max_crashes: 1,
-        };
-        assert_eq!(divergence_round(&zero, &seeded), 0);
-        let mut simul = zero.clone();
-        simul.schedule = WakeSchedule::Simultaneous;
-        assert_eq!(divergence_round(&simul, &zero), 0);
-        // Scripts of equal length diverge at the first differing slot.
-        let mut s1 = zero.clone();
-        s1.topo = TopologySpec::Scripted(ScriptedRing {
-            script: vec![ScriptedRing::KEEP_ALL, 2],
-        });
-        let mut s2 = zero.clone();
-        s2.topo = TopologySpec::Scripted(ScriptedRing {
-            script: vec![ScriptedRing::KEEP_ALL, 3],
-        });
-        assert_eq!(divergence_round(&s1, &s2), 1);
-        // Different script lengths are incomparable (slot reuse is modular).
-        let mut s3 = zero.clone();
-        s3.topo = TopologySpec::Scripted(ScriptedRing { script: vec![2] });
-        assert_eq!(divergence_round(&s1, &s3), 0);
-    }
-
-    #[test]
-    fn forked_and_scratch_searches_are_bitwise_identical() {
-        let base = base_scenario();
-        let spec = SearchSpec {
-            name: "unit-fork".into(),
-            seed: 7,
-            budget: 14,
-            objective: Objective::Failure,
-            instances: vec![(base, small_space())],
-        };
-        let forked = run_search_with(&spec, 1, None, true);
-        let scratch = run_search_with(&spec, 1, None, false);
-        assert_eq!(forked.to_json(), scratch.to_json());
-        assert_eq!(forked.to_csv(), scratch.to_csv());
-        // The identity must not be vacuous: the crash axis (divergence
-        // round 15) has to actually resume from the ladder.
-        assert!(
-            forked.total_forked_evals() > 0,
-            "no evaluation forked — the ladder never engaged"
-        );
-        assert!(forked.total_rounds_saved() > 0);
-        assert_eq!(scratch.total_forked_evals(), 0);
-        assert_eq!(scratch.total_ladder_rounds(), 0);
-        assert!(scratch.total_executed_rounds() > 0);
-        // And the records themselves agree, not just their serialization.
-        for (f, s) in forked.outcomes.iter().zip(&scratch.outcomes) {
-            assert_eq!(f.record, s.record);
-            assert_eq!(f.evaluations, s.evaluations);
-        }
     }
 
     #[test]

@@ -84,47 +84,6 @@ pub trait AgentBehavior {
     fn note_skipped(&mut self, rounds: u64) {
         let _ = rounds;
     }
-
-    /// A boxed copy of the behavior's *current* state, or `None` if the
-    /// behavior cannot be duplicated mid-run.
-    ///
-    /// This is the escape hatch that lets run checkpointing
-    /// ([`crate::RunCheckpoint`]) work through the open
-    /// `Box<dyn AgentBehavior>` extension point: a behavior that opts in
-    /// returns a fresh box whose subsequent `on_round`s are
-    /// indistinguishable from the original's. The default declines, which
-    /// makes checkpointing unavailable (callers fall back to from-scratch
-    /// evaluation) rather than subtly wrong.
-    fn clone_box(&self) -> Option<Box<dyn AgentBehavior>> {
-        None
-    }
-}
-
-/// A behavior whose mid-run state can be duplicated — the storage-level
-/// capability behind [`crate::ActiveRun::checkpoint`].
-///
-/// Unlike plain [`Clone`], forking is *fallible*: the boxed extension
-/// point implements it by asking the underlying behavior for
-/// [`AgentBehavior::clone_box`], which defaults to declining. A `Some`
-/// fork must be behaviorally indistinguishable from the original — every
-/// future `on_round`/`min_wait`/`note_skipped` answer identical — or
-/// checkpoint/resume determinism breaks.
-pub trait ForkableBehavior: AgentBehavior + Sized {
-    /// A copy of the behavior's current state, or `None` if this behavior
-    /// cannot be duplicated.
-    fn fork(&self) -> Option<Self>;
-}
-
-impl ForkableBehavior for Box<dyn AgentBehavior> {
-    fn fork(&self) -> Option<Self> {
-        (**self).clone_box()
-    }
-}
-
-impl<B: AgentBehavior + Clone> ForkableBehavior for Box<B> {
-    fn fork(&self) -> Option<Self> {
-        Some(self.clone())
-    }
 }
 
 /// Boxed behaviors delegate — this is what lets the engine's generic

@@ -3,7 +3,7 @@
 use nochatter_graph::dynamic::{Static, Topology, TopologyView};
 use nochatter_graph::{Graph, Label, NodeId, Port};
 
-use crate::behavior::{AgentAct, AgentBehavior, ForkableBehavior};
+use crate::behavior::{AgentAct, AgentBehavior};
 use crate::error::SimError;
 use crate::fault::FaultSpec;
 use crate::obs::Obs;
@@ -209,7 +209,7 @@ fn wipe_occupancy(card: &mut [u32], occupants: &mut [Vec<Label>], touched: &mut 
 
 /// Everything the round loop accumulates about a run — the context struct
 /// handed to the finish step (instead of a parameter per counter).
-#[derive(Clone, Default)]
+#[derive(Default)]
 struct RunStats {
     total_moves: u64,
     blocked_moves: u64,
@@ -460,18 +460,12 @@ impl<'g, V: TopologyView, B: AgentBehavior> Engine<'g, V, B> {
 /// (one simulated round plus that round's quiescence fast-forward) against
 /// a borrowed [`EngineScratch`], and returns the run's result once it
 /// terminates. [`Engine::run_with_scratch`] is a trivial `begin`/`step`
-/// driver; the adversary search steps runs itself to capture checkpoints.
+/// driver.
 ///
 /// Scratch discipline: a step leaves `card`/`occupants` all-zero (the
 /// end-of-round wipe drains `touched`, including on the invalid-port error
 /// path), so the next run through the same scratch starts clean.
-///
-/// When the behavior storage is forkable ([`ForkableBehavior`]), a run can
-/// additionally be snapshotted mid-flight ([`ActiveRun::checkpoint`]) and
-/// another run over the *same graph and team* fast-started from the
-/// snapshot ([`ActiveRun::resume_from`]) — the mechanism behind the
-/// adversary search's prefix-sharing incremental evaluation.
-pub struct ActiveRun<'g, V: TopologyView, B: AgentBehavior> {
+pub(crate) struct ActiveRun<'g, V: TopologyView, B: AgentBehavior> {
     engine: Engine<'g, V, B>,
     trace: Option<Trace>,
     stats: RunStats,
@@ -479,11 +473,6 @@ pub struct ActiveRun<'g, V: TopologyView, B: AgentBehavior> {
     /// pending: under `FaultSpec::None` this stays 0 and the whole fault
     /// phase is one untaken branch per round.
     pending_crashes: usize,
-    /// The crash rounds resolved at `begin`, kept verbatim: the stepping
-    /// loop clears `crash_round` entries as crashes fire, and
-    /// [`ActiveRun::resume_from`] needs this run's *own* original spec to
-    /// reconcile which crashes are still ahead of the resumed round.
-    resolved_crashes: Vec<u64>,
     /// Occupancy buckets feed only the traditional-sensing peer-label
     /// observation; the silent model pays nothing for them.
     bucket_occupants: bool,
@@ -524,52 +513,6 @@ pub struct ActiveRun<'g, V: TopologyView, B: AgentBehavior> {
     max_rounds: u64,
 }
 
-/// A mid-flight snapshot of one [`ActiveRun`]: everything the round loop
-/// mutates, captured at a round boundary.
-///
-/// The checkpoint is deliberately *spec-free*: it stores the per-agent
-/// columns (positions, phases, entry ports, declarations, behavior state),
-/// the accumulated [`RunOutcome`] counters, the trace so far and the
-/// virtual clock — but **not** the graph, the topology view, the wake
-/// schedule or the fault spec. A topology view is a pure function of the
-/// round number and is re-derived by the next step's `begin_round`; wake
-/// and crash rounds belong to the run resumed *into*, which reconciles
-/// them against its own spec. That is what makes a checkpoint taken under
-/// one adversary spec a valid starting point for a run under a *different*
-/// spec, provided both specs agree on every round before
-/// [`RunCheckpoint::round`] (see [`ActiveRun::resume_from`]).
-pub struct RunCheckpoint<B> {
-    pos: Vec<NodeId>,
-    phase: Vec<AgentPhase>,
-    just_woken: Vec<bool>,
-    entry_port: Vec<Option<Port>>,
-    declared: Vec<Option<DeclarationRecord>>,
-    /// Behaviors as they are, including the lag of agents the lone-agent
-    /// path has not caught up yet (`synced`).
-    behaviors: Vec<B>,
-    stats: RunStats,
-    trace: Option<Trace>,
-    lone: bool,
-    quiet_through: Vec<u64>,
-    synced: Vec<u64>,
-    round: u64,
-}
-
-impl<B> RunCheckpoint<B> {
-    /// The round the checkpointed run would simulate next — the first
-    /// round a resumed run executes.
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
-    /// The engine iterations the checkpointed prefix had executed — the
-    /// work a resumed run does *not* repeat (the honest basis for the
-    /// search's rounds-saved accounting).
-    pub fn executed_rounds(&self) -> u64 {
-        self.stats.engine_iterations
-    }
-}
-
 impl<'g, V: TopologyView, B: AgentBehavior> ActiveRun<'g, V, B> {
     /// Validates the engine's setup and prepares the run for stepping.
     pub fn begin(
@@ -587,14 +530,12 @@ impl<'g, V: TopologyView, B: AgentBehavior> ActiveRun<'g, V, B> {
             .iter()
             .filter(|&&r| r != u64::MAX)
             .count();
-        let resolved_crashes = engine.agents.crash_round.clone();
         let k = engine.agents.len();
         Ok(ActiveRun {
             engine,
             trace,
             stats: RunStats::default(),
             pending_crashes,
-            resolved_crashes,
             bucket_occupants,
             #[cfg(debug_assertions)]
             promise: vec![(0, None, false); k],
@@ -605,13 +546,6 @@ impl<'g, V: TopologyView, B: AgentBehavior> ActiveRun<'g, V, B> {
             round: 0,
             max_rounds,
         })
-    }
-
-    /// The round this run's next [`ActiveRun::step`] will simulate; a value
-    /// at or past the round limit means the next step only finalizes the
-    /// outcome.
-    pub fn next_round(&self) -> u64 {
-        self.round
     }
 
     /// Executes one iteration of the round loop. Returns `Some` once the
@@ -1253,125 +1187,6 @@ impl<'g, V: TopologyView, B: AgentBehavior> ActiveRun<'g, V, B> {
             max_colocation: stats.max_colocation,
             trace: self.trace.take(),
         }
-    }
-}
-
-impl<'g, V: TopologyView, B: ForkableBehavior> ActiveRun<'g, V, B> {
-    /// Snapshots the run's full mutable state at the current round
-    /// boundary (just before the round [`ActiveRun::next_round`] would
-    /// simulate).
-    ///
-    /// Returns `None` if the run has already terminated (its
-    /// result-bearing columns are gone) or if any behavior declines to
-    /// fork ([`ForkableBehavior::fork`]). A checkpoint at round 0, resumed
-    /// into a freshly begun run, reproduces that run exactly.
-    pub fn checkpoint(&self) -> Option<RunCheckpoint<B>> {
-        // `finish` takes the result-bearing columns out of the arena; a
-        // terminated run has nothing coherent left to snapshot.
-        if self.engine.agents.pos.len() != self.engine.agents.labels.len()
-            || self.engine.agents.labels.is_empty()
-        {
-            return None;
-        }
-        let behaviors = self
-            .engine
-            .agents
-            .behaviors
-            .iter()
-            .map(ForkableBehavior::fork)
-            .collect::<Option<Vec<B>>>()?;
-        Some(RunCheckpoint {
-            pos: self.engine.agents.pos.clone(),
-            phase: self.engine.agents.phase.clone(),
-            just_woken: self.engine.agents.just_woken.clone(),
-            entry_port: self.engine.agents.entry_port.clone(),
-            declared: self.engine.agents.declared.clone(),
-            behaviors,
-            stats: self.stats.clone(),
-            trace: self.trace.clone(),
-            lone: self.lone,
-            quiet_through: self.quiet_through.clone(),
-            synced: self.synced.clone(),
-            round: self.round,
-        })
-    }
-
-    /// Overwrites this freshly begun run's state with the checkpoint's, so
-    /// stepping continues from [`RunCheckpoint::round`] instead of round 0.
-    ///
-    /// Returns `false` — leaving the run untouched — if the team shapes
-    /// differ or any checkpointed behavior declines to fork. The fork of
-    /// every behavior happens *before* any column is overwritten, so a
-    /// failed resume never leaves the run half-written.
-    ///
-    /// # Validity contract
-    ///
-    /// The resumed continuation is bitwise identical to stepping this run
-    /// from scratch iff this run's configuration and the checkpointed
-    /// run's agree on everything the prefix could observe: same graph,
-    /// team, sensing, trace kind and capacity, round limit and behaviors; wake
-    /// schedules, fault specs and topology specs that agree on every round
-    /// **before** `cp.round()`; and every wake or crash round on which the
-    /// two specs *disagree* at least `cp.round() + 1`. The strict `+ 1`
-    /// matters: the quiescence fast-forward computed in a quiet prefix
-    /// round consults future wake/crash rounds when choosing how far to
-    /// skip, so a differing value equal to `cp.round()` could have changed
-    /// the prefix's skip decisions even though no agent ever acted
-    /// differently. Callers (the adversary search) enforce this by
-    /// deriving a conservative *divergence round* from the two specs and
-    /// only resuming from checkpoints at or below it.
-    pub fn resume_from(&mut self, cp: &RunCheckpoint<B>) -> bool {
-        let k = self.engine.agents.len();
-        if cp.pos.len() != k || cp.behaviors.len() != k {
-            return false;
-        }
-        let Some(behaviors) = cp
-            .behaviors
-            .iter()
-            .map(ForkableBehavior::fork)
-            .collect::<Option<Vec<B>>>()
-        else {
-            return false;
-        };
-        self.engine.agents.pos.clone_from(&cp.pos);
-        self.engine.agents.phase.clone_from(&cp.phase);
-        self.engine.agents.just_woken.clone_from(&cp.just_woken);
-        self.engine.agents.entry_port.clone_from(&cp.entry_port);
-        self.engine.agents.declared.clone_from(&cp.declared);
-        self.engine.agents.behaviors = behaviors;
-        self.stats = cp.stats.clone();
-        self.trace = cp.trace.clone();
-        self.round = cp.round;
-        // Crash reconciliation against this run's *own* resolved spec:
-        // crashes strictly before the resumed round already fired inside
-        // the checkpointed prefix (identically, by the validity contract —
-        // the copied phases carry them); crashes at or after it are still
-        // pending here, whatever the checkpointed run's spec said.
-        let mut pending = 0;
-        for (slot, &resolved) in self
-            .engine
-            .agents
-            .crash_round
-            .iter_mut()
-            .zip(&self.resolved_crashes)
-        {
-            *slot = if resolved != u64::MAX && resolved >= cp.round {
-                pending += 1;
-                resolved
-            } else {
-                u64::MAX
-            };
-        }
-        self.pending_crashes = pending;
-        // The lone-agent path resumes as checkpointed, lagging behaviors
-        // included, but stops at this run's own next wake or crash.
-        self.lone = cp.lone;
-        self.quiet_through.clone_from(&cp.quiet_through);
-        self.synced.clone_from(&cp.synced);
-        self.lone_stop = self.next_stop();
-        #[cfg(debug_assertions)]
-        self.promise.iter_mut().for_each(|p| *p = (0, None, false));
-        true
     }
 }
 

@@ -74,8 +74,8 @@ mod trace;
 
 pub mod proc;
 
-pub use behavior::{AgentAct, AgentBehavior, Declaration, ForkableBehavior};
-pub use engine::{ActiveRun, AgentPhase, Engine, EngineScratch, RunCheckpoint, Sensing};
+pub use behavior::{AgentAct, AgentBehavior, Declaration};
+pub use engine::{AgentPhase, Engine, EngineScratch, Sensing};
 pub use error::SimError;
 pub use fault::{CrashPoint, FaultError, FaultSpec, SEEDED_CRASH_HORIZON};
 pub use obs::{Action, Obs, Poll};

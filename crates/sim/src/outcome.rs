@@ -61,10 +61,11 @@ pub struct RunOutcome {
     /// loop's per-round cost denominator: one per executing agent in a
     /// dense round, and one in a round of the lone-agent path, which polls
     /// only the agent that is due while the others sit inside their wait
-    /// promises (see [`crate::ActiveRun::step`]). An execution fact, not a
-    /// model fact — it moves whenever the engine's execution strategy
-    /// does — so it is excluded from the deterministic lab reports and
-    /// surfaced as a campaign-level trajectory aggregate instead.
+    /// promises (see [`crate::AgentBehavior::min_wait`]). An execution
+    /// fact, not a model fact — it moves whenever the engine's execution
+    /// strategy does — so it is excluded from the deterministic lab
+    /// reports and surfaced as a campaign-level trajectory aggregate
+    /// instead.
     pub polled_agent_rounds: u64,
     /// The largest number of co-located agents ever observed.
     pub max_colocation: u32,

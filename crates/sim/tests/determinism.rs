@@ -4,7 +4,9 @@
 //!
 //! This is the foundation the `nochatter-lab` campaign runner stands on —
 //! sharding scenarios across worker threads can only be deterministic if
-//! each individual run is.
+//! each individual run is. The trace kind is not an input either: a
+//! digest-only trace hashes a run exactly as a stored one does, through
+//! the lone-agent path and the catch-up of lagging waiters.
 
 use std::cell::RefCell;
 
@@ -13,8 +15,11 @@ use proptest::prelude::*;
 use nochatter_graph::generators::Family;
 use nochatter_graph::rng::Rng;
 use nochatter_graph::{Graph, Label, NodeId, Port};
-use nochatter_sim::proc::{ProcBehavior, Procedure};
-use nochatter_sim::{Action, Declaration, Engine, EngineScratch, Obs, Poll, Sensing, WakeSchedule};
+use nochatter_sim::proc::{ProcBehavior, Procedure, UntilCardExceeds, WaitRounds};
+use nochatter_sim::{
+    Action, AgentBehavior, Declaration, Engine, EngineScratch, Obs, Poll, Sensing, Trace,
+    WakeSchedule,
+};
 
 /// A seeded random walker: each round it either waits or takes a random
 /// port, for a seed-determined number of rounds, then declares how many
@@ -172,4 +177,66 @@ proptest! {
         }
         prop_assert!(diverged, "seeded walker ignores its seed");
     }
+}
+
+/// One 30-step walker and three long waiters on a ring, recording into
+/// `trace`.
+fn mixed_wait_engine(graph: &Graph, trace: Trace) -> Engine<'_> {
+    let mut engine = Engine::new(graph);
+    engine.set_trace(trace);
+    let walker = SeededWalker {
+        rng: Rng::seed_from(11),
+        steps: 30,
+        moves: 0,
+    };
+    let behaviors: [Box<dyn AgentBehavior>; 4] = [
+        Box::new(ProcBehavior::mapping(walker, |m| Declaration {
+            leader: None,
+            size: Some(m),
+        })),
+        Box::new(ProcBehavior::declaring(WaitRounds::new(60))),
+        Box::new(ProcBehavior::declaring(WaitRounds::new(75))),
+        Box::new(ProcBehavior::declaring(UntilCardExceeds::new(
+            1,
+            WaitRounds::new(300),
+        ))),
+    ];
+    for (i, behavior) in behaviors.into_iter().enumerate() {
+        engine.add_agent(
+            Label::new(i as u64 + 1).unwrap(),
+            NodeId::new(i as u32 * 2),
+            behavior,
+        );
+    }
+    engine
+}
+
+#[test]
+fn a_mixed_wait_run_digests_alike_stored_or_digest_only() {
+    // Around round 12 the walker holds the lone-agent path while the
+    // three waiters lag ten rounds behind it; after its declaration a
+    // fast-forward leaves both `WaitRounds` agents 28 rounds behind, to
+    // be caught up when next polled.
+    let graph = Family::Ring.instantiate(9, 4);
+    let mut scratch = EngineScratch::new();
+    let mut stored = mixed_wait_engine(&graph, Trace::with_capacity(1 << 12))
+        .run_with_scratch(500, &mut scratch)
+        .unwrap();
+    let mut streamed = mixed_wait_engine(&graph, Trace::digest_only(1 << 12))
+        .run_with_scratch(500, &mut scratch)
+        .unwrap();
+    let stored_trace = stored.trace.take().unwrap();
+    let streamed_trace = streamed.trace.take().unwrap();
+    assert!(!stored_trace.events().is_empty());
+    assert_eq!(streamed_trace.digest(), stored_trace.digest());
+    // Every other field, poll count included.
+    assert_eq!(format!("{streamed:?}"), format!("{stored:?}"));
+    let declared: Vec<u64> = stored
+        .declarations
+        .iter()
+        .map(|(_, rec)| rec.expect("every agent declares").round)
+        .collect();
+    // The walker finishes its 30 steps, the waiters their 60 and 75
+    // rounds, and the card watcher is cut short when the walker arrives.
+    assert_eq!(declared, vec![30, 60, 75, 18]);
 }
