@@ -18,7 +18,7 @@ use std::time::Instant;
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion, Throughput};
 
 use nochatter_core::harness::run_scenario_with_scratch;
-use nochatter_core::{BehaviorSlot, CommMode};
+use nochatter_core::CommMode;
 use nochatter_explore::{Explo, Uxs};
 use nochatter_graph::dynamic::SeededEdgeFailure;
 use nochatter_graph::{algo, generators, Graph, InitialConfiguration, Label, NodeId, Port};
@@ -26,8 +26,8 @@ use nochatter_lab::{presets, run_campaign_cached, run_search_cached, Store, TRAC
 use nochatter_sim::proc::{ProcBehavior, Procedure};
 use nochatter_sim::FaultSpec;
 use nochatter_sim::{
-    Action, Declaration, Engine, EngineScratch, Obs, Poll, RunOutcome, Sensing, Static,
-    TopologySpec, Trace, WakeSchedule,
+    Action, Declaration, Engine, EngineScratch, Obs, Poll, RunOutcome, Sensing, TopologySpec,
+    Trace, WakeSchedule,
 };
 use std::sync::Arc;
 
@@ -118,26 +118,7 @@ fn spread_start(i: u32, agents: u32, n: u32) -> NodeId {
     NodeId::new(i * (n / agents) % n)
 }
 
-/// One engine run of `agents` EXPLO walkers to completion, with behaviors
-/// stored *inline* as [`BehaviorSlot`]s: the built-in walker enum-dispatches
-/// with no per-agent box and no vtable call. Identical workload to
-/// [`explo_walk_boxed`] — the pair isolates the dispatch/storage cost.
-fn explo_walk_slot(g: &Graph, uxs: &Arc<Uxs>, agents: u32, scratch: &mut EngineScratch) {
-    let n = g.node_count() as u32;
-    let mut engine: Engine<'_, Static, BehaviorSlot> = Engine::with_parts(g, &Static);
-    for i in 0..agents {
-        engine.add_agent(
-            label(u64::from(i) + 1),
-            spread_start(i, agents, n),
-            BehaviorSlot::explo(Arc::clone(uxs)),
-        );
-    }
-    engine.set_wake_schedule(WakeSchedule::Simultaneous);
-    let limit = Explo::duration(uxs) + 2;
-    black_box(engine.run_with_scratch(limit, scratch).unwrap());
-}
-
-/// The identical EXPLO workload through the historical storage: one
+/// One engine run of `agents` EXPLO walkers to completion: one
 /// `Box<dyn AgentBehavior>` per agent, a vtable call per agent per round.
 fn explo_walk_boxed(g: &Graph, uxs: &Arc<Uxs>, agents: u32, scratch: &mut EngineScratch) {
     let n = g.node_count() as u32;
@@ -163,7 +144,7 @@ struct Scale {
     bfs_n: u32,
     engine_rounds: u64,
     short_runs: u64,
-    /// Steps of the pseudorandom sequence driving the dispatch-pair EXPLO
+    /// Steps of the pseudorandom sequence driving the boxed-dispatch EXPLO
     /// walkers (one run = `2 * explo_steps + 1` rounds).
     explo_steps: usize,
     /// Per-instance evaluation budget of the late-outage hunt entry.
@@ -254,26 +235,14 @@ fn round_loop(c: &mut Criterion) {
         let mut scratch = EngineScratch::new();
         b.iter(|| engine_walk_dynamic(&g, &topo, 8, s.engine_rounds, &mut scratch))
     });
-    // The dispatch pair: the identical EXPLO workload stored as inline
-    // enum slots vs one box per agent. The pair isolates the
-    // dispatch/storage axis of the data-oriented agent arena: the enum
-    // replaces the per-agent vtable chase with a jump table and removes
-    // the per-agent heap allocation entirely (behavior state lives inline
-    // in the arena). On hardware with good indirect-branch prediction the
-    // per-round times come out close — the honest reading is that the
-    // slot storage wins structurally (zero boxes, one contiguous arena)
-    // at per-round dispatch parity; the pair keeps that claim measured
-    // rather than assumed.
+    // The boxed-dispatch walk: the built-in EXPLO walker as the engine
+    // stores every agent, one box per agent and a vtable call per round.
     // An uncertified pseudorandom sequence is fine here: EXPLO is only a
     // walk driver for the dispatch measurement, and a long sequence keeps
     // engine setup (arena growth, validation) amortized into noise.
     let uxs = Arc::new(Uxs::pseudorandom(s.explo_steps, 7));
     let explo_rounds = Explo::duration(&uxs) + 1;
     group.throughput(Throughput::Elements(explo_rounds * 8));
-    group.bench_function("walkers_enum_dispatch/8", |b| {
-        let mut scratch = EngineScratch::new();
-        b.iter(|| explo_walk_slot(&g, &uxs, 8, &mut scratch))
-    });
     group.bench_function("walkers_box_dispatch/8", |b| {
         let mut scratch = EngineScratch::new();
         b.iter(|| explo_walk_boxed(&g, &uxs, 8, &mut scratch))
@@ -531,14 +500,6 @@ fn emit_trajectory(quick: bool) {
                     engine_walk(&ring, 8, 64, Sensing::Weak, &mut scratch);
                 }
             },
-        ),
-        measure(
-            "round_loop/walkers_enum_dispatch/a8",
-            explo_rounds,
-            "agent_rounds",
-            explo_rounds * 8,
-            s.iters,
-            || explo_walk_slot(&ring, &uxs, 8, &mut scratch),
         ),
         measure(
             "round_loop/walkers_box_dispatch/a8",

@@ -127,7 +127,14 @@ impl Communicate {
             } else {
                 self.l.push(false);
                 self.participate = false;
-                self.k = self.c - c_prime;
+                // In the paper's static model the stay-behinds' walk never
+                // meets more agents than the group, so `c' <= c`. On a
+                // dynamic topology a blocked move can split the group and
+                // `c' > c` happens. Then the subtraction wraps, in every
+                // build profile, because the pinned campaign reports
+                // encode the wrapped `k`. What `k` should be there is an
+                // open question of the dynamic extension.
+                self.k = self.c.wrapping_sub(c_prime);
             }
         }
     }
@@ -450,6 +457,19 @@ mod tests {
         let d = outcome.declarations[0].1.unwrap().declaration;
         assert_eq!(d.leader, Some(label(5)));
         assert_eq!(d.size, Some(1));
+    }
+
+    #[test]
+    fn finish_step_wraps_k_when_the_walk_meets_more_than_the_group() {
+        let uxs = Arc::new(Uxs::from_steps(vec![1]));
+        let mut comm = Communicate::new(2, BitStr::parse("1").unwrap().code(), true, uxs);
+        comm.c = 3;
+        comm.participate = true;
+        // A non-walker whose walk met 5 agents in a group of 3.
+        comm.finish_step(false, 5);
+        assert_eq!(comm.k, u32::MAX - 1, "3 - 5 wraps");
+        assert!(!comm.participate);
+        assert_eq!(comm.l, BitStr::parse("0").unwrap());
     }
 
     #[test]

@@ -1,24 +1,23 @@
 //! Convenience runners wiring configurations, parameters and behaviors into
 //! the engine — used by tests, examples and the benchmark harness.
 //!
-//! Every runner here builds its engine over [`BehaviorSlot`] storage: the
-//! built-in algorithm stack lives inline in the agent arena and
-//! enum-dispatches, with no per-agent `Box` and no vtable call per round.
-//! One scenario is one engine run.
+//! Every runner adds its agents to the engine as boxed behaviors; the
+//! runners whose reports outgrow a [`Declaration`] hand them out through a
+//! per-agent sink. One scenario is one engine run.
 
 use std::sync::{Arc, Mutex};
 
 use nochatter_graph::{InitialConfiguration, Label};
+use nochatter_sim::proc::{ProcBehavior, Procedure};
 use nochatter_sim::{
-    Engine, EngineScratch, FaultSpec, RunOutcome, Sensing, SimError, Static, Topology,
-    TopologySpec, Trace, WakeSchedule,
+    AgentBehavior, Declaration, Engine, EngineScratch, FaultSpec, RunOutcome, Sensing, SimError,
+    Static, Topology, TopologySpec, Trace, WakeSchedule,
 };
 
 use crate::codec::BitStr;
 use crate::gossip::{GossipKnownUpperBound, GossipReport};
-use crate::known::CommMode;
+use crate::known::{CommMode, GatherKnownUpperBound};
 use crate::params::KnownParams;
-use crate::slot::BehaviorSlot;
 
 /// Bundled parameters for known-upper-bound runs.
 #[derive(Clone, Debug)]
@@ -46,6 +45,27 @@ impl KnownSetup {
     pub fn params(&self) -> &KnownParams {
         &self.params
     }
+}
+
+/// Boxes `proc_` as an agent that, on completion, stores its full output
+/// in `sink` and declares `declare(&output)`: the declaration carries only
+/// what the model lets an agent announce (leader, size), the sink the
+/// whole report.
+pub(crate) fn sink_agent<P>(
+    proc_: P,
+    sink: &Arc<Mutex<Option<P::Output>>>,
+    declare: fn(&P::Output) -> Declaration,
+) -> Box<dyn AgentBehavior>
+where
+    P: Procedure + 'static,
+    P::Output: 'static,
+{
+    let sink = Arc::clone(sink);
+    Box::new(ProcBehavior::mapping(proc_, move |out| {
+        let declaration = declare(&out);
+        *sink.lock().expect("sink poisoned") = Some(out);
+        declaration
+    }))
 }
 
 fn sensing_for(mode: CommMode) -> Sensing {
@@ -137,15 +157,14 @@ struct KnownRun<'a> {
 /// The one engine-wiring path behind every known-upper-bound runner,
 /// monomorphized over the topology: the [`Static`] instantiation is the
 /// fault-free pre-dynamic hot path, and one [`nochatter_sim::SpecView`]
-/// instantiation covers every round-varying provider. Agents are stored as
-/// [`BehaviorSlot::KnownGather`] — inline, enum-dispatched, unboxed.
+/// instantiation covers every round-varying provider.
 fn run_known_view<T: Topology>(
     cfg: &InitialConfiguration,
     run: KnownRun<'_>,
     topology: &T,
     scratch: &mut EngineScratch,
 ) -> Result<RunOutcome, SimError> {
-    let mut engine: Engine<'_, T::View, BehaviorSlot> = Engine::with_parts(cfg.graph(), topology);
+    let mut engine = Engine::with_topology(cfg.graph(), topology);
     engine.set_sensing(sensing_for(run.mode));
     engine.set_faults(run.fault.clone());
     if let Some(trace) = run.trace {
@@ -155,7 +174,10 @@ fn run_known_view<T: Topology>(
         engine.add_agent(
             label,
             start,
-            BehaviorSlot::known_gather(run.setup.params.clone(), label, run.mode),
+            Box::new(
+                GatherKnownUpperBound::with_mode(run.setup.params.clone(), label, run.mode)
+                    .into_behavior(),
+            ),
         );
     }
     engine.set_wake_schedule(run.schedule);
@@ -351,7 +373,7 @@ pub fn run_gossip_outcome(
         cfg.agent_count(),
         "one message per agent required"
     );
-    let mut engine: Engine<'_, Static, BehaviorSlot> = Engine::with_parts(cfg.graph(), &Static);
+    let mut engine = Engine::new(cfg.graph());
     engine.set_sensing(sensing_for(mode));
     let sinks: Vec<(Label, Arc<Mutex<Option<GossipReport>>>)> = cfg
         .agents()
@@ -369,7 +391,9 @@ pub fn run_gossip_outcome(
         engine.add_agent(
             label,
             start,
-            BehaviorSlot::gossip(proc_, Arc::clone(&sinks[idx].1)),
+            sink_agent(proc_, &sinks[idx].1, |report| {
+                Declaration::with_leader(report.leader)
+            }),
         );
     }
     engine.set_wake_schedule(schedule);
@@ -448,7 +472,7 @@ pub fn run_gossip_unknown(
     // with every agent's position oracle is a pointer clone, not a graph
     // copy per run.
     let graph = cfg.graph_arc();
-    let mut engine: Engine<'_, Static, BehaviorSlot> = Engine::with_parts(cfg.graph(), &Static);
+    let mut engine = Engine::new(cfg.graph());
     let sinks: Vec<(
         Label,
         Arc<Mutex<Option<crate::gossip::UnknownGossipReport>>>,
@@ -474,9 +498,13 @@ pub fn run_gossip_unknown(
         engine.add_agent(
             label,
             start,
-            BehaviorSlot::unknown_gossip(
+            sink_agent(
                 GossipUnknownUpperBound::new(gather, payload),
-                Arc::clone(&sinks[idx].1),
+                &sinks[idx].1,
+                |report| Declaration {
+                    leader: Some(report.gathering.leader),
+                    size: Some(report.gathering.size),
+                },
             ),
         );
     }

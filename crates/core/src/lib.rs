@@ -59,7 +59,6 @@ mod communicate;
 mod gossip;
 mod known;
 mod params;
-mod slot;
 
 pub mod harness;
 pub mod unknown;
@@ -73,5 +72,4 @@ pub use gossip::{
 pub use harness::KnownSetup;
 pub use known::{CommMode, GatherKnownUpperBound};
 pub use params::KnownParams;
-pub use slot::{BehaviorSlot, SinkBehavior};
 pub use unknown::GatherUnknownUpperBound;

@@ -318,8 +318,7 @@ pub fn run_unknown_with_options(
     // position oracles share it with a pointer clone instead of copying
     // the graph once per run.
     let graph = cfg.graph_arc();
-    let mut engine: nochatter_sim::Engine<'_, nochatter_sim::Static, crate::slot::BehaviorSlot> =
-        nochatter_sim::Engine::with_parts(cfg.graph(), &nochatter_sim::Static);
+    let mut engine = nochatter_sim::Engine::new(cfg.graph());
     let sinks: Vec<(Label, Arc<Mutex<Option<UnknownReport>>>)> = cfg
         .agents()
         .iter()
@@ -336,7 +335,10 @@ pub fn run_unknown_with_options(
         engine.add_agent(
             label,
             start,
-            crate::slot::BehaviorSlot::unknown_gather(proc_, Arc::clone(&sinks[idx].1)),
+            crate::harness::sink_agent(proc_, &sinks[idx].1, |report| nochatter_sim::Declaration {
+                leader: Some(report.leader),
+                size: Some(report.size),
+            }),
         );
     }
     engine.set_wake_schedule(wake);

@@ -1,15 +1,10 @@
-//! Pins the data-oriented agent runtime against the historical storage:
-//! running the real algorithm stack through [`BehaviorSlot`] enum dispatch
-//! (what every harness runner now does) is bitwise identical to running
-//! the same stack through per-agent `Box<dyn AgentBehavior>` storage (the
-//! pre-refactor wiring, still available as the engine's default `B`) —
-//! across sensing modes, wake schedules, graph families, with the slot
-//! run sharing one deliberately dirty scratch.
-//!
-//! Together with the golden smoke campaign (byte-identical to the
-//! recording made before the agent-runtime refactor), this is the
-//! refactor's behavior-preservation proof: storage and dispatch changed,
-//! bits did not.
+//! Pins the harness's known-bound runner against a hand-wired engine: the
+//! traced run through [`harness::run_known_traced_with_scratch`], sharing
+//! one scratch across every case so each run starts on buffers a previous
+//! run left behind, is bitwise identical (outcome and trace events) to
+//! wiring the same agents into a fresh [`Engine`] and calling
+//! [`Engine::run`] — across sensing modes, wake schedules and graph
+//! families — and its gathering validates.
 
 use std::cell::RefCell;
 
@@ -27,9 +22,9 @@ fn sensing_for(mode: CommMode) -> Sensing {
     }
 }
 
-/// The pre-refactor wiring, verbatim: one boxed behavior per agent through
-/// the engine's default storage.
-fn run_known_boxed(
+/// The known-bound algorithm wired by hand: one boxed behavior per agent,
+/// run on a fresh scratch.
+fn run_known_by_hand(
     cfg: &InitialConfiguration,
     setup: &KnownSetup,
     mode: CommMode,
@@ -88,7 +83,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     #[test]
-    fn enum_dispatch_is_bitwise_identical_to_boxed_dispatch(
+    fn shared_scratch_harness_run_matches_a_fresh_hand_wired_run(
         (cfg, seed, schedule, mode) in scenario_strategy()
     ) {
         thread_local! {
@@ -96,8 +91,8 @@ proptest! {
         }
         let setup = KnownSetup::for_configuration(&cfg, cfg.size() as u32, seed);
         let capacity = 1 << 14;
-        let boxed = run_known_boxed(&cfg, &setup, mode, schedule.clone(), capacity).unwrap();
-        let slots = SCRATCH.with(|scratch| {
+        let by_hand = run_known_by_hand(&cfg, &setup, mode, schedule.clone(), capacity).unwrap();
+        let harnessed = SCRATCH.with(|scratch| {
             harness::run_known_traced_with_scratch(
                 &cfg,
                 &setup,
@@ -108,12 +103,12 @@ proptest! {
             )
             .unwrap()
         });
-        prop_assert_eq!(format!("{boxed:?}"), format!("{slots:?}"));
+        prop_assert_eq!(format!("{by_hand:?}"), format!("{harnessed:?}"));
         prop_assert_eq!(
-            boxed.trace.as_ref().unwrap().events(),
-            slots.trace.as_ref().unwrap().events()
+            by_hand.trace.as_ref().unwrap().events(),
+            harnessed.trace.as_ref().unwrap().events()
         );
-        // Both are the real algorithm: the gathering must validate.
-        prop_assert!(slots.gathering().is_ok());
+        // The real algorithm: the gathering must validate.
+        prop_assert!(harnessed.gathering().is_ok());
     }
 }

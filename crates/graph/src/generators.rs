@@ -406,6 +406,16 @@ impl Family {
         Family::all().iter().copied().find(|f| f.name() == name)
     }
 
+    /// The smallest requested size [`Family::instantiate`] accepts. Rings
+    /// round any smaller size up to the 3-cycle; every other family needs
+    /// two nodes.
+    pub fn min_nodes(self) -> u32 {
+        match self {
+            Family::Ring => 0,
+            _ => 2,
+        }
+    }
+
     /// A stable numeric tag for seed derivation; independent of declaration
     /// order so reordering the enum never reshuffles derived streams.
     fn tag(self) -> u64 {
@@ -433,8 +443,14 @@ impl Family {
     ///
     /// # Panics
     ///
-    /// Panics if `n < 2` or if the family requires more nodes (rings need 3).
+    /// Panics if `n` is below [`Family::min_nodes`].
     pub fn instantiate(self, n: u32, seed: u64) -> Graph {
+        assert!(
+            n >= self.min_nodes(),
+            "{} needs at least {} nodes, asked for {n}",
+            self.name(),
+            self.min_nodes()
+        );
         let instance_seed = derive_seed(seed, &[SALT_INSTANCE, self.tag(), u64::from(n)]);
         match self {
             Family::Ring => ring(n.max(3)),
@@ -642,10 +658,18 @@ mod tests {
     #[test]
     fn families_instantiate() {
         for &f in Family::all() {
-            let g = f.instantiate(9, 7);
-            assert!(g.node_count() >= 2, "{} too small", f.name());
-            assert!(algo::is_connected(&g));
+            for n in (f.min_nodes()..f.min_nodes() + 4).chain([9]) {
+                let g = f.instantiate(n, 7);
+                assert!(g.node_count() >= 2, "{} at {n} too small", f.name());
+                assert!(algo::is_connected(&g), "{} at {n}", f.name());
+            }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "lolli needs at least 2 nodes, asked for 1")]
+    fn instantiate_below_min_nodes_panics_with_the_family() {
+        Family::Lollipop.instantiate(1, 0);
     }
 
     #[test]

@@ -151,6 +151,14 @@ pub enum CampaignError {
     /// A configuration could not be built for a matrix cell (duplicate
     /// labels, more agents than nodes, ...).
     BadCell(String),
+    /// A matrix size is below what its family can realize
+    /// ([`Family::min_nodes`]).
+    BadSize {
+        /// The family's short name.
+        family: &'static str,
+        /// The requested size.
+        n: u32,
+    },
 }
 
 impl fmt::Display for CampaignError {
@@ -160,6 +168,9 @@ impl fmt::Display for CampaignError {
             CampaignError::DuplicateKey(key) => write!(f, "duplicate scenario key: {key}"),
             CampaignError::BadTeam(team) => write!(f, "invalid team {team:?}"),
             CampaignError::BadCell(cell) => write!(f, "cannot build configuration for {cell}"),
+            CampaignError::BadSize { family, n } => {
+                write!(f, "family {family} cannot realize size {n}")
+            }
         }
     }
 }
@@ -364,8 +375,9 @@ impl Matrix {
     ///
     /// # Errors
     ///
-    /// See [`CampaignError`]; an invalid team or an unbuildable non-skipped
-    /// cell rejects the whole campaign.
+    /// See [`CampaignError`]; an invalid team, a size its family cannot
+    /// realize or an unbuildable non-skipped cell rejects the whole
+    /// campaign.
     pub fn campaign(
         &self,
         name: impl Into<String>,
@@ -377,6 +389,12 @@ impl Matrix {
                 for team in &self.teams {
                     if team.len() > n as usize {
                         continue; // the cell cannot host the team
+                    }
+                    if n < family.min_nodes() {
+                        return Err(CampaignError::BadSize {
+                            family: family.name(),
+                            n,
+                        });
                     }
                     for rep in 0..self.reps {
                         // The seed (and with it the instance) depends only
@@ -632,5 +650,70 @@ mod tests {
     fn campaign_error_messages_render() {
         assert!(CampaignError::Empty.to_string().contains("zero"));
         assert!(CampaignError::BadTeam(vec![0]).to_string().contains("[0]"));
+        let small = CampaignError::BadSize {
+            family: "lolli",
+            n: 1,
+        };
+        assert!(small.to_string().contains("lolli cannot realize size 1"));
+    }
+
+    #[test]
+    fn sizes_below_the_family_minimum_are_a_typed_error() {
+        for family in [Family::Lollipop, Family::Grid, Family::Path] {
+            let err = Matrix {
+                families: vec![family],
+                sizes: vec![1],
+                teams: vec![vec![2]],
+                ..Matrix::new()
+            }
+            .campaign("t", 1)
+            .unwrap_err();
+            assert_eq!(
+                err,
+                CampaignError::BadSize {
+                    family: family.name(),
+                    n: 1
+                }
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 256,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// Tiny sizes and bad teams (label 0, duplicates, empty) give a
+        /// campaign or a typed error, never a panic.
+        #[test]
+        fn tiny_sizes_and_bad_teams_never_panic(
+            families in proptest::collection::vec(0usize..Family::all().len(), 1..4),
+            sizes in proptest::collection::vec(0u32..=8, 1..4),
+            teams in proptest::collection::vec(proptest::collection::vec(0u64..5, 0..4), 1..3),
+            shuffled_ports in proptest::prelude::any::<bool>(),
+        ) {
+            let matrix = Matrix {
+                families: families.iter().map(|&i| Family::all()[i]).collect(),
+                sizes,
+                teams,
+                shuffled_ports,
+                ..Matrix::new()
+            };
+            match matrix.campaign("fuzz", 7) {
+                Ok(campaign) => {
+                    for s in campaign.scenarios() {
+                        proptest::prop_assert!(matrix.sizes.contains(&s.key.n));
+                        proptest::prop_assert!(matrix.teams.contains(&s.key.team));
+                        proptest::prop_assert!(s.cfg.size() >= 2);
+                    }
+                }
+                Err(CampaignError::BadSize { family, n }) => {
+                    let f = Family::by_name(family).unwrap();
+                    proptest::prop_assert!(n < f.min_nodes());
+                }
+                Err(_) => {}
+            }
+        }
     }
 }

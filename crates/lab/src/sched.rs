@@ -48,9 +48,10 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// `job(index, scratch)` produces index `index`'s result against the
 /// worker's reusable [`EngineScratch`]; if it panics, the scratch is
 /// replaced and `on_panic(index, message)` produces the result instead.
-/// With `workers <= 1` (or a single job) everything runs inline on the
-/// caller's thread through the identical job/panic path — one code path,
-/// no thread spawn.
+/// At most `count` threads are spawned, however many workers are asked
+/// for (see [`thread_count`]). With one thread or fewer everything runs
+/// inline on the caller's thread through the identical job/panic path —
+/// one code path, no thread spawn.
 pub(crate) fn run_sharded<T, J, P>(count: usize, workers: usize, job: J, on_panic: P) -> Vec<T>
 where
     T: Send + Sync,
@@ -67,7 +68,8 @@ where
         }
     };
 
-    if workers <= 1 || count <= 1 {
+    let workers = thread_count(count, workers);
+    if workers <= 1 {
         let mut scratch = EngineScratch::new();
         return (0..count).map(|i| run_one(i, &mut scratch)).collect();
     }
@@ -116,6 +118,13 @@ where
                 .expect("every scheduled job produced a result")
         })
         .collect()
+}
+
+/// The number of worker threads [`run_sharded`] uses for `count` jobs
+/// when `workers` are requested: a thread beyond the job count would only
+/// seed an empty deque, so the request is capped at `count`.
+fn thread_count(count: usize, workers: usize) -> usize {
+    workers.min(count)
 }
 
 /// Claims the next job for worker `me`: the front of its own deque, or a
@@ -246,16 +255,28 @@ mod tests {
     }
 
     #[test]
+    fn thread_count_is_capped_at_the_job_count() {
+        assert_eq!(thread_count(3, 64), 3);
+        assert_eq!(thread_count(0, 8), 0);
+        assert_eq!(thread_count(1, 1_000_000), 1);
+        assert_eq!(thread_count(100, 4), 4);
+        assert_eq!(thread_count(5, 0), 0);
+    }
+
+    #[test]
     fn more_workers_than_jobs_run_every_job_exactly_once() {
-        // 3 jobs across 16 workers: 13 deques seed empty, so idle workers
-        // scan victims that have nothing to steal and must exit cleanly,
-        // while the OnceLock slots assert each job ran exactly once.
+        // 3 jobs across 64 requested workers: at most 3 threads, one job
+        // each. A thread that finishes first scans victims whose jobs are
+        // all in flight and must exit cleanly, while the OnceLock slots
+        // assert each job ran exactly once.
         let runs: Vec<AtomicUsize> = (0..3).map(|_| AtomicUsize::new(0)).collect();
+        let threads = Mutex::new(std::collections::HashSet::new());
         let results = run_sharded(
             3,
-            16,
+            64,
             |i, _scratch| {
                 runs[i].fetch_add(1, Ordering::Relaxed);
+                threads.lock().unwrap().insert(std::thread::current().id());
                 // Keep the job in flight long enough that idle workers
                 // really do scan while the deques are empty.
                 std::thread::sleep(std::time::Duration::from_millis(1));
@@ -267,13 +288,14 @@ mod tests {
         for (i, r) in runs.iter().enumerate() {
             assert_eq!(r.load(Ordering::Relaxed), 1, "job {i} must run once");
         }
+        assert!(threads.into_inner().unwrap().len() <= 3);
     }
 
     #[test]
     fn stealing_from_empty_victims_terminates_with_correct_results() {
-        // Two jobs, eight workers: six workers find their own deque and
-        // every victim's deque empty (the two seeded jobs are in flight
-        // almost immediately) and must return None from the steal scan
+        // Two jobs, eight requested workers: two threads, and whichever
+        // finishes first finds its own deque and its victim's empty (the
+        // other job is in flight) and must return None from the steal scan
         // rather than spin or grab a job twice.
         let runs: Vec<AtomicUsize> = (0..2).map(|_| AtomicUsize::new(0)).collect();
         let results = run_sharded(

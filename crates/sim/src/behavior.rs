@@ -50,6 +50,7 @@ pub enum AgentAct {
 
 /// A deterministic agent program, driven by the engine once per round.
 ///
+/// The engine stores every agent as a `Box<dyn AgentBehavior>`.
 /// Implemented for you by [`ProcBehavior`], which adapts any
 /// [`Procedure`] whose output is a [`Declaration`] (or `()`).
 /// The `min_wait`/`note_skipped` pair follows the same contract as
@@ -83,27 +84,6 @@ pub trait AgentBehavior {
     /// See [`Procedure::note_skipped`].
     fn note_skipped(&mut self, rounds: u64) {
         let _ = rounds;
-    }
-}
-
-/// Boxed behaviors delegate — this is what lets the engine's generic
-/// behavior storage default to `Box<dyn AgentBehavior>` (the open
-/// extension point) while enum storage dispatches without a vtable.
-impl<T: AgentBehavior + ?Sized> AgentBehavior for Box<T> {
-    fn on_round(&mut self, obs: &Obs) -> AgentAct {
-        (**self).on_round(obs)
-    }
-
-    fn min_wait(&self) -> u64 {
-        (**self).min_wait()
-    }
-
-    fn blind(&self) -> bool {
-        (**self).blind()
-    }
-
-    fn note_skipped(&mut self, rounds: u64) {
-        (**self).note_skipped(rounds)
     }
 }
 

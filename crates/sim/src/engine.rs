@@ -75,12 +75,10 @@ impl AgentPhase {
 /// The round loop touches the small per-agent scalars (phase, position,
 /// wake/crash rounds) far more often than the behavior state machines, so
 /// each field lives in its own contiguous array instead of one
-/// array-of-structs row per agent. Behaviors are stored *inline* in their
-/// own vector — generic over `B`, so the built-in algorithm stack
-/// enum-dispatches with no per-agent `Box` and no vtable call — while
-/// `B = Box<dyn AgentBehavior>` (the default) keeps the open extension
-/// point.
-struct AgentArena<B> {
+/// array-of-structs row per agent. Behaviors are boxed trait objects in
+/// their own vector: every agent, built-in or user-defined, is added the
+/// same way.
+struct AgentArena {
     labels: Vec<Label>,
     pos: Vec<NodeId>,
     phase: Vec<AgentPhase>,
@@ -92,10 +90,10 @@ struct AgentArena<B> {
     adversary_wake: Vec<u64>,
     /// Resolved crash round (`u64::MAX` = never); cleared once applied.
     crash_round: Vec<u64>,
-    behaviors: Vec<B>,
+    behaviors: Vec<Box<dyn AgentBehavior>>,
 }
 
-impl<B> AgentArena<B> {
+impl AgentArena {
     fn new() -> Self {
         AgentArena {
             labels: Vec::new(),
@@ -118,7 +116,7 @@ impl<B> AgentArena<B> {
         self.labels.is_empty()
     }
 
-    fn push(&mut self, label: Label, start: NodeId, behavior: B) {
+    fn push(&mut self, label: Label, start: NodeId, behavior: Box<dyn AgentBehavior>) {
         self.labels.push(label);
         self.pos.push(start);
         self.phase.push(AgentPhase::Dormant);
@@ -143,7 +141,7 @@ impl<B> AgentArena<B> {
 /// dirt behind and the next run's internal `prepare` clears exactly the
 /// entries the previous run touched. Reusing one scratch across graphs of
 /// different sizes, after failed runs, across sensing modes or across
-/// engines with different behavior storage types is always safe —
+/// engines over different topologies is always safe —
 /// [`Engine::run`] and [`Engine::run_with_scratch`] produce bitwise
 /// identical [`RunOutcome`]s.
 #[derive(Default)]
@@ -229,22 +227,17 @@ struct RunStats {
 /// wake schedule and sensing mode, then [`Engine::run`]. The engine is fully
 /// deterministic: identical inputs produce identical runs, bit for bit.
 ///
-/// The engine is generic along two axes:
+/// The engine is generic over a [`TopologyView`] `V`: every round, move
+/// resolution consults the view before traversing an edge, so the same
+/// loop executes static networks and round-varying ones (periodic outages,
+/// seeded edge failures, the dynamic-ring adversary — see
+/// [`nochatter_graph::dynamic`]). The default [`Static`] view answers a
+/// constant `true` that the optimizer folds away. An agent taking a port
+/// whose edge is absent this round stays put, keeps its entry port, and
+/// sees `blocked: true` in its next [`Obs`].
 ///
-/// * a [`TopologyView`] `V`: every round, move resolution consults the view
-///   before traversing an edge, so the same loop executes static networks
-///   and round-varying ones (periodic outages, seeded edge failures, the
-///   dynamic-ring adversary — see [`nochatter_graph::dynamic`]). The
-///   default [`Static`] view answers a constant `true` that the optimizer
-///   folds away. An agent taking a port whose edge is absent this round
-///   stays put, keeps its entry port, and sees `blocked: true` in its next
-///   [`Obs`].
-/// * a behavior storage type `B`: agents live in a struct-of-arrays arena
-///   with their behaviors stored inline in a `Vec<B>`. The default
-///   `B = Box<dyn AgentBehavior>` is the open extension point (exactly the
-///   historical engine); instantiating `B` with an enum such as
-///   `nochatter_core`'s `BehaviorSlot` dispatches the whole built-in
-///   algorithm stack without a heap allocation or vtable call per agent.
+/// Agents live in a struct-of-arrays arena; each one's behavior is a
+/// `Box<dyn AgentBehavior>`, the one way to add an agent.
 ///
 /// Agent lifecycle is the explicit [`AgentPhase`] state machine, and the
 /// optional [`FaultSpec`] crash adversary ([`Engine::set_faults`]) can move
@@ -252,10 +245,10 @@ struct RunStats {
 /// bodies keep counting toward `CurCard`.
 ///
 /// See the [crate docs](crate) for a complete example.
-pub struct Engine<'g, V: TopologyView = Static, B: AgentBehavior = Box<dyn AgentBehavior>> {
+pub struct Engine<'g, V: TopologyView = Static> {
     graph: &'g Graph,
     view: V,
-    agents: AgentArena<B>,
+    agents: AgentArena,
     schedule: WakeSchedule,
     sensing: Sensing,
     faults: FaultSpec,
@@ -264,7 +257,7 @@ pub struct Engine<'g, V: TopologyView = Static, B: AgentBehavior = Box<dyn Agent
 
 impl<'g> Engine<'g> {
     /// A fresh engine over the static `graph` with no agents, simultaneous
-    /// wake-up, weak sensing, boxed behaviors and no faults.
+    /// wake-up, weak sensing and no faults.
     pub fn new(graph: &'g Graph) -> Self {
         Engine::with_topology(graph, &Static)
     }
@@ -273,19 +266,8 @@ impl<'g> Engine<'g> {
 impl<'g, V: TopologyView> Engine<'g, V> {
     /// A fresh engine over `graph` under a round-varying topology: the
     /// provider's [`TopologyView`] decides, per round, which edges of the
-    /// base graph are present. Behaviors are boxed (the open extension
-    /// point); use [`Engine::with_parts`] to choose the storage type too.
+    /// base graph are present.
     pub fn with_topology<T: Topology<View = V>>(graph: &'g Graph, topology: &T) -> Self {
-        Engine::with_parts(graph, topology)
-    }
-}
-
-impl<'g, V: TopologyView, B: AgentBehavior> Engine<'g, V, B> {
-    /// The fully generic constructor: choose the round-varying topology
-    /// *and* the behavior storage type `B`. `nochatter_core` instantiates
-    /// `B` with its `BehaviorSlot` enum so the built-in algorithm stack
-    /// runs without per-agent boxing.
-    pub fn with_parts<T: Topology<View = V>>(graph: &'g Graph, topology: &T) -> Self {
         Engine {
             graph,
             view: topology.view(graph),
@@ -298,7 +280,7 @@ impl<'g, V: TopologyView, B: AgentBehavior> Engine<'g, V, B> {
     }
 
     /// Adds an agent with the given label, start node and behavior.
-    pub fn add_agent(&mut self, label: Label, start: NodeId, behavior: B) {
+    pub fn add_agent(&mut self, label: Label, start: NodeId, behavior: Box<dyn AgentBehavior>) {
         self.agents.push(label, start, behavior);
     }
 
@@ -465,8 +447,8 @@ impl<'g, V: TopologyView, B: AgentBehavior> Engine<'g, V, B> {
 /// Scratch discipline: a step leaves `card`/`occupants` all-zero (the
 /// end-of-round wipe drains `touched`, including on the invalid-port error
 /// path), so the next run through the same scratch starts clean.
-pub(crate) struct ActiveRun<'g, V: TopologyView, B: AgentBehavior> {
-    engine: Engine<'g, V, B>,
+pub(crate) struct ActiveRun<'g, V: TopologyView> {
+    engine: Engine<'g, V>,
     trace: Option<Trace>,
     stats: RunStats,
     /// Crash machinery is engaged only while some resolved crash is still
@@ -513,10 +495,10 @@ pub(crate) struct ActiveRun<'g, V: TopologyView, B: AgentBehavior> {
     max_rounds: u64,
 }
 
-impl<'g, V: TopologyView, B: AgentBehavior> ActiveRun<'g, V, B> {
+impl<'g, V: TopologyView> ActiveRun<'g, V> {
     /// Validates the engine's setup and prepares the run for stepping.
     pub fn begin(
-        mut engine: Engine<'g, V, B>,
+        mut engine: Engine<'g, V>,
         max_rounds: u64,
         scratch: &mut EngineScratch,
     ) -> Result<Self, SimError> {
@@ -1337,6 +1319,25 @@ mod tests {
             }
             other => panic!("expected InvalidPort, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn boxed_behaviors_declaring_on_their_first_poll_end_in_round_zero() {
+        struct DeclareNow;
+        impl AgentBehavior for DeclareNow {
+            fn on_round(&mut self, _obs: &Obs) -> AgentAct {
+                AgentAct::Declare(Declaration::bare())
+            }
+        }
+        let g = generators::ring(4);
+        let mut engine = Engine::new(&g);
+        for (l, n) in [(1u64, 0u32), (2, 2)] {
+            engine.add_agent(label(l), NodeId::new(n), Box::new(DeclareNow));
+        }
+        engine.set_wake_schedule(WakeSchedule::Simultaneous);
+        let outcome = engine.run(10).unwrap();
+        assert!(outcome.all_declared());
+        assert_eq!(outcome.rounds, 0);
     }
 
     #[test]

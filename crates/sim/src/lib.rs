@@ -29,10 +29,8 @@
 //!
 //! Agents live in a data-oriented arena: struct-of-arrays storage, an
 //! explicit [`AgentPhase`] lifecycle state machine (`Dormant → Active ⇄
-//! Blocked → Declared | Crashed`), and a behavior storage type parameter
-//! whose default `Box<dyn AgentBehavior>` is the open extension point
-//! (`nochatter_core`'s `BehaviorSlot` instantiates it with an enum so the
-//! built-in algorithm stack runs unboxed). The optional [`FaultSpec`]
+//! Blocked → Declared | Crashed`), and one `Box<dyn AgentBehavior>` per
+//! agent, built-in algorithm or not. The optional [`FaultSpec`]
 //! crash adversary kills agents mid-run: a crashed agent stops acting, but
 //! its body keeps counting toward `CurCard` — under weak sensing the
 //! survivors cannot tell a corpse from a waiting companion.

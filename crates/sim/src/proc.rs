@@ -74,26 +74,6 @@ pub trait Procedure {
     }
 }
 
-impl<P: Procedure + ?Sized> Procedure for Box<P> {
-    type Output = P::Output;
-
-    fn poll(&mut self, obs: &Obs) -> Poll<Self::Output> {
-        (**self).poll(obs)
-    }
-
-    fn min_wait(&self) -> u64 {
-        (**self).min_wait()
-    }
-
-    fn blind(&self) -> bool {
-        (**self).blind()
-    }
-
-    fn note_skipped(&mut self, rounds: u64) {
-        (**self).note_skipped(rounds)
-    }
-}
-
 /// Waits for an exact number of rounds, then completes.
 ///
 /// The paper's `wait x rounds` instruction.

@@ -6,8 +6,6 @@
 use std::fmt::Debug;
 use std::sync::Arc;
 
-use std::sync::Mutex;
-
 use proptest::prelude::*;
 
 use nochatter::core::unknown::{
@@ -15,11 +13,10 @@ use nochatter::core::unknown::{
     GatherUnknownUpperBound, Hypothesis, PositionTracker, SharedTracker, SliceEnumeration,
     UnknownOptions, UnknownSchedule,
 };
-use nochatter::core::BehaviorSlot;
 use nochatter::graph::{generators, Graph, InitialConfiguration, Label, NodeId, Port};
-use nochatter::sim::proc::Procedure;
+use nochatter::sim::proc::{ProcBehavior, Procedure};
 use nochatter::sim::{
-    Action, Engine, Obs, Poll, RunOutcome, RunStatus, Static, Trace, WakeSchedule,
+    Action, Declaration, Engine, Obs, Poll, RunOutcome, RunStatus, Trace, WakeSchedule,
 };
 
 fn label(v: u64) -> Label {
@@ -202,7 +199,7 @@ fn traced_run(
     wake: WakeSchedule,
 ) -> RunOutcome {
     let schedule = Arc::new(UnknownSchedule::new(omega).unwrap());
-    let mut engine: Engine<'_, Static, BehaviorSlot> = Engine::with_parts(truth.graph(), &Static);
+    let mut engine = Engine::new(truth.graph());
     for &(label, start) in truth.agents() {
         let agent = GatherUnknownUpperBound::with_options(
             label,
@@ -214,7 +211,10 @@ fn traced_run(
         engine.add_agent(
             label,
             start,
-            BehaviorSlot::unknown_gather(agent, Arc::new(Mutex::new(None))),
+            Box::new(ProcBehavior::mapping(agent, |report| Declaration {
+                leader: Some(report.leader),
+                size: Some(report.size),
+            })),
         );
     }
     engine.set_wake_schedule(wake);
