@@ -24,10 +24,13 @@
 //! The `hunt` subcommand runs the budgeted adversary search over the hunt
 //! preset instances, maximizing the silent-failure objective, and writes
 //! `<name>.json`, `<name>.csv` and `BENCH_search.json` under `--out`
-//! (default `target/hunt`). Every candidate runs from scratch, exactly
-//! like a campaign cell. Like the campaign reports, the witness reports
-//! are bit-for-bit identical for any worker count; `--budget 0` records
-//! each instance's unperturbed baseline as its witness.
+//! (default `target/hunt`). Every candidate that runs, runs from scratch
+//! exactly like a campaign cell; once an instance's witness reaches the
+//! highest score its round limit allows (a failure at the limit), the
+//! rest of its budget is judged without running. Like the campaign
+//! reports, the witness reports are bit-for-bit identical for any worker
+//! count; `--budget 0` records each instance's unperturbed baseline as its
+//! witness.
 //!
 //! `--cache-dir DIR` runs either subcommand against the persistent result
 //! store under `DIR`: previously computed records load instead of
@@ -368,17 +371,14 @@ fn run_hunt_cli(args: &[String]) -> ExitCode {
     // hard the engine actually worked.
     let fixed = |v: Option<f64>| v.map_or_else(|| "n/a".to_string(), |x| format!("{x:.1}"));
     eprintln!(
-        "work: {} executed rounds ({} per evaluation), {} evaluations/s",
+        "work: {} of {} candidates run, {} executed rounds ({} per evaluation), {} evaluations/s",
+        report.total_runs(),
+        report.total_evaluations(),
         report.total_executed_rounds(),
         fixed(report.executed_rounds_per_evaluation()),
         fixed(report.evaluations_per_sec())
     );
-    report_cache(
-        report.cache,
-        store.as_ref(),
-        report.total_evaluations(),
-        "evaluations",
-    );
+    report_cache(report.cache, store.as_ref(), report.total_runs(), "runs");
     eprintln!(
         "wrote {}, {}, {}",
         artifacts.json.display(),

@@ -36,6 +36,14 @@ impl KnownSetup {
         }
     }
 
+    /// The setup every scenario-style run of `cfg` uses
+    /// ([`run_scenario`], and the campaign runner's gossip cells): the
+    /// bound is the true size and the exploration-sequence stream derives
+    /// from `seed`.
+    pub fn for_scenario(cfg: &InitialConfiguration, seed: u64) -> Self {
+        KnownSetup::for_configuration(cfg, cfg.size() as u32, seed)
+    }
+
     /// Wraps explicit parameters.
     pub fn from_params(params: KnownParams) -> Self {
         KnownSetup { params }
@@ -44,6 +52,13 @@ impl KnownSetup {
     /// The underlying timing parameters.
     pub fn params(&self) -> &KnownParams {
         &self.params
+    }
+
+    /// The engine round limit of a known-bound gathering run of `cfg`
+    /// under this setup: Theorem 3.1's bound for the smallest label (see
+    /// [`KnownParams::round_limit`]). No such run reports more rounds.
+    pub fn round_limit(&self, cfg: &InitialConfiguration) -> u64 {
+        self.params.round_limit(cfg.smallest_label_bit_len())
     }
 }
 
@@ -181,16 +196,16 @@ fn run_known_view<T: Topology>(
         );
     }
     engine.set_wake_schedule(run.schedule);
-    let limit = run.setup.params.round_limit(cfg.smallest_label_bit_len());
-    engine.run_with_scratch(limit, scratch)
+    engine.run_with_scratch(run.setup.round_limit(cfg), scratch)
 }
 
 /// The single entry point every scenario-style consumer (the bench tables,
 /// the `nochatter-lab` campaign runner, the differential tests, examples)
 /// uses to execute one known-upper-bound gathering scenario.
 ///
-/// Builds the [`KnownSetup`] from `(cfg, seed)` — the exploration-sequence
-/// stream derives from `seed`, the bound is the true size — and runs under
+/// Builds [`KnownSetup::for_scenario`] from `(cfg, seed)` — the
+/// exploration-sequence stream derives from `seed`, the bound is the true
+/// size — and runs, up to [`KnownSetup::round_limit`], under
 /// `mode`, `schedule`, the round-varying topology described by `topo`
 /// ([`TopologySpec::Static`] is the paper's model and costs nothing; see
 /// [`nochatter_graph::dynamic`] for the dynamic providers) and the
@@ -283,7 +298,7 @@ pub fn run_scenario_with_scratch(
     trace: Option<Trace>,
     scratch: &mut EngineScratch,
 ) -> Result<RunOutcome, SimError> {
-    let setup = KnownSetup::for_configuration(cfg, cfg.size() as u32, seed);
+    let setup = KnownSetup::for_scenario(cfg, seed);
     let run = KnownRun {
         setup: &setup,
         mode,
@@ -402,7 +417,7 @@ pub fn run_gossip_outcome(
         .map(|(_, m)| 2 * m.len() as u64 + 2)
         .max()
         .unwrap_or(2);
-    let gather_limit = setup.params.round_limit(cfg.smallest_label_bit_len());
+    let gather_limit = setup.round_limit(cfg);
     // Gossip cost: for each delivered message, the length budget climbs
     // 2, 4, ..., |σ| with Communicate cost 5jT — quadratic in the code
     // length, linear in the team size.

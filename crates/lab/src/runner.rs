@@ -231,11 +231,7 @@ pub fn execute_scenario_with_scratch(
             scratch,
         ),
         ScenarioKind::Gossip(scheme) => {
-            let setup = KnownSetup::for_configuration(
-                &scenario.cfg,
-                scenario.cfg.size() as u32,
-                scenario.seed,
-            );
+            let setup = KnownSetup::for_scenario(&scenario.cfg, scenario.seed);
             let messages = scheme.payloads(&scenario.cfg);
             match harness::run_gossip_outcome(
                 &scenario.cfg,

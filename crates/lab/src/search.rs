@@ -12,14 +12,14 @@
 //! it slow). The best candidate found becomes the instance's *witness*:
 //! a fully replayable [`Scenario`] whose key names the exact adversary.
 //!
-//! Two design rules keep the falsifier honest:
+//! Three design rules keep the falsifier honest and cheap:
 //!
 //! * **Every candidate is a pure-function-of-round spec, run like a
 //!   campaign cell.** The search only ever emits `WakeSchedule::Explicit`,
 //!   `FaultSpec::CrashAt` and `TopologySpec::Scripted` — declarative
 //!   adversaries the engine resolves before the run, so determinism and
-//!   the quiescence fast-forward survive. Each candidate runs from
-//!   scratch through the campaign runner's solo
+//!   the quiescence fast-forward survive. Each candidate that runs, runs
+//!   from scratch through the campaign runner's solo
 //!   [`execute_scenario_with_scratch`](crate::execute_scenario_with_scratch),
 //!   so any witness replays bit for bit through
 //!   [`execute_scenario`](crate::execute_scenario) and caches exactly like
@@ -29,6 +29,14 @@
 //!   derived seed; instances shard over the work-stealing scheduler with
 //!   index-ordered result slots. Same spec + budget ⇒ byte-identical
 //!   [`SearchReport`] JSON and CSV for any worker count, cold or warm.
+//! * **Nothing runs that cannot change the witness.** A gathering run
+//!   never reports more rounds than the instance's engine round limit
+//!   ([`KnownSetup::round_limit`]), which every candidate of the instance
+//!   shares, so [`Objective::ceiling`] bounds every candidate's score.
+//!   Ties keep the incumbent, so once the incumbent reaches that ceiling
+//!   the search still judges (decodes, deduplicates, counts) the rest of
+//!   its budget but runs none of it: the reports are those of a search
+//!   that ran everything. [`SearchOutcome::runs`] counts what ran.
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -36,13 +44,14 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+use nochatter_core::KnownSetup;
 use nochatter_graph::rng::derive_seed;
 use nochatter_graph::Label;
 use nochatter_sim::{
     CrashPoint, EngineScratch, FaultSpec, ScriptedRing, TopologySpec, WakeSchedule,
 };
 
-use crate::campaign::{wake_name, Scenario};
+use crate::campaign::{wake_name, Scenario, ScenarioKind};
 use crate::record::RunRecord;
 use crate::report::{
     csv_escape, json_escape, opt_rate, record_csv_row, record_json_object, RECORD_CSV_COLUMNS,
@@ -80,6 +89,18 @@ impl Objective {
         match self {
             Objective::Failure => "failure",
             Objective::SlowGather => "slow-gather",
+        }
+    }
+
+    /// The highest score a run that stops at round `limit` can reach: a
+    /// failure at the limit under [`Objective::Failure`], a gathering at
+    /// the limit under [`Objective::SlowGather`]. No run reports more
+    /// rounds than its engine round limit, and ties keep the incumbent, so
+    /// an incumbent at the ceiling is final.
+    pub fn ceiling(self, limit: u64) -> (u64, u64) {
+        match self {
+            Objective::Failure => (2, limit),
+            Objective::SlowGather => (1, limit),
         }
     }
 
@@ -244,10 +265,11 @@ pub struct SearchSpec {
     /// the report; candidate sampling streams derive from each instance's
     /// own scenario seed).
     pub seed: u64,
-    /// Candidate evaluations per instance (the incumbent's first
-    /// evaluation included). `0` behaves like `1`: the unperturbed
-    /// baseline is still evaluated and recorded as the witness, with
-    /// zero mutations tried.
+    /// Candidates judged per instance (the incumbent's first evaluation
+    /// included), whether or not they run: once the incumbent reaches the
+    /// instance's score ceiling, later candidates are counted without
+    /// running. `0` behaves like `1`: the unperturbed baseline is still
+    /// evaluated and recorded as the witness, with zero mutations tried.
     pub budget: u64,
     /// What the adversary maximizes.
     pub objective: Objective,
@@ -261,8 +283,10 @@ pub struct SearchSpec {
 pub struct SearchOutcome {
     /// The instance sub-key (`family/n…/t…/r…`) of the attacked cell.
     pub instance: String,
-    /// Candidate evaluations actually spent (≤ budget; less only when the
-    /// space was exhausted early).
+    /// Candidates judged (≤ budget; less only when the space was
+    /// exhausted early). Candidates judged after the incumbent reached the
+    /// instance's score ceiling count here but never run; see
+    /// [`SearchOutcome::runs`].
     pub evaluations: u64,
     /// How many times a strictly better candidate replaced the incumbent.
     pub improvements: u64,
@@ -279,6 +303,10 @@ pub struct SearchOutcome {
     /// measure — byte-identical reports can hide arbitrarily different
     /// amounts of it, which is exactly why it lives outside them.
     pub executed_rounds: u64,
+    /// Candidates run: executed through the engine or served from the
+    /// store. Preflight rejections and candidates judged at the score
+    /// ceiling are not runs. An execution fact, like `executed_rounds`.
+    pub runs: u64,
 }
 
 impl SearchOutcome {
@@ -320,7 +348,7 @@ impl SearchReport {
         self.outcomes.iter().filter(|o| o.is_failure()).count()
     }
 
-    /// Total candidate evaluations across all instances.
+    /// Total candidates judged across all instances.
     pub fn total_evaluations(&self) -> u64 {
         self.outcomes.iter().map(|o| o.evaluations).sum()
     }
@@ -346,23 +374,31 @@ impl SearchReport {
         0
     }
 
+    /// Total candidates run (executed or served from the store) across all
+    /// instances; at most [`SearchReport::total_evaluations`].
+    pub fn total_runs(&self) -> u64 {
+        self.outcomes.iter().map(|o| o.runs).sum()
+    }
+
     /// Total engine iterations executed across every evaluation — the
     /// measure of simulation work the search performed.
     pub fn total_executed_rounds(&self) -> u64 {
         self.outcomes.iter().map(|o| o.executed_rounds).sum()
     }
 
-    /// Engine iterations executed per candidate evaluation — the
-    /// hardware-independent cost figure of a search. `None` when nothing
-    /// was evaluated.
+    /// Engine iterations executed per judged candidate — the
+    /// hardware-independent cost figure of a search. Candidates judged at
+    /// the score ceiling execute nothing and pull it down. `None` when
+    /// nothing was evaluated.
     pub fn executed_rounds_per_evaluation(&self) -> Option<f64> {
         let evals = self.total_evaluations();
         (evals > 0).then(|| self.total_executed_rounds() as f64 / evals as f64)
     }
 
-    /// Candidate evaluations per wall-clock second, or `None` when the
-    /// wall clock was too coarse to divide by (under one microsecond —
-    /// an honest report declines instead of flooring and inflating) or any
+    /// Judged candidates per wall-clock second (candidates judged at the
+    /// score ceiling count without running), or `None` when the wall
+    /// clock was too coarse to divide by (under one microsecond — an
+    /// honest report declines instead of flooring and inflating) or any
     /// evaluation was served from the result cache (it executed nothing).
     pub fn evaluations_per_sec(&self) -> Option<f64> {
         if self.cache.is_some_and(|c| c.hits > 0) {
@@ -434,11 +470,12 @@ impl SearchReport {
     }
 
     /// The `BENCH_search.json` trajectory artifact: search-level aggregates
-    /// plus the run's execution facts — executed rounds, wall-clock time,
-    /// worker count and cache stats. Unlike [`SearchReport::to_json`], this
-    /// file intentionally records *how* the search executed, so it differs
-    /// across machines, worker counts and cache states while the
-    /// deterministic reports stay byte-identical.
+    /// plus the run's execution facts — candidates run, executed rounds,
+    /// wall-clock time, worker count and cache stats. Unlike
+    /// [`SearchReport::to_json`], this file intentionally records *how*
+    /// the search executed, so it differs across machines, worker counts
+    /// and cache states while the deterministic reports stay
+    /// byte-identical.
     pub fn trajectory_json(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{{");
@@ -453,6 +490,7 @@ impl SearchReport {
             "  \"total_evaluations\": {},",
             self.total_evaluations()
         );
+        let _ = writeln!(out, "  \"total_runs\": {},", self.total_runs());
         let _ = writeln!(
             out,
             "  \"total_executed_rounds\": {},",
@@ -558,6 +596,7 @@ pub fn run_search_cached(spec: &SearchSpec, workers: usize, store: Option<&Store
                 witness: base.clone(),
                 record: runner::panic_record(base, &message),
                 executed_rounds: 0,
+                runs: 0,
             }
         },
     );
@@ -598,6 +637,12 @@ pub fn run_search_with(
 /// The sequential per-instance search: greedy one-mutation local search
 /// around the incumbent, with seeded random kicks once the neighborhood
 /// is exhausted. Deterministic given `(base.seed, space, budget)`.
+///
+/// Once the incumbent reaches the instance's score ceiling
+/// ([`instance_ceiling`]) no candidate can replace it, so the walk goes on
+/// decoding, deduplicating and counting candidates but no longer runs
+/// them: the walk, the counts and the witness are exactly those of a
+/// search that ran everything.
 fn search_instance(
     base: &Scenario,
     space: &AdversarySpace,
@@ -616,14 +661,24 @@ fn search_instance(
     let mut seen: BTreeSet<String> = BTreeSet::new();
     let axis_key = |s: &Scenario| format!("{}|{}|{}", s.key.wake, s.key.topo, s.key.fault);
 
-    let mut executed = 0u64;
+    let ceiling = instance_ceiling(base, objective);
+    let judge = |record: &RunRecord| {
+        let score = objective.score(record);
+        debug_assert!(
+            ceiling.is_none_or(|c| score <= c),
+            "{} scores {score:?}, above its instance's ceiling {ceiling:?}",
+            record.key
+        );
+        score
+    };
+    let mut work = Work::default();
     let mut incumbent = vec![0u32; dims];
     let first = space.decode(base, &incumbent);
     seen.insert(axis_key(&first));
-    let first_record = evaluate(&first, scratch, store, &mut executed);
+    let first_record = evaluate(&first, scratch, store, &mut work);
     let mut evaluations = 1u64;
     let mut improvements = 0u64;
-    let mut best = (objective.score(&first_record), first, first_record);
+    let mut best = (judge(&first_record), first, first_record);
     let mut draws = 0u64;
 
     // A degenerate space (one candidate) has nothing to mutate: the
@@ -674,9 +729,12 @@ fn search_instance(
             }
         }
         for (genotype, candidate) in batch {
-            let record = evaluate(&candidate, scratch, store, &mut executed);
             evaluations += 1;
-            let score = objective.score(&record);
+            if ceiling.is_some_and(|c| best.0 >= c) {
+                continue; // judged: it cannot beat the incumbent
+            }
+            let record = evaluate(&candidate, scratch, store, &mut work);
+            let score = judge(&record);
             // Strictly-greater only: ties keep the earlier candidate, so
             // the walk (and the witness) is deterministic.
             if score > best.0 {
@@ -694,15 +752,41 @@ fn search_instance(
         score: best.0,
         witness: best.1,
         record: best.2,
-        executed_rounds: executed,
+        executed_rounds: work.executed_rounds,
+        runs: work.runs,
     }
+}
+
+/// The score ceiling of `base`'s instance under `objective`, or `None`
+/// when the instance has none and is never skipped. Every candidate shares
+/// the instance's configuration and seed, so every gathering candidate
+/// stops at the same round limit, taken from the harness that enforces
+/// it. Gossip and unknown-bound instances get no ceiling.
+fn instance_ceiling(base: &Scenario, objective: Objective) -> Option<(u64, u64)> {
+    match base.kind {
+        ScenarioKind::Gather => {
+            let limit = KnownSetup::for_scenario(&base.cfg, base.seed).round_limit(&base.cfg);
+            Some(objective.ceiling(limit))
+        }
+        ScenarioKind::Gossip(_) | ScenarioKind::Unknown { .. } => None,
+    }
+}
+
+/// What one instance's search ran: execution facts, never part of the
+/// deterministic reports.
+#[derive(Default)]
+struct Work {
+    /// Candidates executed or served from the store.
+    runs: u64,
+    /// Engine iterations the executed candidates took.
+    executed_rounds: u64,
 }
 
 /// Measures one candidate with the campaign runner's preflight and solo
 /// [`execute_scenario_with_scratch`](runner::execute_scenario_with_scratch),
 /// so a witness record replays bit for bit through
-/// [`execute_scenario`](crate::execute_scenario), and adds the engine
-/// iterations it executed to `executed`.
+/// [`execute_scenario`](crate::execute_scenario), and books the run in
+/// `work`.
 ///
 /// With a store, a runnable candidate is served from the cache where
 /// possible and otherwise writes through after execution; the record is
@@ -713,17 +797,18 @@ fn evaluate(
     candidate: &Scenario,
     scratch: &mut EngineScratch,
     store: Option<&Store>,
-    executed: &mut u64,
+    work: &mut Work,
 ) -> RunRecord {
     let mut record = runner::base_record(candidate);
     if !runner::preflight(candidate, &mut record) {
         return record;
     }
+    work.runs += 1;
     if let Some(cached) = store.and_then(|s| s.lookup(candidate)) {
         return cached;
     }
     let record = runner::execute_scenario_with_scratch(candidate, scratch);
-    *executed += record.engine_iterations;
+    work.executed_rounds += record.engine_iterations;
     if let Some(store) = store {
         store.insert(candidate, &record);
     }
@@ -733,7 +818,7 @@ fn evaluate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{scenario_seed, spread, ScenarioKind};
+    use crate::campaign::{scenario_seed, spread};
     use crate::record::ScenarioKey;
     use nochatter_core::CommMode;
     use nochatter_graph::generators;
@@ -841,6 +926,13 @@ mod tests {
         assert_eq!(Objective::Failure.score(&rejected), (0, 0));
         assert_eq!(Objective::SlowGather.score(&ok), (1, 100));
         assert_eq!(Objective::SlowGather.score(&failed), (0, 0));
+        // Nothing a run stopped at round 100 reports outranks the ceiling.
+        assert_eq!(Objective::Failure.ceiling(100), (2, 100));
+        assert_eq!(Objective::SlowGather.ceiling(100), (1, 100));
+        for record in [&ok, &failed, &rejected] {
+            assert!(Objective::Failure.score(record) <= Objective::Failure.ceiling(100));
+            assert!(Objective::SlowGather.score(record) <= Objective::SlowGather.ceiling(100));
+        }
         assert_eq!(Objective::Failure.name(), "failure");
         assert_eq!(Objective::SlowGather.name(), "slow-gather");
     }

@@ -11,15 +11,20 @@
 //!    goldens byte for byte.
 //! 3. **The falsifier falsifies.** The hunt presets find at least one
 //!    instance where silent gathering genuinely fails.
+//! 4. **The ceiling skip is safe.** No candidate of an instance scores
+//!    above the instance's ceiling (so the candidates the search judges
+//!    without running could not have replaced its witness), and a space
+//!    whose baseline already fails at the round limit costs one run.
 
 use proptest::prelude::*;
 
+use nochatter_core::KnownSetup;
 use nochatter_graph::generators::Family;
 use nochatter_graph::Label;
 use nochatter_lab::presets::{hunt_smoke_spec, hunt_space, hunt_spec};
 use nochatter_lab::{
-    execute_scenario, run_search, scenario_seed, spread, AdversarySpace, Objective, Scenario,
-    ScenarioKey, ScenarioKind, SearchSpec,
+    execute_scenario, run_search, run_search_cached, scenario_seed, spread, AdversarySpace,
+    CacheStats, Objective, Scenario, ScenarioKey, ScenarioKind, SearchSpec, Store,
 };
 use nochatter_sim::{ScriptedRing, TopologySpec, WakeSchedule};
 
@@ -142,8 +147,99 @@ fn build(d: &Drawn) -> (Scenario, AdversarySpace) {
     (scenario, space)
 }
 
+/// `space` with every axis cut to its first `keep` choices: small enough
+/// to run every candidate.
+fn truncated(space: &AdversarySpace, keep: usize) -> AdversarySpace {
+    fn cut<T: Copy>(choices: &[T], keep: usize) -> Vec<T> {
+        choices[..choices.len().min(keep)].to_vec()
+    }
+    AdversarySpace {
+        wake_offsets: space.wake_offsets.iter().map(|c| cut(c, keep)).collect(),
+        crash_rounds: space
+            .crash_rounds
+            .iter()
+            .map(|(label, c)| (*label, cut(c, keep)))
+            .collect(),
+        edge_script: space.edge_script.iter().map(|c| cut(c, keep)).collect(),
+    }
+}
+
+/// Every genotype of `space`, in mixed-radix order over its axes.
+fn genotypes(space: &AdversarySpace) -> Vec<Vec<u32>> {
+    let radices: Vec<u32> = space
+        .wake_offsets
+        .iter()
+        .map(Vec::len)
+        .chain(space.crash_rounds.iter().map(|(_, c)| c.len()))
+        .chain(space.edge_script.iter().map(Vec::len))
+        .map(|len| len as u32)
+        .collect();
+    let mut all = vec![vec![0u32; radices.len()]];
+    for (d, &radix) in radices.iter().enumerate() {
+        all = all
+            .into_iter()
+            .flat_map(|g| {
+                (0..radix).map(move |c| {
+                    let mut g = g.clone();
+                    g[d] = c;
+                    g
+                })
+            })
+            .collect();
+    }
+    all
+}
+
+/// The score ceiling of a gathering instance, computed from the harness's
+/// own round limit.
+fn ceiling(base: &Scenario, objective: Objective) -> (u64, u64) {
+    objective.ceiling(KnownSetup::for_scenario(&base.cfg, base.seed).round_limit(&base.cfg))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+
+    #[test]
+    fn no_candidate_scores_above_its_instance_ceiling(d in drawn()) {
+        let (base, space) = build(&d);
+        let space = truncated(&space, 2);
+        let objective = if d.objective_failure {
+            Objective::Failure
+        } else {
+            Objective::SlowGather
+        };
+        let ceiling = ceiling(&base, objective);
+        for genotype in genotypes(&space) {
+            let record = execute_scenario(&space.decode(&base, &genotype));
+            prop_assert!(
+                objective.score(&record) <= ceiling,
+                "{} scores {:?} above the ceiling {:?}",
+                record.key,
+                objective.score(&record),
+                ceiling
+            );
+        }
+        let spec = SearchSpec {
+            name: "ceiling".into(),
+            seed: d.seed,
+            budget: d.budget,
+            objective,
+            instances: vec![(base, space)],
+        };
+        let report = run_search(&spec, 1);
+        let outcome = &report.outcomes[0];
+        // The witness is what the search reports it to be.
+        let replayed = execute_scenario(&outcome.witness);
+        prop_assert_eq!(&replayed, &outcome.record);
+        prop_assert_eq!(objective.score(&replayed), outcome.score);
+        // Every candidate here passes preflight, so a judged candidate
+        // that did not run was skipped, which only a witness at the
+        // ceiling allows.
+        prop_assert!(outcome.runs <= outcome.evaluations);
+        if outcome.runs < outcome.evaluations {
+            prop_assert_eq!(outcome.score, ceiling);
+        }
+    }
 
     #[test]
     fn witnesses_replay_bitwise_through_the_solo_path(d in drawn()) {
@@ -252,4 +348,57 @@ fn hunt_space_matches_the_instance_shape() {
     assert_eq!(space.crash_rounds.len(), 2);
     assert_eq!(space.edge_script.len(), 2);
     assert_eq!(space.dims(), 7);
+}
+
+#[test]
+fn a_baseline_failing_at_the_limit_is_the_only_run() {
+    // Agent 3 crashes at round 16 in the baseline (genotype zero); the
+    // survivor never declares and the run stops at the round limit.
+    let (base, space) = build(&Drawn {
+        family: 0,
+        n: 4,
+        three_agents: false,
+        wake_choices: vec![0, 4, u64::MAX],
+        crash_choices: vec![16, u64::MAX, 256],
+        edge_slots: 2,
+        budget: 24,
+        seed: 7,
+        objective_failure: true,
+    });
+    let baseline = execute_scenario(&space.decode(&base, &vec![0; space.dims()]));
+    assert_eq!(
+        Objective::Failure.score(&baseline),
+        ceiling(&base, Objective::Failure),
+        "the baseline fails at the round limit: {}",
+        baseline.status
+    );
+    let spec = SearchSpec {
+        name: "ceiling-baseline".into(),
+        seed: 7,
+        budget: 24,
+        objective: Objective::Failure,
+        instances: vec![(base, space)],
+    };
+    let report = run_search(&spec, 1);
+    let outcome = &report.outcomes[0];
+    assert_eq!(outcome.evaluations, 24, "every candidate is still judged");
+    assert_eq!(outcome.improvements, 0);
+    assert_eq!(outcome.record, baseline);
+    assert_eq!(outcome.runs, 1);
+    assert_eq!(outcome.executed_rounds, baseline.engine_iterations);
+    assert_eq!(report.total_runs(), 1);
+
+    let dir = std::env::temp_dir().join("nochatter-lab-search-ceiling-test");
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = Store::open(&dir).unwrap();
+    let cold = run_search_cached(&spec, 1, Some(&store));
+    assert_eq!(store.len(), 1, "one run, one insert");
+    assert_eq!(cold.cache, Some(CacheStats { hits: 0, misses: 1 }));
+    assert_eq!(cold.to_json(), report.to_json());
+    let warm = run_search_cached(&spec, 1, Some(&store));
+    assert_eq!(warm.cache, Some(CacheStats { hits: 1, misses: 0 }));
+    assert_eq!(warm.total_runs(), 1);
+    assert_eq!(warm.total_executed_rounds(), 0);
+    assert_eq!(warm.to_json(), report.to_json());
+    let _ = std::fs::remove_dir_all(&dir);
 }

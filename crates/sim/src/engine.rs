@@ -2774,8 +2774,11 @@ mod tests {
     }
 
     /// Claims a blind countdown but declares as soon as it sees company:
-    /// a broken blind promise.
+    /// a broken blind promise. Only the debug net can tell, so it exists
+    /// only where that net does.
+    #[cfg(debug_assertions)]
     struct BlindLiar(WaitRounds);
+    #[cfg(debug_assertions)]
     impl Procedure for BlindLiar {
         type Output = ();
         fn poll(&mut self, obs: &Obs) -> Poll<()> {

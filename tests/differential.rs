@@ -96,9 +96,7 @@ fn silent_rounds_stay_inside_the_papers_envelope() {
         // enforces it as the engine round limit, so also assert the run
         // finished by declaration rather than by hitting the limit.
         let envelope =
-            KnownSetup::for_configuration(&scenario.cfg, scenario.cfg.size() as u32, scenario.seed)
-                .params()
-                .round_limit(scenario.cfg.smallest_label_bit_len());
+            KnownSetup::for_scenario(&scenario.cfg, scenario.seed).round_limit(&scenario.cfg);
         assert!(
             r.rounds <= envelope,
             "{}: {} rounds exceeds the polynomial envelope {}",
