@@ -50,6 +50,8 @@
 //! assert_eq!(present, 4);
 //! ```
 
+use std::fmt::Write as _;
+
 use crate::graph::{Graph, NodeId, Port};
 use crate::rng::derive_seed;
 
@@ -466,18 +468,23 @@ impl TopologySpec {
                 )
             }
             TopologySpec::Ring(r) => format!("dring@{}", r.seed),
-            TopologySpec::Scripted(s) => format!(
-                "sring{}",
-                s.script
-                    .iter()
-                    .map(|&e| if e == ScriptedRing::KEEP_ALL {
-                        "x".into()
+            TopologySpec::Scripted(s) => {
+                // One buffer sized for single-digit ids: search keys carry
+                // scripts thousands of slots long.
+                let mut name = String::with_capacity(5 + 2 * s.script.len());
+                name.push_str("sring");
+                for (i, &e) in s.script.iter().enumerate() {
+                    if i > 0 {
+                        name.push('.');
+                    }
+                    if e == ScriptedRing::KEEP_ALL {
+                        name.push('x');
                     } else {
-                        e.to_string()
-                    })
-                    .collect::<Vec<_>>()
-                    .join(".")
-            ),
+                        let _ = write!(name, "{e}");
+                    }
+                }
+                name
+            }
         }
     }
 }
@@ -717,6 +724,21 @@ mod tests {
             script: vec![1, ScriptedRing::KEEP_ALL, 0],
         });
         assert_eq!(spec.short_name(), "sring1.x.0");
+        // Multi-digit ids next to keep-all slots, and a script long enough
+        // to outgrow the name's initial capacity.
+        let x = ScriptedRing::KEEP_ALL;
+        let mixed = TopologySpec::Scripted(ScriptedRing {
+            script: vec![x, 12, x, 0, 123, u32::MAX - 1, x],
+        });
+        assert_eq!(mixed.short_name(), "sringx.12.x.0.123.4294967294.x");
+        let long = TopologySpec::Scripted(ScriptedRing {
+            script: [x, 12, x, 0, 123].repeat(400),
+        });
+        let name = long.short_name();
+        assert_eq!(name.len(), 5 + 400 * "x.12.x.0.123.".len() - 1);
+        assert!(name.starts_with("sringx.12.x.0.123.x.12.x.0.123.x."));
+        assert!(name.ends_with(".x.12.x.0.123.x.12.x.0.123"));
+        assert_eq!(name.matches("x.12.x.0.123").count(), 400);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::fmt::Write as _;
 
 use nochatter_core::unknown::EstMode;
 use nochatter_core::{BitStr, CommMode};
@@ -93,18 +94,20 @@ pub fn wake_name(schedule: &WakeSchedule) -> String {
         WakeSchedule::Simultaneous => "simul".into(),
         WakeSchedule::FirstOnly => "first".into(),
         WakeSchedule::Staggered { gap } => format!("stag{gap}"),
-        WakeSchedule::Explicit(rounds) => format!(
-            "explicit{}",
-            rounds
-                .iter()
-                .map(|r| if *r == u64::MAX {
-                    "x".into()
+        WakeSchedule::Explicit(rounds) => {
+            let mut name = String::from("explicit");
+            for (i, &r) in rounds.iter().enumerate() {
+                if i > 0 {
+                    name.push('.');
+                }
+                if r == u64::MAX {
+                    name.push('x');
                 } else {
-                    r.to_string()
-                })
-                .collect::<Vec<_>>()
-                .join(".")
-        ),
+                    let _ = write!(name, "{r}");
+                }
+            }
+            name
+        }
         _ => "other".into(),
     }
 }
@@ -515,6 +518,24 @@ mod tests {
         .campaign("t", 1)
         .unwrap();
         assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    fn wake_names_are_stable() {
+        assert_eq!(wake_name(&WakeSchedule::Simultaneous), "simul");
+        assert_eq!(wake_name(&WakeSchedule::FirstOnly), "first");
+        assert_eq!(wake_name(&WakeSchedule::Staggered { gap: 16 }), "stag16");
+        assert_eq!(wake_name(&WakeSchedule::Explicit(vec![])), "explicit");
+        assert_eq!(
+            wake_name(&WakeSchedule::Explicit(vec![
+                0,
+                u64::MAX,
+                17,
+                u64::MAX - 1,
+                u64::MAX
+            ])),
+            "explicit0.x.17.18446744073709551614.x"
+        );
     }
 
     #[test]

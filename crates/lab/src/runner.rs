@@ -219,6 +219,19 @@ pub fn execute_scenario_with_scratch(
     if !preflight(scenario, &mut record) {
         return record;
     }
+    execute_preflighted(scenario, record, scratch)
+}
+
+/// The execution half of [`execute_scenario_with_scratch`]: runs a
+/// scenario that passed [`preflight`] and measures it into `record`, the
+/// base record preflight was given. Callers that must look between the
+/// two halves (the search consults its store there) build the record and
+/// preflight once.
+pub(crate) fn execute_preflighted(
+    scenario: &Scenario,
+    mut record: RunRecord,
+    scratch: &mut EngineScratch,
+) -> RunRecord {
     let outcome = match &scenario.kind {
         ScenarioKind::Gather => harness::run_scenario_with_scratch(
             &scenario.cfg,

@@ -37,6 +37,11 @@
 //!   the search still judges (decodes, deduplicates, counts) the rest of
 //!   its budget but runs none of it: the reports are those of a search
 //!   that ran everything. [`SearchOutcome::runs`] counts what ran.
+//! * **A candidate costs its free axes.** The walk indexes only the axes
+//!   that offer more than one choice, deduplicates on a compact decoded
+//!   adversary rather than on key names, and builds a candidate's
+//!   [`Scenario`] (script, key, configuration) only when it runs. A
+//!   7,000-slot lead-in of single-choice axes costs the walk nothing.
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -140,7 +145,12 @@ impl Objective {
 /// A genotype is one `u32` choice index per axis, in axis order: first the
 /// wake axes, then the crash axes, then the edge-script axes. Every axis
 /// must offer at least one choice; an axis the space does not want to
-/// perturb simply lists its single base value.
+/// perturb simply lists its single base value. A search walks only the
+/// axes that offer more than one choice, so single-choice axes cost it
+/// nothing, and it builds a candidate's [`Scenario`] only when it runs
+/// the candidate; [`AdversarySpace::decode`] goes through the same build.
+/// A space with an axis that offers no choice is rejected: its instance
+/// reports an `unsupported:` record instead of searching.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AdversarySpace {
     /// Per-agent wake-offset choice lists, in the configuration's agent
@@ -187,57 +197,180 @@ impl AdversarySpace {
 
     /// Decodes a genotype into a concrete candidate scenario over `base`'s
     /// instance: same configuration, same derived seed, same algorithm —
-    /// only the adversary axes (and with them the key) change.
+    /// only the adversary axes (and with them the key) change. The search
+    /// builds its candidates the same way, from their free axes alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the genotype does not cover every axis, or picks a choice
+    /// its axis does not offer.
     pub fn decode(&self, base: &Scenario, genotype: &[u32]) -> Scenario {
         assert_eq!(genotype.len(), self.dims(), "genotype covers every axis");
-        let mut g = genotype.iter().map(|&c| c as usize);
-        let schedule = if self.wake_offsets.is_empty() {
-            base.schedule.clone()
-        } else {
-            let mut offsets: Vec<u64> = self
-                .wake_offsets
-                .iter()
-                .map(|choices| choices[g.next().expect("wake axis present")])
-                .collect();
-            // Time is measured from the first wake-up, so the schedule is
-            // only meaningful up to a shift: anchor the earliest finite
-            // offset at round 0 (the engine rejects schedules without one).
-            match offsets.iter().copied().filter(|&o| o != u64::MAX).min() {
-                Some(min) => {
-                    for o in &mut offsets {
-                        if *o != u64::MAX {
-                            *o -= min;
-                        }
-                    }
-                    WakeSchedule::Explicit(offsets)
-                }
-                // Nobody self-wakes: not a runnable schedule; keep the
-                // base one (the candidate collapses onto another point).
-                None => base.schedule.clone(),
+        for (d, &choice) in genotype.iter().enumerate() {
+            assert!(
+                (choice as usize) < self.choices(d),
+                "adversary axis {d} offers no choice {choice}"
+            );
+        }
+        let free = FreeAxes::of(self).expect("every axis offers the chosen choice");
+        let compact: Vec<u32> = free.axes.iter().map(|&d| genotype[d]).collect();
+        free.scenario(base, free.point(base, &compact))
+    }
+}
+
+/// The axes of an [`AdversarySpace`] that offer more than one choice, the
+/// only ones a search walks. A *compact* genotype holds one choice index
+/// per free axis, in axis order; every other axis keeps its single choice.
+struct FreeAxes<'a> {
+    space: &'a AdversarySpace,
+    /// The free axes' indices in the full genotype, ascending.
+    axes: Vec<usize>,
+    /// The index in the full genotype of the first edge axis.
+    first_edge: usize,
+    /// Where the edge axes start in `axes` (and in a compact genotype).
+    edge_start: usize,
+    /// Whether every single-choice edge axis keeps all edges, so that a
+    /// point keeping all edges on its free edge axes is the static
+    /// topology.
+    fixed_keep_all: bool,
+}
+
+/// A decoded adversary: what a candidate's `wake|topo|fault` key names
+/// stand for, without the names. Two compact genotypes of one instance
+/// decode to equal points exactly when their candidates' names are equal.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Point {
+    /// The normalized explicit wake offsets, or `None` for a base schedule
+    /// that is not explicit (an explicit base schedule is stored as its
+    /// offsets, so a candidate that normalizes onto it is the same point).
+    wake: Option<Vec<u64>>,
+    /// The crash points, in axis order, as `(label, round)`.
+    crash: Vec<(Label, u64)>,
+    /// The edge chosen on each free edge axis. Single-choice slots are
+    /// the same for every point, so these values alone tell scripts
+    /// apart, and all-`KEEP_ALL` values are the static topology exactly
+    /// when the single-choice slots keep all edges too.
+    edges: Vec<u32>,
+}
+
+impl<'a> FreeAxes<'a> {
+    /// The free axes of `space`, or the first axis that offers no choice.
+    fn of(space: &'a AdversarySpace) -> Result<Self, usize> {
+        let mut axes = Vec::new();
+        for d in 0..space.dims() {
+            match space.choices(d) {
+                0 => return Err(d),
+                1 => {}
+                _ => axes.push(d),
             }
+        }
+        let first_edge = space.wake_offsets.len() + space.crash_rounds.len();
+        Ok(FreeAxes {
+            space,
+            first_edge,
+            edge_start: axes.partition_point(|&d| d < first_edge),
+            axes,
+            fixed_keep_all: space
+                .edge_script
+                .iter()
+                .all(|choices| choices.len() > 1 || choices[0] == ScriptedRing::KEEP_ALL),
+        })
+    }
+
+    /// The number of free axes (the length of a compact genotype).
+    fn len(&self) -> usize {
+        self.axes.len()
+    }
+
+    /// The number of choices on the `i`-th free axis.
+    fn choices(&self, i: usize) -> usize {
+        self.space.choices(self.axes[i])
+    }
+
+    /// The choice index compact genotype `genotype` picks on axis `d`.
+    fn pick(&self, genotype: &[u32], d: usize) -> usize {
+        self.axes
+            .binary_search(&d)
+            .map_or(0, |i| genotype[i] as usize)
+    }
+
+    /// Decodes a compact genotype into the adversary it stands for.
+    fn point(&self, base: &Scenario, genotype: &[u32]) -> Point {
+        let space = self.space;
+        let mut offsets: Vec<u64> = space
+            .wake_offsets
+            .iter()
+            .enumerate()
+            .map(|(d, choices)| choices[self.pick(genotype, d)])
+            .collect();
+        // Time is measured from the first wake-up, so the schedule is only
+        // meaningful up to a shift: anchor the earliest finite offset at
+        // round 0 (the engine rejects schedules without one). With no wake
+        // axes, or nobody self-waking, the candidate keeps the base
+        // schedule (and collapses onto another point).
+        let wake = match (
+            offsets.iter().copied().filter(|&o| o != u64::MAX).min(),
+            &base.schedule,
+        ) {
+            (Some(min), _) => {
+                for o in &mut offsets {
+                    if *o != u64::MAX {
+                        *o -= min;
+                    }
+                }
+                Some(offsets)
+            }
+            (None, WakeSchedule::Explicit(base_offsets)) => Some(base_offsets.clone()),
+            (None, _) => None,
         };
-        let points: Vec<CrashPoint> = self
+        let w = space.wake_offsets.len();
+        let crash = space
             .crash_rounds
             .iter()
-            .map(|&(label, ref choices)| (label, choices[g.next().expect("crash axis present")]))
+            .enumerate()
+            .map(|(i, &(label, ref choices))| (label, choices[self.pick(genotype, w + i)]))
             .filter(|&(_, round)| round != u64::MAX)
-            .map(|(label, round)| CrashPoint { label, round })
             .collect();
-        let fault = if points.is_empty() {
+        let edges = self.axes[self.edge_start..]
+            .iter()
+            .zip(&genotype[self.edge_start..])
+            .map(|(&d, &choice)| space.edge_script[d - self.first_edge][choice as usize])
+            .collect();
+        Point { wake, crash, edges }
+    }
+
+    /// The declarative specs `point` stands for.
+    fn specs(&self, base: &Scenario, point: Point) -> (WakeSchedule, TopologySpec, FaultSpec) {
+        let schedule = point
+            .wake
+            .map_or_else(|| base.schedule.clone(), WakeSchedule::Explicit);
+        let fault = if point.crash.is_empty() {
             FaultSpec::None
         } else {
-            FaultSpec::CrashAt(points)
+            FaultSpec::CrashAt(
+                point
+                    .crash
+                    .into_iter()
+                    .map(|(label, round)| CrashPoint { label, round })
+                    .collect(),
+            )
         };
-        let script: Vec<u32> = self
-            .edge_script
-            .iter()
-            .map(|choices| choices[g.next().expect("edge axis present")])
-            .collect();
-        let topo = if script.iter().all(|&e| e == ScriptedRing::KEEP_ALL) {
-            TopologySpec::Static
-        } else {
-            TopologySpec::Scripted(ScriptedRing { script })
-        };
+        let topo =
+            if self.fixed_keep_all && point.edges.iter().all(|&e| e == ScriptedRing::KEEP_ALL) {
+                TopologySpec::Static
+            } else {
+                let mut script: Vec<u32> = self.space.edge_script.iter().map(|c| c[0]).collect();
+                for (&d, e) in self.axes[self.edge_start..].iter().zip(point.edges) {
+                    script[d - self.first_edge] = e;
+                }
+                TopologySpec::Scripted(ScriptedRing { script })
+            };
+        (schedule, topo, fault)
+    }
+
+    /// The candidate scenario `point` stands for, over `base`'s instance.
+    fn scenario(&self, base: &Scenario, point: Point) -> Scenario {
+        let (schedule, topo, fault) = self.specs(base, point);
         let mut key = base.key.clone();
         key.wake = wake_name(&schedule);
         key.topo = topo.short_name();
@@ -252,6 +385,38 @@ impl AdversarySpace {
             kind: base.kind.clone(),
             seed: base.seed,
         }
+    }
+
+    /// The `wake|topo|fault` key names of `point`'s candidate.
+    fn names(&self, base: &Scenario, point: &Point) -> String {
+        let (schedule, topo, fault) = self.specs(base, point.clone());
+        format!(
+            "{}|{}|{}",
+            wake_name(&schedule),
+            topo.short_name(),
+            fault.short_name()
+        )
+    }
+}
+
+/// The decoded adversaries an instance's search has judged.
+#[derive(Default)]
+struct Seen {
+    points: BTreeSet<Point>,
+    /// Filled in debug builds only: the `wake|topo|fault` key names of the
+    /// points, to check that points and names dedup alike.
+    names: BTreeSet<String>,
+}
+
+impl Seen {
+    /// Records `point`; returns whether it is new.
+    fn insert(&mut self, free: &FreeAxes<'_>, base: &Scenario, point: &Point) -> bool {
+        let fresh = self.points.insert(point.clone());
+        if cfg!(debug_assertions) {
+            let named = self.names.insert(free.names(base, point));
+            debug_assert_eq!(fresh, named, "point and name dedup disagree on {point:?}");
+        }
+        fresh
     }
 }
 
@@ -284,7 +449,8 @@ pub struct SearchOutcome {
     /// The instance sub-key (`family/n…/t…/r…`) of the attacked cell.
     pub instance: String,
     /// Candidates judged (≤ budget; less only when the space was
-    /// exhausted early). Candidates judged after the incumbent reached the
+    /// exhausted early, and 0 when the instance was rejected or its search
+    /// panicked). Candidates judged after the incumbent reached the
     /// instance's score ceiling count here but never run; see
     /// [`SearchOutcome::runs`].
     pub evaluations: u64,
@@ -588,16 +754,7 @@ pub fn run_search_cached(spec: &SearchSpec, workers: usize, store: Option<&Store
         },
         |i, message| {
             let base = &spec.instances[i].0;
-            SearchOutcome {
-                instance: base.key.instance_canonical(),
-                evaluations: 0,
-                improvements: 0,
-                score: (0, 0),
-                witness: base.clone(),
-                record: runner::panic_record(base, &message),
-                executed_rounds: 0,
-                runs: 0,
-            }
+            unsearched(base, runner::panic_record(base, &message))
         },
     );
     let cache = match (store, stats_before) {
@@ -643,6 +800,12 @@ pub fn run_search_with(
 /// decoding, deduplicating and counting candidates but no longer runs
 /// them: the walk, the counts and the witness are exactly those of a
 /// search that ran everything.
+///
+/// The walk's genotypes are compact ([`FreeAxes`]): mutations and kick
+/// draws touch only multi-choice axes, each kick axis drawn under its
+/// full-genotype index, so the walk is the one over every axis. A space
+/// with an axis that offers no choice runs nothing and reports an
+/// `unsupported:` record.
 fn search_instance(
     base: &Scenario,
     space: &AdversarySpace,
@@ -651,15 +814,22 @@ fn search_instance(
     scratch: &mut EngineScratch,
     store: Option<&Store>,
 ) -> SearchOutcome {
-    let dims = space.dims();
-    for d in 0..dims {
-        assert!(space.choices(d) > 0, "adversary axis {d} offers no choice");
-    }
+    let free = match FreeAxes::of(space) {
+        Ok(free) => free,
+        Err(d) => {
+            let mut record = runner::base_record(base);
+            record.status = format!(
+                "unsupported: adversary axis {d} offers no choice (instance {})",
+                base.key.instance_canonical()
+            );
+            return unsearched(base, record);
+        }
+    };
     let stream = derive_seed(base.seed, &[SALT_SEARCH]);
-    // Dedup on the *decoded* adversary (wake normalization and the
-    // all-KEEP_ALL collapse map several genotypes onto one candidate).
-    let mut seen: BTreeSet<String> = BTreeSet::new();
-    let axis_key = |s: &Scenario| format!("{}|{}|{}", s.key.wake, s.key.topo, s.key.fault);
+    // Dedup on the *decoded* adversary (wake normalization, duplicate
+    // choices and the all-KEEP_ALL collapse map several genotypes onto one
+    // candidate).
+    let mut seen = Seen::default();
 
     let ceiling = instance_ceiling(base, objective);
     let judge = |record: &RunRecord| {
@@ -672,9 +842,11 @@ fn search_instance(
         score
     };
     let mut work = Work::default();
-    let mut incumbent = vec![0u32; dims];
-    let first = space.decode(base, &incumbent);
-    seen.insert(axis_key(&first));
+    // Genotypes are compact: one choice per free axis.
+    let mut incumbent = vec![0u32; free.len()];
+    let first_point = free.point(base, &incumbent);
+    seen.insert(&free, base, &first_point);
+    let first = free.scenario(base, first_point);
     let first_record = evaluate(&first, scratch, store, &mut work);
     let mut evaluations = 1u64;
     let mut improvements = 0u64;
@@ -685,22 +857,23 @@ fn search_instance(
     // baseline *is* the witness, as under a ≤1 budget. Skipping the loop
     // keeps single-point spaces from burning hundreds of kick draws that
     // can only dedup away.
-    let budget = if space.candidates() == 1 { 1 } else { budget };
+    let budget = if free.len() == 0 { 1 } else { budget };
     while evaluations < budget {
         let remaining = (budget - evaluations) as usize;
         // The incumbent's one-mutation neighborhood, in axis/choice order,
-        // truncated at the remaining budget.
-        let mut batch: Vec<(Vec<u32>, Scenario)> = Vec::new();
-        'neighborhood: for d in 0..dims {
-            for choice in 0..space.choices(d) as u32 {
-                if choice == incumbent[d] {
+        // truncated at the remaining budget. A single-choice axis has no
+        // neighbor, so the free axes alone give the same neighborhood.
+        let mut batch: Vec<(Vec<u32>, Point)> = Vec::new();
+        'neighborhood: for i in 0..free.len() {
+            for choice in 0..free.choices(i) as u32 {
+                if choice == incumbent[i] {
                     continue;
                 }
                 let mut genotype = incumbent.clone();
-                genotype[d] = choice;
-                let candidate = space.decode(base, &genotype);
-                if seen.insert(axis_key(&candidate)) {
-                    batch.push((genotype, candidate));
+                genotype[i] = choice;
+                let point = free.point(base, &genotype);
+                if seen.insert(&free, base, &point) {
+                    batch.push((genotype, point));
                     if batch.len() == remaining {
                         break 'neighborhood;
                     }
@@ -708,31 +881,37 @@ fn search_instance(
             }
         }
         if batch.is_empty() {
-            // Neighborhood exhausted: kick to seeded random genotypes.
+            // Neighborhood exhausted: kick to seeded random genotypes. Each
+            // free axis draws under its full-genotype index, so the draws
+            // are those of a walk over every axis (a single-choice axis
+            // could only draw its one choice).
             let want = KICK.min(remaining);
             let mut attempts = 0usize;
             while batch.len() < want && attempts < 64 * KICK {
                 attempts += 1;
-                let genotype: Vec<u32> = (0..dims)
-                    .map(|d| {
-                        (derive_seed(stream, &[draws, d as u64]) % space.choices(d) as u64) as u32
+                let genotype: Vec<u32> = (0..free.len())
+                    .map(|i| {
+                        let draw = derive_seed(stream, &[draws, free.axes[i] as u64]);
+                        (draw % free.choices(i) as u64) as u32
                     })
                     .collect();
                 draws += 1;
-                let candidate = space.decode(base, &genotype);
-                if seen.insert(axis_key(&candidate)) {
-                    batch.push((genotype, candidate));
+                let point = free.point(base, &genotype);
+                if seen.insert(&free, base, &point) {
+                    batch.push((genotype, point));
                 }
             }
             if batch.is_empty() {
                 break; // the whole reachable space is evaluated
             }
         }
-        for (genotype, candidate) in batch {
+        for (genotype, point) in batch {
             evaluations += 1;
             if ceiling.is_some_and(|c| best.0 >= c) {
                 continue; // judged: it cannot beat the incumbent
             }
+            // Only a candidate that runs is built into a scenario.
+            let candidate = free.scenario(base, point);
             let record = evaluate(&candidate, scratch, store, &mut work);
             let score = judge(&record);
             // Strictly-greater only: ties keep the earlier candidate, so
@@ -754,6 +933,22 @@ fn search_instance(
         record: best.2,
         executed_rounds: work.executed_rounds,
         runs: work.runs,
+    }
+}
+
+/// The outcome of an instance whose search ran nothing: a zero score, the
+/// base cell as witness and `record` (a panic or a rejection) as its
+/// record.
+fn unsearched(base: &Scenario, record: RunRecord) -> SearchOutcome {
+    SearchOutcome {
+        instance: base.key.instance_canonical(),
+        evaluations: 0,
+        improvements: 0,
+        score: (0, 0),
+        witness: base.clone(),
+        record,
+        executed_rounds: 0,
+        runs: 0,
     }
 }
 
@@ -782,11 +977,12 @@ struct Work {
     executed_rounds: u64,
 }
 
-/// Measures one candidate with the campaign runner's preflight and solo
-/// [`execute_scenario_with_scratch`](runner::execute_scenario_with_scratch),
-/// so a witness record replays bit for bit through
-/// [`execute_scenario`](crate::execute_scenario), and books the run in
-/// `work`.
+/// Measures one candidate with the two halves of the campaign runner's
+/// solo [`execute_scenario_with_scratch`](runner::execute_scenario_with_scratch),
+/// preflight and execution, so a witness record replays bit for bit
+/// through [`execute_scenario`](crate::execute_scenario), and books the
+/// run in `work`. The store is consulted between the halves, so the record
+/// is built and the candidate preflighted once.
 ///
 /// With a store, a runnable candidate is served from the cache where
 /// possible and otherwise writes through after execution; the record is
@@ -807,7 +1003,7 @@ fn evaluate(
     if let Some(cached) = store.and_then(|s| s.lookup(candidate)) {
         return cached;
     }
-    let record = runner::execute_scenario_with_scratch(candidate, scratch);
+    let record = runner::execute_preflighted(candidate, record, scratch);
     work.executed_rounds += record.engine_iterations;
     if let Some(store) = store {
         store.insert(candidate, &record);
@@ -905,6 +1101,380 @@ mod tests {
         assert_eq!(dormant.schedule, WakeSchedule::Explicit(vec![0, u64::MAX]));
         let collapsed = all_max.decode(&base, &[0, 0]);
         assert_eq!(collapsed.schedule, base.schedule);
+    }
+
+    /// A decode that reads every axis of a full genotype straight into
+    /// specs, with no free axes and no points: the oracle the point-based
+    /// decode is checked against.
+    fn reference_specs(
+        space: &AdversarySpace,
+        base: &Scenario,
+        genotype: &[u32],
+    ) -> (WakeSchedule, TopologySpec, FaultSpec) {
+        let mut g = genotype.iter().map(|&c| c as usize);
+        let schedule = if space.wake_offsets.is_empty() {
+            base.schedule.clone()
+        } else {
+            let mut offsets: Vec<u64> = space
+                .wake_offsets
+                .iter()
+                .map(|choices| choices[g.next().unwrap()])
+                .collect();
+            match offsets.iter().copied().filter(|&o| o != u64::MAX).min() {
+                Some(min) => {
+                    for o in offsets.iter_mut().filter(|o| **o != u64::MAX) {
+                        *o -= min;
+                    }
+                    WakeSchedule::Explicit(offsets)
+                }
+                None => base.schedule.clone(),
+            }
+        };
+        let points: Vec<CrashPoint> = space
+            .crash_rounds
+            .iter()
+            .map(|&(label, ref choices)| (label, choices[g.next().unwrap()]))
+            .filter(|&(_, round)| round != u64::MAX)
+            .map(|(label, round)| CrashPoint { label, round })
+            .collect();
+        let fault = if points.is_empty() {
+            FaultSpec::None
+        } else {
+            FaultSpec::CrashAt(points)
+        };
+        let script: Vec<u32> = space
+            .edge_script
+            .iter()
+            .map(|choices| choices[g.next().unwrap()])
+            .collect();
+        let topo = if script.iter().all(|&e| e == ScriptedRing::KEEP_ALL) {
+            TopologySpec::Static
+        } else {
+            TopologySpec::Scripted(ScriptedRing { script })
+        };
+        (schedule, topo, fault)
+    }
+
+    /// A drawn small space with the shapes that make genotypes collide:
+    /// duplicate choices, all-`u64::MAX` wake axes, an explicit base
+    /// schedule equal to a normalized candidate, and single-choice edge
+    /// axes that keep all edges or remove one.
+    fn drawn_space(
+        base_pick: usize,
+        wake: &[Vec<usize>],
+        crash: &[(usize, Vec<usize>)],
+        edges: &[Vec<usize>],
+    ) -> (Scenario, AdversarySpace) {
+        const WAKE: [u64; 5] = [0, 3, 5, u64::MAX, u64::MAX];
+        const CRASH: [u64; 4] = [u64::MAX, 8, 8, 16];
+        const EDGE: [u32; 5] = [ScriptedRing::KEEP_ALL, 0, 1, 2, ScriptedRing::KEEP_ALL];
+        const LABELS: [u64; 3] = [2, 3, 9];
+        let space = AdversarySpace {
+            wake_offsets: wake
+                .iter()
+                .map(|axis| axis.iter().map(|&i| WAKE[i]).collect())
+                .collect(),
+            crash_rounds: crash
+                .iter()
+                .map(|(l, axis)| {
+                    (
+                        Label::new(LABELS[*l]).unwrap(),
+                        axis.iter().map(|&i| CRASH[i]).collect(),
+                    )
+                })
+                .collect(),
+            edge_script: edges
+                .iter()
+                .map(|axis| axis.iter().map(|&i| EDGE[i]).collect())
+                .collect(),
+        };
+        let mut base = base_scenario();
+        base.schedule = match base_pick {
+            0 => WakeSchedule::Simultaneous,
+            1 => WakeSchedule::FirstOnly,
+            // The normalized offsets of the wake genotype picking choice
+            // `base_pick - 2` on every axis, a base some candidate
+            // normalizes onto (or a fixed one if that pick is all-MAX).
+            _ => {
+                let picked: Vec<u64> = space
+                    .wake_offsets
+                    .iter()
+                    .map(|axis| axis[(base_pick - 2) % axis.len()])
+                    .collect();
+                let finite = picked.iter().copied().filter(|&o| o != u64::MAX);
+                WakeSchedule::Explicit(match finite.min() {
+                    Some(min) => picked
+                        .iter()
+                        .map(|&o| if o == u64::MAX { o } else { o - min })
+                        .collect(),
+                    None => vec![0, 3],
+                })
+            }
+        };
+        (base, space)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 96,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        #[test]
+        fn points_dedup_exactly_like_key_names(
+            base_pick in 0usize..6,
+            wake in proptest::collection::vec(proptest::collection::vec(0usize..5, 1..4), 0..4),
+            crash in proptest::collection::vec(
+                (0usize..3, proptest::collection::vec(0usize..4, 1..4)),
+                0..3,
+            ),
+            edges in proptest::collection::vec(proptest::collection::vec(0usize..5, 1..4), 0..6),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let (base, space) = drawn_space(base_pick, &wake, &crash, &edges);
+            let free = FreeAxes::of(&space).unwrap();
+            let dims = space.dims();
+            // Genotype zero plus seeded draws over every axis.
+            let genotypes: Vec<Vec<u32>> = (0..48u64)
+                .map(|k| {
+                    (0..dims)
+                        .map(|d| {
+                            let draw = if k == 0 { 0 } else { derive_seed(seed, &[k, d as u64]) };
+                            (draw % space.choices(d) as u64) as u32
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut decoded = Vec::new();
+            for genotype in &genotypes {
+                let compact: Vec<u32> = free.axes.iter().map(|&d| genotype[d]).collect();
+                let point = free.point(&base, &compact);
+                let (schedule, topo, fault) = reference_specs(&space, &base, genotype);
+                let names = format!(
+                    "{}|{}|{}",
+                    wake_name(&schedule),
+                    topo.short_name(),
+                    fault.short_name()
+                );
+                proptest::prop_assert_eq!(&free.names(&base, &point), &names);
+                // The on-demand build and the public decode agree with the
+                // reference, key included.
+                for built in [free.scenario(&base, point.clone()), space.decode(&base, genotype)] {
+                    proptest::prop_assert_eq!(&built.schedule, &schedule);
+                    proptest::prop_assert_eq!(&built.topo, &topo);
+                    proptest::prop_assert_eq!(&built.fault, &fault);
+                    let mut key = base.key.clone();
+                    key.wake = wake_name(&schedule);
+                    key.topo = topo.short_name();
+                    key.fault = fault.short_name();
+                    proptest::prop_assert_eq!(&built.key, &key);
+                    proptest::prop_assert_eq!(built.seed, base.seed);
+                }
+                decoded.push((point, names));
+            }
+            for (a, name_a) in &decoded {
+                for (b, name_b) in &decoded {
+                    proptest::prop_assert_eq!(a == b, name_a == name_b, "{:?} vs {:?}", a, b);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn collision_shapes_decode_to_one_point() {
+        let x = ScriptedRing::KEEP_ALL;
+        // Offsets (0, 3) normalize onto the explicit base schedule (0, 3),
+        // and an all-MAX pick, which nobody self-wakes in, collapses onto
+        // that base too: one point, one key name.
+        let (base, space) = drawn_space(2, &[vec![0, 3], vec![1, 3]], &[], &[]);
+        let free = FreeAxes::of(&space).unwrap();
+        assert_eq!(free.point(&base, &[0, 0]), free.point(&base, &[1, 1]));
+        assert_eq!(free.point(&base, &[0, 0]).wake, Some(vec![0, 3]));
+        assert_eq!(free.point(&base, &[1, 0]).wake, Some(vec![u64::MAX, 0]));
+        assert_eq!(space.decode(&base, &[1, 1]).key.wake, "explicit0.3");
+        // Duplicate choices decode to one point.
+        let (base, space) = drawn_space(0, &[], &[(1, vec![1, 2])], &[]);
+        let free = FreeAxes::of(&space).unwrap();
+        assert_eq!(free.point(&base, &[0]), free.point(&base, &[1]));
+        // A single-choice edge axis that removes an edge keeps every
+        // point off the static topology; one that keeps all does not.
+        for (lead, topo) in [
+            (x, TopologySpec::Static),
+            (
+                2,
+                TopologySpec::Scripted(ScriptedRing { script: vec![2, x] }),
+            ),
+        ] {
+            let space = AdversarySpace {
+                wake_offsets: vec![],
+                crash_rounds: vec![],
+                edge_script: vec![vec![lead], vec![x, 0]],
+            };
+            let free = FreeAxes::of(&space).unwrap();
+            assert_eq!(free.len(), 1);
+            assert_eq!(space.decode(&base, &[0, 0]).topo, topo);
+            assert_eq!(
+                space.decode(&base, &[0, 1]).key.topo,
+                if lead == x { "sringx.0" } else { "sring2.0" }
+            );
+        }
+    }
+
+    #[test]
+    fn decoded_keys_pin_long_scripts_explicit_wakes_and_multi_point_crashes() {
+        let base = base_scenario();
+        let x = ScriptedRing::KEEP_ALL;
+        let mut edge_script = vec![vec![x]; 6];
+        edge_script.push(vec![x, 0, 3]);
+        edge_script.push(vec![1]);
+        edge_script.push(vec![x, 2]);
+        let space = AdversarySpace {
+            wake_offsets: vec![vec![4], vec![u64::MAX, 9]],
+            crash_rounds: vec![
+                (Label::new(2).unwrap(), vec![u64::MAX, 40]),
+                (Label::new(3).unwrap(), vec![7]),
+            ],
+            edge_script,
+        };
+        let c = space.decode(&base, &[0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1]);
+        assert_eq!(c.key.wake, "explicit0.x");
+        assert_eq!(c.key.topo, "sringx.x.x.x.x.x.3.1.2");
+        assert_eq!(c.key.fault, "crash2@40+3@7");
+        assert_eq!(
+            c.key.canonical(),
+            "ring/n4/t2.3/wexplicit0.x/sringx.x.x.x.x.x.3.1.2/crash2@40+3@7/silent/gather/r0"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "offers no choice")]
+    fn decode_rejects_a_choice_the_axis_does_not_offer() {
+        let _ = small_space().decode(&base_scenario(), &[1, 0, 0, 0]);
+    }
+
+    /// The search walk over every axis: full genotypes, [`reference_specs`]
+    /// decoding, dedup on key names and every candidate run; the oracle
+    /// for the walk over free axes. Returns the evaluations, the
+    /// improvements, the witness record and the executed rounds.
+    fn reference_walk(
+        base: &Scenario,
+        space: &AdversarySpace,
+        objective: Objective,
+        budget: u64,
+    ) -> (u64, u64, RunRecord, u64) {
+        let dims = space.dims();
+        let stream = derive_seed(base.seed, &[SALT_SEARCH]);
+        let decode = |genotype: &[u32]| {
+            let (schedule, topo, fault) = reference_specs(space, base, genotype);
+            let mut s = base.clone();
+            s.key.wake = wake_name(&schedule);
+            s.key.topo = topo.short_name();
+            s.key.fault = fault.short_name();
+            (s.schedule, s.topo, s.fault) = (schedule, topo, fault);
+            s
+        };
+        let name = |s: &Scenario| format!("{}|{}|{}", s.key.wake, s.key.topo, s.key.fault);
+        let mut seen = BTreeSet::new();
+        let mut incumbent = vec![0u32; dims];
+        let first = decode(&incumbent);
+        seen.insert(name(&first));
+        let record = runner::execute_scenario(&first);
+        let mut executed_rounds = record.engine_iterations;
+        let (mut evaluations, mut improvements, mut draws) = (1u64, 0u64, 0u64);
+        let mut best = (objective.score(&record), record);
+        let budget = if space.candidates() == 1 { 1 } else { budget };
+        while evaluations < budget {
+            let remaining = (budget - evaluations) as usize;
+            let mut batch = Vec::new();
+            'neighborhood: for d in 0..dims {
+                for choice in 0..space.choices(d) as u32 {
+                    let mut genotype = incumbent.clone();
+                    genotype[d] = choice;
+                    let candidate = decode(&genotype);
+                    if choice != incumbent[d] && seen.insert(name(&candidate)) {
+                        batch.push((genotype, candidate));
+                        if batch.len() == remaining {
+                            break 'neighborhood;
+                        }
+                    }
+                }
+            }
+            if batch.is_empty() {
+                let want = KICK.min(remaining);
+                let mut attempts = 0;
+                while batch.len() < want && attempts < 64 * KICK {
+                    attempts += 1;
+                    let genotype: Vec<u32> = (0..dims)
+                        .map(|d| {
+                            let draw = derive_seed(stream, &[draws, d as u64]);
+                            (draw % space.choices(d) as u64) as u32
+                        })
+                        .collect();
+                    draws += 1;
+                    let candidate = decode(&genotype);
+                    if seen.insert(name(&candidate)) {
+                        batch.push((genotype, candidate));
+                    }
+                }
+                if batch.is_empty() {
+                    break;
+                }
+            }
+            for (genotype, candidate) in batch {
+                evaluations += 1;
+                let record = runner::execute_scenario(&candidate);
+                executed_rounds += record.engine_iterations;
+                let score = objective.score(&record);
+                if score > best.0 {
+                    best = (score, record);
+                    incumbent = genotype;
+                    improvements += 1;
+                }
+            }
+        }
+        (evaluations, improvements, best.1, executed_rounds)
+    }
+
+    #[test]
+    fn the_free_axis_walk_is_the_walk_over_every_axis() {
+        // Single-choice axes before, between and after the free ones, and
+        // budgets past the neighborhood, so kicks draw many times. Every
+        // candidate runs under `SlowGather` here, so the executed rounds
+        // fingerprint the set of candidates walked.
+        let x = ScriptedRing::KEEP_ALL;
+        let space = AdversarySpace {
+            wake_offsets: vec![vec![0], vec![0, 3, 5, u64::MAX]],
+            crash_rounds: vec![
+                (Label::new(2).unwrap(), vec![u64::MAX]),
+                (Label::new(3).unwrap(), vec![u64::MAX, 16, 40, 90]),
+            ],
+            edge_script: vec![
+                vec![x],
+                vec![x, 0, 1, 2, 3],
+                vec![1],
+                vec![x, 0, 1, 2, 3],
+                vec![x],
+            ],
+        };
+        for (seed, budget) in [(7, 30), (8, 60)] {
+            let mut base = base_scenario();
+            base.seed = scenario_seed(seed, &base.key);
+            let reference = reference_walk(&base, &space, Objective::SlowGather, budget);
+            let spec = SearchSpec {
+                name: "walk".into(),
+                seed,
+                budget,
+                objective: Objective::SlowGather,
+                instances: vec![(base, space.clone())],
+            };
+            let o = &run_search(&spec, 1).outcomes[0];
+            assert_eq!(o.runs, o.evaluations);
+            assert_eq!(
+                (o.evaluations, o.improvements, &o.record, o.executed_rounds),
+                (reference.0, reference.1, &reference.2, reference.3),
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]

@@ -15,13 +15,20 @@
 //!    above the instance's ceiling (so the candidates the search judges
 //!    without running could not have replaced its witness), and a space
 //!    whose baseline already fails at the round limit costs one run.
+//! 5. **Long single-choice lead-ins cost nothing and change nothing.** The
+//!    late-outage hunt, 7,000 axes per instance of which 12 are walked,
+//!    matches goldens generated when the search still walked every axis.
+//! 6. **Malformed spaces are typed, never panics.** Empty axes, crash
+//!    labels outside the team, out-of-range edge ids, scripts over
+//!    non-cycles and extra wake axes yield no `panic:` record; an empty
+//!    axis is an `unsupported:` record for its instance.
 
 use proptest::prelude::*;
 
 use nochatter_core::KnownSetup;
 use nochatter_graph::generators::Family;
 use nochatter_graph::Label;
-use nochatter_lab::presets::{hunt_smoke_spec, hunt_space, hunt_spec};
+use nochatter_lab::presets::{hunt_smoke_spec, hunt_space, hunt_spec, late_outage_spec};
 use nochatter_lab::{
     execute_scenario, run_search, run_search_cached, scenario_seed, spread, AdversarySpace,
     CacheStats, Objective, Scenario, ScenarioKey, ScenarioKind, SearchSpec, Store,
@@ -164,16 +171,21 @@ fn truncated(space: &AdversarySpace, keep: usize) -> AdversarySpace {
     }
 }
 
-/// Every genotype of `space`, in mixed-radix order over its axes.
-fn genotypes(space: &AdversarySpace) -> Vec<Vec<u32>> {
-    let radices: Vec<u32> = space
+/// The number of choices on each axis of `space`, in axis order.
+fn radices(space: &AdversarySpace) -> Vec<u32> {
+    space
         .wake_offsets
         .iter()
         .map(Vec::len)
         .chain(space.crash_rounds.iter().map(|(_, c)| c.len()))
         .chain(space.edge_script.iter().map(Vec::len))
         .map(|len| len as u32)
-        .collect();
+        .collect()
+}
+
+/// Every genotype of `space`, in mixed-radix order over its axes.
+fn genotypes(space: &AdversarySpace) -> Vec<Vec<u32>> {
+    let radices = radices(space);
     let mut all = vec![vec![0u32; radices.len()]];
     for (d, &radix) in radices.iter().enumerate() {
         all = all
@@ -401,4 +413,113 @@ fn a_baseline_failing_at_the_limit_is_the_only_run() {
     assert_eq!(warm.total_executed_rounds(), 0);
     assert_eq!(warm.to_json(), report.to_json());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+const LATE_JSON: &str = include_str!("../golden/hunt_late.json");
+const LATE_CSV: &str = include_str!("../golden/hunt_late.csv");
+
+#[test]
+fn the_late_outage_hunt_matches_its_golden_reports() {
+    // 7,000-slot spaces whose single-choice lead-in the search never
+    // walks: the reports must be those of a walk over every axis.
+    let spec = late_outage_spec(64);
+    let one = run_search(&spec, 1);
+    let hint = "late-outage hunt drifted from crates/lab/golden/hunt_late.*; the \
+                files are `run_search(&late_outage_spec(64), 1)`'s to_json() and \
+                to_csv()";
+    assert_eq!(one.to_json(), LATE_JSON, "{hint}");
+    assert_eq!(one.to_csv(), LATE_CSV, "{hint}");
+    let two = run_search(&spec, 2);
+    assert_eq!(two.to_json(), LATE_JSON, "workers = 2");
+    assert_eq!(two.to_csv(), LATE_CSV, "workers = 2");
+}
+
+/// A drawn malformed adversary space: which defect it carries, and where.
+#[derive(Debug, Clone)]
+struct Malformed {
+    defect: usize,
+    family: usize,
+    axis: usize,
+    budget: u64,
+    seed: u64,
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    #[test]
+    fn malformed_spaces_yield_typed_records_never_panics(
+        m in (0usize..5, 0usize..3, 0usize..8, 1u64..10, any::<u64>()).prop_map(
+            |(defect, family, axis, budget, seed)| Malformed { defect, family, axis, budget, seed },
+        ),
+    ) {
+        let (base, mut space) = build(&Drawn {
+            family: m.family,
+            n: 5,
+            three_agents: false,
+            wake_choices: vec![0, 4],
+            crash_choices: vec![u64::MAX, 32],
+            edge_slots: 2,
+            budget: m.budget,
+            seed: m.seed,
+            objective_failure: true,
+        });
+        let m_edges = base.cfg.graph().edge_count() as u32;
+        match m.defect {
+            // An axis with no choice at all: a wake, a crash or an edge
+            // axis.
+            0 => match m.axis % 3 {
+                0 => space.wake_offsets[1].clear(),
+                1 => space.crash_rounds[0].1.clear(),
+                _ => space.edge_script.push(Vec::new()),
+            },
+            // A crash label outside the team.
+            1 => space.crash_rounds.push((Label::new(77).unwrap(), vec![u64::MAX, 8])),
+            // Edge ids the base graph does not have.
+            2 => space.edge_script.push(vec![ScriptedRing::KEEP_ALL, m_edges, m_edges + 5]),
+            // A script over whatever base graph was drawn, cycle or not.
+            3 => space.edge_script = vec![vec![ScriptedRing::KEEP_ALL, 0, 1]; 3],
+            // A wake axis per agent plus one.
+            _ => space.wake_offsets.push(vec![0, 2]),
+        }
+        let spec = SearchSpec {
+            name: "malformed".into(),
+            seed: m.seed,
+            budget: m.budget,
+            objective: Objective::Failure,
+            instances: vec![(base, space.clone())],
+        };
+        let report = run_search(&spec, 1);
+        let outcome = &report.outcomes[0];
+        prop_assert!(
+            !outcome.record.status.starts_with("panic"),
+            "{:?}: {}",
+            m,
+            outcome.record.status
+        );
+        let radices = radices(&space);
+        if let Some(d) = radices.iter().position(|&r| r == 0) {
+            prop_assert_eq!(
+                &outcome.record.status,
+                &format!(
+                    "unsupported: adversary axis {d} offers no choice (instance {})",
+                    outcome.instance
+                )
+            );
+            prop_assert_eq!(outcome.evaluations, 0);
+            prop_assert_eq!(outcome.score, (0, 0));
+        } else {
+            // The witness hides the malformed candidates that lost to it:
+            // run genotype zero and its one-mutation neighbors directly.
+            let base = &spec.instances[0].0;
+            for (d, &radix) in radices.iter().enumerate() {
+                for choice in 0..radix {
+                    let mut genotype = vec![0u32; radices.len()];
+                    genotype[d] = choice;
+                    let record = execute_scenario(&space.decode(base, &genotype));
+                    prop_assert!(!record.status.starts_with("panic"), "{}", record.status);
+                }
+            }
+        }
+    }
 }

@@ -18,6 +18,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::fmt::Write as _;
 
 use nochatter_graph::rng::derive_seed;
 use nochatter_graph::Label;
@@ -125,12 +126,14 @@ impl FaultSpec {
         match self {
             FaultSpec::None => "none".into(),
             FaultSpec::CrashAt(points) => {
-                let body = points
-                    .iter()
-                    .map(|c| format!("{}@{}", c.label, c.round))
-                    .collect::<Vec<_>>()
-                    .join("+");
-                format!("crash{body}")
+                let mut name = String::from("crash");
+                for (i, c) in points.iter().enumerate() {
+                    if i > 0 {
+                        name.push('+');
+                    }
+                    let _ = write!(name, "{}@{}", c.label, c.round);
+                }
+                name
             }
             FaultSpec::SeededCrash {
                 p,
@@ -343,6 +346,21 @@ mod tests {
             },
         ]);
         assert_eq!(spec.short_name(), "crash3@64+5@256");
+        let three = FaultSpec::CrashAt(vec![
+            CrashPoint {
+                label: label(9),
+                round: 0,
+            },
+            CrashPoint {
+                label: label(3),
+                round: u64::MAX - 1,
+            },
+            CrashPoint {
+                label: label(12),
+                round: 7,
+            },
+        ]);
+        assert_eq!(three.short_name(), "crash9@0+3@18446744073709551614+12@7");
         assert_eq!(
             FaultSpec::SeededCrash {
                 p: 0.05,
