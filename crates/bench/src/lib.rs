@@ -328,6 +328,9 @@ pub fn t2_communicate(_ctx: ExperimentCtx) -> Table {
                 nochatter_sim::Poll::Yield(nochatter_sim::Action::TakePort(p)) => {
                     AgentAct::TakePort(p)
                 }
+                nochatter_sim::Poll::Yield(nochatter_sim::Action::SlowMove(_)) => {
+                    unreachable!("Communicate makes no slow moves")
+                }
                 nochatter_sim::Poll::Complete(out) => {
                     self.done = true;
                     AgentAct::Declare(Declaration {

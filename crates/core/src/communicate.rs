@@ -250,6 +250,9 @@ mod tests {
                 Poll::Yield(nochatter_sim::Action::TakePort(p)) => {
                     nochatter_sim::AgentAct::TakePort(p)
                 }
+                Poll::Yield(nochatter_sim::Action::SlowMove(_)) => {
+                    unreachable!("Communicate makes no slow moves")
+                }
                 Poll::Complete(out) => {
                     self.done = true;
                     nochatter_sim::AgentAct::Declare(Declaration {

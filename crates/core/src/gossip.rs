@@ -468,8 +468,9 @@ impl Procedure for GossipUnknownUpperBound {
         }
     }
 
-    // Only the gathering stage's slow waits are blind; the exchange
-    // watches `CurCard`.
+    // Only the gathering stage waits blind (its slow moves never reach
+    // here: `ProcBehavior` counts them down); the exchange watches
+    // `CurCard`.
     fn blind(&self) -> bool {
         match &self.stage {
             UnknownComposedStage::Gather(g) => g.blind(),
@@ -481,6 +482,13 @@ impl Procedure for GossipUnknownUpperBound {
         match &mut self.stage {
             UnknownComposedStage::Gather(g) => g.note_skipped(rounds),
             UnknownComposedStage::Chat(_, g) => g.note_skipped(rounds),
+        }
+    }
+
+    fn slow_wait(&self) -> u64 {
+        match &self.stage {
+            UnknownComposedStage::Gather(g) => g.slow_wait(),
+            UnknownComposedStage::Chat(..) => unreachable!("the exchange makes no slow moves"),
         }
     }
 }

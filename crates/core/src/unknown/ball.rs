@@ -11,6 +11,11 @@
 //! agents testing hypothesis `h` can recognize (and not be confused by)
 //! agents still working on other hypotheses.
 //!
+//! Each wait-then-move is one [`Action::SlowMove`] of `w_h + 1` rounds
+//! (its [`Procedure::slow_wait`] is `w_h`). The wait ignores what the
+//! agent senses, so the traversal is polled only where it decides: once
+//! per move, in the round after it.
+//!
 //! A finished traversal turns into its own retrace
 //! ([`BallTraversal::into_retrace`]): the hypothesis's cleanup walks the
 //! ball's moves back by replaying paths, so no move is ever stored and a
@@ -18,22 +23,10 @@
 
 use nochatter_explore::paths::Paths;
 use nochatter_graph::Port;
-use nochatter_sim::proc::{Procedure, WaitRounds};
+use nochatter_sim::proc::Procedure;
 use nochatter_sim::{Action, Obs, Poll};
 
 use super::schedule::HypothesisSchedule;
-
-#[derive(Debug)]
-enum Stage {
-    /// Deciding what to do at the current node (checks degree, port
-    /// existence, path exhaustion).
-    Decide,
-    /// The slow wait before a forward move (the port to take afterwards).
-    ForwardWait(WaitRounds, Port),
-    /// The slow wait before a backtrack move.
-    BackWait(WaitRounds, Port),
-    Done(bool),
-}
 
 /// Algorithm 7 as a [`Procedure`]; completes with `false` iff a node of
 /// degree `>= n_h` was stood upon.
@@ -57,9 +50,8 @@ pub struct BallTraversal {
     entries: Vec<Port>,
     /// True while walking forward, false while backtracking.
     forward: bool,
-    /// Whether the current path ended early (missing port).
-    exhausted_paths: bool,
-    stage: Stage,
+    /// The result, once the traversal has finished.
+    done: Option<bool>,
     /// Set when a move was just yielded so the next observation's entry
     /// port must be recorded.
     pending_entry: bool,
@@ -82,8 +74,7 @@ impl BallTraversal {
             i: 0,
             entries: Vec::new(),
             forward: true,
-            exhausted_paths: false,
-            stage: Stage::Decide,
+            done: None,
             pending_entry: false,
         }
     }
@@ -101,14 +92,13 @@ impl BallTraversal {
     /// completes with `true`.
     pub fn into_retrace(self) -> Self {
         debug_assert!(
-            matches!(self.stage, Stage::Done(_)),
+            self.done.is_some(),
             "only a finished traversal has a retrace"
         );
         BallTraversal {
             retrace: true,
             forward: false,
-            exhausted_paths: false,
-            stage: Stage::Decide,
+            done: None,
             pending_entry: false,
             ..self
         }
@@ -127,92 +117,48 @@ impl Procedure for BallTraversal {
             );
         }
         loop {
-            match &mut self.stage {
-                Stage::Decide => {
-                    if self.exhausted_paths {
-                        self.stage = Stage::Done(true);
-                        continue;
-                    }
-                    if self.forward {
-                        // Algorithm 7 line 7: abort on a high-degree node.
-                        if !self.retrace && obs.degree >= self.n {
-                            self.stage = Stage::Done(false);
-                            continue;
-                        }
-                        if self.i >= self.current.len() || self.current[self.i] >= obs.degree {
-                            // Path finished or port missing: backtrack what
-                            // was walked.
-                            self.forward = false;
-                            continue;
-                        }
-                        let port = Port::new(self.current[self.i]);
-                        self.i += 1;
-                        self.stage = Stage::ForwardWait(WaitRounds::new(self.w), port);
-                    } else if let Some(back) = self.entries.pop() {
-                        self.stage = Stage::BackWait(WaitRounds::new(self.w), back);
-                    } else {
-                        // Back at the start: advance to the next path.
-                        let next = if self.retrace {
-                            self.paths.prev_path()
-                        } else {
-                            self.paths.next_path()
-                        };
-                        match next {
-                            Some(p) => {
-                                self.current.clear();
-                                self.current.extend_from_slice(p);
-                                self.i = 0;
-                                self.forward = true;
-                            }
-                            None => self.exhausted_paths = true,
-                        }
-                    }
+            if let Some(b) = self.done {
+                return Poll::Complete(b);
+            }
+            if self.forward {
+                // Algorithm 7 line 7: abort on a high-degree node.
+                if !self.retrace && obs.degree >= self.n {
+                    self.done = Some(false);
+                } else if self.i >= self.current.len() || self.current[self.i] >= obs.degree {
+                    // Path finished or port missing: backtrack what was
+                    // walked.
+                    self.forward = false;
+                } else {
+                    let port = Port::new(self.current[self.i]);
+                    self.i += 1;
+                    self.pending_entry = true;
+                    return Poll::Yield(Action::SlowMove(port));
                 }
-                Stage::ForwardWait(wait, port) => {
-                    let port = *port;
-                    match wait.poll(obs) {
-                        Poll::Yield(a) => return Poll::Yield(a),
-                        Poll::Complete(()) => {
-                            self.stage = Stage::Decide;
-                            self.pending_entry = true;
-                            return Poll::Yield(Action::TakePort(port));
-                        }
+            } else if let Some(back) = self.entries.pop() {
+                // Backtrack moves do not re-record entries.
+                return Poll::Yield(Action::SlowMove(back));
+            } else {
+                // Back at the start: advance to the next path.
+                let next = if self.retrace {
+                    self.paths.prev_path()
+                } else {
+                    self.paths.next_path()
+                };
+                match next {
+                    Some(p) => {
+                        self.current.clear();
+                        self.current.extend_from_slice(p);
+                        self.i = 0;
+                        self.forward = true;
                     }
+                    None => self.done = Some(true),
                 }
-                Stage::BackWait(wait, port) => {
-                    let port = *port;
-                    match wait.poll(obs) {
-                        Poll::Yield(a) => return Poll::Yield(a),
-                        Poll::Complete(()) => {
-                            self.stage = Stage::Decide;
-                            // Backtrack moves do not re-record entries.
-                            return Poll::Yield(Action::TakePort(port));
-                        }
-                    }
-                }
-                Stage::Done(b) => return Poll::Complete(*b),
             }
         }
     }
 
-    fn min_wait(&self) -> u64 {
-        match &self.stage {
-            Stage::ForwardWait(w, _) | Stage::BackWait(w, _) => w.min_wait(),
-            _ => 0,
-        }
-    }
-
-    // The slow waits ignore what the agent senses: Algorithm 7 moves
-    // after `w_h` rounds whoever comes and goes.
-    fn blind(&self) -> bool {
-        matches!(self.stage, Stage::ForwardWait(..) | Stage::BackWait(..))
-    }
-
-    fn note_skipped(&mut self, rounds: u64) {
-        match &mut self.stage {
-            Stage::ForwardWait(w, _) | Stage::BackWait(w, _) => w.note_skipped(rounds),
-            _ => debug_assert_eq!(rounds, 0),
-        }
+    fn slow_wait(&self) -> u64 {
+        self.w
     }
 }
 
@@ -222,7 +168,7 @@ mod tests {
     use crate::unknown::enumeration::SliceEnumeration;
     use crate::unknown::schedule::UnknownSchedule;
     use nochatter_graph::{generators, Graph, InitialConfiguration, Label, NodeId};
-    use nochatter_sim::proc::ProcBehavior;
+    use nochatter_sim::proc::{ProcBehavior, WaitRounds};
     use nochatter_sim::{Declaration, Engine, TraceEvent, WakeSchedule};
 
     fn label(v: u64) -> Label {
@@ -305,10 +251,13 @@ mod tests {
                 match self.ball().poll(obs) {
                     Poll::Yield(a) => {
                         let half = self.half();
-                        self.rounds[half] += 1;
-                        if let Action::TakePort(_) = a {
-                            self.moves[half] += 1;
-                        }
+                        let (rounds, moves) = match a {
+                            Action::Wait => (1, 0),
+                            Action::TakePort(_) => (1, 1),
+                            Action::SlowMove(_) => (self.ball().slow_wait() + 1, 1),
+                        };
+                        self.rounds[half] += rounds;
+                        self.moves[half] += moves;
                         return Poll::Yield(a);
                     }
                     Poll::Complete(ok) => {
@@ -323,14 +272,8 @@ mod tests {
             }
         }
 
-        fn min_wait(&self) -> u64 {
-            self.ball.as_ref().unwrap().min_wait()
-        }
-
-        fn note_skipped(&mut self, rounds: u64) {
-            let half = self.half();
-            self.rounds[half] += rounds;
-            self.ball().note_skipped(rounds);
+        fn slow_wait(&self) -> u64 {
+            self.ball.as_ref().unwrap().slow_wait()
         }
     }
 

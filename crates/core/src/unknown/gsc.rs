@@ -296,6 +296,9 @@ mod tests {
                     self.tracker.borrow_mut().apply(p);
                     nochatter_sim::AgentAct::TakePort(p)
                 }
+                Poll::Yield(Action::SlowMove(_)) => {
+                    unreachable!("GraphSizeCheck makes no slow moves")
+                }
                 Poll::Complete(out) => nochatter_sim::AgentAct::Declare(Declaration {
                     leader: None,
                     size: Some(u32::from(out.b) + 2 * u32::from(out.dirty)),

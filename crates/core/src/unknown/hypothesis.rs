@@ -11,7 +11,9 @@
 //! in reverse, one slow (`w_h`-separated) move at a time — returning the
 //! agent to its start node — then pad so the hypothesis consumes exactly
 //! `T_h` rounds. The exact budget is what keeps all agents' hypothesis
-//! clocks in lockstep (Lemma 4.5).
+//! clocks in lockstep (Lemma 4.5). Every slow move, the ball's and the
+//! unwind's, is one [`Action::SlowMove`] waiting `w_h`, booked as its
+//! `w_h + 1` rounds.
 //!
 //! Only the main part's entry ports are stored. The ball traversal's,
 //! reversed, form a ball traversal of their own, so the cleanup replays it
@@ -55,8 +57,6 @@ enum Stage {
     Star(StarCheck),
     Ece(EnsureCleanExploration),
     Gsc(GraphSizeCheck),
-    /// The slow wait before the next main-part unwind move.
-    UnwindWait(WaitRounds, Port),
     /// The ball traversal's retrace, once the main-part trail is empty.
     UnwindBall(BallTraversal),
     /// Decide the next unwind step (or start padding).
@@ -88,7 +88,7 @@ pub struct Hypothesis {
     pending_trail: bool,
     /// Whether moves enter `trail`: true only during the main part.
     record_trail: bool,
-    /// Move instructions consumed so far within this hypothesis.
+    /// Rounds consumed so far within this hypothesis.
     rounds_spent: u64,
     dirty_est: bool,
     stage: Stage,
@@ -140,11 +140,12 @@ impl Hypothesis {
     }
 
     fn emit(&mut self, action: Action) -> Poll<HypothesisVerdict> {
-        self.rounds_spent += 1;
-        if self.record_trail {
-            if let Action::TakePort(_) = action {
-                self.pending_trail = true;
-            }
+        self.rounds_spent += match action {
+            Action::SlowMove(_) => self.hs.w + 1,
+            Action::Wait | Action::TakePort(_) => 1,
+        };
+        if self.record_trail && !matches!(action, Action::Wait) {
+            self.pending_trail = true;
         }
         Poll::Yield(action)
     }
@@ -254,9 +255,10 @@ impl Procedure for Hypothesis {
                     }
                 },
                 Stage::UnwindNext => {
-                    self.stage = if let Some(port) = self.trail.pop() {
-                        Stage::UnwindWait(WaitRounds::new(self.hs.w), port)
-                    } else if let Some(retrace) = self.retrace.take() {
+                    if let Some(port) = self.trail.pop() {
+                        return self.emit(Action::SlowMove(port));
+                    }
+                    self.stage = if let Some(retrace) = self.retrace.take() {
                         Stage::UnwindBall(retrace)
                     } else {
                         let remaining =
@@ -270,16 +272,6 @@ impl Procedure for Hypothesis {
                     Poll::Yield(a) => return self.emit(a),
                     Poll::Complete(_) => self.stage = Stage::UnwindNext,
                 },
-                Stage::UnwindWait(w, port) => {
-                    let port = *port;
-                    match w.poll(obs) {
-                        Poll::Yield(a) => return self.emit(a),
-                        Poll::Complete(()) => {
-                            self.stage = Stage::UnwindNext;
-                            return self.emit(Action::TakePort(port));
-                        }
-                    }
-                }
                 Stage::Pad(w) => match w.poll(obs) {
                     Poll::Yield(a) => return self.emit(a),
                     Poll::Complete(()) => {
@@ -293,36 +285,41 @@ impl Procedure for Hypothesis {
         }
     }
 
+    // The ball's slow moves wait inside `ProcBehavior`: the ball stages
+    // promise nothing of their own.
     fn min_wait(&self) -> u64 {
         match &self.stage {
-            Stage::Ball(b) | Stage::UnwindBall(b) => b.min_wait(),
-            Stage::Line4(w) | Stage::Pad(w) | Stage::UnwindWait(w, _) => w.min_wait(),
+            Stage::Line4(w) | Stage::Pad(w) => w.min_wait(),
             Stage::Mtcn(m) => m.min_wait(),
             Stage::Gsc(g) => g.min_wait(),
-            Stage::Star(_) | Stage::Ece(_) | Stage::UnwindNext => 0,
+            Stage::Ball(_)
+            | Stage::UnwindBall(_)
+            | Stage::Star(_)
+            | Stage::Ece(_)
+            | Stage::UnwindNext => 0,
         }
     }
 
     fn blind(&self) -> bool {
-        match &self.stage {
-            Stage::Ball(b) | Stage::UnwindBall(b) => b.blind(),
-            Stage::Line4(w) | Stage::Pad(w) | Stage::UnwindWait(w, _) => w.blind(),
-            Stage::Mtcn(_) | Stage::Gsc(_) | Stage::Star(_) | Stage::Ece(_) | Stage::UnwindNext => {
-                false
-            }
-        }
+        matches!(&self.stage, Stage::Line4(_) | Stage::Pad(_))
     }
 
     fn note_skipped(&mut self, rounds: u64) {
         self.rounds_spent += rounds;
         match &mut self.stage {
-            Stage::Ball(b) | Stage::UnwindBall(b) => b.note_skipped(rounds),
-            Stage::Line4(w) | Stage::Pad(w) | Stage::UnwindWait(w, _) => w.note_skipped(rounds),
+            Stage::Line4(w) | Stage::Pad(w) => w.note_skipped(rounds),
             Stage::Mtcn(m) => m.note_skipped(rounds),
             Stage::Gsc(g) => g.note_skipped(rounds),
-            Stage::Star(_) | Stage::Ece(_) | Stage::UnwindNext => {
-                debug_assert_eq!(rounds, 0)
-            }
+            Stage::Ball(_)
+            | Stage::UnwindBall(_)
+            | Stage::Star(_)
+            | Stage::Ece(_)
+            | Stage::UnwindNext => debug_assert_eq!(rounds, 0),
         }
+    }
+
+    // The ball's slow moves and the unwind's all wait `w_h`.
+    fn slow_wait(&self) -> u64 {
+        self.hs.w
     }
 }

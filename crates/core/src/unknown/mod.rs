@@ -208,8 +208,9 @@ impl Procedure for GatherUnknownUpperBound {
                 Stage::Hyp(hyp) => match hyp.poll(obs) {
                     Poll::Yield(a) => {
                         // The position oracle replays every move this agent
-                        // makes.
-                        if let Action::TakePort(p) = a {
+                        // makes. A slow move's port is applied before its
+                        // wait, while no poll can read the oracle.
+                        if let Action::TakePort(p) | Action::SlowMove(p) = a {
                             self.tracker.borrow_mut().apply(p);
                         }
                         return Poll::Yield(a);
@@ -262,6 +263,13 @@ impl Procedure for GatherUnknownUpperBound {
     fn note_skipped(&mut self, rounds: u64) {
         if let Stage::Hyp(h) = &mut self.stage {
             h.note_skipped(rounds);
+        }
+    }
+
+    fn slow_wait(&self) -> u64 {
+        match &self.stage {
+            Stage::Hyp(h) => h.slow_wait(),
+            Stage::Exhausted => unreachable!("an exhausted agent only waits"),
         }
     }
 }

@@ -51,6 +51,7 @@
 //! ```
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use crate::graph::{Graph, NodeId, Port};
 use crate::rng::derive_seed;
@@ -338,8 +339,8 @@ impl Topology for DynamicRing {
 pub struct ScriptedRing {
     /// Removed dense edge id per round slot (cycled); must be non-empty,
     /// and every entry must be [`ScriptedRing::KEEP_ALL`] or a valid edge
-    /// id of the base graph.
-    pub script: Vec<u32>,
+    /// id of the base graph. Shared, not copied, by every run's view.
+    pub script: Arc<[u32]>,
 }
 
 impl ScriptedRing {
@@ -363,7 +364,7 @@ impl ScriptedRing {
 #[derive(Clone, Debug)]
 pub struct ScriptedView {
     ids: EdgeIds,
-    script: Vec<u32>,
+    script: Arc<[u32]>,
     removed: u32,
 }
 
@@ -396,7 +397,7 @@ impl Topology for ScriptedRing {
         );
         let mut view = ScriptedView {
             ids: EdgeIds::new(graph),
-            script: self.script.clone(),
+            script: Arc::clone(&self.script),
             removed: ScriptedRing::KEEP_ALL,
         };
         view.begin_round(0);
@@ -676,7 +677,7 @@ mod tests {
     fn scripted_ring_follows_its_script_and_is_pure() {
         let g = generators::ring(5);
         let spec = ScriptedRing {
-            script: vec![0, 3, ScriptedRing::KEEP_ALL],
+            script: vec![0, 3, ScriptedRing::KEEP_ALL].into(),
         };
         let mut v = spec.view(&g);
         // Round r removes script[r % 3]; a KEEP_ALL slot removes nothing.
@@ -700,13 +701,30 @@ mod tests {
     fn scripted_ring_validity() {
         let ring = generators::ring(5);
         let keep = ScriptedRing::KEEP_ALL;
-        assert!(ScriptedRing { script: vec![0, 4] }.valid_for(&ring));
-        assert!(ScriptedRing { script: vec![keep] }.valid_for(&ring));
+        assert!(ScriptedRing {
+            script: vec![0, 4].into()
+        }
+        .valid_for(&ring));
+        assert!(ScriptedRing {
+            script: vec![keep].into()
+        }
+        .valid_for(&ring));
         // Empty script, out-of-range edge id, non-cycle base: all invalid.
-        assert!(!ScriptedRing { script: vec![] }.valid_for(&ring));
-        assert!(!ScriptedRing { script: vec![5] }.valid_for(&ring));
-        assert!(!ScriptedRing { script: vec![0] }.valid_for(&generators::path(4)));
-        let spec = TopologySpec::Scripted(ScriptedRing { script: vec![0] });
+        assert!(!ScriptedRing {
+            script: vec![].into()
+        }
+        .valid_for(&ring));
+        assert!(!ScriptedRing {
+            script: vec![5].into()
+        }
+        .valid_for(&ring));
+        assert!(!ScriptedRing {
+            script: vec![0].into()
+        }
+        .valid_for(&generators::path(4)));
+        let spec = TopologySpec::Scripted(ScriptedRing {
+            script: vec![0].into(),
+        });
         assert!(spec.compatible_with(&ring));
         assert!(!spec.compatible_with(&generators::path(4)));
         assert!(!spec.is_static());
@@ -715,24 +733,27 @@ mod tests {
     #[test]
     #[should_panic(expected = "cycle")]
     fn scripted_ring_rejects_invalid_scripts() {
-        let _ = ScriptedRing { script: vec![9] }.view(&generators::ring(4));
+        let _ = ScriptedRing {
+            script: vec![9].into(),
+        }
+        .view(&generators::ring(4));
     }
 
     #[test]
     fn scripted_ring_short_name_is_key_safe() {
         let spec = TopologySpec::Scripted(ScriptedRing {
-            script: vec![1, ScriptedRing::KEEP_ALL, 0],
+            script: vec![1, ScriptedRing::KEEP_ALL, 0].into(),
         });
         assert_eq!(spec.short_name(), "sring1.x.0");
         // Multi-digit ids next to keep-all slots, and a script long enough
         // to outgrow the name's initial capacity.
         let x = ScriptedRing::KEEP_ALL;
         let mixed = TopologySpec::Scripted(ScriptedRing {
-            script: vec![x, 12, x, 0, 123, u32::MAX - 1, x],
+            script: vec![x, 12, x, 0, 123, u32::MAX - 1, x].into(),
         });
         assert_eq!(mixed.short_name(), "sringx.12.x.0.123.4294967294.x");
         let long = TopologySpec::Scripted(ScriptedRing {
-            script: [x, 12, x, 0, 123].repeat(400),
+            script: [x, 12, x, 0, 123].repeat(400).into(),
         });
         let name = long.short_name();
         assert_eq!(name.len(), 5 + 400 * "x.12.x.0.123.".len() - 1);

@@ -47,6 +47,7 @@ use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use nochatter_core::KnownSetup;
@@ -149,8 +150,11 @@ impl Objective {
 /// axes that offer more than one choice, so single-choice axes cost it
 /// nothing, and it builds a candidate's [`Scenario`] only when it runs
 /// the candidate; [`AdversarySpace::decode`] goes through the same build.
-/// A space with an axis that offers no choice is rejected: its instance
-/// reports an `unsupported:` record instead of searching.
+/// A space that cannot describe its instance's adversary is rejected
+/// before any candidate runs: an axis that offers no choice, a wake-axis
+/// list that is non-empty but not one axis per agent, or a crash label
+/// outside the team. Its instance reports an `unsupported:` record
+/// instead of searching.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AdversarySpace {
     /// Per-agent wake-offset choice lists, in the configuration's agent
@@ -359,9 +363,10 @@ impl<'a> FreeAxes<'a> {
             if self.fixed_keep_all && point.edges.iter().all(|&e| e == ScriptedRing::KEEP_ALL) {
                 TopologySpec::Static
             } else {
-                let mut script: Vec<u32> = self.space.edge_script.iter().map(|c| c[0]).collect();
+                let mut script: Arc<[u32]> = self.space.edge_script.iter().map(|c| c[0]).collect();
+                let slots = Arc::get_mut(&mut script).expect("a fresh script is unshared");
                 for (&d, e) in self.axes[self.edge_start..].iter().zip(point.edges) {
-                    script[d - self.first_edge] = e;
+                    slots[d - self.first_edge] = e;
                 }
                 TopologySpec::Scripted(ScriptedRing { script })
             };
@@ -804,8 +809,8 @@ pub fn run_search_with(
 /// The walk's genotypes are compact ([`FreeAxes`]): mutations and kick
 /// draws touch only multi-choice axes, each kick axis drawn under its
 /// full-genotype index, so the walk is the one over every axis. A space
-/// with an axis that offers no choice runs nothing and reports an
-/// `unsupported:` record.
+/// that [`searchable`] rejects runs nothing and reports an `unsupported:`
+/// record.
 fn search_instance(
     base: &Scenario,
     space: &AdversarySpace,
@@ -814,12 +819,12 @@ fn search_instance(
     scratch: &mut EngineScratch,
     store: Option<&Store>,
 ) -> SearchOutcome {
-    let free = match FreeAxes::of(space) {
+    let free = match searchable(base, space) {
         Ok(free) => free,
-        Err(d) => {
+        Err(defect) => {
             let mut record = runner::base_record(base);
             record.status = format!(
-                "unsupported: adversary axis {d} offers no choice (instance {})",
+                "unsupported: {defect} (instance {})",
                 base.key.instance_canonical()
             );
             return unsearched(base, record);
@@ -933,6 +938,26 @@ fn search_instance(
         record: best.2,
         executed_rounds: work.executed_rounds,
         runs: work.runs,
+    }
+}
+
+/// The free axes of `space`, or why no candidate of it can run over
+/// `base`'s instance: checked once per instance, so a malformed space
+/// costs nothing instead of a budget of engine errors.
+fn searchable<'a>(base: &Scenario, space: &'a AdversarySpace) -> Result<FreeAxes<'a>, String> {
+    let free = FreeAxes::of(space).map_err(|d| format!("adversary axis {d} offers no choice"))?;
+    let team = base.cfg.agent_count();
+    let wake_axes = space.wake_offsets.len();
+    if wake_axes != 0 && wake_axes != team {
+        return Err(format!("{wake_axes} wake axes for a team of {team}"));
+    }
+    match space
+        .crash_rounds
+        .iter()
+        .find(|(label, _)| base.cfg.rank(*label).is_none())
+    {
+        Some((label, _)) => Err(format!("crash label {label} is not in the team")),
+        None => Ok(free),
     }
 }
 
@@ -1085,7 +1110,9 @@ mod tests {
         );
         assert_eq!(
             c.topo,
-            TopologySpec::Scripted(ScriptedRing { script: vec![1] })
+            TopologySpec::Scripted(ScriptedRing {
+                script: vec![1].into()
+            })
         );
         assert_eq!(c.key.wake, "explicit0.4");
         assert_eq!(c.key.fault, "crash3@16");
@@ -1142,7 +1169,7 @@ mod tests {
         } else {
             FaultSpec::CrashAt(points)
         };
-        let script: Vec<u32> = space
+        let script: Arc<[u32]> = space
             .edge_script
             .iter()
             .map(|choices| choices[g.next().unwrap()])
@@ -1302,7 +1329,9 @@ mod tests {
             (x, TopologySpec::Static),
             (
                 2,
-                TopologySpec::Scripted(ScriptedRing { script: vec![2, x] }),
+                TopologySpec::Scripted(ScriptedRing {
+                    script: vec![2, x].into(),
+                }),
             ),
         ] {
             let space = AdversarySpace {

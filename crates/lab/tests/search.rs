@@ -21,7 +21,8 @@
 //! 6. **Malformed spaces are typed, never panics.** Empty axes, crash
 //!    labels outside the team, out-of-range edge ids, scripts over
 //!    non-cycles and extra wake axes yield no `panic:` record; an empty
-//!    axis is an `unsupported:` record for its instance.
+//!    axis, a crash label outside the team or an extra wake axis is an
+//!    `unsupported:` record for its instance that runs nothing.
 
 use proptest::prelude::*;
 
@@ -498,13 +499,20 @@ proptest! {
             outcome.record.status
         );
         let radices = radices(&space);
-        if let Some(d) = radices.iter().position(|&r| r == 0) {
+        // Defects no candidate can survive are rejected once per instance.
+        let rejected = match m.defect {
+            0 => radices
+                .iter()
+                .position(|&r| r == 0)
+                .map(|d| format!("adversary axis {d} offers no choice")),
+            1 => Some("crash label 77 is not in the team".to_string()),
+            4 => Some("3 wake axes for a team of 2".to_string()),
+            _ => None,
+        };
+        if let Some(defect) = rejected {
             prop_assert_eq!(
                 &outcome.record.status,
-                &format!(
-                    "unsupported: adversary axis {d} offers no choice (instance {})",
-                    outcome.instance
-                )
+                &format!("unsupported: {defect} (instance {})", outcome.instance)
             );
             prop_assert_eq!(outcome.evaluations, 0);
             prop_assert_eq!(outcome.score, (0, 0));

@@ -90,6 +90,9 @@ pub trait AgentBehavior {
 /// Adapts a [`Procedure`] into an [`AgentBehavior`]: when the procedure
 /// completes, the agent declares.
 ///
+/// A yielded [`Action::SlowMove`] becomes a countdown held here: until the
+/// move is made, every call answers without descending into the procedure.
+///
 /// # Example
 ///
 /// ```
@@ -105,7 +108,18 @@ pub trait AgentBehavior {
 pub struct ProcBehavior<P, F> {
     inner: P,
     into_declaration: F,
-    done: bool,
+    phase: Phase,
+}
+
+/// Where a [`ProcBehavior`] stands.
+#[derive(Clone, Copy, Debug)]
+enum Phase {
+    /// Polling the procedure.
+    Running,
+    /// Counting down a slow move: waits still to make, then the port.
+    Slow(u64, Port),
+    /// The procedure completed and the agent declared.
+    Declared,
 }
 
 impl<P> ProcBehavior<P, fn(P::Output) -> Declaration>
@@ -118,7 +132,7 @@ where
         ProcBehavior {
             inner,
             into_declaration: |_| Declaration::bare(),
-            done: false,
+            phase: Phase::Running,
         }
     }
 }
@@ -133,7 +147,7 @@ where
         ProcBehavior {
             inner,
             into_declaration,
-            done: false,
+            phase: Phase::Running,
         }
     }
 }
@@ -144,35 +158,61 @@ where
     F: FnMut(P::Output) -> Declaration,
 {
     fn on_round(&mut self, obs: &Obs) -> AgentAct {
-        if self.done {
+        match &mut self.phase {
+            Phase::Running => {}
+            Phase::Slow(0, port) => {
+                let port = *port;
+                self.phase = Phase::Running;
+                return AgentAct::TakePort(port);
+            }
+            Phase::Slow(wait, _) => {
+                *wait -= 1;
+                return AgentAct::Wait;
+            }
             // The engine stops polling declared agents; be safe anyway.
-            return AgentAct::Wait;
+            Phase::Declared => return AgentAct::Wait,
         }
         match self.inner.poll(obs) {
             Poll::Yield(Action::Wait) => AgentAct::Wait,
-            Poll::Yield(Action::TakePort(p)) => AgentAct::TakePort(p),
+            Poll::Yield(Action::TakePort(port)) => AgentAct::TakePort(port),
+            Poll::Yield(Action::SlowMove(port)) => match self.inner.slow_wait() {
+                0 => AgentAct::TakePort(port),
+                wait => {
+                    self.phase = Phase::Slow(wait - 1, port);
+                    AgentAct::Wait
+                }
+            },
             Poll::Complete(out) => {
-                self.done = true;
+                self.phase = Phase::Declared;
                 AgentAct::Declare((self.into_declaration)(out))
             }
         }
     }
 
     fn min_wait(&self) -> u64 {
-        if self.done {
-            u64::MAX
-        } else {
-            self.inner.min_wait()
+        match self.phase {
+            Phase::Running => self.inner.min_wait(),
+            Phase::Slow(wait, _) => wait,
+            Phase::Declared => u64::MAX,
         }
     }
 
+    // A slow move's countdown never looks at the observation.
     fn blind(&self) -> bool {
-        self.done || self.inner.blind()
+        match self.phase {
+            Phase::Running => self.inner.blind(),
+            Phase::Slow(..) | Phase::Declared => true,
+        }
     }
 
     fn note_skipped(&mut self, rounds: u64) {
-        if !self.done {
-            self.inner.note_skipped(rounds);
+        match &mut self.phase {
+            Phase::Running => self.inner.note_skipped(rounds),
+            Phase::Slow(wait, _) => {
+                debug_assert!(rounds <= *wait);
+                *wait -= rounds.min(*wait);
+            }
+            Phase::Declared => {}
         }
     }
 }
@@ -217,5 +257,73 @@ mod tests {
     fn min_wait_forwards() {
         let b = ProcBehavior::declaring(WaitRounds::new(5));
         assert_eq!(b.min_wait(), 5);
+    }
+
+    /// Yields one slow move of `wait` rounds through port 1, then
+    /// completes.
+    struct OneSlowMove {
+        wait: u64,
+        moved: bool,
+    }
+
+    impl Procedure for OneSlowMove {
+        type Output = ();
+        fn poll(&mut self, _: &Obs) -> Poll<()> {
+            if std::mem::replace(&mut self.moved, true) {
+                Poll::Complete(())
+            } else {
+                Poll::Yield(Action::SlowMove(Port::new(1)))
+            }
+        }
+
+        fn slow_wait(&self) -> u64 {
+            self.wait
+        }
+    }
+
+    fn slow_move(wait: u64) -> ProcBehavior<OneSlowMove, fn(()) -> Declaration> {
+        ProcBehavior::declaring(OneSlowMove { wait, moved: false })
+    }
+
+    #[test]
+    fn a_slow_move_waits_blind_then_moves_in_round_r_plus_wait() {
+        let mut b = slow_move(4);
+        // Yielded in round 0: rounds 0..4 wait, round 4 moves.
+        assert_eq!(b.on_round(&Obs::synthetic(0, 2, 1, None)), AgentAct::Wait);
+        assert_eq!((b.min_wait(), b.blind()), (3, true));
+        // Whatever is observed inside the wait, the answer is `Wait`.
+        for round in 1..4 {
+            let noisy = Obs::synthetic(round, 5, 1 + round as u32, Some(Port::new(2)));
+            assert_eq!(b.on_round(&noisy), AgentAct::Wait, "round {round}");
+            assert_eq!((b.min_wait(), b.blind()), (3 - round, true));
+        }
+        let obs = Obs::synthetic(4, 2, 1, None);
+        assert_eq!(b.on_round(&obs), AgentAct::TakePort(Port::new(1)));
+        // The procedure is polled again in the round after the move.
+        assert_eq!((b.min_wait(), b.blind()), (0, false));
+        assert!(matches!(b.on_round(&obs), AgentAct::Declare(_)));
+    }
+
+    #[test]
+    fn note_skipped_consumes_the_wait() {
+        let mut b = slow_move(10);
+        assert_eq!(b.on_round(&Obs::synthetic(0, 2, 1, None)), AgentAct::Wait);
+        b.note_skipped(4);
+        assert_eq!(b.min_wait(), 5);
+        assert!(b.blind());
+        b.note_skipped(5);
+        assert_eq!(b.min_wait(), 0);
+        assert!(b.blind(), "the move round is still the countdown's");
+        let obs = Obs::synthetic(10, 2, 3, None);
+        assert_eq!(b.on_round(&obs), AgentAct::TakePort(Port::new(1)));
+    }
+
+    #[test]
+    fn a_slow_move_without_wait_is_take_port() {
+        let mut b = slow_move(0);
+        let obs = Obs::synthetic(0, 2, 1, None);
+        assert_eq!(b.on_round(&obs), AgentAct::TakePort(Port::new(1)));
+        assert_eq!((b.min_wait(), b.blind()), (0, false));
+        assert!(matches!(b.on_round(&obs), AgentAct::Declare(_)));
     }
 }

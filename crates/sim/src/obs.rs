@@ -55,6 +55,22 @@ pub enum Action {
     Wait,
     /// Traverse the edge with this local port number.
     TakePort(Port),
+    /// The paper's slow move: wait `w` rounds whatever is observed, then
+    /// take this port. `w` is the yielding procedure's
+    /// [`crate::Procedure::slow_wait`]: yielded in round `r`, the move
+    /// waits through rounds `r..r + w` and is made in round `r + w`
+    /// (`w == 0` is [`Action::TakePort`]).
+    ///
+    /// One instruction stands for `w + 1` rounds.
+    /// [`crate::proc::ProcBehavior`] plays it out as a countdown and does
+    /// not poll the procedure again until the move is made, so the
+    /// procedure never sees the wait's observations. Every procedure that
+    /// passes a slow move up must therefore ignore those observations,
+    /// count the instruction as `w + 1` rounds and report `w` from its own
+    /// `slow_wait`; see the [`crate::proc`] module docs. The wait is not a
+    /// field so that an `Action`, which every poll of every procedure
+    /// returns, stays 8 bytes.
+    SlowMove(Port),
 }
 
 /// The result of polling a [`crate::Procedure`] for one round.
@@ -104,6 +120,14 @@ mod tests {
         assert_eq!(p.map(|x| x + 1), Poll::Yield(Action::Wait));
         let p: Poll<u32> = Poll::Complete(4);
         assert_eq!(p.map(|x| x + 1), Poll::Complete(5));
+    }
+
+    #[test]
+    fn actions_stay_small() {
+        // Every poll returns one; a wider `Action` measurably slows the
+        // known-bound workloads, which never make a slow move.
+        assert_eq!(std::mem::size_of::<Action>(), 8);
+        assert_eq!(std::mem::size_of::<Poll<()>>(), 8);
     }
 
     #[test]

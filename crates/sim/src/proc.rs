@@ -36,9 +36,26 @@
 //! The identical-observation guarantee is what makes `min_wait` sound even
 //! for observation-dependent logic (e.g. a wait that aborts when `CurCard`
 //! rises): if the current observation does not trigger the abort, identical
-//! ones cannot either. A wait that ignores what it senses ([`WaitRounds`],
-//! the unknown-bound algorithm's slow waits) is [`Procedure::blind`]: its
-//! promise holds whatever is observed.
+//! ones cannot either. A wait that ignores what it senses ([`WaitRounds`])
+//! is [`Procedure::blind`]: its promise holds whatever is observed.
+//!
+//! # Slow moves
+//!
+//! [`Action::SlowMove`]`(port)` is one instruction for `w + 1` rounds, where
+//! `w` is what [`Procedure::slow_wait`] reports right after the poll: the
+//! unknown-bound algorithm's "wait `w_h` rounds, then take the port"
+//! (§4.1). [`ProcBehavior`] plays it out as a blind countdown and polls
+//! the procedure next in the round after the move, so:
+//!
+//! * no poll sees the wait's observations, and every procedure that
+//!   passes a slow move up must be one that would have ignored them
+//!   ([`UntilCardExceeds`], which watches `CurCard`, must never pass one
+//!   through);
+//! * every procedure that passes a slow move up reports the wait from its
+//!   own `slow_wait`, and one that counts its rounds books the
+//!   instruction as `w + 1` of them ([`RunFor`] does);
+//! * nothing descends into the procedure for the wait's `min_wait`,
+//!   `blind` or `note_skipped` either.
 
 use crate::obs::{Action, Obs, Poll};
 
@@ -71,6 +88,14 @@ pub trait Procedure {
     /// Callers must keep `rounds <= self.min_wait()`.
     fn note_skipped(&mut self, rounds: u64) {
         let _ = rounds;
+    }
+
+    /// The wait of the [`Action::SlowMove`] the latest poll yielded, in
+    /// rounds before its move; read only right after such a poll. The
+    /// default panics: a procedure that yields or passes up slow moves
+    /// must say how long they wait.
+    fn slow_wait(&self) -> u64 {
+        panic!("a procedure yielded a slow move without a slow_wait")
     }
 }
 
@@ -141,6 +166,9 @@ impl Procedure for WaitRounds {
 ///
 /// This implements the paper's pattern "execute X for exactly T consecutive
 /// rounds" (e.g. `TZ(λ)` for `D_i` rounds, Algorithm 3 line 26).
+///
+/// An inner [`Action::SlowMove`] counts as its `w + 1` rounds. It cannot be
+/// truncated, so one whose move would fall after the last round panics.
 #[derive(Clone, Debug)]
 pub struct RunFor<P: Procedure> {
     remaining: u64,
@@ -171,6 +199,18 @@ impl<P: Procedure> Procedure for RunFor<P> {
             return Poll::Yield(Action::Wait);
         }
         match self.inner.poll(obs) {
+            Poll::Yield(a @ Action::SlowMove(_)) => {
+                // One instruction for `w + 1` rounds: it must land inside
+                // the window, which cannot cut it short.
+                let wait = self.inner.slow_wait();
+                assert!(
+                    wait <= self.remaining,
+                    "a slow move of {wait} + 1 rounds overruns RunFor's last {} + 1",
+                    self.remaining
+                );
+                self.remaining -= wait;
+                Poll::Yield(a)
+            }
             Poll::Yield(a) => Poll::Yield(a),
             Poll::Complete(out) => {
                 self.inner_result = Some(out);
@@ -196,6 +236,10 @@ impl<P: Procedure> Procedure for RunFor<P> {
             self.inner.note_skipped(rounds);
         }
     }
+
+    fn slow_wait(&self) -> u64 {
+        self.inner.slow_wait()
+    }
 }
 
 /// Outcome of an [`UntilCardExceeds`] block.
@@ -219,6 +263,11 @@ impl<T> Interrupted<T> {
 /// The paper's interruptible begin–end block: "execute the following block
 /// and interrupt it before its completion as soon as CurCard > c"
 /// (Algorithm 3 lines 8 and 23).
+///
+/// The inner procedure must never yield an [`Action::SlowMove`]: the wait
+/// of a slow move is played out without a poll, so a `CurCard` rise during
+/// it would interrupt the block only after the move, not when it happens.
+/// Debug builds assert it.
 #[derive(Clone, Debug)]
 pub struct UntilCardExceeds<P> {
     threshold: u32,
@@ -240,7 +289,12 @@ impl<P: Procedure> Procedure for UntilCardExceeds<P> {
         if obs.cur_card > self.threshold {
             return Poll::Complete(Interrupted::Interrupted);
         }
-        self.inner.poll(obs).map(Interrupted::Finished)
+        let poll = self.inner.poll(obs);
+        debug_assert!(
+            !matches!(poll, Poll::Yield(Action::SlowMove(_))),
+            "a slow move's wait would hide CurCard from the interruptible block"
+        );
+        poll.map(Interrupted::Finished)
     }
 
     // If the current observation does not exceed the threshold, identical
@@ -421,6 +475,47 @@ mod tests {
             }
             assert_eq!(consumed, 4);
         }
+    }
+
+    /// Yields slow moves of `wait` rounds through port 0 forever.
+    struct SlowMover {
+        wait: u64,
+    }
+
+    impl Procedure for SlowMover {
+        type Output = ();
+        fn poll(&mut self, _obs: &Obs) -> Poll<()> {
+            Poll::Yield(Action::SlowMove(Port::new(0)))
+        }
+
+        fn slow_wait(&self) -> u64 {
+            self.wait
+        }
+    }
+
+    #[test]
+    fn run_for_counts_a_slow_move_as_its_rounds() {
+        let slow = Poll::Yield(Action::SlowMove(Port::new(0)));
+        let mut r = RunFor::new(6, SlowMover { wait: 2 });
+        assert_eq!(r.poll(&obs(1)), slow);
+        assert_eq!(r.slow_wait(), 2);
+        assert_eq!(r.poll(&obs(1)), slow);
+        assert_eq!(r.poll(&obs(1)), Poll::Complete(None));
+    }
+
+    #[test]
+    #[should_panic(expected = "overruns")]
+    fn run_for_rejects_a_slow_move_past_its_window() {
+        let mut r = RunFor::new(2, SlowMover { wait: 2 });
+        let _ = r.poll(&obs(1));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "slow move")]
+    fn until_card_exceeds_never_passes_a_slow_move() {
+        let mut b = UntilCardExceeds::new(2, SlowMover { wait: 3 });
+        let _ = b.poll(&obs(1));
     }
 
     #[test]

@@ -191,7 +191,7 @@ fn dynamic_ring_specs_are_incompatible_with_non_cycles() {
     assert!(!dring.compatible_with(&path));
     assert!(!dring.compatible_with(&star));
     let sring = TopologySpec::Scripted(ScriptedRing {
-        script: vec![0, ScriptedRing::KEEP_ALL],
+        script: vec![0, ScriptedRing::KEEP_ALL].into(),
     });
     assert!(sring.compatible_with(&ring));
     assert!(!sring.compatible_with(&path));
@@ -202,12 +202,21 @@ fn dynamic_ring_specs_are_incompatible_with_non_cycles() {
 fn scripted_ring_scripts_are_validated_edge_by_edge() {
     let ring = generators::ring(4); // 4 edges: valid ids are 0..4
     assert!(ScriptedRing {
-        script: vec![0, 3, ScriptedRing::KEEP_ALL],
+        script: vec![0, 3, ScriptedRing::KEEP_ALL].into(),
     }
     .valid_for(&ring));
     // An empty script has no per-round choice to make.
-    assert!(!ScriptedRing { script: vec![] }.valid_for(&ring));
+    assert!(!ScriptedRing {
+        script: vec![].into()
+    }
+    .valid_for(&ring));
     // An out-of-range edge id names nothing removable.
-    assert!(!ScriptedRing { script: vec![4] }.valid_for(&ring));
-    assert!(!TopologySpec::Scripted(ScriptedRing { script: vec![4] }).compatible_with(&ring));
+    assert!(!ScriptedRing {
+        script: vec![4].into()
+    }
+    .valid_for(&ring));
+    assert!(!TopologySpec::Scripted(ScriptedRing {
+        script: vec![4].into()
+    })
+    .compatible_with(&ring));
 }

@@ -42,6 +42,7 @@ impl AgentBehavior for Member {
         match self.comm.poll(obs) {
             Poll::Yield(Action::Wait) => AgentAct::Wait,
             Poll::Yield(Action::TakePort(p)) => AgentAct::TakePort(p),
+            Poll::Yield(Action::SlowMove(_)) => unreachable!("Communicate makes no slow moves"),
             Poll::Complete(out) => {
                 self.done = true;
                 AgentAct::Declare(Declaration {

@@ -3,7 +3,9 @@
 //! robustness of the clean-exploration shield against an adversarial `EST`
 //! reconstruction.
 
+use std::cell::RefCell;
 use std::fmt::Debug;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -16,7 +18,7 @@ use nochatter::core::unknown::{
 use nochatter::graph::{generators, Graph, InitialConfiguration, Label, NodeId, Port};
 use nochatter::sim::proc::{ProcBehavior, Procedure};
 use nochatter::sim::{
-    Action, Declaration, Engine, Obs, Poll, RunOutcome, RunStatus, Trace, WakeSchedule,
+    AgentAct, AgentBehavior, Declaration, Engine, Obs, RunOutcome, RunStatus, Trace, WakeSchedule,
 };
 
 fn label(v: u64) -> Label {
@@ -305,66 +307,80 @@ fn every_unwind_path_keeps_its_pinned_trace() {
 /// it is skipped (the slow waits run to millions of rounds).
 const BLIND_PROBE: u64 = 64;
 
-/// Drives twin procedures as a lone agent walking `graph` from `start`:
-/// every real poll sees the node's degree, the true entry port and
-/// `CurCard` 1, and both twins must answer it alike. Whenever a poll
-/// leaves a blind promise of `h` rounds, `a` is polled through its first
+/// Drives twin procedures, each adapted by [`ProcBehavior`] as the engine
+/// runs it, as a lone agent walking `graph` from `start`: every real poll
+/// sees the node's degree, the true entry port and `CurCard` 1, and both
+/// twins must answer it alike and complete with the same output. Whenever
+/// a poll leaves a blind promise of `h` rounds (a slow move's countdown or
+/// a blind wait of the procedure), `a` is polled through its first
 /// `min(h, BLIND_PROBE)` rounds on observations with random `CurCard`s and
 /// entry ports, and must wait in each, while `b` skips the whole promise;
 /// non-blind promises are skipped by both. `on_move` sees every move.
-/// Stops after `max_polls` real polls or on completion, and returns how
-/// many blind promises were probed.
+/// Stops after `max_polls` real polls or on completion, and returns the
+/// round at which each probed promise began.
 fn check_blind_twins<P>(
-    mut a: P,
-    mut b: P,
+    a: P,
+    b: P,
     graph: &Graph,
     start: NodeId,
     noise: &[u32],
     max_polls: usize,
     mut on_move: impl FnMut(Port),
-) -> usize
+) -> Vec<u64>
 where
     P: Procedure,
     P::Output: Debug,
 {
+    let outputs: [Rc<RefCell<Option<String>>>; 2] = Default::default();
+    let agent = |twin: P, output: &Rc<RefCell<Option<String>>>| {
+        let output = Rc::clone(output);
+        ProcBehavior::mapping(twin, move |out| {
+            *output.borrow_mut() = Some(format!("{out:?}"));
+            Declaration::bare()
+        })
+    };
+    let (mut a, mut b) = (agent(a, &outputs[0]), agent(b, &outputs[1]));
     let (mut pos, mut entry, mut round) = (start, None, 0u64);
     let mut noise = noise.iter().cycle();
-    let mut probed = 0;
+    let mut probed = Vec::new();
     for _ in 0..max_polls {
         let degree = graph.degree(pos);
         let real = Obs::synthetic(round, degree, 1, entry);
-        let (x, y) = (a.poll(&real), b.poll(&real));
-        assert_eq!(
-            format!("{x:?}"),
-            format!("{y:?}"),
-            "twins diverged in round {round}"
-        );
+        let (x, y) = (a.on_round(&real), b.on_round(&real));
+        assert_eq!(x, y, "twins diverged in round {round}");
         round += 1;
         match x {
-            Poll::Complete(_) => break,
-            Poll::Yield(Action::TakePort(p)) => {
+            AgentAct::Declare(_) => {
+                assert_eq!(
+                    outputs[0].borrow().as_deref(),
+                    outputs[1].borrow().as_deref()
+                );
+                break;
+            }
+            AgentAct::TakePort(p) => {
                 let (to, back) = graph.neighbor(pos, p).expect("moves stay on the graph");
                 (pos, entry) = (to, Some(back));
                 on_move(p);
                 continue;
             }
-            Poll::Yield(Action::Wait) => {}
+            AgentAct::Wait => {}
         }
         let h = a.min_wait();
         assert_eq!(h, b.min_wait(), "round {round}");
         assert_eq!(a.blind(), b.blind(), "round {round}");
         let mut polled = 0;
         if a.blind() && h > 0 {
-            probed += 1;
+            probed.push(round);
             polled = h.min(BLIND_PROBE);
             for n in 0..polled {
                 let seed = *noise.next().unwrap();
                 let cur_card = 1 + seed % 4;
                 let entry = (!seed.is_multiple_of(5)).then(|| Port::new(seed / 5 % degree));
-                let w = a.poll(&Obs::synthetic(round + n, degree, cur_card, entry));
-                assert!(
-                    matches!(w, Poll::Yield(Action::Wait)),
-                    "blind promise of {h} rounds from round {round} broken after {n}: {w:?}"
+                let w = a.on_round(&Obs::synthetic(round + n, degree, cur_card, entry));
+                assert_eq!(
+                    w,
+                    AgentAct::Wait,
+                    "blind promise of {h} rounds from round {round} broken after {n}"
                 );
             }
         }
@@ -382,12 +398,13 @@ proptest! {
     })]
 
     /// Whenever `blind()` holds after a poll of `BallTraversal` or
-    /// `Hypothesis`, the promised waits hold under random `CurCard`s and
-    /// entry ports, and leave the procedure exactly as skipping them
-    /// would: a twin that skips every promise makes the same moves and
-    /// reaches the same verdict. Random graphs of every family, random
-    /// starts, and the first or second hypothesis of a two-entry
-    /// enumeration, tested by either of its agents.
+    /// `Hypothesis` run as an agent, the promised waits (slow moves
+    /// included) hold under random `CurCard`s and entry ports, and leave
+    /// the agent exactly as skipping them would: a twin that skips every
+    /// promise makes the same moves and reaches the same verdict. Random
+    /// graphs of every family, random starts, and the first or second
+    /// hypothesis of a two-entry enumeration, tested by either of its
+    /// agents.
     #[test]
     fn slow_waits_are_blind(
         family in 0usize..9,
@@ -416,9 +433,10 @@ proptest! {
             2_000,
             |_| {},
         );
-        prop_assert!(
-            probed > 0 || graph.degree(start) >= hs.n,
-            "a ball that does not abort at once starts with a slow wait"
+        prop_assert_eq!(
+            probed.first().copied(),
+            (graph.degree(start) < hs.n).then_some(1),
+            "a ball that does not abort at once starts with a probed slow move"
         );
 
         let twin = || {
