@@ -348,15 +348,37 @@ impl ScriptedRing {
     /// dense edge id).
     pub const KEEP_ALL: u32 = u32::MAX;
 
+    /// The prefix of a scripted topology's key name.
+    pub const NAME_PREFIX: &'static str = "sring";
+
     /// Whether the script can run over `graph`: non-empty, cycle base
     /// graph, every entry a valid edge id or [`ScriptedRing::KEEP_ALL`].
+    ///
+    /// The scan is a branch-free fold, so it vectorizes: `KEEP_ALL + 1`
+    /// wraps to 0, and an edge id `e` is valid exactly when `e + 1 <= m`.
     pub fn valid_for(&self, graph: &Graph) -> bool {
+        let m = u32::try_from(graph.edge_count()).unwrap_or(u32::MAX);
         !self.script.is_empty()
             && is_cycle(graph)
             && self
                 .script
                 .iter()
-                .all(|&e| e == Self::KEEP_ALL || (e as usize) < graph.edge_count())
+                .fold(true, |ok, &e| ok & (e.wrapping_add(1) <= m))
+    }
+
+    /// Appends slot `slot` of a script's key name, holding edge choice `e`:
+    /// a `.` before every slot but the first, then `x` for
+    /// [`ScriptedRing::KEEP_ALL`] or the edge id. A whole name is
+    /// [`ScriptedRing::NAME_PREFIX`] followed by every slot in order.
+    pub fn write_slot(out: &mut String, slot: usize, e: u32) {
+        if slot > 0 {
+            out.push('.');
+        }
+        if e == Self::KEEP_ALL {
+            out.push('x');
+        } else {
+            let _ = write!(out, "{e}");
+        }
     }
 }
 
@@ -472,17 +494,11 @@ impl TopologySpec {
             TopologySpec::Scripted(s) => {
                 // One buffer sized for single-digit ids: search keys carry
                 // scripts thousands of slots long.
-                let mut name = String::with_capacity(5 + 2 * s.script.len());
-                name.push_str("sring");
-                for (i, &e) in s.script.iter().enumerate() {
-                    if i > 0 {
-                        name.push('.');
-                    }
-                    if e == ScriptedRing::KEEP_ALL {
-                        name.push('x');
-                    } else {
-                        let _ = write!(name, "{e}");
-                    }
+                let mut name =
+                    String::with_capacity(ScriptedRing::NAME_PREFIX.len() + 2 * s.script.len());
+                name.push_str(ScriptedRing::NAME_PREFIX);
+                for (slot, &e) in s.script.iter().enumerate() {
+                    ScriptedRing::write_slot(&mut name, slot, e);
                 }
                 name
             }
@@ -728,6 +744,49 @@ mod tests {
         assert!(spec.compatible_with(&ring));
         assert!(!spec.compatible_with(&generators::path(4)));
         assert!(!spec.is_static());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 128,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// The branch-free scan agrees with the per-slot definition on
+        /// scripts built from the boundary values around the edge count,
+        /// empty scripts included, over cycle and non-cycle bases.
+        #[test]
+        fn scripted_validity_is_the_per_slot_rule(
+            family in 0usize..generators::Family::all().len(),
+            n in 3u32..12,
+            picks in proptest::collection::vec((0usize..5, proptest::prelude::any::<u32>()), 0..40),
+        ) {
+            let graph = generators::Family::all()[family].instantiate(n, 7);
+            let m = graph.edge_count() as u32;
+            let script: Vec<u32> = picks
+                .iter()
+                .map(|&(kind, draw)| match kind {
+                    0 => ScriptedRing::KEEP_ALL,
+                    1 => m - 1,
+                    2 => m,
+                    3 => u32::MAX - 1,
+                    _ => draw % m,
+                })
+                .collect();
+            let per_slot = !script.is_empty()
+                && is_cycle(&graph)
+                && script
+                    .iter()
+                    .all(|&e| e == ScriptedRing::KEEP_ALL || (e as usize) < graph.edge_count());
+            let ring = generators::ring(n);
+            let on_ring = !script.is_empty()
+                && script
+                    .iter()
+                    .all(|&e| e == ScriptedRing::KEEP_ALL || e < ring.edge_count() as u32);
+            let spec = ScriptedRing { script: script.into() };
+            proptest::prop_assert_eq!(spec.valid_for(&graph), per_slot);
+            proptest::prop_assert_eq!(spec.valid_for(&ring), on_ring);
+        }
     }
 
     #[test]

@@ -325,8 +325,11 @@ pub fn late_outage_space(cfg: &InitialConfiguration, window: u64, slots: u64) ->
 /// gather at rounds ~6.5k and ~8.7k under [`HUNT_SEED`]). The objective is
 /// the slowest gather: can a one-round outage in the endgame delay the
 /// meeting? Its runs execute only a few hundred engine iterations each,
-/// so search-side work weighs more here than in the dr1/fr1
-/// [`hunt_spec`], whose evaluations run tens of thousands of rounds.
+/// against the tens of thousands of the dr1/fr1 [`hunt_spec`]. What a run
+/// candidate costs the search beyond its engine run is one copy of the
+/// instance's 5,012- or 7,012-slot script template, one write of its key
+/// name around the 12 free slots, and the runner's vectorized script
+/// validation.
 pub fn late_outage_spec(budget: u64) -> SearchSpec {
     let instances = Matrix {
         families: vec![Family::Ring],

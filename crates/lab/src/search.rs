@@ -41,7 +41,9 @@
 //!   that offer more than one choice, deduplicates on a compact decoded
 //!   adversary rather than on key names, and builds a candidate's
 //!   [`Scenario`] (script, key, configuration) only when it runs. A
-//!   7,000-slot lead-in of single-choice axes costs the walk nothing.
+//!   7,000-slot lead-in of single-choice axes costs the walk nothing, and
+//!   a candidate that runs copies its script and key text from templates
+//!   built once per instance, writing only its free slots.
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -51,6 +53,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use nochatter_core::KnownSetup;
+use nochatter_graph::dynamic::is_cycle;
 use nochatter_graph::rng::derive_seed;
 use nochatter_graph::Label;
 use nochatter_sim::{
@@ -152,9 +155,11 @@ impl Objective {
 /// the candidate; [`AdversarySpace::decode`] goes through the same build.
 /// A space that cannot describe its instance's adversary is rejected
 /// before any candidate runs: an axis that offers no choice, a wake-axis
-/// list that is non-empty but not one axis per agent, or a crash label
-/// outside the team. Its instance reports an `unsupported:` record
-/// instead of searching.
+/// list that is non-empty but not one axis per agent, a crash label
+/// outside the team, an edge choice that is neither
+/// [`ScriptedRing::KEEP_ALL`] nor an edge id of the base graph, or an
+/// edge removal over a base graph that is not a cycle. Its instance
+/// reports an `unsupported:` record instead of searching.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AdversarySpace {
     /// Per-agent wake-offset choice lists, in the configuration's agent
@@ -167,8 +172,8 @@ pub struct AdversarySpace {
     /// Labels must be team members.
     pub crash_rounds: Vec<(Label, Vec<u64>)>,
     /// Per-slot edge-removal choice lists for a [`ScriptedRing`] script
-    /// ([`ScriptedRing::KEEP_ALL`] = remove nothing that slot). Non-empty
-    /// only over cycle base graphs. All-`KEEP_ALL` decodes to the static
+    /// ([`ScriptedRing::KEEP_ALL`] = remove nothing that slot). Other
+    /// choices are edge ids of the base graph, which must be a cycle. All-`KEEP_ALL` decodes to the static
     /// topology, so the unperturbed twin is part of the space.
     pub edge_script: Vec<Vec<u32>>,
 }
@@ -225,6 +230,14 @@ impl AdversarySpace {
 /// The axes of an [`AdversarySpace`] that offer more than one choice, the
 /// only ones a search walks. A *compact* genotype holds one choice index
 /// per free axis, in axis order; every other axis keeps its single choice.
+///
+/// The parts of a scripted candidate that no free axis changes are built
+/// once, here: the `template` script, holding every edge slot's first
+/// choice, and the `segments` of its key name, the fixed text around the
+/// free edge slots. A candidate that runs copies the template and patches
+/// its free slots, and writes its key name by interleaving the segments
+/// with its free slots' tokens, so it pays for its free slots rather than
+/// for the whole script.
 struct FreeAxes<'a> {
     space: &'a AdversarySpace,
     /// The free axes' indices in the full genotype, ascending.
@@ -237,6 +250,14 @@ struct FreeAxes<'a> {
     /// point keeping all edges on its free edge axes is the static
     /// topology.
     fixed_keep_all: bool,
+    /// Every edge slot's first choice: the script of a point that picks
+    /// choice 0 on every free edge axis.
+    template: Arc<[u32]>,
+    /// The scripted key name with the free edge slots cut out: one more
+    /// segment than there are free edge axes, the first starting with
+    /// [`ScriptedRing::NAME_PREFIX`]. Free slot `i` is written between
+    /// segments `i` and `i + 1`.
+    segments: Vec<String>,
 }
 
 /// A decoded adversary: what a candidate's `wake|topo|fault` key names
@@ -269,15 +290,32 @@ impl<'a> FreeAxes<'a> {
             }
         }
         let first_edge = space.wake_offsets.len() + space.crash_rounds.len();
+        let edge_start = axes.partition_point(|&d| d < first_edge);
+        let template: Arc<[u32]> = space.edge_script.iter().map(|c| c[0]).collect();
+        let mut segments = vec![String::from(ScriptedRing::NAME_PREFIX)];
+        let mut free_slots = axes[edge_start..]
+            .iter()
+            .map(|&d| d - first_edge)
+            .peekable();
+        for (slot, &e) in template.iter().enumerate() {
+            if free_slots.next_if_eq(&slot).is_some() {
+                segments.push(String::new());
+            } else {
+                let segment = segments.last_mut().expect("segments start non-empty");
+                ScriptedRing::write_slot(segment, slot, e);
+            }
+        }
         Ok(FreeAxes {
             space,
             first_edge,
-            edge_start: axes.partition_point(|&d| d < first_edge),
+            edge_start,
             axes,
             fixed_keep_all: space
                 .edge_script
                 .iter()
                 .all(|choices| choices.len() > 1 || choices[0] == ScriptedRing::KEEP_ALL),
+            template,
+            segments,
         })
     }
 
@@ -359,26 +397,58 @@ impl<'a> FreeAxes<'a> {
                     .collect(),
             )
         };
-        let topo =
-            if self.fixed_keep_all && point.edges.iter().all(|&e| e == ScriptedRing::KEEP_ALL) {
-                TopologySpec::Static
-            } else {
-                let mut script: Arc<[u32]> = self.space.edge_script.iter().map(|c| c[0]).collect();
-                let slots = Arc::get_mut(&mut script).expect("a fresh script is unshared");
-                for (&d, e) in self.axes[self.edge_start..].iter().zip(point.edges) {
-                    slots[d - self.first_edge] = e;
-                }
-                TopologySpec::Scripted(ScriptedRing { script })
-            };
+        let topo = if self.keeps_all(&point.edges) {
+            TopologySpec::Static
+        } else {
+            let mut script: Arc<[u32]> = Arc::from(&self.template[..]);
+            let slots = Arc::get_mut(&mut script).expect("a fresh script is unshared");
+            for (slot, e) in self.free_slots().zip(point.edges) {
+                slots[slot] = e;
+            }
+            TopologySpec::Scripted(ScriptedRing { script })
+        };
         (schedule, topo, fault)
+    }
+
+    /// The script slots of the free edge axes, ascending.
+    fn free_slots(&self) -> impl Iterator<Item = usize> + '_ {
+        self.axes[self.edge_start..]
+            .iter()
+            .map(|&d| d - self.first_edge)
+    }
+
+    /// Whether a point choosing `edges` on the free edge axes removes no
+    /// edge in any slot: the static topology.
+    fn keeps_all(&self, edges: &[u32]) -> bool {
+        self.fixed_keep_all && edges.iter().all(|&e| e == ScriptedRing::KEEP_ALL)
+    }
+
+    /// The topology key name of a point choosing `edges` on the free edge
+    /// axes, written from the segments: equal to the `short_name` of the
+    /// topology [`FreeAxes::specs`] builds.
+    fn topo_name(&self, edges: &[u32]) -> String {
+        if self.keeps_all(edges) {
+            return TopologySpec::Static.short_name();
+        }
+        let fixed: usize = self.segments.iter().map(String::len).sum();
+        // A free slot writes at most a separator and ten digits.
+        let mut name = String::with_capacity(fixed + 11 * edges.len());
+        for ((segment, slot), &e) in self.segments.iter().zip(self.free_slots()).zip(edges) {
+            name.push_str(segment);
+            ScriptedRing::write_slot(&mut name, slot, e);
+        }
+        name.push_str(self.segments.last().expect("segments start non-empty"));
+        name
     }
 
     /// The candidate scenario `point` stands for, over `base`'s instance.
     fn scenario(&self, base: &Scenario, point: Point) -> Scenario {
+        let topo_name = self.topo_name(&point.edges);
         let (schedule, topo, fault) = self.specs(base, point);
+        debug_assert_eq!(topo_name, topo.short_name(), "template-built key name");
         let mut key = base.key.clone();
         key.wake = wake_name(&schedule);
-        key.topo = topo.short_name();
+        key.topo = topo_name;
         key.fault = fault.short_name();
         Scenario {
             key,
@@ -941,9 +1011,12 @@ fn search_instance(
     }
 }
 
-/// The free axes of `space`, or why no candidate of it can run over
+/// The free axes of `space`, or why its candidates cannot run over
 /// `base`'s instance: checked once per instance, so a malformed space
-/// costs nothing instead of a budget of engine errors.
+/// costs nothing instead of a budget of engine errors. An edge choice
+/// other than [`ScriptedRing::KEEP_ALL`] must be an edge id of a cycle
+/// base graph, so every script a candidate builds passes the runner's
+/// preflight.
 fn searchable<'a>(base: &Scenario, space: &'a AdversarySpace) -> Result<FreeAxes<'a>, String> {
     let free = FreeAxes::of(space).map_err(|d| format!("adversary axis {d} offers no choice"))?;
     let team = base.cfg.agent_count();
@@ -951,14 +1024,32 @@ fn searchable<'a>(base: &Scenario, space: &'a AdversarySpace) -> Result<FreeAxes
     if wake_axes != 0 && wake_axes != team {
         return Err(format!("{wake_axes} wake axes for a team of {team}"));
     }
-    match space
+    if let Some((label, _)) = space
         .crash_rounds
         .iter()
         .find(|(label, _)| base.cfg.rank(*label).is_none())
     {
-        Some((label, _)) => Err(format!("crash label {label} is not in the team")),
-        None => Ok(free),
+        return Err(format!("crash label {label} is not in the team"));
     }
+    let graph = base.cfg.graph();
+    let edges = graph.edge_count();
+    let cycle = is_cycle(graph);
+    for (i, choices) in space.edge_script.iter().enumerate() {
+        let d = free.first_edge + i;
+        for &e in choices.iter().filter(|&&e| e != ScriptedRing::KEEP_ALL) {
+            if !cycle {
+                return Err(format!(
+                    "adversary axis {d} removes edge {e} from a base graph that is not a cycle"
+                ));
+            }
+            if e as usize >= edges {
+                return Err(format!(
+                    "adversary axis {d} offers edge {e} of a base graph with {edges} edges"
+                ));
+            }
+        }
+    }
+    Ok(free)
 }
 
 /// The outcome of an instance whose search ran nothing: a zero score, the
@@ -1305,6 +1396,100 @@ mod tests {
                 }
             }
         }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 96,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        #[test]
+        fn template_built_scripts_and_names_match_the_slot_by_slot_build(
+            wake in proptest::collection::vec(proptest::collection::vec(0usize..3, 1..3), 0..3),
+            edges in proptest::collection::vec(
+                (proptest::prelude::any::<bool>(), proptest::collection::vec(0usize..7, 1..4)),
+                0..12,
+            ),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            // Keep-all twice, so fixed slots often keep all edges and the
+            // static collapse is on; multi-digit ids up to u32::MAX - 1.
+            const EDGE: [u32; 7] =
+                [ScriptedRing::KEEP_ALL, ScriptedRing::KEEP_ALL, 0, 9, 10, 123, u32::MAX - 1];
+            const WAKE: [u64; 3] = [0, 4, u64::MAX];
+            let space = AdversarySpace {
+                wake_offsets: wake
+                    .iter()
+                    .map(|axis| axis.iter().map(|&i| WAKE[i]).collect())
+                    .collect(),
+                crash_rounds: Vec::new(),
+                // A fixed slot keeps its first drawn choice alone.
+                edge_script: edges
+                    .iter()
+                    .map(|(fixed, axis)| {
+                        let keep = if *fixed { 1 } else { axis.len() };
+                        axis[..keep].iter().map(|&i| EDGE[i]).collect()
+                    })
+                    .collect(),
+            };
+            // Names and scripts are built without running, so the edge ids
+            // need not exist in the base graph.
+            let base = base_scenario();
+            let free = FreeAxes::of(&space).unwrap();
+            let free_edges = space.edge_script.iter().filter(|c| c.len() > 1).count();
+            proptest::prop_assert_eq!(free.segments.len(), free_edges + 1);
+            proptest::prop_assert!(free.segments[0].starts_with(ScriptedRing::NAME_PREFIX));
+            let dims = space.dims();
+            for k in 0..24u64 {
+                let genotype: Vec<u32> = (0..dims)
+                    .map(|d| {
+                        let draw = if k == 0 { 0 } else { derive_seed(seed, &[k, d as u64]) };
+                        (draw % space.choices(d) as u64) as u32
+                    })
+                    .collect();
+                let (_, topo, _) = reference_specs(&space, &base, &genotype);
+                let compact: Vec<u32> = free.axes.iter().map(|&d| genotype[d]).collect();
+                let built = free.scenario(&base, free.point(&base, &compact));
+                proptest::prop_assert_eq!(&built.topo, &topo);
+                proptest::prop_assert_eq!(&built.key.topo, &topo.short_name());
+                proptest::prop_assert_eq!(&space.decode(&base, &genotype).topo, &topo);
+            }
+        }
+    }
+
+    #[test]
+    fn segments_cut_the_name_around_free_slots() {
+        let x = ScriptedRing::KEEP_ALL;
+        let free = vec![x, 0, 12];
+        // Free slots first, adjacent, and last; fixed slots between them
+        // remove edges, so nothing collapses to static.
+        let space = AdversarySpace {
+            wake_offsets: Vec::new(),
+            crash_rounds: Vec::new(),
+            edge_script: vec![
+                free.clone(),
+                free.clone(),
+                vec![123],
+                vec![x],
+                free.clone(),
+                vec![7],
+                free,
+            ],
+        };
+        let axes = FreeAxes::of(&space).unwrap();
+        assert_eq!(axes.segments, ["sring", "", ".123.x", ".7", ""]);
+        assert_eq!(&*axes.template, &[x, x, 123, x, x, 7, x]);
+        assert_eq!(axes.topo_name(&[x, 0, 12, 12]), "sringx.0.123.x.12.7.12");
+        assert_eq!(axes.topo_name(&[x; 4]), "sringx.x.123.x.x.7.x");
+        // No edge axes: one segment, and every point is static.
+        let none = AdversarySpace {
+            edge_script: Vec::new(),
+            ..space
+        };
+        let axes = FreeAxes::of(&none).unwrap();
+        assert_eq!(axes.segments, ["sring"]);
+        assert_eq!(axes.topo_name(&[]), "static");
     }
 
     #[test]

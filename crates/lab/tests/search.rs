@@ -19,14 +19,14 @@
 //!    late-outage hunt, 7,000 axes per instance of which 12 are walked,
 //!    matches goldens generated when the search still walked every axis.
 //! 6. **Malformed spaces are typed, never panics.** Empty axes, crash
-//!    labels outside the team, out-of-range edge ids, scripts over
-//!    non-cycles and extra wake axes yield no `panic:` record; an empty
-//!    axis, a crash label outside the team or an extra wake axis is an
-//!    `unsupported:` record for its instance that runs nothing.
+//!    labels outside the team, out-of-range edge ids, edge removals over
+//!    non-cycles and extra wake axes are each an `unsupported:` record for
+//!    their instance that runs nothing.
 
 use proptest::prelude::*;
 
 use nochatter_core::KnownSetup;
+use nochatter_graph::dynamic::is_cycle;
 use nochatter_graph::generators::Family;
 use nochatter_graph::Label;
 use nochatter_lab::presets::{hunt_smoke_spec, hunt_space, hunt_spec, late_outage_spec};
@@ -130,7 +130,7 @@ fn build(d: &Drawn) -> (Scenario, AdversarySpace) {
             .skip(1)
             .map(|&l| (l, d.crash_choices.clone()))
             .collect(),
-        edge_script: if nochatter_graph::dynamic::is_cycle(cfg.graph()) {
+        edge_script: if is_cycle(cfg.graph()) {
             (0..d.edge_slots)
                 .map(|_| {
                     let mut choices = vec![ScriptedRing::KEEP_ALL];
@@ -499,15 +499,30 @@ proptest! {
             outcome.record.status
         );
         let radices = radices(&space);
-        // Defects no candidate can survive are rejected once per instance.
+        // Defects are rejected once per instance. The first edge axis
+        // follows the two wake axes and the one crash axis.
+        let cycle = is_cycle(spec.instances[0].0.cfg.graph());
+        let first_edge = 3;
         let rejected = match m.defect {
             0 => radices
                 .iter()
                 .position(|&r| r == 0)
                 .map(|d| format!("adversary axis {d} offers no choice")),
             1 => Some("crash label 77 is not in the team".to_string()),
-            4 => Some("3 wake axes for a team of 2".to_string()),
-            _ => None,
+            // Rings carry two valid edge axes before the pushed one;
+            // other bases carry none, and no removal over them is valid.
+            2 if cycle => Some(format!(
+                "adversary axis {} offers edge {m_edges} of a base graph with {m_edges} edges",
+                first_edge + 2
+            )),
+            2 => Some(format!(
+                "adversary axis {first_edge} removes edge {m_edges} from a base graph that is not a cycle"
+            )),
+            3 if cycle => None,
+            3 => Some(format!(
+                "adversary axis {first_edge} removes edge 0 from a base graph that is not a cycle"
+            )),
+            _ => Some("3 wake axes for a team of 2".to_string()),
         };
         if let Some(defect) = rejected {
             prop_assert_eq!(
@@ -517,8 +532,9 @@ proptest! {
             prop_assert_eq!(outcome.evaluations, 0);
             prop_assert_eq!(outcome.score, (0, 0));
         } else {
-            // The witness hides the malformed candidates that lost to it:
-            // run genotype zero and its one-mutation neighbors directly.
+            // A script over a ring is well-formed; the witness hides the
+            // candidates that lost to it: run genotype zero and its
+            // one-mutation neighbors directly.
             let base = &spec.instances[0].0;
             for (d, &radix) in radices.iter().enumerate() {
                 for choice in 0..radix {
@@ -528,6 +544,48 @@ proptest! {
                     prop_assert!(!record.status.starts_with("panic"), "{}", record.status);
                 }
             }
+        }
+    }
+}
+
+#[test]
+fn edge_axes_are_checked_once_per_instance() {
+    // The same three-slot script over a ring searches; over a path or a
+    // star it is rejected before anything runs, whatever the budget.
+    for (family, searched) in [(0, true), (1, false), (2, false)] {
+        let (base, mut space) = build(&Drawn {
+            family,
+            n: 5,
+            three_agents: false,
+            wake_choices: vec![0, 4],
+            crash_choices: vec![u64::MAX, 32],
+            edge_slots: 2,
+            budget: 16,
+            seed: 11,
+            objective_failure: true,
+        });
+        space.edge_script = vec![vec![ScriptedRing::KEEP_ALL, 0, 1]; 3];
+        let spec = SearchSpec {
+            name: "edge-axes".into(),
+            seed: 11,
+            budget: 16,
+            objective: Objective::Failure,
+            instances: vec![(base, space)],
+        };
+        let outcome = &run_search(&spec, 1).outcomes[0];
+        if searched {
+            assert!(outcome.evaluations > 0, "{}", outcome.record.status);
+            assert!(!outcome.record.status.starts_with("unsupported"));
+        } else {
+            assert_eq!(
+                outcome.record.status,
+                format!(
+                    "unsupported: adversary axis 3 removes edge 0 from a base graph that is \
+                     not a cycle (instance {})",
+                    outcome.instance
+                )
+            );
+            assert_eq!((outcome.evaluations, outcome.runs), (0, 0));
         }
     }
 }
