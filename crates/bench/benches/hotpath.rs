@@ -23,7 +23,7 @@ use nochatter_explore::{Explo, Uxs};
 use nochatter_graph::dynamic::SeededEdgeFailure;
 use nochatter_graph::{algo, generators, Graph, InitialConfiguration, Label, NodeId, Port};
 use nochatter_lab::{presets, run_campaign_cached, run_search_cached, Store, TRACE_CAPACITY};
-use nochatter_sim::proc::{ProcBehavior, Procedure};
+use nochatter_sim::proc::Procedure;
 use nochatter_sim::FaultSpec;
 use nochatter_sim::{
     Action, Declaration, Engine, EngineScratch, Obs, Poll, RunOutcome, Sensing, TopologySpec,
@@ -70,7 +70,7 @@ fn engine_walk(g: &Graph, agents: u32, rounds: u64, sensing: Sensing, scratch: &
         engine.add_agent(
             label(u64::from(i) + 1),
             NodeId::new(i * (n / agents) % n),
-            Box::new(ProcBehavior::declaring(Walker)),
+            Box::new(Walker.map(|_| Declaration::bare())),
         );
     }
     engine.set_wake_schedule(WakeSchedule::Simultaneous);
@@ -106,7 +106,7 @@ fn engine_walk_dynamic(
         engine.add_agent(
             label(u64::from(i) + 1),
             NodeId::new(i * (n / agents) % n),
-            Box::new(ProcBehavior::declaring(BlockedTolerantWalker)),
+            Box::new(BlockedTolerantWalker.map(|_| Declaration::bare())),
         );
     }
     engine.set_wake_schedule(WakeSchedule::Simultaneous);
@@ -119,7 +119,7 @@ fn spread_start(i: u32, agents: u32, n: u32) -> NodeId {
 }
 
 /// One engine run of `agents` EXPLO walkers to completion: one
-/// `Box<dyn AgentBehavior>` per agent, a vtable call per agent per round.
+/// boxed procedure (`nochatter_sim::Agent`) per agent, a vtable call per agent per round.
 fn explo_walk_boxed(g: &Graph, uxs: &Arc<Uxs>, agents: u32, scratch: &mut EngineScratch) {
     let n = g.node_count() as u32;
     let mut engine = Engine::new(g);
@@ -127,9 +127,7 @@ fn explo_walk_boxed(g: &Graph, uxs: &Arc<Uxs>, agents: u32, scratch: &mut Engine
         engine.add_agent(
             label(u64::from(i) + 1),
             spread_start(i, agents, n),
-            Box::new(ProcBehavior::mapping(Explo::new(Arc::clone(uxs)), |_| {
-                Declaration::bare()
-            })),
+            Box::new(Explo::new(Arc::clone(uxs)).map(|_| Declaration::bare())),
         );
     }
     engine.set_wake_schedule(WakeSchedule::Simultaneous);

@@ -8,8 +8,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use nochatter_explore::{Explo, Uxs};
 use nochatter_graph::{generators, Label, NodeId};
 use nochatter_rendezvous::Tz;
-use nochatter_sim::proc::{ProcBehavior, Procedure, UntilCardExceeds, WaitRounds};
-use nochatter_sim::{Engine, Obs, WakeSchedule};
+use nochatter_sim::proc::{Procedure, UntilCardExceeds, WaitRounds};
+use nochatter_sim::{Declaration, Engine, Obs, WakeSchedule};
 
 fn label(v: u64) -> Label {
     Label::new(v).unwrap()
@@ -40,7 +40,7 @@ fn engine_throughput(c: &mut Criterion) {
                         engine.add_agent(
                             label(u64::from(i) + 1),
                             NodeId::new(2 * i % 32),
-                            Box::new(ProcBehavior::declaring(Walker)),
+                            Box::new(Walker.map(|_| Declaration::bare())),
                         );
                     }
                     engine.set_wake_schedule(WakeSchedule::Simultaneous);
@@ -58,7 +58,7 @@ fn engine_throughput(c: &mut Criterion) {
                 engine.add_agent(
                     label(u64::from(i) + 1),
                     NodeId::new(2 * i),
-                    Box::new(ProcBehavior::declaring(WaitRounds::new(1_000_000))),
+                    Box::new(WaitRounds::new(1_000_000).map(|_| Declaration::bare())),
                 );
             }
             engine.run(2_000_000).unwrap()
@@ -96,12 +96,12 @@ fn explo_execution(c: &mut Criterion) {
             engine.add_agent(
                 label(1),
                 NodeId::new(0),
-                Box::new(ProcBehavior::declaring(Explo::new(Arc::clone(&uxs)))),
+                Box::new(Explo::new(Arc::clone(&uxs)).map(|_| Declaration::bare())),
             );
             engine.add_agent(
                 label(2),
                 NodeId::new(8),
-                Box::new(ProcBehavior::declaring(WaitRounds::new(0))),
+                Box::new(WaitRounds::new(0).map(|_| Declaration::bare())),
             );
             engine.run(1_000_000).unwrap()
         })
@@ -119,10 +119,10 @@ fn tz_rendezvous(c: &mut Criterion) {
                 engine.add_agent(
                     label(l),
                     NodeId::new(start),
-                    Box::new(ProcBehavior::declaring(UntilCardExceeds::new(
-                        1,
-                        Tz::new(l, Arc::clone(&uxs)),
-                    ))),
+                    Box::new(
+                        UntilCardExceeds::new(1, Tz::new(l, Arc::clone(&uxs)))
+                            .map(|_| Declaration::bare()),
+                    ),
                 );
             }
             engine.run(10_000_000).unwrap()

@@ -1,6 +1,6 @@
 //! The experiment harness: regenerates every table and figure of the
-//! reproduction (see `DESIGN.md` §5 for the experiment index and
-//! `EXPERIMENTS.md` for recorded results).
+//! reproduction (the README's "Build, test, bench" section shows how to
+//! run them; `experiments -- --help` lists them).
 //!
 //! The paper is a theory paper — its "evaluation" is Theorems 3.1, 4.1 and
 //! 5.1 plus complexity claims — so each experiment turns one theorem or
@@ -297,48 +297,35 @@ pub fn f2_rounds_vs_label_len(ctx: ExperimentCtx) -> Table {
 /// code with its exact multiplicity, in exactly `5·i·T(EXPLO(N))` rounds.
 ///
 /// Deliberately not a campaign: it drives the `Communicate` subroutine in
-/// isolation with hand-built behaviors to pin the lemma's *exact* duration,
+/// isolation with hand-built agents to pin the lemma's *exact* duration,
 /// which no end-to-end scenario exposes.
 pub fn t2_communicate(_ctx: ExperimentCtx) -> Table {
     use nochatter_core::Communicate;
     use nochatter_sim::proc::Procedure;
-    use nochatter_sim::{AgentAct, AgentBehavior, Declaration, Engine, Obs};
+    use nochatter_sim::{Action, Declaration, Engine, Obs, Poll};
 
     let mut t = Table::new(
         "T2 — Communicate (Lemma 3.1): winner, multiplicity, exact duration",
         vec!["labels", "i", "winner", "k", "duration", "expected", "ok"],
     );
 
+    /// Steps from its leaf onto the star's hub, then runs `Communicate`
+    /// and declares the decoded winner and its multiplicity.
     struct Member {
         comm: Communicate,
         moved: bool,
-        done: bool,
     }
-    impl AgentBehavior for Member {
-        fn on_round(&mut self, obs: &Obs) -> AgentAct {
-            if self.done {
-                return AgentAct::Wait;
-            }
+    impl Procedure for Member {
+        type Output = Declaration;
+        fn poll(&mut self, obs: &Obs) -> Poll<Declaration> {
             if !self.moved {
                 self.moved = true;
-                return AgentAct::TakePort(nochatter_graph::Port::new(0));
+                return Poll::Yield(Action::TakePort(nochatter_graph::Port::new(0)));
             }
-            match self.comm.poll(obs) {
-                nochatter_sim::Poll::Yield(nochatter_sim::Action::Wait) => AgentAct::Wait,
-                nochatter_sim::Poll::Yield(nochatter_sim::Action::TakePort(p)) => {
-                    AgentAct::TakePort(p)
-                }
-                nochatter_sim::Poll::Yield(nochatter_sim::Action::SlowMove(_)) => {
-                    unreachable!("Communicate makes no slow moves")
-                }
-                nochatter_sim::Poll::Complete(out) => {
-                    self.done = true;
-                    AgentAct::Declare(Declaration {
-                        leader: out.l.extract_terminated_code().and_then(|d| d.to_label()),
-                        size: Some(out.k),
-                    })
-                }
-            }
+            self.comm.poll(obs).map(|out| Declaration {
+                leader: out.l.extract_terminated_code().and_then(|d| d.to_label()),
+                size: Some(out.k),
+            })
         }
     }
 
@@ -364,7 +351,6 @@ pub fn t2_communicate(_ctx: ExperimentCtx) -> Table {
                         Arc::clone(&uxs),
                     ),
                     moved: false,
-                    done: false,
                 }),
             );
         }

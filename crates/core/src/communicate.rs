@@ -218,8 +218,7 @@ impl Procedure for Communicate {
 mod tests {
     use super::*;
     use nochatter_graph::{generators, Graph, Label, NodeId, Port};
-    use nochatter_sim::proc::ProcBehavior;
-    use nochatter_sim::{AgentBehavior, Declaration, Engine, WakeSchedule};
+    use nochatter_sim::{Declaration, Engine, WakeSchedule};
 
     fn label(v: u64) -> Label {
         Label::new(v).unwrap()
@@ -232,35 +231,20 @@ mod tests {
         approach: Vec<Port>,
         comm: Communicate,
         walked: usize,
-        done: bool,
     }
 
-    impl AgentBehavior for Member {
-        fn on_round(&mut self, obs: &Obs) -> nochatter_sim::AgentAct {
-            if self.done {
-                return nochatter_sim::AgentAct::Wait;
-            }
+    impl Procedure for Member {
+        type Output = Declaration;
+        fn poll(&mut self, obs: &Obs) -> Poll<Declaration> {
             if self.walked < self.approach.len() {
                 let p = self.approach[self.walked];
                 self.walked += 1;
-                return nochatter_sim::AgentAct::TakePort(p);
+                return Poll::Yield(nochatter_sim::Action::TakePort(p));
             }
-            match self.comm.poll(obs) {
-                Poll::Yield(nochatter_sim::Action::Wait) => nochatter_sim::AgentAct::Wait,
-                Poll::Yield(nochatter_sim::Action::TakePort(p)) => {
-                    nochatter_sim::AgentAct::TakePort(p)
-                }
-                Poll::Yield(nochatter_sim::Action::SlowMove(_)) => {
-                    unreachable!("Communicate makes no slow moves")
-                }
-                Poll::Complete(out) => {
-                    self.done = true;
-                    nochatter_sim::AgentAct::Declare(Declaration {
-                        leader: out.l.extract_terminated_code().and_then(|d| d.to_label()),
-                        size: Some(out.k),
-                    })
-                }
-            }
+            self.comm.poll(obs).map(|out| Declaration {
+                leader: out.l.extract_terminated_code().and_then(|d| d.to_label()),
+                size: Some(out.k),
+            })
         }
     }
 
@@ -282,7 +266,6 @@ mod tests {
                     approach: vec![Port::new(0)],
                     comm: Communicate::new(i, s, b, Arc::clone(&uxs)),
                     walked: 0,
-                    done: false,
                 }),
             );
         }
@@ -345,7 +328,6 @@ mod tests {
                     approach: vec![Port::new(0)],
                     comm: Communicate::new(8, s, true, Arc::clone(&uxs)),
                     walked: 0,
-                    done: false,
                 }),
             );
         }
@@ -416,7 +398,6 @@ mod tests {
                             Arc::clone(&uxs),
                         ),
                         walked: 0,
-                        done: false,
                     }),
                 );
             }
@@ -443,13 +424,12 @@ mod tests {
                 approach: vec![],
                 comm: Communicate::new(10, s, true, Arc::clone(&uxs)),
                 walked: 0,
-                done: false,
             }),
         );
         engine.add_agent(
             label(9),
             NodeId::new(1),
-            Box::new(ProcBehavior::declaring(WaitRounds::new(0))),
+            Box::new(WaitRounds::new(0).map(|_| Declaration::bare())),
         );
         // The second agent declares instantly and then idles in place; the
         // solo communicator's EXPLO passes through its node, which must not

@@ -469,8 +469,7 @@ impl Procedure for GossipUnknownUpperBound {
     }
 
     // Only the gathering stage waits blind (its slow moves never reach
-    // here: `ProcBehavior` counts them down); the exchange watches
-    // `CurCard`.
+    // here: the engine holds them); the exchange watches `CurCard`.
     fn blind(&self) -> bool {
         match &self.stage {
             UnknownComposedStage::Gather(g) => g.blind(),

@@ -1,17 +1,17 @@
-//! Convenience runners wiring configurations, parameters and behaviors into
-//! the engine — used by tests, examples and the benchmark harness.
+//! Convenience runners wiring configurations, parameters and procedures
+//! into the engine — used by tests, examples and the benchmark harness.
 //!
-//! Every runner adds its agents to the engine as boxed behaviors; the
+//! Every runner adds its agents to the engine as boxed procedures; the
 //! runners whose reports outgrow a [`Declaration`] hand them out through a
 //! per-agent sink. One scenario is one engine run.
 
 use std::sync::{Arc, Mutex};
 
 use nochatter_graph::{InitialConfiguration, Label};
-use nochatter_sim::proc::{ProcBehavior, Procedure};
+use nochatter_sim::proc::Procedure;
 use nochatter_sim::{
-    AgentBehavior, Declaration, Engine, EngineScratch, FaultSpec, RunOutcome, Sensing, SimError,
-    Static, Topology, TopologySpec, Trace, WakeSchedule,
+    Declaration, Engine, EngineScratch, FaultSpec, RunOutcome, Sensing, SimError, Static, Topology,
+    TopologySpec, Trace, WakeSchedule,
 };
 
 use crate::codec::BitStr;
@@ -70,13 +70,13 @@ pub(crate) fn sink_agent<P>(
     proc_: P,
     sink: &Arc<Mutex<Option<P::Output>>>,
     declare: fn(&P::Output) -> Declaration,
-) -> Box<dyn AgentBehavior>
+) -> nochatter_sim::Agent
 where
     P: Procedure + 'static,
     P::Output: 'static,
 {
     let sink = Arc::clone(sink);
-    Box::new(ProcBehavior::mapping(proc_, move |out| {
+    Box::new(proc_.map(move |out| {
         let declaration = declare(&out);
         *sink.lock().expect("sink poisoned") = Some(out);
         declaration
@@ -191,7 +191,7 @@ fn run_known_view<T: Topology>(
             start,
             Box::new(
                 GatherKnownUpperBound::with_mode(run.setup.params.clone(), label, run.mode)
-                    .into_behavior(),
+                    .map(Declaration::with_leader),
             ),
         );
     }

@@ -30,8 +30,8 @@ use std::sync::Arc;
 use nochatter_explore::Explo;
 use nochatter_graph::Label;
 use nochatter_rendezvous::Tz;
-use nochatter_sim::proc::{ProcBehavior, Procedure, RunFor, WaitRounds};
-use nochatter_sim::{Action, Declaration, Obs, Poll};
+use nochatter_sim::proc::{Procedure, RunFor, WaitRounds};
+use nochatter_sim::{Action, Obs, Poll};
 
 use crate::codec::BitStr;
 use crate::communicate::Communicate;
@@ -90,12 +90,14 @@ enum Stage {
 /// use std::sync::Arc;
 /// use nochatter_core::{GatherKnownUpperBound, KnownParams};
 /// use nochatter_graph::{generators, Label};
+/// use nochatter_sim::proc::Procedure;
+/// use nochatter_sim::Declaration;
 ///
 /// let g = generators::ring(5);
 /// let params = KnownParams::for_corpus(6, std::slice::from_ref(&g), 0);
 /// let proc_ = GatherKnownUpperBound::silent(params, Label::new(7).unwrap());
-/// let behavior = proc_.into_behavior(); // ready for Engine::add_agent
-/// # let _ = behavior;
+/// let agent = proc_.map(Declaration::with_leader); // ready for Engine::add_agent
+/// # let _ = agent;
 /// ```
 #[derive(Clone, Debug)]
 pub struct GatherKnownUpperBound {
@@ -140,11 +142,6 @@ impl GatherKnownUpperBound {
             lambda: 0,
             stage: Stage::Phase0Explo(Explo::new(uxs)),
         }
-    }
-
-    /// Wraps into an engine behavior declaring the elected leader.
-    pub fn into_behavior(self) -> ProcBehavior<Self, fn(Label) -> Declaration> {
-        ProcBehavior::mapping(self, Declaration::with_leader)
     }
 
     /// Computes `Communicate`'s return string instantly from co-located

@@ -168,7 +168,7 @@ mod tests {
     use crate::unknown::enumeration::SliceEnumeration;
     use crate::unknown::schedule::UnknownSchedule;
     use nochatter_graph::{generators, Graph, InitialConfiguration, Label, NodeId};
-    use nochatter_sim::proc::{ProcBehavior, WaitRounds};
+    use nochatter_sim::proc::{Procedure, WaitRounds};
     use nochatter_sim::{Declaration, Engine, TraceEvent, WakeSchedule};
 
     fn label(v: u64) -> Label {
@@ -194,19 +194,18 @@ mod tests {
         engine.add_agent(
             label(1),
             start,
-            Box::new(ProcBehavior::mapping(
-                BallTraversal::new(sched.hypothesis(1)),
-                |ok| Declaration {
+            Box::new(
+                BallTraversal::new(sched.hypothesis(1)).map(|ok| Declaration {
                     leader: None,
                     size: Some(u32::from(ok)),
-                },
-            )),
+                }),
+            ),
         );
         let other = graph.nodes().find(|&v| v != start).unwrap();
         engine.add_agent(
             label(2),
             other,
-            Box::new(ProcBehavior::declaring(WaitRounds::new(0))),
+            Box::new(WaitRounds::new(0).map(|_| Declaration::bare())),
         );
         engine.set_wake_schedule(WakeSchedule::Simultaneous);
         engine.record_trace(1_000_000);
@@ -339,7 +338,7 @@ mod tests {
             engine.add_agent(
                 label(1),
                 start,
-                Box::new(ProcBehavior::mapping(walker, move |out| {
+                Box::new(walker.map(move |out| {
                     sink.set(Some(out));
                     Declaration::bare()
                 })),
@@ -347,7 +346,7 @@ mod tests {
             engine.add_agent(
                 label(2),
                 other,
-                Box::new(ProcBehavior::declaring(WaitRounds::new(0))),
+                Box::new(WaitRounds::new(0).map(|_| Declaration::bare())),
             );
             engine.record_trace(usize::MAX);
             let outcome = engine.run(u64::MAX).unwrap();
@@ -414,14 +413,12 @@ mod tests {
         engine.add_agent(
             label(1),
             NodeId::new(1),
-            Box::new(ProcBehavior::declaring(BallTraversal::new(
-                sched.hypothesis(1),
-            ))),
+            Box::new(BallTraversal::new(sched.hypothesis(1)).map(|_| Declaration::bare())),
         );
         engine.add_agent(
             label(2),
             NodeId::new(0),
-            Box::new(ProcBehavior::declaring(WaitRounds::new(0))),
+            Box::new(WaitRounds::new(0).map(|_| Declaration::bare())),
         );
         let outcome = engine.run(100_000_000).unwrap();
         assert!(outcome.all_declared());
@@ -437,14 +434,12 @@ mod tests {
         engine.add_agent(
             label(1),
             NodeId::new(0),
-            Box::new(ProcBehavior::declaring(BallTraversal::new(
-                sched.hypothesis(1),
-            ))),
+            Box::new(BallTraversal::new(sched.hypothesis(1)).map(|_| Declaration::bare())),
         );
         engine.add_agent(
             label(2),
             NodeId::new(2),
-            Box::new(ProcBehavior::declaring(WaitRounds::new(0))),
+            Box::new(WaitRounds::new(0).map(|_| Declaration::bare())),
         );
         engine.record_trace(2_000_000);
         let outcome = engine.run(100_000_000).unwrap();

@@ -115,8 +115,8 @@ mod tests {
     use crate::unknown::enumeration::SliceEnumeration;
     use crate::unknown::schedule::UnknownSchedule;
     use nochatter_graph::{generators, Graph, InitialConfiguration, Label, NodeId};
-    use nochatter_sim::proc::{FollowPath, ProcBehavior, WaitRounds};
-    use nochatter_sim::{AgentBehavior, Declaration, Engine, WakeSchedule};
+    use nochatter_sim::proc::{FollowPath, Procedure, WaitRounds};
+    use nochatter_sim::{Declaration, Engine, WakeSchedule};
 
     fn label(v: u64) -> Label {
         Label::new(v).unwrap()
@@ -161,7 +161,7 @@ mod tests {
         g: &Graph,
         sched: &UnknownSchedule,
         team: &[(u64, u32, Vec<u32>)],
-        extras: Vec<(u64, u32, Box<dyn AgentBehavior>)>,
+        extras: Vec<(u64, u32, nochatter_sim::Agent)>,
     ) -> Vec<(bool, NodeId, u64)> {
         let mut engine = Engine::new(g);
         let team_len = team.len();
@@ -170,18 +170,18 @@ mod tests {
             engine.add_agent(
                 label(*l),
                 NodeId::new(*start),
-                Box::new(ProcBehavior::mapping(
+                Box::new(
                     Sweeper {
                         pre_wait: longest - walk.len() as u64,
                         walk: FollowPath::new(walk.iter().map(|&p| Port::new(p)).collect()),
                         ece: EnsureCleanExploration::new(sched.hypothesis(1)),
                         walking: true,
-                    },
-                    |ok| Declaration {
+                    }
+                    .map(|ok| Declaration {
                         leader: None,
                         size: Some(u32::from(ok)),
-                    },
-                )),
+                    }),
+                ),
             );
         }
         for (l, start, behavior) in extras {
@@ -220,7 +220,11 @@ mod tests {
             &g,
             &sched,
             &[(1, 0, vec![]), (2, 1, vec![0])],
-            vec![(9, 2, Box::new(ProcBehavior::declaring(WaitRounds::new(0))))],
+            vec![(
+                9,
+                2,
+                Box::new(WaitRounds::new(0).map(|_| Declaration::bare())),
+            )],
         );
         assert!(results.iter().all(|(ok, _, _)| !ok));
     }

@@ -252,8 +252,8 @@ mod tests {
     use crate::unknown::oracle::PositionTracker;
     use crate::unknown::schedule::UnknownSchedule;
     use nochatter_graph::{generators, Graph, InitialConfiguration, Label};
-    use nochatter_sim::proc::{ProcBehavior, WaitRounds};
-    use nochatter_sim::{AgentBehavior, Declaration, Engine, WakeSchedule};
+    use nochatter_sim::proc::{Procedure, WaitRounds};
+    use nochatter_sim::{Declaration, Engine, WakeSchedule};
     use std::sync::Arc;
 
     fn label(v: u64) -> Label {
@@ -278,32 +278,27 @@ mod tests {
         tracker: SharedTracker,
     }
 
-    impl AgentBehavior for SlotRunner {
-        fn on_round(&mut self, obs: &Obs) -> nochatter_sim::AgentAct {
+    impl Procedure for SlotRunner {
+        type Output = Declaration;
+        fn poll(&mut self, obs: &Obs) -> Poll<Declaration> {
             if self.pre_wait > 0 {
                 self.pre_wait -= 1;
-                return nochatter_sim::AgentAct::Wait;
+                return Poll::Yield(Action::Wait);
             }
             if self.walked < self.walk.len() {
                 let p = self.walk[self.walked];
                 self.walked += 1;
                 self.tracker.borrow_mut().apply(p);
-                return nochatter_sim::AgentAct::TakePort(p);
+                return Poll::Yield(Action::TakePort(p));
             }
-            match self.gsc.poll(obs) {
-                Poll::Yield(Action::Wait) => nochatter_sim::AgentAct::Wait,
-                Poll::Yield(Action::TakePort(p)) => {
-                    self.tracker.borrow_mut().apply(p);
-                    nochatter_sim::AgentAct::TakePort(p)
-                }
-                Poll::Yield(Action::SlowMove(_)) => {
-                    unreachable!("GraphSizeCheck makes no slow moves")
-                }
-                Poll::Complete(out) => nochatter_sim::AgentAct::Declare(Declaration {
-                    leader: None,
-                    size: Some(u32::from(out.b) + 2 * u32::from(out.dirty)),
-                }),
+            let poll = self.gsc.poll(obs);
+            if let Poll::Yield(Action::TakePort(p)) = poll {
+                self.tracker.borrow_mut().apply(p);
             }
+            poll.map(|out| Declaration {
+                leader: None,
+                size: Some(u32::from(out.b) + 2 * u32::from(out.dirty)),
+            })
         }
     }
 
@@ -312,7 +307,7 @@ mod tests {
     fn run_gsc(
         real: &Graph,
         hypo: &InitialConfiguration,
-        extras: Vec<(u64, u32, Box<dyn AgentBehavior>)>,
+        extras: Vec<(u64, u32, nochatter_sim::Agent)>,
     ) -> Vec<(bool, bool, u64)> {
         let sched = UnknownSchedule::new(SliceEnumeration::new(vec![hypo.clone()])).unwrap();
         let graph = Arc::new(real.clone());
@@ -402,7 +397,11 @@ mod tests {
         let results = run_gsc(
             &g,
             &hypo,
-            vec![(9, 2, Box::new(ProcBehavior::declaring(WaitRounds::new(0))))],
+            vec![(
+                9,
+                2,
+                Box::new(WaitRounds::new(0).map(|_| Declaration::bare())),
+            )],
         );
         assert!(results.iter().any(|&(_, dirty, _)| dirty));
         assert!(results.iter().all(|&(b, _, _)| !b));

@@ -285,8 +285,8 @@ impl Procedure for Hypothesis {
         }
     }
 
-    // The ball's slow moves wait inside `ProcBehavior`: the ball stages
-    // promise nothing of their own.
+    // The engine holds the ball's slow moves and answers their waits: the
+    // ball stages promise nothing of their own.
     fn min_wait(&self) -> u64 {
         match &self.stage {
             Stage::Line4(w) | Stage::Pad(w) => w.min_wait(),

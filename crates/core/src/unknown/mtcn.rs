@@ -129,7 +129,7 @@ mod tests {
     use crate::unknown::enumeration::SliceEnumeration;
     use crate::unknown::schedule::UnknownSchedule;
     use nochatter_graph::{generators, NodeId};
-    use nochatter_sim::proc::ProcBehavior;
+    use nochatter_sim::proc::Procedure;
     use nochatter_sim::{Declaration, Engine, WakeSchedule};
 
     fn label(v: u64) -> Label {
@@ -151,13 +151,12 @@ mod tests {
             engine.add_agent(
                 l,
                 start,
-                Box::new(ProcBehavior::mapping(
-                    MoveToCentralNode::new(cfg, sched.hypothesis(1), l),
-                    |ok| Declaration {
+                Box::new(
+                    MoveToCentralNode::new(cfg, sched.hypothesis(1), l).map(|ok| Declaration {
                         leader: None,
                         size: Some(u32::from(ok)),
-                    },
-                )),
+                    }),
+                ),
             );
         }
         engine.set_wake_schedule(WakeSchedule::Simultaneous);
@@ -217,18 +216,17 @@ mod tests {
         engine.add_agent(
             label(1),
             NodeId::new(0),
-            Box::new(ProcBehavior::mapping(
-                MoveToCentralNode::new(&cfg, sched.hypothesis(1), label(1)),
-                |ok| Declaration {
+            Box::new(
+                MoveToCentralNode::new(&cfg, sched.hypothesis(1), label(1)).map(|ok| Declaration {
                     leader: None,
                     size: Some(u32::from(ok)),
-                },
-            )),
+                }),
+            ),
         );
         engine.add_agent(
             label(2),
             NodeId::new(3),
-            Box::new(ProcBehavior::declaring(WaitRounds::new(0))),
+            Box::new(WaitRounds::new(0).map(|_| Declaration::bare())),
         );
         let outcome = engine.run(100_000_000).unwrap();
         assert!(outcome.all_declared());

@@ -121,7 +121,7 @@ impl Procedure for StarCheck {
 mod tests {
     use super::*;
     use nochatter_graph::{generators, Graph, Label, NodeId};
-    use nochatter_sim::proc::{FollowPath, ProcBehavior, WaitRounds};
+    use nochatter_sim::proc::{FollowPath, Procedure, WaitRounds};
     use nochatter_sim::{Declaration, Engine, WakeSchedule};
 
     fn label(v: u64) -> Label {
@@ -152,7 +152,7 @@ mod tests {
         g: &Graph,
         team: &[(u64, u32, Vec<u32>, u32)], // (label, start, walk, rank)
         k: u32,
-        extras: Vec<(u64, u32, Box<dyn nochatter_sim::AgentBehavior>)>,
+        extras: Vec<(u64, u32, nochatter_sim::Agent)>,
     ) -> Vec<bool> {
         let mut engine = Engine::new(g);
         let team_len = team.len();
@@ -160,17 +160,17 @@ mod tests {
             engine.add_agent(
                 label(*l),
                 NodeId::new(*start),
-                Box::new(ProcBehavior::mapping(
+                Box::new(
                     HubChecker {
                         walk: FollowPath::new(walk.iter().map(|&p| Port::new(p)).collect()),
                         check: StarCheck::new(k, *rank),
                         walking: true,
-                    },
-                    |ok| Declaration {
+                    }
+                    .map(|ok| Declaration {
                         leader: None,
                         size: Some(u32::from(ok)),
-                    },
-                )),
+                    }),
+                ),
             );
         }
         for (l, start, behavior) in extras {
@@ -208,7 +208,11 @@ mod tests {
             &g,
             &[(1, 1, vec![0], 0), (2, 2, vec![0], 1), (3, 3, vec![0], 2)],
             3,
-            vec![(9, 4, Box::new(ProcBehavior::declaring(WaitRounds::new(0))))],
+            vec![(
+                9,
+                4,
+                Box::new(WaitRounds::new(0).map(|_| Declaration::bare())),
+            )],
         );
         assert_eq!(verdicts, vec![false, false, false]);
     }
@@ -225,7 +229,7 @@ mod tests {
             vec![(
                 9,
                 4,
-                Box::new(ProcBehavior::declaring(HubSitter { walked: false })),
+                Box::new(HubSitter { walked: false }.map(|_| Declaration::bare())),
             )],
         );
         assert_eq!(verdicts, vec![false, false]);
@@ -256,11 +260,14 @@ mod tests {
             engine.add_agent(
                 label(l),
                 NodeId::new(start),
-                Box::new(ProcBehavior::declaring(HubChecker {
-                    walk: FollowPath::new(vec![Port::new(0)]),
-                    check: StarCheck::new(2, rank),
-                    walking: true,
-                })),
+                Box::new(
+                    HubChecker {
+                        walk: FollowPath::new(vec![Port::new(0)]),
+                        check: StarCheck::new(2, rank),
+                        walking: true,
+                    }
+                    .map(|_| Declaration::bare()),
+                ),
             );
         }
         let outcome = engine.run(100_000).unwrap();

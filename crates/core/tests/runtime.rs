@@ -13,7 +13,10 @@ use proptest::prelude::*;
 use nochatter_core::{harness, CommMode, GatherKnownUpperBound, KnownSetup};
 use nochatter_graph::generators::Family;
 use nochatter_graph::{InitialConfiguration, Label, NodeId};
-use nochatter_sim::{Engine, EngineScratch, RunOutcome, Sensing, SimError, WakeSchedule};
+use nochatter_sim::proc::Procedure;
+use nochatter_sim::{
+    Declaration, Engine, EngineScratch, RunOutcome, Sensing, SimError, WakeSchedule,
+};
 
 fn sensing_for(mode: CommMode) -> Sensing {
     match mode {
@@ -40,7 +43,7 @@ fn run_known_by_hand(
             start,
             Box::new(
                 GatherKnownUpperBound::with_mode(setup.params().clone(), label, mode)
-                    .into_behavior(),
+                    .map(Declaration::with_leader),
             ),
         );
     }

@@ -126,7 +126,7 @@ impl Procedure for Explo {
 mod tests {
     use super::*;
     use nochatter_graph::{generators, Label, NodeId};
-    use nochatter_sim::proc::ProcBehavior;
+    use nochatter_sim::proc::Procedure;
     use nochatter_sim::{Declaration, Engine, TraceEvent, WakeSchedule};
 
     fn label(v: u64) -> Label {
@@ -144,7 +144,7 @@ mod tests {
         engine.add_agent(
             label(1),
             start,
-            Box::new(ProcBehavior::declaring(Explo::new(uxs))),
+            Box::new(Explo::new(uxs).map(|_| Declaration::bare())),
         );
         // A second, inert agent parked far away so the engine setup is
         // realistic (the model assumes >= 2 agents); it declares instantly.
@@ -155,9 +155,7 @@ mod tests {
         engine.add_agent(
             label(2),
             other,
-            Box::new(ProcBehavior::declaring(
-                nochatter_sim::proc::WaitRounds::new(0),
-            )),
+            Box::new(nochatter_sim::proc::WaitRounds::new(0).map(|_| Declaration::bare())),
         );
         engine.set_wake_schedule(WakeSchedule::Simultaneous);
         engine.record_trace(100_000);
@@ -235,19 +233,15 @@ mod tests {
         engine.add_agent(
             label(1),
             NodeId::new(0),
-            Box::new(ProcBehavior::mapping(Explo::new(Arc::clone(&uxs)), |o| {
-                Declaration {
-                    leader: None,
-                    size: Some(o.min_card),
-                }
+            Box::new(Explo::new(Arc::clone(&uxs)).map(|o| Declaration {
+                leader: None,
+                size: Some(o.min_card),
             })),
         );
         engine.add_agent(
             label(2),
             NodeId::new(2),
-            Box::new(ProcBehavior::declaring(
-                nochatter_sim::proc::WaitRounds::new(0),
-            )),
+            Box::new(nochatter_sim::proc::WaitRounds::new(0).map(|_| Declaration::bare())),
         );
         let outcome = engine.run(100_000).unwrap();
         let rec = outcome.declarations[0].1.unwrap();

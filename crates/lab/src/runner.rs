@@ -2,21 +2,22 @@
 //!
 //! One cell is one run: every scenario the cache does not answer becomes
 //! one job, executed by [`execute_scenario_with_scratch`] and written
-//! through to the store. Jobs are distributed over the work-stealing
-//! scheduler ([`crate::sched`]): per-worker deques with steal-half
-//! rebalancing, one reusable [`EngineScratch`] per worker, and lock-free
-//! per-job result slots. Stealing reorders execution, never results — each
-//! record lands in its scenario's key-order slot — so a 1-worker run and
-//! an 8-worker run produce byte-identical reports. A scenario that panics
-//! is isolated by the scheduler's `catch_unwind`: the cell becomes a
-//! failed [`RunRecord`] with status `"panic: ..."` instead of aborting the
-//! campaign.
+//! through to the store. Jobs are distributed by the scheduler
+//! ([`crate::sched`]): workers claim them one at a time from a shared
+//! cursor, each with one reusable [`EngineScratch`], and write into
+//! lock-free per-job result slots. The schedule reorders execution, never
+//! results — each record lands in its scenario's key-order slot — so a
+//! 1-worker run and an 8-worker run produce byte-identical reports. A
+//! scenario that panics is isolated by the scheduler's `catch_unwind`: the
+//! cell becomes a failed [`RunRecord`] with status `"panic: ..."` instead
+//! of aborting the campaign.
 
 use std::time::Instant;
 
 use nochatter_core::unknown::{run_unknown, SliceEnumeration};
 use nochatter_core::{harness, KnownSetup};
-use nochatter_sim::{EngineScratch, RunOutcome, SimError, Trace};
+use nochatter_graph::InitialConfiguration;
+use nochatter_sim::{EngineScratch, GatheringReport, RunOutcome, SimError, Trace};
 
 use crate::campaign::{Campaign, Scenario, ScenarioKind};
 use crate::record::RunRecord;
@@ -51,7 +52,7 @@ pub fn run_campaign(campaign: &Campaign, workers: usize) -> CampaignReport {
 /// [`run_campaign`] against an optional result store: the planning phase
 /// partitions cells into hits (loaded from the cache — byte for byte the
 /// record the engine would produce) and misses (one job each on the
-/// work-stealing pool), and every completed miss writes its record
+/// scheduler's workers), and every completed miss writes its record
 /// through immediately, so a killed run resumes where it stopped. Records
 /// merge in key order regardless of their source: the JSON/CSV reports
 /// are byte-identical with the cache on, off, warm, cold, or at any worker
@@ -93,7 +94,7 @@ pub fn run_campaign_cached(
             let record = execute_scenario_with_scratch(scenario, scratch);
             // Write-through per completed cell: records of a killed run are
             // already on disk, so the next run resumes past them. The
-            // append order varies with stealing; reports don't — they
+            // append order varies with the schedule; reports don't — they
             // merge by key order, and the store is an unordered index.
             if let Some(store) = store {
                 store.insert(scenario, &record);
@@ -305,7 +306,7 @@ pub(crate) fn execute_preflighted(
 
 /// The outcome-to-record tail of every scenario kind: fills the counters
 /// and judges the gathering property (survivors-only under a fault
-/// adversary).
+/// adversary), plus Theorem 4.1's learned values on unknown-bound cells.
 fn record_outcome(
     record: &mut RunRecord,
     scenario: &Scenario,
@@ -333,6 +334,16 @@ fn record_outcome(
                         Some(l) if !scenario.cfg.contains_label(l) => {
                             record.status = format!("phantom leader {l}");
                         }
+                        Some(_) if matches!(scenario.kind, ScenarioKind::Unknown { .. }) => {
+                            match theorem_4_1_violation(&report, &scenario.cfg) {
+                                Some(status) => record.status = status,
+                                None => {
+                                    record.ok = true;
+                                    record.status = "gathered".into();
+                                    record.rounds = report.round;
+                                }
+                            }
+                        }
                         Some(_) => {
                             record.ok = true;
                             record.status = "gathered".into();
@@ -347,6 +358,23 @@ fn record_outcome(
             }
         }
         Err(e) => record.status = format!("engine error: {e}"),
+    }
+}
+
+/// Judges a gathered unknown-bound run against Theorem 4.1: the agents
+/// must have learned the true graph size and elected the team's smallest
+/// label. Returns the failure status, or `None` if both hold.
+fn theorem_4_1_violation(report: &GatheringReport, cfg: &InitialConfiguration) -> Option<String> {
+    let n = cfg.size() as u32;
+    let smallest = cfg.smallest_label();
+    match (report.size, report.leader) {
+        (Some(size), _) if size != n => Some(format!("wrong size {size} (n = {n})")),
+        (None, _) => Some(format!("no size learned (n = {n})")),
+        (_, Some(leader)) if leader != smallest => Some(format!(
+            "leader {leader} is not the smallest label {smallest}"
+        )),
+        (_, None) => Some("no leader elected".into()),
+        _ => None,
     }
 }
 
@@ -381,6 +409,36 @@ mod tests {
         }
         .campaign("runner-test", 11)
         .unwrap()
+    }
+
+    #[test]
+    fn theorem_4_1_judges_the_learned_size_and_leader() {
+        use nochatter_graph::{generators, Label, NodeId};
+        let label = |v| Label::new(v).unwrap();
+        let cfg = InitialConfiguration::new(
+            generators::ring(3),
+            vec![(label(2), NodeId::new(0)), (label(1), NodeId::new(2))],
+        )
+        .unwrap();
+        let report = |leader: u64, size: Option<u32>| GatheringReport {
+            round: 9,
+            node: NodeId::new(1),
+            leader: Label::new(leader),
+            size,
+        };
+        assert_eq!(theorem_4_1_violation(&report(1, Some(3)), &cfg), None);
+        assert_eq!(
+            theorem_4_1_violation(&report(1, Some(5)), &cfg).as_deref(),
+            Some("wrong size 5 (n = 3)")
+        );
+        assert_eq!(
+            theorem_4_1_violation(&report(2, Some(3)), &cfg).as_deref(),
+            Some("leader 2 is not the smallest label 1")
+        );
+        assert_eq!(
+            theorem_4_1_violation(&report(1, None), &cfg).as_deref(),
+            Some("no size learned (n = 3)")
+        );
     }
 
     #[test]

@@ -1,18 +1,16 @@
-//! The work-stealing scheduler behind the campaign runner.
+//! The scheduler behind the campaign runner: one shared cursor.
 //!
-//! `count` jobs (indices `0..count`) are distributed over `workers` worker
-//! threads as contiguous chunks seeded into per-worker deques. A worker
-//! pops from the front of its own deque; when that runs dry it scans for
-//! the richest victim and steals the *back half* of its deque in one lock,
-//! so load imbalance (one worker's chunk full of heavyweight cells) heals
-//! in O(log) steals instead of a cell at a time through a shared cursor.
-//! The deques hold only `usize` indices behind short-lived mutexes —
-//! vendored-shim friendly, no external scheduler dependency.
+//! `count` jobs (indices `0..count`) are handed to `workers` worker
+//! threads one at a time: a worker claims the next index with one
+//! `fetch_add` on a shared atomic cursor, so a worker stuck on a heavy
+//! cell simply claims fewer, and no index is claimed twice. A cell costs
+//! a fraction of a millisecond of engine time and a claim nanoseconds, so
+//! nothing coarser pays for itself.
 //!
-//! **Determinism.** Stealing reorders *execution*, never *results*: each
-//! job writes its result into its own [`OnceLock`] slot (lock-free for
-//! disjoint indices, and `set` doubles as an exactly-once assertion), and
-//! the caller reads the slots back in index order. Any schedule of any
+//! **Determinism.** The schedule reorders *execution*, never *results*:
+//! each job writes its result into its own [`OnceLock`] slot (lock-free
+//! for disjoint indices, and `set` doubles as an exactly-once assertion),
+//! and the caller reads the slots back in index order. Any schedule of any
 //! number of workers therefore produces the same result vector.
 //!
 //! **Panic isolation.** Every job runs under [`catch_unwind`]. A panic is
@@ -23,9 +21,9 @@
 //! a fresh one. One poisoned cell can no longer abort a million-cell
 //! sweep.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use nochatter_sim::EngineScratch;
 
@@ -41,9 +39,9 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Executes jobs `0..count` across `workers` threads with work stealing
-/// and returns their results in index order, independent of the worker
-/// count and of the steal schedule.
+/// Executes jobs `0..count` across `workers` threads and returns their
+/// results in index order, independent of the worker count and of the
+/// order in which the workers claimed the jobs.
 ///
 /// `job(index, scratch)` produces index `index`'s result against the
 /// worker's reusable [`EngineScratch`]; if it panics, the scratch is
@@ -74,34 +72,23 @@ where
         return (0..count).map(|i| run_one(i, &mut scratch)).collect();
     }
 
-    // Seed each worker's deque with a contiguous chunk of the index space
-    // (the first `count % workers` workers take one extra).
-    let deques: Vec<Mutex<VecDeque<usize>>> = {
-        let base = count / workers;
-        let extra = count % workers;
-        let mut next = 0;
-        (0..workers)
-            .map(|w| {
-                let len = base + usize::from(w < extra);
-                let chunk = (next..next + len).collect();
-                next += len;
-                Mutex::new(chunk)
-            })
-            .collect()
-    };
+    let cursor = AtomicUsize::new(0);
     let slots: Vec<OnceLock<T>> = (0..count).map(|_| OnceLock::new()).collect();
-
     std::thread::scope(|scope| {
-        for me in 0..workers {
-            let deques = &deques;
-            let slots = &slots;
-            let run_one = &run_one;
-            scope.spawn(move || {
+        for _ in 0..workers {
+            scope.spawn(|| {
                 let mut scratch = EngineScratch::new();
-                while let Some(index) = next_job(deques, me) {
+                loop {
+                    // The cursor only hands out indices and publishes no
+                    // data: results travel through the slots and the
+                    // scope's join.
+                    let index = cursor.fetch_add(1, Ordering::Relaxed);
+                    if index >= count {
+                        break;
+                    }
                     let value = run_one(index, &mut scratch);
-                    // Disjoint lock-free writes: every index is claimed by
-                    // exactly one worker, and `set` asserts it.
+                    // Disjoint lock-free writes: the cursor hands every
+                    // index to exactly one worker, and `set` asserts it.
                     assert!(
                         slots[index].set(value).is_ok(),
                         "job {index} was scheduled twice"
@@ -121,58 +108,16 @@ where
 }
 
 /// The number of worker threads [`run_sharded`] uses for `count` jobs
-/// when `workers` are requested: a thread beyond the job count would only
-/// seed an empty deque, so the request is capped at `count`.
+/// when `workers` are requested: a thread beyond the job count would find
+/// the cursor past the end at once, so the request is capped at `count`.
 fn thread_count(count: usize, workers: usize) -> usize {
     workers.min(count)
-}
-
-/// Claims the next job for worker `me`: the front of its own deque, or a
-/// steal of the back half of the richest victim's deque. `None` once every
-/// deque is empty (in-flight jobs on other workers need no help).
-fn next_job(deques: &[Mutex<VecDeque<usize>>], me: usize) -> Option<usize> {
-    if let Some(index) = deques[me].lock().expect("deque poisoned").pop_front() {
-        return Some(index);
-    }
-    loop {
-        let mut victim = me;
-        let mut best = 0;
-        for (i, deque) in deques.iter().enumerate() {
-            if i == me {
-                continue;
-            }
-            let len = deque.lock().expect("deque poisoned").len();
-            if len > best {
-                best = len;
-                victim = i;
-            }
-        }
-        if best == 0 {
-            return None;
-        }
-        let mut queue = deques[victim].lock().expect("deque poisoned");
-        let len = queue.len();
-        if len == 0 {
-            // Lost the race to another thief; rescan.
-            continue;
-        }
-        let mut stolen = queue.split_off(len - len.div_ceil(2));
-        drop(queue);
-        let first = stolen.pop_front().expect("stole at least one job");
-        if !stolen.is_empty() {
-            deques[me]
-                .lock()
-                .expect("deque poisoned")
-                .extend(stolen.drain(..));
-        }
-        return Some(first);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
 
     fn job_ids(count: usize, workers: usize) -> Vec<usize> {
         run_sharded(
@@ -265,10 +210,10 @@ mod tests {
 
     #[test]
     fn more_workers_than_jobs_run_every_job_exactly_once() {
-        // 3 jobs across 64 requested workers: at most 3 threads, one job
-        // each. A thread that finishes first scans victims whose jobs are
-        // all in flight and must exit cleanly, while the OnceLock slots
-        // assert each job ran exactly once.
+        // 3 jobs across 64 requested workers: at most 3 threads. A thread
+        // that finishes first finds the cursor past the end while the
+        // other jobs are in flight and must exit cleanly, while the
+        // OnceLock slots assert each job ran exactly once.
         let runs: Vec<AtomicUsize> = (0..3).map(|_| AtomicUsize::new(0)).collect();
         let threads = Mutex::new(std::collections::HashSet::new());
         let results = run_sharded(
@@ -278,7 +223,7 @@ mod tests {
                 runs[i].fetch_add(1, Ordering::Relaxed);
                 threads.lock().unwrap().insert(std::thread::current().id());
                 // Keep the job in flight long enough that idle workers
-                // really do scan while the deques are empty.
+                // really do find the cursor exhausted meanwhile.
                 std::thread::sleep(std::time::Duration::from_millis(1));
                 i * 100
             },
@@ -292,55 +237,9 @@ mod tests {
     }
 
     #[test]
-    fn stealing_from_empty_victims_terminates_with_correct_results() {
-        // Two jobs, eight requested workers: two threads, and whichever
-        // finishes first finds its own deque and its victim's empty (the
-        // other job is in flight) and must return None from the steal scan
-        // rather than spin or grab a job twice.
-        let runs: Vec<AtomicUsize> = (0..2).map(|_| AtomicUsize::new(0)).collect();
-        let results = run_sharded(
-            2,
-            8,
-            |i, _scratch| {
-                runs[i].fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(std::time::Duration::from_millis(2));
-                i
-            },
-            |_, _| unreachable!("no panics"),
-        );
-        assert_eq!(results, vec![0, 1]);
-        for r in &runs {
-            assert_eq!(r.load(Ordering::Relaxed), 1);
-        }
-    }
-
-    #[test]
     fn panic_message_extracts_str_and_string_payloads() {
         assert_eq!(panic_message(Box::new("static str")), "static str");
         assert_eq!(panic_message(Box::new(String::from("owned"))), "owned");
         assert_eq!(panic_message(Box::new(17u32)), "non-string panic payload");
-    }
-
-    #[test]
-    fn imbalanced_chunks_are_stolen() {
-        // One slow chunk: make low indices heavy so the workers seeded with
-        // the tail chunks run dry and must steal. Correctness is the same
-        // assertion (all results present, index order); this exercises the
-        // steal path under contention.
-        let heavy = AtomicUsize::new(0);
-        let results = run_sharded(
-            64,
-            8,
-            |i, _scratch| {
-                if i < 8 {
-                    heavy.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(std::time::Duration::from_millis(2));
-                }
-                i
-            },
-            |_, _| unreachable!("no panics"),
-        );
-        assert_eq!(results, (0..64).collect::<Vec<_>>());
-        assert_eq!(heavy.load(Ordering::Relaxed), 8);
     }
 }

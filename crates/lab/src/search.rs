@@ -26,7 +26,7 @@
 //!   a campaign cell.
 //! * **Determinism at any worker count and cache state.** The
 //!   per-instance search is sequential and seeded from the instance's
-//!   derived seed; instances shard over the work-stealing scheduler with
+//!   derived seed; instances shard over the campaign scheduler with
 //!   index-ordered result slots. Same spec + budget ⇒ byte-identical
 //!   [`SearchReport`] JSON and CSV for any worker count, cold or warm.
 //! * **Nothing runs that cannot change the witness.** A gathering run

@@ -230,8 +230,8 @@ impl Procedure for Tz {
 mod tests {
     use super::*;
     use nochatter_graph::{generators, Graph, Label, NodeId};
-    use nochatter_sim::proc::{ProcBehavior, UntilCardExceeds};
-    use nochatter_sim::{Engine, WakeSchedule};
+    use nochatter_sim::proc::{Procedure, UntilCardExceeds};
+    use nochatter_sim::{Declaration, Engine, WakeSchedule};
 
     fn label(v: u64) -> Label {
         Label::new(v).unwrap()
@@ -299,10 +299,10 @@ mod tests {
             engine.add_agent(
                 label(i as u64 + 1),
                 NodeId::new(start),
-                Box::new(ProcBehavior::declaring(UntilCardExceeds::new(
-                    1,
-                    Tz::new(param, Arc::clone(uxs)),
-                ))),
+                Box::new(
+                    UntilCardExceeds::new(1, Tz::new(param, Arc::clone(uxs)))
+                        .map(|_| Declaration::bare()),
+                ),
             );
         }
         engine.set_wake_schedule(WakeSchedule::Explicit(vec![0, offset]));

@@ -1,13 +1,15 @@
 //! The deterministic synchronous execution engine.
 
+use std::num::NonZeroU64;
+
 use nochatter_graph::dynamic::{Static, Topology, TopologyView};
 use nochatter_graph::{Graph, Label, NodeId, Port};
 
-use crate::behavior::{AgentAct, AgentBehavior};
 use crate::error::SimError;
 use crate::fault::FaultSpec;
-use crate::obs::Obs;
-use crate::outcome::{DeclarationRecord, RunOutcome, RunStatus};
+use crate::obs::{Action, Obs, Poll};
+use crate::outcome::{Declaration, DeclarationRecord, RunOutcome, RunStatus};
+use crate::proc::Procedure;
 use crate::schedule::WakeSchedule;
 use crate::trace::{Trace, TraceEvent};
 
@@ -45,7 +47,7 @@ pub enum AgentPhase {
     /// Asleep; woken by the adversary's schedule or by the first visitor.
     #[default]
     Dormant,
-    /// Awake and executing its behavior.
+    /// Awake and executing its procedure.
     Active,
     /// Awake; the previous move attempt hit an absent edge, which the next
     /// observation reports (then back to [`AgentPhase::Active`]).
@@ -70,12 +72,15 @@ impl AgentPhase {
     }
 }
 
+/// An agent's program: a procedure whose output is its declaration.
+pub type Agent = Box<dyn Procedure<Output = Declaration>>;
+
 /// Struct-of-arrays agent storage.
 ///
 /// The round loop touches the small per-agent scalars (phase, position,
-/// wake/crash rounds) far more often than the behavior state machines, so
-/// each field lives in its own contiguous array instead of one
-/// array-of-structs row per agent. Behaviors are boxed trait objects in
+/// wake/crash rounds) far more often than the procedures' state machines,
+/// so each field lives in its own contiguous array instead of one
+/// array-of-structs row per agent. Procedures are boxed trait objects in
 /// their own vector: every agent, built-in or user-defined, is added the
 /// same way.
 struct AgentArena {
@@ -90,7 +95,13 @@ struct AgentArena {
     adversary_wake: Vec<u64>,
     /// Resolved crash round (`u64::MAX` = never); cleared once applied.
     crash_round: Vec<u64>,
-    behaviors: Vec<Box<dyn AgentBehavior>>,
+    /// The slow move the engine holds for the agent: the round it is due
+    /// and its port, or `None` (the round of a slow move with a positive
+    /// wait is always past round 0). Every round before the due round is
+    /// a blind wait the engine answers itself; in the due round the
+    /// engine makes the move without a poll.
+    slow: Vec<(Option<NonZeroU64>, Port)>,
+    procs: Vec<Agent>,
 }
 
 impl AgentArena {
@@ -104,7 +115,8 @@ impl AgentArena {
             declared: Vec::new(),
             adversary_wake: Vec::new(),
             crash_round: Vec::new(),
-            behaviors: Vec::new(),
+            slow: Vec::new(),
+            procs: Vec::new(),
         }
     }
 
@@ -116,7 +128,7 @@ impl AgentArena {
         self.labels.is_empty()
     }
 
-    fn push(&mut self, label: Label, start: NodeId, behavior: Box<dyn AgentBehavior>) {
+    fn push(&mut self, label: Label, start: NodeId, agent: Agent) {
         self.labels.push(label);
         self.pos.push(start);
         self.phase.push(AgentPhase::Dormant);
@@ -125,7 +137,33 @@ impl AgentArena {
         self.declared.push(None);
         self.adversary_wake.push(u64::MAX);
         self.crash_round.push(u64::MAX);
-        self.behaviors.push(behavior);
+        self.slow.push((None, Port::new(0)));
+        self.procs.push(agent);
+    }
+
+    /// Agent `i`'s wait promise after its poll in `round`: the rounds
+    /// before a pending slow move's due round, or its procedure's
+    /// `min_wait`.
+    fn min_wait(&self, i: usize, round: u64) -> u64 {
+        match self.slow[i].0 {
+            Some(due) => due.get() - round - 1,
+            None => self.procs[i].min_wait(),
+        }
+    }
+
+    /// Whether agent `i`'s promise holds whatever it observes: always
+    /// inside a slow move's wait, else as its procedure says.
+    fn blind(&self, i: usize) -> bool {
+        self.slow[i].0.is_some() || self.procs[i].blind()
+    }
+
+    /// Tells agent `i`'s procedure about `rounds` skipped rounds, unless
+    /// the engine is counting down its slow move: that wait is absolute,
+    /// and nothing of it reaches the procedure.
+    fn note_skipped(&mut self, i: usize, rounds: u64) {
+        if self.slow[i].0.is_none() {
+            self.procs[i].note_skipped(rounds);
+        }
     }
 }
 
@@ -157,8 +195,10 @@ pub struct EngineScratch {
     /// `card`/`occupants` that need clearing, so the per-round wipe is
     /// O(k), not O(n).
     touched: Vec<u32>,
-    /// This round's actions, co-indexed with the engine's agents.
-    acts: Vec<Option<AgentAct>>,
+    /// This round's acts, co-indexed with the engine's agents: a move
+    /// instruction (a slow move already resolved into a wait or a move),
+    /// or a completed procedure's declaration.
+    acts: Vec<Option<Poll<Declaration>>>,
     /// Sorted co-located labels, recycled through [`Obs::peer_labels`]
     /// under [`Sensing::Traditional`] instead of allocating a fresh vector
     /// per agent per round.
@@ -213,8 +253,8 @@ struct RunStats {
     blocked_moves: u64,
     engine_iterations: u64,
     skipped_rounds: u64,
-    /// Behavior polls actually executed (`on_round` calls): one per
-    /// executing agent per dense round, one per lone-agent round.
+    /// Agent polls: one per executing agent per dense round, one per
+    /// lone-agent round, except the round a held slow move is made in.
     polled_agent_rounds: u64,
     max_colocation: u32,
     last_declaration_round: u64,
@@ -223,7 +263,7 @@ struct RunStats {
 
 /// The synchronous-round executor.
 ///
-/// Build it over a graph, add agents (label, start node, behavior), pick a
+/// Build it over a graph, add agents (label, start node, program), pick a
 /// wake schedule and sensing mode, then [`Engine::run`]. The engine is fully
 /// deterministic: identical inputs produce identical runs, bit for bit.
 ///
@@ -236,8 +276,11 @@ struct RunStats {
 /// whose edge is absent this round stays put, keeps its entry port, and
 /// sees `blocked: true` in its next [`Obs`].
 ///
-/// Agents live in a struct-of-arrays arena; each one's behavior is a
-/// `Box<dyn AgentBehavior>`, the one way to add an agent.
+/// Agents live in a struct-of-arrays arena; each one's program is an
+/// [`Agent`], a boxed procedure, the one way to add an agent. The engine
+/// holds each [`Action::SlowMove`] in the arena: it answers the wait's
+/// rounds, and the promise calls about them, without reaching the
+/// procedure, and makes the move itself in its due round.
 ///
 /// Agent lifecycle is the explicit [`AgentPhase`] state machine, and the
 /// optional [`FaultSpec`] crash adversary ([`Engine::set_faults`]) can move
@@ -279,9 +322,10 @@ impl<'g, V: TopologyView> Engine<'g, V> {
         }
     }
 
-    /// Adds an agent with the given label, start node and behavior.
-    pub fn add_agent(&mut self, label: Label, start: NodeId, behavior: Box<dyn AgentBehavior>) {
-        self.agents.push(label, start, behavior);
+    /// Adds an agent with the given label, start node and program; the
+    /// procedure's output is the agent's declaration.
+    pub fn add_agent(&mut self, label: Label, start: NodeId, agent: Agent) {
+        self.agents.push(label, start, agent);
     }
 
     /// Chooses the adversary's wake schedule (default: simultaneous).
@@ -406,7 +450,7 @@ impl<'g, V: TopologyView> Engine<'g, V> {
     ///
     /// # Errors
     ///
-    /// Returns a [`SimError`] on setup problems or if a behavior commits a
+    /// Returns a [`SimError`] on setup problems or if an agent commits a
     /// protocol violation (taking a nonexistent port).
     pub fn run(self, max_rounds: u64) -> Result<RunOutcome, SimError> {
         self.run_with_scratch(max_rounds, &mut EngineScratch::new())
@@ -418,7 +462,7 @@ impl<'g, V: TopologyView> Engine<'g, V> {
     ///
     /// # Errors
     ///
-    /// Returns a [`SimError`] on setup problems or if a behavior commits a
+    /// Returns a [`SimError`] on setup problems or if an agent commits a
     /// protocol violation (taking a nonexistent port).
     pub fn run_with_scratch(
         self,
@@ -459,10 +503,11 @@ pub(crate) struct ActiveRun<'g, V: TopologyView> {
     /// observation; the silent model pays nothing for them.
     bucket_occupants: bool,
     /// Debug-build contract net for the quiescence fast-forward: per agent,
-    /// the absolute round through which its last [`AgentBehavior::min_wait`]
-    /// promised further `Wait`s, the observation signature (degree,
-    /// cur_card, entry_port) the promise was made under (`None` for a
-    /// one-off observation), and whether it was [`AgentBehavior::blind`].
+    /// the absolute round through which its last [`Procedure::min_wait`]
+    /// (or the wait of the slow move the engine holds) promised further
+    /// `Wait`s, the observation signature (degree, cur_card, entry_port)
+    /// the promise was made under (`None` for a one-off observation), and
+    /// whether it was [`Procedure::blind`].
     /// A poll inside the promised window with an identical signature, or
     /// with any observation under a blind promise, must yield `Wait` —
     /// catching unsound `min_wait` implementations at the source instead
@@ -482,7 +527,7 @@ pub(crate) struct ActiveRun<'g, V: TopologyView> {
     /// more than the one round left. Meaningful only for executing agents
     /// while `lone` holds.
     quiet_through: Vec<u64>,
-    /// Per agent, the first round its behavior has not yet been told
+    /// Per agent, the first round its procedure has not yet been told
     /// about, by a poll or a `note_skipped`. Agents inside a promise lag
     /// behind the clock on the lone-agent path and catch up with one
     /// `note_skipped` when next polled or when the path is left.
@@ -538,15 +583,16 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
     /// semantics. The dense path scans wakes and crashes, builds the
     /// occupancy, and polls and applies every executing agent. The
     /// lone-agent path runs while exactly one executing agent is due and
-    /// every other one is inside its wait promise ([`AgentBehavior::min_wait`]):
-    /// it polls and applies that agent alone, and the others catch up
-    /// later with one [`AgentBehavior::note_skipped`] call each. A dense
+    /// every other one is inside its wait promise ([`Procedure::min_wait`],
+    /// or a slow move's wait): it polls and applies that agent alone, and
+    /// the others catch up later with one [`Procedure::note_skipped`] call
+    /// each. A dense
     /// round under [`Sensing::Weak`] with no one-off observation (just
     /// woken, blocked) enters the path when every agent waited, or when
     /// exactly one moved while the rest waited and the move disturbed no
     /// one — provided a single agent will be due next. A move disturbs a
     /// body at either end that is dormant (the visit wakes it) or
-    /// executing under a promise that is not [`AgentBehavior::blind`];
+    /// executing under a promise that is not blind ([`Procedure::blind`]);
     /// declared and crashed bodies never act again. The path is left when no
     /// single agent is due, when an adversary wake, a crash or the round
     /// limit is due, after the due agent's move disturbed another body,
@@ -603,6 +649,8 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
                         continue;
                     }
                     self.engine.agents.phase[i] = AgentPhase::Crashed;
+                    // A crash inside a slow move's wait cancels the move.
+                    self.engine.agents.slow[i].0 = None;
                     self.stats.last_crash_round = self.stats.last_crash_round.max(round);
                     if let Some(t) = self.trace.as_mut() {
                         t.push(TraceEvent::Crashed {
@@ -708,7 +756,7 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
             };
             let (act, fresh) = self.poll_agent(i, round, card[pos.index()], peers);
             any_fresh |= fresh;
-            if !matches!(act, AgentAct::Wait) {
+            if !matches!(act, Poll::Yield(Action::Wait)) {
                 actors += 1;
                 actor = i;
             }
@@ -763,9 +811,9 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
             let track = weak && !any_fresh;
             let (mut first, mut second) = (u64::MAX, u64::MAX);
             let agents = &self.engine.agents;
-            for (i, (&phase, behavior)) in agents.phase.iter().zip(&agents.behaviors).enumerate() {
+            for (i, &phase) in agents.phase.iter().enumerate() {
                 if phase.is_executing() {
-                    let wait = behavior.min_wait();
+                    let wait = agents.min_wait(i, round);
                     if wait < first {
                         second = first;
                         first = wait;
@@ -782,15 +830,10 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
             let lone = track && skip == first && second > first.saturating_add(1);
             if skip > 0 && skip != u64::MAX {
                 if !lone {
-                    for (&phase, behavior) in self
-                        .engine
-                        .agents
-                        .phase
-                        .iter()
-                        .zip(self.engine.agents.behaviors.iter_mut())
-                    {
-                        if phase.is_executing() {
-                            behavior.note_skipped(skip);
+                    let agents = &mut self.engine.agents;
+                    for i in 0..k {
+                        if agents.phase[i].is_executing() {
+                            agents.note_skipped(i, skip);
                         }
                     }
                 }
@@ -805,12 +848,12 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
             // path pays off only if no waiter is due next round as well.
             let agents = &self.engine.agents;
             let mut waiter_due = false;
-            for (i, (&phase, behavior)) in agents.phase.iter().zip(&agents.behaviors).enumerate() {
+            for (i, &phase) in agents.phase.iter().enumerate() {
                 if phase.is_executing() {
                     let through = if i == actor {
                         round
                     } else {
-                        round.saturating_add(behavior.min_wait())
+                        round.saturating_add(agents.min_wait(i, round))
                     };
                     self.quiet_through[i] = through;
                     waiter_due |= i != actor && through <= next;
@@ -834,7 +877,7 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
         self.engine.view.begin_round(round);
         let lag = round - self.synced[i];
         if lag > 0 {
-            self.engine.agents.behaviors[i].note_skipped(lag);
+            self.engine.agents.note_skipped(i, lag);
         }
         self.synced[i] = round + 1;
         let pos = &self.engine.agents.pos;
@@ -853,9 +896,8 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
         // catch-up could rely on; hand the next round to the dense path.
         let mut leave = fresh;
         match act {
-            AgentAct::Wait => {
-                self.quiet_through[i] =
-                    round.saturating_add(self.engine.agents.behaviors[i].min_wait());
+            Poll::Yield(Action::Wait) => {
+                self.quiet_through[i] = round.saturating_add(self.engine.agents.min_wait(i, round));
                 // The dense fast-forward's skip: every executing agent's
                 // remaining promise, capped by the next wake, crash or
                 // the round limit.
@@ -870,12 +912,12 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
                     self.stats.skipped_rounds += skip;
                 }
             }
-            AgentAct::TakePort(_) => {
+            Poll::Yield(_) => {
                 self.quiet_through[i] = round;
                 let to = self.engine.agents.pos[i];
                 leave |= to != from && self.disturbs(i, from, to);
             }
-            AgentAct::Declare(_) => {
+            Poll::Complete(_) => {
                 if let Some(outcome) = self.terminal_outcome() {
                     return Some(Ok(outcome));
                 }
@@ -891,7 +933,7 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
     /// Whether agent `i`'s move from `from` to `to` changes what another
     /// body at either end acts on: a dormant body wakes by the visit, and
     /// an executing one sees its `CurCard` change, which only a blind
-    /// promise ([`AgentBehavior::blind`]) ignores. Declared and crashed
+    /// promise ([`AgentArena::blind`]) ignores. Declared and crashed
     /// bodies never act again.
     fn disturbs(&self, i: usize, from: NodeId, to: NodeId) -> bool {
         let agents = &self.engine.agents;
@@ -900,7 +942,7 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
                 && (at == from || at == to)
                 && match agents.phase[j] {
                     AgentPhase::Dormant => true,
-                    AgentPhase::Active | AgentPhase::Blocked => !agents.behaviors[j].blind(),
+                    AgentPhase::Active | AgentPhase::Blocked => !agents.blind(j),
                     AgentPhase::Declared | AgentPhase::Crashed => false,
                 }
         })
@@ -932,7 +974,7 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
     }
 
     /// Starts the lone-agent path after a dense round, to run until
-    /// `stop` ([`ActiveRun::next_stop`]): every behavior has been told
+    /// `stop` ([`ActiveRun::next_stop`]): every procedure has been told
     /// about every round before `synced`, and learns of any rounds skipped
     /// since from its next catch-up.
     fn enter_lone(&mut self, synced: u64, stop: u64) {
@@ -968,14 +1010,9 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
         self.lone = false;
         let round = self.round;
         let agents = &mut self.engine.agents;
-        for ((&phase, behavior), synced) in agents
-            .phase
-            .iter()
-            .zip(agents.behaviors.iter_mut())
-            .zip(self.synced.iter_mut())
-        {
-            if phase.is_executing() && *synced < round {
-                behavior.note_skipped(round - *synced);
+        for (i, synced) in self.synced.iter_mut().enumerate() {
+            if agents.phase[i].is_executing() && *synced < round {
+                agents.note_skipped(i, round - *synced);
                 *synced = round;
             }
         }
@@ -986,6 +1023,13 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
     /// returns its act plus whether the observation was a one-off (just
     /// woken or blocked). Shared by both paths, as is the debug-build
     /// promise check.
+    ///
+    /// The engine holds slow moves here. A yielded [`Action::SlowMove`] is
+    /// read with its wait `w` at once: `w == 0` is a plain move, otherwise
+    /// the move is due in round `round + w` and the act is a wait. Until
+    /// then the engine answers `Wait` itself, and in the due round it
+    /// makes the move; neither reaches the procedure, and the move round
+    /// is not counted as a poll.
     #[inline(always)]
     fn poll_agent(
         &mut self,
@@ -993,8 +1037,17 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
         round: u64,
         cur_card: u32,
         mut peers: Option<&mut Vec<Label>>,
-    ) -> (AgentAct, bool) {
+    ) -> (Poll<Declaration>, bool) {
         let agents = &mut self.engine.agents;
+        let (due, port) = agents.slow[i];
+        if let Some(due) = due {
+            if due.get() == round {
+                agents.slow[i].0 = None;
+                return (Poll::Yield(Action::TakePort(port)), false);
+            }
+            self.stats.polled_agent_rounds += 1;
+            return (Poll::Yield(Action::Wait), false);
+        }
         let phase = agents.phase[i];
         let mut obs = Obs {
             round,
@@ -1005,11 +1058,20 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
             blocked: phase == AgentPhase::Blocked,
             peer_labels: peers.as_mut().map(|buf| std::mem::take(&mut **buf)),
         };
-        let act = agents.behaviors[i].on_round(&obs);
+        let mut act = agents.procs[i].poll(&obs);
+        if let Poll::Yield(Action::SlowMove(port)) = act {
+            act = Poll::Yield(match agents.procs[i].slow_wait() {
+                0 => Action::TakePort(port),
+                wait => {
+                    agents.slow[i] = (NonZeroU64::new(round.saturating_add(wait)), port);
+                    Action::Wait
+                }
+            });
+        }
         self.stats.polled_agent_rounds += 1;
         let fresh = obs.blocked || obs.just_woken;
         #[cfg(debug_assertions)]
-        self.check_promise(i, &obs, act, fresh);
+        self.check_promise(i, &obs, &act, fresh);
         // Reclaim the lent label buffer (and its capacity).
         if let (Some(buf), Some(labels)) = (peers, obs.peer_labels.take()) {
             *buf = labels;
@@ -1026,7 +1088,7 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
     /// one the promise was made on, or whatever it is if the promise was
     /// blind.
     #[cfg(debug_assertions)]
-    fn check_promise(&mut self, i: usize, obs: &Obs, act: AgentAct, fresh: bool) {
+    fn check_promise(&mut self, i: usize, obs: &Obs, act: &Poll<Declaration>, fresh: bool) {
         if self.engine.sensing != Sensing::Weak {
             return;
         }
@@ -1035,27 +1097,28 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
         let (through, promised, blind) = self.promise[i];
         if round <= through && (blind || (!fresh && promised == Some(sig))) {
             debug_assert!(
-                matches!(act, AgentAct::Wait),
+                matches!(act, Poll::Yield(Action::Wait)),
                 "agent {} acted at round {round} inside its promised wait horizon \
                  (through round {through}, blind: {blind})",
                 self.engine.agents.labels[i]
             );
         }
-        let behavior = &self.engine.agents.behaviors[i];
+        let agents = &self.engine.agents;
         self.promise[i] = (
-            round.saturating_add(behavior.min_wait()),
+            round.saturating_add(agents.min_wait(i, round)),
             (!fresh).then_some(sig),
-            behavior.blind(),
+            agents.blind(i),
         );
     }
 
     /// Applies agent `i`'s act of `round`: a move, a blocked attempt or a
     /// declaration, with its trace event. Shared by both paths.
     #[inline(always)]
-    fn apply(&mut self, i: usize, act: AgentAct, round: u64) -> Result<(), SimError> {
+    fn apply(&mut self, i: usize, act: Poll<Declaration>, round: u64) -> Result<(), SimError> {
         match act {
-            AgentAct::Wait => {}
-            AgentAct::TakePort(p) => {
+            Poll::Yield(Action::Wait) => {}
+            Poll::Yield(Action::SlowMove(_)) => unreachable!("poll_agent resolves every slow move"),
+            Poll::Yield(Action::TakePort(p)) => {
                 let pos = self.engine.agents.pos[i];
                 match self.engine.graph.neighbor(pos, p) {
                     // A port that exists in the base graph but whose
@@ -1100,7 +1163,7 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
                     }
                 }
             }
-            AgentAct::Declare(d) => {
+            Poll::Complete(d) => {
                 self.engine.agents.declared[i] = Some(DeclarationRecord {
                     round,
                     node: self.engine.agents.pos[i],
@@ -1175,14 +1238,19 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::behavior::Declaration;
     use crate::fault::CrashPoint;
-    use crate::obs::{Action, Poll};
-    use crate::proc::{ProcBehavior, Procedure, WaitRounds};
-    use nochatter_graph::{generators, Port};
+    use crate::proc::WaitRounds;
+    use nochatter_graph::generators;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn label(v: u64) -> Label {
         Label::new(v).unwrap()
+    }
+
+    /// Declares bare whatever the procedure completes with.
+    fn bare<T>(_: T) -> Declaration {
+        Declaration::bare()
     }
 
     /// Declares the moment it sees company.
@@ -1213,7 +1281,7 @@ mod tests {
             engine.add_agent(
                 label(l),
                 NodeId::new(0),
-                Box::new(ProcBehavior::declaring(WaitRounds::new(0))),
+                Box::new(WaitRounds::new(0).map(bare)),
             );
         }
         assert!(matches!(engine.run(10), Err(SimError::SharedStart { .. })));
@@ -1226,12 +1294,12 @@ mod tests {
         engine.add_agent(
             label(1),
             NodeId::new(0),
-            Box::new(ProcBehavior::declaring(WaitRounds::new(0))),
+            Box::new(WaitRounds::new(0).map(bare)),
         );
         engine.add_agent(
             label(1),
             NodeId::new(1),
-            Box::new(ProcBehavior::declaring(WaitRounds::new(0))),
+            Box::new(WaitRounds::new(0).map(bare)),
         );
         assert!(matches!(
             engine.run(10),
@@ -1250,7 +1318,7 @@ mod tests {
             engine.add_agent(
                 label(l),
                 NodeId::new(pos),
-                Box::new(ProcBehavior::declaring(WaitRounds::new(0))),
+                Box::new(WaitRounds::new(0).map(bare)),
             );
         };
         // Label pair (0, 3) beats position pair (1, 3).
@@ -1302,15 +1370,11 @@ mod tests {
         }
         let g = generators::ring(4);
         let mut engine = Engine::new(&g);
-        engine.add_agent(
-            label(1),
-            NodeId::new(0),
-            Box::new(ProcBehavior::declaring(BadPort)),
-        );
+        engine.add_agent(label(1), NodeId::new(0), Box::new(BadPort.map(bare)));
         engine.add_agent(
             label(2),
             NodeId::new(1),
-            Box::new(ProcBehavior::declaring(WaitRounds::new(50))),
+            Box::new(WaitRounds::new(50).map(bare)),
         );
         match engine.run(10) {
             Err(SimError::InvalidPort { agent, round, .. }) => {
@@ -1324,9 +1388,10 @@ mod tests {
     #[test]
     fn boxed_behaviors_declaring_on_their_first_poll_end_in_round_zero() {
         struct DeclareNow;
-        impl AgentBehavior for DeclareNow {
-            fn on_round(&mut self, _obs: &Obs) -> AgentAct {
-                AgentAct::Declare(Declaration::bare())
+        impl Procedure for DeclareNow {
+            type Output = Declaration;
+            fn poll(&mut self, _obs: &Obs) -> Poll<Declaration> {
+                Poll::Complete(Declaration::bare())
             }
         }
         let g = generators::ring(4);
@@ -1349,12 +1414,12 @@ mod tests {
         engine.add_agent(
             label(1),
             NodeId::new(0),
-            Box::new(ProcBehavior::declaring(RunFor5Moves::default())),
+            Box::new(RunFor5Moves::default().map(bare)),
         );
         engine.add_agent(
             label(2),
             NodeId::new(2),
-            Box::new(ProcBehavior::declaring(DeclareOnCompany)),
+            Box::new(DeclareOnCompany.map(bare)),
         );
         engine.set_wake_schedule(WakeSchedule::FirstOnly);
         engine.record_trace(64);
@@ -1413,32 +1478,32 @@ mod tests {
         engine.add_agent(
             label(1),
             NodeId::new(0),
-            Box::new(ProcBehavior::mapping(
+            Box::new(
                 RecordMax {
                     dir: 1,
                     max_seen: 0,
                     steps: 1,
-                },
-                |m| Declaration {
+                }
+                .map(|m| Declaration {
                     leader: None,
                     size: Some(m),
-                },
-            )),
+                }),
+            ),
         );
         engine.add_agent(
             label(2),
             NodeId::new(1),
-            Box::new(ProcBehavior::mapping(
+            Box::new(
                 RecordMax {
                     dir: 0,
                     max_seen: 0,
                     steps: 1,
-                },
-                |m| Declaration {
+                }
+                .map(|m| Declaration {
                     leader: None,
                     size: Some(m),
-                },
-            )),
+                }),
+            ),
         );
         let outcome = engine.run(10).unwrap();
         assert!(outcome.all_declared());
@@ -1463,7 +1528,7 @@ mod tests {
             engine.add_agent(
                 label(l),
                 NodeId::new(pos),
-                Box::new(ProcBehavior::declaring(WaitRounds::new(1_000_000))),
+                Box::new(WaitRounds::new(1_000_000).map(bare)),
             );
         }
         let outcome = engine.run(2_000_000).unwrap();
@@ -1488,12 +1553,12 @@ mod tests {
         engine.add_agent(
             label(1),
             NodeId::new(0),
-            Box::new(ProcBehavior::declaring(WaitRounds::new(1000))),
+            Box::new(WaitRounds::new(1000).map(bare)),
         );
         engine.add_agent(
             label(2),
             NodeId::new(2),
-            Box::new(ProcBehavior::declaring(WaitRounds::new(0))),
+            Box::new(WaitRounds::new(0).map(bare)),
         );
         engine.set_wake_schedule(WakeSchedule::Explicit(vec![0, 500]));
         let outcome = engine.run(10_000).unwrap();
@@ -1505,14 +1570,12 @@ mod tests {
     #[test]
     fn traditional_sensing_exposes_labels() {
         struct SeePeers;
-        impl AgentBehavior for SeePeers {
-            fn on_round(&mut self, obs: &Obs) -> AgentAct {
+        impl Procedure for SeePeers {
+            type Output = Declaration;
+            fn poll(&mut self, obs: &Obs) -> Poll<Declaration> {
                 let labels = obs.peer_labels.as_ref().expect("traditional mode");
                 assert_eq!(labels.len() as u32, obs.cur_card);
-                AgentAct::Declare(Declaration {
-                    leader: Some(labels[0]),
-                    size: None,
-                })
+                Poll::Complete(Declaration::with_leader(labels[0]))
             }
         }
         let g = generators::complete(2);
@@ -1532,10 +1595,11 @@ mod tests {
     #[test]
     fn weak_sensing_hides_labels() {
         struct AssertNoLabels;
-        impl AgentBehavior for AssertNoLabels {
-            fn on_round(&mut self, obs: &Obs) -> AgentAct {
+        impl Procedure for AssertNoLabels {
+            type Output = Declaration;
+            fn poll(&mut self, obs: &Obs) -> Poll<Declaration> {
                 assert!(obs.peer_labels.is_none());
-                AgentAct::Declare(Declaration::bare())
+                Poll::Complete(Declaration::bare())
             }
         }
         let g = generators::complete(2);
@@ -1553,12 +1617,12 @@ mod tests {
         engine.add_agent(
             label(1),
             NodeId::new(0),
-            Box::new(ProcBehavior::declaring(WaitRounds::new(5))),
+            Box::new(WaitRounds::new(5).map(bare)),
         );
         engine.add_agent(
             label(2),
             NodeId::new(1),
-            Box::new(ProcBehavior::declaring(WaitRounds::new(500))),
+            Box::new(WaitRounds::new(500).map(bare)),
         );
         let outcome = engine.run(10).unwrap();
         assert_eq!(outcome.status, RunStatus::RoundLimit);
@@ -1602,8 +1666,9 @@ mod tests {
         // `blocked: true` in rounds 1..=3 (the observation after each
         // blocked attempt), and cross only in round 3.
         struct AssertBlockedSequence;
-        impl AgentBehavior for AssertBlockedSequence {
-            fn on_round(&mut self, obs: &Obs) -> AgentAct {
+        impl Procedure for AssertBlockedSequence {
+            type Output = Declaration;
+            fn poll(&mut self, obs: &Obs) -> Poll<Declaration> {
                 assert_eq!(
                     obs.blocked,
                     (1..=3).contains(&obs.round),
@@ -1616,9 +1681,9 @@ mod tests {
                 }
                 if obs.round == 4 {
                     assert_eq!(obs.entry_port, Some(Port::new(0)), "the move succeeded");
-                    return AgentAct::Declare(Declaration::bare());
+                    return Poll::Complete(Declaration::bare());
                 }
-                AgentAct::TakePort(Port::new(1))
+                Poll::Yield(Action::TakePort(Port::new(1)))
             }
         }
         let g = generators::ring(4);
@@ -1662,11 +1727,7 @@ mod tests {
         }
         let g = generators::ring(4);
         let mut engine = Engine::with_topology(&g, &BlockedUntil { until: u64::MAX });
-        engine.add_agent(
-            label(1),
-            NodeId::new(0),
-            Box::new(ProcBehavior::declaring(BadPort)),
-        );
+        engine.add_agent(label(1), NodeId::new(0), Box::new(BadPort.map(bare)));
         assert!(matches!(engine.run(10), Err(SimError::InvalidPort { .. })));
     }
 
@@ -1677,12 +1738,12 @@ mod tests {
         engine.add_agent(
             label(1),
             NodeId::new(0),
-            Box::new(ProcBehavior::declaring(RunFor5Moves::default())),
+            Box::new(RunFor5Moves::default().map(bare)),
         );
         engine.add_agent(
             label(2),
             NodeId::new(2),
-            Box::new(ProcBehavior::declaring(DeclareOnCompany)),
+            Box::new(DeclareOnCompany.map(bare)),
         );
         let outcome = engine.run(100).unwrap();
         assert_eq!(outcome.blocked_moves, 0);
@@ -1701,7 +1762,7 @@ mod tests {
                 engine.add_agent(
                     label(l),
                     NodeId::new(pos),
-                    Box::new(ProcBehavior::declaring(RunFor5Moves::default())),
+                    Box::new(RunFor5Moves::default().map(bare)),
                 );
             }
             engine.record_trace(capacity);
@@ -1756,11 +1817,9 @@ mod tests {
         engine.add_agent(
             label(1),
             NodeId::new(0),
-            Box::new(ProcBehavior::mapping(CountAtStart { seen: None }, |c| {
-                Declaration {
-                    leader: None,
-                    size: Some(c),
-                }
+            Box::new(CountAtStart { seen: None }.map(|c| Declaration {
+                leader: None,
+                size: Some(c),
             })),
         );
         struct MoveThenCount {
@@ -1786,16 +1845,16 @@ mod tests {
         engine.add_agent(
             label(2),
             NodeId::new(1),
-            Box::new(ProcBehavior::mapping(
+            Box::new(
                 MoveThenCount {
                     moved: false,
                     seen: None,
-                },
-                |c| Declaration {
+                }
+                .map(|c| Declaration {
                     leader: None,
                     size: Some(c),
-                },
-            )),
+                }),
+            ),
         );
         let outcome = engine.run(10).unwrap();
         assert!(outcome.all_declared());
@@ -1833,15 +1892,11 @@ mod tests {
     fn crashed_agent_stops_moving_but_keeps_its_body() {
         let g = generators::ring(6);
         let mut engine = Engine::new(&g);
-        engine.add_agent(
-            label(1),
-            NodeId::new(0),
-            Box::new(ProcBehavior::declaring(WalkForever)),
-        );
+        engine.add_agent(label(1), NodeId::new(0), Box::new(WalkForever.map(bare)));
         engine.add_agent(
             label(2),
             NodeId::new(3),
-            Box::new(ProcBehavior::declaring(WaitRounds::new(20))),
+            Box::new(WaitRounds::new(20).map(bare)),
         );
         engine.set_faults(crash_at(&[(1, 2)]));
         engine.record_trace(256);
@@ -1874,15 +1929,11 @@ mod tests {
         // dormant agent 2 is woken by the crashed body and sees card 2.
         let g = generators::ring(5);
         let mut engine = Engine::new(&g);
-        engine.add_agent(
-            label(1),
-            NodeId::new(0),
-            Box::new(ProcBehavior::declaring(WalkForever)),
-        );
+        engine.add_agent(label(1), NodeId::new(0), Box::new(WalkForever.map(bare)));
         engine.add_agent(
             label(2),
             NodeId::new(2),
-            Box::new(ProcBehavior::declaring(DeclareOnCompany)),
+            Box::new(DeclareOnCompany.map(bare)),
         );
         engine.set_wake_schedule(WakeSchedule::FirstOnly);
         engine.set_faults(crash_at(&[(1, 2)]));
@@ -1907,12 +1958,12 @@ mod tests {
         engine.add_agent(
             label(1),
             NodeId::new(0),
-            Box::new(ProcBehavior::declaring(WaitRounds::new(3))),
+            Box::new(WaitRounds::new(3).map(bare)),
         );
         engine.add_agent(
             label(2),
             NodeId::new(2),
-            Box::new(ProcBehavior::declaring(WaitRounds::new(0))),
+            Box::new(WaitRounds::new(0).map(bare)),
         );
         engine.set_wake_schedule(WakeSchedule::Explicit(vec![0, 5]));
         engine.set_faults(crash_at(&[(2, 5)]));
@@ -1942,7 +1993,7 @@ mod tests {
             engine.add_agent(
                 label(l),
                 NodeId::new(pos),
-                Box::new(ProcBehavior::declaring(WaitRounds::new(1000))),
+                Box::new(WaitRounds::new(1000).map(bare)),
             );
         }
         engine.set_faults(crash_at(&[(2, 700)]));
@@ -1971,12 +2022,12 @@ mod tests {
         engine.add_agent(
             label(1),
             NodeId::new(0),
-            Box::new(ProcBehavior::declaring(WaitRounds::new(1))),
+            Box::new(WaitRounds::new(1).map(bare)),
         );
         engine.add_agent(
             label(2),
             NodeId::new(2),
-            Box::new(ProcBehavior::declaring(WaitRounds::new(1))),
+            Box::new(WaitRounds::new(1).map(bare)),
         );
         engine.set_faults(crash_at(&[(1, 5)]));
         let outcome = engine.run(100).unwrap();
@@ -1995,7 +2046,7 @@ mod tests {
             engine.add_agent(
                 label(l),
                 NodeId::new(pos),
-                Box::new(ProcBehavior::declaring(WaitRounds::new(1000))),
+                Box::new(WaitRounds::new(1000).map(bare)),
             );
         }
         engine.set_faults(crash_at(&[(1, 3), (2, 9)]));
@@ -2014,7 +2065,7 @@ mod tests {
             engine.add_agent(
                 label(l),
                 NodeId::new(pos),
-                Box::new(ProcBehavior::declaring(WaitRounds::new(0))),
+                Box::new(WaitRounds::new(0).map(bare)),
             );
         }
         engine.set_faults(crash_at(&[(9, 1)]));
@@ -2031,12 +2082,10 @@ mod tests {
         engine.add_agent(
             label(1),
             NodeId::new(2),
-            Box::new(ProcBehavior::declaring(WaitRounds::new(50))),
+            Box::new(WaitRounds::new(50).map(bare)),
         );
         let declare_together = || {
-            Box::new(ProcBehavior::mapping(WaitRounds::new(2), |()| {
-                Declaration::with_leader(Label::new(2).unwrap())
-            }))
+            Box::new(WaitRounds::new(2).map(|()| Declaration::with_leader(Label::new(2).unwrap())))
         };
         engine.add_agent(label(2), NodeId::new(0), declare_together());
         engine.add_agent(label(3), NodeId::new(1), declare_together());
@@ -2198,18 +2247,19 @@ mod tests {
             })
         }
     }
-    impl AgentBehavior for CountPlainPolls {
-        fn on_round(&mut self, obs: &Obs) -> AgentAct {
+    impl Procedure for CountPlainPolls {
+        type Output = Declaration;
+        fn poll(&mut self, obs: &Obs) -> Poll<Declaration> {
             if self.pre > 0 {
                 self.pre -= 1;
-                return AgentAct::Wait;
+                return Poll::Yield(Action::Wait);
             }
             if self.attempt {
                 self.attempt = false;
-                return AgentAct::TakePort(Port::new(0));
+                return Poll::Yield(Action::TakePort(Port::new(0)));
             }
             if self.waited == 6 {
-                return AgentAct::Declare(Declaration {
+                return Poll::Complete(Declaration {
                     leader: None,
                     size: Some(self.plain),
                 });
@@ -2217,7 +2267,7 @@ mod tests {
             self.waited += 1;
             self.last_plain = !(obs.just_woken || obs.blocked);
             self.plain += u32::from(self.last_plain);
-            AgentAct::Wait
+            Poll::Yield(Action::Wait)
         }
         fn min_wait(&self) -> u64 {
             if self.pre > 0 {
@@ -2310,7 +2360,7 @@ mod tests {
         engine.add_agent(
             label(label_value),
             NodeId::new(start),
-            Box::new(ProcBehavior::declaring(proc_)),
+            Box::new(proc_.map(bare)),
         );
     }
 
@@ -2323,7 +2373,7 @@ mod tests {
         engine.add_agent(
             label(1),
             NodeId::new(0),
-            Box::new(ProcBehavior::declaring(WaitRounds::new(40))),
+            Box::new(WaitRounds::new(40).map(bare)),
         );
         let outcome = engine.run(500).unwrap();
         assert_eq!(declared_round(&outcome, 0), 40);
@@ -2399,20 +2449,22 @@ mod tests {
         engine.add_agent(
             label(1),
             target,
-            Box::new(ProcBehavior::mapping(
-                UntilCardExceeds::new(1, WaitRounds::new(400)),
-                |out| Declaration {
+            Box::new(
+                UntilCardExceeds::new(1, WaitRounds::new(400)).map(|out| Declaration {
                     leader: None,
                     size: Some(u32::from(out.was_interrupted())),
-                },
-            )),
+                }),
+            ),
         );
         engine.add_agent(
             label(2),
             start,
-            Box::new(ProcBehavior::declaring(PathThenIdle {
-                path: path.into_iter(),
-            })),
+            Box::new(
+                PathThenIdle {
+                    path: path.into_iter(),
+                }
+                .map(bare),
+            ),
         );
         let outcome = engine.run(500).unwrap();
         let rec = outcome.declarations[0].1.expect("the waiter declared");
@@ -2497,12 +2549,12 @@ mod tests {
         engine.add_agent(
             label(1),
             NodeId::new(0),
-            Box::new(ProcBehavior::declaring(WaitRounds::new(10_000))),
+            Box::new(WaitRounds::new(10_000).map(bare)),
         );
         engine.add_agent(
             label(2),
             NodeId::new(2),
-            Box::new(ProcBehavior::declaring(WaitRounds::new(3))),
+            Box::new(WaitRounds::new(3).map(bare)),
         );
         engine.set_faults(crash_at(&[(1, 123)]));
         engine.record_trace(64);
@@ -2552,7 +2604,7 @@ mod tests {
             engine.add_agent(
                 label(i as u64 + 1),
                 NodeId::new(start),
-                Box::new(ProcBehavior::declaring(WaitRounds::new(50 + 10 * i as u64))),
+                Box::new(WaitRounds::new(50 + 10 * i as u64).map(bare)),
             );
         }
         engine.set_wake_schedule(WakeSchedule::Staggered { gap: 17 });
@@ -2684,13 +2736,12 @@ mod tests {
         engine.add_agent(
             label(1),
             NodeId::new(5),
-            Box::new(ProcBehavior::mapping(
-                UntilCardExceeds::new(1, WaitRounds::new(400)),
-                |out| Declaration {
+            Box::new(
+                UntilCardExceeds::new(1, WaitRounds::new(400)).map(|out| Declaration {
                     leader: None,
                     size: Some(u32::from(out.was_interrupted())),
-                },
-            )),
+                }),
+            ),
         );
         let outcome = run_checked(
             engine,
@@ -2814,5 +2865,194 @@ mod tests {
         add(&mut engine, 3, 0, WaitRounds::new(5));
         engine.set_wake_schedule(WakeSchedule::Explicit(vec![0, 0, 26]));
         let _ = engine.run(500);
+    }
+
+    // ------------------------------------------------------------------
+    // Slow moves the engine holds.
+    // ------------------------------------------------------------------
+
+    /// Yields one slow move of `wait` rounds through port 1 on its first
+    /// poll and completes on its second, logging the round of every poll.
+    /// Its own promise is empty, so a skip that reaches it can only come
+    /// from the wait the engine holds.
+    struct OneSlowMove {
+        wait: u64,
+        polls: Rc<RefCell<Vec<u64>>>,
+    }
+    impl OneSlowMove {
+        fn boxed(wait: u64, polls: &Rc<RefCell<Vec<u64>>>) -> Agent {
+            Box::new(OneSlowMove {
+                wait,
+                polls: Rc::clone(polls),
+            })
+        }
+    }
+    impl Procedure for OneSlowMove {
+        type Output = Declaration;
+        fn poll(&mut self, obs: &Obs) -> Poll<Declaration> {
+            let mut polls = self.polls.borrow_mut();
+            polls.push(obs.round);
+            if polls.len() == 1 {
+                Poll::Yield(Action::SlowMove(Port::new(1)))
+            } else {
+                Poll::Complete(Declaration::bare())
+            }
+        }
+        fn note_skipped(&mut self, rounds: u64) {
+            panic!("{rounds} rounds of a held slow move reached the procedure");
+        }
+        fn slow_wait(&self) -> u64 {
+            self.wait
+        }
+    }
+
+    /// Steps `run` until its clock passes `round`.
+    fn step_past(run: &mut ActiveRun<'_, Static>, scratch: &mut EngineScratch, round: u64) {
+        while run.round <= round {
+            assert!(
+                run.step(scratch).is_none(),
+                "the run ended at {}",
+                run.round
+            );
+        }
+    }
+
+    #[test]
+    fn the_engine_holds_a_slow_move_and_makes_it_in_round_r_plus_wait() {
+        // Yielded in round 0 with a wait of 4: the arena holds (4, port 1),
+        // the engine promises the 3 rounds before it blind, and makes the
+        // move in round 4 without a poll.
+        let ring = generators::ring(6);
+        let polls = Rc::new(RefCell::new(Vec::new()));
+        let mut engine = Engine::new(&ring);
+        engine.add_agent(label(1), NodeId::new(0), OneSlowMove::boxed(4, &polls));
+        add(&mut engine, 2, 3, WaitRounds::new(100));
+        let mut scratch = EngineScratch::new();
+        let mut run = ActiveRun::begin(engine, 500, &mut scratch).unwrap();
+        step_past(&mut run, &mut scratch, 0);
+        let agents = &run.engine.agents;
+        assert_eq!(agents.slow[0], (NonZeroU64::new(4), Port::new(1)));
+        assert_eq!((agents.min_wait(0, 0), agents.blind(0)), (3, true));
+        // The waiter's promise outlasts the wait: the clock jumps to the
+        // move round, and the procedure never heard of the skip.
+        assert_eq!(run.round, 4);
+        step_past(&mut run, &mut scratch, 4);
+        let agents = &run.engine.agents;
+        assert_eq!(agents.slow[0].0, None);
+        assert_eq!(agents.pos[0], NodeId::new(1));
+        assert_eq!((agents.min_wait(0, 4), agents.blind(0)), (0, false));
+        step_past(&mut run, &mut scratch, 5);
+        assert_eq!(
+            *polls.borrow(),
+            vec![0, 5],
+            "polled before and after, never inside"
+        );
+        // Round 0 polls both agents, dense round 4 the waiter only (the
+        // move costs no poll), round 5 the slow mover.
+        assert_eq!(run.stats.polled_agent_rounds, 4);
+    }
+
+    #[test]
+    fn noisy_rounds_inside_a_held_wait_never_reach_the_procedure() {
+        // Two walkers cross the slow mover's node while it waits, so every
+        // round is dense and its `CurCard` changes: the engine answers
+        // each of those rounds for it, and counts them as polls.
+        let ring = generators::ring(6);
+        let polls = Rc::new(RefCell::new(Vec::new()));
+        let mut engine = Engine::new(&ring);
+        engine.add_agent(label(1), NodeId::new(0), OneSlowMove::boxed(6, &polls));
+        add(
+            &mut engine,
+            2,
+            2,
+            crate::proc::FollowPath::new(vec![Port::new(0); 4]),
+        );
+        add(
+            &mut engine,
+            3,
+            4,
+            crate::proc::FollowPath::new(vec![Port::new(1); 4]),
+        );
+        engine.record_trace(64);
+        let outcome = engine.run(100).unwrap();
+        assert!(outcome.all_declared());
+        assert_eq!(*polls.borrow(), vec![0, 7]);
+        let moves: Vec<(Label, u64)> = outcome
+            .trace
+            .as_ref()
+            .unwrap()
+            .events()
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::Move { agent, round, .. } => Some((agent, round)),
+                _ => None,
+            })
+            .filter(|&(agent, _)| agent == label(1))
+            .collect();
+        assert_eq!(moves, vec![(label(1), 6)]);
+        assert_eq!(outcome.max_colocation, 3);
+        // Walkers: 4 moves and a declaration each. The slow mover: its
+        // yield, the five rounds of the wait, its completion.
+        assert_eq!(outcome.polled_agent_rounds, 10 + 7);
+    }
+
+    #[test]
+    fn skipped_rounds_inside_a_held_wait_never_reach_the_procedure() {
+        // A slow walker beside the slow mover hands the run back and forth
+        // between fast-forwards and the lone-agent path, whose catch-ups
+        // skip whole stretches of the 20-round wait; any of them reaching
+        // `OneSlowMove` panics.
+        let ring = generators::ring(12);
+        let polls = Rc::new(RefCell::new(Vec::new()));
+        let mut engine = Engine::new(&ring);
+        engine.add_agent(label(1), NodeId::new(0), OneSlowMove::boxed(20, &polls));
+        add(&mut engine, 2, 4, SlowWalk::new(3, &[1; 3]));
+        add(&mut engine, 3, 8, WaitRounds::new(40));
+        let outcome = engine.run(100).unwrap();
+        assert!(outcome.all_declared());
+        assert_eq!(*polls.borrow(), vec![0, 21]);
+        assert_eq!(declared_round(&outcome, 0), 21);
+        assert!(outcome.skipped_rounds > 0);
+    }
+
+    #[test]
+    fn a_slow_move_without_a_wait_is_a_plain_move() {
+        let ring = generators::ring(6);
+        let polls = Rc::new(RefCell::new(Vec::new()));
+        let mut engine = Engine::new(&ring);
+        engine.add_agent(label(1), NodeId::new(0), OneSlowMove::boxed(0, &polls));
+        let mut scratch = EngineScratch::new();
+        let mut run = ActiveRun::begin(engine, 500, &mut scratch).unwrap();
+        step_past(&mut run, &mut scratch, 0);
+        let agents = &run.engine.agents;
+        assert_eq!(agents.slow[0].0, None);
+        assert_eq!(agents.pos[0], NodeId::new(1));
+        assert!(run.step(&mut scratch).is_some());
+        assert_eq!(*polls.borrow(), vec![0, 1]);
+    }
+
+    #[test]
+    fn a_crash_inside_a_held_wait_clears_the_move() {
+        let ring = generators::ring(6);
+        let polls = Rc::new(RefCell::new(Vec::new()));
+        let mut engine = Engine::new(&ring);
+        engine.add_agent(label(1), NodeId::new(0), OneSlowMove::boxed(9, &polls));
+        add(&mut engine, 2, 3, WaitRounds::new(20));
+        engine.set_faults(crash_at(&[(1, 5)]));
+        let mut scratch = EngineScratch::new();
+        let mut run = ActiveRun::begin(engine, 500, &mut scratch).unwrap();
+        step_past(&mut run, &mut scratch, 4);
+        assert!(run.engine.agents.slow[0].0.is_some());
+        step_past(&mut run, &mut scratch, 5);
+        let agents = &run.engine.agents;
+        assert_eq!(agents.phase[0], AgentPhase::Crashed);
+        assert_eq!(agents.slow[0].0, None, "the crash cancels the move");
+        let outcome = loop {
+            if let Some(result) = run.step(&mut scratch) {
+                break result.unwrap();
+            }
+        };
+        assert_eq!(outcome.total_moves, 0);
+        assert_eq!(*polls.borrow(), vec![0]);
     }
 }

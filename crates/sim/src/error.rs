@@ -30,7 +30,7 @@ pub enum SimError {
         /// The offending node.
         node: NodeId,
     },
-    /// A behavior asked for a port that does not exist at its node — a bug
+    /// An agent asked for a port that does not exist at its node — a bug
     /// in the algorithm under test, surfaced loudly.
     InvalidPort {
         /// The offending agent's label.

@@ -29,18 +29,21 @@
 //!
 //! Agents live in a data-oriented arena: struct-of-arrays storage, an
 //! explicit [`AgentPhase`] lifecycle state machine (`Dormant → Active ⇄
-//! Blocked → Declared | Crashed`), and one `Box<dyn AgentBehavior>` per
-//! agent, built-in algorithm or not. The optional [`FaultSpec`]
-//! crash adversary kills agents mid-run: a crashed agent stops acting, but
-//! its body keeps counting toward `CurCard` — under weak sensing the
-//! survivors cannot tell a corpse from a waiting companion.
+//! Blocked → Declared | Crashed`), and one `Box<dyn Procedure<Output =
+//! Declaration>>` per agent, built-in algorithm or not: an agent is the
+//! procedure it runs, and its output is its declaration. The engine holds
+//! each [`Action::SlowMove`] itself, answering the wait without polling
+//! the procedure and making the move in its due round. The optional
+//! [`FaultSpec`] crash adversary kills agents mid-run: a crashed agent
+//! stops acting, but its body keeps counting toward `CurCard` — under weak
+//! sensing the survivors cannot tell a corpse from a waiting companion.
 //!
 //! # Example
 //!
 //! ```
 //! use nochatter_graph::{generators, Label, NodeId, Port};
-//! use nochatter_sim::{Engine, WakeSchedule};
-//! use nochatter_sim::proc::{ProcBehavior, WaitRounds};
+//! use nochatter_sim::proc::{Procedure, WaitRounds};
+//! use nochatter_sim::{Declaration, Engine, WakeSchedule};
 //!
 //! // Two agents that just wait 10 rounds and then declare.
 //! let g = generators::ring(4);
@@ -49,7 +52,7 @@
 //!     engine.add_agent(
 //!         Label::new(label).unwrap(),
 //!         NodeId::new(node),
-//!         Box::new(ProcBehavior::declaring(WaitRounds::new(10))),
+//!         Box::new(WaitRounds::new(10).map(|()| Declaration::bare())),
 //!     );
 //! }
 //! engine.set_wake_schedule(WakeSchedule::Simultaneous);
@@ -61,7 +64,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod behavior;
 mod engine;
 mod error;
 mod fault;
@@ -72,12 +74,13 @@ mod trace;
 
 pub mod proc;
 
-pub use behavior::{AgentAct, AgentBehavior, Declaration};
-pub use engine::{AgentPhase, Engine, EngineScratch, Sensing};
+pub use engine::{Agent, AgentPhase, Engine, EngineScratch, Sensing};
 pub use error::SimError;
 pub use fault::{CrashPoint, FaultError, FaultSpec, SEEDED_CRASH_HORIZON};
 pub use obs::{Action, Obs, Poll};
-pub use outcome::{DeclarationRecord, GatheringReport, RunOutcome, RunStatus, ValidationError};
+pub use outcome::{
+    Declaration, DeclarationRecord, GatheringReport, RunOutcome, RunStatus, ValidationError,
+};
 pub use proc::Procedure;
 pub use schedule::{ScheduleError, WakeSchedule};
 pub use trace::{Trace, TraceEvent};

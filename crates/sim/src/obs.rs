@@ -61,20 +61,21 @@ pub enum Action {
     /// waits through rounds `r..r + w` and is made in round `r + w`
     /// (`w == 0` is [`Action::TakePort`]).
     ///
-    /// One instruction stands for `w + 1` rounds.
-    /// [`crate::proc::ProcBehavior`] plays it out as a countdown and does
-    /// not poll the procedure again until the move is made, so the
-    /// procedure never sees the wait's observations. Every procedure that
-    /// passes a slow move up must therefore ignore those observations,
-    /// count the instruction as `w + 1` rounds and report `w` from its own
-    /// `slow_wait`; see the [`crate::proc`] module docs. The wait is not a
-    /// field so that an `Action`, which every poll of every procedure
-    /// returns, stays 8 bytes.
+    /// One instruction stands for `w + 1` rounds. The
+    /// [`Engine`](crate::Engine) holds the move: it answers the wait
+    /// itself, makes the move in round `r + w` without a poll, and polls
+    /// the procedure next in the round after, so the procedure never sees
+    /// the wait's observations. Every procedure that passes a slow move up
+    /// must therefore ignore those observations, count the instruction as
+    /// `w + 1` rounds and report `w` from its own `slow_wait`; see the
+    /// [`crate::proc`] module docs. The wait is not a field so that an
+    /// `Action`, which every poll of every procedure returns, stays 8
+    /// bytes.
     SlowMove(Port),
 }
 
 /// The result of polling a [`crate::Procedure`] for one round.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Poll<T> {
     /// The procedure's move instruction for this round.
     Yield(Action),

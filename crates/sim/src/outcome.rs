@@ -5,8 +5,39 @@ use std::fmt;
 
 use nochatter_graph::{Label, NodeId};
 
-use crate::behavior::Declaration;
 use crate::trace::Trace;
+
+/// What an agent announces when it terminates: the output of the
+/// procedure the engine runs for it.
+///
+/// The gathering algorithms elect a leader as a by-product (Theorems 3.1 and
+/// 4.1); the unknown-bound algorithm additionally learns the exact graph
+/// size.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Declaration {
+    /// The elected leader's label, if the algorithm elects one.
+    pub leader: Option<Label>,
+    /// The learned graph size, if the algorithm learns it.
+    pub size: Option<u32>,
+}
+
+impl Declaration {
+    /// A bare "gathering achieved" declaration.
+    pub fn bare() -> Self {
+        Declaration {
+            leader: None,
+            size: None,
+        }
+    }
+
+    /// A declaration electing `leader`.
+    pub fn with_leader(leader: Label) -> Self {
+        Declaration {
+            leader: Some(leader),
+            size: None,
+        }
+    }
+}
 
 /// An agent's terminal declaration, with where and when it was made.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -57,11 +88,14 @@ pub struct RunOutcome {
     pub engine_iterations: u64,
     /// Rounds skipped by the quiescence fast-forward.
     pub skipped_rounds: u64,
-    /// Behavior polls actually executed (`on_round` calls), the round
-    /// loop's per-round cost denominator: one per executing agent in a
-    /// dense round, and one in a round of the lone-agent path, which polls
-    /// only the agent that is due while the others sit inside their wait
-    /// promises (see [`crate::AgentBehavior::min_wait`]). An execution
+    /// Agent polls, the round loop's per-round cost denominator: one per
+    /// executing agent in a dense round, and one in a round of the
+    /// lone-agent path, which polls only the agent that is due while the
+    /// others sit inside their wait promises (see
+    /// [`crate::Procedure::min_wait`]). A round inside a slow move's wait
+    /// counts although the engine answers it without reaching the
+    /// procedure; the round the engine makes the move in costs none
+    /// ([`crate::Action::SlowMove`]). An execution
     /// fact, not a model fact — it moves whenever the engine's execution
     /// strategy does — so it is excluded from the deterministic lab
     /// reports and surfaced as a campaign-level trajectory aggregate

@@ -44,8 +44,9 @@
 //! [`Action::SlowMove`]`(port)` is one instruction for `w + 1` rounds, where
 //! `w` is what [`Procedure::slow_wait`] reports right after the poll: the
 //! unknown-bound algorithm's "wait `w_h` rounds, then take the port"
-//! (§4.1). [`ProcBehavior`] plays it out as a blind countdown and polls
-//! the procedure next in the round after the move, so:
+//! (§4.1). The [`Engine`](crate::Engine) holds the move: it answers the
+//! `w` waiting rounds itself, makes the move in the last round without a
+//! poll, and polls the procedure next in the round after the move, so:
 //!
 //! * no poll sees the wait's observations, and every procedure that
 //!   passes a slow move up must be one that would have ignored them
@@ -54,8 +55,8 @@
 //! * every procedure that passes a slow move up reports the wait from its
 //!   own `slow_wait`, and one that counts its rounds books the
 //!   instruction as `w + 1` of them ([`RunFor`] does);
-//! * nothing descends into the procedure for the wait's `min_wait`,
-//!   `blind` or `note_skipped` either.
+//! * nothing reaches the procedure for the wait's `min_wait`, `blind` or
+//!   `note_skipped` either.
 
 use crate::obs::{Action, Obs, Poll};
 
@@ -96,6 +97,66 @@ pub trait Procedure {
     /// must say how long they wait.
     fn slow_wait(&self) -> u64 {
         panic!("a procedure yielded a slow move without a slow_wait")
+    }
+
+    /// Maps the completion value through `f`, forwarding every promise and
+    /// the slow-move wait. This is how a procedure becomes an agent: the
+    /// engine runs procedures whose output is a
+    /// [`Declaration`](crate::Declaration).
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use nochatter_sim::proc::{Procedure, WaitRounds};
+    /// use nochatter_sim::{Action, Declaration, Obs, Poll};
+    ///
+    /// let mut agent = WaitRounds::new(1).map(|()| Declaration::bare());
+    /// let obs = Obs::synthetic(0, 2, 1, None);
+    /// assert_eq!(agent.poll(&obs), Poll::Yield(Action::Wait));
+    /// assert_eq!(agent.poll(&obs), Poll::Complete(Declaration::bare()));
+    /// ```
+    fn map<T, F>(self, f: F) -> Map<Self, F>
+    where
+        Self: Sized,
+        F: FnMut(Self::Output) -> T,
+    {
+        Map { inner: self, f }
+    }
+}
+
+/// A procedure whose completion value passes through a closure; see
+/// [`Procedure::map`].
+#[derive(Clone, Debug)]
+pub struct Map<P, F> {
+    inner: P,
+    f: F,
+}
+
+impl<P, T, F> Procedure for Map<P, F>
+where
+    P: Procedure,
+    F: FnMut(P::Output) -> T,
+{
+    type Output = T;
+
+    fn poll(&mut self, obs: &Obs) -> Poll<T> {
+        self.inner.poll(obs).map(&mut self.f)
+    }
+
+    fn min_wait(&self) -> u64 {
+        self.inner.min_wait()
+    }
+
+    fn blind(&self) -> bool {
+        self.inner.blind()
+    }
+
+    fn note_skipped(&mut self, rounds: u64) {
+        self.inner.note_skipped(rounds);
+    }
+
+    fn slow_wait(&self) -> u64 {
+        self.inner.slow_wait()
     }
 }
 
@@ -396,10 +457,6 @@ impl Procedure for FollowPath {
     }
 }
 
-/// Adapter exposing a `Procedure` as an engine-facing
-/// [`crate::AgentBehavior`]; see [`ProcBehavior::declaring`].
-pub use crate::behavior::ProcBehavior;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -568,6 +625,31 @@ mod tests {
         assert_eq!(f.poll(&obs(1)), Poll::Yield(Action::TakePort(Port::new(2))));
         assert_eq!(f.poll(&obs(1)), Poll::Yield(Action::TakePort(Port::new(0))));
         assert_eq!(f.poll(&obs(1)), Poll::Complete(()));
+    }
+
+    #[test]
+    fn map_carries_the_output() {
+        let mut m = RunFor::new(4, Mover { left: 1 }).map(|out| out.map(|n| n * 2));
+        assert_eq!(m.poll(&obs(1)), Poll::Yield(Action::TakePort(Port::new(0))));
+        // Mover completes; RunFor pads the last two rounds.
+        assert_eq!(m.poll(&obs(1)), Poll::Yield(Action::Wait));
+        assert_eq!(m.min_wait(), 2);
+        assert!(!m.blind());
+        m.note_skipped(2);
+        assert_eq!(m.poll(&obs(1)), Poll::Complete(Some(14)));
+    }
+
+    #[test]
+    fn map_forwards_every_promise() {
+        let mut w = WaitRounds::new(3).map(|()| 9u8);
+        assert_eq!(w.poll(&obs(1)), Poll::Yield(Action::Wait));
+        assert_eq!((w.min_wait(), w.blind()), (2, true));
+        w.note_skipped(2);
+        assert_eq!(w.poll(&obs(1)), Poll::Complete(9));
+
+        let mut s = SlowMover { wait: 5 }.map(|()| 0u8);
+        assert_eq!(s.poll(&obs(1)), Poll::Yield(Action::SlowMove(Port::new(0))));
+        assert_eq!(s.slow_wait(), 5);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use nochatter_graph::{Label, NodeId, Port};
 
-use crate::behavior::Declaration;
+use crate::outcome::Declaration;
 
 /// One observable event in a run.
 #[derive(Clone, Debug, PartialEq, Eq)]

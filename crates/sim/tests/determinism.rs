@@ -15,10 +15,9 @@ use proptest::prelude::*;
 use nochatter_graph::generators::Family;
 use nochatter_graph::rng::Rng;
 use nochatter_graph::{Graph, Label, NodeId, Port};
-use nochatter_sim::proc::{ProcBehavior, Procedure, UntilCardExceeds, WaitRounds};
+use nochatter_sim::proc::{Procedure, UntilCardExceeds, WaitRounds};
 use nochatter_sim::{
-    Action, AgentBehavior, Declaration, Engine, EngineScratch, Obs, Poll, Sensing, Trace,
-    WakeSchedule,
+    Action, Declaration, Engine, EngineScratch, Obs, Poll, Sensing, Trace, WakeSchedule,
 };
 
 /// A seeded random walker: each round it either waits or takes a random
@@ -74,11 +73,9 @@ fn build_engine<'g>(
         engine.add_agent(
             Label::new(i as u64 + 1).unwrap(),
             NodeId::new(start),
-            Box::new(ProcBehavior::mapping(SeededWalker::new(agent_seed), |m| {
-                Declaration {
-                    leader: None,
-                    size: Some(m),
-                }
+            Box::new(SeededWalker::new(agent_seed).map(|m| Declaration {
+                leader: None,
+                size: Some(m),
             })),
         );
     }
@@ -189,23 +186,20 @@ fn mixed_wait_engine(graph: &Graph, trace: Trace) -> Engine<'_> {
         steps: 30,
         moves: 0,
     };
-    let behaviors: [Box<dyn AgentBehavior>; 4] = [
-        Box::new(ProcBehavior::mapping(walker, |m| Declaration {
+    let agents: [nochatter_sim::Agent; 4] = [
+        Box::new(walker.map(|m| Declaration {
             leader: None,
             size: Some(m),
         })),
-        Box::new(ProcBehavior::declaring(WaitRounds::new(60))),
-        Box::new(ProcBehavior::declaring(WaitRounds::new(75))),
-        Box::new(ProcBehavior::declaring(UntilCardExceeds::new(
-            1,
-            WaitRounds::new(300),
-        ))),
+        Box::new(WaitRounds::new(60).map(|_| Declaration::bare())),
+        Box::new(WaitRounds::new(75).map(|_| Declaration::bare())),
+        Box::new(UntilCardExceeds::new(1, WaitRounds::new(300)).map(|_| Declaration::bare())),
     ];
-    for (i, behavior) in behaviors.into_iter().enumerate() {
+    for (i, agent) in agents.into_iter().enumerate() {
         engine.add_agent(
             Label::new(i as u64 + 1).unwrap(),
             NodeId::new(i as u32 * 2),
-            behavior,
+            agent,
         );
     }
     engine

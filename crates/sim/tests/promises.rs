@@ -246,11 +246,9 @@ proptest! {
         probe in card_stream(),
         frac in 1u64..5,
     ) {
-        check_promises(
-            RunFor::new(budget, UntilCardExceeds::new(threshold, WaitRounds::new(inner))),
-            &stream,
-            &probe,
-            frac,
-        );
+        let nested = RunFor::new(budget, UntilCardExceeds::new(threshold, WaitRounds::new(inner)));
+        check_promises(nested.clone(), &stream, &probe, frac);
+        // `map`, which turns a procedure into an agent, forwards them all.
+        check_promises(nested.map(|out| out.is_some()), &stream, &probe, frac);
     }
 }

@@ -1,20 +1,27 @@
 //! `Action::SlowMove` is exactly the wait-then-move it stands for.
 //!
-//! [`ProcBehavior`] plays a slow move out as a countdown and does not poll
-//! the procedure until the move is made. These tests run random
-//! procedures twice: once yielding `SlowMove(port)` with a `slow_wait` of
-//! `wait`, once expanded into a [`WaitRounds`] of `wait` rounds followed
-//! by `TakePort(port)`. The two runs must agree on everything the engine
-//! reports: status, rounds, declarations, crashes, moves, blocked moves,
-//! executed and fast-forwarded rounds, polls, and the trace and its digest.
-//! The draws cover one to three agents (so the lone-agent path and the
-//! dense path both run), staggered and visit-only wakes, crashes that land
-//! inside a wait, and scripted ring outages that block the move round.
+//! The engine holds a slow move: it answers the wait itself and makes the
+//! move in its due round without polling the procedure. These tests run
+//! random procedures twice: once yielding `SlowMove(port)` with a
+//! `slow_wait` of `wait`, once expanded into a [`WaitRounds`] of `wait`
+//! rounds followed by `TakePort(port)`. The two runs must agree on
+//! everything the engine reports: status, rounds, declarations, crashes,
+//! moves, blocked moves, executed and fast-forwarded rounds, and the trace
+//! and its digest. Polls differ by exactly the move rounds: the slow form
+//! polls once fewer for each slow move with a positive wait whose move
+//! round the engine reached (made or blocked), and no fewer for one a
+//! crash cancelled inside its wait. The draws cover one to three agents
+//! (so the lone-agent path and the dense path both run), staggered and
+//! visit-only wakes, crashes that land inside a wait, and scripted ring
+//! outages that block the move round.
+
+use std::cell::Cell;
+use std::rc::Rc;
 
 use nochatter_graph::generators::{self, Family};
 use nochatter_graph::rng::derive_seed;
 use nochatter_graph::{Graph, Label, NodeId, Port};
-use nochatter_sim::proc::{ProcBehavior, Procedure, WaitRounds};
+use nochatter_sim::proc::{Procedure, WaitRounds};
 use nochatter_sim::{
     Action, CrashPoint, Declaration, Engine, FaultSpec, Obs, Poll, RunOutcome, ScriptedRing,
     TopologySpec, TraceEvent, WakeSchedule,
@@ -50,10 +57,15 @@ struct Walker {
     /// The wait of the latest `Action::SlowMove`.
     slow_wait: u64,
     seen: u64,
+    /// Slow moves with a positive wait, shared by a run's walkers: the
+    /// slow form counts the ones it yields, the expanded form the ones
+    /// whose move round it is polled in, which are the ones the engine
+    /// reached.
+    slow_moves: Rc<Cell<u64>>,
 }
 
 impl Walker {
-    fn new(steps: Vec<Step>, expand: bool) -> Self {
+    fn new(steps: Vec<Step>, expand: bool, slow_moves: &Rc<Cell<u64>>) -> Self {
         Walker {
             steps,
             next: 0,
@@ -62,7 +74,12 @@ impl Walker {
             pause: WaitRounds::new(0),
             slow_wait: 0,
             seen: 0,
+            slow_moves: Rc::clone(slow_moves),
         }
+    }
+
+    fn count_slow_move(&self) {
+        self.slow_moves.set(self.slow_moves.get() + 1);
     }
 }
 
@@ -76,6 +93,7 @@ impl Procedure for Walker {
             }
             let port = *port;
             self.waiting = None;
+            self.count_slow_move();
             return Poll::Yield(Action::TakePort(port));
         }
         if let Poll::Yield(a) = self.pause.poll(obs) {
@@ -120,6 +138,9 @@ impl Procedure for Walker {
                 }
                 Step::Slow(wait, p) => {
                     self.slow_wait = wait;
+                    if wait > 0 {
+                        self.count_slow_move();
+                    }
                     return Poll::Yield(Action::SlowMove(port(p)));
                 }
             }
@@ -165,37 +186,66 @@ fn label(i: usize) -> Label {
 }
 
 /// Runs `draw` with every slow move written as one instruction, or
-/// expanded.
-fn run(draw: &Draw, expand: bool) -> RunOutcome {
+/// expanded; returns the outcome and the walkers' slow-move count.
+fn run(draw: &Draw, expand: bool) -> (RunOutcome, u64) {
+    let slow_moves = Rc::new(Cell::new(0));
     let mut engine = Engine::with_topology(&draw.graph, &draw.topo);
     for (i, (start, steps)) in draw.agents.iter().enumerate() {
         engine.add_agent(
             label(i),
             NodeId::new(*start),
-            Box::new(ProcBehavior::mapping(
-                Walker::new(steps.clone(), expand),
-                |seen| Declaration {
+            Box::new(
+                Walker::new(steps.clone(), expand, &slow_moves).map(|seen| Declaration {
                     leader: None,
                     size: Some(seen as u32),
-                },
-            )),
+                }),
+            ),
         );
     }
     engine.set_wake_schedule(draw.wake.clone());
     engine.set_faults(draw.fault.clone());
     engine.record_trace(1 << 14);
-    engine.run(5_000).unwrap()
+    (engine.run(5_000).unwrap(), slow_moves.get())
 }
 
-/// Runs both forms of `draw` and requires identical outcomes; returns the
-/// slow-move one.
-fn same_outcomes(draw: &Draw) -> RunOutcome {
-    let slow = run(draw, false);
-    let expanded = run(draw, true);
+/// What both forms of a draw did.
+struct Both {
+    /// The slow form's outcome.
+    slow: RunOutcome,
+    /// Slow moves with a positive wait that the slow form yielded.
+    yielded: u64,
+    /// Those of them whose move round the engine reached.
+    reached: u64,
+}
+
+/// Runs both forms of `draw` and requires identical outcomes but for the
+/// polls, which differ by exactly the move rounds reached.
+fn same_outcomes(draw: &Draw) -> Both {
+    let (slow, yielded) = run(draw, false);
+    let (expanded, reached) = run(draw, true);
     let digest = |o: &RunOutcome| o.trace.as_ref().unwrap().digest();
     assert_eq!(digest(&slow), digest(&expanded), "{draw:?}");
-    assert_eq!(format!("{slow:?}"), format!("{expanded:?}"), "{draw:?}");
-    slow
+    let but_polls = |o: &RunOutcome| {
+        format!(
+            "{:?}",
+            RunOutcome {
+                polled_agent_rounds: 0,
+                ..o.clone()
+            }
+        )
+    };
+    assert_eq!(but_polls(&slow), but_polls(&expanded), "{draw:?}");
+    assert!(reached <= yielded, "{draw:?}");
+    assert_eq!(
+        slow.polled_agent_rounds + reached,
+        expanded.polled_agent_rounds,
+        "{draw:?}"
+    );
+    Both {
+        slow,
+        yielded,
+        reached,
+    }
 }
 
 fn step_strategy() -> impl Strategy<Value = Step> {
@@ -316,13 +366,18 @@ fn a_slow_move_lands_in_round_r_plus_wait() {
         FaultSpec::None,
         TopologySpec::Static,
     );
-    let outcome = same_outcomes(&draw);
+    let both = same_outcomes(&draw);
+    let outcome = &both.slow;
     assert_eq!(
-        moves(&outcome),
+        moves(outcome),
         vec![(7, Port::new(1)), (8, Port::new(0)), (12, Port::new(1))]
     );
     assert!(outcome.all_declared());
     assert_eq!(outcome.rounds, 13);
+    // The two waiting slow moves cost one poll each: the decision. The
+    // one without a wait is a plain move.
+    assert_eq!((both.yielded, both.reached), (2, 2));
+    assert_eq!(outcome.polled_agent_rounds, 4);
 }
 
 #[test]
@@ -335,16 +390,19 @@ fn a_crash_inside_the_wait_cancels_the_move() {
     };
     for round in 1..=10 {
         let draw = lone(vec![Step::Slow(10, 0)], crash(round), TopologySpec::Static);
-        let outcome = same_outcomes(&draw);
-        assert_eq!(outcome.crashed_agents, vec![label(0)], "crash at {round}");
-        assert_eq!(outcome.total_moves, 0, "crash at {round}");
+        let both = same_outcomes(&draw);
+        assert_eq!(both.slow.crashed_agents, vec![label(0)], "crash at {round}");
+        assert_eq!(both.slow.total_moves, 0, "crash at {round}");
+        // The cancelled move saves no poll.
+        assert_eq!((both.yielded, both.reached), (1, 0), "crash at {round}");
     }
-    let outcome = same_outcomes(&lone(
+    let both = same_outcomes(&lone(
         vec![Step::Slow(10, 0)],
         crash(11),
         TopologySpec::Static,
     ));
-    assert_eq!(outcome.total_moves, 1);
+    assert_eq!(both.slow.total_moves, 1);
+    assert_eq!((both.yielded, both.reached), (1, 1));
 }
 
 #[test]
@@ -357,13 +415,16 @@ fn an_outage_in_the_move_round_blocks_the_slow_move() {
         let topo = TopologySpec::Scripted(ScriptedRing {
             script: vec![keep, keep, keep, e].into(),
         });
-        let outcome = same_outcomes(&lone(
+        let both = same_outcomes(&lone(
             vec![Step::Slow(3, 0), Step::Move(0)],
             FaultSpec::None,
             topo,
         ));
+        let outcome = &both.slow;
         blocked += outcome.blocked_moves;
         assert_eq!(outcome.total_moves + outcome.blocked_moves, 2);
+        // Blocked or made, the move round was reached.
+        assert_eq!(both.reached, 1);
     }
     assert_eq!(blocked, 1);
 }

@@ -21,7 +21,7 @@ use nochatter_graph::dynamic::{DynamicRing, PeriodicEdges, SeededEdgeFailure};
 use nochatter_graph::generators::Family;
 use nochatter_graph::rng::Rng;
 use nochatter_graph::{Graph, Label, NodeId, Port};
-use nochatter_sim::proc::{ProcBehavior, Procedure};
+use nochatter_sim::proc::Procedure;
 use nochatter_sim::{
     Action, Declaration, Engine, EngineScratch, Obs, Poll, Sensing, Topology, TopologySpec,
     TopologyView, TraceEvent, WakeSchedule,
@@ -80,11 +80,9 @@ fn add_walkers<V: TopologyView>(
         engine.add_agent(
             Label::new(i as u64 + 1).unwrap(),
             NodeId::new(start),
-            Box::new(ProcBehavior::mapping(SeededWalker::new(agent_seed), |m| {
-                Declaration {
-                    leader: None,
-                    size: Some(m),
-                }
+            Box::new(SeededWalker::new(agent_seed).map(|m| Declaration {
+                leader: None,
+                size: Some(m),
             })),
         );
     }

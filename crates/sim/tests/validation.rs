@@ -8,9 +8,10 @@
 
 use nochatter_graph::dynamic::{is_cycle, DynamicRing, ScriptedRing};
 use nochatter_graph::{generators, Label, NodeId};
-use nochatter_sim::proc::{ProcBehavior, WaitRounds};
+use nochatter_sim::proc::{Procedure, WaitRounds};
 use nochatter_sim::{
-    CrashPoint, Engine, FaultError, FaultSpec, ScheduleError, SimError, TopologySpec, WakeSchedule,
+    CrashPoint, Declaration, Engine, FaultError, FaultSpec, ScheduleError, SimError, TopologySpec,
+    WakeSchedule,
 };
 
 fn label(v: u64) -> Label {
@@ -29,7 +30,7 @@ fn ring_engine(g: &nochatter_graph::Graph) -> Engine<'_> {
         engine.add_agent(
             label(l),
             NodeId::new(pos),
-            Box::new(ProcBehavior::declaring(WaitRounds::new(4))),
+            Box::new(WaitRounds::new(4).map(|_| Declaration::bare())),
         );
     }
     engine

@@ -13,10 +13,8 @@ use nochatter::core::{BitStr, Communicate};
 use nochatter::explore::Uxs;
 use nochatter::graph::{generators, Label, NodeId, Port};
 use nochatter::rendezvous::{meeting_bound, Tz};
-use nochatter::sim::proc::{ProcBehavior, Procedure, UntilCardExceeds};
-use nochatter::sim::{
-    Action, AgentAct, AgentBehavior, Declaration, Engine, Obs, Poll, WakeSchedule,
-};
+use nochatter::sim::proc::{Procedure, UntilCardExceeds};
+use nochatter::sim::{Action, Declaration, Engine, Obs, Poll, WakeSchedule};
 
 fn label(v: u64) -> Label {
     Label::new(v).unwrap()
@@ -27,30 +25,19 @@ fn label(v: u64) -> Label {
 struct Member {
     comm: Communicate,
     moved: bool,
-    done: bool,
 }
 
-impl AgentBehavior for Member {
-    fn on_round(&mut self, obs: &Obs) -> AgentAct {
-        if self.done {
-            return AgentAct::Wait;
-        }
+impl Procedure for Member {
+    type Output = Declaration;
+    fn poll(&mut self, obs: &Obs) -> Poll<Declaration> {
         if !self.moved {
             self.moved = true;
-            return AgentAct::TakePort(Port::new(0));
+            return Poll::Yield(Action::TakePort(Port::new(0)));
         }
-        match self.comm.poll(obs) {
-            Poll::Yield(Action::Wait) => AgentAct::Wait,
-            Poll::Yield(Action::TakePort(p)) => AgentAct::TakePort(p),
-            Poll::Yield(Action::SlowMove(_)) => unreachable!("Communicate makes no slow moves"),
-            Poll::Complete(out) => {
-                self.done = true;
-                AgentAct::Declare(Declaration {
-                    leader: out.l.extract_terminated_code().and_then(|d| d.to_label()),
-                    size: Some(out.k),
-                })
-            }
-        }
+        self.comm.poll(obs).map(|out| Declaration {
+            leader: out.l.extract_terminated_code().and_then(|d| d.to_label()),
+            size: Some(out.k),
+        })
     }
 }
 
@@ -90,7 +77,6 @@ proptest! {
                         Arc::clone(&uxs),
                     ),
                     moved: false,
-                    done: false,
                 }),
             );
         }
@@ -154,10 +140,10 @@ proptest! {
             engine.add_agent(
                 label(l),
                 NodeId::new(start),
-                Box::new(ProcBehavior::declaring(UntilCardExceeds::new(
+                Box::new(UntilCardExceeds::new(
                     1,
                     Tz::new(p, Arc::clone(&uxs)),
-                ))),
+                ).map(|_| Declaration::bare())),
             );
         }
         engine.set_wake_schedule(WakeSchedule::Explicit(vec![0, offset]));

@@ -11,8 +11,8 @@ use proptest::prelude::*;
 use nochatter::explore::{Explo, Uxs};
 use nochatter::graph::{generators, Label, NodeId};
 use nochatter::rendezvous::ActivitySchedule;
-use nochatter::sim::proc::ProcBehavior;
-use nochatter::sim::{Engine, WakeSchedule};
+use nochatter::sim::proc::Procedure;
+use nochatter::sim::{Declaration, Engine, WakeSchedule};
 
 /// The size class the exhaustive sequence is certified for. Kept small:
 /// the certification corpus is *every* connected port-labeled graph of
@@ -71,7 +71,7 @@ proptest! {
         engine.add_agent(
             Label::new(1).unwrap(),
             start,
-            Box::new(ProcBehavior::declaring(Explo::new(Arc::clone(uxs)))),
+            Box::new(Explo::new(Arc::clone(uxs)).map(|_| Declaration::bare())),
         );
         engine.set_wake_schedule(WakeSchedule::Simultaneous);
         let outcome = engine.run(Explo::duration(uxs.as_ref()) + 2).expect("engine runs");

@@ -6,10 +6,8 @@ use std::sync::Arc;
 use nochatter::explore::{Explo, Uxs};
 use nochatter::graph::{generators, Label, NodeId, Port};
 use nochatter::rendezvous::{meeting_bound, Tz};
-use nochatter::sim::proc::{ProcBehavior, Procedure, RunFor, UntilCardExceeds, WaitRounds};
-use nochatter::sim::{
-    Action, AgentAct, AgentBehavior, Declaration, Engine, Obs, Poll, WakeSchedule,
-};
+use nochatter::sim::proc::{Procedure, RunFor, UntilCardExceeds, WaitRounds};
+use nochatter::sim::{Action, Declaration, Engine, Obs, Poll, WakeSchedule};
 
 fn label(v: u64) -> Label {
     Label::new(v).unwrap()
@@ -49,12 +47,12 @@ fn entry_port_persists_across_waits() {
     engine.add_agent(
         label(1),
         NodeId::new(0),
-        Box::new(ProcBehavior::declaring(MoveWaitCheck { step: 0 })),
+        Box::new(MoveWaitCheck { step: 0 }.map(|_| Declaration::bare())),
     );
     engine.add_agent(
         label(2),
         NodeId::new(2),
-        Box::new(ProcBehavior::declaring(WaitRounds::new(0))),
+        Box::new(WaitRounds::new(0).map(|_| Declaration::bare())),
     );
     engine.run(100).unwrap();
 }
@@ -65,17 +63,18 @@ fn just_woken_fires_exactly_once() {
         woken_obs: u32,
         polls: u32,
     }
-    impl AgentBehavior for CountWokenFlags {
-        fn on_round(&mut self, obs: &Obs) -> AgentAct {
+    impl Procedure for CountWokenFlags {
+        type Output = Declaration;
+        fn poll(&mut self, obs: &Obs) -> Poll<Declaration> {
             self.polls += 1;
             if obs.just_woken {
                 self.woken_obs += 1;
             }
             if self.polls >= 5 {
                 assert_eq!(self.woken_obs, 1, "just_woken must fire exactly once");
-                AgentAct::Declare(Declaration::bare())
+                Poll::Complete(Declaration::bare())
             } else {
-                AgentAct::Wait
+                Poll::Yield(Action::Wait)
             }
         }
     }
@@ -121,12 +120,12 @@ fn fast_forward_preserves_exact_semantics() {
         let mut engine = Engine::new(&g);
         for (i, (l, v)) in [(3u64, 0u32), (4, 2)].into_iter().enumerate() {
             let rounds = 5000 + i as u64 * 37;
-            let behavior: Box<dyn AgentBehavior> = if fast {
-                Box::new(ProcBehavior::declaring(WaitRounds::new(rounds)))
+            let agent: nochatter::sim::Agent = if fast {
+                Box::new(WaitRounds::new(rounds).map(|_| Declaration::bare()))
             } else {
-                Box::new(ProcBehavior::declaring(OpaqueWait { left: rounds }))
+                Box::new(OpaqueWait { left: rounds }.map(|_| Declaration::bare()))
             };
-            engine.add_agent(label(l), NodeId::new(v), behavior);
+            engine.add_agent(label(l), NodeId::new(v), agent);
         }
         engine.run(100_000).unwrap()
     };
@@ -155,10 +154,10 @@ fn tz_inside_runfor_is_interruptible_and_bounded() {
             engine.add_agent(
                 label(l),
                 NodeId::new(v),
-                Box::new(ProcBehavior::declaring(UntilCardExceeds::new(
-                    1,
-                    RunFor::new(bound, Tz::new(p, Arc::clone(&uxs))),
-                ))),
+                Box::new(
+                    UntilCardExceeds::new(1, RunFor::new(bound, Tz::new(p, Arc::clone(&uxs))))
+                        .map(|_| Declaration::bare()),
+                ),
             );
         }
         engine.run(10 * bound).unwrap()
@@ -196,12 +195,12 @@ fn explo_on_adversarial_ports_still_covers() {
         engine.add_agent(
             label(1),
             NodeId::new(2),
-            Box::new(ProcBehavior::declaring(Explo::new(Arc::clone(&uxs)))),
+            Box::new(Explo::new(Arc::clone(&uxs)).map(|_| Declaration::bare())),
         );
         engine.add_agent(
             label(2),
             NodeId::new(0),
-            Box::new(ProcBehavior::declaring(WaitRounds::new(0))),
+            Box::new(WaitRounds::new(0).map(|_| Declaration::bare())),
         );
         let outcome = engine.run(1_000_000).unwrap();
         assert_eq!(outcome.declarations[0].1.unwrap().node, NodeId::new(2));
@@ -231,16 +230,14 @@ fn declared_agents_still_count_toward_curcard() {
     engine.add_agent(
         label(1),
         NodeId::new(0),
-        Box::new(ProcBehavior::declaring(WaitRounds::new(0))), // declares at once
+        Box::new(WaitRounds::new(0).map(|_| Declaration::bare())), // declares at once
     );
     engine.add_agent(
         label(2),
         NodeId::new(1),
-        Box::new(ProcBehavior::mapping(SenseNeighbor { moved: false }, |c| {
-            Declaration {
-                leader: None,
-                size: Some(c),
-            }
+        Box::new(SenseNeighbor { moved: false }.map(|c| Declaration {
+            leader: None,
+            size: Some(c),
         })),
     );
     let outcome = engine.run(100).unwrap();

@@ -3,9 +3,7 @@
 //! robustness of the clean-exploration shield against an adversarial `EST`
 //! reconstruction.
 
-use std::cell::RefCell;
 use std::fmt::Debug;
-use std::rc::Rc;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -16,9 +14,9 @@ use nochatter::core::unknown::{
     UnknownOptions, UnknownSchedule,
 };
 use nochatter::graph::{generators, Graph, InitialConfiguration, Label, NodeId, Port};
-use nochatter::sim::proc::{ProcBehavior, Procedure};
+use nochatter::sim::proc::Procedure;
 use nochatter::sim::{
-    AgentAct, AgentBehavior, Declaration, Engine, Obs, RunOutcome, RunStatus, Trace, WakeSchedule,
+    Action, Declaration, Engine, Obs, Poll, RunOutcome, RunStatus, Trace, WakeSchedule,
 };
 
 fn label(v: u64) -> Label {
@@ -213,7 +211,7 @@ fn traced_run(
         engine.add_agent(
             label,
             start,
-            Box::new(ProcBehavior::mapping(agent, |report| Declaration {
+            Box::new(agent.map(|report| Declaration {
                 leader: Some(report.leader),
                 size: Some(report.size),
             })),
@@ -307,20 +305,24 @@ fn every_unwind_path_keeps_its_pinned_trace() {
 /// it is skipped (the slow waits run to millions of rounds).
 const BLIND_PROBE: u64 = 64;
 
-/// Drives twin procedures, each adapted by [`ProcBehavior`] as the engine
-/// runs it, as a lone agent walking `graph` from `start`: every real poll
-/// sees the node's degree, the true entry port and `CurCard` 1, and both
-/// twins must answer it alike and complete with the same output. Whenever
-/// a poll leaves a blind promise of `h` rounds (a slow move's countdown or
-/// a blind wait of the procedure), `a` is polled through its first
-/// `min(h, BLIND_PROBE)` rounds on observations with random `CurCard`s and
-/// entry ports, and must wait in each, while `b` skips the whole promise;
-/// non-blind promises are skipped by both. `on_move` sees every move.
-/// Stops after `max_polls` real polls or on completion, and returns the
-/// round at which each probed promise began.
+/// Drives twin procedures as the engine runs an agent, as a lone agent
+/// walking `graph` from `start`: every real poll sees the node's degree,
+/// the true entry port and `CurCard` 1, and both twins must answer it
+/// alike and complete with the same output. A slow move is held as the
+/// engine holds it: both twins report the same wait `w`, nothing reaches
+/// either of them for `w` rounds, and the move is made in the last one;
+/// a wait of two rounds or more is a blind promise before its move round,
+/// and is recorded as probed (the engine's own tests feed such waits
+/// noisy rounds). Whenever a poll leaves a blind promise of `h` rounds of
+/// the procedure itself, `a` is polled through its first
+/// `min(h, BLIND_PROBE)` rounds on observations with random `CurCard`s
+/// and entry ports, and must wait in each, while `b` skips the whole
+/// promise; non-blind promises are skipped by both. `on_move` sees every
+/// move. Stops after `max_polls` real polls or on completion, and returns
+/// the round at which each probed promise began.
 fn check_blind_twins<P>(
-    a: P,
-    b: P,
+    mut a: P,
+    mut b: P,
     graph: &Graph,
     start: NodeId,
     noise: &[u32],
@@ -331,39 +333,35 @@ where
     P: Procedure,
     P::Output: Debug,
 {
-    let outputs: [Rc<RefCell<Option<String>>>; 2] = Default::default();
-    let agent = |twin: P, output: &Rc<RefCell<Option<String>>>| {
-        let output = Rc::clone(output);
-        ProcBehavior::mapping(twin, move |out| {
-            *output.borrow_mut() = Some(format!("{out:?}"));
-            Declaration::bare()
-        })
-    };
-    let (mut a, mut b) = (agent(a, &outputs[0]), agent(b, &outputs[1]));
     let (mut pos, mut entry, mut round) = (start, None, 0u64);
     let mut noise = noise.iter().cycle();
     let mut probed = Vec::new();
     for _ in 0..max_polls {
         let degree = graph.degree(pos);
         let real = Obs::synthetic(round, degree, 1, entry);
-        let (x, y) = (a.on_round(&real), b.on_round(&real));
+        let output = |out: P::Output| format!("{out:?}");
+        let (x, y) = (a.poll(&real).map(output), b.poll(&real).map(output));
         assert_eq!(x, y, "twins diverged in round {round}");
         round += 1;
-        match x {
-            AgentAct::Declare(_) => {
-                assert_eq!(
-                    outputs[0].borrow().as_deref(),
-                    outputs[1].borrow().as_deref()
-                );
-                break;
+        let port = match x {
+            Poll::Complete(_) => break,
+            Poll::Yield(Action::Wait) => None,
+            Poll::Yield(Action::TakePort(p)) => Some(p),
+            Poll::Yield(Action::SlowMove(p)) => {
+                let w = a.slow_wait();
+                assert_eq!(w, b.slow_wait(), "round {round}");
+                if w > 1 {
+                    probed.push(round);
+                }
+                round += w;
+                Some(p)
             }
-            AgentAct::TakePort(p) => {
-                let (to, back) = graph.neighbor(pos, p).expect("moves stay on the graph");
-                (pos, entry) = (to, Some(back));
-                on_move(p);
-                continue;
-            }
-            AgentAct::Wait => {}
+        };
+        if let Some(p) = port {
+            let (to, back) = graph.neighbor(pos, p).expect("moves stay on the graph");
+            (pos, entry) = (to, Some(back));
+            on_move(p);
+            continue;
         }
         let h = a.min_wait();
         assert_eq!(h, b.min_wait(), "round {round}");
@@ -376,10 +374,10 @@ where
                 let seed = *noise.next().unwrap();
                 let cur_card = 1 + seed % 4;
                 let entry = (!seed.is_multiple_of(5)).then(|| Port::new(seed / 5 % degree));
-                let w = a.on_round(&Obs::synthetic(round + n, degree, cur_card, entry));
+                let w = a.poll(&Obs::synthetic(round + n, degree, cur_card, entry));
                 assert_eq!(
-                    w,
-                    AgentAct::Wait,
+                    w.action(),
+                    Some(Action::Wait),
                     "blind promise of {h} rounds from round {round} broken after {n}"
                 );
             }
