@@ -1,0 +1,260 @@
+//! The engine against the reference round loop of `tests/support`: for
+//! random cells run with the real stacks — known-bound silent and talking,
+//! gossip, and unknown-bound on tiny instances — the engine's outcome
+//! equals the reference's in everything but its execution facts, its
+//! trace holds the same events, and its executed plus fast-forwarded
+//! rounds are the model rounds the reference played.
+//!
+//! The cells are those of `crates/core/tests/digest.rs` (graph families,
+//! sensing modes, wake schedules, static and round-varying topologies,
+//! crash faults) with teams of two or three agents. The reference polls
+//! every executing agent in every round, so each case is capped at
+//! [`MODEL_ROUNDS`] model rounds: both loops get the smaller of the
+//! stack's own round limit and the cap, and a run cut by it is compared
+//! as the `RoundLimit` outcome it is.
+
+mod support;
+
+use std::sync::Arc;
+
+use proptest::prelude::*;
+
+use nochatter::core::unknown::{
+    EstMode, GatherUnknownUpperBound, SliceEnumeration, UnknownSchedule,
+};
+use nochatter::core::{BitStr, CommMode, GatherKnownUpperBound, GossipKnownUpperBound, KnownSetup};
+use nochatter::graph::dynamic::{DynamicRing, PeriodicEdges, SeededEdgeFailure, Topology};
+use nochatter::graph::generators::{self, Family};
+use nochatter::graph::{InitialConfiguration, Label, NodeId};
+use nochatter::sim::proc::Procedure;
+use nochatter::sim::{
+    Agent, CrashPoint, Declaration, Engine, FaultSpec, Sensing, TopologySpec, Trace, WakeSchedule,
+};
+
+/// The most model rounds one case plays.
+const MODEL_ROUNDS: u64 = 100_000;
+
+#[derive(Clone, Copy, Debug)]
+enum Stack {
+    Known(CommMode),
+    Gossip(CommMode),
+    Unknown,
+}
+
+#[derive(Debug)]
+struct Cell {
+    cfg: InitialConfiguration,
+    stack: Stack,
+    schedule: WakeSchedule,
+    topo: TopologySpec,
+    fault: FaultSpec,
+    seed: u64,
+}
+
+impl Cell {
+    fn sensing(&self) -> Sensing {
+        match self.stack {
+            Stack::Known(CommMode::Talking) | Stack::Gossip(CommMode::Talking) => {
+                Sensing::Traditional
+            }
+            _ => Sensing::Weak,
+        }
+    }
+
+    /// Fresh programs for the team, and the stack's own round limit.
+    fn agents(&self) -> (Vec<(Label, NodeId, Agent)>, u64) {
+        let team = self.cfg.agents().iter().copied();
+        match self.stack {
+            Stack::Known(mode) | Stack::Gossip(mode) => {
+                let setup = KnownSetup::for_scenario(&self.cfg, self.seed);
+                let gossip = matches!(self.stack, Stack::Gossip(_));
+                let agents = team
+                    .map(|(label, start)| {
+                        let params = setup.params().clone();
+                        let agent: Agent = if gossip {
+                            let payload = BitStr::from_label(label);
+                            Box::new(
+                                GossipKnownUpperBound::new(params, label, payload, mode)
+                                    .map(|report| Declaration::with_leader(report.leader)),
+                            )
+                        } else {
+                            Box::new(
+                                GatherKnownUpperBound::with_mode(params, label, mode)
+                                    .map(Declaration::with_leader),
+                            )
+                        };
+                        (label, start, agent)
+                    })
+                    .collect();
+                (agents, setup.round_limit(&self.cfg))
+            }
+            Stack::Unknown => {
+                let decoy = InitialConfiguration::new(
+                    generators::path(2),
+                    vec![(label(7), NodeId::new(0)), (label(8), NodeId::new(1))],
+                )
+                .unwrap();
+                let omega = SliceEnumeration::new(vec![decoy, self.cfg.clone()]);
+                let schedule = Arc::new(UnknownSchedule::new(omega).unwrap());
+                let graph = self.cfg.graph_arc();
+                let agents = team
+                    .map(|(label, start)| {
+                        let agent: Agent = Box::new(
+                            GatherUnknownUpperBound::new(
+                                label,
+                                start,
+                                Arc::clone(&graph),
+                                Arc::clone(&schedule),
+                                EstMode::Conservative,
+                            )
+                            .map(|report| Declaration {
+                                leader: Some(report.leader),
+                                size: Some(report.size),
+                            }),
+                        );
+                        (label, start, agent)
+                    })
+                    .collect();
+                (agents, schedule.round_limit())
+            }
+        }
+    }
+}
+
+fn label(v: u64) -> Label {
+    Label::new(v).unwrap()
+}
+
+fn cell_strategy() -> impl Strategy<Value = Cell> {
+    (
+        (0usize..5, 4u32..7, any::<u64>(), any::<bool>()),
+        (0u64..3, 0usize..5),
+        (0usize..4, 0usize..3, 0u64..200),
+    )
+        .prop_map(
+            |((family, n, seed, trio), (sched, stack), (topo, fault, crash_round))| {
+                let stack = [
+                    Stack::Known(CommMode::Silent),
+                    Stack::Known(CommMode::Talking),
+                    Stack::Gossip(CommMode::Silent),
+                    Stack::Gossip(CommMode::Talking),
+                    Stack::Unknown,
+                ][stack];
+                // The unknown-bound stack runs on tiny instances: a triangle
+                // or an edge, the second hypothesis of a two-entry
+                // enumeration.
+                let graph = match stack {
+                    Stack::Unknown if trio => generators::ring(3),
+                    Stack::Unknown => generators::path(2),
+                    _ => [
+                        Family::Ring,
+                        Family::Path,
+                        Family::Star,
+                        Family::Grid,
+                        Family::RandomTree,
+                    ][family]
+                        .instantiate(n, seed),
+                };
+                let n_actual = graph.node_count() as u32;
+                let mut team = vec![
+                    (label(2), NodeId::new(0)),
+                    (label(seed % 5 + 3), NodeId::new(n_actual / 2)),
+                ];
+                if trio && n_actual > 2 {
+                    team.push((label(seed % 7 + 9), NodeId::new(n_actual - 1)));
+                }
+                let cfg = InitialConfiguration::new(graph, team).expect("distinct starts");
+                let schedule = match sched {
+                    0 => WakeSchedule::Simultaneous,
+                    1 => WakeSchedule::FirstOnly,
+                    _ => WakeSchedule::Staggered { gap: seed % 9 + 1 },
+                };
+                let topo = match topo {
+                    0 => TopologySpec::Static,
+                    1 => TopologySpec::Periodic(PeriodicEdges {
+                        period: 3,
+                        offset: seed % 3,
+                    }),
+                    2 => TopologySpec::EdgeFailure(SeededEdgeFailure { p: 0.2, seed }),
+                    _ => TopologySpec::Ring(DynamicRing { seed }),
+                };
+                // The unknown-bound stack assumes a static network.
+                let static_only = matches!(stack, Stack::Unknown);
+                let topo = if topo.compatible_with(cfg.graph()) && !static_only {
+                    topo
+                } else {
+                    TopologySpec::Static
+                };
+                let fault = match fault {
+                    0 => FaultSpec::None,
+                    1 => FaultSpec::CrashAt(vec![CrashPoint {
+                        label: label(2),
+                        round: crash_round,
+                    }]),
+                    _ => FaultSpec::SeededCrash {
+                        p: 0.01,
+                        seed,
+                        max_crashes: 1,
+                    },
+                };
+                Cell {
+                    cfg,
+                    stack,
+                    schedule,
+                    topo,
+                    fault,
+                    seed,
+                }
+            },
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    #[test]
+    fn the_engine_plays_every_round_as_the_reference_loop_does(cell in cell_strategy()) {
+        let graph = cell.cfg.graph();
+        let (agents, limit) = cell.agents();
+        let max_rounds = limit.min(MODEL_ROUNDS);
+
+        let mut engine = Engine::with_topology(graph, &cell.topo);
+        for (label, start, agent) in agents {
+            engine.add_agent(label, start, agent);
+        }
+        engine.set_wake_schedule(cell.schedule.clone());
+        engine.set_sensing(cell.sensing());
+        engine.set_faults(cell.fault.clone());
+        engine.set_trace(Trace::with_capacity(1 << 20));
+        let ran = engine.run(max_rounds);
+
+        let played = support::play(
+            graph,
+            cell.topo.view(graph),
+            cell.agents().0,
+            &cell.schedule,
+            cell.sensing(),
+            &cell.fault,
+            max_rounds,
+        );
+        let (ran, played) = match (ran, played) {
+            (Ok(ran), Ok(played)) => (ran, played),
+            (ran, played) => {
+                prop_assert_eq!(ran.err(), played.err());
+                return Ok(());
+            }
+        };
+        let expected = &played.outcome;
+        prop_assert_eq!(ran.status, expected.status);
+        prop_assert_eq!(ran.rounds, expected.rounds);
+        prop_assert_eq!(&ran.declarations, &expected.declarations);
+        prop_assert_eq!(&ran.crashed_agents, &expected.crashed_agents);
+        prop_assert_eq!(ran.total_moves, expected.total_moves);
+        prop_assert_eq!(ran.blocked_moves, expected.blocked_moves);
+        prop_assert_eq!(ran.max_colocation, expected.max_colocation);
+        let trace = ran.trace.as_ref().unwrap();
+        prop_assert_eq!(trace.dropped(), 0);
+        prop_assert_eq!(trace.events(), &played.events[..]);
+        prop_assert_eq!(ran.engine_iterations + ran.skipped_rounds, played.model_rounds);
+    }
+}

@@ -1,0 +1,252 @@
+//! A reference round loop: the model's rules played round by round, with
+//! none of the engine's shortcuts.
+//!
+//! Every round, in order: crashes, adversary wake-ups, occupancy by a
+//! plain count over all agents, wake-on-visit, a poll of every executing
+//! agent, then the simultaneous application of the acts under the
+//! topology view. A slow move is played as its expansion: `w` rounds in
+//! which the agent waits without a poll, then the move. The loop reads no
+//! promise and skips no round, so comparing it with the engine checks the
+//! engine's fast-forward, its choice of whom to poll and its held slow
+//! moves against the rules they stand for.
+//!
+//! It shares no code with the engine beyond the public types: wake rounds
+//! come from [`WakeSchedule::wake_rounds`], crash rounds from
+//! [`FaultSpec::crash_rounds`], edge presence from the [`TopologyView`].
+
+use nochatter::graph::dynamic::TopologyView;
+use nochatter::graph::{Graph, Label, NodeId, Port};
+use nochatter::sim::{
+    Action, Agent, AgentPhase, DeclarationRecord, FaultSpec, Obs, Poll, RunOutcome, RunStatus,
+    Sensing, SimError, TraceEvent, WakeSchedule,
+};
+
+/// What the reference loop played: the outcome (its execution facts
+/// count every round as executed and every poll made), the events in
+/// order, and the number of model rounds played.
+pub struct Played {
+    pub outcome: RunOutcome,
+    pub events: Vec<TraceEvent>,
+    pub model_rounds: u64,
+}
+
+/// Plays `agents` (label, start node, program) on `graph` under `view`
+/// for at most `max_rounds` rounds. The inputs must pass the engine's
+/// validation; a protocol violation ends the run with the engine's error.
+#[allow(clippy::too_many_arguments)]
+pub fn play<V: TopologyView>(
+    graph: &Graph,
+    mut view: V,
+    agents: Vec<(Label, NodeId, Agent)>,
+    schedule: &WakeSchedule,
+    sensing: Sensing,
+    faults: &FaultSpec,
+    max_rounds: u64,
+) -> Result<Played, SimError> {
+    let k = agents.len();
+    let labels: Vec<Label> = agents.iter().map(|a| a.0).collect();
+    let mut pos: Vec<NodeId> = agents.iter().map(|a| a.1).collect();
+    let mut procs: Vec<Agent> = agents.into_iter().map(|a| a.2).collect();
+    let wake = schedule.wake_rounds(k).expect("a valid wake schedule");
+    let mut crash = faults.crash_rounds(&labels).expect("a valid fault spec");
+    let mut phase = vec![AgentPhase::Dormant; k];
+    let mut woke = vec![0u64; k];
+    let mut just_woken = vec![false; k];
+    let mut entry: Vec<Option<Port>> = vec![None; k];
+    // A slow move under way: the round of its move, and its port.
+    let mut slow: Vec<Option<(u64, Port)>> = vec![None; k];
+    let mut declared: Vec<Option<DeclarationRecord>> = vec![None; k];
+    let mut events = Vec::new();
+    let mut out = RunOutcome {
+        status: RunStatus::RoundLimit,
+        rounds: max_rounds,
+        declarations: Vec::new(),
+        crashed_agents: Vec::new(),
+        total_moves: 0,
+        blocked_moves: 0,
+        engine_iterations: 0,
+        skipped_rounds: 0,
+        polled_agent_rounds: 0,
+        max_colocation: 0,
+        trace: None,
+    };
+    let (mut last_declaration, mut last_crash) = (0, 0);
+
+    let mut round = 0;
+    while round < max_rounds {
+        out.engine_iterations += 1;
+        view.begin_round(round);
+
+        for i in 0..k {
+            if crash[i] == round {
+                crash[i] = u64::MAX;
+                if phase[i] != AgentPhase::Declared {
+                    phase[i] = AgentPhase::Crashed;
+                    slow[i] = None;
+                    last_crash = round;
+                    events.push(TraceEvent::Crashed {
+                        agent: labels[i],
+                        round,
+                        node: pos[i],
+                    });
+                }
+            }
+        }
+
+        for i in 0..k {
+            if phase[i] == AgentPhase::Dormant && wake[i] <= round {
+                (phase[i], woke[i], just_woken[i]) = (AgentPhase::Active, round, true);
+                events.push(TraceEvent::Wake {
+                    agent: labels[i],
+                    round,
+                    by_visit: false,
+                });
+            }
+        }
+
+        let card: Vec<u32> = pos
+            .iter()
+            .map(|&at| pos.iter().filter(|&&p| p == at).count() as u32)
+            .collect();
+        out.max_colocation = out
+            .max_colocation
+            .max(card.iter().copied().max().unwrap_or(0));
+
+        for i in 0..k {
+            if phase[i] == AgentPhase::Dormant && card[i] > 1 {
+                (phase[i], woke[i], just_woken[i]) = (AgentPhase::Active, round, true);
+                events.push(TraceEvent::Wake {
+                    agent: labels[i],
+                    round,
+                    by_visit: true,
+                });
+            }
+        }
+
+        let mut acts = vec![None; k];
+        for i in 0..k {
+            if !matches!(phase[i], AgentPhase::Active | AgentPhase::Blocked) {
+                continue;
+            }
+            if let Some((due, port)) = slow[i] {
+                // The expansion of a slow move: waits without a poll, then
+                // the move in its own round.
+                acts[i] = Some(Poll::Yield(if due == round {
+                    slow[i] = None;
+                    Action::TakePort(port)
+                } else {
+                    Action::Wait
+                }));
+                continue;
+            }
+            let peer_labels = (sensing == Sensing::Traditional).then(|| {
+                let mut peers: Vec<Label> = (0..k)
+                    .filter(|&j| pos[j] == pos[i])
+                    .map(|j| labels[j])
+                    .collect();
+                peers.sort_unstable();
+                peers
+            });
+            let obs = Obs {
+                round: round - woke[i],
+                degree: graph.degree(pos[i]),
+                cur_card: card[i],
+                entry_port: entry[i],
+                just_woken: just_woken[i],
+                blocked: phase[i] == AgentPhase::Blocked,
+                peer_labels,
+            };
+            out.polled_agent_rounds += 1;
+            let mut act = procs[i].poll(&obs);
+            if let Poll::Yield(Action::SlowMove(port)) = act {
+                act = Poll::Yield(match procs[i].slow_wait() {
+                    0 => Action::TakePort(port),
+                    wait => {
+                        slow[i] = Some((round + wait, port));
+                        Action::Wait
+                    }
+                });
+            }
+            (phase[i], just_woken[i]) = (AgentPhase::Active, false);
+            acts[i] = Some(act);
+        }
+
+        for (i, act) in acts.into_iter().enumerate() {
+            match act {
+                None | Some(Poll::Yield(Action::Wait)) => {}
+                Some(Poll::Yield(Action::TakePort(port))) => {
+                    let from = pos[i];
+                    match graph.neighbor(from, port) {
+                        None => {
+                            return Err(SimError::InvalidPort {
+                                agent: labels[i],
+                                node: from,
+                                port,
+                                round,
+                            })
+                        }
+                        Some(_) if !view.edge_present(from, port) => {
+                            phase[i] = AgentPhase::Blocked;
+                            out.blocked_moves += 1;
+                            events.push(TraceEvent::Blocked {
+                                agent: labels[i],
+                                round,
+                                node: from,
+                                port,
+                            });
+                        }
+                        Some((to, back)) => {
+                            events.push(TraceEvent::Move {
+                                agent: labels[i],
+                                round,
+                                from,
+                                to,
+                                port,
+                            });
+                            (pos[i], entry[i]) = (to, Some(back));
+                            out.total_moves += 1;
+                        }
+                    }
+                }
+                Some(Poll::Yield(Action::SlowMove(_))) => unreachable!("resolved at the poll"),
+                Some(Poll::Complete(declaration)) => {
+                    declared[i] = Some(DeclarationRecord {
+                        round,
+                        node: pos[i],
+                        declaration,
+                    });
+                    phase[i] = AgentPhase::Declared;
+                    last_declaration = round;
+                    events.push(TraceEvent::Declare {
+                        agent: labels[i],
+                        round,
+                        node: pos[i],
+                        declaration,
+                    });
+                }
+            }
+        }
+
+        round += 1;
+        if phase.iter().all(|p| p.is_terminal()) {
+            let crashed = phase.contains(&AgentPhase::Crashed);
+            (out.status, out.rounds) = if crashed {
+                (RunStatus::Halted, last_declaration.max(last_crash))
+            } else {
+                (RunStatus::AllDeclared, last_declaration)
+            };
+            break;
+        }
+    }
+
+    out.crashed_agents = (0..k)
+        .filter(|&i| phase[i] == AgentPhase::Crashed)
+        .map(|i| labels[i])
+        .collect();
+    out.declarations = labels.into_iter().zip(declared).collect();
+    Ok(Played {
+        outcome: out,
+        events,
+        model_rounds: round,
+    })
+}
