@@ -1,5 +1,7 @@
-//! Regenerates the reproduction's tables and figures (see `DESIGN.md` §5)
-//! and runs declarative scenario campaigns.
+//! Regenerates the reproduction's tables and figures (each id below, run
+//! with `--help` for the list; the README's "Build, test, bench" and
+//! "Running campaigns" sections show the common runs) and runs declarative
+//! scenario campaigns.
 //!
 //! ```text
 //! experiments [--quick] [ids...]

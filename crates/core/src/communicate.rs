@@ -199,17 +199,10 @@ impl Procedure for Communicate {
         }
     }
 
-    fn min_wait(&self) -> u64 {
+    fn quiet_until(&self) -> u64 {
         match &self.stage {
-            Stage::PreWait(w, _) | Stage::PostWait(w) => w.min_wait(),
+            Stage::PreWait(w, _) | Stage::PostWait(w) => w.quiet_until(),
             _ => 0,
-        }
-    }
-
-    fn note_skipped(&mut self, rounds: u64) {
-        match &mut self.stage {
-            Stage::PreWait(w, _) | Stage::PostWait(w) => w.note_skipped(rounds),
-            _ => debug_assert_eq!(rounds, 0),
         }
     }
 }

@@ -149,16 +149,10 @@ impl Procedure for Gossip {
         }
     }
 
-    fn min_wait(&self) -> u64 {
+    fn quiet_until(&self) -> u64 {
         match &self.stage {
-            Stage::Comm(c) => c.min_wait(),
+            Stage::Comm(c) => c.quiet_until(),
             Stage::Loop => 0,
-        }
-    }
-
-    fn note_skipped(&mut self, rounds: u64) {
-        if let Stage::Comm(c) = &mut self.stage {
-            c.note_skipped(rounds);
         }
     }
 }
@@ -231,17 +225,10 @@ impl Procedure for GossipKnownUpperBound {
         }
     }
 
-    fn min_wait(&self) -> u64 {
+    fn quiet_until(&self) -> u64 {
         match &self.stage {
-            ComposedStage::Gather(g) => g.min_wait(),
-            ComposedStage::Chat(_, g) => g.min_wait(),
-        }
-    }
-
-    fn note_skipped(&mut self, rounds: u64) {
-        match &mut self.stage {
-            ComposedStage::Gather(g) => g.note_skipped(rounds),
-            ComposedStage::Chat(_, g) => g.note_skipped(rounds),
+            ComposedStage::Gather(g) => g.quiet_until(),
+            ComposedStage::Chat(_, g) => g.quiet_until(),
         }
     }
 }
@@ -461,10 +448,10 @@ impl Procedure for GossipUnknownUpperBound {
         }
     }
 
-    fn min_wait(&self) -> u64 {
+    fn quiet_until(&self) -> u64 {
         match &self.stage {
-            UnknownComposedStage::Gather(g) => g.min_wait(),
-            UnknownComposedStage::Chat(_, g) => g.min_wait(),
+            UnknownComposedStage::Gather(g) => g.quiet_until(),
+            UnknownComposedStage::Chat(_, g) => g.quiet_until(),
         }
     }
 
@@ -474,13 +461,6 @@ impl Procedure for GossipUnknownUpperBound {
         match &self.stage {
             UnknownComposedStage::Gather(g) => g.blind(),
             UnknownComposedStage::Chat(..) => false,
-        }
-    }
-
-    fn note_skipped(&mut self, rounds: u64) {
-        match &mut self.stage {
-            UnknownComposedStage::Gather(g) => g.note_skipped(rounds),
-            UnknownComposedStage::Chat(_, g) => g.note_skipped(rounds),
         }
     }
 

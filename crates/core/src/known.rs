@@ -104,9 +104,10 @@ pub struct GatherKnownUpperBound {
     params: KnownParams,
     label: Label,
     mode: CommMode,
-    /// Consecutive observations with unchanged `CurCard`, maintained across
-    /// the whole run; lines 16/31 complete when it reaches `D_{i+1}`.
-    streak: u64,
+    /// The round of `CurCard`'s latest change, maintained across the whole
+    /// run: the observations since, that round included, are the streak
+    /// that lines 16/31 wait to reach `D_{i+1}`.
+    changed: u64,
     last_card: Option<u32>,
     /// Current phase `i >= 1`.
     i: u32,
@@ -135,7 +136,7 @@ impl GatherKnownUpperBound {
             params,
             label,
             mode,
-            streak: 0,
+            changed: 0,
             last_card: None,
             i: 1,
             c: 0,
@@ -177,12 +178,9 @@ impl Procedure for GatherKnownUpperBound {
         // Maintain the CurCard streak (lines 16/31 anchor their waits at
         // CurCard's latest change, as seen across the agent's whole
         // observation history).
-        match self.last_card {
-            Some(c) if c == obs.cur_card => self.streak += 1,
-            _ => {
-                self.streak = 1;
-                self.last_card = Some(obs.cur_card);
-            }
+        if self.last_card != Some(obs.cur_card) {
+            self.changed = obs.round;
+            self.last_card = Some(obs.cur_card);
         }
 
         loop {
@@ -258,7 +256,7 @@ impl Procedure for GatherKnownUpperBound {
                     }
                 }
                 Stage::Stabilize1 | Stage::Stabilize2 => {
-                    if self.streak >= self.params.d(self.i + 1) {
+                    if obs.round - self.changed + 1 >= self.params.d(self.i + 1) {
                         self.stage = Stage::FinalWait(WaitRounds::new(self.params.d(self.i + 1)));
                         continue;
                     }
@@ -328,36 +326,19 @@ impl Procedure for GatherKnownUpperBound {
         }
     }
 
-    fn min_wait(&self) -> u64 {
+    fn quiet_until(&self) -> u64 {
         match &self.stage {
-            Stage::Phase0Wait(w) | Stage::FinalWait(w) => w.min_wait(),
-            Stage::Block1(Block1::Wait1(w)) | Stage::Block1(Block1::Wait2(w)) => w.min_wait(),
-            Stage::Block2(Block2::Wait1(w)) | Stage::Block2(Block2::Wait2(w)) => w.min_wait(),
-            Stage::Block2(Block2::Rendezvous(r)) => r.min_wait(),
-            Stage::Comm(c) => c.min_wait(),
+            Stage::Phase0Wait(w) | Stage::FinalWait(w) => w.quiet_until(),
+            Stage::Block1(Block1::Wait1(w)) | Stage::Block1(Block1::Wait2(w)) => w.quiet_until(),
+            Stage::Block2(Block2::Wait1(w)) | Stage::Block2(Block2::Wait2(w)) => w.quiet_until(),
+            Stage::Block2(Block2::Rendezvous(r)) => r.quiet_until(),
+            Stage::Comm(c) => c.quiet_until(),
+            // Identical observations keep the streak growing; the promise
+            // stops one short of the round it reaches the window in.
             Stage::Stabilize1 | Stage::Stabilize2 => {
-                let window = self.params.d(self.i + 1);
-                window.saturating_sub(self.streak).saturating_sub(1)
+                (self.changed + self.params.d(self.i + 1)).saturating_sub(2)
             }
             _ => 0,
-        }
-    }
-
-    fn note_skipped(&mut self, rounds: u64) {
-        // Identical observations: the streak keeps growing.
-        self.streak += rounds;
-        match &mut self.stage {
-            Stage::Phase0Wait(w) | Stage::FinalWait(w) => w.note_skipped(rounds),
-            Stage::Block1(Block1::Wait1(w)) | Stage::Block1(Block1::Wait2(w)) => {
-                w.note_skipped(rounds)
-            }
-            Stage::Block2(Block2::Wait1(w)) | Stage::Block2(Block2::Wait2(w)) => {
-                w.note_skipped(rounds)
-            }
-            Stage::Block2(Block2::Rendezvous(r)) => r.note_skipped(rounds),
-            Stage::Comm(c) => c.note_skipped(rounds),
-            Stage::Stabilize1 | Stage::Stabilize2 => {}
-            _ => debug_assert_eq!(rounds, 0),
         }
     }
 }

@@ -14,7 +14,9 @@
 //!   and benchmarks use so the true configuration sits at a controlled
 //!   index (the faithful dovetailed enumeration puts interesting
 //!   configurations astronomically deep, and the algorithm's running time
-//!   is exponential in the index — see `DESIGN.md` §3.5);
+//!   is exponential in the index, as
+//!   `tests/unknown_bound.rs::time_grows_exponentially_with_hypothesis_index`
+//!   measures);
 //! * [`ExhaustiveEnumeration`] — a genuine enumeration of *every*
 //!   configuration up to a size and label horizon, ordered by (size, graph,
 //!   agents, labels), demonstrating the faithful construction.

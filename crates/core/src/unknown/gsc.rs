@@ -7,12 +7,18 @@
 //! token — the explorer "is with its token exactly in the rounds in which
 //! `CurCard > 1`".
 //!
-//! Our `EST+` (see `DESIGN.md` §3.3) walks every port sequence of length
-//! `n_h - 1` over `{0..n_h-2}` with backtracking — a leashed exploration
-//! that covers the whole graph whenever the hypothesis size is right — and
-//! resolves the paper's boolean contract with the position oracle: *true*
-//! iff the walk was clean (token seen exactly at the token node), covered
-//! the graph, and the true size equals `n_h`.
+//! In place of the Chalopin–Das–Kosowski map construction, our `EST+`
+//! walks every port sequence of length `n_h - 1` over `{0..n_h-2}` with
+//! backtracking — a leashed exploration that covers the whole graph
+//! whenever the hypothesis size is right, since every node lies within
+//! `n - 1` moves of the token — and resolves the paper's boolean contract
+//! with the position oracle of `oracle.rs`: *true* iff the walk was
+//! clean (token seen exactly at the token node), covered the graph, and
+//! the true size equals `n_h`. The walk's moves, timing and observations
+//! are the paper's; only the decision reads the real graph. The tests
+//! below pin a clean pass, a wrong size and a dirtied walk, and
+//! `tests/unknown_bound.rs` that no `EST+` reached through the algorithm
+//! is dirty (Lemma 4.10).
 
 use nochatter_explore::paths::Paths;
 use nochatter_graph::{NodeId, Port};
@@ -110,7 +116,10 @@ pub struct GraphSizeCheck {
     tracker: SharedTracker,
     /// The central node, recorded on the first observation.
     v: Option<NodeId>,
-    /// Global tick within the procedure: `0 .. 2·k·t_est`.
+    /// The clock of the first poll.
+    start: Option<u64>,
+    /// Global tick within the procedure, `0 .. 2·k·t_est`, of the round
+    /// after the latest poll.
     tick: u64,
     walk: Option<EstWalk>,
     visited: std::collections::HashSet<NodeId>,
@@ -135,6 +144,7 @@ impl GraphSizeCheck {
             mode,
             tracker,
             v: None,
+            start: None,
             tick: 0,
             walk: None,
             visited: std::collections::HashSet::new(),
@@ -175,6 +185,7 @@ impl Procedure for GraphSizeCheck {
             .get_or_insert_with(|| self.tracker.borrow().position());
         let slot_len = 2 * self.t_est;
         let total = slot_len * u64::from(self.k);
+        self.tick = obs.round - *self.start.get_or_insert(obs.round);
         if self.tick >= total {
             return Poll::Complete(GscOutcome {
                 b: self.decide(),
@@ -211,9 +222,18 @@ impl Procedure for GraphSizeCheck {
         Poll::Yield(action)
     }
 
-    fn min_wait(&self) -> u64 {
-        // Promise waits only through stretches with no scheduled moves: the
-        // remainder of a foreign slot, or of the hold half of our own slot.
+    fn quiet_until(&self) -> u64 {
+        let Some(start) = self.start else { return 0 };
+        // The latest poll's clock, plus the waits promised after it.
+        (start + self.tick - 1).saturating_add(self.waits())
+    }
+}
+
+impl GraphSizeCheck {
+    /// Guaranteed waits from `tick` on: only through stretches with no
+    /// scheduled moves, the remainder of a foreign slot, or of the hold
+    /// half of our own slot.
+    fn waits(&self) -> u64 {
         let slot_len = 2 * self.t_est;
         let total = slot_len * u64::from(self.k);
         if self.tick >= total {
@@ -238,10 +258,6 @@ impl Procedure for GraphSizeCheck {
         (quiet_until - self.tick)
             .min(total - self.tick)
             .saturating_sub(u64::from(quiet_until >= total))
-    }
-
-    fn note_skipped(&mut self, rounds: u64) {
-        self.tick += rounds;
     }
 }
 

@@ -12,8 +12,9 @@
 //! agent to its start node — then pad so the hypothesis consumes exactly
 //! `T_h` rounds. The exact budget is what keeps all agents' hypothesis
 //! clocks in lockstep (Lemma 4.5). Every slow move, the ball's and the
-//! unwind's, is one [`Action::SlowMove`] waiting `w_h`, booked as its
-//! `w_h + 1` rounds.
+//! unwind's, is one [`Action::SlowMove`] waiting `w_h`: the next poll
+//! comes `w_h + 1` rounds on, and the budget is read off the agent's
+//! clock.
 //!
 //! Only the main part's entry ports are stored. The ball traversal's,
 //! reversed, form a ball traversal of their own, so the cleanup replays it
@@ -88,8 +89,9 @@ pub struct Hypothesis {
     pending_trail: bool,
     /// Whether moves enter `trail`: true only during the main part.
     record_trail: bool,
-    /// Rounds consumed so far within this hypothesis.
-    rounds_spent: u64,
+    /// The clock of the hypothesis's first poll: its budget `T_h` runs
+    /// from there.
+    start: Option<u64>,
     dirty_est: bool,
     stage: Stage,
 }
@@ -128,7 +130,7 @@ impl Hypothesis {
             retrace: None,
             pending_trail: false,
             record_trail: false,
-            rounds_spent: 0,
+            start: None,
             dirty_est: false,
             stage: Stage::Ball(ball),
         }
@@ -140,10 +142,6 @@ impl Hypothesis {
     }
 
     fn emit(&mut self, action: Action) -> Poll<HypothesisVerdict> {
-        self.rounds_spent += match action {
-            Action::SlowMove(_) => self.hs.w + 1,
-            Action::Wait | Action::TakePort(_) => 1,
-        };
         if self.record_trail && !matches!(action, Action::Wait) {
             self.pending_trail = true;
         }
@@ -155,6 +153,7 @@ impl Procedure for Hypothesis {
     type Output = HypothesisVerdict;
 
     fn poll(&mut self, obs: &Obs) -> Poll<HypothesisVerdict> {
+        let spent = obs.round - *self.start.get_or_insert(obs.round);
         if self.pending_trail {
             self.pending_trail = false;
             self.trail.push(
@@ -262,7 +261,7 @@ impl Procedure for Hypothesis {
                         Stage::UnwindBall(retrace)
                     } else {
                         let remaining =
-                            self.hs.t_h.checked_sub(self.rounds_spent).expect(
+                            self.hs.t_h.checked_sub(spent).expect(
                                 "hypothesis exceeded its budget T_h — schedule bound violated",
                             );
                         Stage::Pad(WaitRounds::new(remaining))
@@ -275,7 +274,7 @@ impl Procedure for Hypothesis {
                 Stage::Pad(w) => match w.poll(obs) {
                     Poll::Yield(a) => return self.emit(a),
                     Poll::Complete(()) => {
-                        debug_assert_eq!(self.rounds_spent, self.hs.t_h);
+                        debug_assert_eq!(spent, self.hs.t_h);
                         return Poll::Complete(HypothesisVerdict::False {
                             dirty_est: self.dirty_est,
                         });
@@ -287,11 +286,11 @@ impl Procedure for Hypothesis {
 
     // The engine holds the ball's slow moves and answers their waits: the
     // ball stages promise nothing of their own.
-    fn min_wait(&self) -> u64 {
+    fn quiet_until(&self) -> u64 {
         match &self.stage {
-            Stage::Line4(w) | Stage::Pad(w) => w.min_wait(),
-            Stage::Mtcn(m) => m.min_wait(),
-            Stage::Gsc(g) => g.min_wait(),
+            Stage::Line4(w) | Stage::Pad(w) => w.quiet_until(),
+            Stage::Mtcn(m) => m.quiet_until(),
+            Stage::Gsc(g) => g.quiet_until(),
             Stage::Ball(_)
             | Stage::UnwindBall(_)
             | Stage::Star(_)
@@ -302,20 +301,6 @@ impl Procedure for Hypothesis {
 
     fn blind(&self) -> bool {
         matches!(&self.stage, Stage::Line4(_) | Stage::Pad(_))
-    }
-
-    fn note_skipped(&mut self, rounds: u64) {
-        self.rounds_spent += rounds;
-        match &mut self.stage {
-            Stage::Line4(w) | Stage::Pad(w) => w.note_skipped(rounds),
-            Stage::Mtcn(m) => m.note_skipped(rounds),
-            Stage::Gsc(g) => g.note_skipped(rounds),
-            Stage::Ball(_)
-            | Stage::UnwindBall(_)
-            | Stage::Star(_)
-            | Stage::Ece(_)
-            | Stage::UnwindNext => debug_assert_eq!(rounds, 0),
-        }
     }
 
     // The ball's slow moves and the unwind's all wait `w_h`.

@@ -16,7 +16,8 @@
 //! window (`StarCheck` → `EnsureCleanExploration` → `GraphSizeCheck`)
 //! opens. The durations come from the [`UnknownSchedule`], the
 //! calibrated counterpart of the paper's astronomically loose constants
-//! (see `DESIGN.md` §3.4).
+//! (the docs of `unknown/schedule.rs` give each value and the inequality
+//! of the proofs it satisfies).
 //!
 //! The algorithm is exponential by design — the paper presents it as a
 //! feasibility result — so runs are confined to small configuration
@@ -138,8 +139,9 @@ pub struct GatherUnknownUpperBound {
 
 impl GatherUnknownUpperBound {
     /// An agent with the given label starting at `start` on the real
-    /// `graph` (consumed only by the position oracle — see `DESIGN.md`
-    /// §3.3), testing hypotheses against the shared schedule.
+    /// `graph` (consumed only by the position oracle behind the `EST+`
+    /// decision — see [`PositionTracker`]), testing hypotheses against the
+    /// shared schedule.
     pub fn new(
         label: Label,
         start: NodeId,
@@ -246,9 +248,9 @@ impl Procedure for GatherUnknownUpperBound {
         }
     }
 
-    fn min_wait(&self) -> u64 {
+    fn quiet_until(&self) -> u64 {
         match &self.stage {
-            Stage::Hyp(h) => h.min_wait(),
+            Stage::Hyp(h) => h.quiet_until(),
             Stage::Exhausted => u64::MAX,
         }
     }
@@ -257,12 +259,6 @@ impl Procedure for GatherUnknownUpperBound {
         match &self.stage {
             Stage::Hyp(h) => h.blind(),
             Stage::Exhausted => true,
-        }
-    }
-
-    fn note_skipped(&mut self, rounds: u64) {
-        if let Stage::Hyp(h) = &mut self.stage {
-            h.note_skipped(rounds);
         }
     }
 

@@ -18,7 +18,8 @@ use super::schedule::HypothesisSchedule;
 enum Stage {
     /// Following `path_h(L)`; the index of the next port.
     Path(usize),
-    /// Lines 11-15: bounded wait for `CurCard == k_h`.
+    /// Lines 11-15: bounded wait for `CurCard == k_h`, started on this
+    /// clock.
     WaitForTeam(u64),
     /// Lines 16-20: the confirmation hold.
     Hold(WaitRounds),
@@ -65,7 +66,7 @@ impl Procedure for MoveToCentralNode {
             match &mut self.stage {
                 Stage::Path(i) => {
                     if *i >= self.path.len() {
-                        self.stage = Stage::WaitForTeam(0);
+                        self.stage = Stage::WaitForTeam(obs.round);
                         continue;
                     }
                     let port = self.path[*i];
@@ -77,16 +78,15 @@ impl Procedure for MoveToCentralNode {
                     *i += 1;
                     return Poll::Yield(Action::TakePort(port));
                 }
-                Stage::WaitForTeam(j) => {
+                Stage::WaitForTeam(start) => {
                     if obs.cur_card == self.k {
                         self.stage = Stage::Hold(WaitRounds::new(self.window));
                         continue;
                     }
-                    if *j >= self.window {
+                    if obs.round - *start >= self.window {
                         self.stage = Stage::Failed;
                         continue;
                     }
-                    *j += 1;
                     return Poll::Yield(Action::Wait);
                 }
                 Stage::Hold(w) => match w.poll(obs) {
@@ -103,22 +103,16 @@ impl Procedure for MoveToCentralNode {
         }
     }
 
-    fn min_wait(&self) -> u64 {
+    fn quiet_until(&self) -> u64 {
         match &self.stage {
-            Stage::Hold(w) => w.min_wait(),
+            Stage::Hold(w) => w.quiet_until(),
             // WaitForTeam depends on CurCard: under identical observations
-            // it keeps waiting until the budget runs out; the final
-            // completion poll is not a wait.
-            Stage::WaitForTeam(j) => self.window.saturating_sub(*j).saturating_sub(1),
+            // it keeps waiting until the budget runs out, in the round
+            // `start + window`; that poll fails, which is not a wait. The
+            // promise stops one round earlier still, a conservative margin
+            // the pinned round counts depend on.
+            Stage::WaitForTeam(start) => (start + self.window).saturating_sub(2),
             _ => 0,
-        }
-    }
-
-    fn note_skipped(&mut self, rounds: u64) {
-        match &mut self.stage {
-            Stage::Hold(w) => w.note_skipped(rounds),
-            Stage::WaitForTeam(j) => *j += rounds,
-            _ => debug_assert_eq!(rounds, 0),
         }
     }
 }

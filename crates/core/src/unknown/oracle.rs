@@ -7,8 +7,14 @@
 //! walk (movement, timing, observability) fully faithful and compute the
 //! decision with a dead-reckoning oracle: the tracker holds the real graph
 //! and the agent's true start node, and replays every move the agent makes,
-//! so `EST+` can check coverage and cleanliness exactly (see `DESIGN.md`
-//! §3.3 for why this preserves the paper's behaviour).
+//! so `EST+` can check coverage and cleanliness exactly. This preserves
+//! the paper's behaviour wherever `EST` is clean and complete, the only
+//! case the algorithm's correctness uses: there the map the paper's agent
+//! would build is the real graph, so its size is the true size the oracle
+//! reads (Lemma 4.10 makes every `EST+` reached through the algorithm
+//! clean, which `tests/unknown_bound.rs` checks). A weak-model agent could
+//! not compute the decision this way; replacing it with one made from the
+//! walk's observations alone is open work.
 //!
 //! The tracker is shared (`Rc<RefCell<_>>`) between the top-level procedure
 //! (which records every move it yields) and the nested `EST+` (which reads

@@ -5,12 +5,18 @@
 //! length `n_h^5 + 1`, hypothesis budget
 //! `T_h = 8·m_h^{2m_h^5}·(3S_h + 2T(BallTraversal(h)))` — chosen as *loose
 //! closed forms* for the analysis. The correctness proofs only use the
-//! dominance inequalities these values satisfy (see `DESIGN.md` §3.4).
+//! dominance inequalities these values satisfy, listed in the table below
+//! with the lemma each serves: a slow wait outlasts every sensitive
+//! stretch of every earlier hypothesis, a ball reaches every agent the
+//! main part could disturb, and a hypothesis budget covers its worst case
+//! exactly.
 //! [`UnknownSchedule`] computes the smallest values satisfying the same
 //! inequalities, by exact recursion over the worst-case durations of our
 //! routines; [`paper_slow_wait`] and friends give the paper's formulas for
 //! reference (they overflow `u128` for all but `n = 2`, which is precisely
-//! why the calibrated schedule exists).
+//! why the calibrated schedule exists). The tests below pin the
+//! inequalities (`schedule_satisfies_dominance_inequalities`) and that the
+//! calibrated values stay below the paper's.
 //!
 //! Per hypothesis `h` (with `n_h`, `k_h`, `α_h = n_h - 1` the port
 //! alphabet):

@@ -11,8 +11,12 @@
 //!
 //! The paper cites Reingold's log-space construction for the existence of
 //! polynomial UXS. Reproducing that construction is neither practical nor
-//! necessary: what the algorithms consume is the *contract*, which this
-//! crate provides two ways (see `DESIGN.md` §3.1):
+//! necessary: what the algorithms consume is the *contract* — cover every
+//! node of every graph they can meet, from every start, in a fixed number
+//! of rounds — and a sequence that is checked against those graphs meets
+//! it as well as a universal one would. This crate provides it two ways,
+//! each pinned by `tests/exploration.rs` (coverage of random graphs of
+//! every family, return to the start, exact duration):
 //!
 //! * [`Uxs::exhaustive_universal`] — a sequence verified against **every**
 //!   connected port-labeled graph of size `<= n` (exhaustively enumerated),

@@ -143,8 +143,8 @@ pub struct RunRecord {
     pub skipped_rounds: u64,
     /// Behavior polls actually executed — the round loop's per-round cost
     /// denominator ([`nochatter_sim::RunOutcome::polled_agent_rounds`]:
-    /// every executing agent in a dense round, only the due agent on the
-    /// lone-agent path). An execution fact that moves whenever the
+    /// the executing agents due in each executed round). An execution
+    /// fact that moves whenever the
     /// engine's execution strategy does, so it is kept out of the
     /// deterministic per-record report bytes (JSON and CSV) and surfaced
     /// only as a campaign-level trajectory aggregate.

@@ -399,11 +399,11 @@ fn probe_scenarios() -> Vec<Scenario> {
 /// of serving records the current engine would not produce.
 ///
 /// The encoded probes include `polled_agent_rounds`, so a change to how
-/// many behavior polls the round loop issues also changes the value — the
-/// lone-agent path, which polls only the agent that is due, moved it
-/// although no probe's rounds, moves or trace changed. A cache written by
-/// an engine with different poll counts is all-misses instead of
-/// replaying that engine's counts.
+/// many behavior polls the round loop issues also changes the value —
+/// polling only the agents that are due moved it although no probe's
+/// rounds, moves or trace changed. A cache written by an engine with
+/// different poll counts is all-misses instead of replaying that
+/// engine's counts.
 pub fn engine_fingerprint() -> u64 {
     static FP: OnceLock<u64> = OnceLock::new();
     *FP.get_or_init(|| {

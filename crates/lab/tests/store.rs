@@ -78,8 +78,10 @@ fn raw_fingerprint_is_pinned() {
 fn engine_fingerprint_is_pinned() {
     assert_eq!(STORE_FORMAT_VERSION, 2);
     // The probes' `polled_agent_rounds` are part of the digest, so a
-    // change in how many polls the round loop issues moves this pin too.
-    assert_eq!(engine_fingerprint(), 0xd187_b70f_4f36_eb76);
+    // change in how many polls the round loop issues moves this pin too:
+    // polling only the agents that are due took the dynamic-ring probe
+    // from 2,644 polls to 2,556, every other figure of every probe equal.
+    assert_eq!(engine_fingerprint(), 0xee89_bc3e_5f40_41c5);
 }
 
 /// A full scenario fingerprint (key + seed + content + versions) is
@@ -89,7 +91,7 @@ fn scenario_fingerprint_is_pinned() {
     let campaign = presets::smoke_campaign();
     let s = &campaign.scenarios()[0];
     assert_eq!(s.key.canonical(), "path/n4/t2.3/wfirst/silent/gather/r0");
-    assert_eq!(scenario_fingerprint(s), 0x35a3_e2b9_ee6d_dd82);
+    assert_eq!(scenario_fingerprint(s), 0x294c_3d65_2fc2_f72a);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,8 +7,11 @@
 //! apart, they meet within `P(N, ℓ)` rounds of the later start, where `ℓ`
 //! bounds the bit length of the smaller parameter.
 //!
-//! Our construction (see `DESIGN.md` §3.2) is the classical label-schedule
-//! one: time is divided into blocks of `2·T(EXPLO(N))` rounds; the bits of
+//! In place of the Ta-Shma–Zwick construction, ours is the classical
+//! label-schedule one, whose meeting bound [`meeting_bound`] states and
+//! the tests of this crate (`two_agents_meet_within_bound` over graph,
+//! label and start-offset sweeps) and `tests/exploration.rs` (schedules of
+//! distinct labels differ within `2ℓ + 2` blocks) pin: time is divided into blocks of `2·T(EXPLO(N))` rounds; the bits of
 //! `code(x_λ)` (each label bit doubled, then the terminator `01` — the
 //! prefix-free encoding of Proposition 2.1) select per block whether the
 //! agent is *active* (wait T/2, run `EXPLO(N)`, wait T/2) or *passive* (wait
@@ -111,8 +114,13 @@ pub struct Tz {
     uxs: Arc<Uxs>,
     /// `L`: half of `T(EXPLO)`.
     l: u64,
+    /// The clock of its first poll: block `b` starts `b` block lengths
+    /// after it.
+    start: Option<u64>,
+    /// The clock of its latest poll.
+    last: u64,
+    /// The block the exploration below belongs to.
     block: usize,
-    tick: u64,
     explo: Option<Explo>,
 }
 
@@ -128,8 +136,9 @@ impl Tz {
             schedule: ActivitySchedule::for_param(lambda),
             l: uxs.len() as u64,
             uxs,
+            start: None,
+            last: 0,
             block: 0,
-            tick: 0,
             explo: None,
         }
     }
@@ -145,40 +154,37 @@ impl Procedure for Tz {
 
     fn poll(&mut self, obs: &Obs) -> Poll<Infallible> {
         let block_len = self.block_len();
-        if self.tick >= block_len {
-            self.tick = 0;
-            self.block += 1;
+        let elapsed = obs.round - *self.start.get_or_insert(obs.round);
+        let (block, tick) = ((elapsed / block_len) as usize, elapsed % block_len);
+        if block != self.block {
+            self.block = block;
             self.explo = None;
         }
-        let action =
-            if self.schedule.is_active(self.block) && (self.l..3 * self.l).contains(&self.tick) {
-                let explo = self
-                    .explo
-                    .get_or_insert_with(|| Explo::new(Arc::clone(&self.uxs)));
-                match explo.poll(obs) {
-                    Poll::Yield(a) => a,
-                    // EXPLO lasts exactly 2L polls and the active window is 2L
-                    // polls wide, so completion cannot be observed here.
-                    Poll::Complete(_) => unreachable!("EXPLO window sized to its duration"),
-                }
-            } else {
-                Action::Wait
-            };
-        self.tick += 1;
+        self.last = obs.round;
+        let action = if self.schedule.is_active(self.block) && (self.l..3 * self.l).contains(&tick)
+        {
+            let explo = self
+                .explo
+                .get_or_insert_with(|| Explo::new(Arc::clone(&self.uxs)));
+            match explo.poll(obs) {
+                Poll::Yield(a) => a,
+                // EXPLO lasts exactly 2L polls and the active window is 2L
+                // polls wide, so completion cannot be observed here.
+                Poll::Complete(_) => unreachable!("EXPLO window sized to its duration"),
+            }
+        } else {
+            Action::Wait
+        };
         Poll::Yield(action)
     }
 
-    fn min_wait(&self) -> u64 {
-        // From the state *after* the last yield (tick points at the next
-        // poll), count guaranteed waits.
+    fn quiet_until(&self) -> u64 {
+        let Some(start) = self.start else { return 0 };
+        // Count guaranteed waits from the round after the latest poll.
         let block_len = self.block_len();
-        let tick = if self.tick >= block_len { 0 } else { self.tick };
-        let block = if self.tick >= block_len {
-            self.block + 1
-        } else {
-            self.block
-        };
-        if !self.schedule.is_active(block) {
+        let next = self.last - start + 1;
+        let (block, tick) = ((next / block_len) as usize, next % block_len);
+        let waits = if !self.schedule.is_active(block) {
             let mut quiet = block_len - tick;
             // Extend through consecutive passive blocks, notably the
             // infinite passive tail (capped — callers re-query anyway).
@@ -198,31 +204,8 @@ impl Procedure for Tz {
             block_len - tick
         } else {
             0
-        }
-    }
-
-    fn note_skipped(&mut self, rounds: u64) {
-        // Contract: rounds <= min_wait(), i.e. we stay within waiting
-        // stretches; just advance the clock.
-        let block_len = self.block_len();
-        let mut left = rounds;
-        loop {
-            if self.tick >= block_len {
-                self.tick = 0;
-                self.block += 1;
-                self.explo = None;
-            }
-            let room = block_len - self.tick;
-            if left < room {
-                self.tick += left;
-                break;
-            }
-            self.tick += room;
-            left -= room;
-            if left == 0 {
-                break;
-            }
-        }
+        };
+        self.last.saturating_add(waits)
     }
 }
 
@@ -358,14 +341,13 @@ mod tests {
     #[test]
     fn sentinel_never_moves() {
         let mut tz = Tz::new(0, Arc::new(Uxs::from_steps(vec![1, 1])));
-        let obs = Obs::synthetic(0, 2, 1, None);
-        for _ in 0..100 {
-            match tz.poll(&obs) {
+        for round in 0..100 {
+            match tz.poll(&Obs::synthetic(round, 2, 1, None)) {
                 Poll::Yield(Action::Wait) => {}
                 other => panic!("TZ(0) must always wait, got {other:?}"),
             }
         }
-        assert_eq!(tz.min_wait(), u64::MAX);
+        assert_eq!(tz.quiet_until(), u64::MAX);
     }
 
     #[test]
@@ -379,41 +361,34 @@ mod tests {
     }
 
     #[test]
-    fn min_wait_and_skip_are_consistent() {
-        // Drive one TZ with polls only, another with poll+skip mixes; the
-        // action streams must agree. The synthetic observation carries an
-        // entry port because EXPLO reads it after every move.
+    fn quiet_until_and_skips_are_consistent() {
+        // Drive one TZ with a poll every round, another only in the round
+        // after each of its promises; the action streams must agree, and
+        // every round the second skips must be a wait of the first. The
+        // synthetic observation carries an entry port because EXPLO reads
+        // it after every move.
         let uxs = Arc::new(Uxs::from_steps(vec![1, 0, 1]));
-        let obs = Obs::synthetic(1, 2, 1, Some(nochatter_graph::Port::new(0)));
+        let obs = |round| Obs::synthetic(round, 2, 1, Some(nochatter_graph::Port::new(0)));
         let mut reference = Tz::new(6, Arc::clone(&uxs));
-        let mut actions = Vec::new();
-        for _ in 0..200 {
-            match reference.poll(&obs) {
-                Poll::Yield(a) => actions.push(a),
-                Poll::Complete(_) => unreachable!(),
-            }
-        }
+        let actions: Vec<Action> = (0..200)
+            .map(|round| reference.poll(&obs(round)).action().unwrap())
+            .collect();
         let mut skipping = Tz::new(6, Arc::clone(&uxs));
-        let mut i = 0;
-        while i < 200 {
-            match skipping.poll(&obs) {
-                Poll::Yield(a) => {
-                    assert_eq!(a, actions[i], "divergence at round {i}");
-                    i += 1;
-                    if a == Action::Wait {
-                        let skip = skipping.min_wait().min((200 - i) as u64);
-                        if skip > 0 && skip != u64::MAX {
-                            // All skipped rounds must be waits in the reference.
-                            for j in 0..skip as usize {
-                                assert_eq!(actions[i + j], Action::Wait);
-                            }
-                            skipping.note_skipped(skip);
-                            i += skip as usize;
-                        }
-                    }
-                }
-                Poll::Complete(_) => unreachable!(),
+        let mut round = 0;
+        while round < 200 {
+            let action = skipping.poll(&obs(round)).action().unwrap();
+            assert_eq!(
+                action, actions[round as usize],
+                "divergence at round {round}"
+            );
+            let next = match action {
+                Action::Wait => skipping.quiet_until().saturating_add(1).max(round + 1),
+                _ => round + 1,
+            };
+            for skipped in round + 1..next.min(200) {
+                assert_eq!(actions[skipped as usize], Action::Wait, "round {skipped}");
             }
+            round = next;
         }
     }
 }

@@ -25,7 +25,7 @@ pub enum Sensing {
 }
 
 /// An agent's lifecycle phase — the explicit state machine the engine's
-/// poll/apply loops match on:
+/// round loop matches on:
 ///
 /// ```text
 /// Dormant ──wake──▶ Active ⇄ Blocked
@@ -35,7 +35,7 @@ pub enum Sensing {
 /// ```
 ///
 /// `Dormant` agents sleep until the adversary's wake round or the first
-/// visit. `Active` agents are polled once per round. `Blocked` is the
+/// visit. `Active` agents execute their procedure. `Blocked` is the
 /// one-observation state after a move attempt hit an absent edge
 /// (round-varying topologies only): the agent is still executing, sees
 /// `blocked: true` in its next observation, and reverts to `Active` the
@@ -66,7 +66,8 @@ impl AgentPhase {
     }
 
     /// True for the executing phases ([`AgentPhase::Active`] and
-    /// [`AgentPhase::Blocked`]): the agent is polled this round.
+    /// [`AgentPhase::Blocked`]): the agent acts every round, waiting or
+    /// moving.
     pub fn is_executing(self) -> bool {
         matches!(self, AgentPhase::Active | AgentPhase::Blocked)
     }
@@ -78,8 +79,8 @@ pub type Agent = Box<dyn Procedure<Output = Declaration>>;
 /// Struct-of-arrays agent storage.
 ///
 /// The round loop touches the small per-agent scalars (phase, position,
-/// wake/crash rounds) far more often than the procedures' state machines,
-/// so each field lives in its own contiguous array instead of one
+/// due round) far more often than the procedures' state machines, so
+/// each field lives in its own contiguous array instead of one
 /// array-of-structs row per agent. Procedures are boxed trait objects in
 /// their own vector: every agent, built-in or user-defined, is added the
 /// same way.
@@ -95,6 +96,16 @@ struct AgentArena {
     adversary_wake: Vec<u64>,
     /// Resolved crash round (`u64::MAX` = never); cleared once applied.
     crash_round: Vec<u64>,
+    /// The round the agent woke in: round 0 of its own clock.
+    woke: Vec<u64>,
+    /// The round from which the executing agent is due: the last round of
+    /// its promise (its procedure's [`Procedure::quiet_until`], or the
+    /// round before a held slow move's), or the round of its latest poll
+    /// when that poll promised nothing, acted or saw a one-off
+    /// observation.
+    due: Vec<u64>,
+    /// `CurCard` at the agent's latest poll.
+    seen_card: Vec<u32>,
     /// The slow move the engine holds for the agent: the round it is due
     /// and its port, or `None` (the round of a slow move with a positive
     /// wait is always past round 0). Every round before the due round is
@@ -115,6 +126,9 @@ impl AgentArena {
             declared: Vec::new(),
             adversary_wake: Vec::new(),
             crash_round: Vec::new(),
+            woke: Vec::new(),
+            due: Vec::new(),
+            seen_card: Vec::new(),
             slow: Vec::new(),
             procs: Vec::new(),
         }
@@ -137,68 +151,56 @@ impl AgentArena {
         self.declared.push(None);
         self.adversary_wake.push(u64::MAX);
         self.crash_round.push(u64::MAX);
+        self.woke.push(0);
+        self.due.push(0);
+        self.seen_card.push(0);
         self.slow.push((None, Port::new(0)));
         self.procs.push(agent);
     }
 
-    /// Agent `i`'s wait promise after its poll in `round`: the rounds
-    /// before a pending slow move's due round, or its procedure's
-    /// `min_wait`.
-    fn min_wait(&self, i: usize, round: u64) -> u64 {
-        match self.slow[i].0 {
-            Some(due) => due.get() - round - 1,
-            None => self.procs[i].min_wait(),
-        }
+    /// The next adversary wake of a dormant agent, or `u64::MAX`.
+    fn next_wake(&self) -> u64 {
+        self.phase
+            .iter()
+            .zip(&self.adversary_wake)
+            .filter(|&(&phase, _)| phase == AgentPhase::Dormant)
+            .map(|(_, &wake)| wake)
+            .min()
+            .unwrap_or(u64::MAX)
     }
 
-    /// Whether agent `i`'s promise holds whatever it observes: always
-    /// inside a slow move's wait, else as its procedure says.
-    fn blind(&self, i: usize) -> bool {
-        self.slow[i].0.is_some() || self.procs[i].blind()
-    }
-
-    /// Tells agent `i`'s procedure about `rounds` skipped rounds, unless
-    /// the engine is counting down its slow move: that wait is absolute,
-    /// and nothing of it reaches the procedure.
-    fn note_skipped(&mut self, i: usize, rounds: u64) {
-        if self.slow[i].0.is_none() {
-            self.procs[i].note_skipped(rounds);
-        }
+    /// Wakes agent `i` in `round`: its clock starts and it is due at once.
+    fn wake(&mut self, i: usize, round: u64) {
+        self.phase[i] = AgentPhase::Active;
+        self.just_woken[i] = true;
+        self.woke[i] = round;
+        self.due[i] = round;
     }
 }
 
 /// Reusable per-run working memory for [`Engine::run_with_scratch`].
 ///
-/// One run needs per-node occupancy state and a few per-agent buffers; a
+/// One run needs per-node occupancy counts and a few per-agent buffers; a
 /// fresh [`Engine::run`] allocates them every time, which dominates the
 /// cost of short runs executed in bulk (campaigns, benches, proptests).
 /// Threading one `EngineScratch` through repeated runs keeps every buffer's
 /// capacity, so steady-state execution allocates nothing.
 ///
-/// The scratch carries no semantic state between runs: a run leaves its
-/// dirt behind and the next run's internal `prepare` clears exactly the
-/// entries the previous run touched. Reusing one scratch across graphs of
-/// different sizes, after failed runs, across sensing modes or across
-/// engines over different topologies is always safe —
+/// The scratch carries no semantic state between runs: each run starts by
+/// zeroing the counts of its own nodes. Reusing one scratch across graphs
+/// of different sizes, after failed or panicked runs, across sensing modes
+/// or across engines over different topologies is always safe —
 /// [`Engine::run`] and [`Engine::run_with_scratch`] produce bitwise
 /// identical [`RunOutcome`]s.
 #[derive(Default)]
 pub struct EngineScratch {
-    /// Per-node occupant count (`CurCard` per node). All-zero outside the
-    /// occupancy phase except for nodes listed in `touched`.
+    /// Per-node occupant count (`CurCard` per node), kept current as the
+    /// agents move.
     card: Vec<u32>,
-    /// Per-node bucket of the labels present this round, in increasing
-    /// agent order. Empty outside the occupancy phase except for `touched`
-    /// nodes.
-    occupants: Vec<Vec<Label>>,
-    /// The nodes with at least one agent this round — the only entries of
-    /// `card`/`occupants` that need clearing, so the per-round wipe is
-    /// O(k), not O(n).
-    touched: Vec<u32>,
-    /// This round's acts, co-indexed with the engine's agents: a move
-    /// instruction (a slow move already resolved into a wait or a move),
-    /// or a completed procedure's declaration.
-    acts: Vec<Option<Poll<Declaration>>>,
+    /// This round's acts other than a wait, in agent order: a move
+    /// instruction (a slow move already resolved into its move) or a
+    /// completed procedure's declaration.
+    acts: Vec<(usize, Poll<Declaration>)>,
     /// Sorted co-located labels, recycled through [`Obs::peer_labels`]
     /// under [`Sensing::Traditional`] instead of allocating a fresh vector
     /// per agent per round.
@@ -213,35 +215,13 @@ impl EngineScratch {
         Self::default()
     }
 
-    /// Clears whatever the previous run left behind and sizes the buffers
-    /// for a graph of `n` nodes and `agent_count` agents. O(touched) for
-    /// the clearing plus O(n) only when the node capacity grows.
-    ///
-    /// Buffers only ever grow: one scratch serves a worker's runs of every
-    /// size in turn, so shrinking for a small run would only reallocate for
-    /// the next big one. The round loop indexes only its own `n` nodes and
-    /// `agent_count` action slots, so surplus capacity is invisible.
-    fn prepare(&mut self, n: usize, agent_count: usize) {
-        wipe_occupancy(&mut self.card, &mut self.occupants, &mut self.touched);
-        if self.card.len() < n {
-            self.card.resize(n, 0);
-            self.occupants.resize_with(n, Vec::new);
-        }
-        if self.acts.len() < agent_count {
-            self.acts.resize(agent_count, None);
-        }
+    /// Sizes the buffers for a graph of `n` nodes, with every count zero:
+    /// O(n), which no run of the graph's agents costs less than.
+    fn prepare(&mut self, n: usize) {
+        self.card.clear();
+        self.card.resize(n, 0);
+        self.acts.clear();
         self.labels.clear();
-    }
-}
-
-/// Restores the all-zero occupancy invariant by clearing exactly the node
-/// entries listed in `touched`. The one cleanup shared by
-/// [`EngineScratch::prepare`], the invalid-port early return and the
-/// end-of-round wipe, so the paths cannot drift.
-fn wipe_occupancy(card: &mut [u32], occupants: &mut [Vec<Label>], touched: &mut Vec<u32>) {
-    for node in touched.drain(..) {
-        card[node as usize] = 0;
-        occupants[node as usize].clear();
     }
 }
 
@@ -253,8 +233,8 @@ struct RunStats {
     blocked_moves: u64,
     engine_iterations: u64,
     skipped_rounds: u64,
-    /// Agent polls: one per executing agent per dense round, one per
-    /// lone-agent round, except the round a held slow move is made in.
+    /// Agent polls: one per due agent per executed round, the held
+    /// wait of a slow move included, its move round excluded.
     polled_agent_rounds: u64,
     max_colocation: u32,
     last_declaration_round: u64,
@@ -277,10 +257,29 @@ struct RunStats {
 /// sees `blocked: true` in its next [`Obs`].
 ///
 /// Agents live in a struct-of-arrays arena; each one's program is an
-/// [`Agent`], a boxed procedure, the one way to add an agent. The engine
-/// holds each [`Action::SlowMove`] in the arena: it answers the wait's
-/// rounds, and the promise calls about them, without reaching the
-/// procedure, and makes the move itself in its due round.
+/// [`Agent`], a boxed procedure, the one way to add an agent. Each agent
+/// sees its own clock: [`Obs::round`] counts the rounds since it woke.
+/// The engine keeps every agent's due round in the arena, from the
+/// absolute promise of [`Procedure::quiet_until`]. It holds each
+/// [`Action::SlowMove`] there too: it answers the wait's rounds without
+/// reaching the procedure, and makes the move itself in its due round.
+///
+/// Every executed round follows one rule. Crashes, adversary wakes and,
+/// after a move, wake-on-visit run first. Then every executing agent that
+/// is due is polled, all on the same positions: one whose promise's last
+/// round has come (that poll may renew it), one whose latest poll saw a
+/// one-off observation (just woken, blocked) or acted, and one not blind
+/// ([`Procedure::blind`]) whose `CurCard` changed since its latest poll.
+/// Under [`Sensing::Traditional`], where the labels present are part of
+/// the observation, every executing agent is polled. An agent holding a
+/// slow move is never polled: the engine makes the move in its round. The
+/// acts are then applied simultaneously under the topology view. After a
+/// round in which someone acted (moved, hit an absent edge or declared),
+/// or in which no agent was executing, the next round is executed.
+/// Otherwise every executing agent waited, and no observation can change
+/// before some promise runs out: the clock jumps to the round after the
+/// earliest promise's last round, capped by the next adversary wake, the
+/// next crash and the round limit.
 ///
 /// Agent lifecycle is the explicit [`AgentPhase`] state machine, and the
 /// optional [`FaultSpec`] crash adversary ([`Engine::set_faults`]) can move
@@ -482,60 +481,25 @@ impl<'g, V: TopologyView> Engine<'g, V> {
 /// reified as a state machine.
 ///
 /// [`ActiveRun::begin`] performs validation and setup; every
-/// [`ActiveRun::step`] executes exactly one iteration of the round loop
-/// (one simulated round plus that round's quiescence fast-forward) against
-/// a borrowed [`EngineScratch`], and returns the run's result once it
-/// terminates. [`Engine::run_with_scratch`] is a trivial `begin`/`step`
-/// driver.
-///
-/// Scratch discipline: a step leaves `card`/`occupants` all-zero (the
-/// end-of-round wipe drains `touched`, including on the invalid-port error
-/// path), so the next run through the same scratch starts clean.
+/// [`ActiveRun::step`] executes one round and jumps over the quiet rounds
+/// after it, against a borrowed [`EngineScratch`], and returns the run's
+/// result once it terminates. [`Engine::run_with_scratch`] is a trivial
+/// `begin`/`step` driver.
 pub(crate) struct ActiveRun<'g, V: TopologyView> {
     engine: Engine<'g, V>,
     trace: Option<Trace>,
     stats: RunStats,
-    /// Crash machinery is engaged only while some resolved crash is still
-    /// pending: under `FaultSpec::None` this stays 0 and the whole fault
-    /// phase is one untaken branch per round.
-    pending_crashes: usize,
-    /// Occupancy buckets feed only the traditional-sensing peer-label
-    /// observation; the silent model pays nothing for them.
-    bucket_occupants: bool,
-    /// Debug-build contract net for the quiescence fast-forward: per agent,
-    /// the absolute round through which its last [`Procedure::min_wait`]
-    /// (or the wait of the slow move the engine holds) promised further
-    /// `Wait`s, the observation signature (degree, cur_card, entry_port)
-    /// the promise was made under (`None` for a one-off observation), and
-    /// whether it was [`Procedure::blind`].
-    /// A poll inside the promised window with an identical signature, or
-    /// with any observation under a blind promise, must yield `Wait` —
-    /// catching unsound `min_wait` implementations at the source instead
-    /// of as a report byte-diff three layers up. Weak sensing only (a
-    /// scalar signature cannot capture traditional peer labels).
-    #[cfg(debug_assertions)]
-    #[allow(clippy::type_complexity)]
-    promise: Vec<(u64, Option<(u32, u32, Option<Port>)>, bool)>,
-    /// True while the round loop takes the lone-agent path (see
-    /// [`ActiveRun::step`]): every executing agent but at most one is
-    /// inside a wait promise, and only the one that is due gets polled.
-    lone: bool,
-    /// Per agent, the last round covered by its latest wait promise
-    /// (`poll round + min_wait`). The agent is due from that round on: a
-    /// poll in the last promised round still waits, but the dense loop
-    /// would read a fresh `min_wait` after it, which may already promise
-    /// more than the one round left. Meaningful only for executing agents
-    /// while `lone` holds.
-    quiet_through: Vec<u64>,
-    /// Per agent, the first round its procedure has not yet been told
-    /// about, by a poll or a `note_skipped`. Agents inside a promise lag
-    /// behind the clock on the lone-agent path and catch up with one
-    /// `note_skipped` when next polled or when the path is left.
-    synced: Vec<u64>,
-    /// The first round the lone-agent path must not execute: the next
-    /// adversary wake of a dormant agent, the next pending crash, or the
-    /// round limit, whichever comes first.
-    lone_stop: u64,
+    /// The next adversary wake of a dormant agent and the next pending
+    /// crash (`u64::MAX` for none): their scans run only in those rounds.
+    next_wake: u64,
+    next_crash: u64,
+    /// Agents not yet terminal, and how many of them are dormant.
+    running: usize,
+    dormant: usize,
+    /// Whether a move in the previous executed round changed a count: only
+    /// then can a sleeper have company, a waiter a new `CurCard`, or the
+    /// colocation a new maximum.
+    moved: bool,
     round: u64,
     max_rounds: u64,
 }
@@ -549,577 +513,342 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
     ) -> Result<Self, SimError> {
         engine.validate(&mut scratch.validate_order)?;
         let trace = engine.trace.take();
-        scratch.prepare(engine.graph.node_count(), engine.agents.len());
-        let bucket_occupants = engine.sensing == Sensing::Traditional;
-        let pending_crashes = engine
-            .agents
-            .crash_round
-            .iter()
-            .filter(|&&r| r != u64::MAX)
-            .count();
-        let k = engine.agents.len();
+        scratch.prepare(engine.graph.node_count());
+        let agents = &engine.agents;
+        for pos in &agents.pos {
+            scratch.card[pos.index()] += 1;
+        }
+        let next_wake = agents.next_wake();
+        let next_crash = agents.crash_round.iter().copied().min().unwrap_or(u64::MAX);
+        let k = agents.len();
         Ok(ActiveRun {
             engine,
             trace,
             stats: RunStats::default(),
-            pending_crashes,
-            bucket_occupants,
-            #[cfg(debug_assertions)]
-            promise: vec![(0, None, false); k],
-            lone: false,
-            quiet_through: vec![0; k],
-            synced: vec![0; k],
-            lone_stop: 0,
+            next_wake,
+            next_crash,
+            running: k,
+            dormant: k,
+            moved: true,
             round: 0,
             max_rounds,
         })
     }
 
-    /// Executes one iteration of the round loop. Returns `Some` once the
-    /// run has terminated (all agents terminal, round limit, or a protocol
-    /// violation); the run must not be stepped again after that.
-    ///
-    /// An iteration takes one of two paths through the same round
-    /// semantics. The dense path scans wakes and crashes, builds the
-    /// occupancy, and polls and applies every executing agent. The
-    /// lone-agent path runs while exactly one executing agent is due and
-    /// every other one is inside its wait promise ([`Procedure::min_wait`],
-    /// or a slow move's wait): it polls and applies that agent alone, and
-    /// the others catch up later with one [`Procedure::note_skipped`] call
-    /// each. A dense
-    /// round under [`Sensing::Weak`] with no one-off observation (just
-    /// woken, blocked) enters the path when every agent waited, or when
-    /// exactly one moved while the rest waited and the move disturbed no
-    /// one — provided a single agent will be due next. A move disturbs a
-    /// body at either end that is dormant (the visit wakes it) or
-    /// executing under a promise that is not blind ([`Procedure::blind`]);
-    /// declared and crashed bodies never act again. The path is left when no
-    /// single agent is due, when an adversary wake, a crash or the round
-    /// limit is due, after the due agent's move disturbed another body,
-    /// and after it polled a one-off observation. Both paths fast-forward
-    /// identically, so the outcome differs only in `polled_agent_rounds`.
+    /// Executes one round by the rule in the [`Engine`] docs, then moves
+    /// the clock to the next round that must be executed. Returns `Some`
+    /// once the run has terminated (all agents terminal, round limit, or
+    /// a protocol violation); the run must not be stepped again after
+    /// that.
     pub fn step(&mut self, scratch: &mut EngineScratch) -> Option<Result<RunOutcome, SimError>> {
         if self.round >= self.max_rounds {
             return Some(Ok(self.finish(RunStatus::RoundLimit, self.max_rounds)));
         }
-        if self.lone {
-            match self.lone_due() {
-                Some(i) => return self.lone_step(i),
-                None => self.leave_lone(),
-            }
-        }
-        self.dense_step(scratch)
-    }
-
-    /// One round of the dense path: every agent's wake and crash, the
-    /// occupancy, and a poll of every executing agent.
-    fn dense_step(&mut self, scratch: &mut EngineScratch) -> Option<Result<RunOutcome, SimError>> {
         let round = self.round;
-        let k = self.engine.agents.len();
-        let EngineScratch {
-            card,
-            occupants,
-            touched,
-            acts,
-            labels: label_buf,
-            ..
-        } = scratch;
-        // The scratch only ever grows (see `prepare`); this run uses
-        // exactly its own `k` action slots.
-        let acts = &mut acts[..k];
-
         self.stats.engine_iterations += 1;
-        // Advance the topology to this round. Fast-forwarded rounds are
-        // skipped soundly: a view is a pure function of the round
-        // number, and edge presence is unobservable in a round where
-        // every active agent waits.
+        // Advance the topology to this round. Skipped rounds are skipped
+        // soundly: a view is a pure function of the round number, and
+        // edge presence is unobservable in a round where every executing
+        // agent waits.
         self.engine.view.begin_round(round);
+        if self.next_crash <= round {
+            self.crash(round);
+        }
+        if self.next_wake <= round {
+            self.wake_scheduled(round);
+        }
+        let EngineScratch {
+            card, acts, labels, ..
+        } = scratch;
+        if std::mem::take(&mut self.moved) {
+            self.after_moves(round, card);
+        }
 
-        // 0. Crash faults due this round. Crashes precede wake-ups: an
-        // agent crashing in its wake round never wakes. A crash round
-        // on an already-declared agent resolves to nothing — the
-        // declaration stands. Either way the entry is cleared, so
-        // `pending_crashes` reaches 0 and the branch disappears.
-        if self.pending_crashes > 0 {
-            for i in 0..k {
-                if self.engine.agents.crash_round[i] <= round {
-                    self.engine.agents.crash_round[i] = u64::MAX;
-                    self.pending_crashes -= 1;
-                    if self.engine.agents.phase[i] == AgentPhase::Declared {
+        // Poll the agents that are due, all on the same positions, and
+        // note the earliest last round of the promises that stand.
+        acts.clear();
+        let weak = self.engine.sensing == Sensing::Weak;
+        let mut quiet = u64::MAX;
+        for i in 0..self.engine.agents.len() {
+            let agents = &mut self.engine.agents;
+            if !agents.phase[i].is_executing() {
+                continue;
+            }
+            let due = agents.due[i];
+            if weak && due > round {
+                quiet = quiet.min(due);
+                #[cfg(debug_assertions)]
+                self.check_promise(i, round, card);
+                continue;
+            }
+            let act = match agents.slow[i] {
+                (Some(at), _) if at.get() > round => {
+                    // A held wait answers itself; the agent is due in it
+                    // as its expansion would be polled, and it counts as
+                    // a poll.
+                    self.stats.polled_agent_rounds += 1;
+                    agents.due[i] = at.get() - 1;
+                    quiet = quiet.min(at.get() - 1);
+                    continue;
+                }
+                (Some(_), port) => {
+                    agents.slow[i].0 = None;
+                    agents.due[i] = round;
+                    Poll::Yield(Action::TakePort(port))
+                }
+                (None, _) => match self.poll_agent(i, round, card, labels) {
+                    (Poll::Yield(Action::Wait), until) => {
+                        quiet = quiet.min(until);
                         continue;
                     }
-                    self.engine.agents.phase[i] = AgentPhase::Crashed;
-                    // A crash inside a slow move's wait cancels the move.
-                    self.engine.agents.slow[i].0 = None;
-                    self.stats.last_crash_round = self.stats.last_crash_round.max(round);
-                    if let Some(t) = self.trace.as_mut() {
-                        t.push(TraceEvent::Crashed {
-                            agent: self.engine.agents.labels[i],
-                            round,
-                            node: self.engine.agents.pos[i],
-                        });
-                    }
-                }
-            }
+                    (act, _) => act,
+                },
+            };
+            acts.push((i, act));
         }
 
-        // 1. Adversary wake-ups scheduled for this round.
-        for i in 0..k {
-            if self.engine.agents.phase[i] == AgentPhase::Dormant
-                && self.engine.agents.adversary_wake[i] <= round
-            {
-                self.engine.agents.phase[i] = AgentPhase::Active;
-                self.engine.agents.just_woken[i] = true;
+        for &(i, act) in acts.iter() {
+            if let Err(err) = self.apply(i, act, round, card) {
+                return Some(Err(err));
+            }
+        }
+        if self.running == 0 {
+            return Some(Ok(self.terminal_outcome()));
+        }
+
+        let mut next = round + 1;
+        if acts.is_empty() && self.running > self.dormant {
+            let stop = self.next_wake.min(self.next_crash).min(self.max_rounds);
+            next = quiet.saturating_add(1).min(stop);
+            self.stats.skipped_rounds += next - round - 1;
+        }
+        self.round = next;
+        None
+    }
+
+    /// Crash faults due by `round`. Crashes precede wake-ups: an agent
+    /// crashing in its wake round never wakes. A crash round on an
+    /// already-declared agent resolves to nothing — the declaration
+    /// stands. Either way the entry is cleared.
+    fn crash(&mut self, round: u64) {
+        let agents = &mut self.engine.agents;
+        for i in 0..agents.len() {
+            if agents.crash_round[i] > round {
+                continue;
+            }
+            agents.crash_round[i] = u64::MAX;
+            match agents.phase[i] {
+                AgentPhase::Declared => continue,
+                AgentPhase::Dormant => self.dormant -= 1,
+                _ => {}
+            }
+            self.running -= 1;
+            agents.phase[i] = AgentPhase::Crashed;
+            // A crash inside a slow move's wait cancels the move.
+            agents.slow[i].0 = None;
+            self.stats.last_crash_round = round;
+            if let Some(t) = self.trace.as_mut() {
+                t.push(TraceEvent::Crashed {
+                    agent: agents.labels[i],
+                    round,
+                    node: agents.pos[i],
+                });
+            }
+        }
+        self.next_crash = agents.crash_round.iter().copied().min().unwrap_or(u64::MAX);
+        // A crashed sleeper's wake round no longer counts.
+        self.next_wake = agents.next_wake();
+    }
+
+    /// The adversary's wake-ups scheduled by `round`.
+    fn wake_scheduled(&mut self, round: u64) {
+        let agents = &mut self.engine.agents;
+        for i in 0..agents.len() {
+            if agents.phase[i] == AgentPhase::Dormant && agents.adversary_wake[i] <= round {
+                agents.wake(i, round);
+                self.dormant -= 1;
                 if let Some(t) = self.trace.as_mut() {
                     t.push(TraceEvent::Wake {
-                        agent: self.engine.agents.labels[i],
+                        agent: agents.labels[i],
                         round,
                         by_visit: false,
                     });
                 }
             }
         }
+        self.next_wake = agents.next_wake();
+    }
 
-        // 2. Occupancy, counting every agent physically present —
-        // dormant, declared and crashed bodies included (the paper's
-        // sensing model counts bodies, not executions). Only the ≤ k
-        // occupied nodes are bucketed and recorded in `touched`; the
-        // end-of-round wipe clears exactly those, so no phase of the
-        // loop scans all n nodes.
-        for (&pos, &label) in self
-            .engine
-            .agents
-            .pos
-            .iter()
-            .zip(self.engine.agents.labels.iter())
-        {
-            let node = pos.index();
-            if card[node] == 0 {
-                touched.push(node as u32);
-            }
-            card[node] += 1;
-            if self.bucket_occupants {
-                occupants[node].push(label);
-            }
-        }
-        for &node in touched.iter() {
-            self.stats.max_colocation = self.stats.max_colocation.max(card[node as usize]);
-        }
-
-        // 3. Wake-on-visit: a dormant agent co-located with any other
-        // body starts executing this round. Two dormant agents can
-        // never share a node (starts are distinct and dormant agents do
-        // not move), so any co-located company is awake, declared or
-        // crashed — and a body is a body: a crashed agent wakes a
-        // sleeper exactly as a declared one does.
-        for i in 0..k {
-            if self.engine.agents.phase[i] != AgentPhase::Dormant {
-                continue;
-            }
-            if card[self.engine.agents.pos[i].index()] > 1 {
-                self.engine.agents.phase[i] = AgentPhase::Active;
-                self.engine.agents.just_woken[i] = true;
-                if let Some(t) = self.trace.as_mut() {
-                    t.push(TraceEvent::Wake {
-                        agent: self.engine.agents.labels[i],
-                        round,
-                        by_visit: true,
-                    });
-                }
-            }
-        }
-
-        // 4. Poll every executing agent (simultaneously: all
-        // observations are computed from the same positions). Count the
-        // agents that did not wait, for the lone-agent entry below.
-        let mut any_active = false;
-        let mut any_fresh = false;
-        let mut actors = 0;
-        let mut actor = 0;
-        for (i, slot) in acts.iter_mut().enumerate() {
-            *slot = None;
-            if !self.engine.agents.phase[i].is_executing() {
-                continue;
-            }
-            any_active = true;
-            let pos = self.engine.agents.pos[i];
-            let peers = if self.bucket_occupants {
-                // The node's bucket lists everyone present in agent
-                // order; fill and sort the one scratch buffer, and lend
-                // it to the observation instead of allocating.
-                label_buf.clear();
-                label_buf.extend_from_slice(&occupants[pos.index()]);
-                label_buf.sort_unstable();
-                Some(&mut *label_buf)
-            } else {
-                None
-            };
-            let (act, fresh) = self.poll_agent(i, round, card[pos.index()], peers);
-            any_fresh |= fresh;
-            if !matches!(act, Poll::Yield(Action::Wait)) {
-                actors += 1;
-                actor = i;
-            }
-            *slot = Some(act);
-        }
-
-        // 5. Apply actions simultaneously.
-        let actor_from = self.engine.agents.pos[actor];
-        for (i, act) in acts.iter().enumerate() {
-            let Some(act) = *act else { continue };
-            if let Err(err) = self.apply(i, act, round) {
-                // Leave the scratch clean for the next run through it.
-                wipe_occupancy(card, occupants, touched);
-                return Some(Err(err));
-            }
-        }
-        // The lone-agent path may start after a round where one agent
-        // moved (a blocked move or a declaration stays put) without
-        // disturbing anyone, and everyone else waited on an observation
-        // that stays identical or under a blind promise.
+    /// What the previous round's moves changed, seen in `round`: the
+    /// colocation maximum; wake-on-visit, where a dormant agent with any
+    /// other body on its node (awake, declared or crashed — a body is a
+    /// body) starts executing; and under weak sensing every waiter whose
+    /// `CurCard` changed becomes due unless its promise is blind or a
+    /// held slow move. `CurCard` counts every body present, dormant,
+    /// declared and crashed ones included.
+    fn after_moves(&mut self, round: u64, card: &[u32]) {
         let weak = self.engine.sensing == Sensing::Weak;
-        let lone_mover = weak && actors == 1 && !any_fresh && {
-            let to = self.engine.agents.pos[actor];
-            to != actor_from && !self.disturbs(actor, actor_from, to)
-        };
-
-        // End-of-round wipe: clear exactly the nodes occupied this round,
-        // restoring the all-zero scratch invariant.
-        wipe_occupancy(card, occupants, touched);
-
-        if let Some(outcome) = self.terminal_outcome() {
-            return Some(Ok(outcome));
-        }
-
-        let mut next = round + 1;
-
-        // 6. Quiescence fast-forward: if every active agent waited, no
-        // observation can change until some procedure stops waiting,
-        // the adversary wakes someone, or a fault crashes someone.
-        // Skip ahead by the largest provably quiet stretch: to the end of
-        // the shortest promise, capped by the next adversary wake, crash (a
-        // crash mid-stretch must execute in its exact round: the agent
-        // stops acting from then on) or the round limit. Under weak
-        // sensing the promises are kept as the lone-agent path's
-        // `quiet_through` and the skip is caught up lazily, unless some
-        // observation this round was a one-off (just woken or blocked)
-        // that the next one will not repeat. The path pays off only if a
-        // single agent is due when the skip ends: no cap cut it short and
-        // the second-shortest promise outlasts the shortest by two rounds
-        // or more.
-        if actors == 0 && any_active {
-            let track = weak && !any_fresh;
-            let (mut first, mut second) = (u64::MAX, u64::MAX);
-            let agents = &self.engine.agents;
-            for (i, &phase) in agents.phase.iter().enumerate() {
-                if phase.is_executing() {
-                    let wait = agents.min_wait(i, round);
-                    if wait < first {
-                        second = first;
-                        first = wait;
-                    } else if wait < second {
-                        second = wait;
-                    }
-                    if track {
-                        self.quiet_through[i] = round.saturating_add(wait);
-                    }
-                }
-            }
-            let stop = self.next_stop();
-            let skip = first.min(stop.saturating_sub(next));
-            let lone = track && skip == first && second > first.saturating_add(1);
-            if skip > 0 && skip != u64::MAX {
-                if !lone {
-                    let agents = &mut self.engine.agents;
-                    for i in 0..k {
-                        if agents.phase[i].is_executing() {
-                            agents.note_skipped(i, skip);
-                        }
-                    }
-                }
-                next += skip;
-                self.stats.skipped_rounds += skip;
-            }
-            if lone {
-                self.enter_lone(round + 1, stop);
-            }
-        } else if lone_mover {
-            // The only `min_wait` calls a round with a mover pays for; the
-            // path pays off only if no waiter is due next round as well.
-            let agents = &self.engine.agents;
-            let mut waiter_due = false;
-            for (i, &phase) in agents.phase.iter().enumerate() {
-                if phase.is_executing() {
-                    let through = if i == actor {
-                        round
-                    } else {
-                        round.saturating_add(agents.min_wait(i, round))
-                    };
-                    self.quiet_through[i] = through;
-                    waiter_due |= i != actor && through <= next;
-                }
-            }
-            if !waiter_due {
-                self.enter_lone(round + 1, self.next_stop());
-            }
-        }
-
-        self.round = next;
-        None
-    }
-
-    /// One round of the lone-agent path: agent `i` is the only executing
-    /// agent due, and every other one is inside its wait promise. Emits
-    /// exactly the events, counters and fast-forward of a dense round.
-    fn lone_step(&mut self, i: usize) -> Option<Result<RunOutcome, SimError>> {
-        let round = self.round;
-        self.stats.engine_iterations += 1;
-        self.engine.view.begin_round(round);
-        let lag = round - self.synced[i];
-        if lag > 0 {
-            self.engine.agents.note_skipped(i, lag);
-        }
-        self.synced[i] = round + 1;
-        let pos = &self.engine.agents.pos;
-        let from = pos[i];
-        let cur_card = pos.iter().filter(|&&p| p == from).count() as u32;
-        // Only the due agent moves on this path, so its node is the only
-        // one whose count can have grown since the last dense round.
-        self.stats.max_colocation = self.stats.max_colocation.max(cur_card);
-        let (act, fresh) = self.poll_agent(i, round, cur_card, None);
-        if let Err(err) = self.apply(i, act, round) {
-            return Some(Err(err));
-        }
-
-        let mut next = round + 1;
-        // A one-off observation (blocked) backs no promise that lazy
-        // catch-up could rely on; hand the next round to the dense path.
-        let mut leave = fresh;
-        match act {
-            Poll::Yield(Action::Wait) => {
-                self.quiet_through[i] = round.saturating_add(self.engine.agents.min_wait(i, round));
-                // The dense fast-forward's skip: every executing agent's
-                // remaining promise, capped by the next wake, crash or
-                // the round limit.
-                let mut skip = self.lone_stop - next;
-                for (&phase, &quiet) in self.engine.agents.phase.iter().zip(&self.quiet_through) {
-                    if phase.is_executing() {
-                        skip = skip.min(quiet - round);
-                    }
-                }
-                if skip > 0 {
-                    next += skip;
-                    self.stats.skipped_rounds += skip;
-                }
-            }
-            Poll::Yield(_) => {
-                self.quiet_through[i] = round;
-                let to = self.engine.agents.pos[i];
-                leave |= to != from && self.disturbs(i, from, to);
-            }
-            Poll::Complete(_) => {
-                if let Some(outcome) = self.terminal_outcome() {
-                    return Some(Ok(outcome));
-                }
-            }
-        }
-        self.round = next;
-        if leave {
-            self.leave_lone();
-        }
-        None
-    }
-
-    /// Whether agent `i`'s move from `from` to `to` changes what another
-    /// body at either end acts on: a dormant body wakes by the visit, and
-    /// an executing one sees its `CurCard` change, which only a blind
-    /// promise ([`AgentArena::blind`]) ignores. Declared and crashed
-    /// bodies never act again.
-    fn disturbs(&self, i: usize, from: NodeId, to: NodeId) -> bool {
-        let agents = &self.engine.agents;
-        agents.pos.iter().enumerate().any(|(j, &at)| {
-            j != i
-                && (at == from || at == to)
-                && match agents.phase[j] {
-                    AgentPhase::Dormant => true,
-                    AgentPhase::Active | AgentPhase::Blocked => !agents.blind(j),
-                    AgentPhase::Declared | AgentPhase::Crashed => false,
-                }
-        })
-    }
-
-    /// The one executing agent due this round if it is the only one and no
-    /// wake, crash or round limit is due; `None` ends the lone-agent path.
-    fn lone_due(&self) -> Option<usize> {
-        if self.round >= self.lone_stop {
-            return None;
-        }
-        let mut due = None;
-        for (i, (&phase, &quiet)) in self
-            .engine
-            .agents
-            .phase
-            .iter()
-            .zip(&self.quiet_through)
-            .enumerate()
-        {
-            if quiet <= self.round && phase.is_executing() {
-                if due.is_some() {
-                    return None;
-                }
-                due = Some(i);
-            }
-        }
-        due
-    }
-
-    /// Starts the lone-agent path after a dense round, to run until
-    /// `stop` ([`ActiveRun::next_stop`]): every procedure has been told
-    /// about every round before `synced`, and learns of any rounds skipped
-    /// since from its next catch-up.
-    fn enter_lone(&mut self, synced: u64, stop: u64) {
-        self.lone = true;
-        self.synced.fill(synced);
-        self.lone_stop = stop;
-    }
-
-    /// The next round the adversary or the limit acts in, which no skip
-    /// may pass and no lone-agent round may execute: the next adversary
-    /// wake of a dormant agent, the next pending crash or the round limit.
-    fn next_stop(&self) -> u64 {
-        let agents = &self.engine.agents;
-        let wake = agents
-            .phase
-            .iter()
-            .zip(&agents.adversary_wake)
-            .filter(|&(&phase, _)| phase == AgentPhase::Dormant)
-            .map(|(_, &wake)| wake)
-            .min()
-            .unwrap_or(u64::MAX);
-        let crash = if self.pending_crashes > 0 {
-            agents.crash_round.iter().copied().min().unwrap_or(u64::MAX)
-        } else {
-            u64::MAX
-        };
-        wake.min(crash).min(self.max_rounds)
-    }
-
-    /// Ends the lone-agent path: catches every lagging executing agent up
-    /// to the current round with one `note_skipped` call.
-    fn leave_lone(&mut self) {
-        self.lone = false;
-        let round = self.round;
         let agents = &mut self.engine.agents;
-        for (i, synced) in self.synced.iter_mut().enumerate() {
-            if agents.phase[i].is_executing() && *synced < round {
-                agents.note_skipped(i, round - *synced);
-                *synced = round;
+        let mut visited = false;
+        for i in 0..agents.len() {
+            let here = card[agents.pos[i].index()];
+            self.stats.max_colocation = self.stats.max_colocation.max(here);
+            match agents.phase[i] {
+                AgentPhase::Dormant if here > 1 => {
+                    agents.wake(i, round);
+                    self.dormant -= 1;
+                    visited = true;
+                    if let Some(t) = self.trace.as_mut() {
+                        t.push(TraceEvent::Wake {
+                            agent: agents.labels[i],
+                            round,
+                            by_visit: true,
+                        });
+                    }
+                }
+                AgentPhase::Active | AgentPhase::Blocked
+                    if weak
+                        && agents.due[i] > round
+                        && here != agents.seen_card[i]
+                        && agents.slow[i].0.is_none()
+                        && !agents.procs[i].blind() =>
+                {
+                    agents.due[i] = round;
+                }
+                _ => {}
             }
+        }
+        if visited {
+            self.next_wake = agents.next_wake();
         }
     }
 
-    /// Polls executing agent `i` in `round` on `cur_card` (and, under
-    /// traditional sensing, the lent `peers` buffer), counts the poll and
-    /// returns its act plus whether the observation was a one-off (just
-    /// woken or blocked). Shared by both paths, as is the debug-build
-    /// promise check.
+    /// Polls executing agent `i` in `round` and returns its act and the
+    /// last round of its promise (the poll's own round if it promises
+    /// nothing); records when the agent is due next.
     ///
     /// The engine holds slow moves here. A yielded [`Action::SlowMove`] is
     /// read with its wait `w` at once: `w == 0` is a plain move, otherwise
     /// the move is due in round `round + w` and the act is a wait. Until
     /// then the engine answers `Wait` itself, and in the due round it
-    /// makes the move; neither reaches the procedure, and the move round
-    /// is not counted as a poll.
+    /// makes the move; neither reaches the procedure.
     #[inline(always)]
     fn poll_agent(
         &mut self,
         i: usize,
         round: u64,
-        cur_card: u32,
-        mut peers: Option<&mut Vec<Label>>,
-    ) -> (Poll<Declaration>, bool) {
+        card: &[u32],
+        peers: &mut Vec<Label>,
+    ) -> (Poll<Declaration>, u64) {
         let agents = &mut self.engine.agents;
-        let (due, port) = agents.slow[i];
-        if let Some(due) = due {
-            if due.get() == round {
-                agents.slow[i].0 = None;
-                return (Poll::Yield(Action::TakePort(port)), false);
-            }
-            self.stats.polled_agent_rounds += 1;
-            return (Poll::Yield(Action::Wait), false);
-        }
-        let phase = agents.phase[i];
-        let mut obs = Obs {
-            round,
-            degree: self.engine.graph.degree(agents.pos[i]),
-            cur_card,
+        let pos = agents.pos[i];
+        let peer_labels = (self.engine.sensing == Sensing::Traditional).then(|| {
+            // Lend the one scratch buffer to the observation instead of
+            // allocating: every label on the node, sorted.
+            peers.clear();
+            peers.extend(
+                (0..agents.len())
+                    .filter(|&j| agents.pos[j] == pos)
+                    .map(|j| agents.labels[j]),
+            );
+            peers.sort_unstable();
+            std::mem::take(peers)
+        });
+        let obs = Obs {
+            round: round - agents.woke[i],
+            degree: self.engine.graph.degree(pos),
+            cur_card: card[pos.index()],
             entry_port: agents.entry_port[i],
             just_woken: agents.just_woken[i],
-            blocked: phase == AgentPhase::Blocked,
-            peer_labels: peers.as_mut().map(|buf| std::mem::take(&mut **buf)),
+            blocked: agents.phase[i] == AgentPhase::Blocked,
+            peer_labels,
         };
         let mut act = agents.procs[i].poll(&obs);
-        if let Poll::Yield(Action::SlowMove(port)) = act {
-            act = Poll::Yield(match agents.procs[i].slow_wait() {
-                0 => Action::TakePort(port),
-                wait => {
-                    agents.slow[i] = (NonZeroU64::new(round.saturating_add(wait)), port);
-                    Action::Wait
+        let until = match act {
+            Poll::Yield(Action::Wait) => agents.woke[i]
+                .saturating_add(agents.procs[i].quiet_until())
+                .max(round),
+            Poll::Yield(Action::SlowMove(port)) => match agents.procs[i].slow_wait() {
+                0 => {
+                    act = Poll::Yield(Action::TakePort(port));
+                    round
                 }
-            });
+                wait => {
+                    let at = round.saturating_add(wait);
+                    agents.slow[i] = (NonZeroU64::new(at), port);
+                    act = Poll::Yield(Action::Wait);
+                    at - 1
+                }
+            },
+            _ => round,
+        };
+        // A promise made on a one-off observation stands for the skip,
+        // but the agent is due in the next executed round: its next
+        // observation differs from this one.
+        agents.due[i] = if obs.just_woken || obs.blocked {
+            round
+        } else {
+            until
+        };
+        agents.seen_card[i] = obs.cur_card;
+        agents.just_woken[i] = false;
+        // A `Blocked` agent has now seen its failed attempt.
+        agents.phase[i] = AgentPhase::Active;
+        if let Some(labels) = obs.peer_labels {
+            *peers = labels;
         }
         self.stats.polled_agent_rounds += 1;
-        let fresh = obs.blocked || obs.just_woken;
-        #[cfg(debug_assertions)]
-        self.check_promise(i, &obs, &act, fresh);
-        // Reclaim the lent label buffer (and its capacity).
-        if let (Some(buf), Some(labels)) = (peers, obs.peer_labels.take()) {
-            *buf = labels;
-        }
-        // A `Blocked` agent has now seen its failed attempt.
-        self.engine.agents.just_woken[i] = false;
-        self.engine.agents.phase[i] = AgentPhase::Active;
-        (act, fresh)
+        (act, until)
     }
 
-    /// Debug-build contract net for the quiescence fast-forward and the
-    /// lone-agent path: a poll inside the window promised by the agent's
-    /// last `min_wait` must wait if its observation is identical to the
-    /// one the promise was made on, or whatever it is if the promise was
-    /// blind.
+    /// Debug-build promise net: agent `i` is inside its promise in
+    /// `round`, blind or on an observation identical to its latest one.
+    /// Polling it must change nothing: it waits, and promises the same
+    /// last round. The poll is not counted, and in a release build it is
+    /// not made. Weak sensing only.
     #[cfg(debug_assertions)]
-    fn check_promise(&mut self, i: usize, obs: &Obs, act: &Poll<Declaration>, fresh: bool) {
-        if self.engine.sensing != Sensing::Weak {
+    fn check_promise(&mut self, i: usize, round: u64, card: &[u32]) {
+        let agents = &mut self.engine.agents;
+        if agents.slow[i].0.is_some() {
             return;
         }
-        let round = obs.round;
-        let sig = (obs.degree, obs.cur_card, obs.entry_port);
-        let (through, promised, blind) = self.promise[i];
-        if round <= through && (blind || (!fresh && promised == Some(sig))) {
-            debug_assert!(
-                matches!(act, Poll::Yield(Action::Wait)),
-                "agent {} acted at round {round} inside its promised wait horizon \
-                 (through round {through}, blind: {blind})",
-                self.engine.agents.labels[i]
-            );
-        }
-        let agents = &self.engine.agents;
-        self.promise[i] = (
-            round.saturating_add(agents.min_wait(i, round)),
-            (!fresh).then_some(sig),
-            agents.blind(i),
+        let pos = agents.pos[i];
+        let obs = Obs {
+            round: round - agents.woke[i],
+            degree: self.engine.graph.degree(pos),
+            cur_card: card[pos.index()],
+            entry_port: agents.entry_port[i],
+            just_woken: false,
+            blocked: false,
+            peer_labels: None,
+        };
+        let act = agents.procs[i].poll(&obs);
+        let until = agents.woke[i].saturating_add(agents.procs[i].quiet_until());
+        assert!(
+            matches!(act, Poll::Yield(Action::Wait)) && until == agents.due[i],
+            "agent {} broke its promise through round {} in round {round}: {act:?}, \
+             then quiet until round {until}",
+            agents.labels[i],
+            agents.due[i],
         );
     }
 
     /// Applies agent `i`'s act of `round`: a move, a blocked attempt or a
-    /// declaration, with its trace event. Shared by both paths.
+    /// declaration, with its trace event.
     #[inline(always)]
-    fn apply(&mut self, i: usize, act: Poll<Declaration>, round: u64) -> Result<(), SimError> {
+    fn apply(
+        &mut self,
+        i: usize,
+        act: Poll<Declaration>,
+        round: u64,
+        card: &mut [u32],
+    ) -> Result<(), SimError> {
+        let agents = &mut self.engine.agents;
+        let pos = agents.pos[i];
         match act {
             Poll::Yield(Action::Wait) => {}
             Poll::Yield(Action::SlowMove(_)) => unreachable!("poll_agent resolves every slow move"),
             Poll::Yield(Action::TakePort(p)) => {
-                let pos = self.engine.agents.pos[i];
                 match self.engine.graph.neighbor(pos, p) {
                     // A port that exists in the base graph but whose
                     // edge is absent this round blocks: the agent
@@ -1128,11 +857,11 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
                     // still a protocol violation — dynamics never
                     // change the degree an agent observes.
                     Some(_) if !self.engine.view.edge_present(pos, p) => {
-                        self.engine.agents.phase[i] = AgentPhase::Blocked;
+                        agents.phase[i] = AgentPhase::Blocked;
                         self.stats.blocked_moves += 1;
                         if let Some(t) = self.trace.as_mut() {
                             t.push(TraceEvent::Blocked {
-                                agent: self.engine.agents.labels[i],
+                                agent: agents.labels[i],
                                 round,
                                 node: pos,
                                 port: p,
@@ -1142,20 +871,23 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
                     Some((to, back)) => {
                         if let Some(t) = self.trace.as_mut() {
                             t.push(TraceEvent::Move {
-                                agent: self.engine.agents.labels[i],
+                                agent: agents.labels[i],
                                 round,
                                 from: pos,
                                 to,
                                 port: p,
                             });
                         }
-                        self.engine.agents.pos[i] = to;
-                        self.engine.agents.entry_port[i] = Some(back);
+                        card[pos.index()] -= 1;
+                        card[to.index()] += 1;
+                        agents.pos[i] = to;
+                        agents.entry_port[i] = Some(back);
                         self.stats.total_moves += 1;
+                        self.moved = true;
                     }
                     None => {
                         return Err(SimError::InvalidPort {
-                            agent: self.engine.agents.labels[i],
+                            agent: agents.labels[i],
                             node: pos,
                             port: p,
                             round,
@@ -1164,18 +896,19 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
                 }
             }
             Poll::Complete(d) => {
-                self.engine.agents.declared[i] = Some(DeclarationRecord {
+                agents.declared[i] = Some(DeclarationRecord {
                     round,
-                    node: self.engine.agents.pos[i],
+                    node: pos,
                     declaration: d,
                 });
-                self.engine.agents.phase[i] = AgentPhase::Declared;
-                self.stats.last_declaration_round = self.stats.last_declaration_round.max(round);
+                agents.phase[i] = AgentPhase::Declared;
+                self.running -= 1;
+                self.stats.last_declaration_round = round;
                 if let Some(t) = self.trace.as_mut() {
                     t.push(TraceEvent::Declare {
-                        agent: self.engine.agents.labels[i],
+                        agent: agents.labels[i],
                         round,
-                        node: self.engine.agents.pos[i],
+                        node: pos,
                         declaration: d,
                     });
                 }
@@ -1188,10 +921,7 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
     /// the paper's successful end; any crash among otherwise-declared
     /// agents halts the run early too — nothing can change anymore — but
     /// reports `Halted` (the crashed agents never declared).
-    fn terminal_outcome(&mut self) -> Option<RunOutcome> {
-        if !self.engine.agents.phase.iter().all(|p| p.is_terminal()) {
-            return None;
-        }
+    fn terminal_outcome(&mut self) -> RunOutcome {
         let crashed = self.engine.agents.phase.contains(&AgentPhase::Crashed);
         let (status, rounds) = if crashed {
             (
@@ -1203,7 +933,7 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
         } else {
             (RunStatus::AllDeclared, self.stats.last_declaration_round)
         };
-        Some(self.finish(status, rounds))
+        self.finish(status, rounds)
     }
 
     /// Assembles the outcome. Takes the arena's result-bearing columns out
@@ -2139,7 +1869,7 @@ mod tests {
                 None => Poll::Yield(Action::Wait),
             }
         }
-        fn min_wait(&self) -> u64 {
+        fn quiet_until(&self) -> u64 {
             if self.path.as_slice().is_empty() {
                 u64::MAX
             } else {
@@ -2185,63 +1915,75 @@ mod tests {
                 }
             }
         }
-        fn min_wait(&self) -> u64 {
+        fn quiet_until(&self) -> u64 {
             if self.next == self.ports.len() {
                 0
             } else {
-                self.left.min_wait()
+                self.left.quiet_until()
             }
-        }
-        fn note_skipped(&mut self, rounds: u64) {
-            self.left.note_skipped(rounds);
         }
     }
 
     /// Waits `total` rounds, promising only the rest of the current
     /// `segment`-round stretch, like the TZ rendezvous's block-bounded
-    /// promise: when a promise runs out the next one is already a full
-    /// segment, so `min_wait` never reaches 0 mid-wait.
+    /// promise: a promise made in the last round of the previous one
+    /// covers a full segment again, so the promise never lapses mid-wait.
     struct SegmentWait {
-        tick: u64,
         segment: u64,
         total: u64,
+        /// The clocks of the first and the latest poll.
+        start: Option<u64>,
+        last: u64,
+    }
+    impl SegmentWait {
+        fn new(segment: u64, total: u64) -> Self {
+            SegmentWait {
+                segment,
+                total,
+                start: None,
+                last: 0,
+            }
+        }
     }
     impl Procedure for SegmentWait {
         type Output = ();
-        fn poll(&mut self, _obs: &Obs) -> Poll<()> {
-            if self.tick == self.total {
+        fn poll(&mut self, obs: &Obs) -> Poll<()> {
+            let start = *self.start.get_or_insert(obs.round);
+            if obs.round - start == self.total {
                 return Poll::Complete(());
             }
-            self.tick += 1;
+            self.last = obs.round;
             Poll::Yield(Action::Wait)
         }
-        fn min_wait(&self) -> u64 {
-            (self.segment - self.tick % self.segment).min(self.total - self.tick)
-        }
-        fn note_skipped(&mut self, rounds: u64) {
-            self.tick += rounds;
+        fn quiet_until(&self) -> u64 {
+            let tick = self.last - self.start.unwrap_or(self.last) + 1;
+            self.last + (self.segment - tick % self.segment).min(self.total - tick)
         }
     }
 
     /// Waits `pre` rounds, tries one move through port 0 if `attempt`
-    /// holds, then waits 6 rounds counting its polls on plain (neither
-    /// just-woken nor blocked) observations, and declares that count as
-    /// its size. A skip stands for polls identical to the last one, so it
-    /// counts only after a plain poll: a promise made on a one-off
-    /// observation does not stand for the plain polls that follow it.
+    /// holds, then waits 6 rounds counting the rounds it sees plain
+    /// (neither just-woken nor blocked) observations in, and declares that
+    /// count as its size. An unpolled round stands for a poll identical to
+    /// the last one, so it counts only after a plain poll: a promise made
+    /// on a one-off observation does not stand for the plain polls that
+    /// follow it.
     struct CountPlainPolls {
-        pre: u64,
+        pre: WaitRounds,
         attempt: bool,
-        waited: u64,
+        /// The round the 6-round wait starts in.
+        since: Option<u64>,
+        last: u64,
         plain: u32,
         last_plain: bool,
     }
     impl CountPlainPolls {
         fn new(pre: u64, attempt: bool) -> Box<Self> {
             Box::new(CountPlainPolls {
-                pre,
+                pre: WaitRounds::new(pre),
                 attempt,
-                waited: 0,
+                since: None,
+                last: 0,
                 plain: 0,
                 last_plain: false,
             })
@@ -2250,51 +1992,45 @@ mod tests {
     impl Procedure for CountPlainPolls {
         type Output = Declaration;
         fn poll(&mut self, obs: &Obs) -> Poll<Declaration> {
-            if self.pre > 0 {
-                self.pre -= 1;
-                return Poll::Yield(Action::Wait);
+            let since = match self.since {
+                Some(since) => since,
+                None => {
+                    if let Poll::Yield(a) = self.pre.poll(obs) {
+                        return Poll::Yield(a);
+                    }
+                    if std::mem::take(&mut self.attempt) {
+                        return Poll::Yield(Action::TakePort(Port::new(0)));
+                    }
+                    *self.since.insert(obs.round)
+                }
+            };
+            if self.last_plain {
+                self.plain += (obs.round - self.last - 1) as u32;
             }
-            if self.attempt {
-                self.attempt = false;
-                return Poll::Yield(Action::TakePort(Port::new(0)));
-            }
-            if self.waited == 6 {
+            if obs.round - since == 6 {
                 return Poll::Complete(Declaration {
                     leader: None,
                     size: Some(self.plain),
                 });
             }
-            self.waited += 1;
+            self.last = obs.round;
             self.last_plain = !(obs.just_woken || obs.blocked);
             self.plain += u32::from(self.last_plain);
             Poll::Yield(Action::Wait)
         }
-        fn min_wait(&self) -> u64 {
-            if self.pre > 0 {
-                self.pre
-            } else if self.attempt {
-                0
-            } else {
-                6 - self.waited
-            }
-        }
-        fn note_skipped(&mut self, rounds: u64) {
-            if self.pre > 0 {
-                self.pre -= rounds;
-            } else {
-                self.waited += rounds;
-                if self.last_plain {
-                    self.plain += rounds as u32;
-                }
+        fn quiet_until(&self) -> u64 {
+            match self.since {
+                Some(since) => since + 5,
+                None => self.pre.quiet_until(),
             }
         }
     }
 
     /// Runs `engine` with a stored trace and checks the outcome against
     /// `expected` — every field but the poll count, plus the trace digest,
-    /// all computed by the dense round loop before the lone-agent path
-    /// existed — and that it polls fewer agent-rounds than that loop's
-    /// `dense_polls`.
+    /// all computed by a round loop that polled every executing agent in
+    /// every executed round — and that it polls fewer agent-rounds than
+    /// that loop's `dense_polls`.
     fn run_pinned(
         engine: Engine<'_, impl TopologyView>,
         max_rounds: u64,
@@ -2383,25 +2119,16 @@ mod tests {
             outcome.polled_agent_rounds
         );
 
-        // Two slow walkers whose waits alternate (8 and 5 rounds) hand
-        // the lone-agent path back and forth beside a waiter whose
-        // promises are renewed only as they run out, and each walker
-        // declares inside the stretch; then the round limit lands in it.
+        // Two slow walkers whose waits alternate (8 and 5 rounds) take
+        // turns being the only agent due, beside a waiter whose promises
+        // are renewed only as they run out, and each walker declares
+        // inside the stretch; then the round limit lands in it.
         let ring = generators::ring(12);
         let team = || {
             let mut engine = Engine::new(&ring);
             add(&mut engine, 1, 0, SlowWalk::new(8, &[1, 1, 1]));
             add(&mut engine, 2, 6, SlowWalk::new(5, &[1, 1, 1]));
-            add(
-                &mut engine,
-                3,
-                11,
-                SegmentWait {
-                    tick: 0,
-                    segment: 10,
-                    total: 100,
-                },
-            );
+            add(&mut engine, 3, 11, SegmentWait::new(10, 100));
             engine
         };
         run_pinned(
@@ -2473,10 +2200,9 @@ mod tests {
 
         // A walker passes through the node of a waiter that watches
         // `CurCard` stay unchanged for 40 rounds. With slow waits it
-        // enters and leaves the occupied node from lone stretches, on a
+        // enters and leaves the occupied node while it alone is due, on a
         // static ring and under a rotating outage that blocks some of its
-        // moves; without waits it leaves in the dense round after it
-        // arrived.
+        // moves; without waits it leaves in the round after it arrived.
         fn passing<V: TopologyView>(mut engine: Engine<'_, V>, wait: u64) -> Engine<'_, V> {
             add(
                 &mut engine,
@@ -2519,9 +2245,9 @@ mod tests {
             16,
         );
 
-        // A move attempt blocked in a lone stretch: the promise made on
-        // the blocked observation does not stand for the plain polls
-        // that follow, so all four count.
+        // A move attempt blocked while the mover alone is due: the
+        // promise made on the blocked observation does not stand for the
+        // plain polls that follow, so all four count.
         let outage = nochatter_graph::dynamic::PeriodicEdges {
             period: 3,
             offset: 0,
@@ -2576,8 +2302,8 @@ mod tests {
         assert_eq!(outcome.status, RunStatus::Halted);
         assert_eq!(outcome.rounds, 123);
 
-        // The crash lands mid-wait while a slow walker holds the
-        // lone-agent path.
+        // The crash lands mid-wait while a slow walker is the only agent
+        // due.
         let ring = generators::ring(8);
         let mut engine = Engine::new(&ring);
         add(&mut engine, 1, 0, WaitRounds::new(1000));
@@ -2622,7 +2348,7 @@ mod tests {
         assert_eq!(declared, vec![50, 77, 104]);
         assert_eq!(outcome.status, RunStatus::AllDeclared);
 
-        // A slow walker holds the lone-agent path while an adversary wake
+        // A slow walker is the only agent due when an adversary wake
         // lands mid-wait, then steps onto a sleeper (waking it by visit)
         // and walks on.
         let ring = generators::ring(10);
@@ -2649,8 +2375,8 @@ mod tests {
         );
 
         // An agent woken in a round where a walker moves, or where it
-        // waits too, must not start the lone-agent path on its wake
-        // observation: its five plain polls before it declares all count.
+        // waits too, is due again after its wake observation: its five
+        // plain polls before it declares all count.
         for (wait, expected, dense_polls) in [
             (
                 0,
@@ -2677,9 +2403,9 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Company changes on the lone-agent path. Each run is pinned to the
-    // outcome and trace digest of the lone-agent path before blind
-    // promises, which left the path on every such change.
+    // Company changes beside waiters left unpolled. Each run is pinned to
+    // the outcome and trace digest of the round loop before blind
+    // promises, which polled every waiter on every such change.
     // ------------------------------------------------------------------
 
     /// A ring of 10 with a slow walker setting out from node 2 over port 1
@@ -2693,12 +2419,12 @@ mod tests {
     }
 
     #[test]
-    fn a_walker_passes_a_blind_waiter_on_the_lone_path() {
-        // The waiter's countdown ignores what it senses, so the walker
-        // entering and leaving its node disturbs no one: the walker keeps
-        // the lone-agent path, and the waiter is polled only when due.
-        // Before blind promises each of the two moves cost a dense round
-        // polling both agents.
+    fn a_walker_passes_a_blind_waiter_unpolled() {
+        // The waiter's wait ignores what it senses, so the walker
+        // entering and leaving its node leaves it unpolled: the waiter is
+        // polled only when due. Before blind promises each of the two
+        // moves cost a poll of the waiter, and before absolute promises
+        // the walker's declaration cost one more.
         let ring = generators::ring(10);
         let mut engine = walker_past_node_5(&ring, 5);
         add(&mut engine, 1, 5, WaitRounds::new(60));
@@ -2709,7 +2435,7 @@ mod tests {
              crashed [] [L2@36:n8:None/None L1@60:n5:None/None] \
              digest 448b4ed68a51ca0c",
         );
-        assert_eq!(outcome.polled_agent_rounds, 17, "19 before blind promises");
+        assert_eq!(outcome.polled_agent_rounds, 16, "19 before blind promises");
 
         // The waiter's promise runs out while the walker stands on its
         // node, and it declares there, polled alone.
@@ -2722,14 +2448,14 @@ mod tests {
              crashed [] [L2@60:n8:None/None L1@33:n5:None/None] \
              digest 5b1eaa3e2f0c9d35",
         );
-        assert_eq!(outcome.polled_agent_rounds, 17, "18 before blind promises");
+        assert_eq!(outcome.polled_agent_rounds, 16, "18 before blind promises");
     }
 
     #[test]
-    fn a_walker_onto_a_card_watcher_hands_the_round_to_the_dense_loop() {
+    fn a_walker_onto_a_card_watcher_makes_it_due() {
         // A waiter that gives up its wait as soon as `CurCard` exceeds 1
-        // is not blind: the walker's arrival (end of round 17) hands the
-        // next round to the dense loop, where the watcher acts.
+        // is not blind: the walker's arrival (end of round 17) makes it
+        // due in the next round, where the watcher acts.
         use crate::proc::UntilCardExceeds;
         let ring = generators::ring(10);
         let mut engine = walker_past_node_5(&ring, 5);
@@ -2753,13 +2479,13 @@ mod tests {
         let rec = outcome.declarations[1].1.expect("the watcher declared");
         assert_eq!(rec.declaration.size, Some(1), "the wait was interrupted");
         assert_eq!(rec.round, 18);
-        assert_eq!(outcome.polled_agent_rounds, 17);
+        assert_eq!(outcome.polled_agent_rounds, 16);
     }
 
     #[test]
     fn a_walker_onto_a_sleeper_wakes_it_in_the_arrival_round() {
         // A dormant body is woken by the visit in the round after the
-        // move, as the dense loop's occupancy phase would.
+        // move, the round every move is followed by.
         let ring = generators::ring(10);
         let mut engine = walker_past_node_5(&ring, 5);
         add(&mut engine, 1, 5, WaitRounds::new(3));
@@ -2775,17 +2501,18 @@ mod tests {
             wakes(&outcome),
             vec![(label(2), 0, false), (label(1), 18, true)]
         );
-        assert_eq!(outcome.polled_agent_rounds, 17);
+        assert_eq!(outcome.polled_agent_rounds, 16);
     }
 
     #[test]
     fn a_walker_onto_a_declared_or_crashed_body_records_the_colocation() {
         // Declared and crashed bodies never act again, so the walker
-        // keeps the lone-agent path across their node, while a watcher
-        // elsewhere lags inside its promise; the rounds the walker spends
-        // there must still count toward `max_colocation`. Before blind
-        // promises each of the two moves cost a dense round polling the
-        // watcher too.
+        // crosses their node with no one polled but itself, while a
+        // watcher elsewhere sits inside its promise; the rounds the
+        // walker spends there must still count toward `max_colocation`.
+        // Before blind promises each of the two moves cost a poll of the
+        // watcher too, and before absolute promises the walker's
+        // declaration one more.
         use crate::proc::UntilCardExceeds;
         let ring = generators::ring(10);
         for (crash, expected) in [
@@ -2820,7 +2547,7 @@ mod tests {
             }
             let outcome = run_checked(engine, 500, expected);
             assert_eq!(outcome.max_colocation, 2);
-            assert_eq!(outcome.polled_agent_rounds, 19, "21 before blind promises");
+            assert_eq!(outcome.polled_agent_rounds, 18, "21 before blind promises");
         }
     }
 
@@ -2839,24 +2566,21 @@ mod tests {
                 self.0.poll(obs)
             }
         }
-        fn min_wait(&self) -> u64 {
-            self.0.min_wait()
+        fn quiet_until(&self) -> u64 {
+            self.0.quiet_until()
         }
         fn blind(&self) -> bool {
             true
-        }
-        fn note_skipped(&mut self, rounds: u64) {
-            self.0.note_skipped(rounds);
         }
     }
 
     #[test]
     #[cfg(debug_assertions)]
-    #[should_panic(expected = "inside its promised wait horizon")]
+    #[should_panic(expected = "broke its promise")]
     fn a_broken_blind_promise_trips_the_debug_net() {
-        // The walker stands on the liar's node from round 24 to 31, and
-        // the adversary wake in round 26 makes that round dense: the
-        // liar, polled inside its promise (through round 29), sees
+        // The walker stands on the liar's node from round 24 to 31. The
+        // engine leaves the liar unpolled there, its promise (through
+        // round 29) being blind, but the debug net polls it: it sees
         // `CurCard` 2 and declares. The observation changed, but a blind
         // promise covers any observation.
         let ring = generators::ring(10);
@@ -2873,8 +2597,6 @@ mod tests {
 
     /// Yields one slow move of `wait` rounds through port 1 on its first
     /// poll and completes on its second, logging the round of every poll.
-    /// Its own promise is empty, so a skip that reaches it can only come
-    /// from the wait the engine holds.
     struct OneSlowMove {
         wait: u64,
         polls: Rc<RefCell<Vec<u64>>>,
@@ -2898,9 +2620,6 @@ mod tests {
                 Poll::Complete(Declaration::bare())
             }
         }
-        fn note_skipped(&mut self, rounds: u64) {
-            panic!("{rounds} rounds of a held slow move reached the procedure");
-        }
         fn slow_wait(&self) -> u64 {
             self.wait
         }
@@ -2920,8 +2639,8 @@ mod tests {
     #[test]
     fn the_engine_holds_a_slow_move_and_makes_it_in_round_r_plus_wait() {
         // Yielded in round 0 with a wait of 4: the arena holds (4, port 1),
-        // the engine promises the 3 rounds before it blind, and makes the
-        // move in round 4 without a poll.
+        // the 3 rounds before it wait whatever happens, and the engine
+        // makes the move in round 4 without a poll.
         let ring = generators::ring(6);
         let polls = Rc::new(RefCell::new(Vec::new()));
         let mut engine = Engine::new(&ring);
@@ -2932,31 +2651,32 @@ mod tests {
         step_past(&mut run, &mut scratch, 0);
         let agents = &run.engine.agents;
         assert_eq!(agents.slow[0], (NonZeroU64::new(4), Port::new(1)));
-        assert_eq!((agents.min_wait(0, 0), agents.blind(0)), (3, true));
         // The waiter's promise outlasts the wait: the clock jumps to the
-        // move round, and the procedure never heard of the skip.
+        // move round.
         assert_eq!(run.round, 4);
         step_past(&mut run, &mut scratch, 4);
         let agents = &run.engine.agents;
         assert_eq!(agents.slow[0].0, None);
         assert_eq!(agents.pos[0], NodeId::new(1));
-        assert_eq!((agents.min_wait(0, 4), agents.blind(0)), (0, false));
+        assert_eq!(agents.due[0], 4, "due again the round after its move");
         step_past(&mut run, &mut scratch, 5);
         assert_eq!(
             *polls.borrow(),
             vec![0, 5],
             "polled before and after, never inside"
         );
-        // Round 0 polls both agents, dense round 4 the waiter only (the
-        // move costs no poll), round 5 the slow mover.
+        // Round 0 polls both agents, round 4 the waiter only, whose
+        // promise was made on its wake observation (the move costs no
+        // poll), round 5 the slow mover.
         assert_eq!(run.stats.polled_agent_rounds, 4);
     }
 
     #[test]
     fn noisy_rounds_inside_a_held_wait_never_reach_the_procedure() {
         // Two walkers cross the slow mover's node while it waits, so every
-        // round is dense and its `CurCard` changes: the engine answers
-        // each of those rounds for it, and counts them as polls.
+        // round is executed and its `CurCard` changes: the engine answers
+        // the rounds of the wait it is due in for it, and counts them as
+        // polls.
         let ring = generators::ring(6);
         let polls = Rc::new(RefCell::new(Vec::new()));
         let mut engine = Engine::new(&ring);
@@ -2992,16 +2712,16 @@ mod tests {
         assert_eq!(moves, vec![(label(1), 6)]);
         assert_eq!(outcome.max_colocation, 3);
         // Walkers: 4 moves and a declaration each. The slow mover: its
-        // yield, the five rounds of the wait, its completion.
-        assert_eq!(outcome.polled_agent_rounds, 10 + 7);
+        // yield, the round after it (the yield saw its wake observation),
+        // the last round of the wait, its completion.
+        assert_eq!(outcome.polled_agent_rounds, 10 + 4);
     }
 
     #[test]
     fn skipped_rounds_inside_a_held_wait_never_reach_the_procedure() {
-        // A slow walker beside the slow mover hands the run back and forth
-        // between fast-forwards and the lone-agent path, whose catch-ups
-        // skip whole stretches of the 20-round wait; any of them reaching
-        // `OneSlowMove` panics.
+        // A slow walker beside the slow mover makes the run skip whole
+        // stretches of the 20-round wait and execute others; none of them
+        // reaches `OneSlowMove`.
         let ring = generators::ring(12);
         let polls = Rc::new(RefCell::new(Vec::new()));
         let mut engine = Engine::new(&ring);
@@ -3054,5 +2774,108 @@ mod tests {
         };
         assert_eq!(outcome.total_moves, 0);
         assert_eq!(*polls.borrow(), vec![0]);
+    }
+
+    // ------------------------------------------------------------------
+    // The agent's own clock.
+    // ------------------------------------------------------------------
+
+    /// Logs every observation it is polled on while it waits `pause`
+    /// rounds, takes port 0 `moves` times, then waits up to 40 rounds for
+    /// company.
+    struct Logger {
+        log: Rc<RefCell<Vec<Obs>>>,
+        pause: WaitRounds,
+        moves: u64,
+        watch: crate::proc::UntilCardExceeds<WaitRounds>,
+    }
+    impl Procedure for Logger {
+        type Output = ();
+        fn poll(&mut self, obs: &Obs) -> Poll<()> {
+            self.log.borrow_mut().push(obs.clone());
+            if let Poll::Yield(a) = self.pause.poll(obs) {
+                return Poll::Yield(a);
+            }
+            if self.moves > 0 {
+                self.moves -= 1;
+                return Poll::Yield(Action::TakePort(Port::new(0)));
+            }
+            self.watch.poll(obs).map(|_| ())
+        }
+        // Each stage's promise, once made, outlasts the earlier stage's.
+        fn quiet_until(&self) -> u64 {
+            self.pause.quiet_until().max(self.watch.quiet_until())
+        }
+    }
+
+    /// `event` with its round moved `shift` rounds later.
+    fn shifted(event: &TraceEvent, shift: u64) -> TraceEvent {
+        let mut event = event.clone();
+        match &mut event {
+            TraceEvent::Wake { round, .. }
+            | TraceEvent::Move { round, .. }
+            | TraceEvent::Blocked { round, .. }
+            | TraceEvent::Crashed { round, .. }
+            | TraceEvent::Declare { round, .. } => *round += shift,
+        }
+        event
+    }
+
+    #[test]
+    fn an_agent_clock_starts_at_its_wake_and_moves_with_it() {
+        // Three loggers on a ring of 8; the adversary wakes them at
+        // `offsets`. Each agent's clock counts the rounds since its own
+        // wake, so moving every offset by the same amount moves every
+        // event of theirs by that amount and changes no observation. A
+        // schedule must wake someone in round 0: an agent that waits on
+        // node 7 for longer than the runs last is that someone, and never
+        // acts.
+        let ring = generators::ring(8);
+        let run = |mut offsets: Vec<u64>| {
+            let logs: Vec<Rc<RefCell<Vec<Obs>>>> = (0..3).map(|_| Rc::default()).collect();
+            let mut engine = Engine::new(&ring);
+            for (i, log) in (0u64..).zip(&logs) {
+                let logger = Logger {
+                    log: Rc::clone(log),
+                    pause: WaitRounds::new(5 + 7 * i),
+                    moves: 2 + i,
+                    watch: crate::proc::UntilCardExceeds::new(1, WaitRounds::new(40)),
+                };
+                add(&mut engine, i + 1, 3 * i as u32, logger);
+            }
+            add(&mut engine, 9, 7, WaitRounds::new(1 << 40));
+            offsets.push(0);
+            engine.set_wake_schedule(WakeSchedule::Explicit(offsets));
+            engine.record_trace(1 << 10);
+            let outcome = engine.run(10_000).unwrap();
+            let logs: Vec<Vec<Obs>> = logs.into_iter().map(|log| log.take()).collect();
+            (outcome, logs)
+        };
+
+        let (outcome, logs) = run(vec![37, 40, 45]);
+        assert_eq!(wakes(&outcome)[1], (label(1), 37, false));
+        assert_eq!((logs[0][0].round, logs[0][0].just_woken), (0, true));
+
+        let (base, base_logs) = run(vec![0, 3, 8]);
+        assert!(base.declarations[..3].iter().all(|(_, rec)| rec.is_some()));
+        assert!(base.skipped_rounds > 0);
+        let team_events = |outcome: &RunOutcome, shift: u64| -> Vec<TraceEvent> {
+            let trace = outcome.trace.as_ref().unwrap();
+            let team = trace.events().iter().filter(|e| match e {
+                TraceEvent::Wake { agent, .. } => *agent != label(9),
+                _ => true,
+            });
+            team.map(|e| shifted(e, shift)).collect()
+        };
+        for shift in [1, 37, 500] {
+            let (moved, moved_logs) = run(vec![shift, 3 + shift, 8 + shift]);
+            assert_eq!(moved_logs, base_logs, "shifted by {shift}");
+            assert_eq!(
+                team_events(&moved, 0),
+                team_events(&base, shift),
+                "shifted by {shift}"
+            );
+            assert_eq!(moved.polled_agent_rounds, base.polled_agent_rounds);
+        }
     }
 }

@@ -21,11 +21,13 @@
 //!   [`RunOutcome::gathering`] validates.
 //!
 //! Algorithms are written as [`Procedure`]s — resumable state machines
-//! polled once per round — composed with the combinators in [`proc`]. The
-//! deterministic [`Engine`] executes them, with a sound *quiescence
-//! fast-forward* that skips stretches of rounds in which provably no
-//! observation can change (essential for the unknown-upper-bound algorithm,
-//! whose schedule is dominated by enormous waiting periods).
+//! polled at most once per round, on the agent's own clock — composed
+//! with the combinators in [`proc`]. A procedure promises, absolutely on
+//! that clock, the rounds it will wait through. The deterministic
+//! [`Engine`] polls an agent only when it is due, and with a sound
+//! *quiescence fast-forward* skips stretches of rounds in which provably
+//! no observation can change (essential for the unknown-upper-bound
+//! algorithm, whose schedule is dominated by enormous waiting periods).
 //!
 //! Agents live in a data-oriented arena: struct-of-arrays storage, an
 //! explicit [`AgentPhase`] lifecycle state machine (`Dormant → Active ⇄

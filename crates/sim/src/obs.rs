@@ -12,7 +12,9 @@ use nochatter_graph::{Label, Port};
 /// baseline.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Obs {
-    /// The current round (global, from the first wake-up).
+    /// The agent's own clock: the rounds since it woke, 0 on its first
+    /// observation. Agents wake at different times and share no clock
+    /// (§1.2), so this is the only time an agent can read.
     pub round: u64,
     /// Degree of the node the agent occupies.
     pub degree: u32,
@@ -34,7 +36,8 @@ pub struct Obs {
 }
 
 impl Obs {
-    /// A synthetic observation, for driving procedures in unit tests.
+    /// A synthetic observation on the agent's clock `round`, for driving
+    /// procedures in unit tests. Round 0 is the one just after waking.
     pub fn synthetic(round: u64, degree: u32, cur_card: u32, entry_port: Option<Port>) -> Self {
         Obs {
             round,

@@ -89,13 +89,12 @@ pub struct RunOutcome {
     /// Rounds skipped by the quiescence fast-forward.
     pub skipped_rounds: u64,
     /// Agent polls, the round loop's per-round cost denominator: one per
-    /// executing agent in a dense round, and one in a round of the
-    /// lone-agent path, which polls only the agent that is due while the
-    /// others sit inside their wait promises (see
-    /// [`crate::Procedure::min_wait`]). A round inside a slow move's wait
-    /// counts although the engine answers it without reaching the
-    /// procedure; the round the engine makes the move in costs none
-    /// ([`crate::Action::SlowMove`]). An execution
+    /// executing agent that is due in an executed round, while the others
+    /// sit inside their wait promises (see
+    /// [`crate::Procedure::quiet_until`]). A round inside a slow move's
+    /// wait that the agent is due in counts although the engine answers
+    /// it without reaching the procedure; the round the engine makes the
+    /// move in costs none ([`crate::Action::SlowMove`]). An execution
     /// fact, not a model fact — it moves whenever the engine's execution
     /// strategy does — so it is excluded from the deterministic lab
     /// reports and surfaced as a campaign-level trajectory aggregate

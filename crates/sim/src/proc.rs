@@ -2,38 +2,35 @@
 //!
 //! Every algorithm in the paper — `EXPLO`, `TZ`, `Communicate`,
 //! `GatherKnownUpperBound`, the whole unknown-bound stack — is a
-//! [`Procedure`]: a state machine polled once per round that yields one
-//! move instruction per poll and eventually completes with a value.
+//! [`Procedure`]: a state machine polled in the rounds it acts in that
+//! yields one move instruction per poll and eventually completes with a
+//! value.
 //!
 //! # The polling contract
 //!
-//! * [`Procedure::poll`] is called exactly once per round with the round's
+//! * An agent's clock is its own: [`Obs::round`] counts the rounds since
+//!   the agent woke, 0 on its first poll. A procedure reads the time that
+//!   has passed since its previous poll from the next observation, and
+//!   stores start clocks, never countdowns: it is not told about the
+//!   rounds in which it is not polled.
+//! * [`Procedure::poll`] is called at most once per round with the round's
 //!   observation. `Poll::Yield(action)` consumes the round;
 //!   `Poll::Complete(value)` does **not** consume the round — a parent
 //!   procedure must immediately produce the round's action from its next
 //!   step (possibly polling the next child in the same call).
-//! * [`Procedure::min_wait`] is a *promise*: a lower bound on how many
-//!   subsequent polls are guaranteed to yield [`Action::Wait`] under
-//!   identical observations. It lets the engine fast-forward quiescent
-//!   stretches.
+//! * [`Procedure::quiet_until`] is a *promise*, absolute on the agent's
+//!   clock: every poll up to and including that round, on an observation
+//!   identical to the latest polled one, yields [`Action::Wait`], and
+//!   polling the procedure in those rounds or leaving it alone makes no
+//!   difference to anything it does later. A round at or before the latest
+//!   poll's promises nothing. The engine polls a waiting agent again when
+//!   its promise's last round has come — that poll may renew the promise —
+//!   or when what it senses changes.
 //! * [`Procedure::blind`] strengthens the current promise: it holds under
-//!   *any* observations, and each of those polls leaves the procedure as
-//!   `note_skipped(1)` would. The engine's lone-agent path then lets
-//!   another agent walk onto or off the procedure's node without polling
-//!   it.
-//! * [`Procedure::note_skipped`]`(k)` informs the procedure that `k` rounds
-//!   elapsed during which (a) it was treated as having waited and (b) the
-//!   observation was *identical* to the one most recently polled (under a
-//!   blind promise: anything at all). Callers may only pass
-//!   `k <= min_wait()`. Procedures that count rounds must
-//!   advance their counters accordingly. Skips add up —
-//!   `note_skipped(a); note_skipped(b)` equals `note_skipped(a + b)` —
-//!   and `min_wait` falls by exactly the rounds noted, so a promise's
-//!   last round never moves while the promise runs: the engine's
-//!   lone-agent path lets waiting agents lag and catches each up with
-//!   one call.
+//!   *any* observations. The engine then lets another agent walk onto or
+//!   off the procedure's node without polling it.
 //!
-//! The identical-observation guarantee is what makes `min_wait` sound even
+//! The identical-observation guarantee is what makes the promise sound even
 //! for observation-dependent logic (e.g. a wait that aborts when `CurCard`
 //! rises): if the current observation does not trigger the abort, identical
 //! ones cannot either. A wait that ignores what it senses ([`WaitRounds`])
@@ -53,10 +50,10 @@
 //!   ([`UntilCardExceeds`], which watches `CurCard`, must never pass one
 //!   through);
 //! * every procedure that passes a slow move up reports the wait from its
-//!   own `slow_wait`, and one that counts its rounds books the
-//!   instruction as `w + 1` of them ([`RunFor`] does);
-//! * nothing reaches the procedure for the wait's `min_wait`, `blind` or
-//!   `note_skipped` either.
+//!   own `slow_wait`; its next poll's clock is `w + 1` rounds on, so one
+//!   that counts its rounds from a start clock books the instruction as
+//!   `w + 1` of them ([`RunFor`] does);
+//! * nothing reaches the procedure for the wait's promise either.
 
 use crate::obs::{Action, Obs, Poll};
 
@@ -69,26 +66,19 @@ pub trait Procedure {
     /// Advances by one round; see the module-level contract.
     fn poll(&mut self, obs: &Obs) -> Poll<Self::Output>;
 
-    /// Lower bound on the number of subsequent polls guaranteed to yield
-    /// [`Action::Wait`] under identical observations. The default promises
-    /// nothing.
-    fn min_wait(&self) -> u64 {
+    /// The last round of the current promise, on the agent's clock: every
+    /// poll through it on an observation identical to the latest one
+    /// yields [`Action::Wait`] and changes nothing. A round at or before
+    /// the latest poll's promises nothing; so does the default, 0.
+    fn quiet_until(&self) -> u64 {
         0
     }
 
-    /// True if the current [`Procedure::min_wait`] promise holds under
-    /// arbitrary observations, not only identical ones: every poll inside
-    /// it yields [`Action::Wait`] and leaves the procedure exactly as
-    /// `note_skipped(1)` would. The default, `false`, claims nothing
-    /// beyond the identical-observation promise.
+    /// True if the current [`Procedure::quiet_until`] promise holds under
+    /// arbitrary observations, not only identical ones. The default,
+    /// `false`, claims nothing beyond the identical-observation promise.
     fn blind(&self) -> bool {
         false
-    }
-
-    /// Acknowledges `rounds` skipped rounds with identical observations.
-    /// Callers must keep `rounds <= self.min_wait()`.
-    fn note_skipped(&mut self, rounds: u64) {
-        let _ = rounds;
     }
 
     /// The wait of the [`Action::SlowMove`] the latest poll yielded, in
@@ -111,8 +101,8 @@ pub trait Procedure {
     /// use nochatter_sim::{Action, Declaration, Obs, Poll};
     ///
     /// let mut agent = WaitRounds::new(1).map(|()| Declaration::bare());
-    /// let obs = Obs::synthetic(0, 2, 1, None);
-    /// assert_eq!(agent.poll(&obs), Poll::Yield(Action::Wait));
+    /// assert_eq!(agent.poll(&Obs::synthetic(0, 2, 1, None)), Poll::Yield(Action::Wait));
+    /// let obs = Obs::synthetic(1, 2, 1, None);
     /// assert_eq!(agent.poll(&obs), Poll::Complete(Declaration::bare()));
     /// ```
     fn map<T, F>(self, f: F) -> Map<Self, F>
@@ -143,16 +133,12 @@ where
         self.inner.poll(obs).map(&mut self.f)
     }
 
-    fn min_wait(&self) -> u64 {
-        self.inner.min_wait()
+    fn quiet_until(&self) -> u64 {
+        self.inner.quiet_until()
     }
 
     fn blind(&self) -> bool {
         self.inner.blind()
-    }
-
-    fn note_skipped(&mut self, rounds: u64) {
-        self.inner.note_skipped(rounds);
     }
 
     fn slow_wait(&self) -> u64 {
@@ -170,54 +156,48 @@ where
 /// use nochatter_sim::proc::{Procedure, WaitRounds};
 /// use nochatter_sim::{Action, Obs, Poll};
 ///
+/// // Polled first on the agent's clock 4, it waits through round 5.
 /// let mut w = WaitRounds::new(2);
-/// let obs = Obs::synthetic(0, 2, 1, None);
-/// assert_eq!(w.poll(&obs), Poll::Yield(Action::Wait));
-/// assert_eq!(w.min_wait(), 1);
-/// assert_eq!(w.poll(&obs), Poll::Yield(Action::Wait));
-/// assert_eq!(w.poll(&obs), Poll::Complete(()));
+/// assert_eq!(w.poll(&Obs::synthetic(4, 2, 1, None)), Poll::Yield(Action::Wait));
+/// assert_eq!(w.quiet_until(), 5);
+/// assert_eq!(w.poll(&Obs::synthetic(6, 2, 1, None)), Poll::Complete(()));
 /// ```
 #[derive(Clone, Debug)]
 pub struct WaitRounds {
-    remaining: u64,
+    rounds: u64,
+    /// The round it completes in, fixed by its first poll.
+    end: Option<u64>,
 }
 
 impl WaitRounds {
-    /// Waits exactly `rounds` rounds (possibly zero).
+    /// Waits exactly `rounds` rounds (possibly zero), counted from its
+    /// first poll.
     pub fn new(rounds: u64) -> Self {
-        WaitRounds { remaining: rounds }
-    }
-
-    /// Rounds still to wait.
-    pub fn remaining(&self) -> u64 {
-        self.remaining
+        WaitRounds { rounds, end: None }
     }
 }
 
 impl Procedure for WaitRounds {
     type Output = ();
 
-    fn poll(&mut self, _obs: &Obs) -> Poll<()> {
-        if self.remaining == 0 {
+    fn poll(&mut self, obs: &Obs) -> Poll<()> {
+        let end = *self
+            .end
+            .get_or_insert(obs.round.saturating_add(self.rounds));
+        if obs.round >= end {
             Poll::Complete(())
         } else {
-            self.remaining -= 1;
             Poll::Yield(Action::Wait)
         }
     }
 
-    fn min_wait(&self) -> u64 {
-        self.remaining
+    fn quiet_until(&self) -> u64 {
+        self.end.map_or(0, |end| end.saturating_sub(1))
     }
 
-    // The countdown never looks at the observation.
+    // The wait never looks at the observation.
     fn blind(&self) -> bool {
         true
-    }
-
-    fn note_skipped(&mut self, rounds: u64) {
-        debug_assert!(rounds <= self.remaining);
-        self.remaining -= rounds.min(self.remaining);
     }
 }
 
@@ -232,16 +212,20 @@ impl Procedure for WaitRounds {
 /// truncated, so one whose move would fall after the last round panics.
 #[derive(Clone, Debug)]
 pub struct RunFor<P: Procedure> {
-    remaining: u64,
+    rounds: u64,
+    /// The round it completes in, fixed by its first poll.
+    end: Option<u64>,
     inner: P,
     inner_result: Option<P::Output>,
 }
 
 impl<P: Procedure> RunFor<P> {
-    /// Runs `inner` for exactly `rounds` rounds.
+    /// Runs `inner` for exactly `rounds` rounds, counted from the first
+    /// poll.
     pub fn new(rounds: u64, inner: P) -> Self {
         RunFor {
-            remaining: rounds,
+            rounds,
+            end: None,
             inner,
             inner_result: None,
         }
@@ -252,10 +236,12 @@ impl<P: Procedure> Procedure for RunFor<P> {
     type Output = Option<P::Output>;
 
     fn poll(&mut self, obs: &Obs) -> Poll<Self::Output> {
-        if self.remaining == 0 {
+        let end = *self
+            .end
+            .get_or_insert(obs.round.saturating_add(self.rounds));
+        if obs.round >= end {
             return Poll::Complete(self.inner_result.take());
         }
-        self.remaining -= 1;
         if self.inner_result.is_some() {
             return Poll::Yield(Action::Wait);
         }
@@ -264,12 +250,11 @@ impl<P: Procedure> Procedure for RunFor<P> {
                 // One instruction for `w + 1` rounds: it must land inside
                 // the window, which cannot cut it short.
                 let wait = self.inner.slow_wait();
+                let left = end - obs.round - 1;
                 assert!(
-                    wait <= self.remaining,
-                    "a slow move of {wait} + 1 rounds overruns RunFor's last {} + 1",
-                    self.remaining
+                    wait <= left,
+                    "a slow move of {wait} + 1 rounds overruns RunFor's last {left} + 1",
                 );
-                self.remaining -= wait;
                 Poll::Yield(a)
             }
             Poll::Yield(a) => Poll::Yield(a),
@@ -282,19 +267,12 @@ impl<P: Procedure> Procedure for RunFor<P> {
         }
     }
 
-    fn min_wait(&self) -> u64 {
+    fn quiet_until(&self) -> u64 {
+        let last = self.end.map_or(0, |end| end.saturating_sub(1));
         if self.inner_result.is_some() {
-            self.remaining
+            last
         } else {
-            self.inner.min_wait().min(self.remaining)
-        }
-    }
-
-    fn note_skipped(&mut self, rounds: u64) {
-        debug_assert!(rounds <= self.min_wait());
-        self.remaining -= rounds.min(self.remaining);
-        if self.inner_result.is_none() {
-            self.inner.note_skipped(rounds);
+            self.inner.quiet_until().min(last)
         }
     }
 
@@ -360,12 +338,8 @@ impl<P: Procedure> Procedure for UntilCardExceeds<P> {
 
     // If the current observation does not exceed the threshold, identical
     // observations cannot either, so the inner promise carries over.
-    fn min_wait(&self) -> u64 {
-        self.inner.min_wait()
-    }
-
-    fn note_skipped(&mut self, rounds: u64) {
-        self.inner.note_skipped(rounds);
+    fn quiet_until(&self) -> u64 {
+        self.inner.quiet_until()
     }
 }
 
@@ -380,7 +354,11 @@ impl<P: Procedure> Procedure for UntilCardExceeds<P> {
 #[derive(Clone, Debug)]
 pub struct WaitCardStable {
     window: u64,
+    /// Unchanged observations made before the round `since`.
     streak: u64,
+    /// The round the current streak's count starts in: its latest change,
+    /// or the first poll of a seeded streak.
+    since: Option<u64>,
     last_card: Option<u32>,
 }
 
@@ -392,6 +370,7 @@ impl WaitCardStable {
         WaitCardStable {
             window,
             streak,
+            since: None,
             last_card,
         }
     }
@@ -401,28 +380,26 @@ impl Procedure for WaitCardStable {
     type Output = ();
 
     fn poll(&mut self, obs: &Obs) -> Poll<()> {
-        match self.last_card {
-            Some(c) if c == obs.cur_card => self.streak += 1,
-            _ => self.streak = 1,
+        if self.last_card != Some(obs.cur_card) {
+            self.streak = 0;
+            self.since = Some(obs.round);
+            self.last_card = Some(obs.cur_card);
         }
-        self.last_card = Some(obs.cur_card);
-        if self.streak >= self.window {
+        let since = *self.since.get_or_insert(obs.round);
+        if self.streak + (obs.round - since) + 1 >= self.window {
             Poll::Complete(())
         } else {
             Poll::Yield(Action::Wait)
         }
     }
 
-    // Identical observations keep the streak growing, so completion after
-    // the remaining count is guaranteed — but completion is NOT a wait, so
-    // the promise stops one short of it.
-    fn min_wait(&self) -> u64 {
-        (self.window - self.streak.min(self.window)).saturating_sub(1)
-    }
-
-    fn note_skipped(&mut self, rounds: u64) {
-        debug_assert!(rounds <= self.min_wait());
-        self.streak += rounds;
+    // Identical observations keep the streak growing, so completion in the
+    // round the streak reaches the window is guaranteed — but completion
+    // is NOT a wait, so the promise stops one short of it.
+    fn quiet_until(&self) -> u64 {
+        self.since.map_or(0, |since| {
+            (since + self.window).saturating_sub(self.streak + 2)
+        })
     }
 }
 
@@ -462,8 +439,9 @@ mod tests {
     use super::*;
     use nochatter_graph::Port;
 
-    fn obs(card: u32) -> Obs {
-        Obs::synthetic(0, 3, card, None)
+    /// A plain observation on the agent's clock `round`.
+    fn at(round: u64, card: u32) -> Obs {
+        Obs::synthetic(round, 3, card, None)
     }
 
     /// A procedure that moves through port 0 for `n` rounds then completes
@@ -488,37 +466,46 @@ mod tests {
     #[test]
     fn wait_rounds_zero_completes_immediately() {
         let mut w = WaitRounds::new(0);
-        assert_eq!(w.poll(&obs(1)), Poll::Complete(()));
+        assert_eq!(w.poll(&at(5, 1)), Poll::Complete(()));
     }
 
     #[test]
     fn wait_rounds_skip_contract() {
+        // Started in round 3, it promises rounds 4..=12 and completes in
+        // round 13 however many of them it is polled in.
         let mut w = WaitRounds::new(10);
-        assert_eq!(w.poll(&obs(1)), Poll::Yield(Action::Wait));
-        assert_eq!(w.min_wait(), 9);
-        w.note_skipped(9);
-        assert_eq!(w.poll(&obs(1)), Poll::Complete(()));
+        assert_eq!(w.poll(&at(3, 1)), Poll::Yield(Action::Wait));
+        assert_eq!(w.quiet_until(), 12);
+        assert_eq!(w.poll(&at(12, 1)), Poll::Yield(Action::Wait));
+        assert_eq!(w.quiet_until(), 12);
+        assert_eq!(w.poll(&at(13, 1)), Poll::Complete(()));
     }
 
     #[test]
     fn run_for_truncates() {
         let mut r = RunFor::new(3, Mover { left: 100 });
-        for _ in 0..3 {
-            assert_eq!(r.poll(&obs(1)), Poll::Yield(Action::TakePort(Port::new(0))));
+        for round in 0..3 {
+            let moved = Poll::Yield(Action::TakePort(Port::new(0)));
+            assert_eq!(r.poll(&at(round, 1)), moved);
         }
-        assert_eq!(r.poll(&obs(1)), Poll::Complete(None));
+        assert_eq!(r.poll(&at(3, 1)), Poll::Complete(None));
     }
 
     #[test]
     fn run_for_pads_and_reports_inner_output() {
         let mut r = RunFor::new(5, Mover { left: 2 });
-        assert_eq!(r.poll(&obs(1)), Poll::Yield(Action::TakePort(Port::new(0))));
-        assert_eq!(r.poll(&obs(1)), Poll::Yield(Action::TakePort(Port::new(0))));
-        // Inner completes here; wrapper pads with Wait.
-        assert_eq!(r.poll(&obs(1)), Poll::Yield(Action::Wait));
-        assert_eq!(r.min_wait(), 2);
-        r.note_skipped(2);
-        assert_eq!(r.poll(&obs(1)), Poll::Complete(Some(7)));
+        assert_eq!(
+            r.poll(&at(0, 1)),
+            Poll::Yield(Action::TakePort(Port::new(0)))
+        );
+        assert_eq!(
+            r.poll(&at(1, 1)),
+            Poll::Yield(Action::TakePort(Port::new(0)))
+        );
+        // Inner completes here; wrapper pads with Wait through round 4.
+        assert_eq!(r.poll(&at(2, 1)), Poll::Yield(Action::Wait));
+        assert_eq!(r.quiet_until(), 4);
+        assert_eq!(r.poll(&at(5, 1)), Poll::Complete(Some(7)));
     }
 
     #[test]
@@ -526,11 +513,11 @@ mod tests {
         // Total consumed rounds must be exactly `rounds` in both cases.
         for inner_len in [0u32, 2, 10] {
             let mut r = RunFor::new(4, Mover { left: inner_len });
-            let mut consumed = 0;
-            while let Poll::Yield(_) = r.poll(&obs(1)) {
-                consumed += 1;
+            let mut round = 0;
+            while let Poll::Yield(_) = r.poll(&at(round, 1)) {
+                round += 1;
             }
-            assert_eq!(consumed, 4);
+            assert_eq!(round, 4);
         }
     }
 
@@ -552,19 +539,20 @@ mod tests {
 
     #[test]
     fn run_for_counts_a_slow_move_as_its_rounds() {
+        // Each slow move takes rounds r..=r + 2; the next poll comes after.
         let slow = Poll::Yield(Action::SlowMove(Port::new(0)));
         let mut r = RunFor::new(6, SlowMover { wait: 2 });
-        assert_eq!(r.poll(&obs(1)), slow);
+        assert_eq!(r.poll(&at(0, 1)), slow);
         assert_eq!(r.slow_wait(), 2);
-        assert_eq!(r.poll(&obs(1)), slow);
-        assert_eq!(r.poll(&obs(1)), Poll::Complete(None));
+        assert_eq!(r.poll(&at(3, 1)), slow);
+        assert_eq!(r.poll(&at(6, 1)), Poll::Complete(None));
     }
 
     #[test]
     #[should_panic(expected = "overruns")]
     fn run_for_rejects_a_slow_move_past_its_window() {
         let mut r = RunFor::new(2, SlowMover { wait: 2 });
-        let _ = r.poll(&obs(1));
+        let _ = r.poll(&at(0, 1));
     }
 
     #[test]
@@ -572,90 +560,105 @@ mod tests {
     #[should_panic(expected = "slow move")]
     fn until_card_exceeds_never_passes_a_slow_move() {
         let mut b = UntilCardExceeds::new(2, SlowMover { wait: 3 });
-        let _ = b.poll(&obs(1));
+        let _ = b.poll(&at(0, 1));
     }
 
     #[test]
     fn until_card_exceeds_interrupts_without_consuming() {
         let mut b = UntilCardExceeds::new(2, WaitRounds::new(10));
-        assert_eq!(b.poll(&obs(2)), Poll::Yield(Action::Wait));
-        assert_eq!(b.poll(&obs(3)), Poll::Complete(Interrupted::Interrupted));
+        assert_eq!(b.poll(&at(0, 2)), Poll::Yield(Action::Wait));
+        assert_eq!(b.quiet_until(), 9);
+        assert_eq!(b.poll(&at(1, 3)), Poll::Complete(Interrupted::Interrupted));
     }
 
     #[test]
     fn until_card_exceeds_finishes() {
         let mut b = UntilCardExceeds::new(5, Mover { left: 1 });
-        assert_eq!(b.poll(&obs(1)), Poll::Yield(Action::TakePort(Port::new(0))));
-        assert_eq!(b.poll(&obs(1)), Poll::Complete(Interrupted::Finished(7)));
+        assert_eq!(
+            b.poll(&at(0, 1)),
+            Poll::Yield(Action::TakePort(Port::new(0)))
+        );
+        assert_eq!(b.poll(&at(1, 1)), Poll::Complete(Interrupted::Finished(7)));
     }
 
     #[test]
     fn wait_card_stable_counts_streaks() {
         let mut w = WaitCardStable::new(3, 0, None);
-        assert_eq!(w.poll(&obs(2)), Poll::Yield(Action::Wait)); // streak 1
-        assert_eq!(w.poll(&obs(2)), Poll::Yield(Action::Wait)); // streak 2
-        assert_eq!(w.poll(&obs(3)), Poll::Yield(Action::Wait)); // reset to 1
-        assert_eq!(w.poll(&obs(3)), Poll::Yield(Action::Wait)); // 2
-        assert_eq!(w.poll(&obs(3)), Poll::Complete(())); // 3 -> done
+        assert_eq!(w.poll(&at(0, 2)), Poll::Yield(Action::Wait)); // streak 1
+        assert_eq!(w.poll(&at(1, 2)), Poll::Yield(Action::Wait)); // streak 2
+        assert_eq!(w.poll(&at(2, 3)), Poll::Yield(Action::Wait)); // reset to 1
+        assert_eq!(w.poll(&at(3, 3)), Poll::Yield(Action::Wait)); // 2
+        assert_eq!(w.poll(&at(4, 3)), Poll::Complete(())); // 3 -> done
     }
 
     #[test]
     fn wait_card_stable_seeded() {
         let mut w = WaitCardStable::new(3, 2, Some(4));
         // Seeded with streak 2 at card 4: one more unchanged round finishes.
-        assert_eq!(w.poll(&obs(4)), Poll::Complete(()));
+        assert_eq!(w.poll(&at(7, 4)), Poll::Complete(()));
         let mut w = WaitCardStable::new(3, 2, Some(4));
         // A change resets.
-        assert_eq!(w.poll(&obs(5)), Poll::Yield(Action::Wait));
+        assert_eq!(w.poll(&at(7, 5)), Poll::Yield(Action::Wait));
+        assert_eq!(w.quiet_until(), 8);
     }
 
     #[test]
     fn wait_card_stable_skip_contract() {
+        // 9 more unchanged rounds are needed after round 4; the last one
+        // completes, so the promise ends in round 12.
         let mut w = WaitCardStable::new(10, 0, None);
-        assert_eq!(w.poll(&obs(2)), Poll::Yield(Action::Wait));
-        let mw = w.min_wait();
-        assert_eq!(mw, 8); // 9 more unchanged rounds needed; last one completes
-        w.note_skipped(mw);
-        assert_eq!(w.poll(&obs(2)), Poll::Complete(()));
+        assert_eq!(w.poll(&at(4, 2)), Poll::Yield(Action::Wait));
+        assert_eq!(w.quiet_until(), 12);
+        assert_eq!(w.poll(&at(13, 2)), Poll::Complete(()));
     }
 
     #[test]
     fn follow_path_emits_ports_in_order() {
         let mut f = FollowPath::new(vec![Port::new(2), Port::new(0)]);
-        assert_eq!(f.poll(&obs(1)), Poll::Yield(Action::TakePort(Port::new(2))));
-        assert_eq!(f.poll(&obs(1)), Poll::Yield(Action::TakePort(Port::new(0))));
-        assert_eq!(f.poll(&obs(1)), Poll::Complete(()));
+        assert_eq!(
+            f.poll(&at(0, 1)),
+            Poll::Yield(Action::TakePort(Port::new(2)))
+        );
+        assert_eq!(
+            f.poll(&at(1, 1)),
+            Poll::Yield(Action::TakePort(Port::new(0)))
+        );
+        assert_eq!(f.poll(&at(2, 1)), Poll::Complete(()));
     }
 
     #[test]
     fn map_carries_the_output() {
         let mut m = RunFor::new(4, Mover { left: 1 }).map(|out| out.map(|n| n * 2));
-        assert_eq!(m.poll(&obs(1)), Poll::Yield(Action::TakePort(Port::new(0))));
+        assert_eq!(
+            m.poll(&at(0, 1)),
+            Poll::Yield(Action::TakePort(Port::new(0)))
+        );
         // Mover completes; RunFor pads the last two rounds.
-        assert_eq!(m.poll(&obs(1)), Poll::Yield(Action::Wait));
-        assert_eq!(m.min_wait(), 2);
+        assert_eq!(m.poll(&at(1, 1)), Poll::Yield(Action::Wait));
+        assert_eq!(m.quiet_until(), 3);
         assert!(!m.blind());
-        m.note_skipped(2);
-        assert_eq!(m.poll(&obs(1)), Poll::Complete(Some(14)));
+        assert_eq!(m.poll(&at(4, 1)), Poll::Complete(Some(14)));
     }
 
     #[test]
     fn map_forwards_every_promise() {
         let mut w = WaitRounds::new(3).map(|()| 9u8);
-        assert_eq!(w.poll(&obs(1)), Poll::Yield(Action::Wait));
-        assert_eq!((w.min_wait(), w.blind()), (2, true));
-        w.note_skipped(2);
-        assert_eq!(w.poll(&obs(1)), Poll::Complete(9));
+        assert_eq!(w.poll(&at(0, 1)), Poll::Yield(Action::Wait));
+        assert_eq!((w.quiet_until(), w.blind()), (2, true));
+        assert_eq!(w.poll(&at(3, 1)), Poll::Complete(9));
 
         let mut s = SlowMover { wait: 5 }.map(|()| 0u8);
-        assert_eq!(s.poll(&obs(1)), Poll::Yield(Action::SlowMove(Port::new(0))));
+        assert_eq!(
+            s.poll(&at(0, 1)),
+            Poll::Yield(Action::SlowMove(Port::new(0)))
+        );
         assert_eq!(s.slow_wait(), 5);
     }
 
     #[test]
     fn boxed_procedure_delegates() {
         let mut b: Box<dyn Procedure<Output = ()>> = Box::new(WaitRounds::new(1));
-        assert_eq!(b.poll(&obs(1)).action(), Some(Action::Wait));
-        assert_eq!(b.min_wait(), 0);
+        assert_eq!(b.poll(&at(0, 1)).action(), Some(Action::Wait));
+        assert_eq!(b.quiet_until(), 0);
     }
 }

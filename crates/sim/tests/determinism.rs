@@ -6,7 +6,7 @@
 //! sharding scenarios across worker threads can only be deterministic if
 //! each individual run is. The trace kind is not an input either: a
 //! digest-only trace hashes a run exactly as a stored one does, through
-//! the lone-agent path and the catch-up of lagging waiters.
+//! rounds where only some agents are due and jumps over quiet stretches.
 
 use std::cell::RefCell;
 
@@ -207,10 +207,10 @@ fn mixed_wait_engine(graph: &Graph, trace: Trace) -> Engine<'_> {
 
 #[test]
 fn a_mixed_wait_run_digests_alike_stored_or_digest_only() {
-    // Around round 12 the walker holds the lone-agent path while the
-    // three waiters lag ten rounds behind it; after its declaration a
-    // fast-forward leaves both `WaitRounds` agents 28 rounds behind, to
-    // be caught up when next polled.
+    // Around round 12 the walker is the only agent due while the three
+    // waiters sit ten rounds inside their promises; after its declaration
+    // the clock jumps 28 rounds past both `WaitRounds` agents' latest
+    // polls, which they read off their next observation.
     let graph = Family::Ring.instantiate(9, 4);
     let mut scratch = EngineScratch::new();
     let mut stored = mixed_wait_engine(&graph, Trace::with_capacity(1 << 12))

@@ -1,39 +1,30 @@
-//! The `min_wait`/`note_skipped` promise contract, property-tested against
-//! every wait combinator the paper's algorithms are built from.
+//! The promise contract of [`Procedure::quiet_until`], property-tested
+//! against every wait combinator the paper's algorithms are built from.
 //!
-//! The quiescence fast-forward skips every executing agent past the
-//! smallest `min_wait` horizon and catches each one up with one
-//! `note_skipped` call, so the skip is only as correct as these two
-//! guarantees:
+//! A promise is absolute on the agent's clock: after a poll in round `r`,
+//! `quiet_until() = q > r` promises the polls of rounds `r + 1 ..= q`.
+//! The engine leaves an agent unpolled inside its promise, polls it again
+//! in the promise's last round or when what it senses changes, and jumps
+//! over the rounds every agent is promised through, so it is only as
+//! correct as these guarantees:
 //!
-//! 1. **The horizon is honest.** After any poll, `min_wait() = h` promises
-//!    the next `h` polls under *identical observations* all yield
-//!    [`Action::Wait`] — a procedure acting earlier would act later than it
-//!    should once skipped.
-//! 2. **Skipping is polling.** `note_skipped(k)` for any `k <= h` leaves
-//!    the procedure in a state indistinguishable from `k` identical polls:
-//!    every subsequent poll answer (under arbitrary observations) matches,
-//!    as does the remaining `min_wait`.
-//! 3. **Skips add up.** `note_skipped(a); note_skipped(b)` equals
-//!    `note_skipped(a + b)` for `a + b <= h`.
-//! 4. **The end round holds.** After `note_skipped(k)`, `min_wait` is
-//!    exactly `h - k`: a promise's last round never moves while it runs.
-//! 5. **A blind horizon holds under arbitrary observations.** While
-//!    `blind()` holds, the next `h` polls yield [`Action::Wait`] whatever
-//!    they observe, and `k` such polls leave the procedure as
-//!    `note_skipped(k)` does.
+//! 1. **The horizon is honest.** The polls through round `q` under
+//!    *identical observations* all yield [`Action::Wait`] — a procedure
+//!    acting earlier would act later than it should once left unpolled.
+//! 2. **Silence is polling.** A procedure left unpolled from round `r + 1`
+//!    to `r + k`, inside its promise, answers every later poll (under
+//!    arbitrary observations), and reports the same `quiet_until`, as one
+//!    polled in each of those rounds on identical observations.
+//! 3. **The end round holds.** Every identical poll before the promise's
+//!    last round leaves `quiet_until` at `q`.
+//! 4. **A blind promise holds under arbitrary observations.** While
+//!    `blind()` holds, the polls through round `q` yield [`Action::Wait`]
+//!    whatever they observe, keep `quiet_until` at `q`, and leave the
+//!    procedure as silence does.
 //!
-//! The engine's lone-agent path relies on 3 and 4: it polls only the one
-//! agent that is due and lets every other agent inside its promise lag,
-//! catching it up later with a single `note_skipped` that covers polls
-//! and fast-forwards alike, and it reads each lagging agent's remaining
-//! horizon off the promise's end round instead of asking `min_wait`. It
-//! relies on 5 to keep lagging a blind waiter whose node another agent
-//! enters or leaves.
-//!
-//! The engine additionally `debug_assert`s guarantees 1 and 5 on every poll
-//! through its promise tracker; these tests pin all five guarantees
-//! directly at the combinator level, where a violation is easiest to
+//! In debug builds the engine polls every agent it leaves unpolled inside
+//! a promise and asserts guarantees 1, 3 and 4 live; these tests pin all
+//! four directly at the combinator level, where a violation is easiest to
 //! localize.
 
 use std::fmt::Debug;
@@ -81,11 +72,12 @@ where
     }
 }
 
-/// Drives `proc_` through `stream`, and at every step where a positive
-/// horizon is promised checks all five guarantees against clones. `probe`
-/// supplies the arbitrary post-skip observations of guarantees 2, 3 and
-/// 5, and the seeds of guarantee 5's arbitrary observations inside the
-/// horizon.
+/// Drives `proc_` through `stream`, one poll per round, and at every
+/// step where a promise is made checks all four guarantees against
+/// clones. `probe` supplies the arbitrary observations after the silence
+/// of guarantees 2 and 4, and the seeds of guarantee 4's arbitrary
+/// observations inside the promise. `skip_frac` quarters of the promise
+/// stay silent.
 fn check_promises<P>(mut proc_: P, stream: &[u32], probe: &[u32], skip_frac: u64)
 where
     P: Procedure + Clone,
@@ -93,91 +85,80 @@ where
 {
     for (step, &card) in stream.iter().enumerate() {
         let round = step as u64;
-        let o = obs(round, card);
-        if matches!(proc_.poll(&o), Poll::Complete(_)) {
+        if matches!(proc_.poll(&obs(round, card)), Poll::Complete(_)) {
             return;
         }
-
-        let h = proc_.min_wait();
-        if h == 0 {
+        let quiet = proc_.quiet_until();
+        if quiet <= round {
             continue;
         }
+        // Capped: some promises are astronomically long by design.
+        let last = quiet.min(round + 50);
 
-        // Guarantee 1: the next h identical polls all wait (capped — some
-        // horizons are astronomically long by design).
+        // Guarantees 1 and 3: the promised identical polls all wait, and
+        // none before the last round moves it.
         let mut witness = proc_.clone();
-        for n in 0..h.min(50) {
-            let w = witness.poll(&obs(round + 1 + n, card));
+        for n in round + 1..=last {
+            let w = witness.poll(&obs(n, card));
             assert!(
                 matches!(w, Poll::Yield(Action::Wait)),
-                "promised to wait {h} rounds but acted after {n}: {w:?}"
+                "promised to wait through round {quiet} but acted in round {n}: {w:?}"
             );
+            if n < quiet {
+                assert_eq!(witness.quiet_until(), quiet, "polled in round {n}");
+            }
         }
 
-        // Guarantee 2: note_skipped(k) == k identical polls, for a k
-        // somewhere inside the horizon.
-        let k = (h.min(50) * skip_frac.clamp(1, 4)) / 4;
-        let mut skipped = proc_.clone();
-        skipped.note_skipped(k);
+        // Guarantee 2: silence through round `round + k`, inside the
+        // promise, is polling on identical observations.
+        let k = (last - round - 1) * skip_frac.clamp(1, 4) / 4;
         let mut polled = proc_.clone();
-        for n in 0..k {
-            let w = polled.poll(&obs(round + 1 + n, card));
-            assert!(matches!(w, Poll::Yield(Action::Wait)));
+        for n in round + 1..=round + k {
+            assert!(matches!(
+                polled.poll(&obs(n, card)),
+                Poll::Yield(Action::Wait)
+            ));
         }
         assert_eq!(
-            skipped.min_wait(),
-            polled.min_wait(),
-            "skipping {k} of {h} promised rounds left a different remaining horizon"
+            proc_.quiet_until(),
+            polled.quiet_until(),
+            "{k} silent rounds of a promise through round {quiet}"
         );
-        assert_same_futures(skipped, polled, probe, round + 1 + k, "skipped vs polled");
+        assert_same_futures(
+            proc_.clone(),
+            polled,
+            probe,
+            round + 1 + k,
+            "silent vs polled",
+        );
 
-        // Guarantees 3 and 4: two notes of a and b rounds equal one of
-        // a + b, for the whole horizon too, and each leaves exactly the
-        // rest of the promise.
-        for total in [k, h.min(50)] {
-            let a = total / 2;
-            let mut split = proc_.clone();
-            split.note_skipped(a);
-            assert_eq!(split.min_wait(), h - a, "noting {a} of {h} rounds");
-            split.note_skipped(total - a);
-            let mut whole = proc_.clone();
-            whole.note_skipped(total);
-            assert_eq!(whole.min_wait(), h - total, "noting {total} of {h} rounds");
-            assert_eq!(split.min_wait(), whole.min_wait());
-            assert_same_futures(
-                split,
-                whole,
-                probe,
-                round + 1 + total,
-                "split vs whole skip",
-            );
-        }
-
-        // Guarantee 5: a blind horizon holds whatever is observed, and
-        // polling through it on arbitrary observations is skipping it.
+        // Guarantee 4: a blind promise holds whatever is observed, and
+        // polling through it on arbitrary observations is silence.
         if proc_.blind() {
             let mut noisy = proc_.clone();
             let mut after_k = None;
-            for n in 0..h.min(50) {
-                if n == k {
+            for n in round + 1..=last {
+                if n == round + 1 + k {
                     after_k = Some(noisy.clone());
                 }
                 let seed = probe[n as usize % probe.len()].wrapping_mul(7) + n as u32;
-                let w = noisy.poll(&noisy_obs(round + 1 + n, seed));
+                let w = noisy.poll(&noisy_obs(n, seed));
                 assert!(
                     matches!(w, Poll::Yield(Action::Wait)),
-                    "promised a blind wait of {h} rounds but acted after {n}: {w:?}"
+                    "promised a blind wait through round {quiet} but acted in round {n}: {w:?}"
                 );
+                if n < quiet {
+                    assert_eq!(noisy.quiet_until(), quiet, "noisy poll in round {n}");
+                }
             }
             let noisy = after_k.unwrap_or(noisy);
-            let mut skipped = proc_.clone();
-            skipped.note_skipped(k);
-            assert_eq!(
-                noisy.min_wait(),
-                skipped.min_wait(),
-                "{k} arbitrary polls of a blind horizon of {h} left a different horizon"
+            assert_same_futures(
+                noisy,
+                proc_.clone(),
+                probe,
+                round + 1 + k,
+                "noisy vs silent",
             );
-            assert_same_futures(noisy, skipped, probe, round + 1 + k, "noisy vs skipped");
         }
     }
 }
@@ -194,7 +175,7 @@ proptest! {
         probe in card_stream(),
         frac in 1u64..5,
     ) {
-        // Guarantee 5 binds `WaitRounds`: its countdown is blind.
+        // Guarantee 4 binds `WaitRounds`: its wait is blind.
         prop_assert!(WaitRounds::new(rounds).blind());
         check_promises(WaitRounds::new(rounds), &stream, &probe, frac);
     }

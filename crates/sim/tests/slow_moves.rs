@@ -11,7 +11,7 @@
 //! polls once fewer for each slow move with a positive wait whose move
 //! round the engine reached (made or blocked), and no fewer for one a
 //! crash cancelled inside its wait. The draws cover one to three agents
-//! (so the lone-agent path and the dense path both run), staggered and
+//! (so waiters are left unpolled beside agents that act), staggered and
 //! visit-only wakes, crashes that land inside a wait, and scripted ring
 //! outages that block the move round.
 
@@ -147,22 +147,16 @@ impl Procedure for Walker {
         }
     }
 
-    fn min_wait(&self) -> u64 {
+    fn quiet_until(&self) -> u64 {
         match &self.waiting {
-            Some((wait, _)) => wait.min_wait(),
-            None => self.pause.min_wait(),
+            Some((wait, _)) => wait.quiet_until(),
+            None => self.pause.quiet_until(),
         }
     }
 
+    // Every promise it makes is a wait that ignores what it senses.
     fn blind(&self) -> bool {
-        self.waiting.is_some() || self.pause.remaining() > 0
-    }
-
-    fn note_skipped(&mut self, rounds: u64) {
-        match &mut self.waiting {
-            Some((wait, _)) => wait.note_skipped(rounds),
-            None => self.pause.note_skipped(rounds),
-        }
+        true
     }
 
     fn slow_wait(&self) -> u64 {

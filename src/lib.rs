@@ -56,8 +56,13 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! See `examples/` for runnable scenarios and `DESIGN.md` for the system
-//! inventory, substitutions and the experiment index.
+//! See `examples/` for runnable scenarios, and the README for the crate
+//! map, the architecture notes and the experiment commands. Each
+//! substitution of a construction of the paper is argued in the docs of
+//! the module that makes it: the exploration sequences in
+//! `nochatter_explore`, the TZ label schedule in `nochatter_rendezvous`,
+//! and `EST+`, the position oracle, the calibrated schedule and the
+//! enumeration in `nochatter_core::unknown`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

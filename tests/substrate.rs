@@ -99,7 +99,7 @@ fn just_woken_fires_exactly_once() {
 fn fast_forward_preserves_exact_semantics() {
     // The same scenario must produce identical declarations whether the
     // waits are walked round by round (procedures that promise nothing) or
-    // fast-forwarded (WaitRounds with its min_wait hint).
+    // fast-forwarded (WaitRounds with its `quiet_until` promise).
     struct OpaqueWait {
         left: u64,
     }
@@ -113,7 +113,7 @@ fn fast_forward_preserves_exact_semantics() {
                 Poll::Yield(Action::Wait)
             }
         }
-        // Deliberately no min_wait: forces the slow path.
+        // Deliberately no promise: it is polled every round.
     }
     let run = |fast: bool| {
         let g = generators::ring(5);

@@ -313,10 +313,10 @@ const BLIND_PROBE: u64 = 64;
 /// either of them for `w` rounds, and the move is made in the last one;
 /// a wait of two rounds or more is a blind promise before its move round,
 /// and is recorded as probed (the engine's own tests feed such waits
-/// noisy rounds). Whenever a poll leaves a blind promise of `h` rounds of
-/// the procedure itself, `a` is polled through its first
-/// `min(h, BLIND_PROBE)` rounds on observations with random `CurCard`s
-/// and entry ports, and must wait in each, while `b` skips the whole
+/// noisy rounds). Whenever a poll leaves a blind promise of the procedure
+/// itself, `a` is polled through its first `BLIND_PROBE` rounds at most on
+/// observations with random `CurCard`s and entry ports, and must wait in
+/// each and keep promising the same last round, while `b` skips the whole
 /// promise; non-blind promises are skipped by both. `on_move` sees every
 /// move. Stops after `max_polls` real polls or on completion, and returns
 /// the round at which each probed promise began.
@@ -363,28 +363,24 @@ where
             on_move(p);
             continue;
         }
-        let h = a.min_wait();
-        assert_eq!(h, b.min_wait(), "round {round}");
+        let quiet = a.quiet_until();
+        assert_eq!(quiet, b.quiet_until(), "round {round}");
         assert_eq!(a.blind(), b.blind(), "round {round}");
-        let mut polled = 0;
-        if a.blind() && h > 0 {
+        if a.blind() && quiet >= round {
             probed.push(round);
-            polled = h.min(BLIND_PROBE);
-            for n in 0..polled {
+            for n in round..=quiet.min(round + BLIND_PROBE - 1) {
                 let seed = *noise.next().unwrap();
                 let cur_card = 1 + seed % 4;
                 let entry = (!seed.is_multiple_of(5)).then(|| Port::new(seed / 5 % degree));
-                let w = a.poll(&Obs::synthetic(round + n, degree, cur_card, entry));
+                let w = a.poll(&Obs::synthetic(n, degree, cur_card, entry));
                 assert_eq!(
-                    w.action(),
-                    Some(Action::Wait),
-                    "blind promise of {h} rounds from round {round} broken after {n}"
+                    (w.action(), a.quiet_until()),
+                    (Some(Action::Wait), quiet),
+                    "blind promise through round {quiet} broken in round {n}"
                 );
             }
         }
-        a.note_skipped(h - polled);
-        b.note_skipped(h);
-        round = round.saturating_add(h);
+        round = round.max(quiet.saturating_add(1));
     }
     probed
 }
