@@ -174,6 +174,36 @@ impl GraphSizeCheck {
             }
         }
     }
+
+    /// Guaranteed waits from `tick` on: only through stretches with no
+    /// scheduled moves, the remainder of a foreign slot, or of the hold
+    /// half of our own slot.
+    fn waits(&self) -> u64 {
+        let slot_len = 2 * self.t_est;
+        let total = slot_len * u64::from(self.k);
+        if self.tick >= total {
+            return 0;
+        }
+        let slot = self.tick / slot_len;
+        let in_slot = self.tick % slot_len;
+        let quiet_until = if slot == u64::from(self.rank) {
+            if in_slot < self.t_est {
+                return 0; // walking (or padding — not worth splitting)
+            }
+            (slot + 1) * slot_len
+        } else {
+            let my_start = u64::from(self.rank) * slot_len;
+            if self.tick < my_start {
+                my_start
+            } else {
+                total
+            }
+        };
+        // The completion poll after `total` is not a wait.
+        (quiet_until - self.tick)
+            .min(total - self.tick)
+            .saturating_sub(u64::from(quiet_until >= total))
+    }
 }
 
 impl Procedure for GraphSizeCheck {
@@ -226,38 +256,6 @@ impl Procedure for GraphSizeCheck {
         let Some(start) = self.start else { return 0 };
         // The latest poll's clock, plus the waits promised after it.
         (start + self.tick - 1).saturating_add(self.waits())
-    }
-}
-
-impl GraphSizeCheck {
-    /// Guaranteed waits from `tick` on: only through stretches with no
-    /// scheduled moves, the remainder of a foreign slot, or of the hold
-    /// half of our own slot.
-    fn waits(&self) -> u64 {
-        let slot_len = 2 * self.t_est;
-        let total = slot_len * u64::from(self.k);
-        if self.tick >= total {
-            return 0;
-        }
-        let slot = self.tick / slot_len;
-        let in_slot = self.tick % slot_len;
-        let quiet_until = if slot == u64::from(self.rank) {
-            if in_slot < self.t_est {
-                return 0; // walking (or padding — not worth splitting)
-            }
-            (slot + 1) * slot_len
-        } else {
-            let my_start = u64::from(self.rank) * slot_len;
-            if self.tick < my_start {
-                my_start
-            } else {
-                total
-            }
-        };
-        // The completion poll after `total` is not a wait.
-        (quiet_until - self.tick)
-            .min(total - self.tick)
-            .saturating_sub(u64::from(quiet_until >= total))
     }
 }
 

@@ -102,7 +102,8 @@ struct AgentArena {
     /// its promise (its procedure's [`Procedure::quiet_until`], or the
     /// round before a held slow move's), or the round of its latest poll
     /// when that poll promised nothing, acted or saw a one-off
-    /// observation.
+    /// observation. `u64::MAX` while the agent is not executing, so one
+    /// comparison passes over sleepers, terminal agents and waiters.
     due: Vec<u64>,
     /// `CurCard` at the agent's latest poll.
     seen_card: Vec<u32>,
@@ -152,7 +153,7 @@ impl AgentArena {
         self.adversary_wake.push(u64::MAX);
         self.crash_round.push(u64::MAX);
         self.woke.push(0);
-        self.due.push(0);
+        self.due.push(u64::MAX);
         self.seen_card.push(0);
         self.slow.push((None, Port::new(0)));
         self.procs.push(agent);
@@ -560,25 +561,27 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
         let EngineScratch {
             card, acts, labels, ..
         } = scratch;
-        if std::mem::take(&mut self.moved) {
-            self.after_moves(round, card);
-        }
 
         // Poll the agents that are due, all on the same positions, and
         // note the earliest last round of the promises that stand.
         acts.clear();
         let weak = self.engine.sensing == Sensing::Weak;
+        let moved = std::mem::take(&mut self.moved);
+        let mut visited = false;
         let mut quiet = u64::MAX;
         for i in 0..self.engine.agents.len() {
-            let agents = &mut self.engine.agents;
-            if !agents.phase[i].is_executing() {
-                continue;
+            if moved {
+                visited |= self.after_move(i, round, card);
             }
+            let agents = &mut self.engine.agents;
             let due = agents.due[i];
             if weak && due > round {
                 quiet = quiet.min(due);
                 #[cfg(debug_assertions)]
                 self.check_promise(i, round, card);
+                continue;
+            }
+            if !agents.phase[i].is_executing() {
                 continue;
             }
             let act = match agents.slow[i] {
@@ -605,6 +608,9 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
                 },
             };
             acts.push((i, act));
+        }
+        if visited {
+            self.next_wake = self.engine.agents.next_wake();
         }
 
         for &(i, act) in acts.iter() {
@@ -644,6 +650,7 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
             }
             self.running -= 1;
             agents.phase[i] = AgentPhase::Crashed;
+            agents.due[i] = u64::MAX;
             // A crash inside a slow move's wait cancels the move.
             agents.slow[i].0 = None;
             self.stats.last_crash_round = round;
@@ -679,48 +686,44 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
         self.next_wake = agents.next_wake();
     }
 
-    /// What the previous round's moves changed, seen in `round`: the
-    /// colocation maximum; wake-on-visit, where a dormant agent with any
-    /// other body on its node (awake, declared or crashed — a body is a
-    /// body) starts executing; and under weak sensing every waiter whose
-    /// `CurCard` changed becomes due unless its promise is blind or a
-    /// held slow move. `CurCard` counts every body present, dormant,
-    /// declared and crashed ones included.
-    fn after_moves(&mut self, round: u64, card: &[u32]) {
-        let weak = self.engine.sensing == Sensing::Weak;
+    /// What the previous round's moves changed for agent `i`, seen in
+    /// `round`: the colocation maximum; wake-on-visit, where a dormant
+    /// agent with any other body on its node (awake, declared or crashed —
+    /// a body is a body) starts executing; and under weak sensing a
+    /// waiter whose `CurCard` changed becomes due unless its promise is
+    /// blind or a held slow move. `CurCard` counts every body present,
+    /// dormant, declared and crashed ones included. Returns whether the
+    /// agent woke.
+    #[inline(always)]
+    fn after_move(&mut self, i: usize, round: u64, card: &[u32]) -> bool {
         let agents = &mut self.engine.agents;
-        let mut visited = false;
-        for i in 0..agents.len() {
-            let here = card[agents.pos[i].index()];
-            self.stats.max_colocation = self.stats.max_colocation.max(here);
-            match agents.phase[i] {
-                AgentPhase::Dormant if here > 1 => {
-                    agents.wake(i, round);
-                    self.dormant -= 1;
-                    visited = true;
-                    if let Some(t) = self.trace.as_mut() {
-                        t.push(TraceEvent::Wake {
-                            agent: agents.labels[i],
-                            round,
-                            by_visit: true,
-                        });
-                    }
+        let here = card[agents.pos[i].index()];
+        self.stats.max_colocation = self.stats.max_colocation.max(here);
+        match agents.phase[i] {
+            AgentPhase::Dormant if here > 1 => {
+                agents.wake(i, round);
+                self.dormant -= 1;
+                if let Some(t) = self.trace.as_mut() {
+                    t.push(TraceEvent::Wake {
+                        agent: agents.labels[i],
+                        round,
+                        by_visit: true,
+                    });
                 }
-                AgentPhase::Active | AgentPhase::Blocked
-                    if weak
-                        && agents.due[i] > round
-                        && here != agents.seen_card[i]
-                        && agents.slow[i].0.is_none()
-                        && !agents.procs[i].blind() =>
-                {
-                    agents.due[i] = round;
-                }
-                _ => {}
+                return true;
             }
+            AgentPhase::Active | AgentPhase::Blocked
+                if self.engine.sensing == Sensing::Weak
+                    && agents.due[i] > round
+                    && here != agents.seen_card[i]
+                    && agents.slow[i].0.is_none()
+                    && !agents.procs[i].blind() =>
+            {
+                agents.due[i] = round;
+            }
+            _ => {}
         }
-        if visited {
-            self.next_wake = agents.next_wake();
-        }
+        false
     }
 
     /// Polls executing agent `i` in `round` and returns its act and the
@@ -809,7 +812,7 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
     #[cfg(debug_assertions)]
     fn check_promise(&mut self, i: usize, round: u64, card: &[u32]) {
         let agents = &mut self.engine.agents;
-        if agents.slow[i].0.is_some() {
+        if !agents.phase[i].is_executing() || agents.slow[i].0.is_some() {
             return;
         }
         let pos = agents.pos[i];
@@ -902,6 +905,7 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
                     declaration: d,
                 });
                 agents.phase[i] = AgentPhase::Declared;
+                agents.due[i] = u64::MAX;
                 self.running -= 1;
                 self.stats.last_declaration_round = round;
                 if let Some(t) = self.trace.as_mut() {
