@@ -174,36 +174,6 @@ impl GraphSizeCheck {
             }
         }
     }
-
-    /// Guaranteed waits from `tick` on: only through stretches with no
-    /// scheduled moves, the remainder of a foreign slot, or of the hold
-    /// half of our own slot.
-    fn waits(&self) -> u64 {
-        let slot_len = 2 * self.t_est;
-        let total = slot_len * u64::from(self.k);
-        if self.tick >= total {
-            return 0;
-        }
-        let slot = self.tick / slot_len;
-        let in_slot = self.tick % slot_len;
-        let quiet_until = if slot == u64::from(self.rank) {
-            if in_slot < self.t_est {
-                return 0; // walking (or padding — not worth splitting)
-            }
-            (slot + 1) * slot_len
-        } else {
-            let my_start = u64::from(self.rank) * slot_len;
-            if self.tick < my_start {
-                my_start
-            } else {
-                total
-            }
-        };
-        // The completion poll after `total` is not a wait.
-        (quiet_until - self.tick)
-            .min(total - self.tick)
-            .saturating_sub(u64::from(quiet_until >= total))
-    }
 }
 
 impl Procedure for GraphSizeCheck {
@@ -253,9 +223,34 @@ impl Procedure for GraphSizeCheck {
     }
 
     fn quiet_until(&self) -> u64 {
-        let Some(start) = self.start else { return 0 };
-        // The latest poll's clock, plus the waits promised after it.
-        (start + self.tick - 1).saturating_add(self.waits())
+        // Promise waits only through stretches with no scheduled moves: the
+        // remainder of a foreign slot, or of the hold half of our own slot.
+        let slot_len = 2 * self.t_est;
+        let total = slot_len * u64::from(self.k);
+        let Some(start) = self.start.filter(|_| self.tick < total) else {
+            return 0;
+        };
+        let slot = self.tick / slot_len;
+        let in_slot = self.tick % slot_len;
+        let quiet_until = if slot == u64::from(self.rank) {
+            if in_slot < self.t_est {
+                return 0; // walking (or padding — not worth splitting)
+            }
+            (slot + 1) * slot_len
+        } else {
+            let my_start = u64::from(self.rank) * slot_len;
+            if self.tick < my_start {
+                my_start
+            } else {
+                total
+            }
+        };
+        // The latest poll's clock, plus the waits after it. The completion
+        // poll after `total` is not a wait.
+        let waits = (quiet_until - self.tick)
+            .min(total - self.tick)
+            .saturating_sub(u64::from(quiet_until >= total));
+        (start + self.tick - 1).saturating_add(waits)
     }
 }
 

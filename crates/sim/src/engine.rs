@@ -217,7 +217,7 @@ impl EngineScratch {
     }
 
     /// Sizes the buffers for a graph of `n` nodes, with every count zero:
-    /// O(n), which no run of the graph's agents costs less than.
+    /// O(n) per run, like the graph it runs on.
     fn prepare(&mut self, n: usize) {
         self.card.clear();
         self.card.resize(n, 0);
