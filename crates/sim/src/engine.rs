@@ -499,7 +499,8 @@ pub(crate) struct ActiveRun<'g, V: TopologyView> {
     dormant: usize,
     /// Whether a move in the previous executed round changed a count: only
     /// then can a sleeper have company, a waiter a new `CurCard`, or the
-    /// colocation a new maximum.
+    /// colocation a new maximum. True before round 0, which reads the
+    /// starting counts.
     moved: bool,
     round: u64,
     max_rounds: u64,
