@@ -127,7 +127,7 @@ fn explo_walk_boxed(g: &Graph, uxs: &Arc<Uxs>, agents: u32, scratch: &mut Engine
         engine.add_agent(
             label(u64::from(i) + 1),
             spread_start(i, agents, n),
-            Box::new(Explo::new(Arc::clone(uxs)).map(|_| Declaration::bare())),
+            Box::new(Explo::new(uxs).map(|_| Declaration::bare())),
         );
     }
     engine.set_wake_schedule(WakeSchedule::Simultaneous);

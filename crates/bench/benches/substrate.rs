@@ -96,7 +96,7 @@ fn explo_execution(c: &mut Criterion) {
             engine.add_agent(
                 label(1),
                 NodeId::new(0),
-                Box::new(Explo::new(Arc::clone(&uxs)).map(|_| Declaration::bare())),
+                Box::new(Explo::new(&uxs).map(|_| Declaration::bare())),
             );
             engine.add_agent(
                 label(2),

@@ -327,6 +327,14 @@ pub fn t2_communicate(_ctx: ExperimentCtx) -> Table {
                 size: Some(out.k),
             })
         }
+
+        fn walk(&self) -> nochatter_sim::walk::Walk {
+            self.comm.walk()
+        }
+
+        fn walk_done(&mut self, done: nochatter_sim::walk::WalkDone) {
+            self.comm.walk_done(done);
+        }
     }
 
     for labels in [vec![5u64, 3, 12], vec![4, 9], vec![7, 7 + 8, 23, 6]] {

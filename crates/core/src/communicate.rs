@@ -16,6 +16,7 @@ use std::sync::Arc;
 
 use nochatter_explore::{Explo, Uxs};
 use nochatter_sim::proc::{Procedure, WaitRounds};
+use nochatter_sim::walk::{Walk, WalkDone};
 use nochatter_sim::{Obs, Poll};
 
 use crate::codec::BitStr;
@@ -159,7 +160,7 @@ impl Procedure for Communicate {
                     match w.poll(obs) {
                         Poll::Yield(a) => return Poll::Yield(a),
                         Poll::Complete(()) => {
-                            self.stage = Stage::Walk(Explo::new(Arc::clone(&self.uxs)), is_active);
+                            self.stage = Stage::Walk(Explo::new(&self.uxs), is_active);
                         }
                     }
                 }
@@ -205,6 +206,20 @@ impl Procedure for Communicate {
             _ => 0,
         }
     }
+
+    fn walk(&self) -> Walk {
+        match &self.stage {
+            Stage::Walk(e, _) => e.walk(),
+            _ => unreachable!("no walk under way"),
+        }
+    }
+
+    fn walk_done(&mut self, done: WalkDone) {
+        match &mut self.stage {
+            Stage::Walk(e, _) => e.walk_done(done),
+            _ => unreachable!("no walk under way"),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -238,6 +253,14 @@ mod tests {
                 leader: out.l.extract_terminated_code().and_then(|d| d.to_label()),
                 size: Some(out.k),
             })
+        }
+
+        fn walk(&self) -> Walk {
+            self.comm.walk()
+        }
+
+        fn walk_done(&mut self, done: WalkDone) {
+            self.comm.walk_done(done);
         }
     }
 

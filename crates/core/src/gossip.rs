@@ -20,6 +20,7 @@ use std::sync::Arc;
 use nochatter_explore::Uxs;
 use nochatter_graph::Label;
 use nochatter_sim::proc::Procedure;
+use nochatter_sim::walk::{Walk, WalkDone};
 use nochatter_sim::{Obs, Poll};
 
 use crate::codec::BitStr;
@@ -155,6 +156,20 @@ impl Procedure for Gossip {
             Stage::Loop => 0,
         }
     }
+
+    fn walk(&self) -> Walk {
+        match &self.stage {
+            Stage::Comm(c) => c.walk(),
+            Stage::Loop => unreachable!("no walk under way"),
+        }
+    }
+
+    fn walk_done(&mut self, done: WalkDone) {
+        match &mut self.stage {
+            Stage::Comm(c) => c.walk_done(done),
+            Stage::Loop => unreachable!("no walk under way"),
+        }
+    }
 }
 
 /// The full `GossipKnownUpperBound` of Theorem 5.1: gather with
@@ -229,6 +244,20 @@ impl Procedure for GossipKnownUpperBound {
         match &self.stage {
             ComposedStage::Gather(g) => g.quiet_until(),
             ComposedStage::Chat(_, g) => g.quiet_until(),
+        }
+    }
+
+    fn walk(&self) -> Walk {
+        match &self.stage {
+            ComposedStage::Gather(g) => g.walk(),
+            ComposedStage::Chat(_, g) => g.walk(),
+        }
+    }
+
+    fn walk_done(&mut self, done: WalkDone) {
+        match &mut self.stage {
+            ComposedStage::Gather(g) => g.walk_done(done),
+            ComposedStage::Chat(_, g) => g.walk_done(done),
         }
     }
 }
@@ -468,6 +497,20 @@ impl Procedure for GossipUnknownUpperBound {
         match &self.stage {
             UnknownComposedStage::Gather(g) => g.slow_wait(),
             UnknownComposedStage::Chat(..) => unreachable!("the exchange makes no slow moves"),
+        }
+    }
+
+    fn walk(&self) -> Walk {
+        match &self.stage {
+            UnknownComposedStage::Gather(..) => unreachable!("the gathering makes no walks"),
+            UnknownComposedStage::Chat(_, g) => g.walk(),
+        }
+    }
+
+    fn walk_done(&mut self, done: WalkDone) {
+        match &mut self.stage {
+            UnknownComposedStage::Gather(..) => unreachable!("the gathering makes no walks"),
+            UnknownComposedStage::Chat(_, g) => g.walk_done(done),
         }
     }
 }

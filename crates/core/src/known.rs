@@ -31,6 +31,7 @@ use nochatter_explore::Explo;
 use nochatter_graph::Label;
 use nochatter_rendezvous::Tz;
 use nochatter_sim::proc::{Procedure, RunFor, WaitRounds};
+use nochatter_sim::walk::{Walk, WalkDone};
 use nochatter_sim::{Action, Obs, Poll};
 
 use crate::codec::BitStr;
@@ -131,7 +132,7 @@ impl GatherKnownUpperBound {
 
     /// Explicit-mode constructor.
     pub fn with_mode(params: KnownParams, label: Label, mode: CommMode) -> Self {
-        let uxs = Arc::clone(params.uxs());
+        let explo = Explo::new(params.uxs());
         GatherKnownUpperBound {
             params,
             label,
@@ -141,7 +142,7 @@ impl GatherKnownUpperBound {
             i: 1,
             c: 0,
             lambda: 0,
-            stage: Stage::Phase0Explo(Explo::new(uxs)),
+            stage: Stage::Phase0Explo(explo),
         }
     }
 
@@ -211,7 +212,7 @@ impl Procedure for GatherKnownUpperBound {
                         Block1::Wait1(w) => match w.poll(obs) {
                             Poll::Yield(a) => return Poll::Yield(a),
                             Poll::Complete(()) => {
-                                *b1 = Block1::Explo1(Explo::new(Arc::clone(self.params.uxs())));
+                                *b1 = Block1::Explo1(Explo::new(self.params.uxs()));
                             }
                         },
                         Block1::Explo1(e) => match e.poll(obs) {
@@ -223,7 +224,7 @@ impl Procedure for GatherKnownUpperBound {
                         Block1::Wait2(w) => match w.poll(obs) {
                             Poll::Yield(a) => return Poll::Yield(a),
                             Poll::Complete(()) => {
-                                *b1 = Block1::Explo2(Explo::new(Arc::clone(self.params.uxs())));
+                                *b1 = Block1::Explo2(Explo::new(self.params.uxs()));
                             }
                         },
                         Block1::Explo2(e) => match e.poll(obs) {
@@ -296,7 +297,7 @@ impl Procedure for GatherKnownUpperBound {
                         Block2::Wait2(w) => match w.poll(obs) {
                             Poll::Yield(a) => return Poll::Yield(a),
                             Poll::Complete(()) => {
-                                *b2 = Block2::Walk(Explo::new(Arc::clone(self.params.uxs())));
+                                *b2 = Block2::Walk(Explo::new(self.params.uxs()));
                             }
                         },
                         Block2::Walk(e) => match e.poll(obs) {
@@ -339,6 +340,36 @@ impl Procedure for GatherKnownUpperBound {
                 (self.changed + self.params.d(self.i + 1)).saturating_sub(2)
             }
             _ => 0,
+        }
+    }
+
+    // Block walks stop once CurCard exceeds c (lines 8 and 23): the poll
+    // in the stop round then sees the rise and interrupts the block.
+    fn walk(&self) -> Walk {
+        match &self.stage {
+            Stage::Phase0Explo(e) => e.walk(),
+            Stage::Comm(c) => c.walk(),
+            Stage::Block1(Block1::Explo1(e) | Block1::Explo2(e))
+            | Stage::Block2(Block2::Walk(e)) => Walk {
+                stop_above: Some(self.c),
+                ..e.walk()
+            },
+            _ => unreachable!("no walk under way"),
+        }
+    }
+
+    // The walk's observations extend the CurCard streak as polls would.
+    fn walk_done(&mut self, done: WalkDone) {
+        if let Some(changed) = done.changed {
+            self.changed = changed;
+            self.last_card = Some(done.last_card);
+        }
+        match &mut self.stage {
+            Stage::Phase0Explo(e)
+            | Stage::Block1(Block1::Explo1(e) | Block1::Explo2(e))
+            | Stage::Block2(Block2::Walk(e)) => e.walk_done(done),
+            Stage::Comm(c) => c.walk_done(done),
+            _ => unreachable!("no walk under way"),
         }
     }
 }

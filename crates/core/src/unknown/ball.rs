@@ -254,6 +254,7 @@ mod tests {
                             Action::Wait => (1, 0),
                             Action::TakePort(_) => (1, 1),
                             Action::SlowMove(_) => (self.ball().slow_wait() + 1, 1),
+                            Action::Walk => unreachable!("a ball traversal makes no walks"),
                         };
                         self.rounds[half] += rounds;
                         self.moves[half] += moves;

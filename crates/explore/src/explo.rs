@@ -2,8 +2,8 @@
 
 use std::sync::Arc;
 
-use nochatter_graph::Port;
 use nochatter_sim::proc::Procedure;
+use nochatter_sim::walk::{Walk, WalkDone};
 use nochatter_sim::{Action, Obs, Poll};
 
 use crate::uxs::Uxs;
@@ -26,12 +26,18 @@ pub struct ExploOutcome {
 /// The walk rule: after entering a node of degree `d` by port `p` (the start
 /// node counts as entered by port 0), exit by port `(p + x_i) mod d`.
 ///
+/// `Explo` is the walk's description and its completion: its first poll
+/// yields [`Action::Walk`], which the engine plays by the one walk rule
+/// ([`nochatter_sim::walk::WalkState`]) without polling it, and the poll
+/// after [`Procedure::walk_done`] completes with the walk's `min_card`.
+///
 /// Under a round-varying topology (see [`nochatter_graph::dynamic`]) a
 /// traversal can be *blocked*: the agent stays put and observes
-/// `blocked: true` next round. `EXPLO` then rewinds one tick and re-attempts
-/// the same traversal, so the walk it performs is always a genuine walk of
-/// the base graph — at the cost of stretching past the nominal duration.
-/// On the static model `blocked` is never set and the duration is exact.
+/// `blocked: true` next round. The walk then rewinds one tick and
+/// re-attempts the same traversal, so the walk it performs is always a
+/// genuine walk of the base graph — at the cost of stretching past the
+/// nominal duration. On the static model `blocked` is never set and the
+/// duration is exact.
 ///
 /// # Example
 ///
@@ -41,27 +47,22 @@ pub struct ExploOutcome {
 ///
 /// let uxs = Arc::new(Uxs::from_steps(vec![1, 1, 1, 1]));
 /// assert_eq!(Explo::duration(&uxs), 8);
-/// let explo = Explo::new(uxs);
+/// let explo = Explo::new(&uxs);
 /// # let _ = explo;
 /// ```
 #[derive(Clone, Debug)]
 pub struct Explo {
-    uxs: Arc<Uxs>,
-    /// Index of the next poll within the procedure: `0..2L`.
-    tick: usize,
-    /// Entry ports of the forward moves, recorded as they are observed.
-    entries: Vec<Port>,
-    min_card: u32,
+    steps: Arc<[u32]>,
+    /// The walk's `min_card`, once it has been handed back.
+    min_card: Option<u32>,
 }
 
 impl Explo {
     /// A fresh execution of `EXPLO` driven by `uxs`.
-    pub fn new(uxs: Arc<Uxs>) -> Self {
+    pub fn new(uxs: &Uxs) -> Self {
         Explo {
-            entries: Vec::with_capacity(uxs.len()),
-            uxs,
-            tick: 0,
-            min_card: u32::MAX,
+            steps: Arc::clone(uxs.shared_steps()),
+            min_card: None,
         }
     }
 
@@ -75,50 +76,26 @@ impl Procedure for Explo {
     type Output = ExploOutcome;
 
     fn poll(&mut self, obs: &Obs) -> Poll<ExploOutcome> {
-        let len = self.uxs.len();
-        // A blocked traversal (round-varying topologies only): the
-        // previous yield did not move and recorded no entry, so rewind one
-        // tick and re-attempt the identical traversal this round.
-        if obs.blocked && self.tick >= 1 {
-            self.tick -= 1;
+        match self.min_card {
+            Some(min_card) => Poll::Complete(ExploOutcome { min_card }),
+            // Zero-length sequence: no move, and this observation is the
+            // only one.
+            None if self.steps.is_empty() => Poll::Complete(ExploOutcome {
+                min_card: obs.cur_card,
+            }),
+            None => Poll::Yield(Action::Walk),
         }
-        if self.tick < 2 * len {
-            self.min_card = self.min_card.min(obs.cur_card);
+    }
+
+    fn walk(&self) -> Walk {
+        Walk {
+            steps: Arc::clone(&self.steps),
+            stop_above: None,
         }
-        // Record the entry port of the previous forward move (observations
-        // arrive one round after the move that caused them).
-        if self.tick >= 1 && self.tick <= len && self.entries.len() < self.tick {
-            let p = obs
-                .entry_port
-                .expect("agent moved last round, entry port must be known");
-            self.entries.push(p);
-        }
-        if self.tick < len {
-            // Effective part: entry port of the current node is 0 at the
-            // start, else the recorded entry of the previous move.
-            let p = if self.tick == 0 {
-                0
-            } else {
-                self.entries[self.tick - 1].number()
-            };
-            let q = (p + self.uxs.step(self.tick)) % obs.degree.max(1);
-            self.tick += 1;
-            Poll::Yield(Action::TakePort(Port::new(q)))
-        } else if self.tick < 2 * len {
-            // Backtrack part: re-traverse edges in reverse entry order.
-            let back = self.entries[2 * len - 1 - self.tick];
-            self.tick += 1;
-            Poll::Yield(Action::TakePort(back))
-        } else {
-            Poll::Complete(ExploOutcome {
-                min_card: if self.min_card == u32::MAX {
-                    // Zero-length sequence: no observation was consumed.
-                    obs.cur_card
-                } else {
-                    self.min_card
-                },
-            })
-        }
+    }
+
+    fn walk_done(&mut self, done: WalkDone) {
+        self.min_card = Some(done.min_card);
     }
 }
 
@@ -144,7 +121,7 @@ mod tests {
         engine.add_agent(
             label(1),
             start,
-            Box::new(Explo::new(uxs).map(|_| Declaration::bare())),
+            Box::new(Explo::new(&uxs).map(|_| Declaration::bare())),
         );
         // A second, inert agent parked far away so the engine setup is
         // realistic (the model assumes >= 2 agents); it declares instantly.
@@ -233,7 +210,7 @@ mod tests {
         engine.add_agent(
             label(1),
             NodeId::new(0),
-            Box::new(Explo::new(Arc::clone(&uxs)).map(|o| Declaration {
+            Box::new(Explo::new(&uxs).map(|o| Declaration {
                 leader: None,
                 size: Some(o.min_card),
             })),
@@ -251,7 +228,7 @@ mod tests {
     #[test]
     fn zero_length_uxs_completes_immediately() {
         let uxs = Arc::new(Uxs::from_steps(vec![]));
-        let mut e = Explo::new(uxs);
+        let mut e = Explo::new(&uxs);
         let obs = Obs::synthetic(0, 2, 3, None);
         assert_eq!(e.poll(&obs), Poll::Complete(ExploOutcome { min_card: 3 }));
     }

@@ -2,6 +2,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 use nochatter_graph::enumerate;
 use nochatter_graph::rng::Rng;
@@ -17,7 +18,8 @@ use nochatter_graph::{Graph, NodeId, Port};
 /// [`Uxs::pseudorandom`] (uncertified, for ablations).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Uxs {
-    steps: Vec<u32>,
+    /// Shared with every walk over it ([`Uxs::shared_steps`]).
+    steps: Arc<[u32]>,
 }
 
 /// Failure to certify a sequence.
@@ -106,7 +108,9 @@ impl<'g> WalkState<'g> {
 impl Uxs {
     /// Wraps an explicit step sequence.
     pub fn from_steps(steps: Vec<u32>) -> Self {
-        Uxs { steps }
+        Uxs {
+            steps: steps.into(),
+        }
     }
 
     /// The number of steps (each step is one edge traversal of the
@@ -127,6 +131,12 @@ impl Uxs {
     /// Panics if `i >= len()`.
     pub fn step(&self, i: usize) -> u32 {
         self.steps[i]
+    }
+
+    /// The steps, shared: what a [`nochatter_sim::walk::Walk`] over this
+    /// sequence walks.
+    pub fn shared_steps(&self) -> &Arc<[u32]> {
+        &self.steps
     }
 
     /// An uncertified pseudorandom sequence of the given length —
@@ -193,7 +203,7 @@ impl Uxs {
             }
             steps.push(x);
         }
-        Ok(Uxs { steps })
+        Ok(Uxs::from_steps(steps))
     }
 
     /// A genuine universal exploration sequence for all graphs of size
@@ -214,7 +224,7 @@ impl Uxs {
     /// node is visited.
     pub fn covers(&self, graph: &Graph, start: NodeId) -> bool {
         let mut state = WalkState::new(graph, start);
-        for &x in &self.steps {
+        for &x in self.steps.iter() {
             if state.remaining == 0 {
                 return true;
             }
@@ -234,7 +244,7 @@ impl Uxs {
     pub fn walk(&self, graph: &Graph, start: NodeId) -> Vec<NodeId> {
         let mut state = WalkState::new(graph, start);
         let mut nodes = vec![start];
-        for &x in &self.steps {
+        for &x in self.steps.iter() {
             state.advance(x);
             nodes.push(state.at);
         }
@@ -244,7 +254,7 @@ impl Uxs {
     /// Truncates to the first `len` steps (for the certification ablation).
     pub fn truncated(&self, len: usize) -> Uxs {
         Uxs {
-            steps: self.steps[..len.min(self.steps.len())].to_vec(),
+            steps: self.steps[..len.min(self.steps.len())].into(),
         }
     }
 }

@@ -80,8 +80,10 @@ fn engine_fingerprint_is_pinned() {
     // The probes' `polled_agent_rounds` are part of the digest, so a
     // change in how many polls the round loop issues moves this pin too:
     // polling only the agents that are due took the dynamic-ring probe
-    // from 2,644 polls to 2,556, every other figure of every probe equal.
-    assert_eq!(engine_fingerprint(), 0xee89_bc3e_5f40_41c5);
+    // from 2,644 polls to 2,556, and walks the engine plays without a poll
+    // took the four probes from 1,286 / 475 / 2,556 / 3,219 polls to
+    // 404 / 185 / 756 / 805, every other figure of every probe equal.
+    assert_eq!(engine_fingerprint(), 0xdcca_9fb3_3555_957e);
 }
 
 /// A full scenario fingerprint (key + seed + content + versions) is
@@ -91,7 +93,8 @@ fn scenario_fingerprint_is_pinned() {
     let campaign = presets::smoke_campaign();
     let s = &campaign.scenarios()[0];
     assert_eq!(s.key.canonical(), "path/n4/t2.3/wfirst/silent/gather/r0");
-    assert_eq!(scenario_fingerprint(s), 0x294c_3d65_2fc2_f72a);
+    // Moves with the engine fingerprint it folds in.
+    assert_eq!(scenario_fingerprint(s), 0xdc03_c080_cc80_dcdb);
 }
 
 // ---------------------------------------------------------------------------

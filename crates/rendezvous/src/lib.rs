@@ -44,6 +44,7 @@ use std::sync::Arc;
 
 use nochatter_explore::{Explo, Uxs};
 use nochatter_sim::proc::Procedure;
+use nochatter_sim::walk::{Walk, WalkState};
 use nochatter_sim::{Action, Obs, Poll};
 
 /// Which blocks of `TZ` are active, derived from the parameter's prefix-free
@@ -108,6 +109,11 @@ pub fn meeting_bound(uxs: &Uxs, bit_len: u32) -> u64 {
 /// The `TZ(λ)` procedure. Never completes on its own — Algorithm 3 runs it
 /// for a fixed number of rounds (`RunFor`) and interrupts on meetings
 /// (`UntilCardExceeds`).
+///
+/// Its walks are not [`Action::Walk`] instructions: the window of an
+/// active block ends after `2L` rounds whether or not its walk has (a
+/// blocked traversal stretches the walk), so `TZ` steps a
+/// [`WalkState`], the engine's walk rule, in its own polls.
 #[derive(Clone, Debug)]
 pub struct Tz {
     schedule: ActivitySchedule,
@@ -119,9 +125,11 @@ pub struct Tz {
     start: Option<u64>,
     /// The clock of its latest poll.
     last: u64,
-    /// The block the exploration below belongs to.
+    /// The block the walk below belongs to.
     block: usize,
-    explo: Option<Explo>,
+    /// Whether this block's walk has started.
+    walking: bool,
+    walk: WalkState,
 }
 
 impl Tz {
@@ -139,7 +147,8 @@ impl Tz {
             start: None,
             last: 0,
             block: 0,
-            explo: None,
+            walking: false,
+            walk: WalkState::default(),
         }
     }
 
@@ -158,24 +167,33 @@ impl Procedure for Tz {
         let (block, tick) = ((elapsed / block_len) as usize, elapsed % block_len);
         if block != self.block {
             self.block = block;
-            self.explo = None;
+            self.walking = false;
         }
         self.last = obs.round;
-        let action = if self.schedule.is_active(self.block) && (self.l..3 * self.l).contains(&tick)
-        {
-            let explo = self
-                .explo
-                .get_or_insert_with(|| Explo::new(Arc::clone(&self.uxs)));
-            match explo.poll(obs) {
-                Poll::Yield(a) => a,
-                // EXPLO lasts exactly 2L polls and the active window is 2L
-                // polls wide, so completion cannot be observed here.
-                Poll::Complete(_) => unreachable!("EXPLO window sized to its duration"),
-            }
+        if !self.schedule.is_active(self.block) || !(self.l..3 * self.l).contains(&tick) {
+            return Poll::Yield(Action::Wait);
+        }
+        let port = if self.walking {
+            self.walk
+                .step(
+                    obs.degree,
+                    obs.cur_card,
+                    obs.entry_port,
+                    obs.blocked,
+                    obs.round,
+                )
+                // EXPLO lasts exactly 2L rounds and the active window is
+                // 2L rounds wide, so its end cannot be observed here.
+                .expect("EXPLO window sized to its duration")
         } else {
-            Action::Wait
+            self.walking = true;
+            let walk = Walk {
+                steps: Arc::clone(self.uxs.shared_steps()),
+                stop_above: None,
+            };
+            self.walk.start(walk, obs.degree, obs.cur_card)
         };
-        Poll::Yield(action)
+        Poll::Yield(Action::TakePort(port))
     }
 
     fn quiet_until(&self) -> u64 {

@@ -1,7 +1,5 @@
 //! The deterministic synchronous execution engine.
 
-use std::num::NonZeroU64;
-
 use nochatter_graph::dynamic::{Static, Topology, TopologyView};
 use nochatter_graph::{Graph, Label, NodeId, Port};
 
@@ -12,6 +10,7 @@ use crate::outcome::{Declaration, DeclarationRecord, RunOutcome, RunStatus};
 use crate::proc::Procedure;
 use crate::schedule::WakeSchedule;
 use crate::trace::{Trace, TraceEvent};
+use crate::walk::WalkState;
 
 /// What co-located agents can perceive about each other.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -76,6 +75,20 @@ impl AgentPhase {
 /// An agent's program: a procedure whose output is its declaration.
 pub type Agent = Box<dyn Procedure<Output = Declaration>>;
 
+/// The instruction the engine holds for an agent and plays without a
+/// poll.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Held {
+    /// Nothing: the agent is polled when it is due.
+    Nothing,
+    /// A slow move: every round before `at` is a blind wait the engine
+    /// answers itself, and in round `at` it takes `port`.
+    Slow { at: u64, port: Port },
+    /// A walk, stepped from the agent's [`WalkState`] every round until
+    /// it ends.
+    Walk,
+}
+
 /// Struct-of-arrays agent storage.
 ///
 /// The round loop touches the small per-agent scalars (phase, position,
@@ -107,12 +120,12 @@ struct AgentArena {
     due: Vec<u64>,
     /// `CurCard` at the agent's latest poll.
     seen_card: Vec<u32>,
-    /// The slow move the engine holds for the agent: the round it is due
-    /// and its port, or `None` (the round of a slow move with a positive
-    /// wait is always past round 0). Every round before the due round is
-    /// a blind wait the engine answers itself; in the due round the
-    /// engine makes the move without a poll.
-    slow: Vec<(Option<NonZeroU64>, Port)>,
+    /// The instruction the engine holds for the agent: a slow move or a
+    /// walk.
+    held: Vec<Held>,
+    /// The agent's walk under way, or its last one: its entry buffer is
+    /// kept from one walk to the next.
+    walks: Vec<WalkState>,
     procs: Vec<Agent>,
 }
 
@@ -130,7 +143,8 @@ impl AgentArena {
             woke: Vec::new(),
             due: Vec::new(),
             seen_card: Vec::new(),
-            slow: Vec::new(),
+            held: Vec::new(),
+            walks: Vec::new(),
             procs: Vec::new(),
         }
     }
@@ -155,7 +169,8 @@ impl AgentArena {
         self.woke.push(0);
         self.due.push(u64::MAX);
         self.seen_card.push(0);
-        self.slow.push((None, Port::new(0)));
+        self.held.push(Held::Nothing);
+        self.walks.push(WalkState::default());
         self.procs.push(agent);
     }
 
@@ -585,22 +600,27 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
             if !agents.phase[i].is_executing() {
                 continue;
             }
-            let act = match agents.slow[i] {
-                (Some(at), _) if at.get() > round => {
+            let held = match agents.held[i] {
+                Held::Nothing => None,
+                Held::Slow { at, .. } if at > round => {
                     // A held wait answers itself; the agent is due in it
                     // as its expansion would be polled, and it counts as
                     // a poll.
                     self.stats.polled_agent_rounds += 1;
-                    agents.due[i] = at.get() - 1;
-                    quiet = quiet.min(at.get() - 1);
+                    agents.due[i] = at - 1;
+                    quiet = quiet.min(at - 1);
                     continue;
                 }
-                (Some(_), port) => {
-                    agents.slow[i].0 = None;
+                Held::Slow { port, .. } => {
+                    agents.held[i] = Held::Nothing;
                     agents.due[i] = round;
-                    Poll::Yield(Action::TakePort(port))
+                    Some(port)
                 }
-                (None, _) => match self.poll_agent(i, round, card, labels) {
+                Held::Walk => self.walk_step(i, round, card),
+            };
+            let act = match held {
+                Some(port) => Poll::Yield(Action::TakePort(port)),
+                None => match self.poll_agent(i, round, card, labels) {
                     (Poll::Yield(Action::Wait), until) => {
                         quiet = quiet.min(until);
                         continue;
@@ -652,8 +672,8 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
             self.running -= 1;
             agents.phase[i] = AgentPhase::Crashed;
             agents.due[i] = u64::MAX;
-            // A crash inside a slow move's wait cancels the move.
-            agents.slow[i].0 = None;
+            // A crash cancels a held slow move or walk.
+            agents.held[i] = Held::Nothing;
             self.stats.last_crash_round = round;
             if let Some(t) = self.trace.as_mut() {
                 t.push(TraceEvent::Crashed {
@@ -692,7 +712,7 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
     /// agent with any other body on its node (awake, declared or crashed —
     /// a body is a body) starts executing; and under weak sensing a
     /// waiter whose `CurCard` changed becomes due unless its promise is
-    /// blind or a held slow move. `CurCard` counts every body present,
+    /// blind or a held slow move (a walker is due anyway). `CurCard` counts every body present,
     /// dormant, declared and crashed ones included. Returns whether the
     /// agent woke.
     #[inline(always)]
@@ -717,7 +737,7 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
                 if self.engine.sensing == Sensing::Weak
                     && agents.due[i] > round
                     && here != agents.seen_card[i]
-                    && agents.slow[i].0.is_none()
+                    && agents.held[i] == Held::Nothing
                     && !agents.procs[i].blind() =>
             {
                 agents.due[i] = round;
@@ -731,11 +751,14 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
     /// last round of its promise (the poll's own round if it promises
     /// nothing); records when the agent is due next.
     ///
-    /// The engine holds slow moves here. A yielded [`Action::SlowMove`] is
-    /// read with its wait `w` at once: `w == 0` is a plain move, otherwise
-    /// the move is due in round `round + w` and the act is a wait. Until
-    /// then the engine answers `Wait` itself, and in the due round it
-    /// makes the move; neither reaches the procedure.
+    /// The engine takes slow moves and walks into its hands here. A
+    /// yielded [`Action::SlowMove`] is read with its wait `w` at once:
+    /// `w == 0` is a plain move, otherwise the move is due in round
+    /// `round + w` and the act is a wait. Until then the engine answers
+    /// `Wait` itself, and in the due round it makes the move; neither
+    /// reaches the procedure. A yielded [`Action::Walk`] is read from
+    /// [`Procedure::walk`] and its first move is the act; the engine plays
+    /// the later rounds ([`ActiveRun::walk_step`]).
     #[inline(always)]
     fn poll_agent(
         &mut self,
@@ -779,11 +802,18 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
                 }
                 wait => {
                     let at = round.saturating_add(wait);
-                    agents.slow[i] = (NonZeroU64::new(at), port);
+                    agents.held[i] = Held::Slow { at, port };
                     act = Poll::Yield(Action::Wait);
                     at - 1
                 }
             },
+            Poll::Yield(Action::Walk) => {
+                let walk = agents.procs[i].walk();
+                let port = agents.walks[i].start(walk, obs.degree, obs.cur_card);
+                agents.held[i] = Held::Walk;
+                act = Poll::Yield(Action::TakePort(port));
+                round
+            }
             _ => round,
         };
         // A promise made on a one-off observation stands for the skip,
@@ -805,6 +835,32 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
         (act, until)
     }
 
+    /// Plays round `round` of agent `i`'s held walk on the observation the
+    /// agent would get: the walk's move, or `None` once the walk has ended,
+    /// after handing what it observed back to the procedure, which is
+    /// then polled in this round. No walk round counts as a poll.
+    #[inline(always)]
+    fn walk_step(&mut self, i: usize, round: u64, card: &[u32]) -> Option<Port> {
+        let agents = &mut self.engine.agents;
+        let pos = agents.pos[i];
+        let walk = &mut agents.walks[i];
+        let port = walk.step(
+            self.engine.graph.degree(pos),
+            card[pos.index()],
+            agents.entry_port[i],
+            agents.phase[i] == AgentPhase::Blocked,
+            round - agents.woke[i],
+        );
+        if port.is_some() {
+            // The walk has seen a blocked attempt, as a poll would have.
+            agents.phase[i] = AgentPhase::Active;
+        } else {
+            agents.held[i] = Held::Nothing;
+            agents.procs[i].walk_done(walk.done());
+        }
+        port
+    }
+
     /// Debug-build promise net: agent `i` is inside its promise in
     /// `round`, blind or on an observation identical to its latest one.
     /// Polling it must change nothing: it waits, and promises the same
@@ -813,7 +869,7 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
     #[cfg(debug_assertions)]
     fn check_promise(&mut self, i: usize, round: u64, card: &[u32]) {
         let agents = &mut self.engine.agents;
-        if !agents.phase[i].is_executing() || agents.slow[i].0.is_some() {
+        if !agents.phase[i].is_executing() || agents.held[i] != Held::Nothing {
             return;
         }
         let pos = agents.pos[i];
@@ -851,7 +907,9 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
         let pos = agents.pos[i];
         match act {
             Poll::Yield(Action::Wait) => {}
-            Poll::Yield(Action::SlowMove(_)) => unreachable!("poll_agent resolves every slow move"),
+            Poll::Yield(Action::SlowMove(_) | Action::Walk) => {
+                unreachable!("poll_agent resolves every slow move and walk")
+            }
             Poll::Yield(Action::TakePort(p)) => {
                 match self.engine.graph.neighbor(pos, p) {
                     // A port that exists in the base graph but whose
@@ -2655,13 +2713,19 @@ mod tests {
         let mut run = ActiveRun::begin(engine, 500, &mut scratch).unwrap();
         step_past(&mut run, &mut scratch, 0);
         let agents = &run.engine.agents;
-        assert_eq!(agents.slow[0], (NonZeroU64::new(4), Port::new(1)));
+        assert_eq!(
+            agents.held[0],
+            Held::Slow {
+                at: 4,
+                port: Port::new(1)
+            }
+        );
         // The waiter's promise outlasts the wait: the clock jumps to the
         // move round.
         assert_eq!(run.round, 4);
         step_past(&mut run, &mut scratch, 4);
         let agents = &run.engine.agents;
-        assert_eq!(agents.slow[0].0, None);
+        assert_eq!(agents.held[0], Held::Nothing);
         assert_eq!(agents.pos[0], NodeId::new(1));
         assert_eq!(agents.due[0], 4, "due again the round after its move");
         step_past(&mut run, &mut scratch, 5);
@@ -2750,7 +2814,7 @@ mod tests {
         let mut run = ActiveRun::begin(engine, 500, &mut scratch).unwrap();
         step_past(&mut run, &mut scratch, 0);
         let agents = &run.engine.agents;
-        assert_eq!(agents.slow[0].0, None);
+        assert_eq!(agents.held[0], Held::Nothing);
         assert_eq!(agents.pos[0], NodeId::new(1));
         assert!(run.step(&mut scratch).is_some());
         assert_eq!(*polls.borrow(), vec![0, 1]);
@@ -2767,11 +2831,11 @@ mod tests {
         let mut scratch = EngineScratch::new();
         let mut run = ActiveRun::begin(engine, 500, &mut scratch).unwrap();
         step_past(&mut run, &mut scratch, 4);
-        assert!(run.engine.agents.slow[0].0.is_some());
+        assert_ne!(run.engine.agents.held[0], Held::Nothing);
         step_past(&mut run, &mut scratch, 5);
         let agents = &run.engine.agents;
         assert_eq!(agents.phase[0], AgentPhase::Crashed);
-        assert_eq!(agents.slow[0].0, None, "the crash cancels the move");
+        assert_eq!(agents.held[0], Held::Nothing, "the crash cancels the move");
         let outcome = loop {
             if let Some(result) = run.step(&mut scratch) {
                 break result.unwrap();

@@ -75,6 +75,7 @@ mod schedule;
 mod trace;
 
 pub mod proc;
+pub mod walk;
 
 pub use engine::{Agent, AgentPhase, Engine, EngineScratch, Sensing};
 pub use error::SimError;

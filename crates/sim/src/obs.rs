@@ -75,6 +75,21 @@ pub enum Action {
     /// `Action`, which every poll of every procedure returns, stays 8
     /// bytes.
     SlowMove(Port),
+    /// The paper's `EXPLO` walk (§2), effective part and backtrack, as one
+    /// instruction for all its rounds. The yielding procedure describes it
+    /// through [`crate::Procedure::walk`]: the exploration sequence and an
+    /// optional `CurCard` stop ([`crate::walk::Walk`]).
+    ///
+    /// The [`Engine`](crate::Engine) holds the walk: it makes the first
+    /// move in the round the walk is yielded in, plays every later round
+    /// by the walk rule without a poll, and once the walk has ended (its
+    /// backtrack done, or its stop fired) hands back what it observed
+    /// through [`crate::Procedure::walk_done`] and polls the procedure in
+    /// that same round, with that round's ordinary observation. Every
+    /// procedure that passes a walk up must forward both calls; see the
+    /// [`crate::proc`] module docs. Like a slow move's wait, the walk is
+    /// not a field, so that an `Action` stays 8 bytes.
+    Walk,
 }
 
 /// The result of polling a [`crate::Procedure`] for one round.

@@ -54,8 +54,35 @@
 //!   that counts its rounds from a start clock books the instruction as
 //!   `w + 1` of them ([`RunFor`] does);
 //! * nothing reaches the procedure for the wait's promise either.
+//!
+//! # Walks
+//!
+//! [`Action::Walk`] is the paper's `EXPLO` walk (§2) as one instruction,
+//! described right after the poll by [`Procedure::walk`]: the exploration
+//! sequence and an optional `CurCard` stop ([`Walk`]). The engine holds
+//! it as it holds a slow move. It makes the walk's first move in the
+//! round of the poll, plays every later round by the one walk rule
+//! ([`WalkState`](crate::walk::WalkState)) without a poll, and once the
+//! walk has ended — its backtrack done, or `CurCard` above the stop —
+//! calls [`Procedure::walk_done`] with what the walk observed
+//! ([`WalkDone`]: its smallest `CurCard`, and its last `CurCard` with the
+//! clock of its latest change), then polls the procedure in that same
+//! round with the round's ordinary observation. So:
+//!
+//! * no poll sees the walk's observations; a procedure that would have
+//!   folded them in (a `CurCard` streak, `EXPLO`'s `min_card`) takes them
+//!   from `walk_done`;
+//! * every procedure that passes a walk up forwards both `walk` and
+//!   `walk_done` to the child that yielded it, and one that interrupts on
+//!   `CurCard` puts its threshold into the walk's stop: its next poll, in
+//!   the round the stop fires, then sees the rise itself;
+//! * [`RunFor`] and [`UntilCardExceeds`] pass no walk up: a walk's length
+//!   is not known in advance under a round-varying topology, so a
+//!   procedure that can be cut off mid-walk (`TZ`) steps a
+//!   [`WalkState`](crate::walk::WalkState) in its own polls instead.
 
 use crate::obs::{Action, Obs, Poll};
+use crate::walk::{Walk, WalkDone};
 
 /// A resumable mobile-agent computation; see the [module docs](self) for
 /// the polling contract.
@@ -89,8 +116,22 @@ pub trait Procedure {
         panic!("a procedure yielded a slow move without a slow_wait")
     }
 
-    /// Maps the completion value through `f`, forwarding every promise and
-    /// the slow-move wait. This is how a procedure becomes an agent: the
+    /// The walk the latest poll yielded as [`Action::Walk`]; read only
+    /// right after such a poll. The default panics: a procedure that
+    /// yields or passes up walks must describe them.
+    fn walk(&self) -> Walk {
+        panic!("a procedure yielded a walk without describing it")
+    }
+
+    /// What the walk the procedure yielded observed, handed back once the
+    /// walk has ended, right before the procedure's next poll. The default
+    /// panics, as [`Procedure::walk`]'s does.
+    fn walk_done(&mut self, _done: WalkDone) {
+        panic!("a procedure that yields no walk was handed one back")
+    }
+
+    /// Maps the completion value through `f`, forwarding every promise,
+    /// the slow-move wait and the walk calls. This is how a procedure becomes an agent: the
     /// engine runs procedures whose output is a
     /// [`Declaration`](crate::Declaration).
     ///
@@ -143,6 +184,14 @@ where
 
     fn slow_wait(&self) -> u64 {
         self.inner.slow_wait()
+    }
+
+    fn walk(&self) -> Walk {
+        self.inner.walk()
+    }
+
+    fn walk_done(&mut self, done: WalkDone) {
+        self.inner.walk_done(done);
     }
 }
 

@@ -14,6 +14,7 @@ use nochatter::explore::Uxs;
 use nochatter::graph::{generators, Label, NodeId, Port};
 use nochatter::rendezvous::{meeting_bound, Tz};
 use nochatter::sim::proc::{Procedure, UntilCardExceeds};
+use nochatter::sim::walk::{Walk, WalkDone};
 use nochatter::sim::{Action, Declaration, Engine, Obs, Poll, WakeSchedule};
 
 fn label(v: u64) -> Label {
@@ -38,6 +39,14 @@ impl Procedure for Member {
             leader: out.l.extract_terminated_code().and_then(|d| d.to_label()),
             size: Some(out.k),
         })
+    }
+
+    fn walk(&self) -> Walk {
+        self.comm.walk()
+    }
+
+    fn walk_done(&mut self, done: WalkDone) {
+        self.comm.walk_done(done);
     }
 }
 

@@ -71,7 +71,7 @@ proptest! {
         engine.add_agent(
             Label::new(1).unwrap(),
             start,
-            Box::new(Explo::new(Arc::clone(uxs)).map(|_| Declaration::bare())),
+            Box::new(Explo::new(uxs).map(|_| Declaration::bare())),
         );
         engine.set_wake_schedule(WakeSchedule::Simultaneous);
         let outcome = engine.run(Explo::duration(uxs.as_ref()) + 2).expect("engine runs");

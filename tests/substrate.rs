@@ -195,7 +195,7 @@ fn explo_on_adversarial_ports_still_covers() {
         engine.add_agent(
             label(1),
             NodeId::new(2),
-            Box::new(Explo::new(Arc::clone(&uxs)).map(|_| Declaration::bare())),
+            Box::new(Explo::new(&uxs).map(|_| Declaration::bare())),
         );
         engine.add_agent(
             label(2),

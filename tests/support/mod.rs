@@ -5,21 +5,114 @@
 //! plain count over all agents, wake-on-visit, a poll of every executing
 //! agent, then the simultaneous application of the acts under the
 //! topology view. A slow move is played as its expansion: `w` rounds in
-//! which the agent waits without a poll, then the move. The loop reads no
-//! promise and skips no round, so comparing it with the engine checks the
-//! engine's fast-forward, its choice of whom to poll and its held slow
-//! moves against the rules they stand for.
+//! which the agent waits without a poll, then the move. A walk is played
+//! as its expansion too: one step of [`RefWalk`] per round, without a
+//! poll, then `walk_done` and a poll in the round it ends in. The loop
+//! reads no promise and skips no round, so comparing it with the engine
+//! checks the engine's fast-forward, its choice of whom to poll, its held
+//! slow moves and its held walks against the rules they stand for.
 //!
 //! It shares no code with the engine beyond the public types: wake rounds
 //! come from [`WakeSchedule::wake_rounds`], crash rounds from
-//! [`FaultSpec::crash_rounds`], edge presence from the [`TopologyView`].
+//! [`FaultSpec::crash_rounds`], edge presence from the [`TopologyView`],
+//! and the walk rule is written out again in [`RefWalk`].
+
+use std::sync::Arc;
 
 use nochatter::graph::dynamic::TopologyView;
 use nochatter::graph::{Graph, Label, NodeId, Port};
+use nochatter::sim::walk::{Walk, WalkDone};
 use nochatter::sim::{
     Action, Agent, AgentPhase, DeclarationRecord, FaultSpec, Obs, Poll, RunOutcome, RunStatus,
     Sensing, SimError, TraceEvent, WakeSchedule,
 };
+
+/// The `EXPLO` walk rule (§2), written apart from the engine's
+/// `WalkState`: `made` counts the moves that went through, and each round
+/// either retries the last one (it was blocked) or attempts the next.
+pub struct RefWalk {
+    steps: Arc<[u32]>,
+    stop_above: Option<u32>,
+    /// Entry ports of the forward moves that went through, in order.
+    entries: Vec<Port>,
+    /// Moves that went through; the last attempt was move `made` or, if
+    /// it went through, move `made - 1`.
+    made: usize,
+    done: WalkDone,
+}
+
+impl RefWalk {
+    /// Starts `walk` in a round observing `degree` and `cur_card`, and
+    /// returns that round's port.
+    pub fn start(walk: Walk, degree: u32, cur_card: u32) -> (Self, Port) {
+        let state = RefWalk {
+            steps: walk.steps,
+            stop_above: walk.stop_above,
+            entries: Vec::new(),
+            made: 0,
+            done: WalkDone {
+                min_card: cur_card,
+                last_card: cur_card,
+                changed: None,
+            },
+        };
+        let port = state.port(degree);
+        (state, port)
+    }
+
+    /// The round after an attempt: the next port, or `None` once the walk
+    /// has ended.
+    pub fn step(
+        &mut self,
+        degree: u32,
+        cur_card: u32,
+        entry: Option<Port>,
+        blocked: bool,
+        clock: u64,
+    ) -> Option<Port> {
+        if self.stop_above.is_some_and(|c| cur_card > c) {
+            return None;
+        }
+        let len = self.steps.len();
+        if !blocked {
+            self.made += 1;
+            if self.made <= len {
+                self.entries
+                    .push(entry.expect("a forward move enters by a port"));
+            }
+        }
+        if self.made == 2 * len {
+            return None;
+        }
+        self.done.min_card = self.done.min_card.min(cur_card);
+        if cur_card != self.done.last_card {
+            self.done.last_card = cur_card;
+            self.done.changed = Some(clock);
+        }
+        Some(self.port(degree))
+    }
+
+    /// What the walk observed.
+    pub fn done(&self) -> WalkDone {
+        self.done
+    }
+
+    /// The port of move `made`: forward by the sequence, then back.
+    fn port(&self, degree: u32) -> Port {
+        let len = self.steps.len();
+        let m = self.made;
+        if m < len {
+            let entered = if m == 0 {
+                0
+            } else {
+                self.entries[m - 1].number()
+            };
+            Port::new((entered + self.steps[m]) % degree.max(1))
+        } else {
+            self.entries[2 * len - 1 - m]
+        }
+    }
+}
 
 /// What the reference loop played: the outcome (its execution facts
 /// count every round as executed and every poll made), the events in
@@ -55,6 +148,7 @@ pub fn play<V: TopologyView>(
     let mut entry: Vec<Option<Port>> = vec![None; k];
     // A slow move under way: the round of its move, and its port.
     let mut slow: Vec<Option<(u64, Port)>> = vec![None; k];
+    let mut walks: Vec<Option<RefWalk>> = (0..k).map(|_| None).collect();
     let mut declared: Vec<Option<DeclarationRecord>> = vec![None; k];
     let mut events = Vec::new();
     let mut out = RunOutcome {
@@ -83,6 +177,7 @@ pub fn play<V: TopologyView>(
                 if phase[i] != AgentPhase::Declared {
                     phase[i] = AgentPhase::Crashed;
                     slow[i] = None;
+                    walks[i] = None;
                     last_crash = round;
                     events.push(TraceEvent::Crashed {
                         agent: labels[i],
@@ -139,6 +234,23 @@ pub fn play<V: TopologyView>(
                 }));
                 continue;
             }
+            let blocked = phase[i] == AgentPhase::Blocked;
+            if let Some(walk) = walks[i].as_mut() {
+                // The expansion of a walk: a step per round without a
+                // poll; the round it ends in is polled.
+                let degree = graph.degree(pos[i]);
+                match walk.step(degree, card[i], entry[i], blocked, round - woke[i]) {
+                    Some(port) => {
+                        acts[i] = Some(Poll::Yield(Action::TakePort(port)));
+                        phase[i] = AgentPhase::Active;
+                        continue;
+                    }
+                    None => {
+                        procs[i].walk_done(walk.done());
+                        walks[i] = None;
+                    }
+                }
+            }
             let peer_labels = (sensing == Sensing::Traditional).then(|| {
                 let mut peers: Vec<Label> = (0..k)
                     .filter(|&j| pos[j] == pos[i])
@@ -153,7 +265,7 @@ pub fn play<V: TopologyView>(
                 cur_card: card[i],
                 entry_port: entry[i],
                 just_woken: just_woken[i],
-                blocked: phase[i] == AgentPhase::Blocked,
+                blocked,
                 peer_labels,
             };
             out.polled_agent_rounds += 1;
@@ -166,6 +278,11 @@ pub fn play<V: TopologyView>(
                         Action::Wait
                     }
                 });
+            }
+            if let Poll::Yield(Action::Walk) = act {
+                let (walk, port) = RefWalk::start(procs[i].walk(), obs.degree, obs.cur_card);
+                walks[i] = Some(walk);
+                act = Poll::Yield(Action::TakePort(port));
             }
             (phase[i], just_woken[i]) = (AgentPhase::Active, false);
             acts[i] = Some(act);
@@ -208,7 +325,9 @@ pub fn play<V: TopologyView>(
                         }
                     }
                 }
-                Some(Poll::Yield(Action::SlowMove(_))) => unreachable!("resolved at the poll"),
+                Some(Poll::Yield(Action::SlowMove(_) | Action::Walk)) => {
+                    unreachable!("resolved at the poll")
+                }
                 Some(Poll::Complete(declaration)) => {
                     declared[i] = Some(DeclarationRecord {
                         round,

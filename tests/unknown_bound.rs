@@ -356,6 +356,7 @@ where
                 round += w;
                 Some(p)
             }
+            Poll::Yield(Action::Walk) => unreachable!("the unknown-bound stack makes no walks"),
         };
         if let Some(p) = port {
             let (to, back) = graph.neighbor(pos, p).expect("moves stay on the graph");
