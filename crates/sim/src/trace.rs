@@ -188,7 +188,8 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// `ZERO_RUN[m]` is `FNV_PRIME^m`: folding `m` zero bytes into an FNV-1a
-/// hash is one multiply by it, because `(h ^ 0) * P == h * P`.
+/// hash is one multiply by it, because `(h ^ 0) * P == h * P`, and so is
+/// folding one byte followed by `m - 1` zero bytes, after the xor.
 const ZERO_RUN: [u64; 9] = {
     let mut table = [1u64; 9];
     let mut m = 1;
@@ -199,18 +200,24 @@ const ZERO_RUN: [u64; 9] = {
     table
 };
 
-/// Folds the 8 little-endian bytes of `value` into `hash`. Only the bytes
-/// up to the highest non-zero one are hashed one by one; the zero bytes
-/// above it cost a single multiply. Labels, nodes, ports and tags fit in
-/// one byte, so most fields cost two multiplies instead of eight.
+/// Folds the 8 little-endian bytes of `value` into `hash`. The zero bytes
+/// above the highest non-zero one cost no multiply of their own: their
+/// run is folded into that byte's multiply. A value below 256 (labels,
+/// nodes, ports and tags mostly are) is one xor and one multiply, with no
+/// loop; a longer one hashes its lower bytes one by one first.
 #[inline]
 fn fnv_u64(hash: &mut u64, value: u64) {
-    let low = 8 - (value.leading_zeros() / 8) as usize;
+    if value < 0x100 {
+        *hash = (*hash ^ value).wrapping_mul(ZERO_RUN[8]);
+        return;
+    }
+    let len = 8 - (value.leading_zeros() / 8) as usize;
+    let bytes = value.to_le_bytes();
     let mut h = *hash;
-    for &byte in &value.to_le_bytes()[..low] {
+    for &byte in &bytes[..len - 1] {
         h = (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
     }
-    *hash = h.wrapping_mul(ZERO_RUN[8 - low]);
+    *hash = (h ^ u64::from(bytes[len - 1])).wrapping_mul(ZERO_RUN[9 - len]);
 }
 
 /// The digest encoding of one event (see [`Trace::digest`]).
@@ -309,7 +316,18 @@ mod tests {
 
     #[test]
     fn zero_run_fold_matches_the_bytewise_definition() {
-        let values = [0, 1, 0xff, 0x100, 1 << 56, u64::MAX, 0x00ff_0000_0000_0100];
+        let values = [
+            0,
+            1,
+            0xff,
+            0x100,
+            0xffff,
+            0x1_0000,
+            (1 << 56) - 1,
+            1 << 56,
+            u64::MAX,
+            0x00ff_0000_0000_0100,
+        ];
         for start in [FNV_OFFSET, 0, 1, u64::MAX, 0x1234_5678_9abc_def0] {
             for value in values {
                 let mut folded = start;
@@ -323,6 +341,21 @@ mod tests {
         }
         assert_eq!(ZERO_RUN[0], 1);
         assert_eq!(ZERO_RUN[1], FNV_PRIME);
+    }
+
+    proptest::proptest! {
+        /// Random values of every byte length, from random hash states.
+        #[test]
+        fn the_fold_matches_the_bytewise_definition(
+            start in proptest::prelude::any::<u64>(),
+            value in proptest::prelude::any::<u64>(),
+            shift in 0u32..64,
+        ) {
+            let value = value >> shift;
+            let mut folded = start;
+            fnv_u64(&mut folded, value);
+            proptest::prop_assert_eq!(folded, fnv_u64_bytewise(start, value));
+        }
     }
 
     #[test]
