@@ -250,7 +250,8 @@ struct RunStats {
     engine_iterations: u64,
     skipped_rounds: u64,
     /// Agent polls: one per due agent per executed round, the held
-    /// wait of a slow move included, its move round excluded.
+    /// wait of a slow move included, its move round and the rounds of a
+    /// held walk excluded.
     polled_agent_rounds: u64,
     max_colocation: u32,
     last_declaration_round: u64,
@@ -279,6 +280,10 @@ struct RunStats {
 /// absolute promise of [`Procedure::quiet_until`]. It holds each
 /// [`Action::SlowMove`] there too: it answers the wait's rounds without
 /// reaching the procedure, and makes the move itself in its due round.
+/// And it holds each [`Action::Walk`] in the same column: it plays every
+/// round of the walk from the agent's [`WalkState`], without a poll, and
+/// in the round the walk ends hands back what it observed
+/// ([`Procedure::walk_done`]) and polls the procedure.
 ///
 /// Every executed round follows one rule. Crashes, adversary wakes and,
 /// after a move, wake-on-visit run first. Then every executing agent that
@@ -288,8 +293,10 @@ struct RunStats {
 /// ([`Procedure::blind`]) whose `CurCard` changed since its latest poll.
 /// Under [`Sensing::Traditional`], where the labels present are part of
 /// the observation, every executing agent is polled. An agent holding a
-/// slow move is never polled: the engine makes the move in its round. The
-/// acts are then applied simultaneously under the topology view. After a
+/// slow move is never polled: the engine makes the move in its round. An
+/// agent holding a walk is not polled either: the engine takes the walk's
+/// step, and polls it only in the round the walk ends. The acts are then
+/// applied simultaneously under the topology view. After a
 /// round in which someone acted (moved, hit an absent edge or declared),
 /// or in which no agent was executing, the next round is executed.
 /// Otherwise every executing agent waited, and no observation can change
@@ -2946,5 +2953,119 @@ mod tests {
             );
             assert_eq!(moved.polled_agent_rounds, base.polled_agent_rounds);
         }
+    }
+
+    /// Yields one walk, then completes; logs the clock and `CurCard` of
+    /// each poll, and what the walk handed back.
+    struct OneWalk {
+        walk: crate::walk::Walk,
+        log: Rc<RefCell<WalkLog>>,
+    }
+
+    #[derive(Default)]
+    struct WalkLog {
+        polls: Vec<(u64, u32)>,
+        done: Option<crate::walk::WalkDone>,
+    }
+
+    impl OneWalk {
+        fn boxed(steps: &[u32], stop_above: Option<u32>, log: &Rc<RefCell<WalkLog>>) -> Agent {
+            let walk = crate::walk::Walk {
+                steps: steps.into(),
+                stop_above,
+            };
+            Box::new(OneWalk {
+                walk,
+                log: Rc::clone(log),
+            })
+        }
+    }
+
+    impl Procedure for OneWalk {
+        type Output = Declaration;
+        fn poll(&mut self, obs: &Obs) -> Poll<Declaration> {
+            let mut log = self.log.borrow_mut();
+            log.polls.push((obs.round, obs.cur_card));
+            if log.polls.len() == 1 {
+                Poll::Yield(Action::Walk)
+            } else {
+                Poll::Complete(Declaration::bare())
+            }
+        }
+        fn walk(&self) -> crate::walk::Walk {
+            self.walk.clone()
+        }
+        fn walk_done(&mut self, done: crate::walk::WalkDone) {
+            self.log.borrow_mut().done = Some(done);
+        }
+    }
+
+    #[test]
+    fn a_held_walk_is_played_unpolled_and_hands_back_what_it_saw() {
+        // On the path 0 - 1 - 2 the walker wakes in round 1 at node 0 and
+        // walks out to node 1 and back. The other agent stepped onto node
+        // 1 in round 0, so the walk sees CurCard 2 on its clock 1 (round
+        // 2). The walker is polled on its clocks 0 and 2 only.
+        let path = generators::path(3);
+        let log = Rc::new(RefCell::new(WalkLog::default()));
+        let mut engine = Engine::new(&path);
+        engine.add_agent(label(1), NodeId::new(0), OneWalk::boxed(&[0], None, &log));
+        add(
+            &mut engine,
+            2,
+            2,
+            crate::proc::FollowPath::new(vec![Port::new(0)]),
+        );
+        engine.set_wake_schedule(WakeSchedule::Explicit(vec![1, 0]));
+        let outcome = engine.run(100).unwrap();
+        let record = outcome.declarations[0].1.unwrap();
+        assert_eq!((record.round, record.node), (3, NodeId::new(0)));
+        let log = log.borrow();
+        assert_eq!(log.polls, vec![(0, 1), (2, 1)]);
+        assert_eq!(
+            log.done,
+            Some(crate::walk::WalkDone {
+                min_card: 1,
+                last_card: 2,
+                changed: Some(1),
+            })
+        );
+        assert_eq!(outcome.total_moves, 3);
+        // The other agent's move and declaration, the walker's two polls.
+        assert_eq!(outcome.polled_agent_rounds, 4);
+    }
+
+    #[test]
+    fn a_walk_stop_polls_in_the_round_curcard_rises() {
+        // The walker reaches node 1 in round 0 as the other agent does:
+        // CurCard 2 > 1 in round 1 stops the walk, and that round's poll
+        // sees it.
+        let path = generators::path(3);
+        let log = Rc::new(RefCell::new(WalkLog::default()));
+        let mut engine = Engine::new(&path);
+        engine.add_agent(
+            label(1),
+            NodeId::new(0),
+            OneWalk::boxed(&[0, 0], Some(1), &log),
+        );
+        add(
+            &mut engine,
+            2,
+            2,
+            crate::proc::FollowPath::new(vec![Port::new(0)]),
+        );
+        let outcome = engine.run(100).unwrap();
+        let record = outcome.declarations[0].1.unwrap();
+        assert_eq!((record.round, record.node), (1, NodeId::new(1)));
+        let log = log.borrow();
+        assert_eq!(log.polls, vec![(0, 1), (1, 2)]);
+        assert_eq!(
+            log.done,
+            Some(crate::walk::WalkDone {
+                min_card: 1,
+                last_card: 1,
+                changed: None,
+            })
+        );
     }
 }

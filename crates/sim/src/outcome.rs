@@ -94,7 +94,9 @@ pub struct RunOutcome {
     /// [`crate::Procedure::quiet_until`]). A round inside a slow move's
     /// wait that the agent is due in counts although the engine answers
     /// it without reaching the procedure; the round the engine makes the
-    /// move in costs none ([`crate::Action::SlowMove`]). An execution
+    /// move in costs none ([`crate::Action::SlowMove`]), and neither does
+    /// a round of a walk the engine plays ([`crate::Action::Walk`]). An
+    /// execution
     /// fact, not a model fact — it moves whenever the engine's execution
     /// strategy does — so it is excluded from the deterministic lab
     /// reports and surfaced as a campaign-level trajectory aggregate

@@ -2,17 +2,20 @@
 //! gathering proofs consume: `EXPLO(N)` universality (the certified
 //! sequence visits every node of *any* graph in its size class, §2) and
 //! `TZ(L)` schedule separation (distinct parameters yield schedules that
-//! differ within the prefix-free-code horizon, §2).
+//! differ within the prefix-free-code horizon, §2) — and the engine's held
+//! walk against the walk rule, on static and failing edges.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use nochatter::explore::{Explo, Uxs};
-use nochatter::graph::{generators, Label, NodeId};
+use nochatter::graph::dynamic::{SeededEdgeFailure, Topology, TopologyView};
+use nochatter::graph::generators::{self, Family};
+use nochatter::graph::{Graph, Label, NodeId, Port};
 use nochatter::rendezvous::ActivitySchedule;
-use nochatter::sim::proc::Procedure;
-use nochatter::sim::{Declaration, Engine, WakeSchedule};
+use nochatter::sim::proc::{Procedure, WaitRounds};
+use nochatter::sim::{Declaration, Engine, TraceEvent, WakeSchedule};
 
 /// The size class the exhaustive sequence is certified for. Kept small:
 /// the certification corpus is *every* connected port-labeled graph of
@@ -85,6 +88,72 @@ proptest! {
         );
     }
 
+    /// The engine-held walk on the graphs of the digest proptest
+    /// (`crates/core/tests/digest.rs`): its forward moves visit exactly
+    /// `Uxs::walk`'s nodes, its backtrack retraces them to the start, and
+    /// under seeded edge failures every move is attempted round after
+    /// round until its edge is present (the rewind rule), each failed
+    /// attempt a `Blocked` event. An inert second agent's body sits on the
+    /// way; the walk's smallest `CurCard` is the walker's own 1.
+    #[test]
+    fn held_walks_follow_the_walk_rule(
+        family in 0usize..5,
+        n in 4u32..7,
+        seed in any::<u64>(),
+        failing in any::<bool>(),
+    ) {
+        let g = [Family::Ring, Family::Path, Family::Star, Family::Grid, Family::RandomTree]
+            [family]
+            .instantiate(n, seed);
+        let uxs = Uxs::covering(std::slice::from_ref(&g), seed).unwrap();
+        let start = NodeId::new((seed % u64::from(g.node_count() as u32)) as u32);
+        let other = NodeId::new((start.index() as u32 + 1) % g.node_count() as u32);
+        let failure = SeededEdgeFailure { p: if failing { 0.2 } else { 0.0 }, seed };
+        let walker = Label::new(1).unwrap();
+        let mut engine = Engine::with_topology(&g, &failure);
+        engine.add_agent(
+            walker,
+            start,
+            Box::new(Explo::new(&uxs).map(|out| Declaration {
+                leader: None,
+                size: Some(out.min_card),
+            })),
+        );
+        engine.add_agent(
+            Label::new(2).unwrap(),
+            other,
+            Box::new(WaitRounds::new(0).map(|()| Declaration::bare())),
+        );
+        engine.record_trace(1 << 16);
+        let outcome = engine.run(1 << 20).expect("the walk runs");
+        let events: Vec<TraceEvent> = outcome
+            .trace
+            .as_ref()
+            .unwrap()
+            .events()
+            .iter()
+            .filter(|e| matches!(e,
+                TraceEvent::Move { agent, .. } | TraceEvent::Blocked { agent, .. }
+                    | TraceEvent::Declare { agent, .. } if *agent == walker))
+            .cloned()
+            .collect();
+        let moves = walk_moves(&g, &uxs, start);
+        let forward: Vec<NodeId> = std::iter::once(start)
+            .chain(moves[..uxs.len()].iter().map(|m| m.2))
+            .collect();
+        prop_assert_eq!(&forward, &uxs.walk(&g, start));
+        prop_assert_eq!(moves.last().unwrap().2, start);
+        let expected = rewind_rule(&g, &failure, walker, &moves);
+        prop_assert_eq!(&events[..events.len() - 1], &expected[..]);
+        let declared = outcome.declarations[0].1.expect("the walker declares");
+        prop_assert_eq!(declared.node, start);
+        prop_assert_eq!(declared.round, expected.len() as u64);
+        prop_assert_eq!(declared.declaration.size, Some(1));
+        if !failing {
+            prop_assert_eq!(declared.round, Explo::duration(&uxs));
+        }
+    }
+
     /// TZ(L) separation: schedules of distinct parameters differ in some
     /// block within the smaller parameter's encoded prefix (`2ℓ+2` blocks)
     /// — the property Algorithm 3's meeting argument rests on.
@@ -115,4 +184,66 @@ proptest! {
             prop_assert_eq!(sa.is_active(block), sb.is_active(block));
         }
     }
+}
+
+/// The walk's moves on `g` from `start`, as `(from, port, to)`: the
+/// effective part by the sequence (enter by `p`, leave by
+/// `(p + x_i) mod d`, the start entered by 0), then the backtrack by the
+/// recorded entry ports in reverse.
+fn walk_moves(g: &Graph, uxs: &Uxs, start: NodeId) -> Vec<(NodeId, Port, NodeId)> {
+    let (mut at, mut entry) = (start, 0);
+    let mut forward = Vec::new();
+    for i in 0..uxs.len() {
+        let port = Port::new((entry + uxs.step(i)) % g.degree(at));
+        let (to, back) = g.neighbor(at, port).unwrap();
+        forward.push((at, port, to, back));
+        (at, entry) = (to, back.number());
+    }
+    let back = forward
+        .iter()
+        .rev()
+        .map(|&(from, _, to, back)| (to, back, from));
+    let out = forward.iter().map(|&(from, port, to, _)| (from, port, to));
+    out.chain(back).collect()
+}
+
+/// The events of a lone walker making `moves` from round 0 under
+/// `failure`: each move attempted every round, blocked while its edge is
+/// absent, until it goes through.
+fn rewind_rule(
+    g: &Graph,
+    failure: &SeededEdgeFailure,
+    agent: Label,
+    moves: &[(NodeId, Port, NodeId)],
+) -> Vec<TraceEvent> {
+    let mut view = failure.view(g);
+    let mut events = Vec::new();
+    let mut round = 0;
+    for &(from, port, to) in moves {
+        loop {
+            view.begin_round(round);
+            let present = view.edge_present(from, port);
+            events.push(if present {
+                TraceEvent::Move {
+                    agent,
+                    round,
+                    from,
+                    to,
+                    port,
+                }
+            } else {
+                TraceEvent::Blocked {
+                    agent,
+                    round,
+                    node: from,
+                    port,
+                }
+            });
+            round += 1;
+            if present {
+                break;
+            }
+        }
+    }
+    events
 }
