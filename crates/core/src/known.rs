@@ -469,6 +469,34 @@ mod tests {
     }
 
     #[test]
+    fn a_walks_last_curcard_change_extends_the_streak() {
+        let g = generators::ring(5);
+        let params = KnownParams::for_corpus(5, std::slice::from_ref(&g), 0);
+        let mut gather = GatherKnownUpperBound::silent(params, label(3));
+        let first = Obs::synthetic(0, 2, 1, None);
+        assert_eq!(gather.poll(&first), Poll::Yield(Action::Walk));
+        assert_eq!(gather.walk().stop_above, None, "phase 0 never stops");
+        // A walk that saw CurCard go 1 -> 2 on clock 4 and back -> 1 on 6.
+        gather.walk_done(WalkDone {
+            min_card: 1,
+            last_card: 1,
+            changed: Some(6),
+        });
+        assert_eq!((gather.changed, gather.last_card), (6, Some(1)));
+        // A walk that saw no change leaves the streak alone.
+        gather.walk_done(WalkDone {
+            min_card: 1,
+            last_card: 1,
+            changed: None,
+        });
+        assert_eq!(gather.changed, 6);
+        // Block walks stop once CurCard exceeds the group's c.
+        gather.c = 2;
+        gather.stage = Stage::Block1(Block1::Explo1(Explo::new(gather.params.uxs())));
+        assert_eq!(gather.walk().stop_above, Some(2));
+    }
+
+    #[test]
     fn wake_skew_larger_than_explo_half() {
         // Adversary delays the second agent far beyond T/2; it is woken
         // earlier by the first agent's phase-0 exploration instead.

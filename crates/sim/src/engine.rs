@@ -185,6 +185,16 @@ impl AgentArena {
             .unwrap_or(u64::MAX)
     }
 
+    /// Takes the walk agent `i`'s procedure just yielded on `obs` into the
+    /// engine's hands and returns the walk's first port. Out of line: a
+    /// walk starts once per `2L` of its rounds.
+    #[inline(never)]
+    fn start_walk(&mut self, i: usize, obs: &Obs) -> Port {
+        let walk = self.procs[i].walk();
+        self.held[i] = Held::Walk;
+        self.walks[i].start(walk, obs.degree, obs.cur_card)
+    }
+
     /// Wakes agent `i` in `round`: its clock starts and it is due at once.
     fn wake(&mut self, i: usize, round: u64) {
         self.phase[i] = AgentPhase::Active;
@@ -607,8 +617,14 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
             if !agents.phase[i].is_executing() {
                 continue;
             }
-            let held = match agents.held[i] {
-                Held::Nothing => None,
+            let act = match agents.held[i] {
+                Held::Nothing => match self.poll_agent(i, round, card, labels) {
+                    (Poll::Yield(Action::Wait), until) => {
+                        quiet = quiet.min(until);
+                        continue;
+                    }
+                    (act, _) => act,
+                },
                 Held::Slow { at, .. } if at > round => {
                     // A held wait answers itself; the agent is due in it
                     // as its expansion would be polled, and it counts as
@@ -621,18 +637,17 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
                 Held::Slow { port, .. } => {
                     agents.held[i] = Held::Nothing;
                     agents.due[i] = round;
-                    Some(port)
+                    Poll::Yield(Action::TakePort(port))
                 }
-                Held::Walk => self.walk_step(i, round, card),
-            };
-            let act = match held {
-                Some(port) => Poll::Yield(Action::TakePort(port)),
-                None => match self.poll_agent(i, round, card, labels) {
-                    (Poll::Yield(Action::Wait), until) => {
-                        quiet = quiet.min(until);
-                        continue;
-                    }
-                    (act, _) => act,
+                Held::Walk => match self.walk_step(i, round, card) {
+                    Some(port) => Poll::Yield(Action::TakePort(port)),
+                    None => match self.poll_after_walk(i, round, card, labels) {
+                        (Poll::Yield(Action::Wait), until) => {
+                            quiet = quiet.min(until);
+                            continue;
+                        }
+                        (act, _) => act,
+                    },
                 },
             };
             acts.push((i, act));
@@ -815,10 +830,7 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
                 }
             },
             Poll::Yield(Action::Walk) => {
-                let walk = agents.procs[i].walk();
-                let port = agents.walks[i].start(walk, obs.degree, obs.cur_card);
-                agents.held[i] = Held::Walk;
-                act = Poll::Yield(Action::TakePort(port));
+                act = Poll::Yield(Action::TakePort(agents.start_walk(i, &obs)));
                 round
             }
             _ => round,
@@ -840,6 +852,20 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
         }
         self.stats.polled_agent_rounds += 1;
         (act, until)
+    }
+
+    /// [`ActiveRun::poll_agent`] in the round agent `i`'s held walk ended
+    /// in. Out of line, like [`AgentArena::start_walk`]: the loop's other
+    /// paths, the slow moves' among them, stay as small as before walks.
+    #[inline(never)]
+    fn poll_after_walk(
+        &mut self,
+        i: usize,
+        round: u64,
+        card: &[u32],
+        peers: &mut Vec<Label>,
+    ) -> (Poll<Declaration>, u64) {
+        self.poll_agent(i, round, card, peers)
     }
 
     /// Plays round `round` of agent `i`'s held walk on the observation the
