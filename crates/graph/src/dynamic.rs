@@ -50,7 +50,6 @@
 //! assert_eq!(present, 4);
 //! ```
 
-use std::cell::Cell;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -237,45 +236,18 @@ pub struct FailureView {
     threshold: u64,
     seed: u64,
     round: u64,
-    /// This round's answers for the edges with ids below 64: the edges
-    /// asked about, and which of them are present. Agents moving in
-    /// lockstep over one edge then share one seed derivation. Cleared when
-    /// the round changes.
-    asked: Cell<u64>,
-    present: Cell<u64>,
-}
-
-impl FailureView {
-    /// The failure rule itself: whether edge `e` is present in `round`.
-    fn derive_present(&self, round: u64, e: u64) -> bool {
-        derive_seed(self.seed, &[round, e]) >= self.threshold
-    }
 }
 
 impl TopologyView for FailureView {
     #[inline]
     fn begin_round(&mut self, round: u64) {
-        if round != self.round {
-            self.round = round;
-            self.asked.set(0);
-        }
+        self.round = round;
     }
 
     #[inline]
     fn edge_present(&self, from: NodeId, port: Port) -> bool {
-        let e = self.ids.id(from, port);
-        if e >= 64 {
-            return self.derive_present(self.round, u64::from(e));
-        }
-        let bit = 1u64 << e;
-        if self.asked.get() & bit != 0 {
-            return self.present.get() & bit != 0;
-        }
-        let present = self.derive_present(self.round, u64::from(e));
-        self.asked.set(self.asked.get() | bit);
-        self.present
-            .set((self.present.get() & !bit) | (u64::from(present) << e));
-        present
+        let e = u64::from(self.ids.id(from, port));
+        derive_seed(self.seed, &[self.round, e]) >= self.threshold
     }
 }
 
@@ -291,8 +263,6 @@ impl Topology for SeededEdgeFailure {
             threshold,
             seed: self.seed,
             round: 0,
-            asked: Cell::new(0),
-            present: Cell::new(0),
         }
     }
 }
@@ -816,48 +786,6 @@ mod tests {
             let spec = ScriptedRing { script: script.into() };
             proptest::prop_assert_eq!(spec.valid_for(&graph), per_slot);
             proptest::prop_assert_eq!(spec.valid_for(&ring), on_ring);
-        }
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig {
-            cases: 64,
-            ..proptest::prelude::ProptestConfig::default()
-        })]
-
-        /// The per-round memo answers as the failure rule does, for edge
-        /// ids on both sides of the memo's 64, over rounds that repeat,
-        /// advance by one and jump as the engine's skips do, with edges
-        /// asked about again within a round.
-        #[test]
-        fn memoized_failures_are_the_seed_rule(
-            seed in proptest::prelude::any::<u64>(),
-            p in 0u32..=4,
-            steps in proptest::collection::vec((0u64..3, proptest::prelude::any::<u64>()), 1..30),
-            queries in proptest::collection::vec((0u32..11, 0u32..10), 1..60),
-        ) {
-            // 66 edges: ids 64 and 65 are answered without the memo.
-            let graph = generators::with_shuffled_ports(&generators::complete(12), seed);
-            let failure = SeededEdgeFailure { p: f64::from(p) / 4.0, seed };
-            let mut view = failure.view(&graph);
-            let mut round = 0u64;
-            for &(kind, jump) in &steps {
-                round += match kind {
-                    0 => 0,
-                    1 => 1,
-                    _ => jump % 1_000_000,
-                };
-                view.begin_round(round);
-                for &(u, p) in queries.iter().chain(&queries) {
-                    let (node, port) = (NodeId::new(u), Port::new(p));
-                    let e = u64::from(view.ids.id(node, port));
-                    proptest::prop_assert_eq!(
-                        view.edge_present(node, port),
-                        view.derive_present(round, e),
-                        "round {}, edge {}", round, e
-                    );
-                }
-            }
         }
     }
 
