@@ -111,7 +111,7 @@ pub fn meeting_bound(uxs: &Uxs, bit_len: u32) -> u64 {
 /// (`UntilCardExceeds`).
 ///
 /// Its walks are not [`Action::Walk`] instructions: the window of an
-/// active block ends after `2L` rounds whether or not its walk has (a
+/// active block ends after `2L` rounds whether or not its walk has ended (a
 /// blocked traversal stretches the walk), so `TZ` steps a
 /// [`WalkState`], the engine's walk rule, in its own polls.
 #[derive(Clone, Debug)]

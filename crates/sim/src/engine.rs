@@ -734,9 +734,9 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
     /// agent with any other body on its node (awake, declared or crashed —
     /// a body is a body) starts executing; and under weak sensing a
     /// waiter whose `CurCard` changed becomes due unless its promise is
-    /// blind or a held slow move (a walker is due anyway). `CurCard` counts every body present,
-    /// dormant, declared and crashed ones included. Returns whether the
-    /// agent woke.
+    /// blind or a held slow move (a walker is due anyway). `CurCard`
+    /// counts every body present, dormant, declared and crashed ones
+    /// included. Returns whether the agent woke.
     #[inline(always)]
     fn after_move(&mut self, i: usize, round: u64, card: &[u32]) -> bool {
         let agents = &mut self.engine.agents;

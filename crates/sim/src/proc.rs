@@ -131,8 +131,8 @@ pub trait Procedure {
     }
 
     /// Maps the completion value through `f`, forwarding every promise,
-    /// the slow-move wait and the walk calls. This is how a procedure becomes an agent: the
-    /// engine runs procedures whose output is a
+    /// the slow-move wait and the walk calls. This is how a procedure
+    /// becomes an agent: the engine runs procedures whose output is a
     /// [`Declaration`](crate::Declaration).
     ///
     /// # Example
