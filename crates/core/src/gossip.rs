@@ -20,7 +20,7 @@ use std::sync::Arc;
 use nochatter_explore::Uxs;
 use nochatter_graph::Label;
 use nochatter_sim::proc::Procedure;
-use nochatter_sim::walk::{Walk, WalkDone};
+use nochatter_sim::walk::{Traversal, Walk, WalkDone};
 use nochatter_sim::{Obs, Poll};
 
 use crate::codec::BitStr;
@@ -484,8 +484,9 @@ impl Procedure for GossipUnknownUpperBound {
         }
     }
 
-    // Only the gathering stage waits blind (its slow moves never reach
-    // here: the engine holds them); the exchange watches `CurCard`.
+    // Only the gathering stage waits blind (its slow moves and traversals
+    // never reach here: the engine holds them); the exchange watches
+    // `CurCard`.
     fn blind(&self) -> bool {
         match &self.stage {
             UnknownComposedStage::Gather(g) => g.blind(),
@@ -511,6 +512,20 @@ impl Procedure for GossipUnknownUpperBound {
         match &mut self.stage {
             UnknownComposedStage::Gather(..) => unreachable!("the gathering makes no walks"),
             UnknownComposedStage::Chat(_, g) => g.walk_done(done),
+        }
+    }
+
+    fn traversal(&self) -> Traversal {
+        match &self.stage {
+            UnknownComposedStage::Gather(g) => g.traversal(),
+            UnknownComposedStage::Chat(..) => unreachable!("the exchange makes no traversals"),
+        }
+    }
+
+    fn traversal_done(&mut self, completed: bool) {
+        match &mut self.stage {
+            UnknownComposedStage::Gather(g) => g.traversal_done(completed),
+            UnknownComposedStage::Chat(..) => unreachable!("the exchange makes no traversals"),
         }
     }
 }

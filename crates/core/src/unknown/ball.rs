@@ -11,19 +11,21 @@
 //! agents testing hypothesis `h` can recognize (and not be confused by)
 //! agents still working on other hypotheses.
 //!
-//! Each wait-then-move is one [`Action::SlowMove`] of `w_h + 1` rounds
-//! (its [`Procedure::slow_wait`] is `w_h`). The wait ignores what the
-//! agent senses, so the traversal is polled only where it decides: once
-//! per move, in the round after it.
+//! The whole traversal is one [`Action::Traverse`]: no step of it reads
+//! `CurCard`, so the engine plays it by the one traversal rule
+//! ([`TraversalState`](nochatter_sim::walk::TraversalState)), every move a
+//! held slow move `w_h + 1` rounds after the one before, and the traversal
+//! is polled only twice: when it starts, and in the round after its last
+//! move, with its result handed back.
 //!
 //! A finished traversal turns into its own retrace
 //! ([`BallTraversal::into_retrace`]): the hypothesis's cleanup walks the
-//! ball's moves back by replaying paths, so no move is ever stored and a
-//! traversal holds O(`r_ball`) state however many moves it makes.
+//! ball's moves back by replaying paths from the state the traversal
+//! left, so no move is ever stored and a traversal holds O(`r_ball`) state
+//! however many moves it makes.
 
-use nochatter_explore::paths::Paths;
-use nochatter_graph::Port;
 use nochatter_sim::proc::Procedure;
+use nochatter_sim::walk::Traversal;
 use nochatter_sim::{Action, Obs, Poll};
 
 use super::schedule::HypothesisSchedule;
@@ -31,51 +33,26 @@ use super::schedule::HypothesisSchedule;
 /// Algorithm 7 as a [`Procedure`]; completes with `false` iff a node of
 /// degree `>= n_h` was stood upon.
 ///
-/// Its state is the path enumerator, the current path and the entry ports
-/// of that one path: O(`r_ball`) words, never a record of past paths.
+/// Its state is the traversal's description and, once the engine has
+/// handed it back, whether it completed.
 #[derive(Debug)]
 pub struct BallTraversal {
-    n: u32,
-    w: u64,
-    paths: Paths,
-    /// Walking the paths in reverse order without the degree abort: the
-    /// retrace of a finished traversal.
-    retrace: bool,
-    /// The current path being followed (owned copy; `Paths` reuses its
-    /// buffer).
-    current: Vec<u32>,
-    /// Next index within `current` (0-based).
-    i: usize,
-    /// Entry ports of the moves made along the current path.
-    entries: Vec<Port>,
-    /// True while walking forward, false while backtracking.
-    forward: bool,
-    /// The result, once the traversal has finished.
+    traversal: Traversal,
     done: Option<bool>,
-    /// Set when a move was just yielded so the next observation's entry
-    /// port must be recorded.
-    pending_entry: bool,
 }
 
 impl BallTraversal {
     /// The traversal prescribed by the hypothesis schedule.
     pub fn new(hs: &HypothesisSchedule) -> Self {
-        let mut paths = Paths::new(hs.alpha, hs.r_ball);
-        let first = paths
-            .next_path()
-            .expect("alphabet is non-empty, at least one path exists")
-            .to_vec();
         BallTraversal {
-            n: hs.n,
-            w: hs.w,
-            paths,
-            retrace: false,
-            current: first,
-            i: 0,
-            entries: Vec::new(),
-            forward: true,
+            traversal: Traversal {
+                alpha: hs.alpha,
+                radius: hs.r_ball,
+                abort_degree: hs.n,
+                wait: hs.w,
+                retrace: false,
+            },
             done: None,
-            pending_entry: false,
         }
     }
 
@@ -89,18 +66,19 @@ impl BallTraversal {
     /// walks every earlier path from the last one down. It stands only on
     /// nodes the traversal stood on, so it skips the degree abort, and it
     /// ends on the start node after exactly the traversal's rounds. It
-    /// completes with `true`.
+    /// completes with `true`. The engine plays it from the state the
+    /// traversal left, so the agent must yield no other traversal first.
     pub fn into_retrace(self) -> Self {
         debug_assert!(
             self.done.is_some(),
             "only a finished traversal has a retrace"
         );
         BallTraversal {
-            retrace: true,
-            forward: false,
+            traversal: Traversal {
+                retrace: true,
+                ..self.traversal
+            },
             done: None,
-            pending_entry: false,
-            ..self
         }
     }
 }
@@ -108,57 +86,19 @@ impl BallTraversal {
 impl Procedure for BallTraversal {
     type Output = bool;
 
-    fn poll(&mut self, obs: &Obs) -> Poll<bool> {
-        if self.pending_entry {
-            self.pending_entry = false;
-            self.entries.push(
-                obs.entry_port
-                    .expect("moved last round, entry port is known"),
-            );
-        }
-        loop {
-            if let Some(b) = self.done {
-                return Poll::Complete(b);
-            }
-            if self.forward {
-                // Algorithm 7 line 7: abort on a high-degree node.
-                if !self.retrace && obs.degree >= self.n {
-                    self.done = Some(false);
-                } else if self.i >= self.current.len() || self.current[self.i] >= obs.degree {
-                    // Path finished or port missing: backtrack what was
-                    // walked.
-                    self.forward = false;
-                } else {
-                    let port = Port::new(self.current[self.i]);
-                    self.i += 1;
-                    self.pending_entry = true;
-                    return Poll::Yield(Action::SlowMove(port));
-                }
-            } else if let Some(back) = self.entries.pop() {
-                // Backtrack moves do not re-record entries.
-                return Poll::Yield(Action::SlowMove(back));
-            } else {
-                // Back at the start: advance to the next path.
-                let next = if self.retrace {
-                    self.paths.prev_path()
-                } else {
-                    self.paths.next_path()
-                };
-                match next {
-                    Some(p) => {
-                        self.current.clear();
-                        self.current.extend_from_slice(p);
-                        self.i = 0;
-                        self.forward = true;
-                    }
-                    None => self.done = Some(true),
-                }
-            }
+    fn poll(&mut self, _obs: &Obs) -> Poll<bool> {
+        match self.done {
+            Some(completed) => Poll::Complete(completed),
+            None => Poll::Yield(Action::Traverse),
         }
     }
 
-    fn slow_wait(&self) -> u64 {
-        self.w
+    fn traversal(&self) -> Traversal {
+        self.traversal
+    }
+
+    fn traversal_done(&mut self, completed: bool) {
+        self.done = Some(completed);
     }
 }
 
@@ -168,7 +108,7 @@ mod tests {
     use crate::unknown::enumeration::SliceEnumeration;
     use crate::unknown::schedule::UnknownSchedule;
     use nochatter_graph::{generators, Graph, InitialConfiguration, Label, NodeId};
-    use nochatter_sim::proc::{Procedure, WaitRounds};
+    use nochatter_sim::proc::WaitRounds;
     use nochatter_sim::{Declaration, Engine, TraceEvent, WakeSchedule};
 
     fn label(v: u64) -> Label {
@@ -223,47 +163,26 @@ mod tests {
         (rec.declaration.size == Some(1), visited, rec.round)
     }
 
-    /// A traversal, then its retrace. Completes with the rounds spent and
-    /// the moves made by each half.
+    /// A traversal, then its retrace. Completes with the clock of each of
+    /// its polls.
     struct ThereAndBack {
         ball: Option<BallTraversal>,
         retracing: bool,
-        rounds: [u64; 2],
-        moves: [usize; 2],
-    }
-
-    impl ThereAndBack {
-        fn half(&self) -> usize {
-            usize::from(self.retracing)
-        }
-
-        fn ball(&mut self) -> &mut BallTraversal {
-            self.ball.as_mut().unwrap()
-        }
+        polls: Vec<u64>,
     }
 
     impl Procedure for ThereAndBack {
-        type Output = ([u64; 2], [usize; 2]);
+        type Output = Vec<u64>;
 
-        fn poll(&mut self, obs: &Obs) -> Poll<Self::Output> {
+        fn poll(&mut self, obs: &Obs) -> Poll<Vec<u64>> {
+            self.polls.push(obs.round);
             loop {
-                match self.ball().poll(obs) {
-                    Poll::Yield(a) => {
-                        let half = self.half();
-                        let (rounds, moves) = match a {
-                            Action::Wait => (1, 0),
-                            Action::TakePort(_) => (1, 1),
-                            Action::SlowMove(_) => (self.ball().slow_wait() + 1, 1),
-                            Action::Walk => unreachable!("a ball traversal makes no walks"),
-                        };
-                        self.rounds[half] += rounds;
-                        self.moves[half] += moves;
-                        return Poll::Yield(a);
-                    }
+                match self.ball.as_mut().unwrap().poll(obs) {
+                    Poll::Yield(a) => return Poll::Yield(a),
                     Poll::Complete(ok) => {
                         if self.retracing {
                             assert!(ok, "a retrace never aborts");
-                            return Poll::Complete((self.rounds, self.moves));
+                            return Poll::Complete(std::mem::take(&mut self.polls));
                         }
                         self.retracing = true;
                         self.ball = self.ball.take().map(BallTraversal::into_retrace);
@@ -272,8 +191,12 @@ mod tests {
             }
         }
 
-        fn slow_wait(&self) -> u64 {
-            self.ball.as_ref().unwrap().slow_wait()
+        fn traversal(&self) -> Traversal {
+            self.ball.as_ref().unwrap().traversal()
+        }
+
+        fn traversal_done(&mut self, completed: bool) {
+            self.ball.as_mut().unwrap().traversal_done(completed);
         }
     }
 
@@ -327,20 +250,19 @@ mod tests {
             };
             let start = NodeId::new((seed % graph.node_count() as u64) as u32);
             let other = graph.nodes().find(|&v| v != start).unwrap();
-            let result = std::rc::Rc::new(std::cell::Cell::new(None));
+            let result = std::rc::Rc::new(std::cell::RefCell::new(None));
             let sink = std::rc::Rc::clone(&result);
             let walker = ThereAndBack {
                 ball: Some(BallTraversal::new(&ball_schedule(n, r_ball, w))),
                 retracing: false,
-                rounds: [0; 2],
-                moves: [0; 2],
+                polls: Vec::new(),
             };
             let mut engine = Engine::new(&graph);
             engine.add_agent(
                 label(1),
                 start,
-                Box::new(walker.map(move |out| {
-                    sink.set(Some(out));
+                Box::new(walker.map(move |polls| {
+                    *sink.borrow_mut() = Some(polls);
                     Declaration::bare()
                 })),
             );
@@ -352,27 +274,36 @@ mod tests {
             engine.record_trace(usize::MAX);
             let outcome = engine.run(u64::MAX).unwrap();
             proptest::prop_assert!(outcome.all_declared());
-            let (rounds, moves) = result.get().unwrap();
-            proptest::prop_assert_eq!(rounds[0], rounds[1], "the retrace's rounds differ");
             proptest::prop_assert_eq!(outcome.declarations[0].1.unwrap().node, start);
-            let walked: Vec<(NodeId, NodeId)> = outcome
+            // Polled when the traversal starts, when it ends (the retrace
+            // starts in the same poll) and when the retrace ends.
+            let polls = result.borrow_mut().take().unwrap();
+            proptest::prop_assert_eq!(polls.len(), 3);
+            let (there_from, back_from, back_to) = (polls[0], polls[1], polls[2]);
+            let walked: Vec<(u64, NodeId, NodeId)> = outcome
                 .trace
                 .unwrap()
                 .events()
                 .iter()
                 .filter_map(|e| match e {
-                    TraceEvent::Move { agent, from, to, .. } if *agent == label(1) => {
-                        Some((*from, *to))
+                    TraceEvent::Move { agent, round, from, to, .. } if *agent == label(1) => {
+                        Some((*round, *from, *to))
                     }
                     _ => None,
                 })
                 .collect();
-            proptest::prop_assert_eq!(walked.len(), moves[0] + moves[1]);
-            proptest::prop_assert_eq!(moves[0], moves[1]);
-            let (there, back) = walked.split_at(moves[0]);
+            let split = walked.partition_point(|&(round, ..)| round < back_from);
+            let (there, back) = walked.split_at(split);
+            proptest::prop_assert_eq!(there.len(), back.len());
+            // Every move is a slow move of `w + 1` rounds, so each half
+            // spends exactly its moves' rounds.
+            let half = there.len() as u64 * (w + 1);
+            proptest::prop_assert_eq!(back_from - there_from, half);
+            proptest::prop_assert_eq!(back_to - back_from, half);
             let undone: Vec<(NodeId, NodeId)> =
-                there.iter().rev().map(|&(from, to)| (to, from)).collect();
-            proptest::prop_assert_eq!(back, &undone[..]);
+                there.iter().rev().map(|&(_, from, to)| (to, from)).collect();
+            let back: Vec<(NodeId, NodeId)> = back.iter().map(|&(_, from, to)| (from, to)).collect();
+            proptest::prop_assert_eq!(back, undone);
         }
     }
 

@@ -9,47 +9,48 @@
 //! slow foreign agent (whose every move is `w_h`-separated) can move at
 //! most once during the whole window, so at least one sweep sees it parked.
 
-use nochatter_explore::paths::Paths;
-use nochatter_graph::Port;
 use nochatter_sim::proc::Procedure;
+use nochatter_sim::walk::{Traversal, TraversalState, TraversalStep};
 use nochatter_sim::{Action, Obs, Poll};
 
 use super::schedule::HypothesisSchedule;
 
 /// Algorithm 10 as a [`Procedure`]; completes with `false` as soon as a
 /// foreign presence is observed, `true` after two undisturbed sweeps.
+///
+/// Each sweep is a traversal without degree abort, stepped in the
+/// procedure's own polls because every forward move is followed by a
+/// `CurCard` check.
 #[derive(Debug)]
 pub struct EnsureCleanExploration {
     k: u32,
-    sweep: u8,
-    paths: Paths,
-    current: Vec<u32>,
-    /// Next index within the current path.
-    i: usize,
-    entries: Vec<Port>,
-    forward: bool,
-    /// A forward move was yielded: check cardinality and record the entry
-    /// port on the next observation.
-    pending_forward: bool,
-    /// A backtrack move was yielded: nothing to check, nothing to record.
-    done: bool,
+    sweep: Traversal,
+    /// The second sweep has begun.
+    second: bool,
+    state: TraversalState,
+    /// A forward move was yielded: check `CurCard` on the next
+    /// observation.
+    check_card: bool,
 }
 
 impl EnsureCleanExploration {
     /// The sweep prescribed by the hypothesis schedule.
     pub fn new(hs: &HypothesisSchedule) -> Self {
-        let mut paths = Paths::new(hs.alpha, hs.l_ece);
-        let first = paths.next_path().expect("non-empty alphabet").to_vec();
+        let sweep = Traversal {
+            alpha: hs.alpha,
+            radius: hs.l_ece,
+            abort_degree: u32::MAX,
+            wait: 0,
+            retrace: false,
+        };
+        let mut state = TraversalState::default();
+        state.start(sweep);
         EnsureCleanExploration {
             k: hs.k,
-            sweep: 1,
-            paths,
-            current: first,
-            i: 0,
-            entries: Vec::new(),
-            forward: true,
-            pending_forward: false,
-            done: false,
+            sweep,
+            second: false,
+            state,
+            check_card: false,
         }
     }
 }
@@ -58,52 +59,21 @@ impl Procedure for EnsureCleanExploration {
     type Output = bool;
 
     fn poll(&mut self, obs: &Obs) -> Poll<bool> {
-        if self.pending_forward {
-            self.pending_forward = false;
-            // Algorithm 10 lines 10-12: bail out on any cardinality change.
-            if obs.cur_card != self.k {
-                return Poll::Complete(false);
-            }
-            self.entries.push(
-                obs.entry_port
-                    .expect("moved last round, entry port is known"),
-            );
+        // Algorithm 10 lines 10-12: bail out on any cardinality change.
+        if std::mem::take(&mut self.check_card) && obs.cur_card != self.k {
+            return Poll::Complete(false);
         }
         loop {
-            if self.done {
-                return Poll::Complete(true);
-            }
-            if self.forward {
-                if self.i < self.current.len() && self.current[self.i] < obs.degree {
-                    let port = Port::new(self.current[self.i]);
-                    self.i += 1;
-                    self.pending_forward = true;
+            match self.state.step(obs.degree, obs.entry_port, obs.blocked) {
+                TraversalStep::Move { port, forward } => {
+                    self.check_card = forward;
                     return Poll::Yield(Action::TakePort(port));
                 }
-                // Path exhausted or port missing (line 6-7): backtrack.
-                self.forward = false;
-            } else if let Some(back) = self.entries.pop() {
-                return Poll::Yield(Action::TakePort(back));
-            } else {
-                match self.paths.next_path() {
-                    Some(p) => {
-                        self.current.clear();
-                        self.current.extend_from_slice(p);
-                        self.i = 0;
-                        self.forward = true;
-                    }
-                    None if self.sweep == 1 => {
-                        self.sweep = 2;
-                        self.paths.reset();
-                        let first = self.paths.next_path().expect("non-empty alphabet").to_vec();
-                        self.current = first;
-                        self.i = 0;
-                        self.forward = true;
-                    }
-                    None => {
-                        self.done = true;
-                    }
+                TraversalStep::Done(_) if !self.second => {
+                    self.second = true;
+                    self.state.start(self.sweep);
                 }
+                TraversalStep::Done(_) => return Poll::Complete(true),
             }
         }
     }
@@ -114,7 +84,7 @@ mod tests {
     use super::*;
     use crate::unknown::enumeration::SliceEnumeration;
     use crate::unknown::schedule::UnknownSchedule;
-    use nochatter_graph::{generators, Graph, InitialConfiguration, Label, NodeId};
+    use nochatter_graph::{generators, Graph, InitialConfiguration, Label, NodeId, Port};
     use nochatter_sim::proc::{FollowPath, Procedure, WaitRounds};
     use nochatter_sim::{Declaration, Engine, WakeSchedule};
 

@@ -20,9 +20,9 @@
 //! `tests/unknown_bound.rs` that no `EST+` reached through the algorithm
 //! is dirty (Lemma 4.10).
 
-use nochatter_explore::paths::Paths;
-use nochatter_graph::{NodeId, Port};
+use nochatter_graph::NodeId;
 use nochatter_sim::proc::Procedure;
+use nochatter_sim::walk::{Traversal, TraversalState, TraversalStep};
 use nochatter_sim::{Action, Obs, Poll};
 
 use super::oracle::{EstMode, SharedTracker};
@@ -37,71 +37,6 @@ pub struct GscOutcome {
     /// situation Lemma 4.10 proves unreachable; exposed so tests and the
     /// ablation harness can observe it.
     pub dirty: bool,
-}
-
-#[derive(Debug)]
-struct EstWalk {
-    paths: Paths,
-    current: Vec<u32>,
-    i: usize,
-    entries: Vec<Port>,
-    forward: bool,
-    pending_entry: bool,
-    done: bool,
-}
-
-impl EstWalk {
-    fn new(alpha: u32, len: u32) -> Self {
-        let mut paths = Paths::new(alpha, len);
-        let first = paths.next_path().expect("non-empty alphabet").to_vec();
-        EstWalk {
-            paths,
-            current: first,
-            i: 0,
-            entries: Vec::new(),
-            forward: true,
-            pending_entry: false,
-            done: false,
-        }
-    }
-
-    /// The next action of the walk (None once the enumeration is finished —
-    /// the caller pads with waits).
-    fn next_action(&mut self, obs: &Obs) -> Option<Action> {
-        if self.pending_entry {
-            self.pending_entry = false;
-            self.entries.push(
-                obs.entry_port
-                    .expect("moved last round, entry port is known"),
-            );
-        }
-        loop {
-            if self.done {
-                return None;
-            }
-            if self.forward {
-                if self.i < self.current.len() && self.current[self.i] < obs.degree {
-                    let port = Port::new(self.current[self.i]);
-                    self.i += 1;
-                    self.pending_entry = true;
-                    return Some(Action::TakePort(port));
-                }
-                self.forward = false;
-            } else if let Some(back) = self.entries.pop() {
-                return Some(Action::TakePort(back));
-            } else {
-                match self.paths.next_path() {
-                    Some(p) => {
-                        self.current.clear();
-                        self.current.extend_from_slice(p);
-                        self.i = 0;
-                        self.forward = true;
-                    }
-                    None => self.done = true,
-                }
-            }
-        }
-    }
 }
 
 /// Algorithm 11 as a [`Procedure`]; lasts exactly `2·k_h·T(EST(n_h))`
@@ -121,11 +56,12 @@ pub struct GraphSizeCheck {
     /// Global tick within the procedure, `0 .. 2·k·t_est`, of the round
     /// after the latest poll.
     tick: u64,
-    walk: Option<EstWalk>,
+    /// The `EST+` walk, a traversal without degree abort stepped in this
+    /// procedure's polls (each round's `CurCard` feeds the cleanliness
+    /// check); its first step comes on the first poll of the agent's slot.
+    walk: TraversalState,
     visited: std::collections::HashSet<NodeId>,
     dirty: bool,
-    alpha: u32,
-    r_est: u32,
 }
 
 impl GraphSizeCheck {
@@ -136,6 +72,14 @@ impl GraphSizeCheck {
     /// Panics if `rank >= k_h`.
     pub fn new(hs: &HypothesisSchedule, rank: u32, mode: EstMode, tracker: SharedTracker) -> Self {
         assert!(rank < hs.k, "rank must index into the team");
+        let mut walk = TraversalState::default();
+        walk.start(Traversal {
+            alpha: hs.alpha,
+            radius: hs.r_est,
+            abort_degree: u32::MAX,
+            wait: 0,
+            retrace: false,
+        });
         GraphSizeCheck {
             k: hs.k,
             rank,
@@ -146,11 +90,9 @@ impl GraphSizeCheck {
             v: None,
             start: None,
             tick: 0,
-            walk: None,
+            walk,
             visited: std::collections::HashSet::new(),
             dirty: false,
-            alpha: hs.alpha,
-            r_est: hs.r_est,
         }
     }
 
@@ -206,10 +148,11 @@ impl Procedure for GraphSizeCheck {
             }
             let in_slot = self.tick % slot_len;
             if in_slot < self.t_est {
-                let walk = self
-                    .walk
-                    .get_or_insert_with(|| EstWalk::new(self.alpha, self.r_est));
-                walk.next_action(obs).unwrap_or(Action::Wait)
+                match self.walk.step(obs.degree, obs.entry_port, obs.blocked) {
+                    TraversalStep::Move { port, .. } => Action::TakePort(port),
+                    // The walk is over: pad with waits.
+                    TraversalStep::Done(_) => Action::Wait,
+                }
             } else {
                 // The verification hold: parked on the token.
                 Action::Wait
@@ -260,7 +203,7 @@ mod tests {
     use crate::unknown::enumeration::SliceEnumeration;
     use crate::unknown::oracle::PositionTracker;
     use crate::unknown::schedule::UnknownSchedule;
-    use nochatter_graph::{generators, Graph, InitialConfiguration, Label};
+    use nochatter_graph::{generators, Graph, InitialConfiguration, Label, Port};
     use nochatter_sim::proc::{Procedure, WaitRounds};
     use nochatter_sim::{Declaration, Engine, WakeSchedule};
     use std::sync::Arc;

@@ -11,10 +11,11 @@
 //! in reverse, one slow (`w_h`-separated) move at a time — returning the
 //! agent to its start node — then pad so the hypothesis consumes exactly
 //! `T_h` rounds. The exact budget is what keeps all agents' hypothesis
-//! clocks in lockstep (Lemma 4.5). Every slow move, the ball's and the
-//! unwind's, is one [`Action::SlowMove`] waiting `w_h`: the next poll
-//! comes `w_h + 1` rounds on, and the budget is read off the agent's
-//! clock.
+//! clocks in lockstep (Lemma 4.5). The ball traversal and its retrace are
+//! each one [`Action::Traverse`], which the engine plays without a poll,
+//! one slow move every `w_h + 1` rounds; every unwind move of the main
+//! part is one [`Action::SlowMove`] waiting `w_h`, after which the next
+//! poll comes. The budget is read off the agent's clock.
 //!
 //! Only the main part's entry ports are stored. The ball traversal's,
 //! reversed, form a ball traversal of their own, so the cleanup replays it
@@ -24,6 +25,7 @@
 
 use nochatter_graph::{InitialConfiguration, Label, Port};
 use nochatter_sim::proc::{Procedure, WaitRounds};
+use nochatter_sim::walk::Traversal;
 use nochatter_sim::{Action, Obs, Poll};
 
 use super::ball::BallTraversal;
@@ -284,8 +286,8 @@ impl Procedure for Hypothesis {
         }
     }
 
-    // The engine holds the ball's slow moves and answers their waits: the
-    // ball stages promise nothing of their own.
+    // The engine holds the ball's traversals and the unwind's slow moves:
+    // the ball stages promise nothing of their own.
     fn quiet_until(&self) -> u64 {
         match &self.stage {
             Stage::Line4(w) | Stage::Pad(w) => w.quiet_until(),
@@ -303,8 +305,22 @@ impl Procedure for Hypothesis {
         matches!(&self.stage, Stage::Line4(_) | Stage::Pad(_))
     }
 
-    // The ball's slow moves and the unwind's all wait `w_h`.
+    // The unwind's slow moves wait `w_h`.
     fn slow_wait(&self) -> u64 {
         self.hs.w
+    }
+
+    fn traversal(&self) -> Traversal {
+        match &self.stage {
+            Stage::Ball(b) | Stage::UnwindBall(b) => b.traversal(),
+            _ => unreachable!("only the ball stages traverse"),
+        }
+    }
+
+    fn traversal_done(&mut self, completed: bool) {
+        match &mut self.stage {
+            Stage::Ball(b) | Stage::UnwindBall(b) => b.traversal_done(completed),
+            _ => unreachable!("only the ball stages traverse"),
+        }
     }
 }

@@ -38,6 +38,7 @@ use std::sync::Arc;
 
 use nochatter_graph::{Graph, Label, NodeId};
 use nochatter_sim::proc::Procedure;
+use nochatter_sim::walk::Traversal;
 use nochatter_sim::{Action, Obs, Poll};
 
 pub use ball::BallTraversal;
@@ -210,8 +211,12 @@ impl Procedure for GatherUnknownUpperBound {
                 Stage::Hyp(hyp) => match hyp.poll(obs) {
                     Poll::Yield(a) => {
                         // The position oracle replays every move this agent
-                        // makes. A slow move's port is applied before its
-                        // wait, while no poll can read the oracle.
+                        // makes but a traversal's. A slow move's port is
+                        // applied before its wait, while no poll can read
+                        // the oracle. Traversal moves never reach it: a
+                        // completed ball traversal ends on its start node,
+                        // and an aborted one is retraced to the start
+                        // before anything reads a position.
                         if let Action::TakePort(p) | Action::SlowMove(p) = a {
                             self.tracker.borrow_mut().apply(p);
                         }
@@ -265,6 +270,20 @@ impl Procedure for GatherUnknownUpperBound {
     fn slow_wait(&self) -> u64 {
         match &self.stage {
             Stage::Hyp(h) => h.slow_wait(),
+            Stage::Exhausted => unreachable!("an exhausted agent only waits"),
+        }
+    }
+
+    fn traversal(&self) -> Traversal {
+        match &self.stage {
+            Stage::Hyp(h) => h.traversal(),
+            Stage::Exhausted => unreachable!("an exhausted agent only waits"),
+        }
+    }
+
+    fn traversal_done(&mut self, completed: bool) {
+        match &mut self.stage {
+            Stage::Hyp(h) => h.traversal_done(completed),
             Stage::Exhausted => unreachable!("an exhausted agent only waits"),
         }
     }

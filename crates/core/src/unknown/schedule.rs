@@ -38,7 +38,7 @@ use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 
-use nochatter_explore::paths::Paths;
+use nochatter_sim::paths::Paths;
 
 use super::enumeration::ConfigEnumeration;
 

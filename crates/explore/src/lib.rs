@@ -28,10 +28,6 @@
 //! Both are deterministic in their seed, so every agent derives the same
 //! sequence — exactly as if it were hardwired in the algorithm.
 //!
-//! The crate also provides [`paths::Paths`], the lexicographic enumerator of
-//! bounded port sequences behind `BallTraversal`, `EnsureCleanExploration`
-//! and `EST+` (paper §4).
-//!
 //! # Example
 //!
 //! ```
@@ -52,8 +48,6 @@
 
 mod explo;
 mod uxs;
-
-pub mod paths;
 
 pub use explo::{Explo, ExploOutcome};
 pub use uxs::{Uxs, UxsError};

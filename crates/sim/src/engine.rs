@@ -10,7 +10,7 @@ use crate::outcome::{Declaration, DeclarationRecord, RunOutcome, RunStatus};
 use crate::proc::Procedure;
 use crate::schedule::WakeSchedule;
 use crate::trace::{Trace, TraceEvent};
-use crate::walk::WalkState;
+use crate::walk::{TraversalState, TraversalStep, WalkState};
 
 /// What co-located agents can perceive about each other.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -82,8 +82,14 @@ enum Held {
     /// Nothing: the agent is polled when it is due.
     Nothing,
     /// A slow move: every round before `at` is a blind wait the engine
-    /// answers itself, and in round `at` it takes `port`.
-    Slow { at: u64, port: Port },
+    /// answers itself, and in round `at` it takes `port`. A traversal's
+    /// move is one too: right after it, the engine steps the agent's
+    /// [`TraversalState`] for the next move or the traversal's end.
+    Slow {
+        at: u64,
+        port: Port,
+        traversal: bool,
+    },
     /// A walk, stepped from the agent's [`WalkState`] every round until
     /// it ends.
     Walk,
@@ -120,12 +126,15 @@ struct AgentArena {
     due: Vec<u64>,
     /// `CurCard` at the agent's latest poll.
     seen_card: Vec<u32>,
-    /// The instruction the engine holds for the agent: a slow move or a
-    /// walk.
+    /// The instruction the engine holds for the agent: a slow move (a
+    /// traversal's among them) or a walk.
     held: Vec<Held>,
     /// The agent's walk under way, or its last one: its entry buffer is
     /// kept from one walk to the next.
     walks: Vec<WalkState>,
+    /// The agent's traversal under way, or its last one, which a retrace
+    /// walks back.
+    traversals: Vec<TraversalState>,
     procs: Vec<Agent>,
 }
 
@@ -145,6 +154,7 @@ impl AgentArena {
             seen_card: Vec::new(),
             held: Vec::new(),
             walks: Vec::new(),
+            traversals: Vec::new(),
             procs: Vec::new(),
         }
     }
@@ -171,6 +181,7 @@ impl AgentArena {
         self.seen_card.push(0);
         self.held.push(Held::Nothing);
         self.walks.push(WalkState::default());
+        self.traversals.push(TraversalState::default());
         self.procs.push(agent);
     }
 
@@ -185,6 +196,55 @@ impl AgentArena {
             .unwrap_or(u64::MAX)
     }
 
+    /// Takes what agent `i`'s procedure yielded on `obs` in `round` into
+    /// the engine's hands: returns the act to apply and the last round of
+    /// the agent's promise (`round` if it promises nothing).
+    ///
+    /// A yielded [`Action::SlowMove`] is read with its wait `w` at once:
+    /// `w == 0` is a plain move, otherwise the move is held for round
+    /// `round + w` and the act is a wait. A yielded [`Action::Walk`] is
+    /// read from [`Procedure::walk`] and its first move is the act; an
+    /// [`Action::Traverse`] is read from [`Procedure::traversal`] and its
+    /// first move is held as a slow move
+    /// ([`AgentArena::start_traversal`]).
+    #[inline(always)]
+    fn resolve(
+        &mut self,
+        i: usize,
+        round: u64,
+        obs: &Obs,
+        act: Poll<Declaration>,
+    ) -> (Poll<Declaration>, u64) {
+        match act {
+            Poll::Yield(Action::Wait) => {
+                let until = self.woke[i].saturating_add(self.procs[i].quiet_until());
+                (act, until.max(round))
+            }
+            Poll::Yield(Action::SlowMove(port)) => match self.procs[i].slow_wait() {
+                0 => (Poll::Yield(Action::TakePort(port)), round),
+                wait => self.hold(i, round.saturating_add(wait), port, false),
+            },
+            Poll::Yield(Action::Walk) => {
+                let port = self.start_walk(i, obs);
+                (Poll::Yield(Action::TakePort(port)), round)
+            }
+            Poll::Yield(Action::Traverse) => self.start_traversal(i, round, obs),
+            _ => (act, round),
+        }
+    }
+
+    /// Holds agent `i`'s slow move through `port` for round `at`; the act
+    /// of the rounds before it is a wait.
+    #[inline(always)]
+    fn hold(&mut self, i: usize, at: u64, port: Port, traversal: bool) -> (Poll<Declaration>, u64) {
+        self.held[i] = Held::Slow {
+            at,
+            port,
+            traversal,
+        };
+        (Poll::Yield(Action::Wait), at - 1)
+    }
+
     /// Takes the walk agent `i`'s procedure just yielded on `obs` into the
     /// engine's hands and returns the walk's first port. Out of line: a
     /// walk starts once per `2L` of its rounds.
@@ -193,6 +253,30 @@ impl AgentArena {
         let walk = self.procs[i].walk();
         self.held[i] = Held::Walk;
         self.walks[i].start(walk, obs.degree, obs.cur_card)
+    }
+
+    /// Takes the traversal agent `i`'s procedure just yielded on `obs` in
+    /// `round` into the engine's hands, as [`AgentArena::resolve`] does:
+    /// its first move is held `w` rounds on, or is the act if `w == 0`.
+    /// A slow move in the act is a traversal's: [`ActiveRun::apply`] steps
+    /// the traversal after it. A traversal that ends without a move is
+    /// handed back at once, and the procedure is polled again on `obs`.
+    #[inline(never)]
+    fn start_traversal(&mut self, i: usize, round: u64, obs: &Obs) -> (Poll<Declaration>, u64) {
+        let traversal = self.procs[i].traversal();
+        let state = &mut self.traversals[i];
+        state.start(traversal);
+        match state.step(obs.degree, obs.entry_port, false) {
+            TraversalStep::Move { port, .. } => match traversal.wait {
+                0 => (Poll::Yield(Action::SlowMove(port)), round),
+                wait => self.hold(i, round.saturating_add(wait), port, true),
+            },
+            TraversalStep::Done(completed) => {
+                self.procs[i].traversal_done(completed);
+                let act = self.procs[i].poll(obs);
+                self.resolve(i, round, obs, act)
+            }
+        }
     }
 
     /// Wakes agent `i` in `round`: its clock starts and it is due at once.
@@ -261,7 +345,8 @@ struct RunStats {
     skipped_rounds: u64,
     /// Agent polls: one per due agent per executed round, the held
     /// wait of a slow move included, its move round and the rounds of a
-    /// held walk excluded.
+    /// held walk excluded. A poll again in the same round, after a
+    /// traversal that ended without a move, is not another one.
     polled_agent_rounds: u64,
     max_colocation: u32,
     last_declaration_round: u64,
@@ -293,7 +378,13 @@ struct RunStats {
 /// And it holds each [`Action::Walk`] in the same column: it plays every
 /// round of the walk from the agent's [`WalkState`], without a poll, and
 /// in the round the walk ends hands back what it observed
-/// ([`Procedure::walk_done`]) and polls the procedure.
+/// ([`Procedure::walk_done`]) and polls the procedure. Each
+/// [`Action::Traverse`] it plays from the agent's [`TraversalState`], one
+/// held slow move at a time: right after each move it reads the arrival
+/// node's degree and entry port and holds the next move, and after the
+/// last one it hands back whether the traversal completed
+/// ([`Procedure::traversal_done`]) and polls the procedure in the next
+/// round.
 ///
 /// Every executed round follows one rule. Crashes, adversary wakes and,
 /// after a move, wake-on-visit run first. Then every executing agent that
@@ -634,10 +725,18 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
                     quiet = quiet.min(at - 1);
                     continue;
                 }
-                Held::Slow { port, .. } => {
+                Held::Slow {
+                    port, traversal, ..
+                } => {
                     agents.held[i] = Held::Nothing;
                     agents.due[i] = round;
-                    Poll::Yield(Action::TakePort(port))
+                    // A traversal's move stays a slow move in the acts:
+                    // `apply` steps the traversal after it.
+                    Poll::Yield(if traversal {
+                        Action::SlowMove(port)
+                    } else {
+                        Action::TakePort(port)
+                    })
                 }
                 Held::Walk => match self.walk_step(i, round, card) {
                     Some(port) => Poll::Yield(Action::TakePort(port)),
@@ -694,7 +793,7 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
             self.running -= 1;
             agents.phase[i] = AgentPhase::Crashed;
             agents.due[i] = u64::MAX;
-            // A crash cancels a held slow move or walk.
+            // A crash cancels a held slow move, walk or traversal.
             agents.held[i] = Held::Nothing;
             self.stats.last_crash_round = round;
             if let Some(t) = self.trace.as_mut() {
@@ -773,14 +872,12 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
     /// last round of its promise (the poll's own round if it promises
     /// nothing); records when the agent is due next.
     ///
-    /// The engine takes slow moves and walks into its hands here. A
-    /// yielded [`Action::SlowMove`] is read with its wait `w` at once:
-    /// `w == 0` is a plain move, otherwise the move is due in round
-    /// `round + w` and the act is a wait. Until then the engine answers
-    /// `Wait` itself, and in the due round it makes the move; neither
-    /// reaches the procedure. A yielded [`Action::Walk`] is read from
-    /// [`Procedure::walk`] and its first move is the act; the engine plays
-    /// the later rounds ([`ActiveRun::walk_step`]).
+    /// The engine takes slow moves, walks and traversals into its hands
+    /// here ([`AgentArena::resolve`]). Until a held slow move's round the
+    /// engine answers `Wait` itself, and in that round it makes the move;
+    /// neither reaches the procedure. The engine plays a walk's later
+    /// rounds ([`ActiveRun::walk_step`]) and a traversal's later moves
+    /// ([`ActiveRun::traverse`]) without a poll too.
     #[inline(always)]
     fn poll_agent(
         &mut self,
@@ -812,29 +909,8 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
             blocked: agents.phase[i] == AgentPhase::Blocked,
             peer_labels,
         };
-        let mut act = agents.procs[i].poll(&obs);
-        let until = match act {
-            Poll::Yield(Action::Wait) => agents.woke[i]
-                .saturating_add(agents.procs[i].quiet_until())
-                .max(round),
-            Poll::Yield(Action::SlowMove(port)) => match agents.procs[i].slow_wait() {
-                0 => {
-                    act = Poll::Yield(Action::TakePort(port));
-                    round
-                }
-                wait => {
-                    let at = round.saturating_add(wait);
-                    agents.held[i] = Held::Slow { at, port };
-                    act = Poll::Yield(Action::Wait);
-                    at - 1
-                }
-            },
-            Poll::Yield(Action::Walk) => {
-                act = Poll::Yield(Action::TakePort(agents.start_walk(i, &obs)));
-                round
-            }
-            _ => round,
-        };
+        let act = agents.procs[i].poll(&obs);
+        let (act, until) = agents.resolve(i, round, &obs, act);
         // A promise made on a one-off observation stands for the skip,
         // but the agent is due in the next executed round: its next
         // observation differs from this one.
@@ -894,6 +970,32 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
         port
     }
 
+    /// Steps agent `i`'s traversal right after its move (or blocked
+    /// attempt) of `round`, on the arrival node's degree and entry port:
+    /// holds the next move `w + 1` rounds on, a blocked one for the next
+    /// round, or hands the traversal's end back to the procedure, which is
+    /// then due. The round after the move is executed either way. No
+    /// traversal step counts as a poll. Out of line: it replaces a poll.
+    #[inline(never)]
+    fn traverse(&mut self, i: usize, round: u64) {
+        let agents = &mut self.engine.agents;
+        let pos = agents.pos[i];
+        let blocked = agents.phase[i] == AgentPhase::Blocked;
+        let state = &mut agents.traversals[i];
+        match state.step(self.engine.graph.degree(pos), agents.entry_port[i], blocked) {
+            TraversalStep::Move { port, .. } => {
+                // The traversal has seen the blocked attempt, as a poll
+                // would have.
+                agents.phase[i] = AgentPhase::Active;
+                let wait = if blocked { 0 } else { state.wait() };
+                let at = round.saturating_add(1).saturating_add(wait);
+                agents.hold(i, at, port, true);
+                agents.due[i] = at - 1;
+            }
+            TraversalStep::Done(completed) => agents.procs[i].traversal_done(completed),
+        }
+    }
+
     /// Debug-build promise net: agent `i` is inside its promise in
     /// `round`, blind or on an observation identical to its latest one.
     /// Polling it must change nothing: it waits, and promises the same
@@ -940,10 +1042,11 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
         let pos = agents.pos[i];
         match act {
             Poll::Yield(Action::Wait) => {}
-            Poll::Yield(Action::SlowMove(_) | Action::Walk) => {
-                unreachable!("poll_agent resolves every slow move and walk")
+            Poll::Yield(Action::Walk | Action::Traverse) => {
+                unreachable!("poll_agent resolves every walk and traversal")
             }
-            Poll::Yield(Action::TakePort(p)) => {
+            // A slow move here is a traversal's move.
+            Poll::Yield(Action::TakePort(p) | Action::SlowMove(p)) => {
                 match self.engine.graph.neighbor(pos, p) {
                     // A port that exists in the base graph but whose
                     // edge is absent this round blocks: the agent
@@ -988,6 +1091,9 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
                             round,
                         });
                     }
+                }
+                if let Poll::Yield(Action::SlowMove(_)) = act {
+                    self.traverse(i, round);
                 }
             }
             Poll::Complete(d) => {
@@ -2750,7 +2856,8 @@ mod tests {
             agents.held[0],
             Held::Slow {
                 at: 4,
-                port: Port::new(1)
+                port: Port::new(1),
+                traversal: false,
             }
         );
         // The waiter's promise outlasts the wait: the clock jumps to the
@@ -3092,6 +3199,227 @@ mod tests {
                 last_card: 1,
                 changed: None,
             })
+        );
+    }
+
+    /// Yields one traversal, then completes; logs the clock of each poll
+    /// and what the traversal handed back.
+    struct OneTraversal {
+        traversal: crate::walk::Traversal,
+        log: Rc<RefCell<TraversalLog>>,
+    }
+
+    #[derive(Default)]
+    struct TraversalLog {
+        polls: Vec<u64>,
+        done: Option<bool>,
+    }
+
+    impl OneTraversal {
+        fn boxed(
+            radius: u32,
+            abort_degree: u32,
+            wait: u64,
+            log: &Rc<RefCell<TraversalLog>>,
+        ) -> Agent {
+            let traversal = crate::walk::Traversal {
+                alpha: 2,
+                radius,
+                abort_degree,
+                wait,
+                retrace: false,
+            };
+            Box::new(OneTraversal {
+                traversal,
+                log: Rc::clone(log),
+            })
+        }
+    }
+
+    impl Procedure for OneTraversal {
+        type Output = Declaration;
+        fn poll(&mut self, obs: &Obs) -> Poll<Declaration> {
+            let mut log = self.log.borrow_mut();
+            log.polls.push(obs.round);
+            if log.polls.len() == 1 {
+                Poll::Yield(Action::Traverse)
+            } else {
+                Poll::Complete(Declaration::bare())
+            }
+        }
+        fn traversal(&self) -> crate::walk::Traversal {
+            self.traversal
+        }
+        fn traversal_done(&mut self, completed: bool) {
+            self.log.borrow_mut().done = Some(completed);
+        }
+    }
+
+    /// The moves (from, to) of agent 1 in `outcome`'s trace, with their
+    /// rounds.
+    fn moves_of_agent_1(outcome: &RunOutcome) -> Vec<(u64, NodeId, NodeId)> {
+        let trace = outcome.trace.as_ref().unwrap();
+        trace
+            .events()
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::Move {
+                    agent,
+                    round,
+                    from,
+                    to,
+                    ..
+                } if agent == label(1) => Some((round, from, to)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_traversal_costs_two_polls_at_its_start_and_its_end() {
+        // Every path of two ports over {0, 1} from node 0 of a 5-ring, a
+        // slow wait of 3 before each move: the moves come 4 rounds apart
+        // from round 3, and the traversal is polled when it starts and in
+        // the round after its last move, with its result handed back.
+        let ring = generators::ring(5);
+        let log = Rc::new(RefCell::new(TraversalLog::default()));
+        let mut engine = Engine::new(&ring);
+        engine.add_agent(
+            label(1),
+            NodeId::new(0),
+            OneTraversal::boxed(2, u32::MAX, 3, &log),
+        );
+        add(&mut engine, 2, 3, WaitRounds::new(0));
+        engine.record_trace(1_000);
+        let outcome = engine.run(1_000).unwrap();
+        let moves = moves_of_agent_1(&outcome);
+        // Four paths, each two moves out and two back.
+        assert_eq!(moves.len(), 16);
+        let rounds: Vec<u64> = moves.iter().map(|&(round, ..)| round).collect();
+        assert_eq!(rounds, (0..16).map(|j| 3 + 4 * j).collect::<Vec<u64>>());
+        assert_eq!(
+            moves.last().unwrap().2,
+            NodeId::new(0),
+            "it ends on its start"
+        );
+        let log = log.borrow();
+        assert_eq!(log.polls, vec![0, 64]);
+        assert_eq!(log.done, Some(true));
+        // The traversal's two polls, the other agent's one, and the held
+        // wait in round 1: the agent had just woken in round 0, so it was
+        // due in the next executed round.
+        assert_eq!(outcome.polled_agent_rounds, 4);
+        let record = outcome.declarations[0].1.unwrap();
+        assert_eq!((record.round, record.node), (64, NodeId::new(0)));
+        // Rounds 0 and 1, then each move round and the round after it;
+        // the waits are skipped.
+        assert_eq!(outcome.engine_iterations, 34);
+    }
+
+    #[test]
+    fn a_traversal_without_a_move_is_handed_back_in_its_round() {
+        // An abort on the start node (degree 2 >= 2), then a radius of 0:
+        // neither moves, and each is handed back in the round it was
+        // yielded in, where the agent is polled again and declares.
+        for (radius, abort_degree, completed) in [(2, 2, false), (0, u32::MAX, true)] {
+            let ring = generators::ring(4);
+            let log = Rc::new(RefCell::new(TraversalLog::default()));
+            let mut engine = Engine::new(&ring);
+            engine.add_agent(
+                label(1),
+                NodeId::new(0),
+                OneTraversal::boxed(radius, abort_degree, 5, &log),
+            );
+            add(&mut engine, 2, 2, WaitRounds::new(3));
+            engine.set_wake_schedule(WakeSchedule::Explicit(vec![2, 0]));
+            let outcome = engine.run(100).unwrap();
+            assert_eq!(outcome.total_moves, 0);
+            let log = log.borrow();
+            assert_eq!(log.polls, vec![0, 0]);
+            assert_eq!(log.done, Some(completed));
+            assert_eq!(outcome.declarations[0].1.unwrap().round, 2);
+        }
+    }
+
+    #[test]
+    fn a_crash_mid_traversal_cancels_it() {
+        // The first move is made in round 3; the crash in round 5 lands
+        // inside the second move's wait, which is never made, and nothing
+        // is handed back.
+        let ring = generators::ring(5);
+        let log = Rc::new(RefCell::new(TraversalLog::default()));
+        let mut engine = Engine::new(&ring);
+        engine.add_agent(
+            label(1),
+            NodeId::new(0),
+            OneTraversal::boxed(2, u32::MAX, 3, &log),
+        );
+        add(&mut engine, 2, 3, WaitRounds::new(20));
+        engine.set_faults(crash_at(&[(1, 5)]));
+        engine.record_trace(1_000);
+        let outcome = engine.run(1_000).unwrap();
+        assert_eq!(outcome.crashed_agents, vec![label(1)]);
+        assert_eq!(moves_of_agent_1(&outcome).len(), 1);
+        let log = log.borrow();
+        assert_eq!(log.polls, vec![0]);
+        assert_eq!(log.done, None);
+    }
+
+    #[test]
+    fn a_blocked_traversal_move_is_made_again_in_the_next_round() {
+        // Every edge is absent before round 6: the first move, due in
+        // round 2, is attempted in rounds 2 to 5 and made in round 6.
+        // Every later move waits its 2 rounds after the one before, and
+        // the traversal walks exactly the moves it walks on a static
+        // ring, back to its start.
+        let ring = generators::ring(5);
+        let run = |blocked_until: u64| {
+            let log = Rc::new(RefCell::new(TraversalLog::default()));
+            let mut engine = Engine::with_topology(
+                &ring,
+                &BlockedUntil {
+                    until: blocked_until,
+                },
+            );
+            engine.add_agent(
+                label(1),
+                NodeId::new(0),
+                OneTraversal::boxed(2, u32::MAX, 2, &log),
+            );
+            add(&mut engine, 2, 3, WaitRounds::new(0));
+            engine.record_trace(1_000);
+            let outcome = engine.run(1_000).unwrap();
+            let log = Rc::try_unwrap(log).ok().unwrap().into_inner();
+            (outcome, log)
+        };
+        let (free, free_log) = run(0);
+        let (blocked, blocked_log) = run(6);
+        let trace = blocked.trace.as_ref().unwrap();
+        let attempts: Vec<u64> = trace
+            .events()
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::Blocked { round, .. } => Some(round),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(attempts, vec![2, 3, 4, 5]);
+        let free_moves = moves_of_agent_1(&free);
+        let blocked_moves = moves_of_agent_1(&blocked);
+        let shifted: Vec<(u64, NodeId, NodeId)> = free_moves
+            .iter()
+            .map(|&(round, from, to)| (round + 4, from, to))
+            .collect();
+        assert_eq!(blocked_moves, shifted);
+        assert_eq!(blocked_log.done, Some(true));
+        assert_eq!(
+            blocked_log.polls,
+            free_log
+                .polls
+                .iter()
+                .enumerate()
+                .map(|(j, &p)| p + 4 * j as u64)
+                .collect::<Vec<u64>>()
         );
     }
 }

@@ -35,7 +35,9 @@
 //! Declaration>>` per agent, built-in algorithm or not: an agent is the
 //! procedure it runs, and its output is its declaration. The engine holds
 //! each [`Action::SlowMove`] itself, answering the wait without polling
-//! the procedure and making the move in its due round. The optional
+//! the procedure and making the move in its due round; it plays each
+//! [`Action::Walk`] and [`Action::Traverse`] the same way, by the one rule
+//! of each in [`walk`]. The optional
 //! [`FaultSpec`] crash adversary kills agents mid-run: a crashed agent
 //! stops acting, but its body keeps counting toward `CurCard` — under weak
 //! sensing the survivors cannot tell a corpse from a waiting companion.
@@ -74,6 +76,7 @@ mod outcome;
 mod schedule;
 mod trace;
 
+pub mod paths;
 pub mod proc;
 pub mod walk;
 

@@ -90,6 +90,23 @@ pub enum Action {
     /// [`crate::proc`] module docs. Like a slow move's wait, the walk is
     /// not a field, so that an `Action` stays 8 bytes.
     Walk,
+    /// A ball traversal (Algorithm 7) or its retrace, as one instruction
+    /// for all its slow moves. The yielding procedure describes it through
+    /// [`crate::Procedure::traversal`]: the alphabet, the radius, the
+    /// degree abort, the slow wait and whether it retraces the traversal
+    /// before it ([`crate::walk::Traversal`]).
+    ///
+    /// The [`Engine`](crate::Engine) holds the traversal: it makes every
+    /// move as a held slow move, reads the arrival node's degree and entry
+    /// port right after the move to set the next one, and once the
+    /// traversal has ended hands back whether it completed through
+    /// [`crate::Procedure::traversal_done`]. The procedure is polled next
+    /// in the round after the last move, or, if the traversal ended
+    /// without a move, again in the round it was yielded in. Every
+    /// procedure that passes a traversal up must forward both calls; see
+    /// the [`crate::proc`] module docs. Like a walk, the traversal is not a
+    /// field, so that an `Action` stays 8 bytes.
+    Traverse,
 }
 
 /// The result of polling a [`crate::Procedure`] for one round.

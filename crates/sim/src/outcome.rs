@@ -95,11 +95,11 @@ pub struct RunOutcome {
     /// wait that the agent is due in counts although the engine answers
     /// it without reaching the procedure; the round the engine makes the
     /// move in costs none ([`crate::Action::SlowMove`]), and neither does
-    /// a round of a walk the engine plays ([`crate::Action::Walk`]). An
-    /// execution
-    /// fact, not a model fact — it moves whenever the engine's execution
-    /// strategy does — so it is excluded from the deterministic lab
-    /// reports and surfaced as a campaign-level trajectory aggregate
+    /// a round of a walk the engine plays ([`crate::Action::Walk`]) or a
+    /// step of a traversal it plays ([`crate::Action::Traverse`]). An
+    /// execution fact, not a model fact — it moves whenever the engine's
+    /// execution strategy does — so it is excluded from the deterministic
+    /// lab reports and surfaced as a campaign-level trajectory aggregate
     /// instead.
     pub polled_agent_rounds: u64,
     /// The largest number of co-located agents ever observed.

@@ -3,9 +3,9 @@
 //! The unknown-upper-bound algorithm repeatedly walks "all paths of length
 //! `r` from the set `{0, ..., a-1}`" (paper Algorithms 7 and 10, and our
 //! leashed `EST+`). This module provides the enumerator, which also steps
-//! backwards so a finished walk can be retraced; the walking —
-//! forward while ports exist, then backtrack — is done by the procedures
-//! themselves, which differ in their waiting and abort rules.
+//! backwards so a finished traversal can be retraced; the walking —
+//! forward while ports exist, then backtrack — is the one traversal rule of
+//! [`TraversalState`](crate::walk::TraversalState).
 
 use std::fmt;
 
@@ -14,7 +14,7 @@ use std::fmt;
 /// # Example
 ///
 /// ```
-/// use nochatter_explore::paths::Paths;
+/// use nochatter_sim::paths::Paths;
 ///
 /// let mut p = Paths::new(2, 2);
 /// let mut all = Vec::new();
@@ -26,7 +26,7 @@ use std::fmt;
 ///     vec![1, 0], vec![1, 1],
 /// ]);
 /// ```
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct Paths {
     alpha: u32,
     current: Vec<u32>,
@@ -85,7 +85,7 @@ impl Paths {
     /// # Example
     ///
     /// ```
-    /// use nochatter_explore::paths::Paths;
+    /// use nochatter_sim::paths::Paths;
     ///
     /// let mut p = Paths::new(2, 1);
     /// while p.next_path().is_some() {}
@@ -114,6 +114,12 @@ impl Paths {
         }
         self.reset();
         None
+    }
+
+    /// The path the enumeration stands on: the one the latest
+    /// [`Paths::next_path`] or [`Paths::prev_path`] returned.
+    pub(crate) fn current(&self) -> &[u32] {
+        &self.current
     }
 
     /// Restarts the enumeration from the first path.

@@ -80,9 +80,40 @@
 //!   is not known in advance under a round-varying topology, so a
 //!   procedure that can be cut off mid-walk (`TZ`) steps a
 //!   [`WalkState`](crate::walk::WalkState) in its own polls instead.
+//!
+//! # Traversals
+//!
+//! [`Action::Traverse`] is a ball traversal (Algorithm 7) or its retrace
+//! as one instruction, described right after the poll by
+//! [`Procedure::traversal`]: the alphabet, the radius, the degree abort,
+//! the slow wait `w` and whether it retraces the traversal before it
+//! ([`Traversal`]). The engine plays it from a
+//! [`TraversalState`](crate::walk::TraversalState), the one traversal
+//! rule, one held slow move at a time: the first move waits `w` rounds
+//! from the poll, and right after each move the engine reads the arrival
+//! node's degree and entry port and holds the next move `w + 1` rounds
+//! on (a blocked move is made again in the next round). Once the
+//! traversal has ended it calls [`Procedure::traversal_done`] with
+//! whether the traversal completed, and the procedure is polled in the
+//! round after the last move. A traversal that ends without a move (an
+//! abort on the start node, or a radius of 0) is handed back at once, and
+//! the procedure is polled again in the round it yielded the traversal
+//! in, on the same observation, as if the traversal had completed
+//! without consuming the round. So:
+//!
+//! * no poll sees the traversal's observations: it reads no `CurCard`,
+//!   and a procedure that must (`EnsureCleanExploration`, `EST+`) steps a
+//!   [`TraversalState`](crate::walk::TraversalState) in its own polls
+//!   instead;
+//! * a retrace is played from the state its traversal left, so an agent
+//!   yields no other traversal in between;
+//! * every procedure that passes a traversal up forwards both
+//!   `traversal` and `traversal_done` to the child that yielded it;
+//! * [`RunFor`] and [`UntilCardExceeds`] pass no traversal up: its length
+//!   is not known in advance, and it does not watch `CurCard`.
 
 use crate::obs::{Action, Obs, Poll};
-use crate::walk::{Walk, WalkDone};
+use crate::walk::{Traversal, Walk, WalkDone};
 
 /// A resumable mobile-agent computation; see the [module docs](self) for
 /// the polling contract.
@@ -130,8 +161,23 @@ pub trait Procedure {
         panic!("a procedure that yields no walk was handed one back")
     }
 
+    /// The traversal the latest poll yielded as [`Action::Traverse`]; read
+    /// only right after such a poll. The default panics: a procedure that
+    /// yields or passes up traversals must describe them.
+    fn traversal(&self) -> Traversal {
+        panic!("a procedure yielded a traversal without describing it")
+    }
+
+    /// Whether the traversal the procedure yielded completed (`false`: it
+    /// stood on a node of its abort degree), handed back once it has
+    /// ended, right before the procedure's next poll. The default panics,
+    /// as [`Procedure::traversal`]'s does.
+    fn traversal_done(&mut self, _completed: bool) {
+        panic!("a procedure that yields no traversal was handed one back")
+    }
+
     /// Maps the completion value through `f`, forwarding every promise,
-    /// the slow-move wait and the walk calls. This is how a procedure
+    /// the slow-move wait, the walk calls and the traversal calls. This is how a procedure
     /// becomes an agent: the engine runs procedures whose output is a
     /// [`Declaration`](crate::Declaration).
     ///
@@ -192,6 +238,14 @@ where
 
     fn walk_done(&mut self, done: WalkDone) {
         self.inner.walk_done(done);
+    }
+
+    fn traversal(&self) -> Traversal {
+        self.inner.traversal()
+    }
+
+    fn traversal_done(&mut self, completed: bool) {
+        self.inner.traversal_done(completed);
     }
 }
 
@@ -352,10 +406,10 @@ impl<T> Interrupted<T> {
 /// and interrupt it before its completion as soon as CurCard > c"
 /// (Algorithm 3 lines 8 and 23).
 ///
-/// The inner procedure must never yield an [`Action::SlowMove`]: the wait
-/// of a slow move is played out without a poll, so a `CurCard` rise during
-/// it would interrupt the block only after the move, not when it happens.
-/// Debug builds assert it.
+/// The inner procedure must never yield an [`Action::SlowMove`] or an
+/// [`Action::Traverse`]: the wait of a slow move is played out without a
+/// poll, so a `CurCard` rise during it would interrupt the block only
+/// after the move, not when it happens. Debug builds assert it.
 #[derive(Clone, Debug)]
 pub struct UntilCardExceeds<P> {
     threshold: u32,
@@ -379,7 +433,7 @@ impl<P: Procedure> Procedure for UntilCardExceeds<P> {
         }
         let poll = self.inner.poll(obs);
         debug_assert!(
-            !matches!(poll, Poll::Yield(Action::SlowMove(_))),
+            !matches!(poll, Poll::Yield(Action::SlowMove(_) | Action::Traverse)),
             "a slow move's wait would hide CurCard from the interruptible block"
         );
         poll.map(Interrupted::Finished)

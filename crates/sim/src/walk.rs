@@ -1,5 +1,6 @@
-//! The paper's `EXPLO` walk (§2) as one instruction: its description, the
-//! one implementation of its rule, and what it hands back.
+//! The paper's `EXPLO` walk (§2) and its ball traversal (Algorithm 7) as
+//! instructions: their descriptions, the one implementation of each rule,
+//! and what they hand back.
 //!
 //! A procedure yields [`Action::Walk`](crate::Action::Walk) and describes
 //! the walk through [`Procedure::walk`](crate::Procedure::walk): the
@@ -10,10 +11,23 @@
 //! before the procedure's next poll. A procedure that is polled inside its
 //! walk steps the same [`WalkState`] itself (`TZ`, whose window can cut a
 //! walk off).
+//!
+//! A traversal is the same arrangement for "follow every path of length
+//! `r` over the ports `0..a`, backtracking after each":
+//! [`Action::Traverse`](crate::Action::Traverse), described through
+//! [`Procedure::traversal`](crate::Procedure::traversal) ([`Traversal`]),
+//! played by the engine from a [`TraversalState`] one slow move at a time
+//! without a poll, and handed back through
+//! [`Procedure::traversal_done`](crate::Procedure::traversal_done). The
+//! unknown-bound stack's sweeps that watch `CurCard` after each move
+//! (`EnsureCleanExploration`, `EST+`) step the same [`TraversalState`] in
+//! their own polls.
 
 use std::sync::Arc;
 
 use nochatter_graph::Port;
+
+use crate::paths::Paths;
 
 /// A walk to play: the effective part over `steps`, then the backtrack.
 ///
@@ -152,6 +166,172 @@ impl WalkState {
     }
 }
 
+/// A traversal to play: every path of `radius` ports over `0..alpha`, from
+/// the start node, in lexicographic order.
+///
+/// The traversal rule: follow the path's ports while the next one exists
+/// at the current node, then backtrack over the recorded entry ports to
+/// the start, and go on with the next path. Before each forward decision
+/// (on the start node before each path, and after each forward move) a
+/// node of degree `abort_degree` or more ends the traversal on the spot
+/// (Algorithm 7 line 7). A move blocked by an absent edge (round-varying
+/// topologies only) is attempted again, so the traversal is always a
+/// genuine walk of the base graph.
+///
+/// With `retrace` set, the traversal walks the moves of the one before it
+/// back, in reverse order: it first backtracks the path that traversal
+/// aborted on, if it aborted, then walks every earlier path, last first,
+/// forward and back. It stands only on nodes that traversal stood on, so
+/// it has no degree abort, and it ends on the start node after as many
+/// moves.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Traversal {
+    /// The alphabet: paths use the ports `0..alpha`.
+    pub alpha: u32,
+    /// The length of every path.
+    pub radius: u32,
+    /// The degree that ends the traversal; `u32::MAX` never does.
+    pub abort_degree: u32,
+    /// The slow wait before each move, in rounds, when the engine plays the
+    /// traversal: every move is a slow move (§4.1). A procedure stepping
+    /// a [`TraversalState`] itself moves when it likes.
+    pub wait: u64,
+    /// Walk the previous traversal back instead of starting afresh.
+    pub retrace: bool,
+}
+
+/// One step of a traversal.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TraversalStep {
+    /// Take `port`: forward along the current path, or a backtrack.
+    Move {
+        /// The port to take.
+        port: Port,
+        /// Whether the move extends the current path.
+        forward: bool,
+    },
+    /// The traversal has ended: `true` if it walked every path (a retrace
+    /// always does), `false` if it stood on a node of its abort degree.
+    Done(bool),
+}
+
+/// A traversal under way: the one implementation of the traversal rule.
+///
+/// It holds the path enumeration and the entry ports of the current path
+/// only: O(`radius`) words however many moves the traversal makes. After
+/// a traversal has ended, the state is what its retrace starts from.
+#[derive(Clone, Debug, Default)]
+pub struct TraversalState {
+    traversal: Option<Traversal>,
+    paths: Paths,
+    /// The index of the next forward move within the current path.
+    i: usize,
+    /// Entry ports of the forward moves made along the current path.
+    entries: Vec<Port>,
+    forward: bool,
+    /// The move of the latest step, until the step after it.
+    pending: Option<TraversalStep>,
+}
+
+impl TraversalState {
+    /// Starts `traversal`; its first [`TraversalStep`] comes from the next
+    /// [`TraversalState::step`], on the observation of the start node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `traversal` is a retrace of anything but a traversal of
+    /// the same paths, or if it has an empty alphabet and a positive radius.
+    pub fn start(&mut self, traversal: Traversal) {
+        if traversal.retrace {
+            let before = self.traversal.filter(|t| !t.retrace);
+            assert!(
+                before.is_some_and(|t| (t.alpha, t.radius) == (traversal.alpha, traversal.radius)),
+                "a retrace walks back the traversal of the same paths before it"
+            );
+            self.forward = false;
+        } else {
+            self.paths = Paths::new(traversal.alpha, traversal.radius);
+            self.paths.next_path();
+            self.i = 0;
+            self.entries.clear();
+            self.forward = true;
+        }
+        self.traversal = Some(traversal);
+        self.pending = None;
+    }
+
+    /// The slow wait of the traversal under way.
+    pub(crate) fn wait(&self) -> u64 {
+        self.traversal().wait
+    }
+
+    fn traversal(&self) -> Traversal {
+        self.traversal.expect("a traversal was started")
+    }
+
+    /// The next step, on the observation of the node the agent stands on:
+    /// its degree, its entry port and whether the latest move was blocked.
+    /// A blocked move is returned again; the entry port of a forward move
+    /// that went through is recorded.
+    pub fn step(&mut self, degree: u32, entry: Option<Port>, blocked: bool) -> TraversalStep {
+        if let Some(pending) = self.pending.take() {
+            if blocked {
+                self.pending = Some(pending);
+                return pending;
+            }
+            if let TraversalStep::Move { forward: true, .. } = pending {
+                self.entries
+                    .push(entry.expect("a forward move enters by a port"));
+            }
+        }
+        let step = self.next(degree);
+        if let TraversalStep::Move { .. } = step {
+            self.pending = Some(step);
+        }
+        step
+    }
+
+    fn next(&mut self, degree: u32) -> TraversalStep {
+        let traversal = self.traversal();
+        loop {
+            if self.forward {
+                if !traversal.retrace && degree >= traversal.abort_degree {
+                    return TraversalStep::Done(false);
+                }
+                match self.paths.current().get(self.i) {
+                    Some(&p) if p < degree => {
+                        self.i += 1;
+                        return TraversalStep::Move {
+                            port: Port::new(p),
+                            forward: true,
+                        };
+                    }
+                    // The path is walked, or its next port is missing:
+                    // backtrack what was walked.
+                    _ => self.forward = false,
+                }
+            } else if let Some(back) = self.entries.pop() {
+                return TraversalStep::Move {
+                    port: back,
+                    forward: false,
+                };
+            } else {
+                // Back on the start node: the next path.
+                let next = if traversal.retrace {
+                    self.paths.prev_path()
+                } else {
+                    self.paths.next_path()
+                };
+                if next.is_none() {
+                    return TraversalStep::Done(true);
+                }
+                self.i = 0;
+                self.forward = true;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,5 +397,79 @@ mod tests {
         assert_eq!(w.step(2, 3, Some(Port::new(0)), false, 2), None);
         // The stopping observation is the poll's, not the walk's.
         assert_eq!(w.done().last_card, 2);
+    }
+
+    fn traversal(radius: u32, abort_degree: u32, retrace: bool) -> Traversal {
+        Traversal {
+            alpha: 2,
+            radius,
+            abort_degree,
+            wait: 0,
+            retrace,
+        }
+    }
+
+    fn mv(port: u32, forward: bool) -> TraversalStep {
+        TraversalStep::Move {
+            port: Port::new(port),
+            forward,
+        }
+    }
+
+    #[test]
+    fn a_traversal_walks_every_path_out_and_back() {
+        // Degree 3 everywhere; each move enters by port 2.
+        let mut t = TraversalState::default();
+        t.start(traversal(1, u32::MAX, false));
+        let e = Some(Port::new(2));
+        assert_eq!(t.step(3, None, false), mv(0, true));
+        assert_eq!(t.step(3, e, false), mv(2, false));
+        assert_eq!(t.step(3, e, false), mv(1, true));
+        assert_eq!(t.step(3, e, false), mv(2, false));
+        assert_eq!(t.step(3, e, false), TraversalStep::Done(true));
+    }
+
+    #[test]
+    fn a_missing_port_ends_the_path_and_a_blocked_move_is_returned_again() {
+        // Degree 1 everywhere: path [1] has no port to take.
+        let mut t = TraversalState::default();
+        t.start(traversal(1, u32::MAX, false));
+        let e = Some(Port::new(0));
+        assert_eq!(t.step(1, None, false), mv(0, true));
+        // Blocked: nothing recorded, the same move again.
+        assert_eq!(t.step(1, None, true), mv(0, true));
+        assert_eq!(t.step(1, e, false), mv(0, false));
+        assert_eq!(t.step(1, e, true), mv(0, false));
+        assert_eq!(t.step(1, e, false), TraversalStep::Done(true));
+    }
+
+    #[test]
+    fn an_abort_is_retraced_from_its_half_walked_path() {
+        // Degree 2 at the start, then 3: path [0, 0] is walked out and
+        // back, path [0, 1] aborts after its first move (3 >= 3).
+        let mut t = TraversalState::default();
+        t.start(traversal(2, 3, false));
+        let (p, q) = (Some(Port::new(0)), Some(Port::new(1)));
+        assert_eq!(t.step(2, None, false), mv(0, true));
+        assert_eq!(t.step(2, p, false), mv(0, true));
+        assert_eq!(t.step(2, q, false), mv(1, false));
+        assert_eq!(t.step(2, p, false), mv(0, false));
+        assert_eq!(t.step(2, None, false), mv(0, true));
+        assert_eq!(t.step(3, p, false), TraversalStep::Done(false));
+        // The retrace backtracks the aborted path, then walks [0, 0] out
+        // and back, with no abort.
+        t.start(traversal(2, 3, true));
+        assert_eq!(t.step(3, p, false), mv(0, false));
+        assert_eq!(t.step(2, None, false), mv(0, true));
+        assert_eq!(t.step(3, p, false), mv(0, true));
+        assert_eq!(t.step(3, q, false), mv(1, false));
+        assert_eq!(t.step(3, p, false), mv(0, false));
+        assert_eq!(t.step(2, None, false), TraversalStep::Done(true));
+    }
+
+    #[test]
+    #[should_panic(expected = "a retrace walks back")]
+    fn a_retrace_needs_the_traversal_before_it() {
+        TraversalState::default().start(traversal(2, 3, true));
     }
 }

@@ -49,6 +49,8 @@ struct Cell {
     topo: TopologySpec,
     fault: FaultSpec,
     seed: u64,
+    /// The unknown-bound stack's enumeration of hypotheses.
+    omega: Vec<InitialConfiguration>,
 }
 
 impl Cell {
@@ -89,12 +91,7 @@ impl Cell {
                 (agents, setup.round_limit(&self.cfg))
             }
             Stack::Unknown => {
-                let decoy = InitialConfiguration::new(
-                    generators::path(2),
-                    vec![(label(7), NodeId::new(0)), (label(8), NodeId::new(1))],
-                )
-                .unwrap();
-                let omega = SliceEnumeration::new(vec![decoy, self.cfg.clone()]);
+                let omega = SliceEnumeration::new(self.omega.clone());
                 let schedule = Arc::new(UnknownSchedule::new(omega).unwrap());
                 let graph = self.cfg.graph_arc();
                 let agents = team
@@ -197,7 +194,13 @@ fn cell_strategy() -> impl Strategy<Value = Cell> {
                         max_crashes: 1,
                     },
                 };
+                let decoy = InitialConfiguration::new(
+                    generators::path(2),
+                    vec![(label(7), NodeId::new(0)), (label(8), NodeId::new(1))],
+                )
+                .unwrap();
                 Cell {
+                    omega: vec![decoy, cfg.clone()],
                     cfg,
                     stack,
                     schedule,
@@ -209,52 +212,84 @@ fn cell_strategy() -> impl Strategy<Value = Cell> {
         )
 }
 
+/// Runs `cell` on the engine and on the reference loop and compares them.
+fn engine_matches_reference(cell: &Cell) -> Result<(), TestCaseError> {
+    let graph = cell.cfg.graph();
+    let (agents, limit) = cell.agents();
+    let max_rounds = limit.min(MODEL_ROUNDS);
+
+    let mut engine = Engine::with_topology(graph, &cell.topo);
+    for (label, start, agent) in agents {
+        engine.add_agent(label, start, agent);
+    }
+    engine.set_wake_schedule(cell.schedule.clone());
+    engine.set_sensing(cell.sensing());
+    engine.set_faults(cell.fault.clone());
+    engine.set_trace(Trace::with_capacity(1 << 20));
+    let ran = engine.run(max_rounds);
+
+    let played = support::play(
+        graph,
+        cell.topo.view(graph),
+        cell.agents().0,
+        &cell.schedule,
+        cell.sensing(),
+        &cell.fault,
+        max_rounds,
+    );
+    let (ran, played) = match (ran, played) {
+        (Ok(ran), Ok(played)) => (ran, played),
+        (ran, played) => {
+            prop_assert_eq!(ran.err(), played.err());
+            return Ok(());
+        }
+    };
+    let expected = &played.outcome;
+    prop_assert_eq!(ran.status, expected.status);
+    prop_assert_eq!(ran.rounds, expected.rounds);
+    prop_assert_eq!(&ran.declarations, &expected.declarations);
+    prop_assert_eq!(&ran.crashed_agents, &expected.crashed_agents);
+    prop_assert_eq!(ran.total_moves, expected.total_moves);
+    prop_assert_eq!(ran.blocked_moves, expected.blocked_moves);
+    prop_assert_eq!(ran.max_colocation, expected.max_colocation);
+    let trace = ran.trace.as_ref().unwrap();
+    prop_assert_eq!(trace.dropped(), 0);
+    prop_assert_eq!(trace.events(), &played.events[..]);
+    prop_assert_eq!(
+        ran.engine_iterations + ran.skipped_rounds,
+        played.model_rounds
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
     #[test]
     fn the_engine_plays_every_round_as_the_reference_loop_does(cell in cell_strategy()) {
-        let graph = cell.cfg.graph();
-        let (agents, limit) = cell.agents();
-        let max_rounds = limit.min(MODEL_ROUNDS);
-
-        let mut engine = Engine::with_topology(graph, &cell.topo);
-        for (label, start, agent) in agents {
-            engine.add_agent(label, start, agent);
-        }
-        engine.set_wake_schedule(cell.schedule.clone());
-        engine.set_sensing(cell.sensing());
-        engine.set_faults(cell.fault.clone());
-        engine.set_trace(Trace::with_capacity(1 << 20));
-        let ran = engine.run(max_rounds);
-
-        let played = support::play(
-            graph,
-            cell.topo.view(graph),
-            cell.agents().0,
-            &cell.schedule,
-            cell.sensing(),
-            &cell.fault,
-            max_rounds,
-        );
-        let (ran, played) = match (ran, played) {
-            (Ok(ran), Ok(played)) => (ran, played),
-            (ran, played) => {
-                prop_assert_eq!(ran.err(), played.err());
-                return Ok(());
-            }
-        };
-        let expected = &played.outcome;
-        prop_assert_eq!(ran.status, expected.status);
-        prop_assert_eq!(ran.rounds, expected.rounds);
-        prop_assert_eq!(&ran.declarations, &expected.declarations);
-        prop_assert_eq!(&ran.crashed_agents, &expected.crashed_agents);
-        prop_assert_eq!(ran.total_moves, expected.total_moves);
-        prop_assert_eq!(ran.blocked_moves, expected.blocked_moves);
-        prop_assert_eq!(ran.max_colocation, expected.max_colocation);
-        let trace = ran.trace.as_ref().unwrap();
-        prop_assert_eq!(trace.dropped(), 0);
-        prop_assert_eq!(trace.events(), &played.events[..]);
-        prop_assert_eq!(ran.engine_iterations + ran.skipped_rounds, played.model_rounds);
+        engine_matches_reference(&cell)?;
     }
+}
+
+#[test]
+fn an_aborted_ball_is_retraced_as_the_reference_retraces_it() {
+    // The only hypothesis is a triangle (degree abort 3). On the real
+    // spider, an agent's ball aborts mid-path on the degree-3 node, and its
+    // retrace starts by backtracking the half-walked path: no random cell
+    // reaches that case.
+    let spider = generators::from_pairs(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (3, 5)]);
+    let team = |graph, second| {
+        let team = vec![(label(1), NodeId::new(0)), (label(2), NodeId::new(second))];
+        InitialConfiguration::new(graph, team).unwrap()
+    };
+    let cell = Cell {
+        cfg: team(spider, 5),
+        stack: Stack::Unknown,
+        schedule: WakeSchedule::Staggered { gap: 4 },
+        topo: TopologySpec::Static,
+        fault: FaultSpec::None,
+        seed: 0,
+        omega: vec![team(generators::ring(3), 1)],
+    };
+    engine_matches_reference(&cell).unwrap();
 }

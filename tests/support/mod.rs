@@ -7,25 +7,35 @@
 //! topology view. A slow move is played as its expansion: `w` rounds in
 //! which the agent waits without a poll, then the move. A walk is played
 //! as its expansion too: one step of [`RefWalk`] per round, without a
-//! poll, then `walk_done` and a poll in the round it ends in. The loop
-//! reads no promise and skips no round, so comparing it with the engine
-//! checks the engine's fast-forward, its choice of whom to poll, its held
-//! slow moves and its held walks against the rules they stand for.
+//! poll, then `walk_done` and a poll in the round it ends in. So is a
+//! traversal: a step of [`RefTraversal`] in the round after each move,
+//! without a poll, its moves played as slow moves (a blocked one again at
+//! once), then `traversal_done` and a poll in the round after its last
+//! move, or in its own round if it made none. The loop reads no promise
+//! and skips no round, so comparing it with the engine checks the
+//! engine's fast-forward, its choice of whom to poll, its held slow moves,
+//! its held walks and its held traversals against the rules they stand
+//! for.
 //!
 //! It shares no code with the engine beyond the public types: wake rounds
 //! come from [`WakeSchedule::wake_rounds`], crash rounds from
 //! [`FaultSpec::crash_rounds`], edge presence from the [`TopologyView`],
-//! and the walk rule is written out again in [`RefWalk`].
+//! and the walk and traversal rules are written out again in [`RefWalk`]
+//! and [`RefTraversal`].
+
+mod traversal;
 
 use std::sync::Arc;
 
 use nochatter::graph::dynamic::TopologyView;
 use nochatter::graph::{Graph, Label, NodeId, Port};
 use nochatter::sim::walk::{Walk, WalkDone};
+
 use nochatter::sim::{
     Action, Agent, AgentPhase, DeclarationRecord, FaultSpec, Obs, Poll, RunOutcome, RunStatus,
     Sensing, SimError, TraceEvent, WakeSchedule,
 };
+pub use traversal::RefTraversal;
 
 /// The `EXPLO` walk rule (§2), written apart from the engine's
 /// `WalkState`: `made` counts the moves that went through, and each round
@@ -149,6 +159,10 @@ pub fn play<V: TopologyView>(
     // A slow move under way: the round of its move, and its port.
     let mut slow: Vec<Option<(u64, Port)>> = vec![None; k];
     let mut walks: Vec<Option<RefWalk>> = (0..k).map(|_| None).collect();
+    // A traversal under way, and the latest one that ended: a retrace
+    // undoes it.
+    let mut traversing: Vec<Option<RefTraversal>> = (0..k).map(|_| None).collect();
+    let mut traversed: Vec<Option<RefTraversal>> = (0..k).map(|_| None).collect();
     let mut declared: Vec<Option<DeclarationRecord>> = vec![None; k];
     let mut events = Vec::new();
     let mut out = RunOutcome {
@@ -178,6 +192,7 @@ pub fn play<V: TopologyView>(
                     phase[i] = AgentPhase::Crashed;
                     slow[i] = None;
                     walks[i] = None;
+                    traversing[i] = None;
                     last_crash = round;
                     events.push(TraceEvent::Crashed {
                         agent: labels[i],
@@ -251,6 +266,23 @@ pub fn play<V: TopologyView>(
                     }
                 }
             }
+            if let Some(traversal) = traversing[i].as_mut() {
+                // The expansion of a traversal: a step in the round after
+                // each move, without a poll; the round it ends in is
+                // polled.
+                match traversal.step(graph.degree(pos[i]), entry[i], blocked) {
+                    Ok(port) => {
+                        let wait = if blocked { 0 } else { traversal.wait() };
+                        acts[i] = Some(Poll::Yield(hold(&mut slow[i], round, wait, port)));
+                        phase[i] = AgentPhase::Active;
+                        continue;
+                    }
+                    Err(completed) => {
+                        procs[i].traversal_done(completed);
+                        traversed[i] = traversing[i].take();
+                    }
+                }
+            }
             let peer_labels = (sensing == Sensing::Traditional).then(|| {
                 let mut peers: Vec<Label> = (0..k)
                     .filter(|&j| pos[j] == pos[i])
@@ -270,6 +302,22 @@ pub fn play<V: TopologyView>(
             };
             out.polled_agent_rounds += 1;
             let mut act = procs[i].poll(&obs);
+            while let Poll::Yield(Action::Traverse) = act {
+                let mut traversal =
+                    RefTraversal::start(procs[i].traversal(), traversed[i].as_ref());
+                match traversal.step(obs.degree, obs.entry_port, false) {
+                    Ok(port) => {
+                        act = Poll::Yield(hold(&mut slow[i], round, traversal.wait(), port));
+                        traversing[i] = Some(traversal);
+                    }
+                    Err(completed) => {
+                        // No move: handed back, and polled again at once.
+                        procs[i].traversal_done(completed);
+                        traversed[i] = Some(traversal);
+                        act = procs[i].poll(&obs);
+                    }
+                }
+            }
             if let Poll::Yield(Action::SlowMove(port)) = act {
                 act = Poll::Yield(match procs[i].slow_wait() {
                     0 => Action::TakePort(port),
@@ -325,7 +373,7 @@ pub fn play<V: TopologyView>(
                         }
                     }
                 }
-                Some(Poll::Yield(Action::SlowMove(_) | Action::Walk)) => {
+                Some(Poll::Yield(Action::SlowMove(_) | Action::Walk | Action::Traverse)) => {
                     unreachable!("resolved at the poll")
                 }
                 Some(Poll::Complete(declaration)) => {
@@ -368,4 +416,15 @@ pub fn play<V: TopologyView>(
         events,
         model_rounds: round,
     })
+}
+
+/// A slow move through `port` decided in `round` after a wait of `wait`
+/// rounds: the move itself if `wait` is 0, else a wait, with the move
+/// noted in `slow` for its round.
+fn hold(slow: &mut Option<(u64, Port)>, round: u64, wait: u64, port: Port) -> Action {
+    if wait == 0 {
+        return Action::TakePort(port);
+    }
+    *slow = Some((round + wait, port));
+    Action::Wait
 }

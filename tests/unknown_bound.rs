@@ -3,6 +3,9 @@
 //! robustness of the clean-exploration shield against an adversarial `EST`
 //! reconstruction.
 
+#[path = "support/traversal.rs"]
+mod traversal;
+
 use std::fmt::Debug;
 use std::sync::Arc;
 
@@ -18,6 +21,7 @@ use nochatter::sim::proc::Procedure;
 use nochatter::sim::{
     Action, Declaration, Engine, Obs, Poll, RunOutcome, RunStatus, Trace, WakeSchedule,
 };
+use traversal::RefTraversal;
 
 fn label(v: u64) -> Label {
     Label::new(v).unwrap()
@@ -313,13 +317,20 @@ const BLIND_PROBE: u64 = 64;
 /// either of them for `w` rounds, and the move is made in the last one;
 /// a wait of two rounds or more is a blind promise before its move round,
 /// and is recorded as probed (the engine's own tests feed such waits
-/// noisy rounds). Whenever a poll leaves a blind promise of the procedure
-/// itself, `a` is polled through its first `BLIND_PROBE` rounds at most on
-/// observations with random `CurCard`s and entry ports, and must wait in
-/// each and keep promising the same last round, while `b` skips the whole
-/// promise; non-blind promises are skipped by both. `on_move` sees every
-/// move. Stops after `max_polls` real polls or on completion, and returns
-/// the round at which each probed promise began.
+/// noisy rounds). A traversal is played as the engine plays it, by
+/// [`RefTraversal`]: both twins describe the same one, nothing reaches
+/// either of them until it ends, every move is a slow move decided in the
+/// round after the move before (recorded as probed in the same way), and
+/// both are handed its result back, then polled in that round, or in the
+/// round they yielded it in if it made no move. Whenever a poll leaves a
+/// blind promise of the procedure itself, `a` is polled through its first
+/// `BLIND_PROBE` rounds at most on observations with random `CurCard`s and
+/// entry ports, and must wait in each and keep promising the same last
+/// round, while `b` skips the whole promise; non-blind promises are
+/// skipped by both. `on_move` sees every move but a traversal's, as the
+/// position oracle of `GatherUnknownUpperBound` does. Stops after
+/// `max_polls` real polls and traversal moves, or on completion, and
+/// returns the round at which each probed promise began.
 fn check_blind_twins<P>(
     mut a: P,
     mut b: P,
@@ -336,52 +347,99 @@ where
     let (mut pos, mut entry, mut round) = (start, None, 0u64);
     let mut noise = noise.iter().cycle();
     let mut probed = Vec::new();
+    // The traversal under way, and the latest one that ended.
+    let (mut traversing, mut traversed) = (None::<RefTraversal>, None::<RefTraversal>);
     for _ in 0..max_polls {
         let degree = graph.degree(pos);
-        let real = Obs::synthetic(round, degree, 1, entry);
-        let output = |out: P::Output| format!("{out:?}");
-        let (x, y) = (a.poll(&real).map(output), b.poll(&real).map(output));
-        assert_eq!(x, y, "twins diverged in round {round}");
-        round += 1;
-        let port = match x {
-            Poll::Complete(_) => break,
-            Poll::Yield(Action::Wait) => None,
-            Poll::Yield(Action::TakePort(p)) => Some(p),
-            Poll::Yield(Action::SlowMove(p)) => {
-                let w = a.slow_wait();
-                assert_eq!(w, b.slow_wait(), "round {round}");
-                if w > 1 {
-                    probed.push(round);
+        // The held traversal's next move, decided in the round after the
+        // move before it, and its wait.
+        let mut held_move = None;
+        if let Some(held) = traversing.as_mut() {
+            match held.step(degree, entry, false) {
+                Ok(p) => held_move = Some((p, held.wait())),
+                Err(completed) => {
+                    a.traversal_done(completed);
+                    b.traversal_done(completed);
+                    traversed = traversing.take();
                 }
-                round += w;
-                Some(p)
             }
-            Poll::Yield(Action::Walk) => unreachable!("the unknown-bound stack makes no walks"),
-        };
-        if let Some(p) = port {
-            let (to, back) = graph.neighbor(pos, p).expect("moves stay on the graph");
-            (pos, entry) = (to, Some(back));
-            on_move(p);
-            continue;
         }
-        let quiet = a.quiet_until();
-        assert_eq!(quiet, b.quiet_until(), "round {round}");
-        assert_eq!(a.blind(), b.blind(), "round {round}");
-        if a.blind() && quiet >= round {
+        if held_move.is_none() {
+            let real = Obs::synthetic(round, degree, 1, entry);
+            let output = |out: P::Output| format!("{out:?}");
+            let (x, y) = (a.poll(&real).map(output), b.poll(&real).map(output));
+            assert_eq!(x, y, "twins diverged in round {round}");
+            if x != Poll::Yield(Action::Traverse) {
+                round += 1;
+                let port = match x {
+                    Poll::Complete(_) => break,
+                    Poll::Yield(Action::Wait) => None,
+                    Poll::Yield(Action::TakePort(p)) => Some(p),
+                    Poll::Yield(Action::SlowMove(p)) => {
+                        let w = a.slow_wait();
+                        assert_eq!(w, b.slow_wait(), "round {round}");
+                        if w > 1 {
+                            probed.push(round);
+                        }
+                        round += w;
+                        Some(p)
+                    }
+                    Poll::Yield(Action::Walk | Action::Traverse) => {
+                        unreachable!("the unknown-bound stack makes no walks")
+                    }
+                };
+                if let Some(p) = port {
+                    let (to, back) = graph.neighbor(pos, p).expect("moves stay on the graph");
+                    (pos, entry) = (to, Some(back));
+                    on_move(p);
+                    continue;
+                }
+                let quiet = a.quiet_until();
+                assert_eq!(quiet, b.quiet_until(), "round {round}");
+                assert_eq!(a.blind(), b.blind(), "round {round}");
+                if a.blind() && quiet >= round {
+                    probed.push(round);
+                    for n in round..=quiet.min(round + BLIND_PROBE - 1) {
+                        let seed = *noise.next().unwrap();
+                        let cur_card = 1 + seed % 4;
+                        let entry = (!seed.is_multiple_of(5)).then(|| Port::new(seed / 5 % degree));
+                        let w = a.poll(&Obs::synthetic(n, degree, cur_card, entry));
+                        assert_eq!(
+                            (w.action(), a.quiet_until()),
+                            (Some(Action::Wait), quiet),
+                            "blind promise through round {quiet} broken in round {n}"
+                        );
+                    }
+                }
+                round = round.max(quiet.saturating_add(1));
+                continue;
+            }
+            let description = a.traversal();
+            assert_eq!(description, b.traversal(), "round {round}");
+            let mut held = RefTraversal::start(description, traversed.as_ref());
+            match held.step(degree, entry, false) {
+                Ok(p) => {
+                    held_move = Some((p, description.wait));
+                    traversing = Some(held);
+                }
+                Err(completed) => {
+                    // No move: handed back, and polled again in this round.
+                    a.traversal_done(completed);
+                    b.traversal_done(completed);
+                    traversed = Some(held);
+                    continue;
+                }
+            }
+        }
+        // A traversal's slow move: its wait, then the move.
+        let (p, w) = held_move.expect("a traversal moves");
+        round += 1;
+        if w > 1 {
             probed.push(round);
-            for n in round..=quiet.min(round + BLIND_PROBE - 1) {
-                let seed = *noise.next().unwrap();
-                let cur_card = 1 + seed % 4;
-                let entry = (!seed.is_multiple_of(5)).then(|| Port::new(seed / 5 % degree));
-                let w = a.poll(&Obs::synthetic(n, degree, cur_card, entry));
-                assert_eq!(
-                    (w.action(), a.quiet_until()),
-                    (Some(Action::Wait), quiet),
-                    "blind promise through round {quiet} broken in round {n}"
-                );
-            }
         }
-        round = round.max(quiet.saturating_add(1));
+        round += w;
+        let (to, back) = graph.neighbor(pos, p).expect("moves stay on the graph");
+        (pos, entry) = (to, Some(back));
     }
     probed
 }
