@@ -76,9 +76,9 @@
 //!   `walk_done` to the child that yielded it, and one that interrupts on
 //!   `CurCard` puts its threshold into the walk's stop: its next poll, in
 //!   the round the stop fires, then sees the rise itself;
-//! * [`RunFor`] and [`UntilCardExceeds`] pass no walk up: a walk's length
-//!   is not known in advance under a round-varying topology, so a
-//!   procedure that can be cut off mid-walk (`TZ`) steps a
+//! * [`RunFor`] and [`UntilCardExceeds`] pass no walk up, and panic on
+//!   one: a walk's length is not known in advance under a round-varying
+//!   topology, so a procedure that can be cut off mid-walk (`TZ`) steps a
 //!   [`WalkState`](crate::walk::WalkState) in its own polls instead.
 //!
 //! # Traversals
@@ -109,8 +109,9 @@
 //!   yields no other traversal in between;
 //! * every procedure that passes a traversal up forwards both
 //!   `traversal` and `traversal_done` to the child that yielded it;
-//! * [`RunFor`] and [`UntilCardExceeds`] pass no traversal up: its length
-//!   is not known in advance, and it does not watch `CurCard`.
+//! * [`RunFor`] and [`UntilCardExceeds`] pass no traversal up, and panic
+//!   on one: its length is not known in advance, and it does not watch
+//!   `CurCard`.
 
 use crate::obs::{Action, Obs, Poll};
 use crate::walk::{Traversal, Walk, WalkDone};
@@ -313,6 +314,8 @@ impl Procedure for WaitRounds {
 ///
 /// An inner [`Action::SlowMove`] counts as its `w + 1` rounds. It cannot be
 /// truncated, so one whose move would fall after the last round panics.
+/// So does an inner [`Action::Walk`] or [`Action::Traverse`]: their
+/// lengths are not known in advance.
 #[derive(Clone, Debug)]
 pub struct RunFor<P: Procedure> {
     rounds: u64,
@@ -360,6 +363,10 @@ impl<P: Procedure> Procedure for RunFor<P> {
                 );
                 Poll::Yield(a)
             }
+            Poll::Yield(Action::Walk | Action::Traverse) => panic!(
+                "RunFor passes up only slow moves: a walk or a traversal has no length known \
+                 in advance, so the window could not cut it off"
+            ),
             Poll::Yield(a) => Poll::Yield(a),
             Poll::Complete(out) => {
                 self.inner_result = Some(out);
@@ -406,10 +413,10 @@ impl<T> Interrupted<T> {
 /// and interrupt it before its completion as soon as CurCard > c"
 /// (Algorithm 3 lines 8 and 23).
 ///
-/// The inner procedure must never yield an [`Action::SlowMove`] or an
-/// [`Action::Traverse`]: the wait of a slow move is played out without a
-/// poll, so a `CurCard` rise during it would interrupt the block only
-/// after the move, not when it happens. Debug builds assert it.
+/// The inner procedure must never yield an [`Action::SlowMove`], an
+/// [`Action::Walk`] or an [`Action::Traverse`]: the engine plays them out
+/// without a poll, so a `CurCard` rise during one would interrupt the block
+/// only after it, not when it happens. Polling one panics.
 #[derive(Clone, Debug)]
 pub struct UntilCardExceeds<P> {
     threshold: u32,
@@ -432,9 +439,13 @@ impl<P: Procedure> Procedure for UntilCardExceeds<P> {
             return Poll::Complete(Interrupted::Interrupted);
         }
         let poll = self.inner.poll(obs);
-        debug_assert!(
-            !matches!(poll, Poll::Yield(Action::SlowMove(_) | Action::Traverse)),
-            "a slow move's wait would hide CurCard from the interruptible block"
+        assert!(
+            !matches!(
+                poll,
+                Poll::Yield(Action::SlowMove(_) | Action::Walk | Action::Traverse)
+            ),
+            "UntilCardExceeds passes up no slow move, walk or traversal: the engine plays \
+             them without a poll, which would hide CurCard from the interruptible block"
         );
         poll.map(Interrupted::Finished)
     }
@@ -664,6 +675,28 @@ mod tests {
     fn until_card_exceeds_never_passes_a_slow_move() {
         let mut b = UntilCardExceeds::new(2, SlowMover { wait: 3 });
         let _ = b.poll(&at(0, 1));
+    }
+
+    /// Yields a walk on every poll; never asked to describe it.
+    struct Walker;
+
+    impl Procedure for Walker {
+        type Output = ();
+        fn poll(&mut self, _obs: &Obs) -> Poll<()> {
+            Poll::Yield(Action::Walk)
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "RunFor passes up only slow moves")]
+    fn run_for_refuses_a_walk() {
+        let _ = RunFor::new(10, Walker).poll(&at(0, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "UntilCardExceeds passes up no slow move, walk or traversal")]
+    fn until_card_exceeds_refuses_a_walk() {
+        let _ = UntilCardExceeds::new(2, Walker).poll(&at(0, 1));
     }
 
     #[test]
