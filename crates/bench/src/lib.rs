@@ -328,12 +328,12 @@ pub fn t2_communicate(_ctx: ExperimentCtx) -> Table {
             })
         }
 
-        fn walk(&self) -> nochatter_sim::walk::Walk {
-            self.comm.walk()
+        fn held(&self) -> nochatter_sim::walk::Instruction {
+            self.comm.held()
         }
 
-        fn walk_done(&mut self, done: nochatter_sim::walk::WalkDone) {
-            self.comm.walk_done(done);
+        fn held_done(&mut self, done: nochatter_sim::walk::HeldDone) {
+            self.comm.held_done(done);
         }
     }
 

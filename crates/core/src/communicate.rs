@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use nochatter_explore::{Explo, Uxs};
 use nochatter_sim::proc::{Procedure, WaitRounds};
-use nochatter_sim::walk::{Walk, WalkDone};
+use nochatter_sim::walk::{HeldDone, Instruction};
 use nochatter_sim::{Obs, Poll};
 
 use crate::codec::BitStr;
@@ -207,16 +207,16 @@ impl Procedure for Communicate {
         }
     }
 
-    fn walk(&self) -> Walk {
+    fn held(&self) -> Instruction {
         match &self.stage {
-            Stage::Walk(e, _) => e.walk(),
+            Stage::Walk(e, _) => e.held(),
             _ => unreachable!("no walk under way"),
         }
     }
 
-    fn walk_done(&mut self, done: WalkDone) {
+    fn held_done(&mut self, done: HeldDone) {
         match &mut self.stage {
-            Stage::Walk(e, _) => e.walk_done(done),
+            Stage::Walk(e, _) => e.held_done(done),
             _ => unreachable!("no walk under way"),
         }
     }
@@ -255,12 +255,12 @@ mod tests {
             })
         }
 
-        fn walk(&self) -> Walk {
-            self.comm.walk()
+        fn held(&self) -> Instruction {
+            self.comm.held()
         }
 
-        fn walk_done(&mut self, done: WalkDone) {
-            self.comm.walk_done(done);
+        fn held_done(&mut self, done: HeldDone) {
+            self.comm.held_done(done);
         }
     }
 

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use nochatter_explore::Uxs;
 use nochatter_graph::Label;
 use nochatter_sim::proc::Procedure;
-use nochatter_sim::walk::{Traversal, Walk, WalkDone};
+use nochatter_sim::walk::{HeldDone, Instruction};
 use nochatter_sim::{Obs, Poll};
 
 use crate::codec::BitStr;
@@ -157,16 +157,16 @@ impl Procedure for Gossip {
         }
     }
 
-    fn walk(&self) -> Walk {
+    fn held(&self) -> Instruction {
         match &self.stage {
-            Stage::Comm(c) => c.walk(),
+            Stage::Comm(c) => c.held(),
             Stage::Loop => unreachable!("no walk under way"),
         }
     }
 
-    fn walk_done(&mut self, done: WalkDone) {
+    fn held_done(&mut self, done: HeldDone) {
         match &mut self.stage {
-            Stage::Comm(c) => c.walk_done(done),
+            Stage::Comm(c) => c.held_done(done),
             Stage::Loop => unreachable!("no walk under way"),
         }
     }
@@ -247,17 +247,132 @@ impl Procedure for GossipKnownUpperBound {
         }
     }
 
-    fn walk(&self) -> Walk {
+    fn held(&self) -> Instruction {
         match &self.stage {
-            ComposedStage::Gather(g) => g.walk(),
-            ComposedStage::Chat(_, g) => g.walk(),
+            ComposedStage::Gather(g) => g.held(),
+            ComposedStage::Chat(_, g) => g.held(),
         }
     }
 
-    fn walk_done(&mut self, done: WalkDone) {
+    fn held_done(&mut self, done: HeldDone) {
         match &mut self.stage {
-            ComposedStage::Gather(g) => g.walk_done(done),
-            ComposedStage::Chat(_, g) => g.walk_done(done),
+            ComposedStage::Gather(g) => g.held_done(done),
+            ComposedStage::Chat(_, g) => g.held_done(done),
+        }
+    }
+}
+
+/// `GossipUnknownUpperBound` (Theorem 5.1, second part): full gossiping
+/// with **no a priori knowledge about the network**.
+///
+/// Runs [`crate::unknown::GatherUnknownUpperBound`] first; its declaration
+/// leaves all agents at one node, in the same round, knowing the **exact**
+/// network size `n`. That size then plays the role of the known upper bound
+/// for [`Gossip`]: every agent derives the same genuinely universal
+/// exploration sequence deterministically from `n` (the analogue of
+/// Reingold's construction being a fixed function of `N`), so the
+/// movement-encoded exchange proceeds exactly as in the known-bound case.
+///
+/// Like everything downstream of the unknown-bound algorithm, this is a
+/// feasibility construction: the exploration sequence derived from `n`
+/// uses the exhaustive certification, which caps `n` at
+/// [`nochatter_graph::enumerate::MAX_EXHAUSTIVE_N`].
+#[derive(Debug)]
+pub struct GossipUnknownUpperBound {
+    stage: UnknownComposedStage,
+    payload: BitStr,
+}
+
+#[derive(Debug)]
+// One instance per agent behavior, never stored in bulk: the size skew
+// between the stages is irrelevant, boxing would only add indirection.
+#[allow(clippy::large_enum_variant)]
+enum UnknownComposedStage {
+    Gather(crate::unknown::GatherUnknownUpperBound),
+    Chat(crate::unknown::UnknownReport, Gossip),
+}
+
+/// The result of the zero-knowledge gossip: the gathering report plus the
+/// delivered transcript.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct UnknownGossipReport {
+    /// The unknown-bound gathering result (leader, learned size,
+    /// hypothesis index).
+    pub gathering: crate::unknown::UnknownReport,
+    /// The gossip outcome.
+    pub outcome: GossipOutcome,
+}
+
+impl GossipUnknownUpperBound {
+    /// Gathers with zero knowledge, then gossips `payload`.
+    pub fn new(gather: crate::unknown::GatherUnknownUpperBound, payload: BitStr) -> Self {
+        GossipUnknownUpperBound {
+            stage: UnknownComposedStage::Gather(gather),
+            payload,
+        }
+    }
+}
+
+impl Procedure for GossipUnknownUpperBound {
+    type Output = UnknownGossipReport;
+
+    fn poll(&mut self, obs: &Obs) -> Poll<UnknownGossipReport> {
+        loop {
+            match &mut self.stage {
+                UnknownComposedStage::Gather(g) => match g.poll(obs) {
+                    Poll::Yield(a) => return Poll::Yield(a),
+                    Poll::Complete(report) => {
+                        // All agents learn the same exact size in the same
+                        // round (Theorem 4.1) and derive the identical
+                        // exploration sequence from it — a deterministic
+                        // function of n, shared without communication.
+                        let uxs = Arc::new(Uxs::exhaustive_universal(report.size, 0));
+                        self.stage = UnknownComposedStage::Chat(
+                            report,
+                            Gossip::new(self.payload.clone(), uxs),
+                        );
+                    }
+                },
+                UnknownComposedStage::Chat(report, gossip) => match gossip.poll(obs) {
+                    Poll::Yield(a) => return Poll::Yield(a),
+                    Poll::Complete(outcome) => {
+                        return Poll::Complete(UnknownGossipReport {
+                            gathering: *report,
+                            outcome,
+                        });
+                    }
+                },
+            }
+        }
+    }
+
+    fn quiet_until(&self) -> u64 {
+        match &self.stage {
+            UnknownComposedStage::Gather(g) => g.quiet_until(),
+            UnknownComposedStage::Chat(_, g) => g.quiet_until(),
+        }
+    }
+
+    // Only the gathering stage waits blind (its held instructions never
+    // reach here: the engine plays them); the exchange watches `CurCard`.
+    fn blind(&self) -> bool {
+        match &self.stage {
+            UnknownComposedStage::Gather(g) => g.blind(),
+            UnknownComposedStage::Chat(..) => false,
+        }
+    }
+
+    fn held(&self) -> Instruction {
+        match &self.stage {
+            UnknownComposedStage::Gather(g) => g.held(),
+            UnknownComposedStage::Chat(_, g) => g.held(),
+        }
+    }
+
+    fn held_done(&mut self, done: HeldDone) {
+        match &mut self.stage {
+            UnknownComposedStage::Gather(g) => g.held_done(done),
+            UnknownComposedStage::Chat(_, g) => g.held_done(done),
         }
     }
 }
@@ -390,142 +505,5 @@ mod tests {
             long > short,
             "longer message must take longer ({long} <= {short})"
         );
-    }
-}
-
-/// `GossipUnknownUpperBound` (Theorem 5.1, second part): full gossiping
-/// with **no a priori knowledge about the network**.
-///
-/// Runs [`crate::unknown::GatherUnknownUpperBound`] first; its declaration
-/// leaves all agents at one node, in the same round, knowing the **exact**
-/// network size `n`. That size then plays the role of the known upper bound
-/// for [`Gossip`]: every agent derives the same genuinely universal
-/// exploration sequence deterministically from `n` (the analogue of
-/// Reingold's construction being a fixed function of `N`), so the
-/// movement-encoded exchange proceeds exactly as in the known-bound case.
-///
-/// Like everything downstream of the unknown-bound algorithm, this is a
-/// feasibility construction: the exploration sequence derived from `n`
-/// uses the exhaustive certification, which caps `n` at
-/// [`nochatter_graph::enumerate::MAX_EXHAUSTIVE_N`].
-#[derive(Debug)]
-pub struct GossipUnknownUpperBound {
-    stage: UnknownComposedStage,
-    payload: BitStr,
-}
-
-#[derive(Debug)]
-// One instance per agent behavior, never stored in bulk: the size skew
-// between the stages is irrelevant, boxing would only add indirection.
-#[allow(clippy::large_enum_variant)]
-enum UnknownComposedStage {
-    Gather(crate::unknown::GatherUnknownUpperBound),
-    Chat(crate::unknown::UnknownReport, Gossip),
-}
-
-/// The result of the zero-knowledge gossip: the gathering report plus the
-/// delivered transcript.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct UnknownGossipReport {
-    /// The unknown-bound gathering result (leader, learned size,
-    /// hypothesis index).
-    pub gathering: crate::unknown::UnknownReport,
-    /// The gossip outcome.
-    pub outcome: GossipOutcome,
-}
-
-impl GossipUnknownUpperBound {
-    /// Gathers with zero knowledge, then gossips `payload`.
-    pub fn new(gather: crate::unknown::GatherUnknownUpperBound, payload: BitStr) -> Self {
-        GossipUnknownUpperBound {
-            stage: UnknownComposedStage::Gather(gather),
-            payload,
-        }
-    }
-}
-
-impl Procedure for GossipUnknownUpperBound {
-    type Output = UnknownGossipReport;
-
-    fn poll(&mut self, obs: &Obs) -> Poll<UnknownGossipReport> {
-        loop {
-            match &mut self.stage {
-                UnknownComposedStage::Gather(g) => match g.poll(obs) {
-                    Poll::Yield(a) => return Poll::Yield(a),
-                    Poll::Complete(report) => {
-                        // All agents learn the same exact size in the same
-                        // round (Theorem 4.1) and derive the identical
-                        // exploration sequence from it — a deterministic
-                        // function of n, shared without communication.
-                        let uxs = Arc::new(Uxs::exhaustive_universal(report.size, 0));
-                        self.stage = UnknownComposedStage::Chat(
-                            report,
-                            Gossip::new(self.payload.clone(), uxs),
-                        );
-                    }
-                },
-                UnknownComposedStage::Chat(report, gossip) => match gossip.poll(obs) {
-                    Poll::Yield(a) => return Poll::Yield(a),
-                    Poll::Complete(outcome) => {
-                        return Poll::Complete(UnknownGossipReport {
-                            gathering: *report,
-                            outcome,
-                        });
-                    }
-                },
-            }
-        }
-    }
-
-    fn quiet_until(&self) -> u64 {
-        match &self.stage {
-            UnknownComposedStage::Gather(g) => g.quiet_until(),
-            UnknownComposedStage::Chat(_, g) => g.quiet_until(),
-        }
-    }
-
-    // Only the gathering stage waits blind (its slow moves and traversals
-    // never reach here: the engine holds them); the exchange watches
-    // `CurCard`.
-    fn blind(&self) -> bool {
-        match &self.stage {
-            UnknownComposedStage::Gather(g) => g.blind(),
-            UnknownComposedStage::Chat(..) => false,
-        }
-    }
-
-    fn slow_wait(&self) -> u64 {
-        match &self.stage {
-            UnknownComposedStage::Gather(g) => g.slow_wait(),
-            UnknownComposedStage::Chat(..) => unreachable!("the exchange makes no slow moves"),
-        }
-    }
-
-    fn walk(&self) -> Walk {
-        match &self.stage {
-            UnknownComposedStage::Gather(..) => unreachable!("the gathering makes no walks"),
-            UnknownComposedStage::Chat(_, g) => g.walk(),
-        }
-    }
-
-    fn walk_done(&mut self, done: WalkDone) {
-        match &mut self.stage {
-            UnknownComposedStage::Gather(..) => unreachable!("the gathering makes no walks"),
-            UnknownComposedStage::Chat(_, g) => g.walk_done(done),
-        }
-    }
-
-    fn traversal(&self) -> Traversal {
-        match &self.stage {
-            UnknownComposedStage::Gather(g) => g.traversal(),
-            UnknownComposedStage::Chat(..) => unreachable!("the exchange makes no traversals"),
-        }
-    }
-
-    fn traversal_done(&mut self, completed: bool) {
-        match &mut self.stage {
-            UnknownComposedStage::Gather(g) => g.traversal_done(completed),
-            UnknownComposedStage::Chat(..) => unreachable!("the exchange makes no traversals"),
-        }
     }
 }

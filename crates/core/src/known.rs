@@ -31,7 +31,7 @@ use nochatter_explore::Explo;
 use nochatter_graph::Label;
 use nochatter_rendezvous::Tz;
 use nochatter_sim::proc::{Procedure, RunFor, WaitRounds};
-use nochatter_sim::walk::{Walk, WalkDone};
+use nochatter_sim::walk::{HeldDone, Instruction, Walk};
 use nochatter_sim::{Action, Obs, Poll};
 
 use crate::codec::BitStr;
@@ -345,30 +345,35 @@ impl Procedure for GatherKnownUpperBound {
 
     // Block walks stop once CurCard exceeds c (lines 8 and 23): the poll
     // in the stop round then sees the rise and interrupts the block.
-    fn walk(&self) -> Walk {
+    fn held(&self) -> Instruction {
         match &self.stage {
-            Stage::Phase0Explo(e) => e.walk(),
-            Stage::Comm(c) => c.walk(),
+            Stage::Phase0Explo(e) => e.held(),
+            Stage::Comm(c) => c.held(),
             Stage::Block1(Block1::Explo1(e) | Block1::Explo2(e))
-            | Stage::Block2(Block2::Walk(e)) => Walk {
-                stop_above: Some(self.c),
-                ..e.walk()
+            | Stage::Block2(Block2::Walk(e)) => match e.held() {
+                Instruction::Walk(walk) => Instruction::Walk(Walk {
+                    stop_above: Some(self.c),
+                    ..walk
+                }),
+                _ => unreachable!("EXPLO holds walks only"),
             },
             _ => unreachable!("no walk under way"),
         }
     }
 
     // The walk's observations extend the CurCard streak as polls would.
-    fn walk_done(&mut self, done: WalkDone) {
-        if let Some(changed) = done.changed {
-            self.changed = changed;
-            self.last_card = Some(done.last_card);
+    fn held_done(&mut self, done: HeldDone) {
+        if let HeldDone::Walk(walk) = &done {
+            if let Some(changed) = walk.changed {
+                self.changed = changed;
+                self.last_card = Some(walk.last_card);
+            }
         }
         match &mut self.stage {
             Stage::Phase0Explo(e)
             | Stage::Block1(Block1::Explo1(e) | Block1::Explo2(e))
-            | Stage::Block2(Block2::Walk(e)) => e.walk_done(done),
-            Stage::Comm(c) => c.walk_done(done),
+            | Stage::Block2(Block2::Walk(e)) => e.held_done(done),
+            Stage::Comm(c) => c.held_done(done),
             _ => unreachable!("no walk under way"),
         }
     }
@@ -474,26 +479,29 @@ mod tests {
         let params = KnownParams::for_corpus(5, std::slice::from_ref(&g), 0);
         let mut gather = GatherKnownUpperBound::silent(params, label(3));
         let first = Obs::synthetic(0, 2, 1, None);
-        assert_eq!(gather.poll(&first), Poll::Yield(Action::Walk));
-        assert_eq!(gather.walk().stop_above, None, "phase 0 never stops");
+        assert_eq!(gather.poll(&first), Poll::Yield(Action::Hold));
+        let stop = |gather: &GatherKnownUpperBound| match gather.held() {
+            Instruction::Walk(walk) => walk.stop_above,
+            other => panic!("not a walk: {other:?}"),
+        };
+        assert_eq!(stop(&gather), None, "phase 0 never stops");
         // A walk that saw CurCard go 1 -> 2 on clock 4 and back -> 1 on 6.
-        gather.walk_done(WalkDone {
-            min_card: 1,
-            last_card: 1,
-            changed: Some(6),
-        });
+        let walk_saw = |changed| {
+            HeldDone::Walk(nochatter_sim::walk::WalkDone {
+                min_card: 1,
+                last_card: 1,
+                changed,
+            })
+        };
+        gather.held_done(walk_saw(Some(6)));
         assert_eq!((gather.changed, gather.last_card), (6, Some(1)));
         // A walk that saw no change leaves the streak alone.
-        gather.walk_done(WalkDone {
-            min_card: 1,
-            last_card: 1,
-            changed: None,
-        });
+        gather.held_done(walk_saw(None));
         assert_eq!(gather.changed, 6);
         // Block walks stop once CurCard exceeds the group's c.
         gather.c = 2;
         gather.stage = Stage::Block1(Block1::Explo1(Explo::new(gather.params.uxs())));
-        assert_eq!(gather.walk().stop_above, Some(2));
+        assert_eq!(stop(&gather), Some(2));
     }
 
     #[test]

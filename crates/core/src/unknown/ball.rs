@@ -11,21 +11,21 @@
 //! agents testing hypothesis `h` can recognize (and not be confused by)
 //! agents still working on other hypotheses.
 //!
-//! The whole traversal is one [`Action::Traverse`]: no step of it reads
-//! `CurCard`, so the engine plays it by the one traversal rule
-//! ([`TraversalState`](nochatter_sim::walk::TraversalState)), every move a
-//! held slow move `w_h + 1` rounds after the one before, and the traversal
-//! is polled only twice: when it starts, and in the round after its last
-//! move, with its result handed back.
+//! The whole traversal is one held instruction ([`Action::Hold`],
+//! [`Instruction::Traverse`]): no step of it reads `CurCard`, so the
+//! engine plays it by the one traversal rule ([`TraversalState`]), every
+//! move a held move `w_h + 1` rounds after the one before, and the
+//! traversal is polled only twice: when it starts, and in the round after
+//! its last move, with its result handed back.
 //!
 //! A finished traversal turns into its own retrace
 //! ([`BallTraversal::into_retrace`]): the hypothesis's cleanup walks the
 //! ball's moves back by replaying paths from the state the traversal
-//! left, so no move is ever stored and a traversal holds O(`r_ball`) state
-//! however many moves it makes.
+//! ended in, which the engine handed back, so no move is ever stored and a
+//! traversal holds O(`r_ball`) state however many moves it makes.
 
 use nochatter_sim::proc::Procedure;
-use nochatter_sim::walk::Traversal;
+use nochatter_sim::walk::{HeldDone, Instruction, Traversal, TraversalState};
 use nochatter_sim::{Action, Obs, Poll};
 
 use super::schedule::HypothesisSchedule;
@@ -34,11 +34,11 @@ use super::schedule::HypothesisSchedule;
 /// degree `>= n_h` was stood upon.
 ///
 /// Its state is the traversal's description and, once the engine has
-/// handed it back, whether it completed.
+/// handed it back, whether it completed and the state it ended in.
 #[derive(Debug)]
 pub struct BallTraversal {
     traversal: Traversal,
-    done: Option<bool>,
+    done: Option<(bool, Box<TraversalState>)>,
 }
 
 impl BallTraversal {
@@ -50,7 +50,7 @@ impl BallTraversal {
                 radius: hs.r_ball,
                 abort_degree: hs.n,
                 wait: hs.w,
-                retrace: false,
+                retrace: None,
             },
             done: None,
         }
@@ -67,15 +67,16 @@ impl BallTraversal {
     /// nodes the traversal stood on, so it skips the degree abort, and it
     /// ends on the start node after exactly the traversal's rounds. It
     /// completes with `true`. The engine plays it from the state the
-    /// traversal left, so the agent must yield no other traversal first.
+    /// traversal ended in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the traversal has not been handed back.
     pub fn into_retrace(self) -> Self {
-        debug_assert!(
-            self.done.is_some(),
-            "only a finished traversal has a retrace"
-        );
+        let (_, state) = self.done.expect("only a finished traversal has a retrace");
         BallTraversal {
             traversal: Traversal {
-                retrace: true,
+                retrace: Some(state),
                 ..self.traversal
             },
             done: None,
@@ -87,18 +88,21 @@ impl Procedure for BallTraversal {
     type Output = bool;
 
     fn poll(&mut self, _obs: &Obs) -> Poll<bool> {
-        match self.done {
-            Some(completed) => Poll::Complete(completed),
-            None => Poll::Yield(Action::Traverse),
+        match &self.done {
+            Some((completed, _)) => Poll::Complete(*completed),
+            None => Poll::Yield(Action::Hold),
         }
     }
 
-    fn traversal(&self) -> Traversal {
-        self.traversal
+    fn held(&self) -> Instruction {
+        Instruction::Traverse(self.traversal.clone())
     }
 
-    fn traversal_done(&mut self, completed: bool) {
-        self.done = Some(completed);
+    fn held_done(&mut self, done: HeldDone) {
+        let HeldDone::Traverse { completed, state } = done else {
+            unreachable!("a ball traversal holds traversals only")
+        };
+        self.done = Some((completed, state));
     }
 }
 
@@ -191,12 +195,12 @@ mod tests {
             }
         }
 
-        fn traversal(&self) -> Traversal {
-            self.ball.as_ref().unwrap().traversal()
+        fn held(&self) -> Instruction {
+            self.ball.as_ref().unwrap().held()
         }
 
-        fn traversal_done(&mut self, completed: bool) {
-            self.ball.as_mut().unwrap().traversal_done(completed);
+        fn held_done(&mut self, done: HeldDone) {
+            self.ball.as_mut().unwrap().held_done(done);
         }
     }
 

@@ -41,15 +41,13 @@ impl EnsureCleanExploration {
             radius: hs.l_ece,
             abort_degree: u32::MAX,
             wait: 0,
-            retrace: false,
+            retrace: None,
         };
-        let mut state = TraversalState::default();
-        state.start(sweep);
         EnsureCleanExploration {
             k: hs.k,
+            state: TraversalState::new(sweep.clone()),
             sweep,
             second: false,
-            state,
             check_card: false,
         }
     }
@@ -71,7 +69,7 @@ impl Procedure for EnsureCleanExploration {
                 }
                 TraversalStep::Done(_) if !self.second => {
                     self.second = true;
-                    self.state.start(self.sweep);
+                    self.state = TraversalState::new(self.sweep.clone());
                 }
                 TraversalStep::Done(_) => return Poll::Complete(true),
             }

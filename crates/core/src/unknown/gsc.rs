@@ -72,13 +72,12 @@ impl GraphSizeCheck {
     /// Panics if `rank >= k_h`.
     pub fn new(hs: &HypothesisSchedule, rank: u32, mode: EstMode, tracker: SharedTracker) -> Self {
         assert!(rank < hs.k, "rank must index into the team");
-        let mut walk = TraversalState::default();
-        walk.start(Traversal {
+        let walk = TraversalState::new(Traversal {
             alpha: hs.alpha,
             radius: hs.r_est,
             abort_degree: u32::MAX,
             wait: 0,
-            retrace: false,
+            retrace: None,
         });
         GraphSizeCheck {
             k: hs.k,

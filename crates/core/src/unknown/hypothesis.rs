@@ -12,9 +12,9 @@
 //! agent to its start node — then pad so the hypothesis consumes exactly
 //! `T_h` rounds. The exact budget is what keeps all agents' hypothesis
 //! clocks in lockstep (Lemma 4.5). The ball traversal and its retrace are
-//! each one [`Action::Traverse`], which the engine plays without a poll,
-//! one slow move every `w_h + 1` rounds; every unwind move of the main
-//! part is one [`Action::SlowMove`] waiting `w_h`, after which the next
+//! each one held traversal ([`Action::Hold`]), which the engine plays
+//! without a poll, one move every `w_h + 1` rounds; every unwind move of
+//! the main part is one held slow move waiting `w_h`, after which the next
 //! poll comes. The budget is read off the agent's clock.
 //!
 //! Only the main part's entry ports are stored. The ball traversal's,
@@ -25,7 +25,7 @@
 
 use nochatter_graph::{InitialConfiguration, Label, Port};
 use nochatter_sim::proc::{Procedure, WaitRounds};
-use nochatter_sim::walk::Traversal;
+use nochatter_sim::walk::{HeldDone, Instruction};
 use nochatter_sim::{Action, Obs, Poll};
 
 use super::ball::BallTraversal;
@@ -64,6 +64,8 @@ enum Stage {
     UnwindBall(BallTraversal),
     /// Decide the next unwind step (or start padding).
     UnwindNext,
+    /// One unwind move of the main part, held as a slow move.
+    UnwindMove(Port),
     /// Algorithm 6 line 22: pad to exactly `T_h`.
     Pad(WaitRounds),
 }
@@ -143,7 +145,16 @@ impl Hypothesis {
         self.hs.t_h
     }
 
+    /// Yields `action`. The position oracle replays every move this agent
+    /// makes but a traversal's: a plain move here, an unwind slow move's
+    /// port when it is yielded, before its wait, while no poll can read
+    /// the oracle. Traversal moves never reach it: a completed ball
+    /// traversal ends on its start node, and an aborted one is retraced to
+    /// the start before anything reads a position.
     fn emit(&mut self, action: Action) -> Poll<HypothesisVerdict> {
+        if let Action::TakePort(p) = action {
+            self.tracker.borrow_mut().apply(p);
+        }
         if self.record_trail && !matches!(action, Action::Wait) {
             self.pending_trail = true;
         }
@@ -257,7 +268,9 @@ impl Procedure for Hypothesis {
                 },
                 Stage::UnwindNext => {
                     if let Some(port) = self.trail.pop() {
-                        return self.emit(Action::SlowMove(port));
+                        self.tracker.borrow_mut().apply(port);
+                        self.stage = Stage::UnwindMove(port);
+                        return self.emit(Action::Hold);
                     }
                     self.stage = if let Some(retrace) = self.retrace.take() {
                         Stage::UnwindBall(retrace)
@@ -269,6 +282,7 @@ impl Procedure for Hypothesis {
                         Stage::Pad(WaitRounds::new(remaining))
                     };
                 }
+                Stage::UnwindMove(_) => self.stage = Stage::UnwindNext,
                 Stage::UnwindBall(b) => match b.poll(obs) {
                     Poll::Yield(a) => return self.emit(a),
                     Poll::Complete(_) => self.stage = Stage::UnwindNext,
@@ -287,7 +301,7 @@ impl Procedure for Hypothesis {
     }
 
     // The engine holds the ball's traversals and the unwind's slow moves:
-    // the ball stages promise nothing of their own.
+    // those stages promise nothing of their own.
     fn quiet_until(&self) -> u64 {
         match &self.stage {
             Stage::Line4(w) | Stage::Pad(w) => w.quiet_until(),
@@ -297,7 +311,8 @@ impl Procedure for Hypothesis {
             | Stage::UnwindBall(_)
             | Stage::Star(_)
             | Stage::Ece(_)
-            | Stage::UnwindNext => 0,
+            | Stage::UnwindNext
+            | Stage::UnwindMove(_) => 0,
         }
     }
 
@@ -306,20 +321,20 @@ impl Procedure for Hypothesis {
     }
 
     // The unwind's slow moves wait `w_h`.
-    fn slow_wait(&self) -> u64 {
-        self.hs.w
-    }
-
-    fn traversal(&self) -> Traversal {
-        match &self.stage {
-            Stage::Ball(b) | Stage::UnwindBall(b) => b.traversal(),
-            _ => unreachable!("only the ball stages traverse"),
+    fn held(&self) -> Instruction {
+        match self.stage {
+            Stage::Ball(ref b) | Stage::UnwindBall(ref b) => b.held(),
+            Stage::UnwindMove(port) => Instruction::Slow {
+                port,
+                wait: self.hs.w,
+            },
+            _ => unreachable!("only the ball and unwind stages hold"),
         }
     }
 
-    fn traversal_done(&mut self, completed: bool) {
+    fn held_done(&mut self, done: HeldDone) {
         match &mut self.stage {
-            Stage::Ball(b) | Stage::UnwindBall(b) => b.traversal_done(completed),
+            Stage::Ball(b) | Stage::UnwindBall(b) => b.held_done(done),
             _ => unreachable!("only the ball stages traverse"),
         }
     }

@@ -38,7 +38,7 @@ use std::sync::Arc;
 
 use nochatter_graph::{Graph, Label, NodeId};
 use nochatter_sim::proc::Procedure;
-use nochatter_sim::walk::Traversal;
+use nochatter_sim::walk::{HeldDone, Instruction};
 use nochatter_sim::{Action, Obs, Poll};
 
 pub use ball::BallTraversal;
@@ -209,19 +209,7 @@ impl Procedure for GatherUnknownUpperBound {
         loop {
             match &mut self.stage {
                 Stage::Hyp(hyp) => match hyp.poll(obs) {
-                    Poll::Yield(a) => {
-                        // The position oracle replays every move this agent
-                        // makes but a traversal's. A slow move's port is
-                        // applied before its wait, while no poll can read
-                        // the oracle. Traversal moves never reach it: a
-                        // completed ball traversal ends on its start node,
-                        // and an aborted one is retraced to the start
-                        // before anything reads a position.
-                        if let Action::TakePort(p) | Action::SlowMove(p) = a {
-                            self.tracker.borrow_mut().apply(p);
-                        }
-                        return Poll::Yield(a);
-                    }
+                    Poll::Yield(a) => return Poll::Yield(a),
                     Poll::Complete(HypothesisVerdict::True { dirty_est }) => {
                         self.dirty_any |= dirty_est;
                         let cfg = self.schedule.enumeration().get(self.h);
@@ -267,23 +255,16 @@ impl Procedure for GatherUnknownUpperBound {
         }
     }
 
-    fn slow_wait(&self) -> u64 {
+    fn held(&self) -> Instruction {
         match &self.stage {
-            Stage::Hyp(h) => h.slow_wait(),
+            Stage::Hyp(h) => h.held(),
             Stage::Exhausted => unreachable!("an exhausted agent only waits"),
         }
     }
 
-    fn traversal(&self) -> Traversal {
-        match &self.stage {
-            Stage::Hyp(h) => h.traversal(),
-            Stage::Exhausted => unreachable!("an exhausted agent only waits"),
-        }
-    }
-
-    fn traversal_done(&mut self, completed: bool) {
+    fn held_done(&mut self, done: HeldDone) {
         match &mut self.stage {
-            Stage::Hyp(h) => h.traversal_done(completed),
+            Stage::Hyp(h) => h.held_done(done),
             Stage::Exhausted => unreachable!("an exhausted agent only waits"),
         }
     }

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use nochatter_sim::proc::Procedure;
-use nochatter_sim::walk::{Walk, WalkDone};
+use nochatter_sim::walk::{HeldDone, Instruction, Walk};
 use nochatter_sim::{Action, Obs, Poll};
 
 use crate::uxs::Uxs;
@@ -27,9 +27,10 @@ pub struct ExploOutcome {
 /// node counts as entered by port 0), exit by port `(p + x_i) mod d`.
 ///
 /// `Explo` is the walk's description and its completion: its first poll
-/// yields [`Action::Walk`], which the engine plays by the one walk rule
-/// ([`nochatter_sim::walk::WalkState`]) without polling it, and the poll
-/// after [`Procedure::walk_done`] completes with the walk's `min_card`.
+/// yields [`Action::Hold`] ([`Instruction::Walk`]), which the engine plays
+/// by the one walk rule ([`nochatter_sim::walk::WalkState`]) without
+/// polling it, and the poll after [`Procedure::held_done`] completes with
+/// the walk's `min_card`.
 ///
 /// Under a round-varying topology (see [`nochatter_graph::dynamic`]) a
 /// traversal can be *blocked*: the agent stays put and observes
@@ -83,18 +84,21 @@ impl Procedure for Explo {
             None if self.steps.is_empty() => Poll::Complete(ExploOutcome {
                 min_card: obs.cur_card,
             }),
-            None => Poll::Yield(Action::Walk),
+            None => Poll::Yield(Action::Hold),
         }
     }
 
-    fn walk(&self) -> Walk {
-        Walk {
+    fn held(&self) -> Instruction {
+        Instruction::Walk(Walk {
             steps: Arc::clone(&self.steps),
             stop_above: None,
-        }
+        })
     }
 
-    fn walk_done(&mut self, done: WalkDone) {
+    fn held_done(&mut self, done: HeldDone) {
+        let HeldDone::Walk(done) = done else {
+            unreachable!("EXPLO holds walks only")
+        };
         self.min_card = Some(done.min_card);
     }
 }

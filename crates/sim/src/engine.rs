@@ -10,7 +10,7 @@ use crate::outcome::{Declaration, DeclarationRecord, RunOutcome, RunStatus};
 use crate::proc::Procedure;
 use crate::schedule::WakeSchedule;
 use crate::trace::{Trace, TraceEvent};
-use crate::walk::{TraversalState, TraversalStep, WalkState};
+use crate::walk::{HeldDone, Instruction, TraversalState, TraversalStep, WalkState};
 
 /// What co-located agents can perceive about each other.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -75,24 +75,39 @@ impl AgentPhase {
 /// An agent's program: a procedure whose output is its declaration.
 pub type Agent = Box<dyn Procedure<Output = Declaration>>;
 
-/// The instruction the engine holds for an agent and plays without a
-/// poll.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Held {
-    /// Nothing: the agent is polled when it is due.
+/// The instruction the engine holds for an agent ([`Action::Hold`]) and
+/// plays without a poll: what it does next, and the rule it plays by.
+#[derive(Debug, Default)]
+struct Held {
+    next: Next,
+    rule: Rule,
+}
+
+/// What the engine does next for an agent's held instruction.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+enum Next {
+    /// Nothing is held: the agent is polled when it is due.
+    #[default]
     Nothing,
-    /// A slow move: every round before `at` is a blind wait the engine
-    /// answers itself, and in round `at` it takes `port`. A traversal's
-    /// move is one too: right after it, the engine steps the agent's
-    /// [`TraversalState`] for the next move or the traversal's end.
-    Slow {
-        at: u64,
-        port: Port,
-        traversal: bool,
-    },
-    /// A walk, stepped from the agent's [`WalkState`] every round until
-    /// it ends.
-    Walk,
+    /// A move: every round before `at` is a blind wait the engine answers
+    /// itself, and in round `at` it takes `port`.
+    Move { at: u64, port: Port },
+    /// Step the instruction on this round's observation: the round after
+    /// its latest move.
+    Step,
+}
+
+/// The rule a held instruction is played by, with its state.
+#[derive(Debug, Default)]
+enum Rule {
+    /// A slow move: its one move ends it. It carries no state, so it is
+    /// also the rule of an agent that has held nothing yet.
+    #[default]
+    Slow,
+    /// A walk; kept after it ends, for its entry buffer.
+    Walk(WalkState),
+    /// A traversal under way; its state is handed back at its end.
+    Traverse(Box<TraversalState>),
 }
 
 /// Struct-of-arrays agent storage.
@@ -119,22 +134,15 @@ struct AgentArena {
     woke: Vec<u64>,
     /// The round from which the executing agent is due: the last round of
     /// its promise (its procedure's [`Procedure::quiet_until`], or the
-    /// round before a held slow move's), or the round of its latest poll
+    /// round before a held move's), or the round of its latest poll
     /// when that poll promised nothing, acted or saw a one-off
     /// observation. `u64::MAX` while the agent is not executing, so one
     /// comparison passes over sleepers, terminal agents and waiters.
     due: Vec<u64>,
     /// `CurCard` at the agent's latest poll.
     seen_card: Vec<u32>,
-    /// The instruction the engine holds for the agent: a slow move (a
-    /// traversal's among them) or a walk.
+    /// The instruction the engine holds for the agent.
     held: Vec<Held>,
-    /// The agent's walk under way, or its last one: its entry buffer is
-    /// kept from one walk to the next.
-    walks: Vec<WalkState>,
-    /// The agent's traversal under way, or its last one, which a retrace
-    /// walks back.
-    traversals: Vec<TraversalState>,
     procs: Vec<Agent>,
 }
 
@@ -153,8 +161,6 @@ impl AgentArena {
             due: Vec::new(),
             seen_card: Vec::new(),
             held: Vec::new(),
-            walks: Vec::new(),
-            traversals: Vec::new(),
             procs: Vec::new(),
         }
     }
@@ -179,9 +185,7 @@ impl AgentArena {
         self.woke.push(0);
         self.due.push(u64::MAX);
         self.seen_card.push(0);
-        self.held.push(Held::Nothing);
-        self.walks.push(WalkState::default());
-        self.traversals.push(TraversalState::default());
+        self.held.push(Held::default());
         self.procs.push(agent);
     }
 
@@ -198,15 +202,8 @@ impl AgentArena {
 
     /// Takes what agent `i`'s procedure yielded on `obs` in `round` into
     /// the engine's hands: returns the act to apply and the last round of
-    /// the agent's promise (`round` if it promises nothing).
-    ///
-    /// A yielded [`Action::SlowMove`] is read with its wait `w` at once:
-    /// `w == 0` is a plain move, otherwise the move is held for round
-    /// `round + w` and the act is a wait. A yielded [`Action::Walk`] is
-    /// read from [`Procedure::walk`] and its first move is the act; an
-    /// [`Action::Traverse`] is read from [`Procedure::traversal`] and its
-    /// first move is held as a slow move
-    /// ([`AgentArena::start_traversal`]).
+    /// the agent's promise (`round` if it promises nothing). A yielded
+    /// [`Action::Hold`] is started at once ([`AgentArena::start_held`]).
     #[inline(always)]
     fn resolve(
         &mut self,
@@ -220,62 +217,57 @@ impl AgentArena {
                 let until = self.woke[i].saturating_add(self.procs[i].quiet_until());
                 (act, until.max(round))
             }
-            Poll::Yield(Action::SlowMove(port)) => match self.procs[i].slow_wait() {
-                0 => (Poll::Yield(Action::TakePort(port)), round),
-                wait => self.hold(i, round.saturating_add(wait), port, false),
-            },
-            Poll::Yield(Action::Walk) => {
-                let port = self.start_walk(i, obs);
-                (Poll::Yield(Action::TakePort(port)), round)
-            }
-            Poll::Yield(Action::Traverse) => self.start_traversal(i, round, obs),
+            Poll::Yield(Action::Hold) => self.start_held(i, round, obs),
             _ => (act, round),
         }
     }
 
-    /// Holds agent `i`'s slow move through `port` for round `at`; the act
-    /// of the rounds before it is a wait.
-    #[inline(always)]
-    fn hold(&mut self, i: usize, at: u64, port: Port, traversal: bool) -> (Poll<Declaration>, u64) {
-        self.held[i] = Held::Slow {
-            at,
-            port,
-            traversal,
-        };
-        (Poll::Yield(Action::Wait), at - 1)
-    }
-
-    /// Takes the walk agent `i`'s procedure just yielded on `obs` into the
-    /// engine's hands and returns the walk's first port. Out of line: a
-    /// walk starts once per `2L` of its rounds.
+    /// Starts the instruction agent `i`'s procedure just yielded on `obs`
+    /// in `round`, and returns the act and promise as
+    /// [`AgentArena::resolve`] does: its first move if that is due now,
+    /// else a wait through the round before it. A traversal that ends
+    /// without a move is handed back at once, and the procedure is polled
+    /// again on `obs`. Out of line: an instruction starts once for many
+    /// rounds.
     #[inline(never)]
-    fn start_walk(&mut self, i: usize, obs: &Obs) -> Port {
-        let walk = self.procs[i].walk();
-        self.held[i] = Held::Walk;
-        self.walks[i].start(walk, obs.degree, obs.cur_card)
-    }
-
-    /// Takes the traversal agent `i`'s procedure just yielded on `obs` in
-    /// `round` into the engine's hands, as [`AgentArena::resolve`] does:
-    /// its first move is held `w` rounds on, or is the act if `w == 0`.
-    /// A slow move in the act is a traversal's: [`ActiveRun::apply`] steps
-    /// the traversal after it. A traversal that ends without a move is
-    /// handed back at once, and the procedure is polled again on `obs`.
-    #[inline(never)]
-    fn start_traversal(&mut self, i: usize, round: u64, obs: &Obs) -> (Poll<Declaration>, u64) {
-        let traversal = self.procs[i].traversal();
-        let state = &mut self.traversals[i];
-        state.start(traversal);
-        match state.step(obs.degree, obs.entry_port, false) {
-            TraversalStep::Move { port, .. } => match traversal.wait {
-                0 => (Poll::Yield(Action::SlowMove(port)), round),
-                wait => self.hold(i, round.saturating_add(wait), port, true),
-            },
-            TraversalStep::Done(completed) => {
-                self.procs[i].traversal_done(completed);
-                let act = self.procs[i].poll(obs);
-                self.resolve(i, round, obs, act)
+    fn start_held(&mut self, i: usize, round: u64, obs: &Obs) -> (Poll<Declaration>, u64) {
+        let held = &mut self.held[i];
+        let (at, port) = match self.procs[i].held() {
+            Instruction::Slow { port, wait } => {
+                held.rule = Rule::Slow;
+                (round.saturating_add(wait), port)
             }
+            Instruction::Walk(walk) => {
+                let mut state = match std::mem::take(&mut held.rule) {
+                    Rule::Walk(last) => last,
+                    _ => WalkState::default(),
+                };
+                let port = state.start(walk, obs.degree, obs.cur_card);
+                held.rule = Rule::Walk(state);
+                (round, port)
+            }
+            Instruction::Traverse(traversal) => {
+                let mut state = Box::new(TraversalState::new(traversal));
+                match state.step(obs.degree, obs.entry_port, false) {
+                    TraversalStep::Move { port, .. } => {
+                        let at = round.saturating_add(state.wait());
+                        held.rule = Rule::Traverse(state);
+                        (at, port)
+                    }
+                    TraversalStep::Done(completed) => {
+                        self.procs[i].held_done(HeldDone::Traverse { completed, state });
+                        let act = self.procs[i].poll(obs);
+                        return self.resolve(i, round, obs, act);
+                    }
+                }
+            }
+        };
+        if at == round {
+            held.next = Next::Step;
+            (Poll::Yield(Action::TakePort(port)), round)
+        } else {
+            held.next = Next::Move { at, port };
+            (Poll::Yield(Action::Wait), at - 1)
         }
     }
 
@@ -307,9 +299,8 @@ pub struct EngineScratch {
     /// Per-node occupant count (`CurCard` per node), kept current as the
     /// agents move.
     card: Vec<u32>,
-    /// This round's acts other than a wait, in agent order: a move
-    /// instruction (a slow move already resolved into its move) or a
-    /// completed procedure's declaration.
+    /// This round's acts other than a wait, in agent order: a move (a held
+    /// one among them) or a completed procedure's declaration.
     acts: Vec<(usize, Poll<Declaration>)>,
     /// Sorted co-located labels, recycled through [`Obs::peer_labels`]
     /// under [`Sensing::Traditional`] instead of allocating a fresh vector
@@ -343,10 +334,10 @@ struct RunStats {
     blocked_moves: u64,
     engine_iterations: u64,
     skipped_rounds: u64,
-    /// Agent polls: one per due agent per executed round, the held
-    /// wait of a slow move included, its move round and the rounds of a
-    /// held walk excluded. A poll again in the same round, after a
-    /// traversal that ended without a move, is not another one.
+    /// Agent polls: one per due agent per executed round, a held move's
+    /// due wait rounds included, its move rounds and step rounds
+    /// excluded. A poll again in the same round, after a traversal that
+    /// ended without a move, is not another one.
     polled_agent_rounds: u64,
     max_colocation: u32,
     last_declaration_round: u64,
@@ -373,18 +364,14 @@ struct RunStats {
 /// sees its own clock: [`Obs::round`] counts the rounds since it woke.
 /// The engine keeps every agent's due round in the arena, from the
 /// absolute promise of [`Procedure::quiet_until`]. It holds each
-/// [`Action::SlowMove`] there too: it answers the wait's rounds without
-/// reaching the procedure, and makes the move itself in its due round.
-/// And it holds each [`Action::Walk`] in the same column: it plays every
-/// round of the walk from the agent's [`WalkState`], without a poll, and
-/// in the round the walk ends hands back what it observed
-/// ([`Procedure::walk_done`]) and polls the procedure. Each
-/// [`Action::Traverse`] it plays from the agent's [`TraversalState`], one
-/// held slow move at a time: right after each move it reads the arrival
-/// node's degree and entry port and holds the next move, and after the
-/// last one it hands back whether the traversal completed
-/// ([`Procedure::traversal_done`]) and polls the procedure in the next
-/// round.
+/// [`Action::Hold`] there too, in one column, and plays it by one rule
+/// without reaching the procedure: it starts the instruction on the
+/// observation of the round it was yielded in, answers each held move's
+/// wait itself and makes the move in its round, and in the round after
+/// each move steps the instruction on that round's observation, which
+/// gives the next move or the instruction's end. At the end it hands back
+/// what the instruction observed ([`Procedure::held_done`]) and polls the
+/// procedure in that same round.
 ///
 /// Every executed round follows one rule. Crashes, adversary wakes and,
 /// after a move, wake-on-visit run first. Then every executing agent that
@@ -393,11 +380,10 @@ struct RunStats {
 /// one-off observation (just woken, blocked) or acted, and one not blind
 /// ([`Procedure::blind`]) whose `CurCard` changed since its latest poll.
 /// Under [`Sensing::Traditional`], where the labels present are part of
-/// the observation, every executing agent is polled. An agent holding a
-/// slow move is never polled: the engine makes the move in its round. An
-/// agent holding a walk is not polled either: the engine takes the walk's
-/// step, and polls it only in the round the walk ends. The acts are then
-/// applied simultaneously under the topology view. After a
+/// the observation, every executing agent is polled. An agent holding an
+/// instruction is not polled: the engine makes its moves and takes its
+/// steps, and polls it only in the round the instruction ends. The acts
+/// are then applied simultaneously under the topology view. After a
 /// round in which someone acted (moved, hit an absent edge or declared),
 /// or in which no agent was executing, the next round is executed.
 /// Otherwise every executing agent waited, and no observation can change
@@ -708,15 +694,15 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
             if !agents.phase[i].is_executing() {
                 continue;
             }
-            let act = match agents.held[i] {
-                Held::Nothing => match self.poll_agent(i, round, card, labels) {
+            let act = match agents.held[i].next {
+                Next::Nothing => match self.poll_agent(i, round, card, labels) {
                     (Poll::Yield(Action::Wait), until) => {
                         quiet = quiet.min(until);
                         continue;
                     }
                     (act, _) => act,
                 },
-                Held::Slow { at, .. } if at > round => {
+                Next::Move { at, .. } if at > round => {
                     // A held wait answers itself; the agent is due in it
                     // as its expansion would be polled, and it counts as
                     // a poll.
@@ -725,28 +711,17 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
                     quiet = quiet.min(at - 1);
                     continue;
                 }
-                Held::Slow {
-                    port, traversal, ..
-                } => {
-                    agents.held[i] = Held::Nothing;
+                Next::Move { port, .. } => {
+                    agents.held[i].next = Next::Step;
                     agents.due[i] = round;
-                    // A traversal's move stays a slow move in the acts:
-                    // `apply` steps the traversal after it.
-                    Poll::Yield(if traversal {
-                        Action::SlowMove(port)
-                    } else {
-                        Action::TakePort(port)
-                    })
+                    Poll::Yield(Action::TakePort(port))
                 }
-                Held::Walk => match self.walk_step(i, round, card) {
-                    Some(port) => Poll::Yield(Action::TakePort(port)),
-                    None => match self.poll_after_walk(i, round, card, labels) {
-                        (Poll::Yield(Action::Wait), until) => {
-                            quiet = quiet.min(until);
-                            continue;
-                        }
-                        (act, _) => act,
-                    },
+                Next::Step => match self.step_held(i, round, card, labels) {
+                    (Poll::Yield(Action::Wait), until) => {
+                        quiet = quiet.min(until);
+                        continue;
+                    }
+                    (act, _) => act,
                 },
             };
             acts.push((i, act));
@@ -793,8 +768,8 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
             self.running -= 1;
             agents.phase[i] = AgentPhase::Crashed;
             agents.due[i] = u64::MAX;
-            // A crash cancels a held slow move, walk or traversal.
-            agents.held[i] = Held::Nothing;
+            // A crash cancels a held instruction.
+            agents.held[i] = Held::default();
             self.stats.last_crash_round = round;
             if let Some(t) = self.trace.as_mut() {
                 t.push(TraceEvent::Crashed {
@@ -833,7 +808,7 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
     /// agent with any other body on its node (awake, declared or crashed —
     /// a body is a body) starts executing; and under weak sensing a
     /// waiter whose `CurCard` changed becomes due unless its promise is
-    /// blind or a held slow move (a walker is due anyway). `CurCard`
+    /// blind or a held move's wait. `CurCard`
     /// counts every body present, dormant, declared and crashed ones
     /// included. Returns whether the agent woke.
     #[inline(always)]
@@ -858,7 +833,7 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
                 if self.engine.sensing == Sensing::Weak
                     && agents.due[i] > round
                     && here != agents.seen_card[i]
-                    && agents.held[i] == Held::Nothing
+                    && agents.held[i].next == Next::Nothing
                     && !agents.procs[i].blind() =>
             {
                 agents.due[i] = round;
@@ -872,12 +847,11 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
     /// last round of its promise (the poll's own round if it promises
     /// nothing); records when the agent is due next.
     ///
-    /// The engine takes slow moves, walks and traversals into its hands
-    /// here ([`AgentArena::resolve`]). Until a held slow move's round the
-    /// engine answers `Wait` itself, and in that round it makes the move;
-    /// neither reaches the procedure. The engine plays a walk's later
-    /// rounds ([`ActiveRun::walk_step`]) and a traversal's later moves
-    /// ([`ActiveRun::traverse`]) without a poll too.
+    /// The engine takes held instructions into its hands here
+    /// ([`AgentArena::resolve`]). Until a held move's round the engine
+    /// answers `Wait` itself, and in that round it makes the move; in the
+    /// round after it steps the instruction ([`ActiveRun::step_held`]).
+    /// None of these reaches the procedure.
     #[inline(always)]
     fn poll_agent(
         &mut self,
@@ -930,70 +904,74 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
         (act, until)
     }
 
-    /// [`ActiveRun::poll_agent`] in the round agent `i`'s held walk ended
-    /// in. Out of line, like [`AgentArena::start_walk`]: the loop's other
-    /// paths, the slow moves' among them, stay as small as before walks.
+    /// Steps agent `i`'s held instruction in `round`, the round after its
+    /// latest move (or blocked attempt), on the observation the agent
+    /// would get, and returns the act and promise as
+    /// [`ActiveRun::poll_agent`] does. The next move is the act if it is
+    /// due now (always after a blocked attempt), else it is held `w`
+    /// rounds on and the act is a wait. If the instruction has ended, what
+    /// it observed is handed back and the procedure is polled in this
+    /// round. The step itself is not a poll. Out of line: it stands in for
+    /// a poll.
     #[inline(never)]
-    fn poll_after_walk(
+    fn step_held(
         &mut self,
         i: usize,
         round: u64,
         card: &[u32],
         peers: &mut Vec<Label>,
     ) -> (Poll<Declaration>, u64) {
-        self.poll_agent(i, round, card, peers)
-    }
-
-    /// Plays round `round` of agent `i`'s held walk on the observation the
-    /// agent would get: the walk's move, or `None` once the walk has ended,
-    /// after handing what it observed back to the procedure, which is
-    /// then polled in this round. No walk round counts as a poll.
-    #[inline(always)]
-    fn walk_step(&mut self, i: usize, round: u64, card: &[u32]) -> Option<Port> {
         let agents = &mut self.engine.agents;
         let pos = agents.pos[i];
-        let walk = &mut agents.walks[i];
-        let port = walk.step(
-            self.engine.graph.degree(pos),
-            card[pos.index()],
-            agents.entry_port[i],
-            agents.phase[i] == AgentPhase::Blocked,
-            round - agents.woke[i],
-        );
-        if port.is_some() {
-            // The walk has seen a blocked attempt, as a poll would have.
-            agents.phase[i] = AgentPhase::Active;
-        } else {
-            agents.held[i] = Held::Nothing;
-            agents.procs[i].walk_done(walk.done());
-        }
-        port
-    }
-
-    /// Steps agent `i`'s traversal right after its move (or blocked
-    /// attempt) of `round`, on the arrival node's degree and entry port:
-    /// holds the next move `w + 1` rounds on, a blocked one for the next
-    /// round, or hands the traversal's end back to the procedure, which is
-    /// then due. The round after the move is executed either way. No
-    /// traversal step counts as a poll. Out of line: it replaces a poll.
-    #[inline(never)]
-    fn traverse(&mut self, i: usize, round: u64) {
-        let agents = &mut self.engine.agents;
-        let pos = agents.pos[i];
+        let degree = self.engine.graph.degree(pos);
+        let entry = agents.entry_port[i];
         let blocked = agents.phase[i] == AgentPhase::Blocked;
-        let state = &mut agents.traversals[i];
-        match state.step(self.engine.graph.degree(pos), agents.entry_port[i], blocked) {
-            TraversalStep::Move { port, .. } => {
-                // The traversal has seen the blocked attempt, as a poll
-                // would have.
-                agents.phase[i] = AgentPhase::Active;
-                let wait = if blocked { 0 } else { state.wait() };
-                let at = round.saturating_add(1).saturating_add(wait);
-                agents.hold(i, at, port, true);
-                agents.due[i] = at - 1;
+        let held = &mut agents.held[i];
+        let (next, done) = match &mut held.rule {
+            Rule::Slow => (None, None),
+            Rule::Walk(walk) => {
+                let clock = round - agents.woke[i];
+                match walk.step(degree, card[pos.index()], entry, blocked, clock) {
+                    Some(port) => (Some((round, port)), None),
+                    None => (None, Some(HeldDone::Walk(walk.done()))),
+                }
             }
-            TraversalStep::Done(completed) => agents.procs[i].traversal_done(completed),
+            Rule::Traverse(state) => match state.step(degree, entry, blocked) {
+                TraversalStep::Move { port, .. } => {
+                    let wait = if blocked { 0 } else { state.wait() };
+                    (Some((round.saturating_add(wait), port)), None)
+                }
+                TraversalStep::Done(completed) => {
+                    let Rule::Traverse(state) = std::mem::take(&mut held.rule) else {
+                        unreachable!("a traversal is under way")
+                    };
+                    (None, Some(HeldDone::Traverse { completed, state }))
+                }
+            },
+        };
+        let Some((at, port)) = next else {
+            held.next = Next::Nothing;
+            if let Some(done) = done {
+                agents.procs[i].held_done(done);
+            }
+            return self.poll_agent(i, round, card, peers);
+        };
+        // The instruction has seen the blocked attempt, as a poll would
+        // have.
+        agents.phase[i] = AgentPhase::Active;
+        if at == round {
+            held.next = Next::Step;
+            return (Poll::Yield(Action::TakePort(port)), round);
         }
+        held.next = Next::Move { at, port };
+        agents.due[i] = at - 1;
+        // The loop's held-wait arm counts the rounds of the wait it
+        // reaches: the round before the move, or under traditional sensing
+        // every one.
+        if at - 1 == round || self.engine.sensing == Sensing::Traditional {
+            self.stats.polled_agent_rounds += 1;
+        }
+        (Poll::Yield(Action::Wait), at - 1)
     }
 
     /// Debug-build promise net: agent `i` is inside its promise in
@@ -1004,7 +982,7 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
     #[cfg(debug_assertions)]
     fn check_promise(&mut self, i: usize, round: u64, card: &[u32]) {
         let agents = &mut self.engine.agents;
-        if !agents.phase[i].is_executing() || agents.held[i] != Held::Nothing {
+        if !agents.phase[i].is_executing() || agents.held[i].next != Next::Nothing {
             return;
         }
         let pos = agents.pos[i];
@@ -1041,12 +1019,7 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
         let agents = &mut self.engine.agents;
         let pos = agents.pos[i];
         match act {
-            Poll::Yield(Action::Wait) => {}
-            Poll::Yield(Action::Walk | Action::Traverse) => {
-                unreachable!("poll_agent resolves every walk and traversal")
-            }
-            // A slow move here is a traversal's move.
-            Poll::Yield(Action::TakePort(p) | Action::SlowMove(p)) => {
+            Poll::Yield(Action::TakePort(p)) => {
                 match self.engine.graph.neighbor(pos, p) {
                     // A port that exists in the base graph but whose
                     // edge is absent this round blocks: the agent
@@ -1092,10 +1065,8 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
                         });
                     }
                 }
-                if let Poll::Yield(Action::SlowMove(_)) = act {
-                    self.traverse(i, round);
-                }
             }
+            Poll::Yield(other) => unreachable!("the round loop applies no {other:?}"),
             Poll::Complete(d) => {
                 agents.declared[i] = Some(DeclarationRecord {
                     round,
@@ -2799,31 +2770,34 @@ mod tests {
 
     /// Yields one slow move of `wait` rounds through port 1 on its first
     /// poll and completes on its second, logging the round of every poll.
-    struct OneSlowMove {
+    struct OneSlow {
         wait: u64,
         polls: Rc<RefCell<Vec<u64>>>,
     }
-    impl OneSlowMove {
+    impl OneSlow {
         fn boxed(wait: u64, polls: &Rc<RefCell<Vec<u64>>>) -> Agent {
-            Box::new(OneSlowMove {
+            Box::new(OneSlow {
                 wait,
                 polls: Rc::clone(polls),
             })
         }
     }
-    impl Procedure for OneSlowMove {
+    impl Procedure for OneSlow {
         type Output = Declaration;
         fn poll(&mut self, obs: &Obs) -> Poll<Declaration> {
             let mut polls = self.polls.borrow_mut();
             polls.push(obs.round);
             if polls.len() == 1 {
-                Poll::Yield(Action::SlowMove(Port::new(1)))
+                Poll::Yield(Action::Hold)
             } else {
                 Poll::Complete(Declaration::bare())
             }
         }
-        fn slow_wait(&self) -> u64 {
-            self.wait
+        fn held(&self) -> Instruction {
+            Instruction::Slow {
+                port: Port::new(1),
+                wait: self.wait,
+            }
         }
     }
 
@@ -2846,18 +2820,17 @@ mod tests {
         let ring = generators::ring(6);
         let polls = Rc::new(RefCell::new(Vec::new()));
         let mut engine = Engine::new(&ring);
-        engine.add_agent(label(1), NodeId::new(0), OneSlowMove::boxed(4, &polls));
+        engine.add_agent(label(1), NodeId::new(0), OneSlow::boxed(4, &polls));
         add(&mut engine, 2, 3, WaitRounds::new(100));
         let mut scratch = EngineScratch::new();
         let mut run = ActiveRun::begin(engine, 500, &mut scratch).unwrap();
         step_past(&mut run, &mut scratch, 0);
         let agents = &run.engine.agents;
         assert_eq!(
-            agents.held[0],
-            Held::Slow {
+            agents.held[0].next,
+            Next::Move {
                 at: 4,
                 port: Port::new(1),
-                traversal: false,
             }
         );
         // The waiter's promise outlasts the wait: the clock jumps to the
@@ -2865,7 +2838,7 @@ mod tests {
         assert_eq!(run.round, 4);
         step_past(&mut run, &mut scratch, 4);
         let agents = &run.engine.agents;
-        assert_eq!(agents.held[0], Held::Nothing);
+        assert_eq!(agents.held[0].next, Next::Step);
         assert_eq!(agents.pos[0], NodeId::new(1));
         assert_eq!(agents.due[0], 4, "due again the round after its move");
         step_past(&mut run, &mut scratch, 5);
@@ -2889,7 +2862,7 @@ mod tests {
         let ring = generators::ring(6);
         let polls = Rc::new(RefCell::new(Vec::new()));
         let mut engine = Engine::new(&ring);
-        engine.add_agent(label(1), NodeId::new(0), OneSlowMove::boxed(6, &polls));
+        engine.add_agent(label(1), NodeId::new(0), OneSlow::boxed(6, &polls));
         add(
             &mut engine,
             2,
@@ -2930,11 +2903,11 @@ mod tests {
     fn skipped_rounds_inside_a_held_wait_never_reach_the_procedure() {
         // A slow walker beside the slow mover makes the run skip whole
         // stretches of the 20-round wait and execute others; none of them
-        // reaches `OneSlowMove`.
+        // reaches `OneSlow`.
         let ring = generators::ring(12);
         let polls = Rc::new(RefCell::new(Vec::new()));
         let mut engine = Engine::new(&ring);
-        engine.add_agent(label(1), NodeId::new(0), OneSlowMove::boxed(20, &polls));
+        engine.add_agent(label(1), NodeId::new(0), OneSlow::boxed(20, &polls));
         add(&mut engine, 2, 4, SlowWalk::new(3, &[1; 3]));
         add(&mut engine, 3, 8, WaitRounds::new(40));
         let outcome = engine.run(100).unwrap();
@@ -2949,12 +2922,12 @@ mod tests {
         let ring = generators::ring(6);
         let polls = Rc::new(RefCell::new(Vec::new()));
         let mut engine = Engine::new(&ring);
-        engine.add_agent(label(1), NodeId::new(0), OneSlowMove::boxed(0, &polls));
+        engine.add_agent(label(1), NodeId::new(0), OneSlow::boxed(0, &polls));
         let mut scratch = EngineScratch::new();
         let mut run = ActiveRun::begin(engine, 500, &mut scratch).unwrap();
         step_past(&mut run, &mut scratch, 0);
         let agents = &run.engine.agents;
-        assert_eq!(agents.held[0], Held::Nothing);
+        assert_eq!(agents.held[0].next, Next::Step);
         assert_eq!(agents.pos[0], NodeId::new(1));
         assert!(run.step(&mut scratch).is_some());
         assert_eq!(*polls.borrow(), vec![0, 1]);
@@ -2965,17 +2938,21 @@ mod tests {
         let ring = generators::ring(6);
         let polls = Rc::new(RefCell::new(Vec::new()));
         let mut engine = Engine::new(&ring);
-        engine.add_agent(label(1), NodeId::new(0), OneSlowMove::boxed(9, &polls));
+        engine.add_agent(label(1), NodeId::new(0), OneSlow::boxed(9, &polls));
         add(&mut engine, 2, 3, WaitRounds::new(20));
         engine.set_faults(crash_at(&[(1, 5)]));
         let mut scratch = EngineScratch::new();
         let mut run = ActiveRun::begin(engine, 500, &mut scratch).unwrap();
         step_past(&mut run, &mut scratch, 4);
-        assert_ne!(run.engine.agents.held[0], Held::Nothing);
+        assert_ne!(run.engine.agents.held[0].next, Next::Nothing);
         step_past(&mut run, &mut scratch, 5);
         let agents = &run.engine.agents;
         assert_eq!(agents.phase[0], AgentPhase::Crashed);
-        assert_eq!(agents.held[0], Held::Nothing, "the crash cancels the move");
+        assert_eq!(
+            agents.held[0].next,
+            Next::Nothing,
+            "the crash cancels the move"
+        );
         let outcome = loop {
             if let Some(result) = run.step(&mut scratch) {
                 break result.unwrap();
@@ -3120,15 +3097,18 @@ mod tests {
             let mut log = self.log.borrow_mut();
             log.polls.push((obs.round, obs.cur_card));
             if log.polls.len() == 1 {
-                Poll::Yield(Action::Walk)
+                Poll::Yield(Action::Hold)
             } else {
                 Poll::Complete(Declaration::bare())
             }
         }
-        fn walk(&self) -> crate::walk::Walk {
-            self.walk.clone()
+        fn held(&self) -> Instruction {
+            Instruction::Walk(self.walk.clone())
         }
-        fn walk_done(&mut self, done: crate::walk::WalkDone) {
+        fn held_done(&mut self, done: HeldDone) {
+            let HeldDone::Walk(done) = done else {
+                panic!("a walk hands back a walk's result")
+            };
             self.log.borrow_mut().done = Some(done);
         }
     }
@@ -3227,7 +3207,7 @@ mod tests {
                 radius,
                 abort_degree,
                 wait,
-                retrace: false,
+                retrace: None,
             };
             Box::new(OneTraversal {
                 traversal,
@@ -3242,15 +3222,18 @@ mod tests {
             let mut log = self.log.borrow_mut();
             log.polls.push(obs.round);
             if log.polls.len() == 1 {
-                Poll::Yield(Action::Traverse)
+                Poll::Yield(Action::Hold)
             } else {
                 Poll::Complete(Declaration::bare())
             }
         }
-        fn traversal(&self) -> crate::walk::Traversal {
-            self.traversal
+        fn held(&self) -> Instruction {
+            Instruction::Traverse(self.traversal.clone())
         }
-        fn traversal_done(&mut self, completed: bool) {
+        fn held_done(&mut self, done: HeldDone) {
+            let HeldDone::Traverse { completed, .. } = done else {
+                panic!("a traversal hands back a traversal's result")
+            };
             self.log.borrow_mut().done = Some(completed);
         }
     }
@@ -3421,5 +3404,78 @@ mod tests {
                 .map(|(j, &p)| p + 4 * j as u64)
                 .collect::<Vec<u64>>()
         );
+    }
+    #[test]
+    fn only_an_agent_in_a_traversal_carries_its_state() {
+        // Every agent has a held entry: the next move, and a walk's state,
+        // kept for its entry buffer. A traversal's state is boxed while
+        // the traversal is under way and handed back at its end, so an
+        // agent that never traverses does not pay for one: inlining it
+        // would widen every entry.
+        assert_eq!(std::mem::size_of::<Held>(), 96);
+        assert!(std::mem::size_of::<TraversalState>() > std::mem::size_of::<WalkState>());
+
+        let ring = generators::ring(5);
+        let log = Rc::new(RefCell::new(TraversalLog::default()));
+        let mut engine = Engine::new(&ring);
+        engine.add_agent(
+            label(1),
+            NodeId::new(0),
+            OneTraversal::boxed(2, u32::MAX, 3, &log),
+        );
+        add(&mut engine, 2, 3, WaitRounds::new(0));
+        let mut scratch = EngineScratch::new();
+        let mut run = ActiveRun::begin(engine, 1_000, &mut scratch).unwrap();
+        let rule = |run: &ActiveRun<'_, Static>| match run.engine.agents.held[0].rule {
+            Rule::Slow => "none",
+            Rule::Walk(_) => "walk",
+            Rule::Traverse(_) => "traversal",
+        };
+        assert_eq!(rule(&run), "none");
+        step_past(&mut run, &mut scratch, 3);
+        assert_eq!(rule(&run), "traversal");
+        // The last move is made in round 63; round 64 hands the state
+        // back and polls the agent, which declares.
+        step_past(&mut run, &mut scratch, 63);
+        assert!(run.step(&mut scratch).is_some());
+        assert_eq!(rule(&run), "none");
+        assert_eq!(log.borrow().done, Some(true));
+    }
+
+    #[test]
+    fn a_traversal_counts_the_wait_rounds_it_is_due_in() {
+        // The traversal of `a_traversal_costs_two_polls_at_its_start_and_its_end`
+        // beside a waiter, with every edge absent before round `blocked`.
+        // A wait of one round is due in the round after each move, which
+        // is executed, so it counts; a longer wait is skipped up to its
+        // last round. Traditional sensing reaches every executing agent in
+        // every executed round.
+        let ring = generators::ring(5);
+        for (sensing, blocked, wait, polls, iterations) in [
+            (Sensing::Weak, 0, 0, 6, 17),
+            (Sensing::Weak, 0, 1, 21, 33),
+            (Sensing::Weak, 0, 2, 7, 34),
+            (Sensing::Weak, 5, 1, 21, 37),
+            (Sensing::Weak, 5, 3, 7, 37),
+            (Sensing::Traditional, 0, 2, 24, 34),
+            (Sensing::Traditional, 5, 3, 25, 37),
+        ] {
+            let log = Rc::new(RefCell::new(TraversalLog::default()));
+            let mut engine = Engine::with_topology(&ring, &BlockedUntil { until: blocked });
+            engine.add_agent(
+                label(1),
+                NodeId::new(0),
+                OneTraversal::boxed(2, u32::MAX, wait, &log),
+            );
+            add(&mut engine, 2, 3, WaitRounds::new(7));
+            engine.set_sensing(sensing);
+            let outcome = engine.run(1_000).unwrap();
+            assert_eq!(outcome.total_moves, 16);
+            assert_eq!(
+                (outcome.polled_agent_rounds, outcome.engine_iterations),
+                (polls, iterations),
+                "{sensing:?}, blocked before round {blocked}, wait {wait}"
+            );
+        }
     }
 }

@@ -34,10 +34,11 @@
 //! Blocked → Declared | Crashed`), and one `Box<dyn Procedure<Output =
 //! Declaration>>` per agent, built-in algorithm or not: an agent is the
 //! procedure it runs, and its output is its declaration. The engine holds
-//! each [`Action::SlowMove`] itself, answering the wait without polling
-//! the procedure and making the move in its due round; it plays each
-//! [`Action::Walk`] and [`Action::Traverse`] the same way, by the one rule
-//! of each in [`walk`]. The optional
+//! each [`Action::Hold`] itself — a slow move, a walk or a ball traversal
+//! ([`walk::Instruction`]) — and plays it by one rule without polling the
+//! procedure: it makes each move in its round, steps the instruction in
+//! the round after, and polls the procedure again once the instruction
+//! has ended, with what it observed handed back. The optional
 //! [`FaultSpec`] crash adversary kills agents mid-run: a crashed agent
 //! stops acting, but its body keeps counting toward `CurCard` — under weak
 //! sensing the survivors cannot tell a corpse from a waiting companion.

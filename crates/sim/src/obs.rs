@@ -58,55 +58,22 @@ pub enum Action {
     Wait,
     /// Traverse the edge with this local port number.
     TakePort(Port),
-    /// The paper's slow move: wait `w` rounds whatever is observed, then
-    /// take this port. `w` is the yielding procedure's
-    /// [`crate::Procedure::slow_wait`]: yielded in round `r`, the move
-    /// waits through rounds `r..r + w` and is made in round `r + w`
-    /// (`w == 0` is [`Action::TakePort`]).
+    /// A held instruction: the paper's slow move (§4.1), `EXPLO` walk (§2)
+    /// or ball traversal (Algorithm 7), one instruction for all its
+    /// rounds. The yielding procedure describes it through
+    /// [`crate::Procedure::held`] ([`crate::walk::Instruction`]) and gets
+    /// what it observed back through [`crate::Procedure::held_done`].
     ///
-    /// One instruction stands for `w + 1` rounds. The
-    /// [`Engine`](crate::Engine) holds the move: it answers the wait
-    /// itself, makes the move in round `r + w` without a poll, and polls
-    /// the procedure next in the round after, so the procedure never sees
-    /// the wait's observations. Every procedure that passes a slow move up
-    /// must therefore ignore those observations, count the instruction as
-    /// `w + 1` rounds and report `w` from its own `slow_wait`; see the
-    /// [`crate::proc`] module docs. The wait is not a field so that an
-    /// `Action`, which every poll of every procedure returns, stays 8
-    /// bytes.
-    SlowMove(Port),
-    /// The paper's `EXPLO` walk (§2), effective part and backtrack, as one
-    /// instruction for all its rounds. The yielding procedure describes it
-    /// through [`crate::Procedure::walk`]: the exploration sequence and an
-    /// optional `CurCard` stop ([`crate::walk::Walk`]).
-    ///
-    /// The [`Engine`](crate::Engine) holds the walk: it makes the first
-    /// move in the round the walk is yielded in, plays every later round
-    /// by the walk rule without a poll, and once the walk has ended (its
-    /// backtrack done, or its stop fired) hands back what it observed
-    /// through [`crate::Procedure::walk_done`] and polls the procedure in
-    /// that same round, with that round's ordinary observation. Every
-    /// procedure that passes a walk up must forward both calls; see the
-    /// [`crate::proc`] module docs. Like a slow move's wait, the walk is
-    /// not a field, so that an `Action` stays 8 bytes.
-    Walk,
-    /// A ball traversal (Algorithm 7) or its retrace, as one instruction
-    /// for all its slow moves. The yielding procedure describes it through
-    /// [`crate::Procedure::traversal`]: the alphabet, the radius, the
-    /// degree abort, the slow wait and whether it retraces the traversal
-    /// before it ([`crate::walk::Traversal`]).
-    ///
-    /// The [`Engine`](crate::Engine) holds the traversal: it makes every
-    /// move as a held slow move, reads the arrival node's degree and entry
-    /// port right after the move to set the next one, and once the
-    /// traversal has ended hands back whether it completed through
-    /// [`crate::Procedure::traversal_done`]. The procedure is polled next
-    /// in the round after the last move, or, if the traversal ended
-    /// without a move, again in the round it was yielded in. Every
-    /// procedure that passes a traversal up must forward both calls; see
-    /// the [`crate::proc`] module docs. Like a walk, the traversal is not a
-    /// field, so that an `Action` stays 8 bytes.
-    Traverse,
+    /// The [`Engine`](crate::Engine) plays it by one rule without a poll:
+    /// it starts the instruction on the observation of the round it was
+    /// yielded in, makes each move itself, and steps the instruction on
+    /// the observation of the round after each move; once the instruction
+    /// has ended it hands back what it observed and polls the procedure
+    /// in that same round. Every procedure that passes a held instruction
+    /// up must forward both calls; see the [`crate::proc`] module docs.
+    /// The description is not a field, so that an `Action`, which every
+    /// poll of every procedure returns, stays 8 bytes.
+    Hold,
 }
 
 /// The result of polling a [`crate::Procedure`] for one round.

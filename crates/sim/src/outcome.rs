@@ -91,12 +91,11 @@ pub struct RunOutcome {
     /// Agent polls, the round loop's per-round cost denominator: one per
     /// executing agent that is due in an executed round, while the others
     /// sit inside their wait promises (see
-    /// [`crate::Procedure::quiet_until`]). A round inside a slow move's
-    /// wait that the agent is due in counts although the engine answers
-    /// it without reaching the procedure; the round the engine makes the
-    /// move in costs none ([`crate::Action::SlowMove`]), and neither does
-    /// a round of a walk the engine plays ([`crate::Action::Walk`]) or a
-    /// step of a traversal it plays ([`crate::Action::Traverse`]). An
+    /// [`crate::Procedure::quiet_until`]). Of a held instruction
+    /// ([`crate::Action::Hold`]), a round inside a move's wait that the
+    /// agent is due in counts although the engine answers it without
+    /// reaching the procedure; the rounds the engine makes a move in or
+    /// steps the instruction in cost none. An
     /// execution fact, not a model fact — it moves whenever the engine's
     /// execution strategy does — so it is excluded from the deterministic
     /// lab reports and surfaced as a campaign-level trajectory aggregate

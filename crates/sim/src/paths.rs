@@ -26,7 +26,7 @@ use std::fmt;
 ///     vec![1, 0], vec![1, 1],
 /// ]);
 /// ```
-#[derive(Clone, Default)]
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct Paths {
     alpha: u32,
     current: Vec<u32>,

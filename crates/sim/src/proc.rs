@@ -36,85 +36,60 @@
 //! ones cannot either. A wait that ignores what it senses ([`WaitRounds`])
 //! is [`Procedure::blind`]: its promise holds whatever is observed.
 //!
-//! # Slow moves
+//! # Held instructions
 //!
-//! [`Action::SlowMove`]`(port)` is one instruction for `w + 1` rounds, where
-//! `w` is what [`Procedure::slow_wait`] reports right after the poll: the
-//! unknown-bound algorithm's "wait `w_h` rounds, then take the port"
-//! (§4.1). The [`Engine`](crate::Engine) holds the move: it answers the
-//! `w` waiting rounds itself, makes the move in the last round without a
-//! poll, and polls the procedure next in the round after the move, so:
+//! [`Action::Hold`] is one instruction for many rounds: the paper's slow
+//! move (§4.1, "wait `w_h` rounds, then take the port"), its `EXPLO` walk
+//! (§2) or its ball traversal (Algorithm 7). The procedure describes it
+//! right after the poll through [`Procedure::held`] ([`Instruction`]), and
+//! the [`Engine`](crate::Engine) plays it by one rule, without a poll:
 //!
-//! * no poll sees the wait's observations, and every procedure that
-//!   passes a slow move up must be one that would have ignored them
-//!   ([`UntilCardExceeds`], which watches `CurCard`, must never pass one
-//!   through);
-//! * every procedure that passes a slow move up reports the wait from its
-//!   own `slow_wait`; its next poll's clock is `w + 1` rounds on, so one
-//!   that counts its rounds from a start clock books the instruction as
-//!   `w + 1` of them ([`RunFor`] does);
-//! * nothing reaches the procedure for the wait's promise either.
+//! * it starts the instruction on the observation of the round it was
+//!   yielded in, which gives the first move: in that round (a walk, or a
+//!   slow move or traversal of wait 0) or `w` rounds on, the rounds before
+//!   it being a blind wait the engine answers itself;
+//! * it makes each move itself;
+//! * in the round after each move it steps the instruction on that round's
+//!   observation, which gives the next move (in that round, `w` rounds
+//!   on, or in that round again after a blocked attempt) or the
+//!   instruction's end: a slow move ends after its one move, a walk after
+//!   its backtrack or once `CurCard` is above its stop, a traversal after
+//!   its last path or on a node of its abort degree;
+//! * at the end it hands back what the instruction observed through
+//!   [`Procedure::held_done`] ([`HeldDone`]: a walk's `CurCard` summary, a
+//!   traversal's completion and end state; a slow move hands nothing
+//!   back) and polls the procedure in that same round, with the round's
+//!   ordinary observation. A traversal that ends without a move (an abort
+//!   on the start node, or a radius of 0) ends in the round it was yielded
+//!   in, and the procedure is polled again on the same observation.
 //!
-//! # Walks
+//! So:
 //!
-//! [`Action::Walk`] is the paper's `EXPLO` walk (§2) as one instruction,
-//! described right after the poll by [`Procedure::walk`]: the exploration
-//! sequence and an optional `CurCard` stop ([`Walk`]). The engine holds
-//! it as it holds a slow move. It makes the walk's first move in the
-//! round of the poll, plays every later round by the one walk rule
-//! ([`WalkState`](crate::walk::WalkState)) without a poll, and once the
-//! walk has ended — its backtrack done, or `CurCard` above the stop —
-//! calls [`Procedure::walk_done`] with what the walk observed
-//! ([`WalkDone`]: its smallest `CurCard`, and its last `CurCard` with the
-//! clock of its latest change), then polls the procedure in that same
-//! round with the round's ordinary observation. So:
-//!
-//! * no poll sees the walk's observations; a procedure that would have
-//!   folded them in (a `CurCard` streak, `EXPLO`'s `min_card`) takes them
-//!   from `walk_done`;
-//! * every procedure that passes a walk up forwards both `walk` and
-//!   `walk_done` to the child that yielded it, and one that interrupts on
-//!   `CurCard` puts its threshold into the walk's stop: its next poll, in
-//!   the round the stop fires, then sees the rise itself;
-//! * [`RunFor`] and [`UntilCardExceeds`] pass no walk up, and panic on
-//!   one: a walk's length is not known in advance under a round-varying
-//!   topology, so a procedure that can be cut off mid-walk (`TZ`) steps a
-//!   [`WalkState`](crate::walk::WalkState) in its own polls instead.
-//!
-//! # Traversals
-//!
-//! [`Action::Traverse`] is a ball traversal (Algorithm 7) or its retrace
-//! as one instruction, described right after the poll by
-//! [`Procedure::traversal`]: the alphabet, the radius, the degree abort,
-//! the slow wait `w` and whether it retraces the traversal before it
-//! ([`Traversal`]). The engine plays it from a
-//! [`TraversalState`](crate::walk::TraversalState), the one traversal
-//! rule, one held slow move at a time: the first move waits `w` rounds
-//! from the poll, and right after each move the engine reads the arrival
-//! node's degree and entry port and holds the next move `w + 1` rounds
-//! on (a blocked move is made again in the next round). Once the
-//! traversal has ended it calls [`Procedure::traversal_done`] with
-//! whether the traversal completed, and the procedure is polled in the
-//! round after the last move. A traversal that ends without a move (an
-//! abort on the start node, or a radius of 0) is handed back at once, and
-//! the procedure is polled again in the round it yielded the traversal
-//! in, on the same observation, as if the traversal had completed
-//! without consuming the round. So:
-//!
-//! * no poll sees the traversal's observations: it reads no `CurCard`,
-//!   and a procedure that must (`EnsureCleanExploration`, `EST+`) steps a
+//! * no poll sees the instruction's observations; a procedure that would
+//!   have folded them in (a `CurCard` streak, `EXPLO`'s `min_card`) takes
+//!   them from `held_done`, and one that must act on them (`TZ`, whose
+//!   window can cut a walk off; `EnsureCleanExploration` and `EST+`, which
+//!   watch `CurCard` after each move) steps a
+//!   [`WalkState`](crate::walk::WalkState) or
 //!   [`TraversalState`](crate::walk::TraversalState) in its own polls
 //!   instead;
-//! * a retrace is played from the state its traversal left, so an agent
-//!   yields no other traversal in between;
-//! * every procedure that passes a traversal up forwards both
-//!   `traversal` and `traversal_done` to the child that yielded it;
-//! * [`RunFor`] and [`UntilCardExceeds`] pass no traversal up, and panic
-//!   on one: its length is not known in advance, and it does not watch
-//!   `CurCard`.
+//! * every procedure that passes a held instruction up forwards both
+//!   `held` and `held_done` to the child that yielded it, and one that
+//!   interrupts on `CurCard` puts its threshold into a walk's stop: its
+//!   next poll, in the round the stop fires, then sees the rise itself;
+//! * the clock of the poll after an instruction is its rounds on, so a
+//!   procedure that counts rounds from a start clock books the
+//!   instruction as all of them;
+//! * a retrace is played from the state its traversal ended in, which the
+//!   procedure hands back inside the retrace's
+//!   [`Traversal`](crate::walk::Traversal);
+//! * [`RunFor`] passes up only a slow move whose wait fits its window,
+//!   and [`UntilCardExceeds`] passes up none: a walk or a traversal has no
+//!   length known in advance, and a held instruction hides `CurCard` from
+//!   an interruptible block. Both panic on what they refuse.
 
 use crate::obs::{Action, Obs, Poll};
-use crate::walk::{Traversal, Walk, WalkDone};
+use crate::walk::{HeldDone, Instruction};
 
 /// A resumable mobile-agent computation; see the [module docs](self) for
 /// the polling contract.
@@ -140,45 +115,23 @@ pub trait Procedure {
         false
     }
 
-    /// The wait of the [`Action::SlowMove`] the latest poll yielded, in
-    /// rounds before its move; read only right after such a poll. The
-    /// default panics: a procedure that yields or passes up slow moves
-    /// must say how long they wait.
-    fn slow_wait(&self) -> u64 {
-        panic!("a procedure yielded a slow move without a slow_wait")
+    /// The instruction the latest poll yielded as [`Action::Hold`]; read
+    /// only right after such a poll, and at most once but for a slow move,
+    /// which [`RunFor`] reads too. The default panics: a procedure that
+    /// yields or passes up held instructions must describe them.
+    fn held(&self) -> Instruction {
+        panic!("a procedure yielded Action::Hold without describing it through held()")
     }
 
-    /// The walk the latest poll yielded as [`Action::Walk`]; read only
-    /// right after such a poll. The default panics: a procedure that
-    /// yields or passes up walks must describe them.
-    fn walk(&self) -> Walk {
-        panic!("a procedure yielded a walk without describing it")
+    /// What the walk or traversal the procedure yielded observed, handed
+    /// back once it has ended, right before the procedure's next poll. The
+    /// default panics, as [`Procedure::held`]'s does.
+    fn held_done(&mut self, _done: HeldDone) {
+        panic!("a procedure that yields no walk or traversal was handed one back")
     }
 
-    /// What the walk the procedure yielded observed, handed back once the
-    /// walk has ended, right before the procedure's next poll. The default
-    /// panics, as [`Procedure::walk`]'s does.
-    fn walk_done(&mut self, _done: WalkDone) {
-        panic!("a procedure that yields no walk was handed one back")
-    }
-
-    /// The traversal the latest poll yielded as [`Action::Traverse`]; read
-    /// only right after such a poll. The default panics: a procedure that
-    /// yields or passes up traversals must describe them.
-    fn traversal(&self) -> Traversal {
-        panic!("a procedure yielded a traversal without describing it")
-    }
-
-    /// Whether the traversal the procedure yielded completed (`false`: it
-    /// stood on a node of its abort degree), handed back once it has
-    /// ended, right before the procedure's next poll. The default panics,
-    /// as [`Procedure::traversal`]'s does.
-    fn traversal_done(&mut self, _completed: bool) {
-        panic!("a procedure that yields no traversal was handed one back")
-    }
-
-    /// Maps the completion value through `f`, forwarding every promise,
-    /// the slow-move wait, the walk calls and the traversal calls. This is how a procedure
+    /// Maps the completion value through `f`, forwarding every promise and
+    /// both held-instruction calls. This is how a procedure
     /// becomes an agent: the engine runs procedures whose output is a
     /// [`Declaration`](crate::Declaration).
     ///
@@ -229,24 +182,12 @@ where
         self.inner.blind()
     }
 
-    fn slow_wait(&self) -> u64 {
-        self.inner.slow_wait()
+    fn held(&self) -> Instruction {
+        self.inner.held()
     }
 
-    fn walk(&self) -> Walk {
-        self.inner.walk()
-    }
-
-    fn walk_done(&mut self, done: WalkDone) {
-        self.inner.walk_done(done);
-    }
-
-    fn traversal(&self) -> Traversal {
-        self.inner.traversal()
-    }
-
-    fn traversal_done(&mut self, completed: bool) {
-        self.inner.traversal_done(completed);
+    fn held_done(&mut self, done: HeldDone) {
+        self.inner.held_done(done);
     }
 }
 
@@ -312,10 +253,10 @@ impl Procedure for WaitRounds {
 /// This implements the paper's pattern "execute X for exactly T consecutive
 /// rounds" (e.g. `TZ(λ)` for `D_i` rounds, Algorithm 3 line 26).
 ///
-/// An inner [`Action::SlowMove`] counts as its `w + 1` rounds. It cannot be
-/// truncated, so one whose move would fall after the last round panics.
-/// So does an inner [`Action::Walk`] or [`Action::Traverse`]: their
-/// lengths are not known in advance.
+/// An inner slow move ([`Instruction::Slow`]) counts as its `w + 1`
+/// rounds. It cannot be truncated, so one whose move would fall after the
+/// last round panics. So does any other held instruction: the length of a
+/// walk or a traversal is not known in advance.
 #[derive(Clone, Debug)]
 pub struct RunFor<P: Procedure> {
     rounds: u64,
@@ -352,21 +293,22 @@ impl<P: Procedure> Procedure for RunFor<P> {
             return Poll::Yield(Action::Wait);
         }
         match self.inner.poll(obs) {
-            Poll::Yield(a @ Action::SlowMove(_)) => {
+            Poll::Yield(Action::Hold) => {
+                let Instruction::Slow { wait, .. } = self.inner.held() else {
+                    panic!(
+                        "RunFor passes up only slow moves: a walk or a traversal has no length \
+                         known in advance, so the window could not cut it off"
+                    )
+                };
                 // One instruction for `w + 1` rounds: it must land inside
                 // the window, which cannot cut it short.
-                let wait = self.inner.slow_wait();
                 let left = end - obs.round - 1;
                 assert!(
                     wait <= left,
                     "a slow move of {wait} + 1 rounds overruns RunFor's last {left} + 1",
                 );
-                Poll::Yield(a)
+                Poll::Yield(Action::Hold)
             }
-            Poll::Yield(Action::Walk | Action::Traverse) => panic!(
-                "RunFor passes up only slow moves: a walk or a traversal has no length known \
-                 in advance, so the window could not cut it off"
-            ),
             Poll::Yield(a) => Poll::Yield(a),
             Poll::Complete(out) => {
                 self.inner_result = Some(out);
@@ -386,8 +328,8 @@ impl<P: Procedure> Procedure for RunFor<P> {
         }
     }
 
-    fn slow_wait(&self) -> u64 {
-        self.inner.slow_wait()
+    fn held(&self) -> Instruction {
+        self.inner.held()
     }
 }
 
@@ -413,10 +355,10 @@ impl<T> Interrupted<T> {
 /// and interrupt it before its completion as soon as CurCard > c"
 /// (Algorithm 3 lines 8 and 23).
 ///
-/// The inner procedure must never yield an [`Action::SlowMove`], an
-/// [`Action::Walk`] or an [`Action::Traverse`]: the engine plays them out
-/// without a poll, so a `CurCard` rise during one would interrupt the block
-/// only after it, not when it happens. Polling one panics.
+/// The inner procedure must never yield an [`Action::Hold`]: the engine
+/// plays a held instruction out without a poll, so a `CurCard` rise during
+/// one would interrupt the block only after it, not when it happens.
+/// Polling one panics.
 #[derive(Clone, Debug)]
 pub struct UntilCardExceeds<P> {
     threshold: u32,
@@ -440,10 +382,7 @@ impl<P: Procedure> Procedure for UntilCardExceeds<P> {
         }
         let poll = self.inner.poll(obs);
         assert!(
-            !matches!(
-                poll,
-                Poll::Yield(Action::SlowMove(_) | Action::Walk | Action::Traverse)
-            ),
+            !matches!(poll, Poll::Yield(Action::Hold)),
             "UntilCardExceeds passes up no slow move, walk or traversal: the engine plays \
              them without a poll, which would hide CurCard from the interruptible block"
         );
@@ -636,28 +575,37 @@ mod tests {
     }
 
     /// Yields slow moves of `wait` rounds through port 0 forever.
-    struct SlowMover {
+    struct Dawdler {
         wait: u64,
     }
 
-    impl Procedure for SlowMover {
+    impl Procedure for Dawdler {
         type Output = ();
         fn poll(&mut self, _obs: &Obs) -> Poll<()> {
-            Poll::Yield(Action::SlowMove(Port::new(0)))
+            Poll::Yield(Action::Hold)
         }
 
-        fn slow_wait(&self) -> u64 {
-            self.wait
+        fn held(&self) -> Instruction {
+            Instruction::Slow {
+                port: Port::new(0),
+                wait: self.wait,
+            }
         }
     }
 
     #[test]
     fn run_for_counts_a_slow_move_as_its_rounds() {
         // Each slow move takes rounds r..=r + 2; the next poll comes after.
-        let slow = Poll::Yield(Action::SlowMove(Port::new(0)));
-        let mut r = RunFor::new(6, SlowMover { wait: 2 });
+        let slow = Poll::Yield(Action::Hold);
+        let mut r = RunFor::new(6, Dawdler { wait: 2 });
         assert_eq!(r.poll(&at(0, 1)), slow);
-        assert_eq!(r.slow_wait(), 2);
+        assert_eq!(
+            r.held(),
+            Instruction::Slow {
+                port: Port::new(0),
+                wait: 2
+            }
+        );
         assert_eq!(r.poll(&at(3, 1)), slow);
         assert_eq!(r.poll(&at(6, 1)), Poll::Complete(None));
     }
@@ -665,7 +613,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "overruns")]
     fn run_for_rejects_a_slow_move_past_its_window() {
-        let mut r = RunFor::new(2, SlowMover { wait: 2 });
+        let mut r = RunFor::new(2, Dawdler { wait: 2 });
         let _ = r.poll(&at(0, 1));
     }
 
@@ -673,17 +621,24 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "slow move")]
     fn until_card_exceeds_never_passes_a_slow_move() {
-        let mut b = UntilCardExceeds::new(2, SlowMover { wait: 3 });
+        let mut b = UntilCardExceeds::new(2, Dawdler { wait: 3 });
         let _ = b.poll(&at(0, 1));
     }
 
-    /// Yields a walk on every poll; never asked to describe it.
+    /// Yields a walk on every poll.
     struct Walker;
 
     impl Procedure for Walker {
         type Output = ();
         fn poll(&mut self, _obs: &Obs) -> Poll<()> {
-            Poll::Yield(Action::Walk)
+            Poll::Yield(Action::Hold)
+        }
+
+        fn held(&self) -> Instruction {
+            Instruction::Walk(crate::walk::Walk {
+                steps: [1].into(),
+                stop_above: None,
+            })
         }
     }
 
@@ -697,6 +652,35 @@ mod tests {
     #[should_panic(expected = "UntilCardExceeds passes up no slow move, walk or traversal")]
     fn until_card_exceeds_refuses_a_walk() {
         let _ = UntilCardExceeds::new(2, Walker).poll(&at(0, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "yielded Action::Hold without describing it through held()")]
+    fn a_hold_must_be_described() {
+        /// Yields a held instruction it does not describe.
+        struct Holder;
+
+        impl Procedure for Holder {
+            type Output = ();
+            fn poll(&mut self, _obs: &Obs) -> Poll<()> {
+                Poll::Yield(Action::Hold)
+            }
+        }
+
+        let mut h = Holder.map(|()| ());
+        assert_eq!(h.poll(&at(0, 1)), Poll::Yield(Action::Hold));
+        let _ = h.held();
+    }
+
+    #[test]
+    #[should_panic(expected = "yields no walk or traversal was handed one back")]
+    fn only_a_walk_or_a_traversal_is_handed_back() {
+        let done = crate::walk::WalkDone {
+            min_card: 1,
+            last_card: 1,
+            changed: None,
+        };
+        Mover { left: 1 }.map(|n| n).held_done(HeldDone::Walk(done));
     }
 
     #[test]
@@ -783,12 +767,15 @@ mod tests {
         assert_eq!((w.quiet_until(), w.blind()), (2, true));
         assert_eq!(w.poll(&at(3, 1)), Poll::Complete(9));
 
-        let mut s = SlowMover { wait: 5 }.map(|()| 0u8);
+        let mut s = Dawdler { wait: 5 }.map(|()| 0u8);
+        assert_eq!(s.poll(&at(0, 1)), Poll::Yield(Action::Hold));
         assert_eq!(
-            s.poll(&at(0, 1)),
-            Poll::Yield(Action::SlowMove(Port::new(0)))
+            s.held(),
+            Instruction::Slow {
+                port: Port::new(0),
+                wait: 5
+            }
         );
-        assert_eq!(s.slow_wait(), 5);
     }
 
     #[test]

@@ -1,33 +1,63 @@
-//! The paper's `EXPLO` walk (§2) and its ball traversal (Algorithm 7) as
-//! instructions: their descriptions, the one implementation of each rule,
-//! and what they hand back.
+//! The paper's held instructions as data: the slow move (§4.1), the
+//! `EXPLO` walk (§2) and the ball traversal (Algorithm 7), the one
+//! implementation of the walk and traversal rules, and what they hand
+//! back.
 //!
-//! A procedure yields [`Action::Walk`](crate::Action::Walk) and describes
-//! the walk through [`Procedure::walk`](crate::Procedure::walk): the
-//! exploration sequence and an optional `CurCard` stop. The
-//! [`Engine`](crate::Engine) then plays every round of the walk from a
-//! [`WalkState`] without a poll, and hands the walk's observations back
-//! through [`Procedure::walk_done`](crate::Procedure::walk_done) right
-//! before the procedure's next poll. A procedure that is polled inside its
-//! walk steps the same [`WalkState`] itself (`TZ`, whose window can cut a
-//! walk off).
-//!
-//! A traversal is the same arrangement for "follow every path of length
-//! `r` over the ports `0..a`, backtracking after each":
-//! [`Action::Traverse`](crate::Action::Traverse), described through
-//! [`Procedure::traversal`](crate::Procedure::traversal) ([`Traversal`]),
-//! played by the engine from a [`TraversalState`] one slow move at a time
-//! without a poll, and handed back through
-//! [`Procedure::traversal_done`](crate::Procedure::traversal_done). The
-//! unknown-bound stack's sweeps that watch `CurCard` after each move
-//! (`EnsureCleanExploration`, `EST+`) step the same [`TraversalState`] in
-//! their own polls.
+//! A procedure yields [`Action::Hold`](crate::Action::Hold) and describes
+//! the instruction through [`Procedure::held`](crate::Procedure::held)
+//! ([`Instruction`]). The [`Engine`](crate::Engine) plays every round of
+//! it without a poll — a walk from a [`WalkState`], a traversal from a
+//! [`TraversalState`] — and hands what it observed back through
+//! [`Procedure::held_done`](crate::Procedure::held_done) ([`HeldDone`])
+//! right before the procedure's next poll. A procedure that must be polled
+//! inside its walk or traversal steps the same state itself: `TZ`, whose
+//! window can cut a walk off, and the unknown-bound sweeps that watch
+//! `CurCard` after each move (`EnsureCleanExploration`, `EST+`).
 
 use std::sync::Arc;
 
 use nochatter_graph::Port;
 
 use crate::paths::Paths;
+
+/// A held instruction, as a procedure describes it through
+/// [`Procedure::held`](crate::Procedure::held).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Instruction {
+    /// The paper's slow move: wait `wait` rounds whatever is observed, then
+    /// take `port`. Yielded in round `r`, the move is made in round
+    /// `r + wait`, so the instruction stands for `wait + 1` rounds. It
+    /// hands nothing back.
+    Slow {
+        /// The port to take.
+        port: Port,
+        /// The rounds to wait before the move.
+        wait: u64,
+    },
+    /// An `EXPLO` walk; hands back a [`HeldDone::Walk`].
+    Walk(Walk),
+    /// A ball traversal or its retrace; hands back a
+    /// [`HeldDone::Traverse`].
+    Traverse(Traversal),
+}
+
+/// What a held walk or traversal observed, handed back through
+/// [`Procedure::held_done`](crate::Procedure::held_done) once it has
+/// ended.
+#[derive(Debug, PartialEq, Eq)]
+pub enum HeldDone {
+    /// What the walk observed.
+    Walk(WalkDone),
+    /// How the traversal ended.
+    Traverse {
+        /// `true` if it walked every path (a retrace always does), `false`
+        /// if it stood on a node of its abort degree.
+        completed: bool,
+        /// The state it ended in, which its retrace walks back
+        /// ([`Traversal::retrace`]).
+        state: Box<TraversalState>,
+    },
+}
 
 /// A walk to play: the effective part over `steps`, then the backtrack.
 ///
@@ -48,8 +78,7 @@ pub struct Walk {
     pub stop_above: Option<u32>,
 }
 
-/// What a walk observed, handed back through
-/// [`Procedure::walk_done`](crate::Procedure::walk_done).
+/// What a walk observed, handed back as [`HeldDone::Walk`].
 ///
 /// The walk's observations are those of its move rounds: the round it was
 /// yielded in and every round it moved or re-attempted a blocked move in.
@@ -184,7 +213,7 @@ impl WalkState {
 /// forward and back. It stands only on nodes that traversal stood on, so
 /// it has no degree abort, and it ends on the start node after as many
 /// moves.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Traversal {
     /// The alphabet: paths use the ports `0..alpha`.
     pub alpha: u32,
@@ -196,8 +225,10 @@ pub struct Traversal {
     /// traversal: every move is a slow move (§4.1). A procedure stepping
     /// a [`TraversalState`] itself moves when it likes.
     pub wait: u64,
-    /// Walk the previous traversal back instead of starting afresh.
-    pub retrace: bool,
+    /// The state the traversal before this one ended in, handed back in
+    /// its [`HeldDone::Traverse`]: walk that traversal back instead of
+    /// starting afresh.
+    pub retrace: Option<Box<TraversalState>>,
 }
 
 /// One step of a traversal.
@@ -220,9 +251,14 @@ pub enum TraversalStep {
 /// It holds the path enumeration and the entry ports of the current path
 /// only: O(`radius`) words however many moves the traversal makes. After
 /// a traversal has ended, the state is what its retrace starts from.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TraversalState {
-    traversal: Option<Traversal>,
+    alpha: u32,
+    radius: u32,
+    /// The degree that ends the traversal; `u32::MAX` on a retrace.
+    abort_degree: u32,
+    wait: u64,
+    retrace: bool,
     paths: Paths,
     /// The index of the next forward move within the current path.
     i: usize,
@@ -235,38 +271,54 @@ pub struct TraversalState {
 
 impl TraversalState {
     /// Starts `traversal`; its first [`TraversalStep`] comes from the next
-    /// [`TraversalState::step`], on the observation of the start node.
+    /// [`TraversalState::step`], on the observation of the start node. A
+    /// retrace starts from the state it carries.
     ///
     /// # Panics
     ///
     /// Panics if `traversal` is a retrace of anything but a traversal of
     /// the same paths, or if it has an empty alphabet and a positive radius.
-    pub fn start(&mut self, traversal: Traversal) {
-        if traversal.retrace {
-            let before = self.traversal.filter(|t| !t.retrace);
-            assert!(
-                before.is_some_and(|t| (t.alpha, t.radius) == (traversal.alpha, traversal.radius)),
-                "a retrace walks back the traversal of the same paths before it"
-            );
-            self.forward = false;
-        } else {
-            self.paths = Paths::new(traversal.alpha, traversal.radius);
-            self.paths.next_path();
-            self.i = 0;
-            self.entries.clear();
-            self.forward = true;
+    pub fn new(traversal: Traversal) -> Self {
+        let Traversal {
+            alpha,
+            radius,
+            abort_degree,
+            wait,
+            retrace,
+        } = traversal;
+        let Some(before) = retrace else {
+            let mut paths = Paths::new(alpha, radius);
+            paths.next_path();
+            return TraversalState {
+                alpha,
+                radius,
+                abort_degree,
+                wait,
+                retrace: false,
+                paths,
+                i: 0,
+                entries: Vec::new(),
+                forward: true,
+                pending: None,
+            };
+        };
+        assert!(
+            !before.retrace && (before.alpha, before.radius) == (alpha, radius),
+            "a retrace walks back the traversal of the same paths before it"
+        );
+        TraversalState {
+            abort_degree: u32::MAX,
+            wait,
+            retrace: true,
+            forward: false,
+            pending: None,
+            ..*before
         }
-        self.traversal = Some(traversal);
-        self.pending = None;
     }
 
     /// The slow wait of the traversal under way.
     pub(crate) fn wait(&self) -> u64 {
-        self.traversal().wait
-    }
-
-    fn traversal(&self) -> Traversal {
-        self.traversal.expect("a traversal was started")
+        self.wait
     }
 
     /// The next step, on the observation of the node the agent stands on:
@@ -292,10 +344,9 @@ impl TraversalState {
     }
 
     fn next(&mut self, degree: u32) -> TraversalStep {
-        let traversal = self.traversal();
         loop {
             if self.forward {
-                if !traversal.retrace && degree >= traversal.abort_degree {
+                if degree >= self.abort_degree {
                     return TraversalStep::Done(false);
                 }
                 match self.paths.current().get(self.i) {
@@ -317,7 +368,7 @@ impl TraversalState {
                 };
             } else {
                 // Back on the start node: the next path.
-                let next = if traversal.retrace {
+                let next = if self.retrace {
                     self.paths.prev_path()
                 } else {
                     self.paths.next_path()
@@ -399,13 +450,20 @@ mod tests {
         assert_eq!(w.done().last_card, 2);
     }
 
-    fn traversal(radius: u32, abort_degree: u32, retrace: bool) -> Traversal {
+    fn traversal(radius: u32, abort_degree: u32) -> Traversal {
         Traversal {
             alpha: 2,
             radius,
             abort_degree,
             wait: 0,
-            retrace,
+            retrace: None,
+        }
+    }
+
+    fn retrace(before: TraversalState) -> Traversal {
+        Traversal {
+            retrace: Some(Box::new(before)),
+            ..traversal(2, 3)
         }
     }
 
@@ -419,8 +477,7 @@ mod tests {
     #[test]
     fn a_traversal_walks_every_path_out_and_back() {
         // Degree 3 everywhere; each move enters by port 2.
-        let mut t = TraversalState::default();
-        t.start(traversal(1, u32::MAX, false));
+        let mut t = TraversalState::new(traversal(1, u32::MAX));
         let e = Some(Port::new(2));
         assert_eq!(t.step(3, None, false), mv(0, true));
         assert_eq!(t.step(3, e, false), mv(2, false));
@@ -432,8 +489,7 @@ mod tests {
     #[test]
     fn a_missing_port_ends_the_path_and_a_blocked_move_is_returned_again() {
         // Degree 1 everywhere: path [1] has no port to take.
-        let mut t = TraversalState::default();
-        t.start(traversal(1, u32::MAX, false));
+        let mut t = TraversalState::new(traversal(1, u32::MAX));
         let e = Some(Port::new(0));
         assert_eq!(t.step(1, None, false), mv(0, true));
         // Blocked: nothing recorded, the same move again.
@@ -447,8 +503,7 @@ mod tests {
     fn an_abort_is_retraced_from_its_half_walked_path() {
         // Degree 2 at the start, then 3: path [0, 0] is walked out and
         // back, path [0, 1] aborts after its first move (3 >= 3).
-        let mut t = TraversalState::default();
-        t.start(traversal(2, 3, false));
+        let mut t = TraversalState::new(traversal(2, 3));
         let (p, q) = (Some(Port::new(0)), Some(Port::new(1)));
         assert_eq!(t.step(2, None, false), mv(0, true));
         assert_eq!(t.step(2, p, false), mv(0, true));
@@ -458,7 +513,7 @@ mod tests {
         assert_eq!(t.step(3, p, false), TraversalStep::Done(false));
         // The retrace backtracks the aborted path, then walks [0, 0] out
         // and back, with no abort.
-        t.start(traversal(2, 3, true));
+        let mut t = TraversalState::new(retrace(t));
         assert_eq!(t.step(3, p, false), mv(0, false));
         assert_eq!(t.step(2, None, false), mv(0, true));
         assert_eq!(t.step(3, p, false), mv(0, true));
@@ -470,6 +525,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "a retrace walks back")]
     fn a_retrace_needs_the_traversal_before_it() {
-        TraversalState::default().start(traversal(2, 3, true));
+        TraversalState::new(retrace(TraversalState::default()));
     }
 }

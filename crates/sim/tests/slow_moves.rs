@@ -1,9 +1,9 @@
-//! `Action::SlowMove` is exactly the wait-then-move it stands for.
+//! A held slow move is exactly the wait-then-move it stands for.
 //!
 //! The engine holds a slow move: it answers the wait itself and makes the
 //! move in its due round without polling the procedure. These tests run
-//! random procedures twice: once yielding `SlowMove(port)` with a
-//! `slow_wait` of `wait`, once expanded into a [`WaitRounds`] of `wait`
+//! random procedures twice: once yielding `Action::Hold` described as
+//! `Instruction::Slow { port, wait }`, once expanded into a [`WaitRounds`] of `wait`
 //! rounds followed by `TakePort(port)`. The two runs must agree on
 //! everything the engine reports: status, rounds, declarations, crashes,
 //! moves, blocked moves, executed and fast-forwarded rounds, and the trace
@@ -22,6 +22,7 @@ use nochatter_graph::generators::{self, Family};
 use nochatter_graph::rng::derive_seed;
 use nochatter_graph::{Graph, Label, NodeId, Port};
 use nochatter_sim::proc::{Procedure, WaitRounds};
+use nochatter_sim::walk::Instruction;
 use nochatter_sim::{
     Action, CrashPoint, Declaration, Engine, FaultSpec, Obs, Poll, RunOutcome, ScriptedRing,
     TopologySpec, TraceEvent, WakeSchedule,
@@ -49,13 +50,13 @@ struct Walker {
     steps: Vec<Step>,
     next: usize,
     /// Whether `Step::Slow` is written as a wait and a move instead of one
-    /// `Action::SlowMove`.
+    /// held slow move.
     expand: bool,
     /// The expanded form's slow move in progress: its wait, then its port.
     waiting: Option<(WaitRounds, Port)>,
     pause: WaitRounds,
-    /// The wait of the latest `Action::SlowMove`.
-    slow_wait: u64,
+    /// The latest held slow move.
+    slow: Instruction,
     seen: u64,
     /// Slow moves with a positive wait, shared by a run's walkers: the
     /// slow form counts the ones it yields, the expanded form the ones
@@ -72,7 +73,10 @@ impl Walker {
             expand,
             waiting: None,
             pause: WaitRounds::new(0),
-            slow_wait: 0,
+            slow: Instruction::Slow {
+                port: Port::new(0),
+                wait: 0,
+            },
             seen: 0,
             slow_moves: Rc::clone(slow_moves),
         }
@@ -137,11 +141,14 @@ impl Procedure for Walker {
                     return Poll::Yield(Action::TakePort(port(p)));
                 }
                 Step::Slow(wait, p) => {
-                    self.slow_wait = wait;
+                    self.slow = Instruction::Slow {
+                        port: port(p),
+                        wait,
+                    };
                     if wait > 0 {
                         self.count_slow_move();
                     }
-                    return Poll::Yield(Action::SlowMove(port(p)));
+                    return Poll::Yield(Action::Hold);
                 }
             }
         }
@@ -159,8 +166,8 @@ impl Procedure for Walker {
         true
     }
 
-    fn slow_wait(&self) -> u64 {
-        self.slow_wait
+    fn held(&self) -> Instruction {
+        self.slow.clone()
     }
 }
 

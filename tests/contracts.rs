@@ -14,7 +14,7 @@ use nochatter::explore::Uxs;
 use nochatter::graph::{generators, Label, NodeId, Port};
 use nochatter::rendezvous::{meeting_bound, Tz};
 use nochatter::sim::proc::{Procedure, UntilCardExceeds};
-use nochatter::sim::walk::{Walk, WalkDone};
+use nochatter::sim::walk::{HeldDone, Instruction};
 use nochatter::sim::{Action, Declaration, Engine, Obs, Poll, WakeSchedule};
 
 fn label(v: u64) -> Label {
@@ -41,12 +41,12 @@ impl Procedure for Member {
         })
     }
 
-    fn walk(&self) -> Walk {
-        self.comm.walk()
+    fn held(&self) -> Instruction {
+        self.comm.held()
     }
 
-    fn walk_done(&mut self, done: WalkDone) {
-        self.comm.walk_done(done);
+    fn held_done(&mut self, done: HeldDone) {
+        self.comm.held_done(done);
     }
 }
 

@@ -4,18 +4,18 @@
 //! Every round, in order: crashes, adversary wake-ups, occupancy by a
 //! plain count over all agents, wake-on-visit, a poll of every executing
 //! agent, then the simultaneous application of the acts under the
-//! topology view. A slow move is played as its expansion: `w` rounds in
-//! which the agent waits without a poll, then the move. A walk is played
-//! as its expansion too: one step of [`RefWalk`] per round, without a
-//! poll, then `walk_done` and a poll in the round it ends in. So is a
-//! traversal: a step of [`RefTraversal`] in the round after each move,
-//! without a poll, its moves played as slow moves (a blocked one again at
-//! once), then `traversal_done` and a poll in the round after its last
-//! move, or in its own round if it made none. The loop reads no promise
-//! and skips no round, so comparing it with the engine checks the
-//! engine's fast-forward, its choice of whom to poll, its held slow moves,
-//! its held walks and its held traversals against the rules they stand
-//! for.
+//! topology view. A held instruction (`Action::Hold`) is played as its
+//! expansion, each kind written out on its own. A slow move: `w` rounds in
+//! which the agent waits without a poll, then the move, then a poll in the
+//! round after. A walk: one step of [`RefWalk`] per round, without a poll,
+//! then `held_done` and a poll in the round it ends in. A traversal: a
+//! step of [`RefTraversal`] in the round after each move, without a poll,
+//! its moves played as slow moves (a blocked one again at once), then
+//! `held_done` and a poll in the round after its last move, or in its own
+//! round if it made none. The loop reads no promise and skips no round,
+//! so comparing it with the engine checks the engine's fast-forward, its
+//! choice of whom to poll and its one held-instruction rule against the
+//! rules it stands for.
 //!
 //! It shares no code with the engine beyond the public types: wake rounds
 //! come from [`WakeSchedule::wake_rounds`], crash rounds from
@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use nochatter::graph::dynamic::TopologyView;
 use nochatter::graph::{Graph, Label, NodeId, Port};
-use nochatter::sim::walk::{Walk, WalkDone};
+use nochatter::sim::walk::{HeldDone, Instruction, Walk, WalkDone};
 
 use nochatter::sim::{
     Action, Agent, AgentPhase, DeclarationRecord, FaultSpec, Obs, Poll, RunOutcome, RunStatus,
@@ -261,7 +261,7 @@ pub fn play<V: TopologyView>(
                         continue;
                     }
                     None => {
-                        procs[i].walk_done(walk.done());
+                        procs[i].held_done(HeldDone::Walk(walk.done()));
                         walks[i] = None;
                     }
                 }
@@ -278,7 +278,7 @@ pub fn play<V: TopologyView>(
                         continue;
                     }
                     Err(completed) => {
-                        procs[i].traversal_done(completed);
+                        procs[i].held_done(traversal_ended(completed));
                         traversed[i] = traversing[i].take();
                     }
                 }
@@ -302,35 +302,34 @@ pub fn play<V: TopologyView>(
             };
             out.polled_agent_rounds += 1;
             let mut act = procs[i].poll(&obs);
-            while let Poll::Yield(Action::Traverse) = act {
-                let mut traversal =
-                    RefTraversal::start(procs[i].traversal(), traversed[i].as_ref());
-                match traversal.step(obs.degree, obs.entry_port, false) {
-                    Ok(port) => {
-                        act = Poll::Yield(hold(&mut slow[i], round, traversal.wait(), port));
-                        traversing[i] = Some(traversal);
+            while let Poll::Yield(Action::Hold) = act {
+                act = match procs[i].held() {
+                    Instruction::Slow { port, wait } => {
+                        Poll::Yield(hold(&mut slow[i], round, wait, port))
                     }
-                    Err(completed) => {
-                        // No move: handed back, and polled again at once.
-                        procs[i].traversal_done(completed);
-                        traversed[i] = Some(traversal);
-                        act = procs[i].poll(&obs);
+                    Instruction::Walk(walk) => {
+                        let (walk, port) = RefWalk::start(walk, obs.degree, obs.cur_card);
+                        walks[i] = Some(walk);
+                        Poll::Yield(Action::TakePort(port))
                     }
-                }
-            }
-            if let Poll::Yield(Action::SlowMove(port)) = act {
-                act = Poll::Yield(match procs[i].slow_wait() {
-                    0 => Action::TakePort(port),
-                    wait => {
-                        slow[i] = Some((round + wait, port));
-                        Action::Wait
+                    Instruction::Traverse(traversal) => {
+                        let mut traversal = RefTraversal::start(traversal, traversed[i].as_ref());
+                        match traversal.step(obs.degree, obs.entry_port, false) {
+                            Ok(port) => {
+                                let wait = traversal.wait();
+                                traversing[i] = Some(traversal);
+                                Poll::Yield(hold(&mut slow[i], round, wait, port))
+                            }
+                            Err(completed) => {
+                                // No move: handed back, and polled again
+                                // at once.
+                                procs[i].held_done(traversal_ended(completed));
+                                traversed[i] = Some(traversal);
+                                procs[i].poll(&obs)
+                            }
+                        }
                     }
-                });
-            }
-            if let Poll::Yield(Action::Walk) = act {
-                let (walk, port) = RefWalk::start(procs[i].walk(), obs.degree, obs.cur_card);
-                walks[i] = Some(walk);
-                act = Poll::Yield(Action::TakePort(port));
+                };
             }
             (phase[i], just_woken[i]) = (AgentPhase::Active, false);
             acts[i] = Some(act);
@@ -373,9 +372,7 @@ pub fn play<V: TopologyView>(
                         }
                     }
                 }
-                Some(Poll::Yield(Action::SlowMove(_) | Action::Walk | Action::Traverse)) => {
-                    unreachable!("resolved at the poll")
-                }
+                Some(Poll::Yield(Action::Hold)) => unreachable!("resolved at the poll"),
                 Some(Poll::Complete(declaration)) => {
                     declared[i] = Some(DeclarationRecord {
                         round,
@@ -416,6 +413,16 @@ pub fn play<V: TopologyView>(
         events,
         model_rounds: round,
     })
+}
+
+/// A traversal's result. The reference keeps the traversals it played
+/// itself, so it hands back an empty engine state, which a retrace only
+/// carries back to it.
+fn traversal_ended(completed: bool) -> HeldDone {
+    HeldDone::Traverse {
+        completed,
+        state: Box::default(),
+    }
 }
 
 /// A slow move through `port` decided in `round` after a wait of `wait`

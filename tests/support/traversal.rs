@@ -9,7 +9,10 @@ use nochatter::sim::walk::Traversal;
 /// A traversal under way by the rule of [`Traversal`], stepped on each
 /// arrival.
 pub struct RefTraversal {
+    /// The description, less the engine's state a retrace carries: the
+    /// reference undoes its own log instead.
     traversal: Traversal,
+    retrace: bool,
     /// The path being walked; `None` once every path has been walked.
     path: Option<Vec<u32>>,
     /// The entry ports of the moves out along `path` that went through.
@@ -28,14 +31,19 @@ impl RefTraversal {
     /// Starts `traversal`; a retrace undoes the moves of `before`, the
     /// traversal before it.
     pub fn start(traversal: Traversal, before: Option<&RefTraversal>) -> Self {
-        let undo = if traversal.retrace {
+        let retrace = traversal.retrace.is_some();
+        let undo = if retrace {
             before.expect("a retrace follows a traversal").log.clone()
         } else {
             Vec::new()
         };
         RefTraversal {
-            traversal,
             path: Some(vec![0; traversal.radius as usize]),
+            traversal: Traversal {
+                retrace: None,
+                ..traversal
+            },
+            retrace,
             out: Vec::new(),
             returning: false,
             log: Vec::new(),
@@ -66,13 +74,13 @@ impl RefTraversal {
         }
         let next = self.decide(degree);
         if let Ok(port) = next {
-            self.attempt = Some((port, !self.returning && !self.traversal.retrace));
+            self.attempt = Some((port, !self.returning && !self.retrace));
         }
         next
     }
 
     fn decide(&mut self, degree: u32) -> Result<Port, bool> {
-        if self.traversal.retrace {
+        if self.retrace {
             return self.undo.pop().ok_or(true);
         }
         loop {

@@ -13,11 +13,12 @@ use proptest::prelude::*;
 
 use nochatter::core::unknown::{
     run_unknown, BallTraversal, ConfigEnumeration, EstMode, ExhaustiveEnumeration,
-    GatherUnknownUpperBound, Hypothesis, PositionTracker, SharedTracker, SliceEnumeration,
-    UnknownOptions, UnknownSchedule,
+    GatherUnknownUpperBound, Hypothesis, PositionTracker, SliceEnumeration, UnknownOptions,
+    UnknownSchedule,
 };
 use nochatter::graph::{generators, Graph, InitialConfiguration, Label, NodeId, Port};
 use nochatter::sim::proc::Procedure;
+use nochatter::sim::walk::{HeldDone, Instruction};
 use nochatter::sim::{
     Action, Declaration, Engine, Obs, Poll, RunOutcome, RunStatus, Trace, WakeSchedule,
 };
@@ -312,25 +313,24 @@ const BLIND_PROBE: u64 = 64;
 /// Drives twin procedures as the engine runs an agent, as a lone agent
 /// walking `graph` from `start`: every real poll sees the node's degree,
 /// the true entry port and `CurCard` 1, and both twins must answer it
-/// alike and complete with the same output. A slow move is held as the
-/// engine holds it: both twins report the same wait `w`, nothing reaches
-/// either of them for `w` rounds, and the move is made in the last one;
-/// a wait of two rounds or more is a blind promise before its move round,
-/// and is recorded as probed (the engine's own tests feed such waits
-/// noisy rounds). A traversal is played as the engine plays it, by
-/// [`RefTraversal`]: both twins describe the same one, nothing reaches
-/// either of them until it ends, every move is a slow move decided in the
-/// round after the move before (recorded as probed in the same way), and
-/// both are handed its result back, then polled in that round, or in the
-/// round they yielded it in if it made no move. Whenever a poll leaves a
-/// blind promise of the procedure itself, `a` is polled through its first
+/// alike and complete with the same output. A held instruction is
+/// described by both twins alike ([`Procedure::held`]) and played as the
+/// engine plays it, written out here. A slow move: nothing reaches either
+/// twin for its wait `w`, and the move is made in the last round; a wait
+/// of two rounds or more is a blind promise before its move round, and is
+/// recorded as probed (the engine's own tests feed such waits noisy
+/// rounds). A traversal, by [`RefTraversal`]: nothing reaches either twin
+/// until it ends, every move is a slow move decided in the round after
+/// the move before (recorded as probed in the same way), and both are
+/// handed its result back, then polled in that round, or in the round
+/// they yielded it in if it made no move. Whenever a poll leaves a blind
+/// promise of the procedure itself, `a` is polled through its first
 /// `BLIND_PROBE` rounds at most on observations with random `CurCard`s and
 /// entry ports, and must wait in each and keep promising the same last
 /// round, while `b` skips the whole promise; non-blind promises are
-/// skipped by both. `on_move` sees every move but a traversal's, as the
-/// position oracle of `GatherUnknownUpperBound` does. Stops after
-/// `max_polls` real polls and traversal moves, or on completion, and
-/// returns the round at which each probed promise began.
+/// skipped by both. Stops after `max_polls` real polls and traversal
+/// moves, or on completion, and returns the round at which each probed
+/// promise began.
 fn check_blind_twins<P>(
     mut a: P,
     mut b: P,
@@ -338,7 +338,6 @@ fn check_blind_twins<P>(
     start: NodeId,
     noise: &[u32],
     max_polls: usize,
-    mut on_move: impl FnMut(Port),
 ) -> Vec<u64>
 where
     P: Procedure,
@@ -349,6 +348,12 @@ where
     let mut probed = Vec::new();
     // The traversal under way, and the latest one that ended.
     let (mut traversing, mut traversed) = (None::<RefTraversal>, None::<RefTraversal>);
+    // Its result, handed back to both twins; the reference keeps its own
+    // log for a retrace, so the engine state it carries back is empty.
+    let done = |completed| HeldDone::Traverse {
+        completed,
+        state: Box::default(),
+    };
     for _ in 0..max_polls {
         let degree = graph.degree(pos);
         // The held traversal's next move, decided in the round after the
@@ -358,8 +363,8 @@ where
             match held.step(degree, entry, false) {
                 Ok(p) => held_move = Some((p, held.wait())),
                 Err(completed) => {
-                    a.traversal_done(completed);
-                    b.traversal_done(completed);
+                    a.held_done(done(completed));
+                    b.held_done(done(completed));
                     traversed = traversing.take();
                 }
             }
@@ -369,29 +374,45 @@ where
             let output = |out: P::Output| format!("{out:?}");
             let (x, y) = (a.poll(&real).map(output), b.poll(&real).map(output));
             assert_eq!(x, y, "twins diverged in round {round}");
-            if x != Poll::Yield(Action::Traverse) {
+            let description = (x == Poll::Yield(Action::Hold)).then(|| {
+                let description = a.held();
+                assert_eq!(description, b.held(), "round {round}");
+                description
+            });
+            if let Some(Instruction::Traverse(traversal)) = description {
+                let wait = traversal.wait;
+                let mut held = RefTraversal::start(traversal, traversed.as_ref());
+                match held.step(degree, entry, false) {
+                    Ok(p) => {
+                        held_move = Some((p, wait));
+                        traversing = Some(held);
+                    }
+                    Err(completed) => {
+                        // No move: handed back, and polled again in this round.
+                        a.held_done(done(completed));
+                        b.held_done(done(completed));
+                        traversed = Some(held);
+                        continue;
+                    }
+                }
+            } else {
                 round += 1;
-                let port = match x {
-                    Poll::Complete(_) => break,
-                    Poll::Yield(Action::Wait) => None,
-                    Poll::Yield(Action::TakePort(p)) => Some(p),
-                    Poll::Yield(Action::SlowMove(p)) => {
-                        let w = a.slow_wait();
-                        assert_eq!(w, b.slow_wait(), "round {round}");
-                        if w > 1 {
+                let port = match (x, description) {
+                    (Poll::Complete(_), _) => break,
+                    (Poll::Yield(Action::Wait), _) => None,
+                    (Poll::Yield(Action::TakePort(p)), _) => Some(p),
+                    (_, Some(Instruction::Slow { port, wait })) => {
+                        if wait > 1 {
                             probed.push(round);
                         }
-                        round += w;
-                        Some(p)
+                        round += wait;
+                        Some(port)
                     }
-                    Poll::Yield(Action::Walk | Action::Traverse) => {
-                        unreachable!("the unknown-bound stack makes no walks")
-                    }
+                    _ => unreachable!("the unknown-bound stack makes no walks"),
                 };
                 if let Some(p) = port {
                     let (to, back) = graph.neighbor(pos, p).expect("moves stay on the graph");
                     (pos, entry) = (to, Some(back));
-                    on_move(p);
                     continue;
                 }
                 let quiet = a.quiet_until();
@@ -413,22 +434,6 @@ where
                 }
                 round = round.max(quiet.saturating_add(1));
                 continue;
-            }
-            let description = a.traversal();
-            assert_eq!(description, b.traversal(), "round {round}");
-            let mut held = RefTraversal::start(description, traversed.as_ref());
-            match held.step(degree, entry, false) {
-                Ok(p) => {
-                    held_move = Some((p, description.wait));
-                    traversing = Some(held);
-                }
-                Err(completed) => {
-                    // No move: handed back, and polled again in this round.
-                    a.traversal_done(completed);
-                    b.traversal_done(completed);
-                    traversed = Some(held);
-                    continue;
-                }
             }
         }
         // A traversal's slow move: its wait, then the move.
@@ -484,7 +489,6 @@ proptest! {
             start,
             &noise,
             2_000,
-            |_| {},
         );
         prop_assert_eq!(
             probed.first().copied(),
@@ -492,23 +496,16 @@ proptest! {
             "a ball that does not abort at once starts with a probed slow move"
         );
 
+        // Each twin replays its own moves into its position oracle.
         let twin = || {
-            let tracker = PositionTracker::new(Arc::clone(&graph), start);
-            let hypothesis = Hypothesis::new(
+            Hypothesis::new(
                 schedule.enumeration().get(h).clone(),
                 hs.clone(),
                 label(agent),
                 EstMode::Conservative,
-                SharedTracker::clone(&tracker),
-            );
-            (hypothesis, tracker)
+                PositionTracker::new(Arc::clone(&graph), start),
+            )
         };
-        let ((a, a_tracker), (b, b_tracker)) = (twin(), twin());
-        check_blind_twins(a, b, &graph, start, &noise, 2_000, |p| {
-            // The position oracle replays every move, as the gathering
-            // procedure does.
-            a_tracker.borrow_mut().apply(p);
-            b_tracker.borrow_mut().apply(p);
-        });
+        check_blind_twins(twin(), twin(), &graph, start, &noise, 2_000);
     }
 }
