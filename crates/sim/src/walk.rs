@@ -294,12 +294,9 @@ impl TraversalState {
                 radius,
                 abort_degree,
                 wait,
-                retrace: false,
                 paths,
-                i: 0,
-                entries: Vec::new(),
                 forward: true,
-                pending: None,
+                ..TraversalState::default()
             };
         };
         assert!(
