@@ -238,13 +238,13 @@ impl AgentArena {
                 (round.saturating_add(wait), port)
             }
             Instruction::Walk(walk) => {
-                let mut state = match std::mem::take(&mut held.rule) {
-                    Rule::Walk(last) => last,
-                    _ => WalkState::default(),
+                if !matches!(held.rule, Rule::Walk(_)) {
+                    held.rule = Rule::Walk(WalkState::default());
+                }
+                let Rule::Walk(state) = &mut held.rule else {
+                    unreachable!("the rule was just set")
                 };
-                let port = state.start(walk, obs.degree, obs.cur_card);
-                held.rule = Rule::Walk(state);
-                (round, port)
+                (round, state.start(walk, obs.degree, obs.cur_card))
             }
             Instruction::Traverse(traversal) => {
                 let mut state = Box::new(TraversalState::new(traversal));
@@ -679,50 +679,52 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
         let moved = std::mem::take(&mut self.moved);
         let mut visited = false;
         let mut quiet = u64::MAX;
-        for i in 0..self.engine.agents.len() {
+        'agents: for i in 0..self.engine.agents.len() {
             if moved {
                 visited |= self.after_move(i, round, card);
             }
-            let agents = &mut self.engine.agents;
-            let due = agents.due[i];
-            if weak && due > round {
-                quiet = quiet.min(due);
-                #[cfg(debug_assertions)]
-                self.check_promise(i, round, card);
-                continue;
-            }
-            if !agents.phase[i].is_executing() {
-                continue;
-            }
-            let act = match agents.held[i].next {
-                Next::Nothing => match self.poll_agent(i, round, card, labels) {
-                    (Poll::Yield(Action::Wait), until) => {
-                        quiet = quiet.min(until);
-                        continue;
-                    }
-                    (act, _) => act,
-                },
-                Next::Move { at, .. } if at > round => {
-                    // A held wait answers itself; the agent is due in it
-                    // as its expansion would be polled, and it counts as
-                    // a poll.
-                    self.stats.polled_agent_rounds += 1;
-                    agents.due[i] = at - 1;
-                    quiet = quiet.min(at - 1);
-                    continue;
+            // A step that does not move the agent now changes only what
+            // it holds: the agent is then treated by that, in this round.
+            let act = loop {
+                let agents = &mut self.engine.agents;
+                let due = agents.due[i];
+                if weak && due > round {
+                    quiet = quiet.min(due);
+                    #[cfg(debug_assertions)]
+                    self.check_promise(i, round, card);
+                    continue 'agents;
                 }
-                Next::Move { port, .. } => {
-                    agents.held[i].next = Next::Step;
-                    agents.due[i] = round;
-                    Poll::Yield(Action::TakePort(port))
+                if !agents.phase[i].is_executing() {
+                    continue 'agents;
                 }
-                Next::Step => match self.step_held(i, round, card, labels) {
-                    (Poll::Yield(Action::Wait), until) => {
-                        quiet = quiet.min(until);
-                        continue;
+                match agents.held[i].next {
+                    Next::Nothing => match self.poll_agent(i, round, card, labels) {
+                        (Poll::Yield(Action::Wait), until) => {
+                            quiet = quiet.min(until);
+                            continue 'agents;
+                        }
+                        (act, _) => break act,
+                    },
+                    Next::Move { at, .. } if at > round => {
+                        // A held wait answers itself; the agent is due in
+                        // it as its expansion would be polled, and it
+                        // counts as a poll.
+                        self.stats.polled_agent_rounds += 1;
+                        agents.due[i] = at - 1;
+                        quiet = quiet.min(at - 1);
+                        continue 'agents;
                     }
-                    (act, _) => act,
-                },
+                    Next::Move { port, .. } => {
+                        agents.held[i].next = Next::Step;
+                        agents.due[i] = round;
+                        break Poll::Yield(Action::TakePort(port));
+                    }
+                    Next::Step => {
+                        if let Some(port) = self.step_held(i, round, card) {
+                            break Poll::Yield(Action::TakePort(port));
+                        }
+                    }
+                }
             };
             acts.push((i, act));
         }
@@ -906,72 +908,59 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
 
     /// Steps agent `i`'s held instruction in `round`, the round after its
     /// latest move (or blocked attempt), on the observation the agent
-    /// would get, and returns the act and promise as
-    /// [`ActiveRun::poll_agent`] does. The next move is the act if it is
-    /// due now (always after a blocked attempt), else it is held `w`
-    /// rounds on and the act is a wait. If the instruction has ended, what
-    /// it observed is handed back and the procedure is polled in this
-    /// round. The step itself is not a poll. Out of line: it stands in for
-    /// a poll.
+    /// would get. Returns the next move's port if it is due in this round
+    /// (always after a blocked attempt); a later move is held for its
+    /// round. Or the instruction has ended: what it observed is handed
+    /// back, and the agent holds nothing, so the round loop polls it in
+    /// this round. The step itself is not a poll. Out of line: it stands
+    /// in for a poll.
     #[inline(never)]
-    fn step_held(
-        &mut self,
-        i: usize,
-        round: u64,
-        card: &[u32],
-        peers: &mut Vec<Label>,
-    ) -> (Poll<Declaration>, u64) {
+    fn step_held(&mut self, i: usize, round: u64, card: &[u32]) -> Option<Port> {
         let agents = &mut self.engine.agents;
         let pos = agents.pos[i];
         let degree = self.engine.graph.degree(pos);
         let entry = agents.entry_port[i];
         let blocked = agents.phase[i] == AgentPhase::Blocked;
         let held = &mut agents.held[i];
-        let (next, done) = match &mut held.rule {
-            Rule::Slow => (None, None),
+        // A move sets the agent `Active`: the instruction has seen a blocked
+        // attempt, as a poll would have.
+        let done = match &mut held.rule {
+            Rule::Slow => None,
             Rule::Walk(walk) => {
                 let clock = round - agents.woke[i];
                 match walk.step(degree, card[pos.index()], entry, blocked, clock) {
-                    Some(port) => (Some((round, port)), None),
-                    None => (None, Some(HeldDone::Walk(walk.done()))),
+                    Some(port) => {
+                        agents.phase[i] = AgentPhase::Active;
+                        return Some(port);
+                    }
+                    None => Some(HeldDone::Walk(walk.done())),
                 }
             }
             Rule::Traverse(state) => match state.step(degree, entry, blocked) {
                 TraversalStep::Move { port, .. } => {
+                    agents.phase[i] = AgentPhase::Active;
                     let wait = if blocked { 0 } else { state.wait() };
-                    (Some((round.saturating_add(wait), port)), None)
+                    if wait == 0 {
+                        return Some(port);
+                    }
+                    let at = round.saturating_add(wait);
+                    held.next = Next::Move { at, port };
+                    agents.due[i] = at - 1;
+                    return None;
                 }
                 TraversalStep::Done(completed) => {
                     let Rule::Traverse(state) = std::mem::take(&mut held.rule) else {
                         unreachable!("a traversal is under way")
                     };
-                    (None, Some(HeldDone::Traverse { completed, state }))
+                    Some(HeldDone::Traverse { completed, state })
                 }
             },
         };
-        let Some((at, port)) = next else {
-            held.next = Next::Nothing;
-            if let Some(done) = done {
-                agents.procs[i].held_done(done);
-            }
-            return self.poll_agent(i, round, card, peers);
-        };
-        // The instruction has seen the blocked attempt, as a poll would
-        // have.
-        agents.phase[i] = AgentPhase::Active;
-        if at == round {
-            held.next = Next::Step;
-            return (Poll::Yield(Action::TakePort(port)), round);
+        held.next = Next::Nothing;
+        if let Some(done) = done {
+            agents.procs[i].held_done(done);
         }
-        held.next = Next::Move { at, port };
-        agents.due[i] = at - 1;
-        // The loop's held-wait arm counts the rounds of the wait it
-        // reaches: the round before the move, or under traditional sensing
-        // every one.
-        if at - 1 == round || self.engine.sensing == Sensing::Traditional {
-            self.stats.polled_agent_rounds += 1;
-        }
-        (Poll::Yield(Action::Wait), at - 1)
+        None
     }
 
     /// Debug-build promise net: agent `i` is inside its promise in
