@@ -108,10 +108,9 @@ impl Procedure for MoveToCentralNode {
             Stage::Hold(w) => w.quiet_until(),
             // WaitForTeam depends on CurCard: under identical observations
             // it keeps waiting until the budget runs out, in the round
-            // `start + window`; that poll fails, which is not a wait. The
-            // promise stops one round earlier still, a conservative margin
-            // the pinned round counts depend on.
-            Stage::WaitForTeam(start) => (start + self.window).saturating_sub(2),
+            // `start + window`; that poll fails, which is not a wait, so
+            // the promise covers every round before it.
+            Stage::WaitForTeam(start) => (start + self.window).saturating_sub(1),
             _ => 0,
         }
     }
@@ -197,6 +196,71 @@ mod tests {
         // wrong place and the team never shows: either way both fail.
         let results = run_pair(&cfg, &real);
         assert!(results.iter().any(|(ok, _)| !ok));
+    }
+
+    /// `MoveToCentralNode` with a team-wait promise that stops one round
+    /// short of the last round the wait is guaranteed through.
+    struct OneRoundShort(MoveToCentralNode);
+    impl Procedure for OneRoundShort {
+        type Output = bool;
+        fn poll(&mut self, obs: &Obs) -> Poll<bool> {
+            self.0.poll(obs)
+        }
+        fn quiet_until(&self) -> u64 {
+            match self.0.stage {
+                Stage::WaitForTeam(start) => (start + self.0.window).saturating_sub(2),
+                _ => self.0.quiet_until(),
+            }
+        }
+    }
+
+    #[test]
+    fn a_team_wait_that_runs_out_alone_costs_no_round_of_its_own() {
+        // The lone agent of `lone_agent_times_out` waits at the central
+        // node for a team that never comes. Its promise covers every round
+        // before the one its budget runs out in, so the engine jumps
+        // straight to the failing poll. A promise one round shorter plays
+        // the same run, trace included, with one executed round more.
+        let cfg = ring_cfg();
+        let real = generators::ring(6);
+        let sched = UnknownSchedule::new(SliceEnumeration::new(vec![cfg.clone()])).unwrap();
+        let run = |short: bool| {
+            let mtcn = MoveToCentralNode::new(&cfg, sched.hypothesis(1), label(1));
+            let declare = |ok: bool| Declaration {
+                leader: None,
+                size: Some(u32::from(ok)),
+            };
+            let agent: nochatter_sim::Agent = if short {
+                Box::new(OneRoundShort(mtcn).map(declare))
+            } else {
+                Box::new(mtcn.map(declare))
+            };
+            let mut engine = Engine::new(&real);
+            engine.add_agent(label(1), NodeId::new(0), agent);
+            engine.add_agent(
+                label(2),
+                NodeId::new(3),
+                Box::new(WaitRounds::new(0).map(|_| Declaration::bare())),
+            );
+            engine.record_trace(64);
+            engine.run(100_000_000).unwrap()
+        };
+        let (mended, short) = (run(false), run(true));
+        assert_eq!(mended.declarations[0].1.unwrap().declaration.size, Some(0));
+        assert_eq!(mended.declarations, short.declarations);
+        assert_eq!(mended.rounds, short.rounds);
+        assert_eq!(
+            mended.trace.as_ref().unwrap().events(),
+            short.trace.as_ref().unwrap().events()
+        );
+        // Rounds 0 and 1 (the poll after the wake observation), then the
+        // failing poll.
+        assert_eq!(mended.engine_iterations, 3);
+        assert_eq!(short.engine_iterations, 4);
+        assert_eq!(
+            mended.engine_iterations + mended.skipped_rounds,
+            short.engine_iterations + short.skipped_rounds
+        );
     }
 
     #[test]

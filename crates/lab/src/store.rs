@@ -319,10 +319,13 @@ fn content_digest(scenario: &Scenario) -> u64 {
 
 /// The canonical probe scenarios behind [`engine_fingerprint`]: a small,
 /// fixed slice of the engine's semantic surface — silent and talking
-/// static gathering, the dynamic-ring adversary, and a crash fault — each
-/// with a trace digest, so a change to wake-up, movement, declaration,
-/// fault or dynamism semantics changes at least one probe record.
+/// static gathering, the dynamic-ring adversary and a crash fault, each
+/// with a trace digest, and the unknown-bound stack, whose moves are held
+/// slow moves and traversals (its runs carry no trace) — so a change to
+/// wake-up, movement, declaration, fault, dynamism or held-instruction
+/// semantics changes at least one probe record.
 fn probe_scenarios() -> Vec<Scenario> {
+    use nochatter_core::unknown::EstMode;
     use nochatter_core::CommMode;
     use nochatter_graph::dynamic::DynamicRing;
     use nochatter_graph::{generators, Label};
@@ -356,6 +359,21 @@ fn probe_scenarios() -> Vec<Scenario> {
             seed: 0x5702E,
         }
     };
+    // The true configuration alone, on an edge: the cheapest probe.
+    let mut unknown = build(
+        CommMode::Silent,
+        "silent",
+        TopologySpec::Static,
+        FaultSpec::None,
+        WakeSchedule::Simultaneous,
+    );
+    unknown.cfg = crate::campaign::spread(generators::path(2), &[2, 3]).expect("probe cfg");
+    unknown.kind = ScenarioKind::Unknown {
+        decoys: Vec::new(),
+        est_mode: EstMode::Conservative,
+    };
+    unknown.key.n = 2;
+    unknown.key.variant = unknown.kind.variant_name();
     vec![
         build(
             CommMode::Silent,
@@ -388,6 +406,7 @@ fn probe_scenarios() -> Vec<Scenario> {
             }]),
             WakeSchedule::Simultaneous,
         ),
+        unknown,
     ]
 }
 

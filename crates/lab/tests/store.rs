@@ -83,7 +83,11 @@ fn engine_fingerprint_is_pinned() {
     // from 2,644 polls to 2,556, and walks the engine plays without a poll
     // took the four probes from 1,286 / 475 / 2,556 / 3,219 polls to
     // 404 / 185 / 756 / 805, every other figure of every probe equal.
-    assert_eq!(engine_fingerprint(), 0xdcca_9fb3_3555_957e);
+    // A fifth probe runs the unknown-bound stack, the only one whose moves
+    // are held slow moves and traversals, so a cache written before those
+    // moves were stepped in their own round (55 executed rounds on that
+    // probe, 42 since) misses instead of replaying the old counts.
+    assert_eq!(engine_fingerprint(), 0x5429_d30b_cc7c_e2b7);
 }
 
 /// A full scenario fingerprint (key + seed + content + versions) is
@@ -93,8 +97,9 @@ fn scenario_fingerprint_is_pinned() {
     let campaign = presets::smoke_campaign();
     let s = &campaign.scenarios()[0];
     assert_eq!(s.key.canonical(), "path/n4/t2.3/wfirst/silent/gather/r0");
-    // Moves with the engine fingerprint it folds in.
-    assert_eq!(scenario_fingerprint(s), 0xdc03_c080_cc80_dcdb);
+    // Moves with the engine fingerprint it folds in (last: the fifth,
+    // unknown-bound probe).
+    assert_eq!(scenario_fingerprint(s), 0xbde9_33a9_df70_0b1e);
 }
 
 // ---------------------------------------------------------------------------

@@ -92,8 +92,10 @@ enum Next {
     /// A move: every round before `at` is a blind wait the engine answers
     /// itself, and in round `at` it takes `port`.
     Move { at: u64, port: Port },
-    /// Step the instruction on this round's observation: the round after
-    /// its latest move.
+    /// Step the instruction: a slow move or a traversal at the end of the
+    /// round of its latest move, once the round's acts are applied
+    /// ([`ActiveRun::settle`]); a walk, which reads `CurCard`, on the
+    /// observation of the round after it ([`ActiveRun::step_held`]).
     Step,
 }
 
@@ -144,6 +146,9 @@ struct AgentArena {
     /// The instruction the engine holds for the agent.
     held: Vec<Held>,
     procs: Vec<Agent>,
+    /// Whether a slow move or a traversal move was taken this round: the
+    /// round then ends in [`ActiveRun::settle`].
+    settle: bool,
 }
 
 impl AgentArena {
@@ -162,6 +167,7 @@ impl AgentArena {
             seen_card: Vec::new(),
             held: Vec::new(),
             procs: Vec::new(),
+            settle: false,
         }
     }
 
@@ -225,16 +231,18 @@ impl AgentArena {
     /// Starts the instruction agent `i`'s procedure just yielded on `obs`
     /// in `round`, and returns the act and promise as
     /// [`AgentArena::resolve`] does: its first move if that is due now,
-    /// else a wait through the round before it. A traversal that ends
-    /// without a move is handed back at once, and the procedure is polled
-    /// again on `obs`. Out of line: an instruction starts once for many
-    /// rounds.
+    /// else a wait through the round before it. A slow move or traversal
+    /// move made now is noted for [`ActiveRun::settle`]. A traversal that
+    /// ends without a move is handed back at once, and the procedure is
+    /// polled again on `obs`. Out of line: an instruction starts once for
+    /// many rounds.
     #[inline(never)]
     fn start_held(&mut self, i: usize, round: u64, obs: &Obs) -> (Poll<Declaration>, u64) {
         let held = &mut self.held[i];
         let (at, port) = match self.procs[i].held() {
             Instruction::Slow { port, wait } => {
                 held.rule = Rule::Slow;
+                self.settle |= wait == 0;
                 (round.saturating_add(wait), port)
             }
             Instruction::Walk(walk) => {
@@ -251,6 +259,7 @@ impl AgentArena {
                 match state.step(obs.degree, obs.entry_port, false) {
                     TraversalStep::Move { port, .. } => {
                         let at = round.saturating_add(state.wait());
+                        self.settle |= at == round;
                         held.rule = Rule::Traverse(state);
                         (at, port)
                     }
@@ -335,7 +344,7 @@ struct RunStats {
     engine_iterations: u64,
     skipped_rounds: u64,
     /// Agent polls: one per due agent per executed round, a held move's
-    /// due wait rounds included, its move rounds and step rounds
+    /// due wait rounds included, its move rounds and a walk's step rounds
     /// excluded. A poll again in the same round, after a traversal that
     /// ended without a move, is not another one.
     polled_agent_rounds: u64,
@@ -367,11 +376,15 @@ struct RunStats {
 /// [`Action::Hold`] there too, in one column, and plays it by one rule
 /// without reaching the procedure: it starts the instruction on the
 /// observation of the round it was yielded in, answers each held move's
-/// wait itself and makes the move in its round, and in the round after
-/// each move steps the instruction on that round's observation, which
-/// gives the next move or the instruction's end. At the end it hands back
-/// what the instruction observed ([`Procedure::held_done`]) and polls the
-/// procedure in that same round.
+/// wait itself and makes the move in its round, and then steps the
+/// instruction, which gives the next move or the instruction's end. A
+/// slow move or a traversal reads no `CurCard`, so it is stepped in the
+/// move round itself, once the round's acts are applied; a walk is
+/// stepped on the observation of the round after the move. At the end
+/// the engine hands back what the instruction observed
+/// ([`Procedure::held_done`]) and polls the procedure: in the round a
+/// walk ends in, in the round after a slow move's or traversal's last
+/// move.
 ///
 /// Every executed round follows one rule. Crashes, adversary wakes and,
 /// after a move, wake-on-visit run first. Then every executing agent that
@@ -382,10 +395,18 @@ struct RunStats {
 /// Under [`Sensing::Traditional`], where the labels present are part of
 /// the observation, every executing agent is polled. An agent holding an
 /// instruction is not polled: the engine makes its moves and takes its
-/// steps, and polls it only in the round the instruction ends. The acts
+/// steps, and polls it only once the instruction has ended. The acts
 /// are then applied simultaneously under the topology view. After a
 /// round in which someone acted (moved, hit an absent edge or declared),
-/// or in which no agent was executing, the next round is executed.
+/// or in which no agent was executing, the next round is executed, with
+/// one exception. When every act of the round was a held slow move or
+/// traversal move and none ended its instruction, under weak sensing,
+/// with no agent dormant and every executing agent holding such a move
+/// or waiting inside a blind promise, no one sees the rounds before the
+/// next held move or promise end: the engine plays on from due round to
+/// due round by the same rule, executing only the rounds a held move or
+/// a held wait is due in, until an instruction ends, an agent holding
+/// nothing comes due, or the next wake, crash or round limit falls.
 /// Otherwise every executing agent waited, and no observation can change
 /// before some promise runs out: the clock jumps to the round after the
 /// earliest promise's last round, capped by the next adversary wake, the
@@ -591,9 +612,10 @@ impl<'g, V: TopologyView> Engine<'g, V> {
 /// reified as a state machine.
 ///
 /// [`ActiveRun::begin`] performs validation and setup; every
-/// [`ActiveRun::step`] executes one round and jumps over the quiet rounds
-/// after it, against a borrowed [`EngineScratch`], and returns the run's
-/// result once it terminates. [`Engine::run_with_scratch`] is a trivial
+/// [`ActiveRun::step`] executes one round (and the held moves after it
+/// that no one sees, [`ActiveRun::play_held`]) and jumps over the quiet
+/// rounds after it, against a borrowed [`EngineScratch`], and returns the
+/// run's result once it terminates. [`Engine::run_with_scratch`] is a trivial
 /// `begin`/`step` driver.
 pub(crate) struct ActiveRun<'g, V: TopologyView> {
     engine: Engine<'g, V>,
@@ -717,6 +739,7 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
                     Next::Move { port, .. } => {
                         agents.held[i].next = Next::Step;
                         agents.due[i] = round;
+                        agents.settle = true;
                         break Poll::Yield(Action::TakePort(port));
                     }
                     Next::Step => {
@@ -739,6 +762,9 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
         }
         if self.running == 0 {
             return Some(Ok(self.terminal_outcome()));
+        }
+        if std::mem::take(&mut self.engine.agents.settle) {
+            return self.settle(round, card, acts).err().map(Err);
         }
 
         let mut next = round + 1;
@@ -851,9 +877,10 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
     ///
     /// The engine takes held instructions into its hands here
     /// ([`AgentArena::resolve`]). Until a held move's round the engine
-    /// answers `Wait` itself, and in that round it makes the move; in the
-    /// round after it steps the instruction ([`ActiveRun::step_held`]).
-    /// None of these reaches the procedure.
+    /// answers `Wait` itself, and in that round it makes the move; then it
+    /// steps the instruction, at the end of that round
+    /// ([`ActiveRun::settle`]) or, for a walk, in the round after
+    /// ([`ActiveRun::step_held`]). None of these reaches the procedure.
     #[inline(always)]
     fn poll_agent(
         &mut self,
@@ -906,61 +933,208 @@ impl<'g, V: TopologyView> ActiveRun<'g, V> {
         (act, until)
     }
 
-    /// Steps agent `i`'s held instruction in `round`, the round after its
-    /// latest move (or blocked attempt), on the observation the agent
-    /// would get. Returns the next move's port if it is due in this round
-    /// (always after a blocked attempt); a later move is held for its
-    /// round. Or the instruction has ended: what it observed is handed
-    /// back, and the agent holds nothing, so the round loop polls it in
-    /// this round. The step itself is not a poll. Out of line: it stands
-    /// in for a poll.
-    #[inline(never)]
+    /// Steps agent `i`'s held walk in `round`, the round after its latest
+    /// move (or blocked attempt), on the observation the agent would get:
+    /// a walk reads that round's `CurCard`. Returns the next move's port,
+    /// due in this round. Or the walk has ended: what it observed is
+    /// handed back, and the agent holds nothing, so the round loop polls
+    /// it in this round. The step itself is not a poll. Inlined into the
+    /// round loop: with slow moves and traversals stepped elsewhere, this
+    /// read `hunt` and `hunt-late` about 2% faster than a call, and
+    /// `unknown-network` unmoved.
+    #[inline(always)]
     fn step_held(&mut self, i: usize, round: u64, card: &[u32]) -> Option<Port> {
         let agents = &mut self.engine.agents;
         let pos = agents.pos[i];
+        let held = &mut agents.held[i];
+        let Rule::Walk(walk) = &mut held.rule else {
+            unreachable!("only a walk is stepped in the round after its move")
+        };
         let degree = self.engine.graph.degree(pos);
         let entry = agents.entry_port[i];
         let blocked = agents.phase[i] == AgentPhase::Blocked;
+        let clock = round - agents.woke[i];
+        if let Some(port) = walk.step(degree, card[pos.index()], entry, blocked, clock) {
+            // A move sets the agent `Active`: the walk has seen a blocked
+            // attempt, as a poll would have.
+            agents.phase[i] = AgentPhase::Active;
+            return Some(port);
+        }
+        let done = HeldDone::Walk(walk.done());
+        held.next = Next::Nothing;
+        agents.procs[i].held_done(done);
+        None
+    }
+
+    /// Ends `round`, in which some agent took a slow move or a traversal
+    /// move, once its acts are applied: steps each such move
+    /// ([`ActiveRun::settle_move`]) and moves the clock on. The round
+    /// after is executed, unless every act was such a move, none ended its
+    /// instruction and no one would see that round
+    /// ([`ActiveRun::unseen`]): then the engine plays on in
+    /// [`ActiveRun::play_held`]. Out of line, like that loop: the round
+    /// loop only notes that such a move was taken.
+    #[inline(never)]
+    fn settle(
+        &mut self,
+        round: u64,
+        card: &mut [u32],
+        acts: &mut Vec<(usize, Poll<Declaration>)>,
+    ) -> Result<(), SimError> {
+        let mut held_only = true;
+        for &(i, _) in acts.iter() {
+            let held = &self.engine.agents.held[i];
+            if held.next == Next::Step && !matches!(held.rule, Rule::Walk(_)) {
+                held_only &= self.settle_move(i, round);
+            } else {
+                held_only = false;
+            }
+        }
+        if held_only && self.unseen() {
+            return self.play_held(round, card, acts);
+        }
+        self.round = round + 1;
+        Ok(())
+    }
+
+    /// Steps agent `i`'s slow move or traversal in `round`, the round of
+    /// its latest move (or blocked attempt), once the round's acts are
+    /// applied. Neither reads `CurCard`: the degree of the node the agent
+    /// stands on, the port it entered by and whether the move was blocked
+    /// are all the step needs, and all three are known now. A traversal
+    /// holds its next move for round `round + 1 + w`, or `round + 1` after
+    /// a blocked attempt, and the step returns `true`. Or the instruction
+    /// has ended (a slow move ends after its one move): what it observed
+    /// is handed back, and the agent holds nothing and is due in the next
+    /// round, where it is polled.
+    fn settle_move(&mut self, i: usize, round: u64) -> bool {
+        let agents = &mut self.engine.agents;
+        let blocked = agents.phase[i] == AgentPhase::Blocked;
         let held = &mut agents.held[i];
-        // A move sets the agent `Active`: the instruction has seen a blocked
-        // attempt, as a poll would have.
         let done = match &mut held.rule {
             Rule::Slow => None,
-            Rule::Walk(walk) => {
-                let clock = round - agents.woke[i];
-                match walk.step(degree, card[pos.index()], entry, blocked, clock) {
-                    Some(port) => {
+            Rule::Traverse(state) => {
+                let degree = self.engine.graph.degree(agents.pos[i]);
+                match state.step(degree, agents.entry_port[i], blocked) {
+                    TraversalStep::Move { port, .. } => {
+                        // The traversal has seen the blocked attempt, as a
+                        // poll would have.
                         agents.phase[i] = AgentPhase::Active;
-                        return Some(port);
+                        let wait = if blocked { 0 } else { state.wait() };
+                        let at = (round + 1).saturating_add(wait);
+                        held.next = Next::Move { at, port };
+                        agents.due[i] = at - 1;
+                        return true;
                     }
-                    None => Some(HeldDone::Walk(walk.done())),
+                    TraversalStep::Done(completed) => {
+                        let Rule::Traverse(state) = std::mem::take(&mut held.rule) else {
+                            unreachable!("a traversal is under way")
+                        };
+                        Some(HeldDone::Traverse { completed, state })
+                    }
                 }
             }
-            Rule::Traverse(state) => match state.step(degree, entry, blocked) {
-                TraversalStep::Move { port, .. } => {
-                    agents.phase[i] = AgentPhase::Active;
-                    let wait = if blocked { 0 } else { state.wait() };
-                    if wait == 0 {
-                        return Some(port);
-                    }
-                    let at = round.saturating_add(wait);
-                    held.next = Next::Move { at, port };
-                    agents.due[i] = at - 1;
-                    return None;
-                }
-                TraversalStep::Done(completed) => {
-                    let Rule::Traverse(state) = std::mem::take(&mut held.rule) else {
-                        unreachable!("a traversal is under way")
-                    };
-                    Some(HeldDone::Traverse { completed, state })
-                }
-            },
+            Rule::Walk(_) => unreachable!("a walk is stepped in the round after its move"),
         };
         held.next = Next::Nothing;
         if let Some(done) = done {
             agents.procs[i].held_done(done);
         }
-        None
+        false
+    }
+
+    /// Whether no one would see the round after one in which only held
+    /// slow moves and traversal moves were made: under weak sensing, with
+    /// no sleeper a move could wake, every executing agent holds such a
+    /// move or waits inside a blind promise, which no `CurCard` change
+    /// cuts short.
+    fn unseen(&self) -> bool {
+        let agents = &self.engine.agents;
+        self.engine.sensing == Sensing::Weak
+            && self.dormant == 0
+            && (0..agents.len()).all(|i| match agents.held[i].next {
+                Next::Move { .. } => true,
+                Next::Nothing => !agents.phase[i].is_executing() || agents.procs[i].blind(),
+                Next::Step => false,
+            })
+    }
+
+    /// Plays on after `round`, a round whose every act was a held slow move
+    /// or traversal move, while no one would see the rounds in between
+    /// ([`ActiveRun::unseen`]). It jumps from due round to due round, and
+    /// in each it makes and settles the held moves due, with what the
+    /// round loop does for such a round: the colocation the latest moves
+    /// made (read at the start of the round after them, if the round limit
+    /// lets that round be played), the topology's round, the trace, the
+    /// held waits due, the iteration and skip counts and, in debug builds,
+    /// the promise net. It leaves the clock on the first round it does not
+    /// play, for the round loop: the round after an instruction ended
+    /// (whose agent is polled there), a round in which an agent holding
+    /// nothing is due, or the next wake, crash or round limit.
+    #[inline(never)]
+    fn play_held(
+        &mut self,
+        mut last: u64,
+        card: &mut [u32],
+        acts: &mut Vec<(usize, Poll<Declaration>)>,
+    ) -> Result<(), SimError> {
+        let stop = self.next_wake.min(self.next_crash).min(self.max_rounds);
+        loop {
+            let agents = &mut self.engine.agents;
+            if std::mem::take(&mut self.moved) && last + 1 < self.max_rounds {
+                for pos in &agents.pos {
+                    self.stats.max_colocation = self.stats.max_colocation.max(card[pos.index()]);
+                }
+            }
+            // The earliest due round of every agent, and of those that hold
+            // no move.
+            let (mut quiet, mut waiters) = (u64::MAX, u64::MAX);
+            for (held, &due) in agents.held.iter().zip(&agents.due) {
+                quiet = quiet.min(due);
+                if !matches!(held.next, Next::Move { .. }) {
+                    waiters = waiters.min(due);
+                }
+            }
+            let next = quiet.saturating_add(1).min(stop);
+            self.stats.skipped_rounds += next - last - 1;
+            self.round = next;
+            if next == stop || waiters <= next {
+                return Ok(());
+            }
+            self.stats.engine_iterations += 1;
+            self.engine.view.begin_round(next);
+            acts.clear();
+            for (i, held) in agents.held.iter_mut().enumerate() {
+                match held.next {
+                    Next::Move { at, port } if at == next => {
+                        held.next = Next::Step;
+                        agents.due[i] = next;
+                        acts.push((i, Poll::Yield(Action::TakePort(port))));
+                    }
+                    Next::Move { at, .. } if agents.due[i] <= next => {
+                        self.stats.polled_agent_rounds += 1;
+                        agents.due[i] = at - 1;
+                    }
+                    _ => {}
+                }
+            }
+            #[cfg(debug_assertions)]
+            for i in 0..self.engine.agents.len() {
+                self.check_promise(i, next, card);
+            }
+            for &(i, act) in acts.iter() {
+                self.apply(i, act, next, card)?;
+            }
+            let mut ended = false;
+            for &(i, _) in acts.iter() {
+                ended |= !self.settle_move(i, next);
+            }
+            if ended {
+                self.round = next + 1;
+                return Ok(());
+            }
+            last = next;
+        }
     }
 
     /// Debug-build promise net: agent `i` is inside its promise in
@@ -2826,8 +3000,12 @@ mod tests {
         // move round.
         assert_eq!(run.round, 4);
         step_past(&mut run, &mut scratch, 4);
+        // The move is settled in its own round: the slow move has ended,
+        // and the agent is due in the round after, for its poll. (The
+        // move used to be stepped in that round, held as `Next::Step`
+        // until then.)
         let agents = &run.engine.agents;
-        assert_eq!(agents.held[0].next, Next::Step);
+        assert_eq!(agents.held[0].next, Next::Nothing);
         assert_eq!(agents.pos[0], NodeId::new(1));
         assert_eq!(agents.due[0], 4, "due again the round after its move");
         step_past(&mut run, &mut scratch, 5);
@@ -2915,8 +3093,9 @@ mod tests {
         let mut scratch = EngineScratch::new();
         let mut run = ActiveRun::begin(engine, 500, &mut scratch).unwrap();
         step_past(&mut run, &mut scratch, 0);
+        // Settled in its round, as any slow move is: it holds nothing.
         let agents = &run.engine.agents;
-        assert_eq!(agents.held[0].next, Next::Step);
+        assert_eq!(agents.held[0].next, Next::Nothing);
         assert_eq!(agents.pos[0], NodeId::new(1));
         assert!(run.step(&mut scratch).is_some());
         assert_eq!(*polls.borrow(), vec![0, 1]);
@@ -3283,9 +3462,11 @@ mod tests {
         assert_eq!(outcome.polled_agent_rounds, 4);
         let record = outcome.declarations[0].1.unwrap();
         assert_eq!((record.round, record.node), (64, NodeId::new(0)));
-        // Rounds 0 and 1, then each move round and the round after it;
-        // the waits are skipped.
-        assert_eq!(outcome.engine_iterations, 34);
+        // Rounds 0 and 1, each move round and round 64. Each move is
+        // stepped in its own round and no one sees the round after it, so
+        // the engine plays on from move to move: 34 iterations when each
+        // move was stepped in the round after it.
+        assert_eq!(outcome.engine_iterations, 19);
     }
 
     #[test]
@@ -3421,31 +3602,40 @@ mod tests {
             Rule::Traverse(_) => "traversal",
         };
         assert_eq!(rule(&run), "none");
-        step_past(&mut run, &mut scratch, 3);
+        step_past(&mut run, &mut scratch, 0);
         assert_eq!(rule(&run), "traversal");
-        // The last move is made in round 63; round 64 hands the state
-        // back and polls the agent, which declares.
-        step_past(&mut run, &mut scratch, 63);
-        assert!(run.step(&mut scratch).is_some());
+        // Round 3 makes the first move, and the engine plays on through
+        // the last, in round 63, which hands the state back in that round;
+        // round 64 polls the agent, which declares. (The state was handed
+        // back in round 64 when each move was stepped in the round after
+        // it.)
+        step_past(&mut run, &mut scratch, 3);
+        assert_eq!(run.round, 64);
         assert_eq!(rule(&run), "none");
         assert_eq!(log.borrow().done, Some(true));
+        assert!(run.step(&mut scratch).is_some());
     }
 
     #[test]
     fn a_traversal_counts_the_wait_rounds_it_is_due_in() {
         // The traversal of `a_traversal_costs_two_polls_at_its_start_and_its_end`
         // beside a waiter, with every edge absent before round `blocked`.
-        // A wait of one round is due in the round after each move, which
-        // is executed, so it counts; a longer wait is skipped up to its
-        // last round. Traditional sensing reaches every executing agent in
-        // every executed round.
+        // Under weak sensing each move is stepped in its own round, and
+        // the round after it is played only while the waiter sees it:
+        // until it declares in round 7, and in round 8, after its
+        // declaration. A wait of one round is due in that round, so it
+        // counts; a longer wait is skipped up to its last round.
+        // Traditional sensing reaches every executing agent in every
+        // executed round. When each move was stepped in the round after
+        // it, that round was always played, and the four weak rows with a
+        // wait read (21, 33), (7, 34), (21, 37) and (7, 37).
         let ring = generators::ring(5);
         for (sensing, blocked, wait, polls, iterations) in [
             (Sensing::Weak, 0, 0, 6, 17),
-            (Sensing::Weak, 0, 1, 21, 33),
-            (Sensing::Weak, 0, 2, 7, 34),
-            (Sensing::Weak, 5, 1, 21, 37),
-            (Sensing::Weak, 5, 3, 7, 37),
+            (Sensing::Weak, 0, 1, 6, 19),
+            (Sensing::Weak, 0, 2, 6, 19),
+            (Sensing::Weak, 5, 1, 6, 23),
+            (Sensing::Weak, 5, 3, 6, 22),
             (Sensing::Traditional, 0, 2, 24, 34),
             (Sensing::Traditional, 5, 3, 25, 37),
         ] {
@@ -3466,5 +3656,316 @@ mod tests {
                 "{sensing:?}, blocked before round {blocked}, wait {wait}"
             );
         }
+    }
+
+    // ------------------------------------------------------------------
+    // Playing on from held move to held move. Each run is checked against
+    // the same traversal played in the procedure's own polls.
+    // ------------------------------------------------------------------
+
+    /// The traversal of `OneTraversal::boxed(2, u32::MAX, wait, ..)`,
+    /// played in the procedure's own polls: it steps a `TraversalState`
+    /// when it starts and in the round after each move, and waits out each
+    /// slow wait inside a blind promise. The engine's held traversal
+    /// stands for this expansion.
+    struct PolledTraversal {
+        state: TraversalState,
+        wait: u64,
+        /// The clock of the next move and its port, while it waits.
+        next: Option<(u64, Port)>,
+    }
+    impl PolledTraversal {
+        fn boxed(wait: u64) -> Agent {
+            let traversal = crate::walk::Traversal {
+                alpha: 2,
+                radius: 2,
+                abort_degree: u32::MAX,
+                wait,
+                retrace: None,
+            };
+            Box::new(PolledTraversal {
+                state: TraversalState::new(traversal),
+                wait,
+                next: None,
+            })
+        }
+    }
+    impl Procedure for PolledTraversal {
+        type Output = Declaration;
+        fn poll(&mut self, obs: &Obs) -> Poll<Declaration> {
+            if let Some((at, port)) = self.next {
+                if obs.round < at {
+                    return Poll::Yield(Action::Wait);
+                }
+                self.next = None;
+                return Poll::Yield(Action::TakePort(port));
+            }
+            match self.state.step(obs.degree, obs.entry_port, obs.blocked) {
+                TraversalStep::Move { port, .. } => {
+                    let wait = if obs.blocked { 0 } else { self.wait };
+                    if wait == 0 {
+                        return Poll::Yield(Action::TakePort(port));
+                    }
+                    self.next = Some((obs.round + wait, port));
+                    Poll::Yield(Action::Wait)
+                }
+                TraversalStep::Done(_) => Poll::Complete(Declaration::bare()),
+            }
+        }
+        fn quiet_until(&self) -> u64 {
+            self.next.map_or(0, |(at, _)| at - 1)
+        }
+        fn blind(&self) -> bool {
+            self.next.is_some()
+        }
+    }
+
+    /// Runs the team `team` builds around its agent 1 twice: once holding
+    /// the traversal of `OneTraversal::boxed(2, u32::MAX, wait, ..)`, once
+    /// playing it in its own polls ([`PolledTraversal`]). Both must be one
+    /// run: the same outcome but for the execution facts, the same trace,
+    /// as many model rounds. Returns the held run, then the polled one.
+    fn held_as_polled<'g, V: TopologyView>(
+        team: impl Fn(Agent) -> Engine<'g, V>,
+        wait: u64,
+        max_rounds: u64,
+    ) -> (RunOutcome, RunOutcome) {
+        let run = |agent| {
+            let mut engine = team(agent);
+            engine.record_trace(1 << 12);
+            engine.run(max_rounds).unwrap()
+        };
+        let log = Rc::new(RefCell::new(TraversalLog::default()));
+        let held = run(OneTraversal::boxed(2, u32::MAX, wait, &log));
+        let polled = run(PolledTraversal::boxed(wait));
+        assert_eq!(held.status, polled.status);
+        assert_eq!(held.rounds, polled.rounds);
+        assert_eq!(held.declarations, polled.declarations);
+        assert_eq!(held.crashed_agents, polled.crashed_agents);
+        assert_eq!(held.total_moves, polled.total_moves);
+        assert_eq!(held.blocked_moves, polled.blocked_moves);
+        assert_eq!(held.max_colocation, polled.max_colocation);
+        assert_eq!(
+            held.trace.as_ref().unwrap().events(),
+            polled.trace.as_ref().unwrap().events()
+        );
+        assert_eq!(
+            held.engine_iterations + held.skipped_rounds,
+            polled.engine_iterations + polled.skipped_rounds
+        );
+        (held, polled)
+    }
+
+    /// A ring of 8 with the traverser of [`held_as_polled`] on node 0. Its
+    /// 16 moves, `wait + 1` rounds apart from round `wait`, visit nodes 7
+    /// and 6 (the first path: moves 1 and 2), then 7, 1, and 1 and 2 (the
+    /// last path: moves 13 and 14), each time back to node 0.
+    fn around_the_traverser(
+        ring: &Graph,
+        traverser: Agent,
+        others: impl FnOnce(&mut Engine<'_>),
+    ) -> Engine<'_> {
+        let mut engine = Engine::new(ring);
+        engine.add_agent(label(1), NodeId::new(0), traverser);
+        others(&mut engine);
+        engine
+    }
+
+    #[test]
+    fn a_traversal_beside_blind_waiters_is_played_from_move_to_move() {
+        // The waiter on node 4 is blind: after each move no one sees the
+        // rounds before the next one, so only the move rounds are
+        // executed, and the waiter's own.
+        let ring = generators::ring(8);
+        let team = |traverser| {
+            around_the_traverser(&ring, traverser, |engine| {
+                add(engine, 2, 4, WaitRounds::new(30));
+            })
+        };
+        let (held, polled) = held_as_polled(team, 3, 1_000);
+        assert_eq!(held.total_moves, 16);
+        // Round 0, the 16 move rounds (the waiter's poll after its wake
+        // observation joins the first, in round 3), the waiter's
+        // declaration in round 30 and the poll in round 64. The polled
+        // traversal also executes the round after each move.
+        assert_eq!(held.engine_iterations, 19);
+        assert_eq!(polled.engine_iterations, 34);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "broke its promise")]
+    fn a_broken_blind_promise_beside_a_traversal_trips_the_debug_net() {
+        // The first move enters the liar's node in round 3, and the engine
+        // plays on to the next move, in round 7, without a poll; the debug
+        // net polls the liar there, and it declares on its company.
+        let ring = generators::ring(8);
+        let log = Rc::new(RefCell::new(TraversalLog::default()));
+        let traverser = OneTraversal::boxed(2, u32::MAX, 3, &log);
+        let engine = around_the_traverser(&ring, traverser, |engine| {
+            add(engine, 2, 7, BlindLiar(WaitRounds::new(30)));
+        });
+        let _ = engine.run(1_000);
+    }
+
+    #[test]
+    fn a_sleeper_on_a_traversals_path_wakes_in_the_arrival_round() {
+        // The second move enters node 6 at the end of round 7. With a
+        // sleeper anywhere, every round after a move is executed: the
+        // sleeper wakes in round 8 and waits out its 5 rounds.
+        let ring = generators::ring(8);
+        let team = |traverser| {
+            let mut engine = around_the_traverser(&ring, traverser, |engine| {
+                add(engine, 2, 6, WaitRounds::new(5));
+            });
+            engine.set_wake_schedule(WakeSchedule::Explicit(vec![0, u64::MAX]));
+            engine
+        };
+        let (held, _) = held_as_polled(team, 3, 1_000);
+        assert_eq!(
+            wakes(&held),
+            vec![(label(1), 0, false), (label(2), 8, true)]
+        );
+        assert_eq!(declared_round(&held, 1), 13);
+    }
+
+    #[test]
+    fn a_card_watcher_beside_a_traversal_sees_its_arrival() {
+        // The watcher on node 2 is not blind: every round after a move is
+        // executed while it waits. The 14th move enters its node at the
+        // end of round 55, and it declares in round 56; the last two moves
+        // are then played from one to the next.
+        use crate::proc::UntilCardExceeds;
+        let ring = generators::ring(8);
+        let team = |traverser| {
+            around_the_traverser(&ring, traverser, |engine| {
+                engine.add_agent(
+                    label(2),
+                    NodeId::new(2),
+                    Box::new(UntilCardExceeds::new(1, WaitRounds::new(100)).map(|out| {
+                        Declaration {
+                            leader: None,
+                            size: Some(u32::from(out.was_interrupted())),
+                        }
+                    })),
+                );
+            })
+        };
+        let (held, _) = held_as_polled(team, 3, 1_000);
+        let watcher = held.declarations[1].1.unwrap();
+        assert_eq!((watcher.round, watcher.declaration.size), (56, Some(1)));
+        // Round 0, the round of each of the first 14 moves and the round
+        // after it (the watcher declares in the last), round 57 after the
+        // declaration, the last two moves and round 64.
+        assert_eq!(held.engine_iterations, 1 + 2 * 14 + 1 + 2 + 1);
+    }
+
+    #[test]
+    fn a_crash_and_a_wake_inside_a_traversal_land_in_their_rounds() {
+        // A third agent wakes in round 21, inside the traversal; from then
+        // on the engine plays it from move to move beside two blind
+        // waiters, due in rounds 39 and 40. One of them crashes in round
+        // 30, inside the wait before the 8th move, and the traverser
+        // itself in round 45, inside the wait before its 12th.
+        let ring = generators::ring(8);
+        let team = |traverser| {
+            let mut engine = around_the_traverser(&ring, traverser, |engine| {
+                add(engine, 2, 4, WaitRounds::new(40));
+                add(engine, 3, 5, WaitRounds::new(20));
+            });
+            engine.set_wake_schedule(WakeSchedule::Explicit(vec![0, 0, 21]));
+            engine.set_faults(crash_at(&[(2, 30), (1, 45)]));
+            engine
+        };
+        let (held, _) = held_as_polled(team, 3, 1_000);
+        assert_eq!(held.crashed_agents, vec![label(1), label(2)]);
+        assert_eq!(moves_of_agent_1(&held).len(), 11);
+        let crashes: Vec<(Label, u64)> = held
+            .trace
+            .as_ref()
+            .unwrap()
+            .events()
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::Crashed { agent, round, .. } => Some((agent, round)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(crashes, vec![(label(2), 30), (label(1), 45)]);
+        assert_eq!(wakes(&held)[2], (label(3), 21, false));
+        assert_eq!(declared_round(&held, 2), 41);
+    }
+
+    #[test]
+    fn a_round_limit_one_round_after_a_move_reads_no_colocation() {
+        // The first move enters the node of a blind waiter at the end of
+        // round 3. The colocation it makes is read at the start of round
+        // 4, so a run cut before round 4 never reads it.
+        let ring = generators::ring(8);
+        let team = |traverser| {
+            around_the_traverser(&ring, traverser, |engine| {
+                add(engine, 2, 7, WaitRounds::new(1_000));
+            })
+        };
+        for (max_rounds, colocation) in [(3, 1), (4, 1), (5, 2), (6, 2), (8, 2)] {
+            let (held, _) = held_as_polled(team, 3, max_rounds);
+            assert_eq!(held.status, RunStatus::RoundLimit);
+            assert_eq!(held.max_colocation, colocation, "limit {max_rounds}");
+        }
+    }
+
+    #[test]
+    fn blocked_traversal_moves_are_made_again_inside_a_held_stretch() {
+        // Beside a blind waiter, a blocked move is attempted again in the
+        // next round, inside the stretch the engine plays on its own: every
+        // edge absent before round 6, or a rotating outage.
+        let ring = generators::ring(8);
+        let blocked = |until| {
+            held_as_polled(
+                |traverser| {
+                    let mut engine = Engine::with_topology(&ring, &BlockedUntil { until });
+                    engine.add_agent(label(1), NodeId::new(0), traverser);
+                    add(&mut engine, 2, 4, WaitRounds::new(100));
+                    engine
+                },
+                3,
+                1_000,
+            )
+        };
+        let (held, _) = blocked(6);
+        assert_eq!(held.blocked_moves, 3);
+        let outage = nochatter_graph::dynamic::PeriodicEdges {
+            period: 3,
+            offset: 1,
+        };
+        let (held, _) = held_as_polled(
+            |traverser| {
+                let mut engine = Engine::with_topology(&ring, &outage);
+                engine.add_agent(label(1), NodeId::new(0), traverser);
+                add(&mut engine, 2, 4, WaitRounds::new(100));
+                engine
+            },
+            2,
+            1_000,
+        );
+        assert!(held.blocked_moves > 0);
+        assert_eq!(held.total_moves, 16);
+    }
+
+    #[test]
+    fn traditional_sensing_executes_every_round_after_a_move() {
+        // Every executing agent sees the labels present, so no round after
+        // a move goes unseen: the held traversal executes the rounds its
+        // polled expansion does.
+        let ring = generators::ring(8);
+        let team = |traverser| {
+            let mut engine = around_the_traverser(&ring, traverser, |engine| {
+                add(engine, 2, 4, WaitRounds::new(30));
+            });
+            engine.set_sensing(Sensing::Traditional);
+            engine
+        };
+        let (held, polled) = held_as_polled(team, 3, 1_000);
+        assert_eq!(held.engine_iterations, polled.engine_iterations);
     }
 }

@@ -36,9 +36,10 @@
 //! procedure it runs, and its output is its declaration. The engine holds
 //! each [`Action::Hold`] itself — a slow move, a walk or a ball traversal
 //! ([`walk::Instruction`]) — and plays it by one rule without polling the
-//! procedure: it makes each move in its round, steps the instruction in
-//! the round after, and polls the procedure again once the instruction
-//! has ended, with what it observed handed back. The optional
+//! procedure: it makes each move in its round, steps the instruction (a
+//! slow move or a traversal at the end of that round, a walk in the round
+//! after), and polls the procedure again once the instruction has ended,
+//! with what it observed handed back. The optional
 //! [`FaultSpec`] crash adversary kills agents mid-run: a crashed agent
 //! stops acting, but its body keeps counting toward `CurCard` — under weak
 //! sensing the survivors cannot tell a corpse from a waiting companion.

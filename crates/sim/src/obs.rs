@@ -66,10 +66,13 @@ pub enum Action {
     ///
     /// The [`Engine`](crate::Engine) plays it by one rule without a poll:
     /// it starts the instruction on the observation of the round it was
-    /// yielded in, makes each move itself, and steps the instruction on
-    /// the observation of the round after each move; once the instruction
-    /// has ended it hands back what it observed and polls the procedure
-    /// in that same round. Every procedure that passes a held instruction
+    /// yielded in, makes each move itself, and steps the instruction after
+    /// each move: a slow move or a traversal, which reads no `CurCard`, at
+    /// the end of the move round, a walk on the observation of the round
+    /// after it. Once the instruction has ended it hands back what it
+    /// observed and polls the procedure in the next round it is due in:
+    /// the round a walk ends in, the round after a slow move's or
+    /// traversal's last move. Every procedure that passes a held instruction
     /// up must forward both calls; see the [`crate::proc`] module docs.
     /// The description is not a field, so that an `Action`, which every
     /// poll of every procedure returns, stays 8 bytes.

@@ -95,7 +95,7 @@ pub struct RunOutcome {
     /// ([`crate::Action::Hold`]), a round inside a move's wait that the
     /// agent is due in counts although the engine answers it without
     /// reaching the procedure; the rounds the engine makes a move in or
-    /// steps the instruction in cost none. An
+    /// steps a walk in cost none. An
     /// execution fact, not a model fact — it moves whenever the engine's
     /// execution strategy does — so it is excluded from the deterministic
     /// lab reports and surfaced as a campaign-level trajectory aggregate

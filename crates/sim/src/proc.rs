@@ -49,19 +49,26 @@
 //!   slow move or traversal of wait 0) or `w` rounds on, the rounds before
 //!   it being a blind wait the engine answers itself;
 //! * it makes each move itself;
-//! * in the round after each move it steps the instruction on that round's
-//!   observation, which gives the next move (in that round, `w` rounds
-//!   on, or in that round again after a blocked attempt) or the
-//!   instruction's end: a slow move ends after its one move, a walk after
-//!   its backtrack or once `CurCard` is above its stop, a traversal after
-//!   its last path or on a node of its abort degree;
+//! * after each move it steps the instruction. A slow move or a traversal
+//!   reads no `CurCard`, so it is stepped at the end of the move round,
+//!   once that round's acts are applied: the node's degree, the entry
+//!   port and whether the move was blocked are all it needs. A walk is
+//!   stepped on the observation of the round after the move. The step
+//!   gives the next move (a walk's in the round it is stepped in, a
+//!   traversal's `w + 1` rounds after the last, or in the next round
+//!   after a blocked attempt) or the instruction's end: a slow move ends
+//!   after its one move, a walk after its backtrack or once `CurCard` is
+//!   above its stop, a traversal after its last path or on a node of its
+//!   abort degree;
 //! * at the end it hands back what the instruction observed through
 //!   [`Procedure::held_done`] ([`HeldDone`]: a walk's `CurCard` summary, a
 //!   traversal's completion and end state; a slow move hands nothing
-//!   back) and polls the procedure in that same round, with the round's
-//!   ordinary observation. A traversal that ends without a move (an abort
-//!   on the start node, or a radius of 0) ends in the round it was yielded
-//!   in, and the procedure is polled again on the same observation.
+//!   back) and polls the procedure, with that round's ordinary
+//!   observation, in the round a walk ends in or the round after a slow
+//!   move's or traversal's last move. A traversal that ends without a
+//!   move (an abort on the start node, or a radius of 0) ends in the round
+//!   it was yielded in, and the procedure is polled again on the same
+//!   observation.
 //!
 //! So:
 //!

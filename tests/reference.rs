@@ -214,9 +214,15 @@ fn cell_strategy() -> impl Strategy<Value = Cell> {
 
 /// Runs `cell` on the engine and on the reference loop and compares them.
 fn engine_matches_reference(cell: &Cell) -> Result<(), TestCaseError> {
+    engine_matches_reference_within(cell, MODEL_ROUNDS)
+}
+
+/// [`engine_matches_reference`], with both loops cut after at most `cap`
+/// rounds.
+fn engine_matches_reference_within(cell: &Cell, cap: u64) -> Result<(), TestCaseError> {
     let graph = cell.cfg.graph();
     let (agents, limit) = cell.agents();
-    let max_rounds = limit.min(MODEL_ROUNDS);
+    let max_rounds = limit.min(cap);
 
     let mut engine = Engine::with_topology(graph, &cell.topo);
     for (label, start, agent) in agents {
@@ -292,4 +298,89 @@ fn an_aborted_ball_is_retraced_as_the_reference_retraces_it() {
         omega: vec![team(generators::ring(3), 1)],
     };
     engine_matches_reference(&cell).unwrap();
+}
+
+/// An unknown-bound cell on the tiny instances of [`cell_strategy`]: an
+/// edge or, with `trio`, a triangle holding a third agent.
+fn unknown_cell(trio: bool, schedule: WakeSchedule, fault: FaultSpec) -> Cell {
+    let graph = if trio {
+        generators::ring(3)
+    } else {
+        generators::path(2)
+    };
+    let mut team = vec![(label(2), NodeId::new(0)), (label(5), NodeId::new(1))];
+    if trio {
+        team.push((label(9), NodeId::new(2)));
+    }
+    let cfg = InitialConfiguration::new(graph, team).unwrap();
+    let decoy = InitialConfiguration::new(
+        generators::path(2),
+        vec![(label(7), NodeId::new(0)), (label(8), NodeId::new(1))],
+    )
+    .unwrap();
+    Cell {
+        omega: vec![decoy, cfg.clone()],
+        cfg,
+        stack: Stack::Unknown,
+        schedule,
+        topo: TopologySpec::Static,
+        fault,
+        seed: 0,
+    }
+}
+
+#[test]
+fn traversals_share_their_runs_with_wakes_and_crashes() {
+    // Within the first 100,000 rounds the agents on the edge make ball
+    // traversal moves 25 rounds apart in rounds 24 to 349, 724 to 1,049
+    // and 37,178 to 37,703, and those on the triangle 217 rounds apart
+    // from round 37,370. The engine plays such moves from one to the next
+    // while no one sees the rounds between. A crash in a move round, in
+    // the round after one or inside a wait, and a wake inside a
+    // traversal, each land in their own round.
+    let crash = |label_value, round| {
+        FaultSpec::CrashAt(vec![CrashPoint {
+            label: label(label_value),
+            round,
+        }])
+    };
+    let mut cells = Vec::new();
+    for round in [174, 175, 187, 849, 37_453, 37_460] {
+        for label_value in [2, 5] {
+            let fault = crash(label_value, round);
+            cells.push(unknown_cell(false, WakeSchedule::Simultaneous, fault));
+        }
+    }
+    for wake in [100, 187, 37_460] {
+        let schedule = WakeSchedule::Explicit(vec![0, wake]);
+        cells.push(unknown_cell(false, schedule.clone(), FaultSpec::None));
+        cells.push(unknown_cell(false, schedule, crash(2, wake + 50)));
+    }
+    for round in [37_587, 37_588, 37_700] {
+        cells.push(unknown_cell(
+            true,
+            WakeSchedule::Simultaneous,
+            crash(9, round),
+        ));
+    }
+    let schedule = WakeSchedule::Explicit(vec![0, 0, 37_700]);
+    cells.push(unknown_cell(true, schedule, crash(5, 38_000)));
+    for cell in &cells {
+        engine_matches_reference(cell).unwrap();
+    }
+}
+
+#[test]
+fn a_run_cut_right_after_a_traversal_move_reads_only_the_colocations_it_plays() {
+    // With staggered wakes, one agent's traversal move enters the node of
+    // another, waiting blind, and makes the run's first colocation of 2:
+    // on the edge in round 24, on the triangle in round 37,370. The
+    // colocation a move makes is read at the start of the round after it,
+    // so a run cut right after the move must not count it.
+    for (trio, moved) in [(false, 24), (true, 37_370)] {
+        let cell = unknown_cell(trio, WakeSchedule::Staggered { gap: 3 }, FaultSpec::None);
+        for cap in moved + 1..moved + 4 {
+            engine_matches_reference_within(&cell, cap).unwrap();
+        }
+    }
 }
